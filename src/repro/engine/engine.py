@@ -121,14 +121,6 @@ class SupportsMix(Protocol):
     def mix(self, replicas: np.ndarray) -> np.ndarray: ...
 
 
-def _solve_ms_of(assignment: "Assignment") -> Optional[float]:
-    """Solver runtime a planner recorded on the assignment, if any."""
-    value = assignment.meta.get("solve_ms")
-    if isinstance(value, (int, float)):
-        return float(value)
-    return None
-
-
 @dataclass
 class AsyncUpdate:
     """One applied asynchronous update."""
@@ -488,6 +480,9 @@ class RoundEngine:
         scalar loop (the store's scalar and vector ops share their
         arithmetic), so the emitted event stream is bit-identical.
         """
+        # imported here: repro.fleet imports this package's events
+        from ..fleet.round import run_workloads
+
         fleet = self.fleet
         assert fleet is not None
         idx = np.asarray(list(participants), dtype=np.int64)
@@ -495,11 +490,10 @@ class RoundEngine:
             samples = self._round_samples[idx]
         else:
             samples = self._user_sizes[idx]
-        compute_s, energy_j = fleet.run_compute(
-            idx, samples, epochs=self.local_epochs
+        compute_s, comm_s, total_s, energy_j = run_workloads(
+            fleet, idx, samples, self.local_epochs, model_wire_mb(self.model)
         )
-        comm_s = fleet.comm_time_s(idx, model_wire_mb(self.model))
-        times[idx] = compute_s + comm_s
+        times[idx] = total_s
         soc = fleet.soc(idx)
         for i, j in enumerate(idx.tolist()):
             self.bus.emit(
@@ -588,7 +582,7 @@ class RoundEngine:
                     predicted_makespan_s=assignment.predicted_makespan_s,
                     predicted_energy_j=assignment.predicted_energy_j,
                     time_s=self.clock_s,
-                    solve_ms=_solve_ms_of(assignment),
+                    solve_ms=assignment.solve_ms,
                 )
             )
             # users planned out of the round neither compute nor train

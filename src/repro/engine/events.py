@@ -171,7 +171,7 @@ class ScheduleComputed(EngineEvent):
 class CohortAccounted(EngineEvent):
     """A fleet-scale round accounted its cohort in one aggregate.
 
-    Emitted by the columnar :class:`repro.fleet.runner.FleetRunner`
+    Emitted by the columnar :class:`repro.fleet.round.RoundCore`
     *instead of* per-client ``ClientDispatched``/``ClientFinished``
     events once the cohort outgrows the configured detail threshold —
     per-client streams at 10⁶ devices would dwarf the simulation

@@ -1,10 +1,9 @@
 """Client-side execution primitives shared by every engine mode.
 
-Local SGD (``train_local``) and batched model evaluation moved here
-from ``repro.federated.client`` / ``repro.federated.metrics`` (both
-re-export them unchanged): the engine dispatches the same local
-workload whether the surrounding control flow is a synchronous round,
-an asynchronous event loop, or a gossip step.
+Local SGD (``train_local``) and batched model evaluation live here
+(``repro.federated`` re-exports them unchanged): the engine dispatches
+the same local workload whether the surrounding control flow is a
+synchronous round, an asynchronous event loop, or a gossip step.
 """
 
 from __future__ import annotations

@@ -13,10 +13,10 @@ process-wide with :func:`record_telemetry` so experiments that build
 their simulations internally are captured too.
 
 The legacy :class:`RoundRecord` / :class:`ConvergenceHistory`
-containers also live here (``repro.federated.metrics`` re-exports
-them): they are the in-memory view the paper-facing experiments consume
-and the reference the telemetry stream is tested against — per-round
-makespans in the stream must equal the history's makespans.
+containers also live here (``repro.federated`` re-exports them): they
+are the in-memory view the paper-facing experiments consume and the
+reference the telemetry stream is tested against — per-round makespans
+in the stream must equal the history's makespans.
 
 JSON-lines schema: every line is ``{"event": <kind>, ...}`` where the
 remaining keys are the fields of the corresponding event dataclass in

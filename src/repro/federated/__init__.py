@@ -2,8 +2,14 @@
 the synchronous round simulator that couples learning with the
 device-level virtual clock."""
 
+from ..engine import (
+    ConvergenceHistory,
+    LocalTrainingResult,
+    RoundRecord,
+    evaluate_accuracy,
+    train_local,
+)
 from .asynchronous import AsyncConfig, AsyncFederatedSimulation, AsyncUpdate
-from .client import LocalTrainingResult, train_local
 from .decentralized import (
     DecentralizedConfig,
     DecentralizedSimulation,
@@ -11,7 +17,6 @@ from .decentralized import (
     metropolis_weights,
 )
 from .dropout import DropoutPolicy, apply_deadline
-from .metrics import ConvergenceHistory, RoundRecord, evaluate_accuracy
 from .server import ParameterServer, fedavg_aggregate
 from .simulation import FederatedSimulation, SimulationConfig
 

@@ -1,6 +1,6 @@
 """Columnar fleet: struct-of-arrays client populations at 10⁶ scale.
 
-The package has three layers:
+The package has four layers:
 
 * :mod:`repro.fleet.store` — the :class:`FleetStore` single source of
   truth (NumPy column per attribute, per-class constants broadcast via
@@ -8,6 +8,9 @@ The package has three layers:
   interfaces working, bit-identically;
 * :mod:`repro.fleet.sampling` — seeded per-round cohort samplers
   (uniform and data-size-biased Gumbel-top-k);
+* :mod:`repro.fleet.round` — the one columnar round core (plan →
+  dispatch → close) that the fleet runner, the serve coordinator and
+  the engine's columnar dispatch all drive;
 * :mod:`repro.fleet.runner` / :mod:`repro.fleet.bench` — the
   vectorized round driver and the ``repro bench fleet`` n-sweep.
 

@@ -225,6 +225,15 @@ class Assignment:
     def samples_per_user(self) -> np.ndarray:
         return self.schedule.samples_per_user()
 
+    @property
+    def solve_ms(self) -> Optional[float]:
+        """Solver runtime (host ms) the planner recorded in ``meta``,
+        if any (see :func:`repro.sched.binding.timed_schedule`)."""
+        value = self.meta.get("solve_ms")
+        if isinstance(value, (int, float)):
+            return float(value)
+        return None
+
     @classmethod
     def from_schedule(
         cls,

@@ -42,6 +42,7 @@ __all__ = [
     "EngineSchedulerBinding",
     "problem_from_engine",
     "restrict_problem",
+    "timed_schedule",
 ]
 
 SchedulerLike = Union[str, Scheduler, Callable[[int], Union[str, Scheduler]]]
@@ -154,6 +155,22 @@ def restrict_problem(
     return replace(problem, capacities=caps)
 
 
+def timed_schedule(
+    scheduler: Scheduler, problem: SchedulingProblem
+) -> Assignment:
+    """Solve one instance under the profiler's ``solve`` phase.
+
+    Solver runtime is host cost, not virtual time: it is read off
+    ``perf_counter`` (monotonic) and rides along in ``meta["solve_ms"]``
+    — written here only — for ``ScheduleComputed`` to report.
+    """
+    t0 = time.perf_counter()
+    with PROFILER.phase("solve"):
+        assignment = scheduler.schedule(problem)
+    assignment.meta["solve_ms"] = (time.perf_counter() - t0) * 1e3
+    return assignment
+
+
 class EngineSchedulerBinding:
     """Per-round planner the engine consults when bound.
 
@@ -216,15 +233,6 @@ class EngineSchedulerBinding:
                 f"{problem.n_users} users, engine has {len(engine.users)}"
             )
         instance = restrict_problem(problem, eligible)
-        scheduler = self._resolve(round_idx)
-        # perf_counter (monotonic): solver runtime is host cost, not
-        # virtual time; it rides along in meta so the engine's
-        # ScheduleComputed event (and repro.obs) can report it
-        t0 = time.perf_counter()
-        with PROFILER.phase("solve"):
-            assignment = scheduler.schedule(instance)
-        assignment.meta["solve_ms"] = (
-            time.perf_counter() - t0
-        ) * 1e3
+        assignment = timed_schedule(self._resolve(round_idx), instance)
         self.assignments.append(assignment)
         return assignment

@@ -1,48 +1,39 @@
 """Training coordinator: scheduler-planned rounds over live membership.
 
-The coordinator is the serve-side sibling of
-:class:`~repro.fleet.runner.FleetRunner` with one structural
-difference: it runs *concurrently with churn*. A round is an async task
-with explicit phase checkpoints (``planned``, ``dispatched``) at which
-control returns to the event loop — heartbeats are processed, the
-monitor sweep may kill devices, the simulated driver injects losses —
-and the coordinator reacts:
+A serve round is :class:`~repro.fleet.round.RoundCore`'s plan →
+dispatch → close run *concurrently with churn*: it is an async task
+that returns control to the event loop at a checkpoint after each of
+the first two steps (``planned``, ``dispatched``) — heartbeats are
+processed, the monitor sweep may kill devices, the simulated driver
+injects losses — and the coordinator reacts:
 
 * a scheduled device dead **before dispatch** forces a re-plan: the
   round's :class:`~repro.sched.base.SchedulingProblem` (budget fixed at
   round start — the workload does not shrink because devices died) is
   restricted to the still-live cohort via
-  :func:`repro.sched.binding.restrict_problem` and solved again
+  :func:`repro.sched.binding.restrict_problem` and planned again
   (``repro_serve_replans_total``);
 * a scheduled device dead **after dispatch** simply never uploads —
-  Shi '19's k-of-n completion: it is narrated as a
-  :class:`~repro.engine.events.ClientDropped`, the barrier closes over
-  the survivors, and aggregation proceeds with whoever finished.
+  the core closes the barrier k-of-n (Shi '19) over the survivors and
+  narrates the loss as a :class:`~repro.engine.events.ClientDropped`.
 
-Every completed round commits exactly one new
+What is the coordinator's own: the deterministic top-k cohort, the
+re-plan loop and its :attr:`~TrainingCoordinator.plan_log`, cancel,
+and the commit — every completed round adds exactly one
 :class:`~repro.serve.modelreg.ModelVersion` carrying the round's
-provenance. Round events ride the engine's *virtual* clock
-(``clock_s``), exactly like the fleet runner.
+provenance. Round events ride the *virtual* clock (``clock_s``).
 """
 
 from __future__ import annotations
 
 import asyncio
-import time as _time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..engine.events import (
-    ClientDispatched,
-    ClientDropped,
-    ClientFinished,
-    CohortAccounted,
-    EventBus,
-    RoundCompleted,
-    ScheduleComputed,
-)
+from ..engine.events import EventBus
+from ..fleet.round import RoundCore
 from ..obs import catalog
 from ..obs.metrics import MetricRegistry
 from ..sched.base import Assignment, Scheduler, SchedulingProblem
@@ -132,10 +123,6 @@ class TrainingCoordinator:
         max_replans: int = 8,
         churn_hook: Optional[ChurnHook] = None,
     ) -> None:
-        if shard_size <= 0:
-            raise ValueError("shard_size must be positive")
-        if local_epochs <= 0:
-            raise ValueError("local_epochs must be positive")
         if max_replans < 0:
             raise ValueError("max_replans must be non-negative")
         self.registry = registry
@@ -151,14 +138,18 @@ class TrainingCoordinator:
         m = metrics if metrics is not None else MetricRegistry()
         self._replans_total = m.counter(catalog.SERVE_REPLANS_TOTAL)
         self._in_flight_gauge = m.gauge(catalog.SERVE_ROUNDS_IN_FLIGHT)
-        self.shard_size = shard_size
+        self.core = RoundCore(
+            self.fleet,
+            self.bus,
+            cohort_size=cohort_size,
+            shard_size=shard_size,
+            min_soc=min_soc,
+            local_epochs=local_epochs,
+            aggregation_s=aggregation_s,
+            wire_mb=wire_mb,
+            detail_threshold=detail_threshold,
+        )
         self.total_shards = total_shards
-        self.cohort_size = cohort_size
-        self.min_soc = min_soc
-        self.local_epochs = local_epochs
-        self.aggregation_s = aggregation_s
-        self.wire_mb = wire_mb
-        self.detail_threshold = detail_threshold
         self.with_energy = with_energy
         self.max_replans = max_replans
         #: test/driver seam: called synchronously at each phase
@@ -176,9 +167,7 @@ class TrainingCoordinator:
         """Live registered devices with data whose charge clears
         ``min_soc`` (the ``alive`` column is registry-owned, so dead
         devices are excluded by construction)."""
-        mask = self.fleet.eligible_mask(self.min_soc)
-        mask &= self.fleet.data_size > 0
-        return np.flatnonzero(mask)
+        return self.core.eligible_indices()
 
     def _draw_cohort(self, job: RoundJob) -> np.ndarray:
         eligible = self.eligible_indices()
@@ -190,7 +179,7 @@ class TrainingCoordinator:
         size = (
             job.cohort_size
             if job.cohort_size is not None
-            else self.cohort_size
+            else self.core.cohort_size
         )
         if size is None or eligible.size <= size:
             return eligible
@@ -207,52 +196,36 @@ class TrainingCoordinator:
             return self._scheduler_obj
         return get_scheduler(job.scheduler or self.default_scheduler)
 
-    def _solve(
+    def _plan(
         self,
         job: RoundJob,
         scheduler: Scheduler,
         problem: SchedulingProblem,
         cohort: np.ndarray,
         attempt: int,
-    ) -> Tuple[Assignment, np.ndarray]:
-        """One scheduler invocation; emits ``ScheduleComputed``."""
+    ) -> Assignment:
+        """One plan over the cohort members alive right now, logged."""
         live_pos = np.flatnonzero(self.fleet.alive[cohort])
         instance = (
             problem
             if live_pos.size == cohort.size
             else restrict_problem(problem, live_pos.tolist())
         )
-        # perf_counter (monotonic): solver runtime is host cost, not
-        # virtual time — same discipline as EngineSchedulerBinding
-        t0 = _time.perf_counter()
-        assignment = scheduler.schedule(instance)
-        solve_ms = (_time.perf_counter() - t0) * 1e3
-        counts = np.asarray(assignment.shard_counts, dtype=np.int64)
-        scheduled = cohort[np.flatnonzero(counts > 0)]
+        assignment = self.core.plan(
+            scheduler, instance, job.round_id, self.clock_s
+        )
+        scheduled = cohort[np.flatnonzero(assignment.shard_counts > 0)]
         self.plan_log.append(
             PlanRecord(
                 round_id=job.round_id,
                 attempt=attempt,
-                scheduled=tuple(int(i) for i in scheduled),
+                scheduled=tuple(scheduled.tolist()),
                 dead_scheduled=int(
                     (~self.fleet.alive[scheduled]).sum()
                 ),
             )
         )
-        if int(scheduled.size) <= self.detail_threshold:
-            self.bus.emit(
-                ScheduleComputed(
-                    round_idx=job.round_id,
-                    scheduler=scheduler.name,
-                    shard_counts=tuple(int(k) for k in counts),
-                    shard_size=self.shard_size,
-                    predicted_makespan_s=assignment.predicted_makespan_s,
-                    predicted_energy_j=assignment.predicted_energy_j,
-                    time_s=self.clock_s,
-                    solve_ms=solve_ms,
-                )
-            )
-        return assignment, counts
+        return assignment
 
     async def _checkpoint(self, phase: str, job: RoundJob) -> None:
         """Phase boundary: run the churn hook, then yield the loop."""
@@ -290,7 +263,7 @@ class TrainingCoordinator:
         problem = fleet_problem(
             self.fleet,
             cohort=cohort,
-            shard_size=self.shard_size,
+            shard_size=self.core.shard_size,
             total_shards=self.total_shards,
             with_energy=self.with_energy,
         )
@@ -299,15 +272,13 @@ class TrainingCoordinator:
         # DeviceLost landing at the checkpoint invalidates the plan and
         # re-invokes the scheduler over the survivors (budget fixed)
         attempt = 0
-        assignment, counts = self._solve(
-            job, scheduler, problem, cohort, attempt
-        )
-        await self._checkpoint("planned", job)
         while True:
+            assignment = self._plan(job, scheduler, problem, cohort, attempt)
+            await self._checkpoint("planned", job)
             if job.cancel_requested:
                 job.status = "cancelled"
                 return
-            scheduled = cohort[np.flatnonzero(counts > 0)]
+            scheduled = cohort[np.flatnonzero(assignment.shard_counts > 0)]
             if bool(self.fleet.alive[scheduled].all()):
                 break
             attempt += 1
@@ -318,156 +289,35 @@ class TrainingCoordinator:
                 )
             job.replans += 1
             self._replans_total.inc()
-            assignment, counts = self._solve(
-                job, scheduler, problem, cohort, attempt
-            )
-            await self._checkpoint("planned", job)
 
-        pending = self._dispatch(job, cohort, counts)
+        dispatched = self.core.dispatch(
+            cohort, assignment, job.round_id, self.clock_s
+        )
         await self._checkpoint("dispatched", job)
         if job.cancel_requested:
             job.status = "cancelled"
             return
-        self._collect(job, pending)
-
-    def _dispatch(
-        self, job: RoundJob, cohort: np.ndarray, counts: np.ndarray
-    ) -> "_PendingRound":
-        """Hand out the workloads: batteries drain *now* — a device
-        that dies before upload has still paid for its compute."""
-        samples = counts * np.int64(self.shard_size)
-        active = np.flatnonzero(samples > 0)
-        idx = cohort[active]
-        compute_s, energy_j = self.fleet.run_compute(
-            idx, samples[active], epochs=self.local_epochs
-        )
-        comm_s = self.fleet.comm_time_s(idx, self.wire_mb)
-        total_s = compute_s + comm_s
-        if int(idx.size) <= self.detail_threshold:
-            for i, j in enumerate(idx.tolist()):
-                self.bus.emit(
-                    ClientDispatched(
-                        round_idx=job.round_id,
-                        client_id=j,
-                        n_samples=int(samples[active][i]),
-                        time_s=self.clock_s,
-                    )
-                )
-        return _PendingRound(
-            idx=idx,
-            samples=samples[active],
-            compute_s=compute_s,
-            comm_s=comm_s,
-            total_s=total_s,
-            energy_j=energy_j,
-            eligible_count=int(self.eligible_indices().size),
-        )
-
-    def _collect(self, job: RoundJob, pending: "_PendingRound") -> None:
-        """Close the barrier k-of-n: devices dead since dispatch never
-        upload; the survivors aggregate and the model advances."""
-        idx = pending.idx
-        survived = self.fleet.alive[idx]
-        completed = np.flatnonzero(survived)
-        dropped = np.flatnonzero(~survived)
-        if completed.size == 0:
-            raise RuntimeError(
-                f"round {job.round_id}: every scheduled device died "
-                "before upload; nothing to aggregate"
-            )
-        total_s = pending.total_s
-        makespan_s = float(total_s[completed].max())
-        mean_s = float(total_s[completed].mean())
-        detail = int(idx.size) <= self.detail_threshold
-        if detail:
-            for i in completed.tolist():
-                self.bus.emit(
-                    ClientFinished(
-                        round_idx=job.round_id,
-                        client_id=int(idx[i]),
-                        compute_s=float(pending.compute_s[i]),
-                        comm_s=float(pending.comm_s[i]),
-                        total_s=float(total_s[i]),
-                        time_s=self.clock_s + float(total_s[i]),
-                        energy_j=float(pending.energy_j[i]),
-                        battery_soc=float(
-                            self.fleet.soc(idx[i : i + 1])[0]
-                        ),
-                    )
-                )
-            for i in dropped.tolist():
-                self.bus.emit(
-                    ClientDropped(
-                        round_idx=job.round_id,
-                        client_id=int(idx[i]),
-                        total_s=float(total_s[i]),
-                        time_s=self.clock_s + float(total_s[i]),
-                    )
-                )
-        else:
-            soc = self.fleet.soc(idx[completed])
-            self.bus.emit(
-                CohortAccounted(
-                    round_idx=job.round_id,
-                    cohort_size=int(completed.size),
-                    eligible_count=pending.eligible_count,
-                    energy_j=float(pending.energy_j.sum()),
-                    mean_battery_soc=(
-                        float(soc.mean()) if soc.size else None
-                    ),
-                    time_s=self.clock_s + makespan_s,
-                )
-            )
-        # survivors idle out the barrier slack (dead rows drain nothing)
-        wait_s = makespan_s - total_s[completed] + self.aggregation_s
-        waiting = np.flatnonzero(wait_s > 0)
-        if waiting.size:
-            self.fleet.idle(
-                idx[completed[waiting]], wait_s[waiting]
-            )
-        self.clock_s += makespan_s + self.aggregation_s
-        self.bus.emit(
-            RoundCompleted(
-                round_idx=job.round_id,
-                makespan_s=makespan_s,
-                mean_time_s=mean_s,
-                participant_count=int(completed.size),
-                accuracy=None,
-                time_s=self.clock_s,
-            )
-        )
+        closed = self.core.close(dispatched)
+        self.clock_s = closed.end_s
         version = self.models.commit(
             round_id=job.round_id,
             scheduler=job.scheduler,
-            participants=[int(idx[i]) for i in completed.tolist()],
-            dropped=[int(idx[i]) for i in dropped.tolist()],
+            participants=closed.completed.tolist(),
+            dropped=closed.dropped.tolist(),
             replans=job.replans,
-            makespan_s=makespan_s,
-            energy_j=float(pending.energy_j.sum()),
+            makespan_s=closed.makespan_s,
+            energy_j=closed.energy_j,
         )
         job.model_version = version.version
         job.record = {
             "round_id": job.round_id,
             "scheduler": job.scheduler,
-            "participant_count": int(completed.size),
-            "dropped_count": int(dropped.size),
+            "participant_count": int(closed.completed.size),
+            "dropped_count": int(closed.dropped.size),
             "replans": job.replans,
-            "makespan_s": makespan_s,
-            "mean_time_s": mean_s,
-            "energy_j": float(pending.energy_j.sum()),
+            "makespan_s": closed.makespan_s,
+            "mean_time_s": closed.mean_time_s,
+            "energy_j": closed.energy_j,
             "model_version": version.version,
         }
         job.status = "completed"
-
-
-@dataclass
-class _PendingRound:
-    """Work dispatched, barrier not yet closed."""
-
-    idx: np.ndarray
-    samples: np.ndarray
-    compute_s: np.ndarray
-    comm_s: np.ndarray
-    total_s: np.ndarray
-    energy_j: np.ndarray
-    eligible_count: int

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.federated.client import train_local
+from repro.engine import train_local
 from repro.models import logistic, mlp
 
 

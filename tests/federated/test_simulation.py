@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.partition import UserData, iid_partition, noniid_partition
 from repro.device.registry import make_device
-from repro.federated.metrics import evaluate_accuracy
+from repro.engine import evaluate_accuracy
 from repro.federated.simulation import FederatedSimulation, SimulationConfig
 from repro.models import logistic
 from repro.network.link import make_link

@@ -248,3 +248,29 @@ def test_scheduled_sets_are_numpy_free():
     assert all(type(i) is int for i in plan.scheduled)
     assert isinstance(plan.scheduled, tuple)
     assert isinstance(np.asarray(plan.scheduled).sum(), np.integer)
+
+
+def test_detail_round_reads_charge_and_eligibility_once():
+    """Regression: the round used to read ``soc`` once per finished
+    client and to build a second full-fleet eligibility mask that only
+    the aggregate event (not emitted in detail mode) would carry."""
+    app, _ = make_app(n=20)
+    register_n(app, 20)
+    calls = {"soc": 0, "eligible_mask": 0}
+
+    def counted(name):
+        inner = getattr(app.fleet, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        setattr(app.fleet, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    job = run_round(app)
+    assert job.status == "completed"
+    assert job.record["participant_count"] == 20
+    assert calls["soc"] <= 1
+    assert calls["eligible_mask"] == 1
