@@ -11,10 +11,36 @@ so the optimal makespan is found by binary search over the sorted cost
 values — the paper's O(ns log ns) procedure (O(n^2 log n) when s = n).
 
 ``fed_lbap`` returns both the optimal threshold and a concrete
-allocation: each user is given its maximal within-threshold shard count,
-then the surplus over ``D`` is trimmed from the users whose *current*
-cost is highest (this never raises the bottleneck and tends to lower
-the realised makespan below ``c*``).
+allocation. No step loops over users in Python; the three steps are
+
+1. **Duplicate-row collapse** (``_distinct_rows``). A cohort drawn from
+   a handful of device classes has a handful of distinct cost rows.
+   Rows are grouped by a cheap key (three cells), every row is then
+   compared bit for bit with its group's first row, and a row that
+   differs anywhere stays its own representative. Validation,
+   ``np.unique`` and the threshold search run on the ``g x s``
+   representatives; capacities and the allocation stay per user.
+   O(ns) for the comparison, O(gs log gs) for the rest — O(ns log ns)
+   when every row is distinct.
+2. **Batched threshold search** (``_counts_at``). The per-row count for
+   one threshold is ``searchsorted(row, c, side="right")``; all rows
+   take the same bisection steps at once (``ceil(log2 s)`` gathers),
+   each row following exactly the probe sequence ``searchsorted`` would,
+   so rows that dip inside the 1e-9 monotonicity tolerance get the
+   same count they always did.
+3. **Trim** (``_trim_to_total``). Each user gets its maximal
+   within-threshold count, then the surplus over ``D`` is removed one
+   shard at a time from the first user whose last shard costs most
+   (never raising the bottleneck). That greedy works level by level:
+   with ``m`` the highest last-shard cost, the first user at ``m``
+   keeps giving shards while its last one still costs ``>= m``, then
+   the next user at ``m`` does. So per level each user at ``m`` gives
+   ``min(run_j, surplus left)`` in user order — one ``cumsum`` — where
+   ``run_j`` is its trailing run of cells ``>= m``. For non-decreasing
+   rows the first level is ``c*`` itself and is the only one: the
+   value below ``c*`` was infeasible, so the cells equal to ``c*``
+   outnumber the surplus. Further levels occur only when a row dips
+   inside the tolerance under a binding capacity.
 
 ``solve_lbap_threshold_exact`` is a reference implementation of the
 classic LBAP thresholding algorithm (perfect matching via
@@ -33,6 +59,33 @@ from .schedule import Schedule
 __all__ = ["fed_lbap", "feasible_at_threshold", "solve_lbap_threshold_exact"]
 
 
+def _counts_at(rows: np.ndarray, threshold: float) -> np.ndarray:
+    """``searchsorted(row, threshold, side="right")`` for every row.
+
+    One bisection over all rows at once, each row visiting the cells
+    ``searchsorted`` would (``mid = lo + (hi - lo) // 2``), so the
+    result is the same on rows that are not exactly sorted.
+    """
+    n, s = rows.shape
+    lo = np.zeros(n, dtype=np.int64)
+    if threshold != threshold:
+        # searchsorted orders NaN after every number
+        return lo + s
+    hi = np.full(n, s, dtype=np.int64)
+    flat = rows.reshape(-1)
+    first = np.arange(n, dtype=np.int64) * s
+    for _ in range(s.bit_length()):
+        mid = (lo + hi) >> 1
+        # a finished row has lo == hi == mid: it must not move, and
+        # its mid may be s, one past the row
+        right = (flat[first + np.minimum(mid, s - 1)] <= threshold) & (
+            lo < hi
+        )
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return lo
+
+
 def feasible_at_threshold(
     cost: np.ndarray,
     threshold: float,
@@ -42,47 +95,90 @@ def feasible_at_threshold(
     """Check Property-2 feasibility of a threshold.
 
     Returns ``(feasible, per-user maximal shard counts)``. Rows must be
-    non-decreasing; the per-row count is found with ``searchsorted``
-    and optionally clipped to per-user capacities.
+    non-decreasing; for such a row the count of entries ``<=
+    threshold`` is the insertion point of ``threshold`` on the right,
+    optionally clipped to per-user capacities.
     """
-    # For a non-decreasing row, the count of entries <= threshold is the
-    # insertion point of threshold on the right.
-    counts = np.array(
-        [int(np.searchsorted(row, threshold, side="right")) for row in cost],
-        dtype=np.int64,
-    )
+    counts = _counts_at(np.asarray(cost, dtype=np.float64), threshold)
     if capacities is not None:
         counts = np.minimum(counts, capacities)
     return int(counts.sum()) >= total_shards, counts
 
 
+def _distinct_rows(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Collapse bit-for-bit duplicate rows.
+
+    Returns ``(rows, group)`` with ``cost[j]`` identical to
+    ``rows[group[j]]``. Rows sharing a three-cell key are candidates;
+    each is verified against the first row of its key over every cell,
+    and one that differs (or whose key collided) represents itself.
+    """
+    n, s = cost.shape
+    bits = cost.view(np.uint64)
+    key = (
+        bits[:, 0]
+        ^ (bits[:, s // 2] * np.uint64(0x9E3779B97F4A7C15))
+        ^ (bits[:, s - 1] * np.uint64(0xC2B2AE3D27D4EB4F))
+    )
+    _, first, inverse = np.unique(
+        key, return_index=True, return_inverse=True
+    )
+    if first.size == n:
+        # no two rows share a key: nothing to verify or collapse
+        return cost, np.arange(n, dtype=np.int64)
+    leader = first[inverse]
+    same = (bits == bits[leader]).all(axis=1)
+    leader = np.where(same, leader, np.arange(n))
+    kept, group = np.unique(leader, return_inverse=True)
+    return cost[kept], group
+
+
 def _trim_to_total(
-    cost: np.ndarray, counts: np.ndarray, total_shards: int
+    rows: np.ndarray,
+    group: np.ndarray,
+    counts: np.ndarray,
+    total_shards: int,
 ) -> np.ndarray:
     """Reduce an over-allocation to exactly ``total_shards`` shards.
 
-    Greedily removes one shard from the user whose current allocation
-    has the highest cost; with non-decreasing rows this is the move that
-    most reduces (never increases) the realised makespan.
+    Equals removing one shard at a time from the first user whose
+    current allocation has the highest cost (the move that never
+    increases the realised makespan), done one cost level at a time;
+    see the module docstring. User ``j``'s costs are
+    ``rows[group[j]]``.
     """
     counts = counts.copy()
     surplus = int(counts.sum()) - total_shards
     if surplus < 0:
         raise ValueError("cannot trim: allocation already below total")
-    # current cost of each user's last shard (-inf when idle so idle
-    # users are never "trimmed")
+    s = rows.shape[1]
+    flat = rows.reshape(-1)
+    first = group * s
     while surplus > 0:
-        current = np.array(
-            [
-                cost[j, counts[j] - 1] if counts[j] > 0 else -np.inf
-                for j in range(len(counts))
-            ]
-        )
-        j = int(np.argmax(current))
-        if counts[j] == 0:
+        if not counts.any():
             raise RuntimeError("trim ran out of shards to remove")
-        counts[j] -= 1
-        surplus -= 1
+        # cost of each user's last shard (-inf when idle so idle users
+        # are never trimmed)
+        last = np.where(
+            counts > 0, flat[first + np.maximum(counts, 1) - 1], -np.inf
+        )
+        level = last.max()
+        users = np.flatnonzero(last == level)
+        # trailing run of cells >= level per user, scanned in lock-step
+        # from the last shard back; no user gives more than the surplus
+        run = np.zeros(users.size, dtype=np.int64)
+        start = first[users]
+        end = counts[users] - 1
+        running = np.ones(users.size, dtype=bool)
+        for back in range(min(surplus, int(end.max()) + 1)):
+            running &= end >= back
+            running &= flat[start + np.maximum(end - back, 0)] >= level
+            if not running.any():
+                break
+            run += running
+        give = np.diff(np.minimum(np.cumsum(run), surplus), prepend=0)
+        counts[users] -= give
+        surplus -= int(give.sum())
     return counts
 
 
@@ -114,7 +210,7 @@ def fed_lbap(
         The allocation and the optimal threshold ``c*`` (the minimal
         feasible bottleneck cost).
     """
-    cost = np.asarray(cost, dtype=np.float64)
+    cost = np.ascontiguousarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError("cost matrix must be 2-D")
     n, s = cost.shape
@@ -141,34 +237,37 @@ def fed_lbap(
         raise ValueError(
             f"infeasible: {total_shards} shards exceed capacity {n * s}"
         )
-    if not np.isfinite(cost).all():
+    # every distinct row is among the representatives, so each check
+    # below holds for them exactly when it holds for the whole matrix
+    rows, group = _distinct_rows(cost)
+    if not np.isfinite(rows).all():
         raise ValueError("cost matrix contains NaN/inf entries")
-    if (cost < 0).any():
+    if (rows < 0).any():
         raise ValueError(
             "cost matrix contains negative entries (times are seconds)"
         )
-    if (np.diff(cost, axis=1) < -1e-9).any():
+    if (np.diff(rows, axis=1) < -1e-9).any():
         raise ValueError(
             "cost rows must be non-decreasing (Property 1); "
             "use cost.enforce_property1 first"
         )
 
-    values = np.unique(cost)
+    def counts_at(threshold: float) -> np.ndarray:
+        counts = _counts_at(rows, threshold)[group]
+        return counts if caps is None else np.minimum(counts, caps)
+
+    values = np.unique(rows)
     lo, hi = 0, len(values) - 1
     # Invariant: values[hi] is always feasible (the max cost admits every
     # cell, and total_shards <= n*s was checked above).
     while lo < hi:
         mid = (lo + hi) // 2
-        feasible, _ = feasible_at_threshold(
-            cost, values[mid], total_shards, caps
-        )
-        if feasible:
+        if int(counts_at(values[mid]).sum()) >= total_shards:
             hi = mid
         else:
             lo = mid + 1
     c_star = float(values[lo])
-    _, counts = feasible_at_threshold(cost, c_star, total_shards, caps)
-    counts = _trim_to_total(cost, counts, total_shards)
+    counts = _trim_to_total(rows, group, counts_at(c_star), total_shards)
     schedule = Schedule(
         shard_counts=counts,
         shard_size=shard_size,

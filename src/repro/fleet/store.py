@@ -221,6 +221,12 @@ class FleetStore:
         """Class-level identity (cost matrices depend only on this)."""
         return tuple(c.signature() for c in self.classes)
 
+    @property
+    def time_per_sample_s(self) -> np.ndarray:
+        """Seconds per training sample of each class (index with
+        ``class_id``)."""
+        return self._time_per_sample_s
+
     def copy(self) -> "FleetStore":
         """Independent deep copy of all mutable columns."""
         return FleetStore(

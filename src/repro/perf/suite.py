@@ -254,6 +254,9 @@ def _solve_metrics(quick: bool, seed: int) -> List[MetricResult]:
                 higher_is_better=False,
                 # proportional solves in ~0.5 ms — too noisy to gate
                 gated=sched_name == "fed_lbap",
+                # ROADMAP ceiling: 4x the users must not cost more
+                # than 4x the solve, whatever the baseline reads
+                abs_max=4.0 if sched_name == "fed_lbap" else None,
                 note=(
                     f"cohort-{hi} / cohort-{lo} solve-time ratio "
                     "(dimensionless, host-stable)"

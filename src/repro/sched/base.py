@@ -22,6 +22,7 @@ This module gives them one shape:
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
@@ -165,6 +166,11 @@ class SchedulingProblem:
             if (m < 0).any():
                 raise ValueError(f"{name} contains negative entries")
             setattr(self, name, m)
+        self._validate_capacities()
+        if self.user_classes is not None and len(self.user_classes) != self.n_users:
+            raise ValueError("one class set per user required")
+
+    def _validate_capacities(self) -> None:
         caps = self.effective_capacities()
         if (caps < 0).any():
             raise ValueError("capacities must be non-negative")
@@ -174,19 +180,36 @@ class SchedulingProblem:
                 f"{int(caps.sum())} below the requested "
                 f"{self.total_shards} shards"
             )
-        if self.user_classes is not None and len(self.user_classes) != self.n_users:
-            raise ValueError("one class set per user required")
+
+    def with_capacities(
+        self, capacities: Optional[np.ndarray]
+    ) -> "SchedulingProblem":
+        """The same instance under different per-user caps.
+
+        The clone shares the frozen cost matrices (and every other
+        field) with this problem: nothing is copied and only the
+        capacity checks run again, so a per-round re-plan costs O(n),
+        not O(n x s).
+        """
+        clone = copy.copy(self)
+        clone.capacities = capacities
+        clone._validate_capacities()
+        return clone
 
     # -- evaluation -------------------------------------------------------
-    def predicted_makespan(self, shard_counts: np.ndarray) -> float:
-        """Round makespan implied by the time matrix for an allocation."""
+    def _active_cells(
+        self, matrix: np.ndarray, shard_counts: np.ndarray
+    ) -> np.ndarray:
+        """``matrix[j, counts[j] - 1]`` of every user with work, in
+        user order."""
         counts = np.asarray(shard_counts, dtype=np.int64)
         active = np.flatnonzero(counts > 0)
-        if active.size == 0:
-            return 0.0
-        return float(
-            max(self.time_cost[j, counts[j] - 1] for j in active)
-        )
+        return matrix[active, counts[active] - 1]
+
+    def predicted_makespan(self, shard_counts: np.ndarray) -> float:
+        """Round makespan implied by the time matrix for an allocation."""
+        seconds = self._active_cells(self.time_cost, shard_counts)
+        return float(seconds.max()) if seconds.size else 0.0
 
     def predicted_energy(
         self, shard_counts: np.ndarray
@@ -194,13 +217,11 @@ class SchedulingProblem:
         """Total Joules implied by the energy matrix (None if absent)."""
         if self.energy_cost is None:
             return None
-        counts = np.asarray(shard_counts, dtype=np.int64)
-        return float(
-            sum(
-                self.energy_cost[j, counts[j] - 1]
-                for j in np.flatnonzero(counts > 0)
-            )
-        )
+        joules = self._active_cells(self.energy_cost, shard_counts)
+        # cumsum adds strictly left to right, one user after the other
+        # (np.sum adds pairwise and rounds differently): recorded
+        # predicted_energy_j values depend on that order
+        return float(np.cumsum(joules)[-1]) if joules.size else 0.0
 
 
 @dataclass

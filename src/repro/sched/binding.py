@@ -18,7 +18,6 @@ floor are excluded by zeroing their capacity for that round's instance.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -138,7 +137,9 @@ def restrict_problem(
     ``min_soc`` gating) and the :mod:`repro.serve` coordinator (devices
     lost mid-round) funnel through here, so "ineligible means zero
     capacity, and an instance that cannot absorb the budget is
-    infeasible" stays one rule.
+    infeasible" stays one rule. The restricted instance shares the
+    frozen cost matrices with ``problem``
+    (:meth:`SchedulingProblem.with_capacities`).
 
     Raises ``RuntimeError`` when the eligible users cannot absorb the
     shard budget.
@@ -152,7 +153,7 @@ def restrict_problem(
             "infeasible round: eligible users cannot absorb the "
             f"shard budget ({int(caps.sum())} < {problem.total_shards})"
         )
-    return replace(problem, capacities=caps)
+    return problem.with_capacities(caps)
 
 
 def timed_schedule(

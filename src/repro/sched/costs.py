@@ -371,17 +371,13 @@ def fleet_problem(
         time_cost = time_cols[cid]
         energy_cost = energy_cols[cid] if with_energy else None
     build_ms = (time.perf_counter() - t0) * 1e3
-    slopes = np.array(
-        [c.time_per_sample_s for c in fleet.classes], dtype=np.float64
-    )[cid]
-    weights = 1.0 / np.maximum(slopes, 1e-12)
-    curves = [
-        _affine_curve(
-            fleet.classes[c].time_base_s,
-            fleet.classes[c].time_per_sample_s,
-        )
-        for c in cid.tolist()
+    weights = 1.0 / np.maximum(fleet.time_per_sample_s[cid], 1e-12)
+    # one curve per class; cohort rows of a class share it
+    class_curves = [
+        _affine_curve(c.time_base_s, c.time_per_sample_s)
+        for c in fleet.classes
     ]
+    curves = [class_curves[c] for c in cid.tolist()]
     return SchedulingProblem(
         time_cost=time_cost,
         total_shards=int(total_shards),

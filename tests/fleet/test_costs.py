@@ -112,6 +112,57 @@ class TestFleetProblem:
         p2 = fleet_problem(fleet, total_shards=8)
         assert np.array_equal(p1.time_cost, p2.time_cost)
 
+    def test_curves_are_shared_per_class(self, fleet):
+        p = fleet_problem(fleet, shard_size=100)
+        cid = fleet.class_id.tolist()
+        by_class = {}
+        for c, curve in zip(cid, p.time_curves):
+            assert by_class.setdefault(c, curve) is curve
+        assert len(by_class) == len(set(cid))
+        for c, curve in by_class.items():
+            cls = fleet.classes[c]
+            assert curve(700.0) == (
+                cls.time_base_s + cls.time_per_sample_s * 700.0
+            )
+        slopes = np.array([c.time_per_sample_s for c in fleet.classes])
+        np.testing.assert_array_equal(
+            p.weights, 1.0 / np.maximum(slopes[fleet.class_id], 1e-12)
+        )
+
+    def test_fed_minavg_output_unchanged_by_curve_sharing(self, fleet):
+        """Fed-MinAvg reads the raw curves: one closure per class must
+        schedule exactly like one closure per cohort row."""
+        from repro.core.minavg import fed_minavg
+        from repro.sched import get_scheduler
+
+        cohort = np.arange(0, fleet.n, 2)
+        p = fleet_problem(fleet, cohort=cohort, shard_size=100)
+        through = get_scheduler("fed_minavg").schedule(p)
+
+        def affine(base_s, slope_s):
+            return lambda n_samples: base_s + slope_s * n_samples
+
+        per_row = [
+            affine(
+                fleet.classes[c].time_base_s,
+                fleet.classes[c].time_per_sample_s,
+            )
+            for c in fleet.class_id[cohort].tolist()
+        ]
+        direct = fed_minavg(
+            per_row,
+            p.classes_or_default(),
+            p.total_shards,
+            p.shard_size,
+            p.num_classes,
+            p.alpha,
+            beta=p.beta,
+            capacities=p.effective_capacities(),
+        )
+        np.testing.assert_array_equal(
+            through.shard_counts, direct.shard_counts
+        )
+
     def test_schedulable_end_to_end(self, fleet):
         from repro.sched import get_scheduler
 

@@ -115,6 +115,32 @@ class TestScoring:
         assert p.predicted_energy([1, 1]) == 5.0
         assert p.predicted_energy([2, 0]) == 5.0
 
+    def test_scoring_matches_the_per_user_loop_bit_for_bit(self):
+        """The gather replaced a Python loop over active users; the
+        energy total must keep that loop's left-to-right rounding
+        (recorded ``predicted_energy_j`` values depend on it)."""
+        rng = np.random.default_rng(7)
+        n, s = 300, 40
+        time_cost = np.cumsum(rng.uniform(0.01, 1.0, (n, s)), axis=1)
+        energy_cost = np.cumsum(rng.uniform(0.01, 9.0, (n, s)), axis=1)
+        p = SchedulingProblem(
+            time_cost=time_cost, energy_cost=energy_cost, total_shards=s
+        )
+        counts = rng.integers(0, s + 1, n)
+        active = [j for j in range(n) if counts[j] > 0]
+        joules = 0.0
+        for j in active:
+            joules = joules + energy_cost[j, counts[j] - 1]
+        assert p.predicted_energy(counts) == joules
+        # pairwise summation rounds differently on this instance
+        assert joules != float(
+            np.sum(energy_cost[active, counts[active] - 1])
+        )
+        assert p.predicted_makespan(counts) == max(
+            time_cost[j, counts[j] - 1] for j in active
+        )
+        assert p.predicted_energy(np.zeros(n, dtype=np.int64)) == 0.0
+
     def test_predicted_energy_none_without_matrix(self):
         p = synthetic_problem(with_energy=False)
         assert p.predicted_energy([1] * p.n_users) is None

@@ -202,6 +202,36 @@ class TestRestrictProblem:
         # so one survivor can still absorb everything
         assert restricted.capacities.tolist() == [0, 0, 6]
 
+    def test_restriction_shares_the_frozen_matrices(self):
+        from repro.sched.binding import restrict_problem
+
+        k = np.arange(1, 9)
+        time_cost = np.linspace(0.5, 2.0, 4)[:, None] * k[None, :]
+        p = SchedulingProblem(
+            time_cost=time_cost,
+            energy_cost=3.0 * time_cost,
+            total_shards=8,
+        )
+        restricted = restrict_problem(p, [0, 3])
+        # a re-plan changes capacities only: no n x s copy per round
+        assert np.shares_memory(restricted.time_cost, p.time_cost)
+        assert np.shares_memory(restricted.energy_cost, p.energy_cost)
+        assert not restricted.time_cost.flags.writeable
+        assert p.capacities is None
+        a = get_scheduler("fed_lbap").schedule(restricted)
+        assert np.asarray(a.shard_counts).tolist() == [7, 0, 0, 1]
+
+    def test_restriction_still_validates_capacities(self):
+        from repro.sched.binding import restrict_problem
+
+        p = self._problem(n=4, total=8, cap=5)
+        # a cap corrupted after construction is caught on the re-plan
+        p.capacities[1] = -1
+        with pytest.raises(ValueError, match="non-negative"):
+            restrict_problem(p, [0, 1, 2])
+        with pytest.raises(ValueError, match="infeasible: total capacity"):
+            p.with_capacities(np.array([5, 0, 0, 0]))
+
 
 class TestProblemFromEngine:
     def test_builds_from_devices_and_users(self, tiny_dataset):
