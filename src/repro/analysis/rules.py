@@ -35,11 +35,10 @@ Four rules are *cross-module*: they consume the whole-program model of
 :mod:`repro.analysis.project` (symbol table, import graph, approximate
 call graph) instead of a single AST:
 
-* ``event-dispatch-exhaustiveness`` — every event ``kind`` declared in
-  ``engine/events.py`` is handled by both the live
-  (``ObsRecorder.__call__`` isinstance dispatch) and replay
-  (``ObsRecorder.add_dict`` string dispatch) paths, and no dispatch
-  site targets a class or kind string that does not exist.
+* ``event-dispatch-exhaustiveness`` — every event declared in
+  ``engine/events.py`` has a handler in ``ObsRecorder``'s one
+  ``kind``-keyed table, and no handler (or ``isinstance`` site) names
+  an event the taxonomy does not declare.
 * ``scheduler-contract`` — every ``@register``-ed scheduler subclasses
   the :class:`~repro.sched.base.Scheduler` ABC, defines or inherits a
   ``schedule(self, problem)`` with the ABC's shape, and lives in the
@@ -909,88 +908,6 @@ def _project_finding(
     )
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` source text of a Name/Attribute chain (else None)."""
-    parts: List[str] = []
-    cur = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    parts.append(cur.id)
-    return ".".join(reversed(parts))
-
-
-def _method_node(
-    cls: ClassInfo, name: str
-) -> Optional[ast.FunctionDef]:
-    for stmt in cls.node.body:
-        if isinstance(stmt, ast.FunctionDef) and stmt.name == name:
-            return stmt
-    return None
-
-
-def _isinstance_refs(
-    scope: ast.AST,
-) -> Iterator[Tuple[str, ast.AST]]:
-    """(class-reference text, node) per ``isinstance`` target under
-    ``scope`` (tuple second arguments are flattened)."""
-    for sub in ast.walk(scope):
-        if not (
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Name)
-            and sub.func.id == "isinstance"
-            and len(sub.args) == 2
-        ):
-            continue
-        second = sub.args[1]
-        elts = (
-            list(second.elts)
-            if isinstance(second, (ast.Tuple, ast.List))
-            else [second]
-        )
-        for e in elts:
-            text = _dotted(e)
-            if text is not None:
-                yield text, e
-
-
-def _string_eq_comparisons(
-    scope: ast.AST,
-) -> Iterator[Tuple[str, ast.AST]]:
-    """String literals used in ``==`` comparisons under ``scope`` —
-    the shape of a string-keyed dispatch chain."""
-    for sub in ast.walk(scope):
-        if not isinstance(sub, ast.Compare):
-            continue
-        operands = [sub.left, *sub.comparators]
-        for i, op in enumerate(sub.ops):
-            if not isinstance(op, ast.Eq):
-                continue
-            for side in (operands[i], operands[i + 1]):
-                if isinstance(side, ast.Constant) and isinstance(
-                    side.value, str
-                ):
-                    yield side.value, sub
-
-
-def _bound_events_symbol(
-    consumer: ModuleInfo, events: ModuleInfo, ref: str
-) -> Optional[str]:
-    """If ``ref`` (as written in ``consumer``) is bound to a symbol of
-    the events module, return that symbol name, else None."""
-    head, _, rest = ref.partition(".")
-    bound = consumer.bindings.get(head)
-    if bound is None:
-        return None
-    dotted = f"{bound}.{rest}" if rest else bound
-    if "." not in dotted:
-        return None
-    target_mod, sym = dotted.rsplit(".", 1)
-    return sym if target_mod == events.name else None
-
-
 # ---------------------------------------------------------------------------
 # event-dispatch-exhaustiveness
 # ---------------------------------------------------------------------------
@@ -998,26 +915,24 @@ def _bound_events_symbol(
 
 @rule("event-dispatch-exhaustiveness")
 class EventDispatchExhaustiveness(ProjectRule):
-    """Event taxonomy and its observability consumers must agree.
+    """Event taxonomy and the observability fold must agree.
 
     Source of truth: the ``EngineEvent`` subclasses (and their ``kind``
-    strings) in ``engine/events.py``. Checked against the graph:
+    strings) in ``engine/events.py``. ``ObsRecorder._HANDLERS`` is the
+    one ``kind``-keyed dispatch table — the live fold looks handlers up
+    in it, and replay is "decode, then the live fold" — so:
 
-    * ``ObsRecorder.__call__`` (live path) must ``isinstance``-dispatch
-      every event class — a new event otherwise silently vanishes from
-      metrics/spans/energy;
-    * ``ObsRecorder.add_dict`` (replay path) must string-dispatch every
-      declared ``kind`` — live and offline reconstructions would
-      otherwise disagree;
-    * no dispatch site (including ``TelemetryAggregator``) may target a
-      class or kind string that the taxonomy does not declare
-      (``telemetry_meta`` is the sanctioned non-event header kind).
+    * every event class must have an entry; a new event otherwise
+      silently vanishes from metrics and energy, live and replayed;
+    * every entry must name a declared event, as ``<EventClass>.kind``
+      or as a kind string literal — anything else can never run.
 
-    Consumers are located through the import graph; when a repo has no
-    recorder/aggregator the rule is silent (nothing consumes events, so
-    nothing can be out of sync).
+    When a repo has no recorder the rule is silent (nothing consumes
+    events, so nothing can be out of sync).
     """
 
+    # wording pinned by the SARIF golden; "live and replay dispatch" is
+    # now the one table
     description = (
         "every engine event kind must be handled by the ObsRecorder "
         "live and replay dispatch, and no dispatch may target an "
@@ -1034,23 +949,73 @@ class EventDispatchExhaustiveness(ProjectRule):
         if events is None:
             return
         classes, kinds = self._event_taxonomy(events)
-        if not classes:
-            return
-
         recorder = self._find_class(graph, "ObsRecorder", "src/repro/obs/")
-        if recorder is not None:
-            rmod, rcls = recorder
-            yield from self._check_live(ctx, graph, events, classes, kinds, rmod, rcls)
-            yield from self._check_replay(ctx, kinds, rmod, rcls)
-        aggregator = self._find_class(
-            graph, "TelemetryAggregator", "src/repro/engine/"
-        )
-        if aggregator is not None:
-            amod, acls = aggregator
-            yield from self._check_targets_exist(
-                ctx, graph, events, amod, acls.node,
-                f"{acls.name}"
+        if not classes or recorder is None:
+            return
+        rmod, rcls = recorder
+        table = self._handler_table(rcls)
+        label = f"{rcls.name}._HANDLERS"
+        handled: Set[str] = set()
+        for key in table.keys if table is not None else ():
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                named, target = f"kind {key.value!r}", kinds.get(key.value)
+            elif isinstance(key, ast.Attribute) and key.attr == "kind":
+                named = ast.unparse(key.value)
+                resolved = graph.resolve_class(rmod.name, named)
+                target = (
+                    resolved[1].name
+                    if resolved is not None and resolved[0] is events
+                    else None
+                )
+            else:
+                continue
+            if target is not None and target in classes:
+                handled.add(target)
+                continue
+            f = _project_finding(
+                ctx,
+                self.id,
+                rmod.path,
+                key.lineno,
+                f"{label} has a handler for {named}, which does not "
+                f"exist in the event taxonomy of {events.name} — stale "
+                "or misspelled, this handler can never run",
+                col=key.col_offset,
             )
+            if f is not None:
+                yield f
+        anchor = table if table is not None else rcls.node
+        for name in sorted(set(classes) - handled):
+            kind = classes[name]
+            kind_label = f" (kind {kind!r})" if kind else ""
+            f = _project_finding(
+                ctx,
+                self.id,
+                rmod.path,
+                anchor.lineno,
+                f"event class {name}{kind_label} has no handler in "
+                f"{label} — live and replayed captures silently drop "
+                f"it; add a `{name}.kind: <handler>` entry",
+            )
+            if f is not None:
+                yield f
+
+    @staticmethod
+    def _handler_table(cls: ClassInfo) -> Optional[ast.Dict]:
+        """The dict literal bound to ``_HANDLERS`` in the class body."""
+        for stmt in cls.node.body:
+            if isinstance(stmt, ast.AnnAssign):
+                targets: List[ast.expr] = [stmt.target]
+            elif isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            else:
+                continue
+            if isinstance(stmt.value, ast.Dict) and any(
+                isinstance(t, ast.Name) and t.id == "_HANDLERS"
+                for t in targets
+            ):
+                return stmt.value
+        return None
 
     # -- taxonomy ----------------------------------------------------------
     @staticmethod
@@ -1099,128 +1064,6 @@ class EventDispatchExhaustiveness(ProjectRule):
             if fallback is None:
                 fallback = (info, cls)
         return fallback
-
-    # -- checks ------------------------------------------------------------
-    def _check_live(
-        self,
-        ctx: ProjectContext,
-        graph: "ProjectGraph",
-        events: ModuleInfo,
-        classes: Dict[str, Optional[str]],
-        kinds: Dict[str, str],
-        rmod: ModuleInfo,
-        rcls: ClassInfo,
-    ) -> Iterator[Finding]:
-        call = _method_node(rcls, "__call__")
-        if call is None:
-            return
-        handled: Set[str] = set()
-        for ref, node in _isinstance_refs(call):
-            resolved = graph.resolve_class(rmod.name, ref)
-            if (
-                resolved is not None
-                and resolved[0] is events
-                and resolved[1].name in classes
-            ):
-                handled.add(resolved[1].name)
-                continue
-            sym = _bound_events_symbol(rmod, events, ref)
-            if sym is not None and not events.has_symbol(sym):
-                f = _project_finding(
-                    ctx,
-                    self.id,
-                    rmod.path,
-                    getattr(node, "lineno", call.lineno),
-                    f"{rcls.name}.__call__ dispatches on {sym}, which "
-                    f"does not exist in {events.name} — stale or "
-                    "misspelled event class",
-                    col=getattr(node, "col_offset", 0),
-                )
-                if f is not None:
-                    yield f
-        for name in sorted(set(classes) - handled):
-            kind = classes[name]
-            label = f" (kind {kind!r})" if kind else ""
-            f = _project_finding(
-                ctx,
-                self.id,
-                rmod.path,
-                call.lineno,
-                f"event class {name}{label} is not handled by "
-                f"{rcls.name}.__call__ — live captures silently drop "
-                "it; add an isinstance branch",
-            )
-            if f is not None:
-                yield f
-
-    def _check_replay(
-        self,
-        ctx: ProjectContext,
-        kinds: Dict[str, str],
-        rmod: ModuleInfo,
-        rcls: ClassInfo,
-    ) -> Iterator[Finding]:
-        add_dict = _method_node(rcls, "add_dict")
-        if add_dict is None:
-            return
-        seen: Set[str] = set()
-        for value, node in _string_eq_comparisons(add_dict):
-            if value == "telemetry_meta":
-                continue
-            if value in kinds:
-                seen.add(value)
-            else:
-                f = _project_finding(
-                    ctx,
-                    self.id,
-                    rmod.path,
-                    getattr(node, "lineno", add_dict.lineno),
-                    f"{rcls.name}.add_dict dispatches on kind "
-                    f"{value!r}, which no event class declares — this "
-                    "branch can never run",
-                    col=getattr(node, "col_offset", 0),
-                )
-                if f is not None:
-                    yield f
-        for kind in sorted(set(kinds) - seen):
-            f = _project_finding(
-                ctx,
-                self.id,
-                rmod.path,
-                add_dict.lineno,
-                f"event kind {kind!r} ({kinds[kind]}) is not handled "
-                f"by {rcls.name}.add_dict — replayed captures diverge "
-                "from live ones; add a kind branch",
-            )
-            if f is not None:
-                yield f
-
-    def _check_targets_exist(
-        self,
-        ctx: ProjectContext,
-        graph: "ProjectGraph",
-        events: ModuleInfo,
-        cmod: ModuleInfo,
-        scope: ast.AST,
-        label: str,
-    ) -> Iterator[Finding]:
-        for ref, node in _isinstance_refs(scope):
-            if graph.resolve_class(cmod.name, ref) is not None:
-                continue
-            sym = _bound_events_symbol(cmod, events, ref)
-            if sym is not None and not events.has_symbol(sym):
-                f = _project_finding(
-                    ctx,
-                    self.id,
-                    cmod.path,
-                    getattr(node, "lineno", 1),
-                    f"{label} dispatches on {sym}, which does not "
-                    f"exist in {events.name} — stale or misspelled "
-                    "event class",
-                    col=getattr(node, "col_offset", 0),
-                )
-                if f is not None:
-                    yield f
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .aggregation import (
 )
 from .engine import AsyncUpdate, RoundEngine
 from .events import (
+    EVENT_TYPES,
     ClientDispatched,
     ClientDropped,
     ClientFinished,
@@ -25,6 +26,7 @@ from .events import (
     EventBus,
     ModelAggregated,
     RoundCompleted,
+    event_from_dict,
 )
 from .execution import LocalTrainingResult, evaluate_accuracy, train_local
 from .telemetry import (
@@ -58,6 +60,8 @@ __all__ = [
     "EventBus",
     "ModelAggregated",
     "RoundCompleted",
+    "EVENT_TYPES",
+    "event_from_dict",
     "LocalTrainingResult",
     "evaluate_accuracy",
     "train_local",

@@ -31,16 +31,53 @@ Event taxonomy (one dataclass per kind):
   observability layer records them as run-level instants rather than
   children of whichever round happens to be open.
 
-All events are frozen dataclasses with a stable ``kind`` string and a
-``to_dict`` JSON-safe serialisation used by the JSON-lines sink.
+All events are frozen dataclasses with a stable ``kind`` string.
+
+This module is also the **codec** of the telemetry wire format, in both
+directions, and the only module that knows it: :data:`EVENT_TYPES` is
+the taxonomy (``kind`` → class), :meth:`EngineEvent.to_dict` encodes an
+event as the ``{"event": kind, ...fields}`` payload the JSON-lines sink
+writes, and :func:`event_from_dict` decodes such a payload back into
+the typed event. Both directions are driven by each class's declared
+fields, so adding a field or an event is an edit to this file alone;
+consumers (:mod:`repro.obs`) decode first and then handle typed events,
+whether the stream arrives live off a bus or from a saved capture.
+
+Decoding is tolerant, because captures outlive the code that wrote
+them (older schema versions, trimmed files). Per declared field type:
+
+=====================  ==============================================
+``int`` / ``float``    a JSON number, else ``0`` / ``0.0``
+``Optional[float]``    a JSON number, else ``None``
+``str``                a JSON string, else ``"?"``
+``Tuple[int, ...]``    a JSON list (as a tuple), else ``()``
+=====================  ==============================================
+
+A payload whose ``event`` is not a declared kind decodes to ``None``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, cast
+import math
+from dataclasses import dataclass, fields
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Type,
+    cast,
+    get_type_hints,
+)
 
 __all__ = [
+    "META_KIND",
+    "EVENT_TYPES",
+    "event_from_dict",
     "EngineEvent",
     "ClientDispatched",
     "ClientFinished",
@@ -61,13 +98,12 @@ class EngineEvent:
     kind: ClassVar[str] = "event"
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe payload: ``{"event": kind, ...fields}``."""
+        """JSON-safe payload: ``{"event": kind, ...fields}``, fields in
+        declaration order, tuples as lists."""
         payload: Dict[str, object] = {"event": self.kind}
-        # every concrete event is a dataclass; the base class is not
-        for key, value in asdict(cast(Any, self)).items():
-            if isinstance(value, tuple):
-                value = list(value)
-            payload[key] = value
+        for name, _ in _FIELD_CODECS[self.kind]:
+            value = getattr(self, name)
+            payload[name] = list(value) if isinstance(value, tuple) else value
         return payload
 
 
@@ -224,6 +260,98 @@ class DeviceLost(EngineEvent):
     client_id: int
     reason: str
     time_s: float
+
+
+#: the ``event`` value of the one line of a telemetry JSONL that is not
+#: an event: the schema-version header the sink writes first
+META_KIND = "telemetry_meta"
+
+#: the event taxonomy: wire ``kind`` -> class
+EVENT_TYPES: Dict[str, Type[EngineEvent]] = {
+    cls.kind: cls
+    for cls in (
+        ClientDispatched,
+        ClientFinished,
+        ClientDropped,
+        ModelAggregated,
+        RoundCompleted,
+        ScheduleComputed,
+        CohortAccounted,
+        DeviceJoined,
+        DeviceLost,
+    )
+}
+
+
+def _int(value: object) -> int:
+    if isinstance(value, int):
+        return int(value)
+    # JSON also spells Infinity/NaN, which int() cannot take
+    if isinstance(value, float) and math.isfinite(value):
+        return int(value)
+    return 0
+
+
+def _float(value: object) -> float:
+    return float(value) if isinstance(value, (int, float)) else 0.0
+
+
+def _opt_float(value: object) -> Optional[float]:
+    return float(value) if isinstance(value, (int, float)) else None
+
+
+def _str(value: object) -> str:
+    return value if isinstance(value, str) else "?"
+
+
+def _int_tuple(value: object) -> Tuple[int, ...]:
+    return tuple(value) if isinstance(value, list) else ()
+
+
+Coercion = Callable[[object], object]
+
+#: declared field type -> coercion of the JSON value found under it
+_COERCIONS: Dict[object, Coercion] = {
+    int: _int,
+    float: _float,
+    Optional[float]: _opt_float,
+    str: _str,
+    Tuple[int, ...]: _int_tuple,
+}
+
+
+def _field_codecs(
+    cls: Type[EngineEvent],
+) -> Tuple[Tuple[str, Coercion], ...]:
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, _COERCIONS[hints[f.name]]) for f in fields(cast(Any, cls))
+    )
+
+
+#: kind -> ((field name, coercion), ...) in declaration order; a field
+#: declared with a type that has no coercion fails here, at import
+_FIELD_CODECS = {
+    kind: _field_codecs(cls) for kind, cls in EVENT_TYPES.items()
+}
+
+
+def event_from_dict(
+    payload: Mapping[str, object],
+) -> Optional[EngineEvent]:
+    """Decode one wire payload into its typed event (never raises).
+
+    Missing or mistyped fields take the defaults in the module
+    docstring; ``None`` for a kind :data:`EVENT_TYPES` does not declare
+    (the :data:`META_KIND` header, a future event).
+    """
+    kind = payload.get("event")
+    if not isinstance(kind, str) or kind not in EVENT_TYPES:
+        return None
+    build: Callable[..., EngineEvent] = EVENT_TYPES[kind]
+    return build(
+        *[coerce(payload.get(name)) for name, coerce in _FIELD_CODECS[kind]]
+    )
 
 
 Listener = Callable[[EngineEvent], None]

@@ -20,7 +20,8 @@ in the stream must equal the history's makespans.
 
 JSON-lines schema: every line is ``{"event": <kind>, ...}`` where the
 remaining keys are the fields of the corresponding event dataclass in
-:mod:`repro.engine.events`.
+:mod:`repro.engine.events`, which owns the encoding and the decoding
+(``to_dict`` / ``event_from_dict``).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import IO, Dict, Iterator, List, Optional, Union, cast
 import numpy as np
 
 from .events import (
+    META_KIND,
     ClientDispatched,
     ClientDropped,
     ClientFinished,
@@ -160,7 +162,7 @@ class JsonlSink:
         self._fh.write(
             json.dumps(
                 {
-                    "event": "telemetry_meta",
+                    "event": META_KIND,
                     "schema_version": TELEMETRY_SCHEMA_VERSION,
                 }
             )
@@ -228,7 +230,7 @@ def read_jsonl_meta(path: Union[str, Path]) -> TelemetryRead:
             if not isinstance(parsed, dict):
                 corrupt += 1
                 continue
-            if parsed.get("event") == "telemetry_meta":
+            if parsed.get("event") == META_KIND:
                 version = parsed.get("schema_version")
                 if isinstance(version, int):
                     schema_version = version

@@ -4,13 +4,18 @@
 listener (the **live** construction path — subscribe it to one engine,
 or install it process-wide next to the telemetry sink) and a JSONL
 replayer (the **offline** path — :meth:`ObsRecorder.from_jsonl`
-rebuilds the exact same metrics and spans from a saved capture). Both
-paths drive the same per-kind handlers, so ``repro obs summary`` over
-a file agrees with a live dashboard over the bus.
+rebuilds the exact same metrics and spans from a saved capture). There
+is one fold, :meth:`ObsRecorder.__call__`, over typed events: it looks
+the event's ``kind`` up in one handler table and hands the same event
+to the span builder. The offline path owns no per-kind code — it
+decodes each dict with :func:`repro.engine.events.event_from_dict`
+(the codec module is the only place that knows the wire format) and
+calls the live fold, so ``repro obs summary`` over a file agrees with a
+live dashboard over the bus by construction.
 
-The live path dispatches on event types directly — no ``to_dict``
-round-trip — to keep the per-event cost far inside the engine-overhead
-budget (see ``benchmarks/test_engine_overhead.py``).
+The live path never builds a dict, which keeps the per-event cost far
+inside the engine-overhead budget (see
+``benchmarks/test_engine_overhead.py``).
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
+    ClassVar,
     Dict,
     Iterable,
     Iterator,
@@ -30,6 +37,7 @@ from typing import (
 )
 
 from ..engine.events import (
+    META_KIND,
     ClientDispatched,
     ClientDropped,
     ClientFinished,
@@ -41,6 +49,7 @@ from ..engine.events import (
     ModelAggregated,
     RoundCompleted,
     ScheduleComputed,
+    event_from_dict,
 )
 from ..engine.telemetry import read_jsonl_meta
 from . import catalog
@@ -157,170 +166,62 @@ class ObsRecorder:
         self.device_joins = 0
         self.device_losses = 0
 
-    # -- live path ---------------------------------------------------------
+    # -- the fold ----------------------------------------------------------
     def __call__(self, event: EngineEvent) -> None:
         """EventBus listener: fold one typed engine event."""
         with PROFILER.phase("fold"):
+            kind = event.kind
             self.n_events += 1
-            self._events_total.inc(kind=event.kind)
+            self._events_total.inc(kind=kind)
             time_s = getattr(event, "time_s", None)
-            if isinstance(time_s, float):
+            if isinstance(time_s, (int, float)):
                 self._clock.set(time_s)
-            if isinstance(event, ClientDispatched):
-                if self.spans is not None:
-                    self.spans.on_client_dispatched(
-                        event.round_idx,
-                        event.client_id,
-                        event.time_s,
-                        event.n_samples,
-                    )
-            elif isinstance(event, ClientFinished):
-                self._on_client_finished(
-                    event.round_idx,
-                    event.client_id,
-                    event.time_s,
-                    event.compute_s,
-                    event.comm_s,
-                    event.total_s,
-                    event.energy_j,
-                    event.battery_soc,
-                )
-            elif isinstance(event, ClientDropped):
-                self._on_client_dropped(
-                    event.round_idx,
-                    event.client_id,
-                    event.time_s,
-                    event.total_s,
-                )
-            elif isinstance(event, ModelAggregated):
-                self._on_model_aggregated(
-                    event.round_idx,
-                    event.time_s,
-                    event.strategy,
-                    len(event.participants),
-                )
-            elif isinstance(event, RoundCompleted):
-                self._on_round_completed(
-                    event.round_idx,
-                    event.time_s,
-                    event.makespan_s,
-                    event.mean_time_s,
-                    event.participant_count,
-                    event.accuracy,
-                )
-            elif isinstance(event, ScheduleComputed):
-                self._on_schedule_computed(
-                    event.round_idx,
-                    event.time_s,
-                    event.scheduler,
-                    event.predicted_makespan_s,
-                    event.predicted_energy_j,
-                    event.solve_ms,
-                )
-            elif isinstance(event, CohortAccounted):
-                self._on_cohort_accounted(
-                    event.round_idx,
-                    event.cohort_size,
-                    event.eligible_count,
-                    event.energy_j,
-                    event.mean_battery_soc,
-                )
-            elif isinstance(event, DeviceJoined):
-                self._on_membership(
-                    event.kind,
-                    event.device_id,
-                    event.client_id,
-                    event.time_s,
-                )
-            elif isinstance(event, DeviceLost):
-                self._on_membership(
-                    event.kind,
-                    event.device_id,
-                    event.client_id,
-                    event.time_s,
-                    event.reason,
-                )
+            handler = self._HANDLERS.get(kind)
+            if handler is not None:
+                handler(self, event)
+            if self.spans is not None:
+                self.spans.fold(event)
 
-    # -- shared per-kind folds ---------------------------------------------
-    def _on_client_finished(
-        self,
-        round_idx: int,
-        client_id: int,
-        time_s: float,
-        compute_s: float,
-        comm_s: float,
-        total_s: float,
-        energy_j: Optional[float],
-        battery_soc: Optional[float],
-    ) -> None:
-        self._client_compute.observe(compute_s)
-        self._client_comm.observe(comm_s)
+    # -- per-kind handlers (metrics + energy; spans fold in __call__) ------
+    def _on_client_dispatched(self, event: ClientDispatched) -> None:
+        """A dispatch moves no metric; it only opens the client's span."""
+
+    def _on_client_finished(self, event: ClientFinished) -> None:
+        client_id, total_s = event.client_id, event.total_s
+        self._client_compute.observe(event.compute_s)
+        self._client_comm.observe(event.comm_s)
         self._client_round.observe(total_s)
         self._client_busy.inc(total_s, client=client_id)
         self._client_rounds.inc(client=client_id)
-        if energy_j is not None:
-            self._client_energy.inc(energy_j, client=client_id)
-        if battery_soc is not None:
-            self._battery_soc.set(battery_soc, client=client_id)
+        if event.energy_j is not None:
+            self._client_energy.inc(event.energy_j, client=client_id)
+        if event.battery_soc is not None:
+            self._battery_soc.set(event.battery_soc, client=client_id)
         self.energy.on_client_finished(
-            client_id, total_s, energy_j, battery_soc
+            client_id, total_s, event.energy_j, event.battery_soc
         )
-        straggler = self._round_straggler.get(round_idx)
+        straggler = self._round_straggler.get(event.round_idx)
         if straggler is None or total_s > straggler[1]:
-            self._round_straggler[round_idx] = (client_id, total_s)
-        if self.spans is not None:
-            self.spans.on_client_finished(
-                round_idx,
-                client_id,
-                time_s,
-                compute_s,
-                comm_s,
-                total_s,
-                energy_j,
-                battery_soc,
-            )
+            self._round_straggler[event.round_idx] = (client_id, total_s)
 
-    def _on_client_dropped(
-        self, round_idx: int, client_id: int, time_s: float, total_s: float
-    ) -> None:
-        self._dropped_total.inc(client=client_id)
-        self.energy.on_client_dropped(client_id)
-        self._round_dropped[round_idx] = (
-            self._round_dropped.get(round_idx, 0) + 1
+    def _on_client_dropped(self, event: ClientDropped) -> None:
+        self._dropped_total.inc(client=event.client_id)
+        self.energy.on_client_dropped(event.client_id)
+        self._round_dropped[event.round_idx] = (
+            self._round_dropped.get(event.round_idx, 0) + 1
         )
-        if self.spans is not None:
-            self.spans.on_client_dropped(
-                round_idx, client_id, time_s, total_s
-            )
 
-    def _on_model_aggregated(
-        self,
-        round_idx: int,
-        time_s: float,
-        strategy: str,
-        n_participants: int,
-    ) -> None:
-        self._aggregations.inc(strategy=strategy)
-        if self.spans is not None:
-            self.spans.on_model_aggregated(
-                round_idx, time_s, strategy, n_participants
-            )
+    def _on_model_aggregated(self, event: ModelAggregated) -> None:
+        self._aggregations.inc(strategy=event.strategy)
 
-    def _on_round_completed(
-        self,
-        round_idx: int,
-        time_s: float,
-        makespan_s: float,
-        mean_time_s: float,
-        participant_count: int,
-        accuracy: Optional[float],
-    ) -> None:
+    def _on_round_completed(self, event: RoundCompleted) -> None:
+        round_idx = event.round_idx
         self._rounds_total.inc()
-        self._round_makespan.observe(makespan_s)
-        self._round_mean.set(mean_time_s)
-        self._participants.set(participant_count)
-        if accuracy is not None:
-            self._accuracy.set(accuracy)
+        self._round_makespan.observe(event.makespan_s)
+        self._round_mean.set(event.mean_time_s)
+        self._participants.set(event.participant_count)
+        if event.accuracy is not None:
+            self._accuracy.set(event.accuracy)
         self.energy.on_round_completed(round_idx)
         round_j = self.energy.round_energy[-1][1]
         self._round_energy.observe(round_j)
@@ -328,153 +229,70 @@ class ObsRecorder:
         self.rounds.append(
             RoundSummary(
                 round_idx=round_idx,
-                makespan_s=makespan_s,
-                mean_time_s=mean_time_s,
-                participants=participant_count,
+                makespan_s=event.makespan_s,
+                mean_time_s=event.mean_time_s,
+                participants=event.participant_count,
                 dropped=self._round_dropped.pop(round_idx, 0),
                 energy_j=round_j,
-                accuracy=accuracy,
+                accuracy=event.accuracy,
                 straggler_id=straggler[0] if straggler else None,
                 straggler_s=straggler[1] if straggler else 0.0,
             )
         )
-        if self.spans is not None:
-            self.spans.on_round_completed(
-                round_idx, time_s, makespan_s, participant_count, accuracy
-            )
 
-    def _on_schedule_computed(
-        self,
-        round_idx: int,
-        time_s: float,
-        scheduler: str,
-        predicted_makespan_s: float,
-        predicted_energy_j: Optional[float],
-        solve_ms: Optional[float],
-    ) -> None:
+    def _on_schedule_computed(self, event: ScheduleComputed) -> None:
+        scheduler = event.scheduler
         self._solves.inc(scheduler=scheduler)
-        if solve_ms is not None:
-            self._solve_ms.observe(solve_ms, scheduler=scheduler)
+        if event.solve_ms is not None:
+            self._solve_ms.observe(event.solve_ms, scheduler=scheduler)
         self._predicted_makespan.set(
-            predicted_makespan_s, scheduler=scheduler
+            event.predicted_makespan_s, scheduler=scheduler
         )
-        if self.spans is not None:
-            self.spans.on_schedule_computed(
-                round_idx,
-                time_s,
-                scheduler,
-                predicted_makespan_s,
-                predicted_energy_j,
-                solve_ms,
-            )
 
-    def _on_cohort_accounted(
-        self,
-        round_idx: int,
-        cohort_size: int,
-        eligible_count: int,
-        energy_j: float,
-        mean_battery_soc: Optional[float],
-    ) -> None:
-        self._cohort_size.set(cohort_size)
-        self._fleet_eligible.set(eligible_count)
+    def _on_cohort_accounted(self, event: CohortAccounted) -> None:
+        self._cohort_size.set(event.cohort_size)
+        self._fleet_eligible.set(event.eligible_count)
         self.energy.on_cohort_accounted(
-            round_idx, cohort_size, energy_j, mean_battery_soc
+            event.round_idx,
+            event.cohort_size,
+            event.energy_j,
+            event.mean_battery_soc,
         )
 
-    def _on_membership(
-        self,
-        kind: str,
-        device_id: str,
-        client_id: int,
-        time_s: float,
-        reason: Optional[str] = None,
-    ) -> None:
-        if kind == "device_joined":
-            self.device_joins += 1
-        else:
-            self.device_losses += 1
-        if self.spans is not None:
-            self.spans.on_membership(
-                kind, device_id, client_id, time_s, reason
-            )
+    def _on_device_joined(self, event: DeviceJoined) -> None:
+        self.device_joins += 1
 
-    # -- replay path -------------------------------------------------------
-    def add_dict(self, event: Mapping[str, object]) -> None:
+    def _on_device_lost(self, event: DeviceLost) -> None:
+        self.device_losses += 1
+
+    #: the one per-kind dispatch: ``kind`` -> handler. Every event in
+    #: ``EVENT_TYPES`` has an entry and every entry names a declared
+    #: event (lint rule ``event-dispatch-exhaustiveness``).
+    _HANDLERS: ClassVar[Dict[str, Callable[["ObsRecorder", Any], None]]] = {
+        ClientDispatched.kind: _on_client_dispatched,
+        ClientFinished.kind: _on_client_finished,
+        ClientDropped.kind: _on_client_dropped,
+        ModelAggregated.kind: _on_model_aggregated,
+        RoundCompleted.kind: _on_round_completed,
+        ScheduleComputed.kind: _on_schedule_computed,
+        CohortAccounted.kind: _on_cohort_accounted,
+        DeviceJoined.kind: _on_device_joined,
+        DeviceLost.kind: _on_device_lost,
+    }
+
+    # -- replay: decode, then the fold above -------------------------------
+    def add_dict(self, payload: Mapping[str, object]) -> None:
         """Fold one JSONL event dict (offline construction path)."""
-        kind = event.get("event")
-        if not isinstance(kind, str) or kind == "telemetry_meta":
+        kind = payload.get("event")
+        if not isinstance(kind, str) or kind == META_KIND:
             return
-        self.n_events += 1
-        self._events_total.inc(kind=kind)
-        time_s = event.get("time_s")
-        if isinstance(time_s, (int, float)):
-            self._clock.set(float(time_s))
-        if kind == "client_dispatched":
-            if self.spans is not None:
-                self.spans.add(event)
-        elif kind == "client_finished":
-            self._on_client_finished(
-                _as_int(event, "round_idx"),
-                _as_int(event, "client_id"),
-                _as_float(event, "time_s"),
-                _as_float(event, "compute_s"),
-                _as_float(event, "comm_s"),
-                _as_float(event, "total_s"),
-                _opt_float(event, "energy_j"),
-                _opt_float(event, "battery_soc"),
-            )
-        elif kind == "client_dropped":
-            self._on_client_dropped(
-                _as_int(event, "round_idx"),
-                _as_int(event, "client_id"),
-                _as_float(event, "time_s"),
-                _as_float(event, "total_s"),
-            )
-        elif kind == "model_aggregated":
-            participants = event.get("participants")
-            self._on_model_aggregated(
-                _as_int(event, "round_idx"),
-                _as_float(event, "time_s"),
-                str(event.get("strategy", "?")),
-                len(participants) if isinstance(participants, list) else 0,
-            )
-        elif kind == "round_completed":
-            self._on_round_completed(
-                _as_int(event, "round_idx"),
-                _as_float(event, "time_s"),
-                _as_float(event, "makespan_s"),
-                _as_float(event, "mean_time_s"),
-                _as_int(event, "participant_count"),
-                _opt_float(event, "accuracy"),
-            )
-        elif kind == "schedule_computed":
-            self._on_schedule_computed(
-                _as_int(event, "round_idx"),
-                _as_float(event, "time_s"),
-                str(event.get("scheduler", "?")),
-                _as_float(event, "predicted_makespan_s"),
-                _opt_float(event, "predicted_energy_j"),
-                _opt_float(event, "solve_ms"),
-            )
-        elif kind == "cohort_accounted":
-            self._on_cohort_accounted(
-                _as_int(event, "round_idx"),
-                _as_int(event, "cohort_size"),
-                _as_int(event, "eligible_count"),
-                _as_float(event, "energy_j"),
-                _opt_float(event, "mean_battery_soc"),
-            )
-        elif kind == "device_joined" or kind == "device_lost":
-            reason = event.get("reason")
-            self._on_membership(
-                kind,
-                str(event.get("device_id", "?")),
-                _as_int(event, "client_id"),
-                _as_float(event, "time_s"),
-                reason if isinstance(reason, str) else None,
-            )
-        # unknown kinds count in repro_events_total and nothing else
+        event = event_from_dict(payload)
+        if event is not None:
+            self(event)
+        else:
+            # a kind this version does not declare: counted, nothing else
+            self.n_events += 1
+            self._events_total.inc(kind=kind)
 
     def replay(
         self, events: Iterable[Mapping[str, object]]
@@ -513,20 +331,6 @@ class ObsRecorder:
             for labels, count in self._events_total.series()
         }
 
-
-def _as_int(event: Mapping[str, object], key: str) -> int:
-    value = event.get(key)
-    return int(value) if isinstance(value, (int, float)) else 0
-
-
-def _as_float(event: Mapping[str, object], key: str) -> float:
-    value = event.get(key)
-    return float(value) if isinstance(value, (int, float)) else 0.0
-
-
-def _opt_float(event: Mapping[str, object], key: str) -> Optional[float]:
-    value = event.get(key)
-    return float(value) if isinstance(value, (int, float)) else None
 
 
 @contextmanager

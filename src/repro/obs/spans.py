@@ -3,14 +3,17 @@
 The engine narrates *points* in virtual time (dispatch, finish, round
 completion); spans turn those points back into *intervals* with a
 ``run > round > client`` hierarchy, plus instant spans for scheduler
-invocations and aggregations. The same :class:`SpanBuilder` serves two
-construction paths:
+invocations and aggregations. :meth:`SpanBuilder.fold` takes typed
+events and is the only fold; the two construction paths differ in where
+the typed event comes from:
 
-* **live** — the :class:`~repro.obs.recorder.ObsRecorder` feeds it
-  directly off an engine's :class:`~repro.engine.events.EventBus`;
-* **replay** — :func:`spans_from_events` rebuilds the tree from any
-  saved telemetry JSONL (``repro obs export-trace run.jsonl``), so
-  traces can be cut from captures long after the run.
+* **live** — the :class:`~repro.obs.recorder.ObsRecorder` hands it each
+  event straight off an engine's :class:`~repro.engine.events.EventBus`;
+* **replay** — :func:`spans_from_events` (and :meth:`SpanBuilder.add`)
+  decode saved telemetry dicts with
+  :func:`~repro.engine.events.event_from_dict` first, so traces can be
+  cut from captures long after the run
+  (``repro obs export-trace run.jsonl``).
 
 All timestamps are the engine's virtual clock. Async runs have no
 ``round_completed`` barrier; their per-version "rounds" are closed at
@@ -20,7 +23,31 @@ All timestamps are the engine's virtual clock. Async runs have no
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
+
+from ..engine.events import (
+    ClientDispatched,
+    ClientDropped,
+    ClientFinished,
+    DeviceJoined,
+    DeviceLost,
+    EngineEvent,
+    ModelAggregated,
+    RoundCompleted,
+    ScheduleComputed,
+    event_from_dict,
+)
 
 __all__ = ["Span", "SpanBuilder", "spans_from_events"]
 
@@ -101,113 +128,80 @@ class SpanBuilder:
             run.children.append(span)
         return span
 
-    # -- event entry points ----------------------------------------------
-    def on_client_dispatched(
-        self, round_idx: int, client_id: int, time_s: float, n_samples: int
-    ) -> None:
-        parent = self._round(round_idx, time_s)
+    # -- per-kind handlers (reached through :meth:`fold`) ------------------
+    def _on_client_dispatched(self, event: ClientDispatched) -> None:
+        parent = self._round(event.round_idx, event.time_s)
         span = Span(
-            name=f"client {client_id}",
+            name=f"client {event.client_id}",
             category="client",
-            start_s=time_s,
-            end_s=time_s,
-            attrs={"client": client_id, "n_samples": n_samples},
+            start_s=event.time_s,
+            end_s=event.time_s,
+            attrs={"client": event.client_id, "n_samples": event.n_samples},
         )
         parent.children.append(span)
-        self._open_clients[client_id] = (span, round_idx)
+        self._open_clients[event.client_id] = (span, event.round_idx)
 
     def _close_client(
-        self,
-        round_idx: int,
-        client_id: int,
-        time_s: float,
-        total_s: float,
+        self, event: Union[ClientFinished, ClientDropped]
     ) -> Span:
-        entry = self._open_clients.pop(client_id, None)
+        self._touch(event.time_s)
+        entry = self._open_clients.pop(event.client_id, None)
         if entry is not None:
             span = entry[0]
         else:
             # no dispatch was seen (e.g. a trimmed capture): synthesise
             # the interval backwards from the reported duration
             span = Span(
-                name=f"client {client_id}",
+                name=f"client {event.client_id}",
                 category="client",
-                start_s=time_s - total_s,
-                end_s=time_s,
-                attrs={"client": client_id},
+                start_s=event.time_s - event.total_s,
+                end_s=event.time_s,
+                attrs={"client": event.client_id},
             )
-            self._round(round_idx, span.start_s).children.append(span)
-        span.end_s = max(span.start_s, time_s)
+            self._round(event.round_idx, span.start_s).children.append(span)
+        span.end_s = max(span.start_s, event.time_s)
         return span
 
-    def on_client_finished(
-        self,
-        round_idx: int,
-        client_id: int,
-        time_s: float,
-        compute_s: float,
-        comm_s: float,
-        total_s: float,
-        energy_j: Optional[float] = None,
-        battery_soc: Optional[float] = None,
-    ) -> None:
-        self._touch(time_s)
-        span = self._close_client(round_idx, client_id, time_s, total_s)
-        span.attrs["compute_s"] = compute_s
-        span.attrs["comm_s"] = comm_s
-        if energy_j is not None:
-            span.attrs["energy_j"] = energy_j
-        if battery_soc is not None:
-            span.attrs["battery_soc"] = battery_soc
+    def _on_client_finished(self, event: ClientFinished) -> None:
+        span = self._close_client(event)
+        span.attrs["compute_s"] = event.compute_s
+        span.attrs["comm_s"] = event.comm_s
+        if event.energy_j is not None:
+            span.attrs["energy_j"] = event.energy_j
+        if event.battery_soc is not None:
+            span.attrs["battery_soc"] = event.battery_soc
 
-    def on_client_dropped(
-        self, round_idx: int, client_id: int, time_s: float, total_s: float
-    ) -> None:
-        self._touch(time_s)
-        span = self._close_client(round_idx, client_id, time_s, total_s)
-        span.attrs["dropped"] = True
+    def _on_client_dropped(self, event: ClientDropped) -> None:
+        self._close_client(event).attrs["dropped"] = True
 
-    def on_model_aggregated(
-        self,
-        round_idx: int,
-        time_s: float,
-        strategy: str,
-        n_participants: int,
-    ) -> None:
-        parent = self._round(round_idx, time_s)
-        parent.children.append(
+    def _on_model_aggregated(self, event: ModelAggregated) -> None:
+        self._round(event.round_idx, event.time_s).children.append(
             Span(
-                name=f"aggregate [{strategy}]",
+                name=f"aggregate [{event.strategy}]",
                 category="aggregate",
-                start_s=time_s,
-                end_s=time_s,
+                start_s=event.time_s,
+                end_s=event.time_s,
                 attrs={
-                    "strategy": strategy,
-                    "participants": n_participants,
+                    "strategy": event.strategy,
+                    "participants": len(event.participants),
                 },
             )
         )
 
-    def on_round_completed(
-        self,
-        round_idx: int,
-        time_s: float,
-        makespan_s: float,
-        participant_count: int,
-        accuracy: Optional[float],
-    ) -> None:
+    def _on_round_completed(self, event: RoundCompleted) -> None:
+        round_idx, time_s = event.round_idx, event.time_s
         span = self._rounds.pop(round_idx, None)
         if span is None:
             # completion without any per-client narration: the round is
             # the makespan-long interval ending here
-            span = self._round(round_idx, time_s - makespan_s)
+            span = self._round(round_idx, time_s - event.makespan_s)
             self._rounds.pop(round_idx, None)
         self._touch(time_s)
         span.end_s = max(span.start_s, time_s)
-        span.attrs["makespan_s"] = makespan_s
-        span.attrs["participants"] = participant_count
-        if accuracy is not None:
-            span.attrs["accuracy"] = accuracy
+        span.attrs["makespan_s"] = event.makespan_s
+        span.attrs["participants"] = event.participant_count
+        if event.accuracy is not None:
+            span.attrs["accuracy"] = event.accuracy
         # clients the barrier outlived (e.g. a drop narrated without a
         # finish) close with the round
         for client_id, (client, parent_round) in list(
@@ -218,41 +212,29 @@ class SpanBuilder:
                 client.attrs["unclosed"] = True
                 del self._open_clients[client_id]
 
-    def on_schedule_computed(
-        self,
-        round_idx: int,
-        time_s: float,
-        scheduler: str,
-        predicted_makespan_s: float,
-        predicted_energy_j: Optional[float],
-        solve_ms: Optional[float],
-    ) -> None:
-        parent = self._round(round_idx, time_s)
+    def _on_schedule_computed(self, event: ScheduleComputed) -> None:
         attrs: Dict[str, object] = {
-            "scheduler": scheduler,
-            "predicted_makespan_s": predicted_makespan_s,
+            "scheduler": event.scheduler,
+            "predicted_makespan_s": event.predicted_makespan_s,
         }
-        if predicted_energy_j is not None:
-            attrs["predicted_energy_j"] = predicted_energy_j
-        if solve_ms is not None:
-            attrs["solve_ms"] = solve_ms
-        parent.children.append(
+        if event.predicted_energy_j is not None:
+            attrs["predicted_energy_j"] = event.predicted_energy_j
+        if event.solve_ms is not None:
+            attrs["solve_ms"] = event.solve_ms
+        self._round(event.round_idx, event.time_s).children.append(
             Span(
-                name=f"schedule [{scheduler}]",
+                name=f"schedule [{event.scheduler}]",
                 category="sched",
-                start_s=time_s,
-                end_s=time_s,
+                start_s=event.time_s,
+                end_s=event.time_s,
                 attrs=attrs,
             )
         )
 
-    def on_membership(
+    def _membership(
         self,
-        kind: str,
-        device_id: str,
-        client_id: int,
-        time_s: float,
-        reason: Optional[str] = None,
+        event: Union[DeviceJoined, DeviceLost],
+        attrs: Dict[str, object],
     ) -> None:
         """Record a membership instant (``device_joined``/``device_lost``).
 
@@ -262,88 +244,58 @@ class SpanBuilder:
         participated in — so these instants hang directly off the run
         span, never off a round.
         """
-        run = self._touch(time_s)
-        attrs: Dict[str, object] = {
-            "device_id": device_id,
-            "client": client_id,
-        }
-        if reason is not None:
-            attrs["reason"] = reason
-        run.children.append(
+        self._touch(event.time_s).children.append(
             Span(
-                name=f"{kind} [{device_id}]",
+                name=f"{event.kind} [{event.device_id}]",
                 category="membership",
-                start_s=time_s,
-                end_s=time_s,
+                start_s=event.time_s,
+                end_s=event.time_s,
                 attrs=attrs,
             )
         )
 
-    # -- replay path -------------------------------------------------------
-    def add(self, event: Mapping[str, object]) -> None:
-        """Fold one JSONL event dict (the replay construction path)."""
-        kind = event.get("event")
-        if kind == "client_dispatched":
-            self.on_client_dispatched(
-                _as_int(event, "round_idx"),
-                _as_int(event, "client_id"),
-                _as_float(event, "time_s"),
-                _as_int(event, "n_samples"),
-            )
-        elif kind == "client_finished":
-            self.on_client_finished(
-                _as_int(event, "round_idx"),
-                _as_int(event, "client_id"),
-                _as_float(event, "time_s"),
-                _as_float(event, "compute_s"),
-                _as_float(event, "comm_s"),
-                _as_float(event, "total_s"),
-                _opt_float(event, "energy_j"),
-                _opt_float(event, "battery_soc"),
-            )
-        elif kind == "client_dropped":
-            self.on_client_dropped(
-                _as_int(event, "round_idx"),
-                _as_int(event, "client_id"),
-                _as_float(event, "time_s"),
-                _as_float(event, "total_s"),
-            )
-        elif kind == "model_aggregated":
-            participants = event.get("participants")
-            n = len(participants) if isinstance(participants, list) else 0
-            self.on_model_aggregated(
-                _as_int(event, "round_idx"),
-                _as_float(event, "time_s"),
-                str(event.get("strategy", "?")),
-                n,
-            )
-        elif kind == "round_completed":
-            self.on_round_completed(
-                _as_int(event, "round_idx"),
-                _as_float(event, "time_s"),
-                _as_float(event, "makespan_s"),
-                _as_int(event, "participant_count"),
-                _opt_float(event, "accuracy"),
-            )
-        elif kind == "schedule_computed":
-            self.on_schedule_computed(
-                _as_int(event, "round_idx"),
-                _as_float(event, "time_s"),
-                str(event.get("scheduler", "?")),
-                _as_float(event, "predicted_makespan_s"),
-                _opt_float(event, "predicted_energy_j"),
-                _opt_float(event, "solve_ms"),
-            )
-        elif kind in ("device_joined", "device_lost"):
-            reason = event.get("reason")
-            self.on_membership(
-                str(kind),
-                str(event.get("device_id", "?")),
-                _as_int(event, "client_id"),
-                _as_float(event, "time_s"),
-                reason if isinstance(reason, str) else None,
-            )
-        # unknown kinds (telemetry_meta, future events) are ignored
+    def _on_device_joined(self, event: DeviceJoined) -> None:
+        self._membership(
+            event, {"device_id": event.device_id, "client": event.client_id}
+        )
+
+    def _on_device_lost(self, event: DeviceLost) -> None:
+        self._membership(
+            event,
+            {
+                "device_id": event.device_id,
+                "client": event.client_id,
+                "reason": event.reason,
+            },
+        )
+
+    #: kind -> handler; a kind without an entry (``cohort_accounted``:
+    #: an aggregate has no interval to draw) leaves the tree untouched
+    _HANDLERS: ClassVar[Dict[str, Callable[["SpanBuilder", Any], None]]] = {
+        ClientDispatched.kind: _on_client_dispatched,
+        ClientFinished.kind: _on_client_finished,
+        ClientDropped.kind: _on_client_dropped,
+        ModelAggregated.kind: _on_model_aggregated,
+        RoundCompleted.kind: _on_round_completed,
+        ScheduleComputed.kind: _on_schedule_computed,
+        DeviceJoined.kind: _on_device_joined,
+        DeviceLost.kind: _on_device_lost,
+    }
+
+    # -- the two construction paths ----------------------------------------
+    def fold(self, event: EngineEvent) -> None:
+        """Fold one typed event (the live path, and the only fold)."""
+        handler = self._HANDLERS.get(event.kind)
+        if handler is not None:
+            handler(self, event)
+
+    def add(self, payload: Mapping[str, object]) -> None:
+        """Fold one JSONL event dict: decode it, then :meth:`fold`.
+        Payloads of an undeclared kind (``telemetry_meta``, future
+        events) are ignored."""
+        event = event_from_dict(payload)
+        if event is not None:
+            self.fold(event)
 
     # -- completion --------------------------------------------------------
     def finish(self) -> List[Span]:
@@ -372,17 +324,3 @@ def spans_from_events(
         builder.add(event)
     return builder.finish()
 
-
-def _as_int(event: Mapping[str, object], key: str) -> int:
-    value = event.get(key)
-    return int(value) if isinstance(value, (int, float)) else 0
-
-
-def _as_float(event: Mapping[str, object], key: str) -> float:
-    value = event.get(key)
-    return float(value) if isinstance(value, (int, float)) else 0.0
-
-
-def _opt_float(event: Mapping[str, object], key: str) -> Optional[float]:
-    value = event.get(key)
-    return float(value) if isinstance(value, (int, float)) else None

@@ -47,21 +47,18 @@ RECORDER_OK = (
     "\n"
     "class ObsRecorder:\n"
     "    def __call__(self, event):\n"
-    "        if isinstance(event, TickEvent):\n"
-    "            return \"tick\"\n"
-    "        if isinstance(event, DoneEvent):\n"
-    "            return \"done\"\n"
-    "        return None\n"
+    "        return self._HANDLERS[event.kind](self, event)\n"
     "\n"
-    "    def add_dict(self, payload):\n"
-    "        kind = payload[\"kind\"]\n"
-    "        if kind == \"telemetry_meta\":\n"
-    "            return None\n"
-    "        if kind == \"tick\":\n"
-    "            return \"tick\"\n"
-    "        if kind == \"done\":\n"
-    "            return \"done\"\n"
-    "        return None\n"
+    "    def _on_tick(self, event):\n"
+    "        return \"tick\"\n"
+    "\n"
+    "    def _on_done(self, event):\n"
+    "        return \"done\"\n"
+    "\n"
+    "    _HANDLERS = {\n"
+    "        TickEvent.kind: _on_tick,\n"
+    "        DoneEvent.kind: _on_done,\n"
+    "    }\n"
 )
 
 
@@ -83,39 +80,23 @@ def test_event_dispatch_clean(tmp_path):
     assert lint_rule(root, "event-dispatch-exhaustiveness") == []
 
 
-def test_event_dispatch_missing_isinstance_branch(tmp_path):
+def test_event_dispatch_missing_handler(tmp_path):
     broken = RECORDER_OK.replace(
-        "        if isinstance(event, DoneEvent):\n"
-        "            return \"done\"\n",
-        "",
+        "        DoneEvent.kind: _on_done,\n", ""
     )
     root = event_repo(tmp_path, broken)
     findings = lint_rule(root, "event-dispatch-exhaustiveness")
     assert len(findings) == 1
     assert "DoneEvent" in findings[0].message
-    assert "__call__" in findings[0].message
+    assert "_HANDLERS" in findings[0].message
     assert findings[0].path == "src/repro/obs/recorder.py"
 
 
-def test_event_dispatch_missing_replay_kind(tmp_path):
+def test_event_dispatch_handler_for_undeclared_event(tmp_path):
     broken = RECORDER_OK.replace(
-        "        if kind == \"done\":\n"
-        "            return \"done\"\n",
-        "",
-    )
-    root = event_repo(tmp_path, broken)
-    findings = lint_rule(root, "event-dispatch-exhaustiveness")
-    assert len(findings) == 1
-    assert "'done'" in findings[0].message
-    assert "add_dict" in findings[0].message
-
-
-def test_event_dispatch_unknown_replay_kind(tmp_path):
-    broken = RECORDER_OK.replace(
-        "        if kind == \"done\":",
-        "        if kind == \"done\":\n"
-        "            return \"done\"\n"
-        "        if kind == \"legacy_tick\":",
+        "        DoneEvent.kind: _on_done,\n",
+        "        DoneEvent.kind: _on_done,\n"
+        "        \"legacy_tick\": _on_tick,\n",
     )
     root = event_repo(tmp_path, broken)
     findings = lint_rule(root, "event-dispatch-exhaustiveness")
@@ -129,16 +110,27 @@ def test_event_dispatch_nonexistent_target(tmp_path):
         "from ..engine.events import DoneEvent, TickEvent\n",
         "from ..engine.events import DoneEvent, GhostEvent, TickEvent\n",
     ).replace(
-        "        if isinstance(event, TickEvent):",
-        "        if isinstance(event, GhostEvent):\n"
-        "            return \"ghost\"\n"
-        "        if isinstance(event, TickEvent):",
+        "        TickEvent.kind: _on_tick,\n",
+        "        GhostEvent.kind: _on_tick,\n"
+        "        TickEvent.kind: _on_tick,\n",
     )
     root = event_repo(tmp_path, broken)
     findings = lint_rule(root, "event-dispatch-exhaustiveness")
     assert len(findings) == 1
     assert "GhostEvent" in findings[0].message
     assert "does not exist" in findings[0].message
+
+
+def test_event_dispatch_table_missing_altogether(tmp_path):
+    """A recorder with no table handles nothing: one finding per event,
+    anchored at the class."""
+    broken = RECORDER_OK[: RECORDER_OK.index("    _HANDLERS = {")]
+    root = event_repo(tmp_path, broken)
+    findings = lint_rule(root, "event-dispatch-exhaustiveness")
+    assert sorted(f.message.split()[2] for f in findings) == [
+        "DoneEvent",
+        "TickEvent",
+    ]
 
 
 def test_event_dispatch_silent_without_consumers(tmp_path):

@@ -1,21 +1,33 @@
-"""Event-stream tests: golden sequences and payload integrity."""
+"""Event-stream tests: golden sequences, payload integrity, wire codec."""
+
+import dataclasses
+import json
+from typing import Optional, Tuple, get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.partition import iid_partition
 from repro.device.registry import make_device
 from repro.engine import (
+    EVENT_TYPES,
     ClientDispatched,
     ClientDropped,
     ClientFinished,
     EventBus,
     ModelAggregated,
     RoundCompleted,
+    event_from_dict,
 )
+from repro.engine import events as events_module
+from repro.engine.events import EngineEvent
 from repro.federated.dropout import DropoutPolicy
 from repro.federated.simulation import FederatedSimulation, SimulationConfig
 from repro.models import logistic
+
+from .conftest import events_of
 
 
 def make_sim(dataset, n_users=2, devices=None, **cfg_kw):
@@ -160,3 +172,145 @@ class TestEventBus:
         finally:
             EventBus.remove_global_listener(seen.append)
         assert len(seen) == 2
+
+
+# -- the wire codec: to_dict / event_from_dict ---------------------------
+
+every_event_class = pytest.mark.parametrize(
+    "cls", list(EVENT_TYPES.values()), ids=list(EVENT_TYPES)
+)
+
+#: what a missing or mistyped field decodes to, by declared type
+DOCUMENTED_DEFAULTS = {
+    int: 0,
+    float: 0.0,
+    Optional[float]: None,
+    str: "?",
+    Tuple[int, ...]: (),
+}
+
+
+def reference_to_dict(event):
+    """``EngineEvent.to_dict`` as it was before the codec: a deep
+    ``dataclasses.asdict`` copy, tuples turned into lists."""
+    payload = {"event": event.kind}
+    for key, value in dataclasses.asdict(event).items():
+        if isinstance(value, tuple):
+            value = list(value)
+        payload[key] = value
+    return payload
+
+
+class TestTaxonomy:
+    def test_every_exported_event_class_is_declared_once(self):
+        exported = [
+            getattr(events_module, name) for name in events_module.__all__
+        ]
+        classes = [
+            obj
+            for obj in exported
+            if isinstance(obj, type)
+            and issubclass(obj, EngineEvent)
+            and obj is not EngineEvent
+        ]
+        assert len(classes) == 9
+        assert sorted(EVENT_TYPES.values(), key=lambda c: c.__name__) == (
+            sorted(classes, key=lambda c: c.__name__)
+        )
+        # kinds are unique, and each class sits under its own
+        assert len({cls.kind for cls in classes}) == len(classes)
+        assert all(cls.kind == kind for kind, cls in EVENT_TYPES.items())
+
+    def test_repro_engine_exports_the_codec(self):
+        import repro.engine
+
+        assert {"EVENT_TYPES", "event_from_dict"} <= set(
+            repro.engine.__all__
+        )
+
+
+class TestCodec:
+    @every_event_class
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_json_round_trip_is_identity(self, cls, data):
+        event = data.draw(events_of(cls))
+        wire = json.loads(json.dumps(event.to_dict()))
+        decoded = event_from_dict(wire)
+        assert type(decoded) is type(event)
+        assert decoded == event
+
+    @every_event_class
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_to_dict_matches_the_asdict_reference(self, cls, data):
+        event = data.draw(events_of(cls))
+        payload, reference = event.to_dict(), reference_to_dict(event)
+        assert payload == reference
+        assert list(payload) == list(reference)  # same key order
+        assert json.dumps(payload) == json.dumps(reference)
+
+    def test_to_dict_does_not_alias_the_event(self):
+        event = ModelAggregated(
+            round_idx=1, participants=(0, 2), strategy="fedavg",
+            version=1, time_s=1.5,
+        )
+        payload = event.to_dict()
+        payload["participants"].append(9)
+        assert event.participants == (0, 2)
+
+    @every_event_class
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_trimmed_and_mistyped_fields_take_the_defaults(self, cls, data):
+        """Each field in turn dropped, nulled, and given the wrong JSON
+        type: decoding never raises, that field takes its documented
+        default, every other field survives."""
+        event = data.draw(events_of(cls))
+        hints = get_type_hints(type(event))
+        full = event.to_dict()
+        for field in dataclasses.fields(event):
+            declared = hints[field.name]
+            wrong = 7 if declared is str else "seven"
+            trimmed = {k: v for k, v in full.items() if k != field.name}
+            for payload in (
+                trimmed,
+                {**full, field.name: None},
+                {**full, field.name: wrong},
+            ):
+                decoded = event_from_dict(payload)
+                assert decoded == dataclasses.replace(
+                    event, **{field.name: DOCUMENTED_DEFAULTS[declared]}
+                )
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {},
+            {"event": None},
+            {"event": ["client_finished"]},
+            {"event": "telemetry_meta", "schema_version": 4},
+            {"event": "future_kind", "time_s": 1.0},
+        ],
+    )
+    def test_undeclared_kinds_decode_to_none(self, payload):
+        assert event_from_dict(payload) is None
+
+    def test_non_finite_numbers_never_raise(self):
+        wire = json.loads(
+            '{"event": "client_dispatched", "round_idx": Infinity,'
+            ' "client_id": NaN, "n_samples": 2.9, "time_s": Infinity}'
+        )
+        assert event_from_dict(wire) == ClientDispatched(
+            round_idx=0, client_id=0, n_samples=2, time_s=float("inf")
+        )
+
+    def test_bare_kind_decodes_to_all_defaults(self):
+        for kind, cls in EVENT_TYPES.items():
+            hints = get_type_hints(cls)
+            assert event_from_dict({"event": kind}) == cls(
+                **{
+                    f.name: DOCUMENTED_DEFAULTS[hints[f.name]]
+                    for f in dataclasses.fields(cls)
+                }
+            )

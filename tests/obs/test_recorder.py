@@ -1,16 +1,37 @@
 """ObsRecorder: live fold vs JSONL replay, energy ledger, summaries."""
 
+import io
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.data.partition import iid_partition
 from repro.data.synthetic import SyntheticConfig, make_dataset
 from repro.device.registry import make_device
+from repro.engine.events import (
+    EVENT_TYPES,
+    ClientDispatched,
+    ClientDropped,
+    ClientFinished,
+    DeviceJoined,
+    DeviceLost,
+    RoundCompleted,
+)
 from repro.engine.telemetry import TELEMETRY_SCHEMA_VERSION, JsonlSink
 from repro.federated.simulation import FederatedSimulation, SimulationConfig
 from repro.models import logistic
-from repro.obs import ObsRecorder, observe_engine
-from repro.obs import catalog
+from repro.obs import (
+    ObsRecorder,
+    catalog,
+    observe_engine,
+    render_prometheus,
+    render_trace_json,
+)
+
+from ..engine.conftest import events_of
 
 
 @pytest.fixture(scope="module")
@@ -217,3 +238,139 @@ class TestMembershipFold:
         events = rec.metrics.counter(catalog.EVENTS_TOTAL)
         assert events.value(kind="device_joined") == 1
         assert events.value(kind="device_lost") == 1
+
+
+# -- one fold: live == replay, for any stream ----------------------------
+
+#: small id spaces so generated dispatches, finishes, drops and round
+#: completions actually meet; non-negative numbers because counters
+#: only go up
+_STREAM_EVENT = st.one_of(
+    [
+        events_of(
+            cls,
+            ints=st.integers(0, 3),
+            floats=st.floats(0.0, 1e4),
+            texts=st.sampled_from(["olar", "fed avg", 'q"uo\\te', ""]),
+        )
+        for cls in EVENT_TYPES.values()
+    ]
+)
+
+
+def _finished(round_idx, client_id, time_s):
+    return ClientFinished(
+        round_idx=round_idx, client_id=client_id, compute_s=2.0,
+        comm_s=1.0, total_s=3.0, time_s=time_s, energy_j=5.0,
+    )
+
+
+def _completed(round_idx, time_s):
+    return RoundCompleted(
+        round_idx=round_idx, makespan_s=3.0, mean_time_s=3.0,
+        participant_count=1, accuracy=None, time_s=time_s,
+    )
+
+
+def _outputs(recorder):
+    """Everything a recorder exports, in comparable form."""
+    return {
+        "prom": render_prometheus(recorder.metrics),
+        "trace": render_trace_json(recorder.finish_spans()),
+        "ledger": recorder.energy,
+        "rounds": [
+            tuple(getattr(r, name) for name in r.__slots__)
+            for r in recorder.rounds
+        ],
+        "tallies": (
+            recorder.n_events,
+            recorder.device_joins,
+            recorder.device_losses,
+        ),
+    }
+
+
+def _live(events):
+    recorder = ObsRecorder()
+    for event in events:
+        recorder(event)
+    return recorder
+
+
+def _replayed_from_jsonl_text(events):
+    stream = io.StringIO()
+    sink = JsonlSink(stream)
+    for event in events:
+        sink(event)
+    return ObsRecorder().replay(
+        json.loads(line) for line in stream.getvalue().splitlines()
+    )
+
+
+class TestOneFold:
+    @settings(max_examples=150, deadline=None)
+    @given(events=st.lists(_STREAM_EVENT, max_size=30))
+    @example(  # a drop narrated without a finish, closed by the barrier
+        events=[
+            ClientDispatched(1, 0, 10, 0.0),
+            ClientDropped(1, 0, 4.0, 4.0),
+            _completed(1, 4.0),
+        ]
+    )
+    @example(  # a finish with no dispatch (trimmed capture)
+        events=[_finished(2, 7, 10.0), _completed(2, 10.0)]
+    )
+    @example(  # membership strictly between two rounds
+        events=[
+            ClientDispatched(1, 0, 10, 0.0),
+            _finished(1, 0, 3.0),
+            _completed(1, 3.0),
+            DeviceJoined("d7", 7, 5.0),
+            DeviceLost("d0", 0, "timeout", 6.0),
+            ClientDispatched(2, 7, 10, 7.0),
+            _completed(2, 9.0),
+        ]
+    )
+    @example(  # async-style: no RoundCompleted at all
+        events=[
+            ClientDispatched(0, 3, 10, 1.0),
+            ClientDispatched(0, 4, 10, 2.0),
+            _finished(0, 3, 2.5),
+        ]
+    )
+    def test_live_and_jsonl_replay_export_the_same_bytes(self, events):
+        assert _outputs(_live(events)) == _outputs(
+            _replayed_from_jsonl_text(events)
+        )
+
+    def test_integer_stamped_events_move_the_clock_on_both_paths(self):
+        """Regression: the live ladder took only ``float`` timestamps,
+        the replay ladder ``int`` too — three integer-stamped events
+        left ``repro_clock_seconds`` unset live and at 3 replayed."""
+        events = [
+            ClientDispatched(round_idx=1, client_id=0, n_samples=10, time_s=0),
+            ClientFinished(
+                round_idx=1, client_id=0, compute_s=2, comm_s=1,
+                total_s=3, time_s=3,
+            ),
+            RoundCompleted(
+                round_idx=1, makespan_s=3, mean_time_s=3,
+                participant_count=1, accuracy=None, time_s=3,
+            ),
+        ]
+        live = _live(events)
+        replayed = ObsRecorder().replay([e.to_dict() for e in events])
+        assert live.metrics.gauge(catalog.CLOCK_SECONDS).value() == 3.0
+        assert render_prometheus(live.metrics) == render_prometheus(
+            replayed.metrics
+        )
+
+    def test_undeclared_kind_counts_as_an_event_and_nothing_else(self):
+        rec = ObsRecorder()
+        rec.add_dict({"event": "telemetry_meta", "schema_version": 4})
+        assert rec.n_events == 0
+        rec.add_dict({"event": "future_kind", "time_s": 99.0})
+        assert rec.n_events == 1
+        assert rec.event_counts() == {"future_kind": 1}
+        assert rec.metrics.gauge(catalog.CLOCK_SECONDS).value() is None
+        assert rec.finish_spans() == []
