@@ -41,7 +41,6 @@ from ..device.device import MobileDevice
 from ..device.workload import TrainingWorkload
 from ..models.flops import model_training_flops
 from ..models.network import Sequential
-from ..models.zoo import model_wire_mb
 from ..network.link import Link
 from ..network.transfer import round_comm_cost
 from ..obs.prof import PROFILER
@@ -61,12 +60,10 @@ from .topology import StarTopology, Topology
 
 if TYPE_CHECKING:
     from ..federated.dropout import DropoutPolicy
-    from ..fleet.store import FleetStore
     from ..sched.base import Assignment
 
 __all__ = [
     "AsyncUpdate",
-    "CohortSamplerLike",
     "RoundEngine",
     "ParameterServerLike",
     "SchedulerBindingLike",
@@ -97,19 +94,6 @@ class SchedulerBindingLike(Protocol):
         round_idx: int,
         eligible: Sequence[int],
     ) -> "Assignment": ...
-
-
-class CohortSamplerLike(Protocol):
-    """What the sync driver needs from a cohort sampler (see
-    :class:`repro.fleet.sampling.CohortSampler`): a seeded draw of
-    ``k`` distinct indices from the eligible set."""
-
-    def sample(
-        self,
-        eligible: np.ndarray,
-        k: int,
-        data_size: Optional[np.ndarray] = None,
-    ) -> np.ndarray: ...
 
 
 @runtime_checkable
@@ -147,21 +131,14 @@ class RoundEngine:
         Communication shape; defaults to a star (parameter server).
     devices, links:
         Optional per-user device simulators and network links for the
-        virtual clock. Without devices rounds report zero time.
+        virtual clock. Without devices rounds report zero time. This is
+        the one door for any population: the calibrated
+        :class:`MobileDevice` testbeds, or a columnar store's object
+        views (``store.as_devices()`` / ``store.as_links()``). Every
+        eligible user is scheduled; the engine draws no cohort.
     dropout:
         Optional deadline-based straggler-dropout policy (sync driver
-        only); requires ``devices`` or ``fleet``.
-    fleet:
-        Optional :class:`~repro.fleet.store.FleetStore` replacing
-        ``devices``/``links`` with a columnar population: battery
-        gating, compute/comm time and idle-to-barrier evaluate as
-        vectorized array ops. Mutually exclusive with
-        ``devices``/``links``; must cover exactly one device per user.
-    cohort_sampler, cohort_size:
-        Optional per-round cohort sampling (see
-        :mod:`repro.fleet.sampling`): when the eligible set exceeds
-        ``cohort_size``, the sync driver schedules only a sampled
-        cohort. Either both or neither must be given.
+        only); requires ``devices``.
     """
 
     def __init__(
@@ -186,22 +163,11 @@ class RoundEngine:
         min_soc: float = 0.0,
         seed: int = 0,
         bus: Optional[EventBus] = None,
-        fleet: Optional["FleetStore"] = None,
-        cohort_sampler: Optional[CohortSamplerLike] = None,
-        cohort_size: Optional[int] = None,
     ) -> None:
         if devices is not None and len(devices) != len(users):
             raise ValueError("one device per user required")
         if links is not None and len(links) != len(users):
             raise ValueError("one link per user required")
-        if fleet is not None:
-            if devices is not None or links is not None:
-                raise ValueError(
-                    "fleet and devices/links are mutually exclusive "
-                    "(the fleet store is the population)"
-                )
-            if fleet.n != len(users):
-                raise ValueError("one fleet device per user required")
         self.dataset = dataset
         self.model = model
         self.users = list(users)
@@ -209,21 +175,12 @@ class RoundEngine:
             raise ValueError("need at least one user")
         self.devices = list(devices) if devices is not None else None
         self.links = list(links) if links is not None else None
-        self.fleet = fleet
-        if dropout is not None and devices is None and fleet is None:
+        if dropout is not None and devices is None:
             raise ValueError(
                 "straggler dropout needs devices (deadlines are defined "
                 "over simulated round times)"
             )
         self.dropout = dropout
-        if (cohort_sampler is None) != (cohort_size is None):
-            raise ValueError(
-                "cohort_sampler and cohort_size go together"
-            )
-        if cohort_size is not None and cohort_size <= 0:
-            raise ValueError("cohort_size must be positive")
-        self.cohort_sampler = cohort_sampler
-        self.cohort_size = cohort_size
         self.strategy = strategy or SyncFedAvg()
         self.topology = topology or StarTopology(len(self.users))
         self.batch_size = batch_size
@@ -239,9 +196,8 @@ class RoundEngine:
 
         self._scratch = model.clone()
         self._flops = model_training_flops(model)
-        #: per-user data sizes as one column — the hot paths (battery
-        #: gating, vectorized dispatch) index this instead of walking
-        #: UserData objects
+        #: per-user data sizes as one column — battery gating masks
+        #: this instead of walking UserData objects
         self._user_sizes = np.array(
             [u.size for u in self.users], dtype=np.int64
         )
@@ -297,27 +253,12 @@ class RoundEngine:
             return int(self._round_samples[j])
         return self.users[j].size
 
-    @property
-    def _has_hardware(self) -> bool:
-        """Whether rounds have simulated time/energy at all (either an
-        object-per-client device list or a columnar fleet)."""
-        return self.devices is not None or self.fleet is not None
-
     def battery_soc(self, j: int) -> Optional[float]:
         """User j's current state of charge, or ``None`` without
         devices."""
-        if self.fleet is not None:
-            return self.fleet.soc_one(j)
         if self.devices is None:
             return None
         return self.devices[j].battery.soc
-
-    def battery_ok(self, j: int) -> bool:
-        """Whether user j's device has charge to spare this round."""
-        if not self._has_hardware or self.min_soc <= 0.0:
-            return True
-        soc = self.battery_soc(j)
-        return soc is None or soc >= self.min_soc
 
     def eligible_clients(self) -> List[int]:
         """Users holding data whose battery clears the participation
@@ -328,9 +269,7 @@ class RoundEngine:
         call chain on this hot path.
         """
         mask = self._user_sizes > 0
-        if self.fleet is not None:
-            mask &= self.fleet.eligible_mask(self.min_soc)
-        elif self.devices is not None and self.min_soc > 0.0:
+        if self.devices is not None and self.min_soc > 0.0:
             soc = np.fromiter(
                 (d.battery.soc for d in self.devices),
                 dtype=np.float64,
@@ -347,10 +286,6 @@ class RoundEngine:
         ``(compute_seconds, energy_joules)`` — the simulated compute
         time and the battery energy drained (thermal/battery state
         persists). Without devices both are 0.0."""
-        if self.fleet is not None:
-            return self.fleet.run_compute_one(
-                j, self._client_samples(j), epochs
-            )
         if self.devices is None:
             return 0.0, 0.0
         workload = TrainingWorkload(
@@ -370,10 +305,6 @@ class RoundEngine:
 
     def client_comm_time(self, j: int) -> float:
         """Round-trip model transfer seconds over user j's link."""
-        if self.fleet is not None:
-            return self.fleet.comm_time_one(
-                j, model_wire_mb(self.model)
-            )
         if self.links is None:
             return 0.0
         return round_comm_cost(self.model, self.links[j]).total_s
@@ -408,22 +339,6 @@ class RoundEngine:
         )
 
     # -- synchronous driver ----------------------------------------------
-    def _sample_cohort(self, eligible: List[int]) -> List[int]:
-        """Draw the round's cohort when a sampler is configured and the
-        eligible set exceeds the cohort size (identity otherwise)."""
-        if (
-            self.cohort_sampler is None
-            or self.cohort_size is None
-            or len(eligible) <= self.cohort_size
-        ):
-            return eligible
-        idx = np.asarray(eligible, dtype=np.int64)
-        chosen = self.cohort_sampler.sample(
-            idx, self.cohort_size, data_size=self._user_sizes[idx]
-        )
-        out: List[int] = np.asarray(chosen, dtype=np.int64).tolist()
-        return out
-
     def _dispatch_round(
         self, round_idx: int, participants: Sequence[int]
     ) -> np.ndarray:
@@ -431,10 +346,6 @@ class RoundEngine:
         per-user round times (compute + comm), emitting dispatch and
         completion events in client order."""
         times = np.zeros(len(self.users))
-        if self.fleet is not None and len(participants) > 0:
-            return self._dispatch_round_fleet(
-                round_idx, participants, times
-            )
         for j in participants:
             self.bus.emit(
                 ClientDispatched(
@@ -467,66 +378,8 @@ class RoundEngine:
             )
         return times
 
-    def _dispatch_round_fleet(
-        self,
-        round_idx: int,
-        participants: Sequence[int],
-        times: np.ndarray,
-    ) -> np.ndarray:
-        """Columnar dispatch: one vectorized compute/comm/drain pass
-        over the participant index array, then events in client order.
-
-        Performs the same float64 operations as the object path's
-        scalar loop (the store's scalar and vector ops share their
-        arithmetic), so the emitted event stream is bit-identical.
-        """
-        # imported here: repro.fleet imports this package's events
-        from ..fleet.round import run_workloads
-
-        fleet = self.fleet
-        assert fleet is not None
-        idx = np.asarray(list(participants), dtype=np.int64)
-        if self._round_samples is not None:
-            samples = self._round_samples[idx]
-        else:
-            samples = self._user_sizes[idx]
-        compute_s, comm_s, total_s, energy_j = run_workloads(
-            fleet, idx, samples, self.local_epochs, model_wire_mb(self.model)
-        )
-        times[idx] = total_s
-        soc = fleet.soc(idx)
-        for i, j in enumerate(idx.tolist()):
-            self.bus.emit(
-                ClientDispatched(
-                    round_idx=round_idx,
-                    client_id=j,
-                    n_samples=int(samples[i]),
-                    time_s=self.clock_s,
-                )
-            )
-            self.bus.emit(
-                ClientFinished(
-                    round_idx=round_idx,
-                    client_id=j,
-                    compute_s=float(compute_s[i]),
-                    comm_s=float(comm_s[i]),
-                    total_s=times[j],
-                    time_s=self.clock_s + times[j],
-                    energy_j=float(energy_j[i]),
-                    battery_soc=float(soc[i]),
-                )
-            )
-        return times
-
     def _idle_to_barrier(self, times: np.ndarray, makespan: float) -> None:
         """Let fast devices cool down while waiting for the straggler."""
-        if self.fleet is not None:
-            wait = makespan - times + self.aggregation_s
-            mask = (self._user_sizes > 0) & (wait > 0)
-            waiting = np.flatnonzero(mask)
-            if waiting.size:
-                self.fleet.idle(waiting, wait[waiting])
-            return
         if self.devices is None:
             return
         for j, user in enumerate(self.users):
@@ -556,7 +409,6 @@ class RoundEngine:
                         "every data-holding device is below min_soc"
                     )
                 raise RuntimeError("no user holds any data")
-            eligible = self._sample_cohort(eligible)
         round_idx = server.round_idx + 1
         if self.scheduler_binding is not None:
             with PROFILER.phase("plan"):
@@ -613,10 +465,10 @@ class RoundEngine:
                 )
         else:
             makespan = (
-                float(times[active].max()) if self._has_hardware else 0.0
+                float(times[active].max()) if self.devices is not None else 0.0
             )
         mean_t = (
-            float(times[active].mean()) if self._has_hardware else 0.0
+            float(times[active].mean()) if self.devices is not None else 0.0
         )
         self._idle_to_barrier(times, makespan)
 
@@ -704,7 +556,7 @@ class RoundEngine:
         )
         epoch_s, energy_j = self.client_compute(j, epochs=1)
         self._epoch_energy[j] = (
-            energy_j if self._has_hardware else None
+            energy_j if self.devices is not None else None
         )
         return epoch_s
 
@@ -832,7 +684,7 @@ class RoundEngine:
                 )
             )
             energy_j: Optional[float] = None
-            if self._has_hardware:
+            if self.devices is not None:
                 times[j], energy_j = self.client_compute(
                     j, epochs=self.local_epochs
                 )
@@ -856,7 +708,7 @@ class RoundEngine:
         self.replicas = mixer.mix(replicas)
         self.round_idx += 1
         trained = [j for j, u in enumerate(self.users) if u.size > 0]
-        makespan = float(times.max()) if self._has_hardware else 0.0
+        makespan = float(times.max()) if self.devices is not None else 0.0
         self.clock_s += makespan
         self.bus.emit(
             ModelAggregated(

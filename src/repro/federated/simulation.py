@@ -25,7 +25,7 @@ API. Subscribe to ``sim.events`` for the typed event stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..data.partition import UserData
 from ..data.synthetic import Dataset
@@ -38,10 +38,6 @@ from ..models.network import Sequential
 from ..network.link import Link
 from .dropout import DropoutPolicy
 from .server import ParameterServer
-
-if TYPE_CHECKING:
-    from ..engine.engine import CohortSamplerLike
-    from ..fleet.store import FleetStore
 
 __all__ = ["SimulationConfig", "FederatedSimulation"]
 
@@ -93,20 +89,16 @@ class FederatedSimulation:
     devices:
         Optional simulated devices, one per user, for timing. Without
         them rounds report zero time (pure-accuracy experiments like
-        Fig. 2 / Fig. 3 don't need the clock).
+        Fig. 2 / Fig. 3 don't need the clock). A columnar
+        :class:`~repro.fleet.store.FleetStore` population comes in here
+        too, as ``store.as_devices()`` (see ``docs/fleet.md``).
     links:
-        Optional per-user links for communication time.
+        Optional per-user links for communication time
+        (``store.as_links()`` for a fleet store).
     dropout:
         Optional deadline-based straggler-dropout policy (the hard
         dropout of Bonawitz et al. [5]); requires ``devices`` since the
         deadline is defined over simulated round times.
-    fleet:
-        Optional columnar :class:`~repro.fleet.store.FleetStore`
-        population instead of ``devices``/``links`` — same behaviour,
-        vectorized state (see ``docs/fleet.md``).
-    cohort_sampler, cohort_size:
-        Optional per-round cohort sampling over the eligible set
-        (both or neither); see :mod:`repro.fleet.sampling`.
     """
 
     def __init__(
@@ -118,9 +110,6 @@ class FederatedSimulation:
         links: Optional[Sequence[Link]] = None,
         config: Optional[SimulationConfig] = None,
         dropout: Optional[DropoutPolicy] = None,
-        fleet: Optional["FleetStore"] = None,
-        cohort_sampler: Optional["CohortSamplerLike"] = None,
-        cohort_size: Optional[int] = None,
     ) -> None:
         self.config = config or SimulationConfig()
         cfg = self.config
@@ -132,9 +121,6 @@ class FederatedSimulation:
             devices=devices,
             links=links,
             dropout=dropout,
-            fleet=fleet,
-            cohort_sampler=cohort_sampler,
-            cohort_size=cohort_size,
             batch_size=cfg.batch_size,
             local_epochs=cfg.local_epochs,
             lr=cfg.lr,
@@ -163,10 +149,6 @@ class FederatedSimulation:
     @property
     def links(self) -> Optional[List[Link]]:
         return self.engine.links
-
-    @property
-    def fleet(self) -> Optional["FleetStore"]:
-        return self.engine.fleet
 
     @property
     def dropout(self) -> Optional[DropoutPolicy]:

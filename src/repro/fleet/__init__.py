@@ -9,8 +9,8 @@ The package has four layers:
 * :mod:`repro.fleet.sampling` — seeded per-round cohort samplers
   (uniform and data-size-biased Gumbel-top-k);
 * :mod:`repro.fleet.round` — the one columnar round core (plan →
-  dispatch → close) that the fleet runner, the serve coordinator and
-  the engine's columnar dispatch all drive;
+  dispatch → close) that the fleet runner and the serve coordinator
+  drive;
 * :mod:`repro.fleet.runner` / :mod:`repro.fleet.bench` — the
   vectorized round driver and the ``repro bench fleet`` n-sweep.
 

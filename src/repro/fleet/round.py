@@ -20,7 +20,7 @@ never both, the energy ledger would double-count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -38,22 +38,7 @@ from ..sched.base import Assignment, Scheduler, SchedulingProblem
 from ..sched.binding import timed_schedule
 from .store import FleetStore
 
-__all__ = ["RoundCore", "run_workloads"]
-
-
-def run_workloads(
-    fleet: FleetStore,
-    idx: np.ndarray,
-    samples: np.ndarray,
-    epochs: int,
-    wire_mb: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rows ``idx`` train ``samples`` samples each and exchange the
-    model: one vectorized compute/comm/drain pass, no events. Returns
-    ``(compute_s, comm_s, total_s, energy_j)`` aligned with ``idx``."""
-    compute_s, energy_j = fleet.run_compute(idx, samples, epochs=epochs)
-    comm_s = fleet.comm_time_s(idx, wire_mb)
-    return compute_s, comm_s, compute_s + comm_s, energy_j
+__all__ = ["RoundCore"]
 
 
 @dataclass(frozen=True)
@@ -174,9 +159,11 @@ class RoundCore:
             samples = assignment.shard_counts * np.int64(self.shard_size)
             active = np.flatnonzero(samples > 0)
             idx, samples = cohort[active], samples[active]
-            costs = run_workloads(
-                self.fleet, idx, samples, self.local_epochs, self.wire_mb
+            # one vectorized compute/comm/drain pass, no events
+            compute_s, energy_j = self.fleet.run_compute(
+                idx, samples, epochs=self.local_epochs
             )
+            comm_s = self.fleet.comm_time_s(idx, self.wire_mb)
         with PROFILER.phase("narrate"):
             if int(idx.size) <= self.detail_threshold:
                 eligible_count = None
@@ -192,7 +179,14 @@ class RoundCore:
             elif eligible_count is None:
                 eligible_count = int(self.eligible_indices().size)
         return DispatchedRound(
-            round_idx, clock_s, idx, *costs, eligible_count
+            round_idx,
+            clock_s,
+            idx,
+            compute_s,
+            comm_s,
+            compute_s + comm_s,
+            energy_j,
+            eligible_count,
         )
 
     def close(self, work: DispatchedRound) -> ClosedRound:

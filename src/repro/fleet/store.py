@@ -21,9 +21,10 @@ The device model is deliberately the *affine* regime of the simulator
 (``t = a + b·samples``, the same form :func:`repro.profiling.profiler
 .bootstrap_curve` fits): scalar and vectorized evaluations perform the
 identical IEEE-754 float64 operations in the identical order, so the
-object views returned by :meth:`FleetStore.as_devices` and the
-vectorized engine path produce **bit-identical** event streams — the
-refactor changes the population representation, not behaviour.
+engine over the object views returned by :meth:`FleetStore.as_devices`
+and the vectorized :class:`~repro.fleet.round.RoundCore` over the same
+store produce **bit-identical** per-client payloads and battery
+columns (``tests/fleet/test_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -398,7 +399,7 @@ class FleetDevice:
     .RoundEngine` uses from a :class:`~repro.device.device
     .MobileDevice`; every operation delegates to the store's scalar
     ops, so running a fleet through these views or through the
-    vectorized path yields bit-identical state and events.
+    vectorized round core yields bit-identical payloads and state.
     """
 
     __slots__ = ("_store", "_index", "battery")

@@ -58,7 +58,7 @@ def problem_from_engine(
     """Build a scheduling instance from an engine's own substrates.
 
     Profiles fresh, jitter-free devices of the same specs as the
-    engine's fleet (never the live devices — profiling resets
+    engine's devices (never the live ones — profiling resets
     thermal/battery state), takes the shard budget from the data the
     users collectively hold, and reads class sets off the partitions.
     """
@@ -67,31 +67,23 @@ def problem_from_engine(
         build_energy_matrix,
         cached_energy_curves,
         cached_time_curves,
-        fleet_problem,
     )
     from ..core.cost import build_cost_matrix
 
-    if engine.fleet is not None:
-        # columnar path: cost matrices come straight off the fleet's
-        # class coefficients — one broadcast, no per-device profiling
-        return fleet_problem(
-            engine.fleet,
-            shard_size=shard_size,
-            with_energy=with_energy,
-            alpha=alpha,
-            beta=beta,
-            seed=seed,
-        )
     if engine.devices is None:
         raise ValueError(
             "the engine has no devices; scheduling needs a cost model"
         )
-    names = [d.spec.name for d in engine.devices]
+    for d in engine.devices:
+        if not isinstance(d, MobileDevice):
+            raise TypeError(
+                "problem_from_engine profiles MobileDevice specs; for "
+                "FleetStore views pass EngineSchedulerBinding(..., "
+                "problem=fleet_problem(store, shard_size=...))"
+            )
     # reuse the registry caches when specs are registry-built; custom
     # specs profile on a fresh clone of the same spec
-    for d in engine.devices:
-        if not isinstance(d, MobileDevice):  # pragma: no cover - guard
-            raise TypeError("engine devices must be MobileDevice")
+    names = [d.spec.name for d in engine.devices]
     total = sum(u.size for u in engine.users)
     if total <= 0:
         raise ValueError("no user holds any data")
@@ -182,7 +174,9 @@ class EngineSchedulerBinding:
         ``round_idx -> name | Scheduler`` choosing per round.
     problem:
         A ready :class:`SchedulingProblem`; built lazily from the
-        engine (:func:`problem_from_engine`) when omitted.
+        engine (:func:`problem_from_engine`) when omitted. An engine
+        over ``FleetStore`` views needs
+        ``fleet_problem(store, shard_size=...)`` here.
     shard_size:
         Shard granularity for the lazy builder.
     """

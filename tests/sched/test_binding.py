@@ -267,3 +267,34 @@ class TestProblemFromEngine:
         sim = make_sim(tiny_dataset)
         with pytest.raises(ValueError, match="devices"):
             problem_from_engine(sim.engine)
+
+    def test_fleet_views_are_pointed_at_fleet_problem(self, tiny_dataset):
+        """Views of a ``FleetStore`` are not ``MobileDevice``s: the lazy
+        builder says which problem to pass instead, and passing it is
+        all it takes to schedule a fleet population in the engine."""
+        from repro.sched.binding import problem_from_engine
+        from repro.sched.costs import fleet_problem
+
+        from ..fleet.conftest import toy_fleet
+
+        store = toy_fleet(n=3)
+        sim = FederatedSimulation(
+            tiny_dataset,
+            logistic(input_shape=tiny_dataset.input_shape, seed=1),
+            iid_partition(tiny_dataset, 3, np.random.default_rng(0)),
+            devices=store.as_devices(),
+            links=store.as_links(),
+        )
+        with pytest.raises(TypeError, match=r"problem=fleet_problem\("):
+            problem_from_engine(sim.engine)
+        sim.engine.bind_scheduler(EngineSchedulerBinding("olar"))
+        with pytest.raises(TypeError, match=r"problem=fleet_problem\("):
+            sim.run_round(train=False)
+
+        problem = fleet_problem(store, shard_size=100)
+        sim.engine.bind_scheduler(
+            EngineSchedulerBinding("olar", problem=problem)
+        )
+        record = sim.run_round(train=False)
+        assert record.makespan_s > 0
+        assert record.participant_count > 0

@@ -9,6 +9,7 @@ is flagged as dead.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 
@@ -262,3 +263,34 @@ def test_serve_exports_cover_the_control_plane():
     ):
         assert isinstance(cls, type)
     assert callable(churn_trace)
+
+
+def test_engine_never_imports_the_fleet_package():
+    """Layering: ``repro.fleet`` builds on ``repro.engine`` (its rounds
+    narrate on the engine's event bus), never the reverse — not at
+    module level and not lazily inside a function. A fleet population
+    enters the engine as ``store.as_devices()`` / ``store.as_links()``.
+    """
+    import repro.engine
+    from repro.analysis.project import build_project
+
+    engine_dir = Path(repro.engine.__file__).parent
+    repo_root = engine_dir.parents[2]  # <root>/src/repro/engine
+    project, errors = build_project(
+        repo_root, sorted(engine_dir.glob("*.py"))
+    )
+    assert errors == []
+    # every import statement in every scope, relative ones resolved;
+    # ``from .. import fleet`` records ("repro", "fleet")
+    imported = {
+        name
+        for info in project.graph.modules.values()
+        for target, symbol in info.import_records
+        for name in (target, f"{target}.{symbol}")
+    }
+    assert "repro.engine.events" in imported
+    assert [
+        name
+        for name in sorted(imported)
+        if name == "repro.fleet" or name.startswith("repro.fleet.")
+    ] == []
