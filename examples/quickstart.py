@@ -9,19 +9,10 @@ simulator.
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
-
-from repro.core import (
-    build_cost_matrix,
-    equal_schedule,
-    fed_lbap,
-    proportional_schedule,
-    random_schedule,
-)
-from repro.device import build_spec
 from repro.experiments.realized import realized_times
-from repro.experiments.testbeds import cached_time_curves, testbed_names
+from repro.experiments.testbeds import testbed_names
 from repro.models import lenet
+from repro.sched import get_scheduler, testbed_problem
 
 
 def main() -> None:
@@ -29,45 +20,37 @@ def main() -> None:
     names = testbed_names(testbed)
     model = lenet()
     shard_size = 500
-    total_shards = 60_000 // shard_size  # full MNIST-scale training set
 
+    # 1. Offline profiling: time-vs-data curves per device (Sec. IV-B),
+    #    folded into one scheduling instance over the full MNIST-scale
+    #    training set — the input every registered scheduler takes.
+    problem = testbed_problem(
+        testbed, "mnist", model, shard_size, with_energy=False
+    )
     print(f"Testbed {testbed}: {', '.join(names)}")
     print(f"Model: {model.name} ({model.param_count():,} parameters)")
-    print(f"Workload: {total_shards} shards x {shard_size} samples\n")
-
-    # 1. Offline profiling: time-vs-data curves per device (Sec. IV-B).
-    curves = cached_time_curves(names, model)
-    for name, curve in zip(names, curves):
+    print(f"Workload: {problem.total_shards} shards x {shard_size} samples\n")
+    for name, curve in zip(names, problem.time_curves):
         print(f"  profile {name:8s}: T(3000) = {curve(3000):7.1f} s")
 
     # 2. Fed-LBAP: joint partitioning + assignment (Algorithm 1).
-    cost = build_cost_matrix(curves, total_shards, shard_size)
-    schedule, bottleneck = fed_lbap(cost, total_shards, shard_size)
-    print(f"\nFed-LBAP bottleneck estimate: {bottleneck:.1f} s")
-    print(f"allocation (samples/user):    {schedule.samples_per_user()}")
+    plan = get_scheduler("fed_lbap").schedule(problem)
+    print(f"\nFed-LBAP predicted makespan: {plan.predicted_makespan_s:.1f} s")
+    print(f"allocation (samples/user):   {plan.samples_per_user()}")
 
-    # 3. Compare realized makespans against the paper's baselines.
-    rng = np.random.default_rng(0)
-    schedules = {
-        "fed-lbap": schedule,
-        "equal": equal_schedule(len(names), total_shards, shard_size),
-        "random": random_schedule(
-            len(names), total_shards, shard_size, rng
-        ),
-        "proportional": proportional_schedule(
-            [build_spec(n) for n in names], total_shards, shard_size
-        ),
-    }
+    # 3. Compare realized makespans against the paper's baselines:
+    #    a scheduler is a registry name (`repro sched list`).
     print("\nrealized synchronous-round makespan:")
     results = {}
-    for label, sched in schedules.items():
+    for label in ("fed_lbap", "equal", "random", "proportional"):
+        sched = get_scheduler(label).schedule(problem)
         times = realized_times(sched.samples_per_user(), names, model)
         results[label] = times.max()
         print(f"  {label:12s}: {times.max():8.1f} s")
-    best_baseline = min(v for k, v in results.items() if k != "fed-lbap")
+    best_baseline = min(v for k, v in results.items() if k != "fed_lbap")
     print(
         f"\nFed-LBAP speedup vs best baseline: "
-        f"{best_baseline / results['fed-lbap']:.2f}x"
+        f"{best_baseline / results['fed_lbap']:.2f}x"
     )
 
 

@@ -5,6 +5,12 @@ ExperimentResult``. Defaults are sized for minutes-scale laptop runs;
 the benchmarks under ``benchmarks/`` invoke these and print the
 paper-style rows.
 
+Every table that schedules (Fig. 5/6/7, Tables III/IV/V) does so the
+way the rest of the repo does: :func:`repro.sched.testbed_problem`
+builds the instance from the one profile cache and a scheduler is a
+registry name (``fig5.schedule_iid``, ``minavg_runs.schedule_minavg``).
+No module here imports a scheduling algorithm from :mod:`repro.core`.
+
 ========  ==========================================================
 module    reproduces
 ========  ==========================================================

@@ -15,25 +15,16 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.baselines import (
-    equal_schedule,
-    proportional_schedule,
-    random_schedule,
-)
-from ..core.cost import build_cost_matrix
-from ..core.lbap import fed_lbap
-from ..device.registry import build_spec
-from ..models.zoo import CIFAR_SHAPE, MNIST_SHAPE, build_model
+from ..core.schedule import Schedule
+from ..models.zoo import build_model
 from ..network.link import make_link
+from ..sched import get_scheduler, testbed_problem
+from ..sched.costs import DATASET_SHAPES
 from .realized import realized_makespan
 from .runner import ExperimentResult
-from .testbeds import cached_time_curves, testbed_names
+from .testbeds import testbed_names
 
-__all__ = ["Fig5Config", "run", "DATASET_TOTALS", "schedule_iid"]
-
-#: training-set sizes of the paper's datasets
-DATASET_TOTALS: Dict[str, int] = {"mnist": 60_000, "cifar10": 50_000}
-_DATASET_SHAPES = {"mnist": MNIST_SHAPE, "cifar10": CIFAR_SHAPE}
+__all__ = ["Fig5Config", "run", "schedule_iid"]
 
 
 @dataclass
@@ -62,40 +53,24 @@ def schedule_iid(
     model_name: str,
     shard_size: int,
     rng: Optional[np.random.Generator] = None,
-    links=None,
-):
-    """Produce one scheduler's allocation for a Fig. 5 cell.
+) -> Schedule:
+    """One scheduler's allocation of a full training set on a testbed.
 
-    ``links`` optionally supplies one Link per user so Fed-LBAP sees
-    heterogeneous communication costs (Eq. 2's per-user T_u + T_d); by
-    default communication is uniform and treated as a constant, as in
-    the paper's main comparison. Returns a
-    :class:`repro.core.schedule.Schedule`.
+    ``scheduler`` is a registry name, or the paper's column label for
+    it (``fed-lbap``). Communication is uniform and treated as a
+    constant, as in the paper's main comparison; ``rng`` feeds the
+    Random baseline (seed 0 when omitted).
     """
-    names = testbed_names(testbed)
-    n = len(names)
-    total = DATASET_TOTALS[dataset]
-    shards = total // shard_size
-    model = build_model(model_name, input_shape=_DATASET_SHAPES[dataset])
-    if scheduler == "fed-lbap":
-        from ..core.cost import comm_costs_for
-
-        curves = cached_time_curves(names, model)
-        comm = comm_costs_for(model, links) if links is not None else None
-        cost = build_cost_matrix(
-            curves, shards, shard_size, comm_costs=comm
-        )
-        sched, _ = fed_lbap(cost, shards, shard_size)
-        return sched
-    if scheduler == "equal":
-        return equal_schedule(n, shards, shard_size)
-    if scheduler == "random":
-        rng = rng or np.random.default_rng(0)
-        return random_schedule(n, shards, shard_size, rng)
-    if scheduler == "proportional":
-        specs = [build_spec(name) for name in names]
-        return proportional_schedule(specs, shards, shard_size)
-    raise KeyError(f"unknown scheduler {scheduler!r}")
+    solver = get_scheduler(scheduler.replace("-", "_"))
+    problem = testbed_problem(
+        testbed,
+        dataset,
+        model_name,
+        shard_size,
+        with_energy=False,
+        seed=0 if rng is None else rng,
+    )
+    return solver.schedule(problem).schedule
 
 
 def run(config: Optional[Fig5Config] = None) -> ExperimentResult:
@@ -118,7 +93,7 @@ def run(config: Optional[Fig5Config] = None) -> ExperimentResult:
     )
     link = make_link(cfg.link)
     for ds in cfg.datasets:
-        shape = _DATASET_SHAPES[ds]
+        shape = DATASET_SHAPES[ds]
         for model_name in cfg.models:
             model = build_model(model_name, input_shape=shape)
             for tb in cfg.testbeds:

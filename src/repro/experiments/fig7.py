@@ -14,15 +14,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.baselines import (
-    equal_schedule,
-    proportional_schedule,
-    random_schedule,
-)
 from ..data.partition import nclass_noniid_classes
-from ..device.registry import build_spec
 from ..models.zoo import build_model
-from .fig5 import DATASET_TOTALS
+from .fig5 import schedule_iid
 from .minavg_runs import best_alpha_schedule, dataset_shape
 from .realized import realized_makespan
 from .runner import ExperimentResult
@@ -74,7 +68,6 @@ def run(config: Optional[Fig7Config] = None) -> ExperimentResult:
         ],
     )
     for ds in cfg.datasets:
-        shards = DATASET_TOTALS[ds] // cfg.shard_size
         for model_name in cfg.models:
             model = build_model(
                 model_name, input_shape=dataset_shape(ds)
@@ -110,20 +103,11 @@ def run(config: Optional[Fig7Config] = None) -> ExperimentResult:
                     sums["fed-minavg"] += realized_makespan(
                         sched.samples_per_user(), names, model
                     )
-                    base_scheds = {
-                        "proportional": proportional_schedule(
-                            [build_spec(nm) for nm in names],
-                            shards,
-                            cfg.shard_size,
-                        ),
-                        "random": random_schedule(
-                            n, shards, cfg.shard_size, rng
-                        ),
-                        "equal": equal_schedule(
-                            n, shards, cfg.shard_size
-                        ),
-                    }
-                    for k, s in base_scheds.items():
+                    # the baselines ignore class sets: Fig. 5's road
+                    for k in ("proportional", "random", "equal"):
+                        s = schedule_iid(
+                            k, tb, ds, model_name, cfg.shard_size, rng
+                        )
                         sums[k] += realized_makespan(
                             s.samples_per_user(), names, model
                         )

@@ -7,10 +7,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.minavg import fed_minavg
 from ..core.schedule import Schedule
-from ..models.zoo import CIFAR_SHAPE, MNIST_SHAPE, build_model
-from .fig5 import DATASET_TOTALS
+from ..models.zoo import build_model
+from ..sched import DATASET_TOTALS, get_scheduler, testbed_problem
+from ..sched.costs import DATASET_SHAPES
 from .testbeds import cached_time_curves, testbed_names
 
 __all__ = [
@@ -20,15 +20,13 @@ __all__ = [
     "best_alpha_schedule",
 ]
 
-_DATASET_SHAPES = {"mnist": MNIST_SHAPE, "cifar10": CIFAR_SHAPE}
-
 
 def dataset_shape(dataset: str) -> Tuple[int, int, int]:
-    if dataset not in _DATASET_SHAPES:
+    if dataset not in DATASET_SHAPES:
         raise KeyError(
-            f"unknown dataset {dataset!r}; one of {sorted(_DATASET_SHAPES)}"
+            f"unknown dataset {dataset!r}; one of {sorted(DATASET_SHAPES)}"
         )
-    return _DATASET_SHAPES[dataset]
+    return DATASET_SHAPES[dataset]
 
 
 def class_capacities(
@@ -56,7 +54,6 @@ def schedule_minavg(
     alpha: float,
     beta: float,
     shard_size: int = 250,
-    num_classes: int = 10,
     use_capacities: bool = True,
 ) -> Schedule:
     """One Fed-MinAvg run for a scenario on its testbed."""
@@ -66,25 +63,24 @@ def schedule_minavg(
             f"scenario lists {len(user_classes)} users, testbed {testbed} "
             f"has {len(names)}"
         )
-    total = DATASET_TOTALS[dataset]
-    shards = total // shard_size
-    model = build_model(model_name, input_shape=dataset_shape(dataset))
-    curves = cached_time_curves(names, model)
-    caps = (
-        class_capacities(user_classes, shards, num_classes)
-        if use_capacities
-        else None
-    )
-    return fed_minavg(
-        curves,
-        user_classes,
-        total_shards=shards,
-        shard_size=shard_size,
-        num_classes=num_classes,
+    problem = testbed_problem(
+        testbed,
+        dataset,
+        model_name,
+        shard_size,
+        user_classes=user_classes,
         alpha=alpha,
         beta=beta,
-        capacities=caps,
+        capacities=(
+            class_capacities(
+                user_classes, DATASET_TOTALS[dataset] // shard_size
+            )
+            if use_capacities
+            else None
+        ),
+        with_energy=False,
     )
+    return get_scheduler("fed_minavg").schedule(problem).schedule
 
 
 def best_alpha_schedule(

@@ -17,14 +17,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.baselines import (
-    equal_schedule,
-    proportional_schedule,
-    random_schedule,
-)
-from ..device.registry import build_spec
 from ..data.partition import nclass_noniid_classes
-from .fig5 import DATASET_TOTALS
+from .fig5 import schedule_iid
 from .flruns import FLRunConfig, accuracy_of_schedule
 from .minavg_runs import best_alpha_schedule
 from .runner import ExperimentResult
@@ -78,7 +72,6 @@ def run(config: Optional[Table5Config] = None) -> ExperimentResult:
         ],
     )
     for ds in cfg.datasets:
-        shards = DATASET_TOTALS[ds] // cfg.shard_size
         for model_name in cfg.models:
             fl = surrogate_fl(model_name, cfg.fl)
             for tb in cfg.testbeds:
@@ -88,26 +81,22 @@ def run(config: Optional[Table5Config] = None) -> ExperimentResult:
                 classes = nclass_noniid_classes(
                     n, cfg.classes_per_user, 10, rng
                 )
+                # the baselines ignore class sets: Fig. 5's road
                 scheds = {
-                    "proportional": proportional_schedule(
-                        [build_spec(nm) for nm in names],
-                        shards,
-                        cfg.shard_size,
-                    ),
-                    "random": random_schedule(
-                        n, shards, cfg.shard_size, rng
-                    ),
-                    "equal": equal_schedule(n, shards, cfg.shard_size),
-                    "fed-minavg": best_alpha_schedule(
-                        tb,
-                        classes,
-                        ds,
-                        model_name,
-                        alphas=cfg.alphas,
-                        beta=0.0,
-                        shard_size=cfg.shard_size,
-                    )[0],
+                    k: schedule_iid(
+                        k, tb, ds, model_name, cfg.shard_size, rng
+                    )
+                    for k in ("proportional", "random", "equal")
                 }
+                scheds["fed-minavg"] = best_alpha_schedule(
+                    tb,
+                    classes,
+                    ds,
+                    model_name,
+                    alphas=cfg.alphas,
+                    beta=0.0,
+                    shard_size=cfg.shard_size,
+                )[0]
                 cell: Dict[str, float] = {}
                 for k, sched in scheds.items():
                     accs = []

@@ -1,36 +1,19 @@
-"""Testbed assembly and profile caching shared by the experiments.
+"""Testbed device lists for the experiments.
 
 The paper's three testbeds (Sec. VII) map to device lists via
-:data:`repro.device.registry.TESTBEDS`. Because many experiments need
-the same per-(device-model, NN-model) time curves, curves are cached at
-module level keyed by ``(device_name, model_name, input_shape,
-data_sizes, quadratic)`` — device instances of the same phone model are
-interchangeable for profiling purposes.
+:data:`repro.device.registry.TESTBEDS`. Time curves are
+:func:`repro.sched.costs.cached_time_curves` — the one profile cache,
+re-exported here for the experiment scripts.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Tuple
 
-from ..device.device import MobileDevice
-from ..device.registry import TESTBEDS, make_device, make_testbed
-from ..models.network import Sequential
-from ..profiling.profiler import bootstrap_curve
+from ..device.registry import TESTBEDS, make_testbed
+from ..sched.costs import cached_time_curves
 
-__all__ = [
-    "TESTBEDS",
-    "make_testbed",
-    "testbed_names",
-    "cached_time_curves",
-    "clear_curve_cache",
-    "DEFAULT_PROFILE_SIZES",
-]
-
-#: data sizes (samples) measured when bootstrapping a time curve; spans
-#: the per-user allocations that occur in the experiments.
-DEFAULT_PROFILE_SIZES: Tuple[int, ...] = (500, 1500, 3000, 6000, 12000)
-
-_CURVE_CACHE: Dict[tuple, Callable[[float], float]] = {}
+__all__ = ["TESTBEDS", "make_testbed", "testbed_names", "cached_time_curves"]
 
 
 def testbed_names(testbed: int) -> Tuple[str, ...]:
@@ -38,43 +21,3 @@ def testbed_names(testbed: int) -> Tuple[str, ...]:
     if testbed not in TESTBEDS:
         raise KeyError(f"testbed must be one of {sorted(TESTBEDS)}")
     return TESTBEDS[testbed]
-
-
-def cached_time_curves(
-    device_names: Sequence[str],
-    model: Sequential,
-    data_sizes: Sequence[int] = DEFAULT_PROFILE_SIZES,
-    quadratic: bool = False,
-    batch_size: int = 20,
-) -> List[Callable[[float], float]]:
-    """Bootstrap (or fetch cached) time curves for a list of devices.
-
-    Profiling runs on a fresh, jitter-free device instance so the curve
-    is deterministic per phone model.
-    """
-    curves: List[Callable[[float], float]] = []
-    for name in device_names:
-        key = (
-            name,
-            model.name,
-            model.input_shape,
-            tuple(int(d) for d in data_sizes),
-            quadratic,
-            batch_size,
-        )
-        if key not in _CURVE_CACHE:
-            device = make_device(name, jitter=0.0)
-            _CURVE_CACHE[key] = bootstrap_curve(
-                device,
-                model,
-                data_sizes,
-                batch_size=batch_size,
-                quadratic=quadratic,
-            )
-        curves.append(_CURVE_CACHE[key])
-    return curves
-
-
-def clear_curve_cache() -> None:
-    """Drop all cached curves (tests use this for isolation)."""
-    _CURVE_CACHE.clear()

@@ -40,7 +40,6 @@ from .bench import CompareRow, compare, format_table, sweep
 from .binding import EngineSchedulerBinding, problem_from_engine
 from .costs import (
     DATASET_TOTALS,
-    build_energy_matrix,
     cached_energy_curves,
     cached_time_curves,
     testbed_problem,
@@ -77,7 +76,6 @@ __all__ = [
     "testbed_problem",
     "cached_time_curves",
     "cached_energy_curves",
-    "build_energy_matrix",
     "DATASET_TOTALS",
     "compare",
     "sweep",

@@ -24,7 +24,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -57,18 +56,14 @@ def problem_from_engine(
 ) -> SchedulingProblem:
     """Build a scheduling instance from an engine's own substrates.
 
-    Profiles fresh, jitter-free devices of the same specs as the
-    engine's devices (never the live ones — profiling resets
-    thermal/battery state), takes the shard budget from the data the
-    users collectively hold, and reads class sets off the partitions.
+    :func:`~repro.sched.costs.testbed_problem` over the engine's phone
+    names, model and batch size: it profiles fresh, jitter-free devices
+    of those names (never the live ones — profiling resets
+    thermal/battery state). The shard budget is the data the users
+    collectively hold, and class sets are read off the partitions.
     """
     from ..device.device import MobileDevice
-    from .costs import (
-        build_energy_matrix,
-        cached_energy_curves,
-        cached_time_curves,
-    )
-    from ..core.cost import build_cost_matrix
+    from .costs import testbed_problem
 
     if engine.devices is None:
         raise ValueError(
@@ -81,42 +76,22 @@ def problem_from_engine(
                 "FleetStore views pass EngineSchedulerBinding(..., "
                 "problem=fleet_problem(store, shard_size=...))"
             )
-    # reuse the registry caches when specs are registry-built; custom
-    # specs profile on a fresh clone of the same spec
-    names = [d.spec.name for d in engine.devices]
     total = sum(u.size for u in engine.users)
     if total <= 0:
         raise ValueError("no user holds any data")
-    shards = max(1, total // shard_size)
-    time_curves = cached_time_curves(
-        names, engine.model, batch_size=engine.batch_size
-    )
-    time_cost = build_cost_matrix(time_curves, shards, shard_size)
-    energy_cost = None
-    if with_energy:
-        energy_cost = build_energy_matrix(
-            cached_energy_curves(
-                names, engine.model, batch_size=engine.batch_size
-            ),
-            shards,
-            shard_size,
-        )
-    classes: Optional[List[Tuple[int, ...]]] = [
-        tuple(u.classes) for u in engine.users
-    ]
-    if classes is not None and not any(classes):
-        classes = None
-    return SchedulingProblem(
-        time_cost=time_cost,
-        total_shards=shards,
+    classes = [tuple(u.classes) for u in engine.users]
+    return testbed_problem(
+        [d.spec.name for d in engine.devices],
+        model=engine.model,
         shard_size=shard_size,
-        energy_cost=energy_cost,
-        user_classes=classes,
+        # users holding less than one shard still get one to place
+        total_samples=max(total, shard_size),
+        user_classes=classes if any(classes) else None,
         alpha=alpha,
         beta=beta,
-        time_curves=list(time_curves),
-        rng=seed,
-        meta={"devices": tuple(names)},
+        with_energy=with_energy,
+        seed=seed,
+        batch_size=engine.batch_size,
     )
 
 

@@ -46,12 +46,11 @@ if TYPE_CHECKING:
     from ..fleet.store import FleetStore
 
 __all__ = [
-    "DEFAULT_PROFILE_SIZES",
     "DEFAULT_ENERGY_SIZES",
     "DATASET_TOTALS",
+    "DATASET_SHAPES",
     "cached_time_curves",
     "cached_energy_curves",
-    "build_energy_matrix",
     "testbed_problem",
     "fleet_class_matrices",
     "fleet_problem",
@@ -68,7 +67,11 @@ DEFAULT_ENERGY_SIZES: Tuple[int, ...] = (500, 3000, 6000)
 #: training-set sizes of the paper's datasets
 DATASET_TOTALS: Dict[str, int] = {"mnist": 60_000, "cifar10": 50_000}
 
-_DATASET_SHAPES = {"mnist": MNIST_SHAPE, "cifar10": CIFAR_SHAPE}
+#: and their input shapes
+DATASET_SHAPES: Dict[str, Tuple[int, int, int]] = {
+    "mnist": MNIST_SHAPE,
+    "cifar10": CIFAR_SHAPE,
+}
 
 _CurveKey = Tuple[object, ...]
 
@@ -100,8 +103,9 @@ def cached_time_curves(
     """Bootstrap (or fetch cached) ``T_j(n_samples)`` curves.
 
     Profiling runs on fresh, jitter-free device instances so the curve
-    is deterministic per phone model — same protocol as
-    :func:`repro.experiments.testbeds.cached_time_curves`.
+    is deterministic per phone model. This is the only profile cache:
+    the engine binding, the fleet classes and the paper's tables
+    (:mod:`repro.experiments`) all read their curves here.
     """
     curves: List[Callable[[float], float]] = []
     for name in device_names:
@@ -164,24 +168,6 @@ def cached_energy_curves(
     return curves
 
 
-def build_energy_matrix(
-    energy_curves: Sequence[Callable[[float], float]],
-    n_shards: int,
-    shard_size: int,
-) -> np.ndarray:
-    """Assemble the ``n x s`` energy matrix ``E[j, k]`` (Joules for
-    ``k+1`` shards), made non-decreasing like the time matrix."""
-    if n_shards <= 0 or shard_size <= 0:
-        raise ValueError("n_shards and shard_size must be positive")
-    e = np.empty((len(energy_curves), n_shards))
-    for j, curve in enumerate(energy_curves):
-        for k in range(n_shards):
-            e[j, k] = curve(float((k + 1) * shard_size))
-    if not np.isfinite(e).all() or (e < 0).any():
-        raise ValueError("invalid energy curve output (negative/NaN)")
-    return np.maximum.accumulate(e, axis=1)
-
-
 def testbed_problem(
     testbed: Union[int, Sequence[str]],
     dataset: str = "mnist",
@@ -194,17 +180,22 @@ def testbed_problem(
     capacities: Optional[Sequence[int]] = None,
     with_energy: bool = True,
     makespan_cap_s: Optional[float] = None,
-    seed: int = 0,
+    seed: Union[np.random.Generator, int] = 0,
     batch_size: int = 20,
 ) -> SchedulingProblem:
-    """Build a full scheduling instance for one of the paper's testbeds.
+    """Build a full scheduling instance for a list of the paper's phones.
 
-    ``testbed`` is a testbed id (1/2/3) or an explicit device-name
-    list. The instance carries everything any registered scheduler
-    needs: the Property-1 time matrix plus raw curves (Fed-LBAP /
-    Fed-MinAvg / OLAR), an energy matrix (MinEnergy) unless
-    ``with_energy=False``, proportional weights, and a seeded RNG for
-    the Random baseline.
+    The one road from device names to a schedule: the paper's tables
+    (:mod:`repro.experiments`), ``repro sched compare`` and the engine
+    binding (:func:`repro.sched.binding.problem_from_engine`) all build
+    here. ``testbed`` is a testbed id (1/2/3) or an explicit
+    device-name list. The instance carries everything any registered
+    scheduler needs: the Property-1 time matrix plus raw curves
+    (Fed-LBAP / Fed-MinAvg / OLAR), an energy matrix (MinEnergy) unless
+    ``with_energy=False``, the paper's Proportional weights (mean CPU
+    frequency per core), and an RNG for the Random baseline — ``seed``
+    is an integer, or the caller's own ``Generator`` when its draws
+    must interleave with the caller's.
     """
     if isinstance(testbed, int):
         from ..device.registry import TESTBEDS
@@ -223,7 +214,7 @@ def testbed_problem(
     net = (
         model
         if isinstance(model, Sequential)
-        else build_model(model, input_shape=_DATASET_SHAPES[dataset])
+        else build_model(model, input_shape=DATASET_SHAPES[dataset])
     )
     total = total_samples if total_samples is not None else DATASET_TOTALS[dataset]
     if total <= 0:
@@ -237,7 +228,7 @@ def testbed_problem(
     time_cost = build_cost_matrix(time_curves, shards, shard_size)
     energy_cost = None
     if with_energy:
-        energy_cost = build_energy_matrix(
+        energy_cost = build_cost_matrix(
             cached_energy_curves(names, net, batch_size=batch_size),
             shards,
             shard_size,

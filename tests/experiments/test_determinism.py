@@ -10,7 +10,7 @@ import pytest
 
 from repro.experiments import fig2, fig5, table4
 from repro.experiments.flruns import FLRunConfig
-from repro.experiments.testbeds import clear_curve_cache
+from repro.sched.costs import clear_cost_cache as clear_curve_cache
 
 
 def rows_equal(a, b):

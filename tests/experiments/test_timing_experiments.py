@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments import fig1, fig4, fig5, fig7, table2
 from repro.experiments.realized import realized_makespan, realized_times
-from repro.experiments.testbeds import clear_curve_cache
+from repro.sched.costs import clear_cost_cache as clear_curve_cache
 from repro.models import lenet
 
 

@@ -261,6 +261,66 @@ class TestProblemFromEngine:
         a = get_scheduler("olar").schedule(p)
         assert a.schedule.total_shards == p.total_shards
 
+    #: perfbench's ``engine-train`` phones; at 50-sample shards the
+    #: profiled ``nexus6p`` row starts at the 1e-6 clamp
+    FIVE_PHONES = ("pixel2", "mate10", "nexus6p", "pixel2", "nexus6")
+
+    def _five_phone_engine(self):
+        from repro.data.synthetic import SyntheticConfig, make_dataset
+        from repro.device.registry import make_device
+        from repro.models.zoo import MNIST_MINI_SHAPE, lenet_mini
+
+        dataset = make_dataset(
+            SyntheticConfig(
+                name="five-phones", shape=MNIST_MINI_SHAPE,
+                train_size=3000, test_size=50, seed=3,
+            )
+        )
+        sim = FederatedSimulation(
+            dataset,
+            lenet_mini(input_shape=dataset.input_shape, seed=3),
+            iid_partition(dataset, 5, np.random.default_rng(3)),
+            devices=[
+                make_device(n, jitter=0.0) for n in self.FIVE_PHONES
+            ],
+        )
+        return sim.engine
+
+    def test_is_the_testbed_problem_of_the_engines_phones(self):
+        """One problem builder: the binding's instance is
+        ``testbed_problem`` over the engine's names, model and batch
+        size — Proportional weights included."""
+        from repro.sched.binding import problem_from_engine
+        from repro.sched.costs import testbed_problem
+
+        engine = self._five_phone_engine()
+        p = problem_from_engine(engine, shard_size=50)
+        q = testbed_problem(
+            self.FIVE_PHONES,
+            model=engine.model,
+            shard_size=50,
+            total_samples=sum(u.size for u in engine.users),
+            batch_size=engine.batch_size,
+        )
+        assert p.total_shards == q.total_shards == 60
+        assert p.weights is not None
+        assert np.array_equal(p.weights, q.weights)
+        assert np.array_equal(p.time_cost, q.time_cost)
+        assert np.array_equal(p.energy_cost, q.energy_cost)
+
+    def test_proportional_is_the_papers_baseline_on_real_phones(self):
+        """Regression: without ``weights`` the baseline fell back to
+        ``1 / time_cost[:, 0]`` and gave all 60 shards to the Nexus 6P,
+        the paper's straggler, whose profiled first cell is ~0."""
+        from repro.sched.binding import problem_from_engine
+
+        p = problem_from_engine(self._five_phone_engine(), shard_size=50)
+        counts = get_scheduler("proportional").schedule(p).shard_counts
+        assert (counts > 0).all()  # was [0, 0, 60, 0, 0]
+        # Sec. VII: shares follow mean CPU frequency per core, so the
+        # two Pixel 2s tie and the Nexus 6P gets the smallest share
+        assert counts.tolist() == [12, 12, 9, 12, 15]
+
     def test_requires_devices(self, tiny_dataset):
         from repro.sched.binding import problem_from_engine
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.sched import available_schedulers, get_scheduler
 from repro.sched.costs import (
-    build_energy_matrix,
     cached_time_curves,
     testbed_problem,
 )
@@ -62,17 +61,3 @@ class TestTestbedProblem:
         a = cached_time_curves(["pixel2"], net)
         b = cached_time_curves(["pixel2"], net)
         assert a[0] is b[0]
-
-
-class TestEnergyMatrix:
-    def test_monotone_and_shaped(self):
-        curves = [lambda n: 0.5 + 0.01 * n, lambda n: 0.02 * n]
-        e = build_energy_matrix(curves, 4, 100)
-        assert e.shape == (2, 4)
-        assert (np.diff(e, axis=1) >= 0).all()
-
-    def test_rejects_bad_curves(self):
-        with pytest.raises(ValueError, match="negative"):
-            build_energy_matrix([lambda n: -1.0], 2, 100)
-        with pytest.raises(ValueError):
-            build_energy_matrix([lambda n: 1.0], 0, 100)

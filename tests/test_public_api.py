@@ -294,3 +294,69 @@ def test_engine_never_imports_the_fleet_package():
         for name in sorted(imported)
         if name == "repro.fleet" or name.startswith("repro.fleet.")
     ] == []
+
+
+def _imports_by_module(package):
+    """``{module: every dotted name it imports}`` over ``package``'s
+    tree — all scopes, relative imports resolved; ``from ..core import
+    fed_lbap`` yields ``repro.core`` and ``repro.core.fed_lbap``."""
+    from repro.analysis.project import build_project
+
+    package_dir = Path(package.__file__).parent
+    repo_root = Path(__file__).parents[1]
+    project, errors = build_project(
+        repo_root, sorted(package_dir.rglob("*.py"))
+    )
+    assert errors == []
+    return {
+        info.name: {
+            name
+            for target, symbol in info.import_records
+            for name in (target, f"{target}.{symbol}")
+        }
+        for info in project.graph.modules.values()
+    }
+
+
+def test_experiments_schedule_only_through_the_registry():
+    """Layering: the paper's tables reach the scheduling algorithms by
+    registry name over a ``testbed_problem``, never by importing them
+    (or the cost-matrix assembler) from ``repro.core`` — whether from
+    the defining module or through the package's re-exports."""
+    import repro.experiments
+    from repro.core import baselines, lbap, minavg, minavg_fast
+
+    algorithms = (baselines, lbap, minavg, minavg_fast)
+    modules = {m.__name__ for m in algorithms}
+    symbols = {"build_cost_matrix"}.union(*(m.__all__ for m in algorithms))
+    banned = (
+        modules
+        | {f"repro.core.{symbol}" for symbol in symbols}
+        | {"repro.core.cost.build_cost_matrix"}
+    )
+
+    def is_algorithm(name):
+        return name in banned or name.rsplit(".", 1)[0] in modules
+
+    imports = _imports_by_module(repro.experiments)
+    assert "repro.sched.get_scheduler" in imports["repro.experiments.fig5"]
+    offenders = {
+        module: sorted(filter(is_algorithm, names))
+        for module, names in imports.items()
+    }
+    assert {m: hits for m, hits in offenders.items() if hits} == {}
+
+
+def test_one_module_bootstraps_time_curves():
+    """One predictor: outside ``repro.profiling``, which defines it,
+    ``bootstrap_curve`` is imported by ``repro.sched.costs`` alone, so
+    a fix to the profile grid lands once for every consumer."""
+    import repro
+
+    importers = sorted(
+        module
+        for module, names in _imports_by_module(repro).items()
+        if not module.startswith("repro.profiling")
+        and any(n.endswith(".bootstrap_curve") for n in names)
+    )
+    assert importers == ["repro.sched.costs"]
