@@ -158,7 +158,7 @@ def write_bench_lint(
     sha: Optional[str] = None,
 ) -> None:
     """Write the ``BENCH_lint.json`` document (schema 1)."""
-    from ..fleet.bench import git_sha
+    from ..perf import git_sha
 
     payload = bench.to_payload(sha if sha is not None else git_sha())
     Path(path).write_text(

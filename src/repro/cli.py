@@ -10,9 +10,9 @@ Usage (after ``pip install -e .``):
     python -m repro devices                    # calibrated testbed summary
     python -m repro sched list                 # registered schedulers
     python -m repro sched compare --testbed A  # scheduler comparison
-    python -m repro bench fleet --ns 100,10000 # columnar-fleet n-sweep
-    python -m repro bench suite --quick        # core perf suite (smoke)
+    python -m repro bench suite --out new.json # the two gated ratios
     python -m repro bench diff OLD NEW         # regression verdicts
+    python -m repro bench lint                 # lint wall time per rule
     python -m repro obs summary run.jsonl      # telemetry dashboard
     python -m repro obs export-prom run.jsonl  # Prometheus exposition
     python -m repro obs export-trace run.jsonl # Perfetto/Chrome trace
@@ -381,59 +381,6 @@ def cmd_sched_compare(args: argparse.Namespace) -> int:
     return status
 
 
-def cmd_bench_fleet(args: argparse.Namespace) -> int:
-    from .fleet import bench_fleet, format_bench, write_bench
-    from .fleet.sampling import available_samplers
-    from .sched import available_schedulers, is_registered
-
-    try:
-        ns = [int(x) for x in args.ns.split(",") if x.strip()]
-    except ValueError:
-        print(f"error: cannot parse --ns {args.ns!r}", file=sys.stderr)
-        return 2
-    if not ns or any(n <= 0 for n in ns):
-        print("error: --ns needs positive integers", file=sys.stderr)
-        return 2
-    names = [s.strip() for s in args.schedulers.split(",") if s.strip()]
-    bad = [s for s in names if not is_registered(s)]
-    if bad:
-        print(
-            f"unknown schedulers: {bad}; "
-            f"available: {', '.join(available_schedulers())}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.sampler not in available_samplers():
-        print(
-            f"unknown sampler {args.sampler!r}; one of "
-            f"{', '.join(available_samplers())}",
-            file=sys.stderr,
-        )
-        return 2
-    t0 = time.perf_counter()
-    try:
-        rows = bench_fleet(
-            ns=ns,
-            schedulers=names,
-            rounds=args.rounds,
-            cohort=args.cohort,
-            shard_size=args.shard_size,
-            seed=args.seed,
-            sampler=args.sampler,
-        )
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    print(format_bench(rows))
-    print(
-        f"[swept {len(rows)} cells in {time.perf_counter() - t0:.1f} s]"
-    )
-    if args.out:
-        write_bench(rows, Path(args.out))
-        print(f"wrote {args.out}")
-    return 0
-
-
 def _load_recorder(args: argparse.Namespace):
     """Build an ObsRecorder from the telemetry JSONL named in args."""
     from .obs import ObsRecorder
@@ -568,13 +515,13 @@ def cmd_bench_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_suite(args: argparse.Namespace) -> int:
-    """Run the core benchmark suite; optionally write BENCH_core.json."""
+    """Measure the two gated ratios; optionally write BENCH_core.json."""
     from .perf import bench_suite, format_suite, write_suite
 
-    results = bench_suite(quick=args.quick, seed=args.seed)
-    print(format_suite(results, quick=args.quick))
+    results = bench_suite(seed=args.seed)
+    print(format_suite(results))
     if args.out:
-        write_suite(results, Path(args.out), quick=args.quick)
+        write_suite(results, Path(args.out))
         print(f"wrote {args.out}")
     return 0
 
@@ -1051,57 +998,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scmp.set_defaults(func=cmd_sched_compare)
 
     p_bench = sub.add_parser(
-        "bench", help="performance benchmarks (repro.fleet)"
+        "bench", help="the regression gate and the lint timer"
     )
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-
-    p_bfleet = bench_sub.add_parser(
-        "fleet",
-        help="sweep scheduler wall-time and cost-matrix build time "
-        "over fleet sizes (writes BENCH_fleet.json with --out)",
-    )
-    p_bfleet.add_argument(
-        "--ns",
-        default="100,1000,10000,100000,1000000",
-        help="comma-separated fleet sizes (default the 10^2..10^6 "
-        "decade sweep)",
-    )
-    p_bfleet.add_argument(
-        "--schedulers",
-        default="proportional,fed_lbap",
-        help="comma-separated registry names "
-        "(default proportional,fed_lbap)",
-    )
-    p_bfleet.add_argument(
-        "--rounds",
-        type=int,
-        default=3,
-        help="rounds per (n, scheduler) cell (default 3)",
-    )
-    p_bfleet.add_argument(
-        "--cohort",
-        type=int,
-        default=512,
-        help="cohort size sampled per round (default 512)",
-    )
-    p_bfleet.add_argument(
-        "--shard-size", type=int, default=500, help="samples per shard"
-    )
-    p_bfleet.add_argument(
-        "--sampler",
-        default="uniform",
-        help="cohort sampler: uniform, data_size or pareto",
-    )
-    p_bfleet.add_argument(
-        "--seed", type=int, default=0, help="fleet/sampler seed"
-    )
-    p_bfleet.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the JSON document (BENCH_fleet.json schema)",
-    )
-    p_bfleet.set_defaults(func=cmd_bench_fleet)
 
     p_blint = bench_sub.add_parser(
         "lint",
@@ -1123,14 +1022,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bsuite = bench_sub.add_parser(
         "suite",
-        help="run the core benchmark suite (writes BENCH_core.json "
+        help="measure the two gated ratios (writes BENCH_core.json "
         "with --out)",
-    )
-    p_bsuite.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke mode: smaller workloads/fewer repeats; gated "
-        "metrics computed identically to the full suite",
     )
     p_bsuite.add_argument(
         "--seed", type=int, default=0, help="workload seed (default 0)"

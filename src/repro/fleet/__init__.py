@@ -11,21 +11,15 @@ The package has four layers:
 * :mod:`repro.fleet.round` — the one columnar round core (plan →
   dispatch → close) that the fleet runner and the serve coordinator
   drive;
-* :mod:`repro.fleet.runner` / :mod:`repro.fleet.bench` — the
-  vectorized round driver and the ``repro bench fleet`` n-sweep.
+* :mod:`repro.fleet.runner` — the vectorized round driver.
 
-See ``docs/fleet.md`` for the design rationale and scaling numbers.
+No module here imports ``time``: records and columns are virtual state
+only, the solver's host cost is read in one place
+(:func:`repro.sched.binding.timed_schedule`) and the round path is
+timed from outside (``perfbench/``). See ``docs/fleet.md`` for the
+design rationale.
 """
 
-from .bench import (
-    DEFAULT_BENCH_SCHEDULERS,
-    DEFAULT_NS,
-    FleetBenchRow,
-    bench_fleet,
-    format_bench,
-    git_sha,
-    write_bench,
-)
 from .runner import FleetRoundRecord, FleetRunner
 from .sampling import (
     CohortSampler,
@@ -48,13 +42,10 @@ from .store import (
 )
 
 __all__ = [
-    "DEFAULT_BENCH_SCHEDULERS",
     "DEFAULT_CLASS_LINKS",
-    "DEFAULT_NS",
     "CohortSampler",
     "DataSizeBiasedSampler",
     "DeviceClass",
-    "FleetBenchRow",
     "FleetDevice",
     "FleetLink",
     "FleetRoundRecord",
@@ -64,12 +55,8 @@ __all__ = [
     "ParetoSampler",
     "UniformSampler",
     "available_samplers",
-    "bench_fleet",
     "default_device_classes",
     "device_class_from_name",
-    "format_bench",
-    "git_sha",
     "make_sampler",
     "synthetic_fleet",
-    "write_bench",
 ]

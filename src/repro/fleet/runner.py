@@ -15,7 +15,6 @@ barrier and a :class:`FleetRoundRecord` per round.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
@@ -35,11 +34,8 @@ __all__ = ["FleetRoundRecord", "FleetRunner"]
 
 @dataclass(frozen=True)
 class FleetRoundRecord:
-    """Bookkeeping for one fleet round.
-
-    ``build_ms``/``solve_ms``/``round_ms`` are host milliseconds
-    (``perf_counter``); everything else is virtual simulation state.
-    """
+    """Bookkeeping for one fleet round: virtual simulation state only,
+    so two runs over copies of one fleet give ``==`` records."""
 
     round_idx: int
     scheduler: str
@@ -50,9 +46,6 @@ class FleetRoundRecord:
     makespan_s: float
     energy_j: float
     mean_battery_soc: float
-    build_ms: float
-    solve_ms: float
-    round_ms: float
 
 
 class FleetRunner:
@@ -141,7 +134,6 @@ class FleetRunner:
     def run_round(self) -> FleetRoundRecord:
         """Run one barrier round; returns its record (also appended to
         :attr:`records`)."""
-        t_round = _time.perf_counter()
         with PROFILER.phase("cohort"):
             eligible = self.eligible_indices()
             if eligible.size == 0:
@@ -181,9 +173,6 @@ class FleetRunner:
             makespan_s=closed.makespan_s,
             energy_j=closed.energy_j,
             mean_battery_soc=closed.mean_battery_soc,
-            build_ms=float(problem.meta["build_ms"]),  # type: ignore[arg-type]
-            solve_ms=assignment.solve_ms or 0.0,
-            round_ms=(_time.perf_counter() - t_round) * 1e3,
         )
         self.records.append(record)
         return record

@@ -18,9 +18,9 @@ Design constraints, in order:
 
 * **Near-zero cost when disabled.** ``phase()`` on a disabled profiler
   is one attribute check plus returning a cached no-op context manager
-  — no allocation, no clock read. ``benchmarks/test_prof_overhead.py``
-  pins the end-to-end engine cost of the disabled instrumentation
-  under 1%.
+  — no allocation, no clock read. The gated ``profiler_overhead_pct``
+  metric of ``repro bench suite`` pins the end-to-end engine cost of
+  the disabled instrumentation under 1%.
 * **Hierarchical.** Phases nest: entering ``"fold"`` while ``"round"``
   and ``"dispatch"`` are open records the path ``round/dispatch/fold``.
   Stats aggregate per *path*, so the same leaf name in different

@@ -1,11 +1,11 @@
-"""Committed performance trajectory: bench suite + regression diff.
+"""The regression gate: two gated ratios and the diff that judges them.
 
-``repro bench suite`` runs the cross-cutting benchmark suite
-(:func:`bench_suite`) and writes a schema-versioned payload
-(``BENCH_core.json``); ``repro bench diff OLD NEW``
-(:func:`diff_payloads`) turns two payloads into per-metric verdicts
-with a threshold-based regression gate CI can fail on. See
-``docs/benchmarks.md`` for the metric catalogue and gating rationale.
+``repro bench suite`` (:func:`bench_suite`) measures the two
+dimensionless ratios ``perfbench/`` deliberately does not carry and
+writes a schema-versioned payload (``BENCH_core.json``); ``repro bench
+diff OLD NEW`` (:func:`diff_payloads`) turns two payloads into
+per-metric verdicts CI can fail on. Timings of the round path are
+``perfbench/``'s; see ``docs/benchmarks.md`` for what measures what.
 """
 
 from .diff import (
@@ -20,6 +20,7 @@ from .suite import (
     MetricResult,
     bench_suite,
     format_suite,
+    git_sha,
     suite_payload,
     write_suite,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "diff_payloads",
     "format_diff",
     "format_suite",
+    "git_sha",
     "has_regression",
     "load_payload",
     "suite_payload",

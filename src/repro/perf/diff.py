@@ -4,7 +4,8 @@ Compares two suite payloads metric-by-metric. The verdict rules, in
 order:
 
 1. ``abs_max`` (carried by the *new* payload) is an absolute ceiling —
-   exceeding it is a regression regardless of the baseline.
+   exceeding it is a regression regardless of the baseline, and for a
+   metric that has no baseline yet (otherwise ``new``).
 2. A **gated** metric missing from the new payload is a regression
    (coverage must not silently shrink); an ungated one is ``missing``.
 3. A gated metric that is worse than the baseline by more than
@@ -13,11 +14,15 @@ order:
 4. Anything better than the baseline by more than the threshold is
    ``improved``; everything else is ``ok``. Ungated metrics report the
    same statuses but never fail the gate.
+
+A payload that :func:`load_payload` accepts is a payload that diffs:
+the per-metric shape check is :func:`_metric_map`, run by both.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, cast
@@ -58,18 +63,35 @@ def load_payload(path: Path) -> Dict[str, object]:
         raise ValueError(f"{path}: bench payload must be a JSON object")
     if not isinstance(raw.get("schema"), int):
         raise ValueError(f"{path}: missing integer 'schema' key")
-    if not isinstance(raw.get("metrics"), dict):
-        raise ValueError(f"{path}: missing 'metrics' object")
+    try:
+        _metric_map(raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return cast(Dict[str, object], raw)
 
 
+def _is_real(value: object) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def _metric_map(payload: Mapping[str, object]) -> Dict[str, Dict[str, object]]:
+    """The per-metric shape check: every metric is an object whose
+    ``value`` (and ``abs_max``, when present) is a real number."""
     metrics = payload.get("metrics")
-    assert isinstance(metrics, dict)  # load_payload guarantees this
+    if not isinstance(metrics, dict):
+        raise ValueError("missing 'metrics' object")
     out: Dict[str, Dict[str, object]] = {}
     for name, doc in metrics.items():
-        if not isinstance(doc, dict) or "value" not in doc:
-            raise ValueError(f"metric {name!r} has no 'value'")
+        if not isinstance(doc, dict):
+            raise ValueError(f"metric {name!r} is not an object")
+        if not _is_real(doc.get("value")):
+            raise ValueError(f"metric {name!r} has no numeric 'value'")
+        if "abs_max" in doc and not _is_real(doc["abs_max"]):
+            raise ValueError(f"metric {name!r} has a non-numeric 'abs_max'")
         out[str(name)] = cast(Dict[str, object], doc)
     return out
 
@@ -112,30 +134,22 @@ def diff_payloads(
             continue
         gated = bool(new_doc.get("gated"))
         new_value = float(cast(float, new_doc["value"]))
-        if old_doc is None:
-            verdicts.append(
-                Verdict(
-                    name=name,
-                    status="new",
-                    gated=gated,
-                    old_value=None,
-                    new_value=new_value,
-                    worse_pct=None,
-                    detail="no baseline yet",
-                )
-            )
-            continue
-        old_value = float(cast(float, old_doc["value"]))
-        hib = bool(new_doc.get("higher_is_better"))
-        worse = _worse_pct(old_value, new_value, hib)
-        abs_max = new_doc.get("abs_max")
+        abs_max = cast(Optional[float], new_doc.get("abs_max"))
+        old_value: Optional[float] = None
+        worse: Optional[float] = None
+        if old_doc is not None:
+            old_value = float(cast(float, old_doc["value"]))
+            hib = bool(new_doc.get("higher_is_better"))
+            worse = _worse_pct(old_value, new_value, hib)
         status, detail = "ok", ""
-        if abs_max is not None and new_value > float(cast(float, abs_max)):
+        if abs_max is not None and new_value > abs_max:
             status = "regression"
             detail = (
                 f"value {new_value:.4g} exceeds absolute ceiling "
-                f"{float(cast(float, abs_max)):.4g}"
+                f"{abs_max:.4g}"
             )
+        elif worse is None:
+            status, detail = "new", "no baseline yet"
         elif gated and worse > threshold_pct:
             status = "regression"
             detail = (

@@ -97,6 +97,23 @@ class TestVerdicts:
         assert verdict.status == "regression"
         assert "ceiling" in verdict.detail
 
+    def test_abs_max_breach_regresses_without_a_baseline(self):
+        # a renamed or newly added gated metric has no baseline; the
+        # ceiling is its only check and must still hold
+        old = _payload({})
+        new = _payload(
+            {
+                "over": _metric(1.1, abs_max=1.0),
+                "under": _metric(0.9, abs_max=1.0),
+            }
+        )
+        by_name = _by_name(diff_payloads(old, new))
+        assert by_name["over"].status == "regression"
+        assert "ceiling" in by_name["over"].detail
+        assert by_name["over"].old_value is None
+        assert by_name["under"].status == "new"
+        assert has_regression(list(by_name.values()))
+
     def test_gated_metric_missing_from_new_is_a_regression(self):
         old = _payload({"m": _metric(10.0)})
         new = _payload({})
@@ -150,6 +167,35 @@ class TestLoadPayload:
         with pytest.raises(ValueError, match="cannot read"):
             load_payload(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"gated": True},
+            {"value": "fast", "gated": True},
+            {"value": True},
+            {"value": float("nan")},
+            {"value": 1.0, "abs_max": "low"},
+            [1.0],
+        ],
+    )
+    def test_rejects_metric_without_a_real_value(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_payload({"m": doc})))
+        with pytest.raises(ValueError, match="metric 'm'"):
+            load_payload(path)
+
+    def test_diff_runs_the_same_check_on_unloaded_mappings(self):
+        good = _payload({"m": _metric(1.0)})
+        for bad in (
+            _payload({"m": {"gated": True}}),
+            _payload({"m": {"value": None}}),
+            {"schema": SUITE_SCHEMA},
+        ):
+            with pytest.raises(ValueError):
+                diff_payloads(good, bad)
+            with pytest.raises(ValueError):
+                diff_payloads(bad, good)
+
 
 class TestCli:
     """The acceptance contract: ``repro bench diff`` exits non-zero
@@ -179,6 +225,27 @@ class TestCli:
         bad.write_text("not json")
         assert main(["bench", "diff", str(old), str(bad)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_exit_two_on_schema_invalid_metric(self, tmp_path, capsys):
+        old = tmp_path / "old.json"
+        bad = tmp_path / "bad.json"
+        self._write(old, {"m": _metric(10.0)})
+        self._write(bad, {"m": {"gated": True}})  # no value
+        assert main(["bench", "diff", str(old), str(bad)]) == 2
+        assert main(["bench", "diff", str(bad), str(old)]) == 2
+        assert "metric 'm'" in capsys.readouterr().err
+
+    def test_exit_one_on_ceiling_breach_without_baseline(
+        self, tmp_path, capsys
+    ):
+        old = tmp_path / "old.json"
+        new = tmp_path / "new.json"
+        self._write(old, {"m": _metric(10.0)})
+        self._write(
+            new, {"m": _metric(10.0), "fresh": _metric(5.0, abs_max=4.0)}
+        )
+        assert main(["bench", "diff", str(old), str(new)]) == 1
+        assert "ceiling" in capsys.readouterr().out
 
     def test_threshold_flag(self, tmp_path, capsys):
         old = tmp_path / "old.json"

@@ -1,8 +1,8 @@
-"""Suite payload shape and the lighter suite sections.
+"""Suite payload shape and the solve section.
 
-The full ``bench_suite`` run is exercised by the CI smoke job
-(``repro bench suite --quick``); here we pin the payload contract and
-run only the cheap sections so the tier-1 test pass stays fast.
+The full ``bench_suite`` run is exercised by the CI gate job
+(``repro bench suite``); here we pin the payload contract and run only
+the cheap section so the tier-1 test pass stays fast.
 """
 
 import json
@@ -13,11 +13,12 @@ from repro.perf import (
     SUITE_SCHEMA,
     MetricResult,
     format_suite,
+    git_sha,
     load_payload,
     suite_payload,
     write_suite,
 )
-from repro.perf.suite import _serve_metric, _solve_metrics
+from repro.perf.suite import _solve_metrics
 
 RESULTS = [
     MetricResult(
@@ -41,10 +42,9 @@ RESULTS = [
 
 class TestPayload:
     def test_schema_and_provenance(self):
-        payload = suite_payload(RESULTS, quick=True, sha="abc123")
+        payload = suite_payload(RESULTS, sha="abc123")
         assert payload["schema"] == SUITE_SCHEMA
         assert payload["git_sha"] == "abc123"
-        assert payload["quick"] is True
         metrics = payload["metrics"]
         assert set(metrics) == {"alpha_ms", "beta_pct"}
         assert metrics["alpha_ms"]["note"] == "a note"
@@ -54,9 +54,9 @@ class TestPayload:
 
     def test_write_round_trips_through_load(self, tmp_path):
         path = tmp_path / "BENCH_core.json"
-        write_suite(RESULTS, path, quick=False, sha="abc123")
+        write_suite(RESULTS, path, sha="abc123")
         loaded = load_payload(path)
-        assert loaded == suite_payload(RESULTS, quick=False, sha="abc123")
+        assert loaded == suite_payload(RESULTS, sha="abc123")
         # committed artifact: stable key order, trailing newline
         text = path.read_text()
         assert text.endswith("\n")
@@ -65,37 +65,32 @@ class TestPayload:
         ) + "\n"
 
     def test_format_marks_gated_metrics(self):
-        text = format_suite(RESULTS, quick=True)
-        assert "== bench suite (quick) ==" in text
+        text = format_suite(RESULTS)
+        assert "== bench suite ==" in text
         assert "gated" in text
         assert "alpha_ms" in text and "beta_pct" in text
 
 
 class TestSections:
     def test_solve_metrics_shape(self):
-        results = {r.name: r for r in _solve_metrics(quick=True, seed=0)}
-        assert set(results) == {
-            "solve_ms_proportional_c128",
-            "solve_ms_proportional_c512",
-            "solve_scaling_proportional",
-            "solve_ms_fed_lbap_c128",
-            "solve_ms_fed_lbap_c512",
-            "solve_scaling_fed_lbap",
-        }
-        # the only gated solve metric is the fed_lbap scaling ratio
-        gated = [n for n, r in results.items() if r.gated]
-        assert gated == ["solve_scaling_fed_lbap"]
-        scaling = results["solve_scaling_fed_lbap"]
+        (scaling,) = _solve_metrics(seed=0)
+        assert scaling.name == "solve_scaling_fed_lbap"
+        assert scaling.gated
+        assert scaling.abs_max == 4.0
         assert scaling.unit == "x"
         assert scaling.value > 0
-        assert results["solve_ms_fed_lbap_c512"].value > 0
-
-    def test_serve_round_trip_runs_deterministic_workload(self):
-        result = _serve_metric(quick=True, seed=0)
-        assert result.name == "serve_round_trip_ms"
-        assert result.value > 0
-        assert not result.gated
 
     def test_metric_result_is_frozen(self):
         with pytest.raises(AttributeError):
             RESULTS[0].value = 2.0
+
+
+class TestGitSha:
+    def test_git_sha_of_this_repo_is_a_commit(self):
+        sha = git_sha()
+        assert sha == "unknown" or (
+            len(sha) == 40 and all(c in "0123456789abcdef" for c in sha)
+        )
+
+    def test_git_sha_outside_a_repo_is_unknown(self, tmp_path):
+        assert git_sha(root=tmp_path) == "unknown"

@@ -448,61 +448,6 @@ class TestFleetCommands:
         assert "cohort 32" in out
         assert "  32  " in out or " 32 " in out
 
-    def test_bench_fleet_smoke(self, tmp_path, capsys):
-        """The CI smoke: one small n, JSON out with sha + timings."""
-        import json
-
-        out_path = tmp_path / "BENCH_fleet.json"
-        assert (
-            main(
-                [
-                    "bench", "fleet",
-                    "--ns", "64,128",
-                    "--rounds", "2",
-                    "--cohort", "16",
-                    "--schedulers", "proportional",
-                    "--out", str(out_path),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "rounds/s" in out
-        assert "swept 2 cells" in out
-        doc = json.loads(out_path.read_text())
-        assert doc["schema"] == 1
-        assert doc["git_sha"]
-        assert [r["n"] for r in doc["results"]] == [64, 128]
-        for row in doc["results"]:
-            assert row["scheduler"] == "proportional"
-            assert row["build_ms"] >= 0
-            assert row["solve_ms"] >= 0
-            assert row["rounds_per_sec"] > 0
-
-    def test_bench_fleet_rejects_bad_ns(self, capsys):
-        assert main(["bench", "fleet", "--ns", "ten"]) == 2
-        assert "cannot parse" in capsys.readouterr().err
-        assert main(["bench", "fleet", "--ns", "0"]) == 2
-        assert "positive" in capsys.readouterr().err
-
-    def test_bench_fleet_rejects_unknown_scheduler(self, capsys):
-        assert (
-            main(
-                ["bench", "fleet", "--ns", "8", "--schedulers", "sjf"]
-            )
-            == 2
-        )
-        assert "unknown schedulers" in capsys.readouterr().err
-
-    def test_bench_fleet_rejects_unknown_sampler(self, capsys):
-        assert (
-            main(
-                ["bench", "fleet", "--ns", "8", "--sampler", "magic"]
-            )
-            == 2
-        )
-        assert "unknown sampler" in capsys.readouterr().err
-
 
 class TestObsProf:
     """`repro obs prof`: the profiler CLI over a real fleet workload."""

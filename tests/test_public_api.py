@@ -318,6 +318,19 @@ def _imports_by_module(package):
     }
 
 
+def test_fleet_imports_no_clock():
+    """``repro.fleet`` holds virtual state only: no module under it
+    imports ``time``, in any scope, so a ``FleetRoundRecord`` carries
+    nothing host-measured and the round path is timed from outside
+    (``perfbench/``). The solver's host cost is read in
+    ``repro.sched.binding.timed_schedule``, once."""
+    import repro.fleet
+
+    imports = _imports_by_module(repro.fleet)
+    assert "numpy" in imports["repro.fleet.runner"]
+    assert sorted(m for m, names in imports.items() if "time" in names) == []
+
+
 def test_experiments_schedule_only_through_the_registry():
     """Layering: the paper's tables reach the scheduling algorithms by
     registry name over a ``testbed_problem``, never by importing them
