@@ -34,11 +34,11 @@ from . import __version__
 from . import experiments as E
 from .device.registry import DEVICE_NAMES, TESTBEDS, build_spec, make_device
 from .device.workload import TrainingWorkload
-from .engine.telemetry import record_telemetry
 from .experiments.ascii_plot import line_plot, multi_series
 from .experiments.runner import summarize_telemetry
 from .models.flops import model_training_flops
 from .models.zoo import MNIST_SHAPE, build_model
+from .obs import record_telemetry, render_summary
 
 #: experiment registry: name -> module (each exposes run())
 EXPERIMENTS: Dict[str, object] = {
@@ -79,16 +79,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     telemetry_path = getattr(args, "telemetry", None)
     want_obs = bool(getattr(args, "obs", False))
 
-    def run_targets(aggregator=None) -> None:
+    def run_targets(recorder=None) -> None:
         for name in targets:
             # perf_counter: wall clock is not monotonic (NTP steps would
             # skew or even negate the reported duration)
             t0 = time.perf_counter()
-            seen = len(aggregator.events) if aggregator is not None else 0
+            before = recorder.event_counts() if recorder is not None else {}
             result = EXPERIMENTS[name].run()
-            if aggregator is not None:
+            if recorder is not None:
                 result.add_note(
-                    summarize_telemetry(aggregator, since_event=seen)
+                    summarize_telemetry(recorder.event_counts(), before)
                 )
             text = result.to_table()
             print(text)
@@ -99,28 +99,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     # record_telemetry closes/flushes the sink in its finally block, so
     # a run failing mid-round still leaves a complete, parseable JSONL;
     # the failure is reported instead of propagating a traceback.
+    # The recorder folds the stream live, so neither flag holds events.
     status = 0
-    aggregator = None
+    recorder = None
     try:
         if telemetry_path or want_obs:
-            with record_telemetry(telemetry_path) as aggregator:
-                run_targets(aggregator)
+            with record_telemetry(telemetry_path) as recorder:
+                run_targets(recorder)
         else:
             run_targets()
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         status = 1
-    if telemetry_path and aggregator is not None:
+    if telemetry_path and recorder is not None:
         print(
-            f"[telemetry: {len(aggregator.events)} events -> "
+            f"[telemetry: {recorder.n_events} events -> "
             f"{telemetry_path}]"
         )
-    if want_obs and aggregator is not None:
-        from .obs import ObsRecorder, render_summary
-
-        recorder = ObsRecorder(run_name=" ".join(targets))
-        for event in aggregator.events:
-            recorder(event)
+    if want_obs and recorder is not None:
         print()
         print(render_summary(recorder), end="")
     return status
@@ -363,19 +359,19 @@ def cmd_sched_compare(args: argparse.Namespace) -> int:
         )
 
     status = 0
-    aggregator = None
+    recorder = None
     try:
         if args.telemetry:
-            with record_telemetry(args.telemetry) as aggregator:
+            with record_telemetry(args.telemetry) as recorder:
                 run_compare()
         else:
             run_compare()
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         status = 1
-    if args.telemetry and aggregator is not None:
+    if args.telemetry and recorder is not None:
         print(
-            f"[telemetry: {len(aggregator.events)} events -> "
+            f"[telemetry: {recorder.n_events} events -> "
             f"{args.telemetry}]"
         )
     return status
@@ -408,8 +404,6 @@ def _emit(text: str, out: "str | None") -> None:
 
 
 def cmd_obs_summary(args: argparse.Namespace) -> int:
-    from .obs import render_summary
-
     recorder = _load_recorder(args)
     if recorder is None:
         return 2

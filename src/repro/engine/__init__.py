@@ -1,12 +1,13 @@
-"""repro.engine — the unified event-driven FL execution core.
+"""repro.engine — the event-driven FL execution core.
 
-One :class:`RoundEngine` owns the device/thermal/link substrates and
-emits a typed event stream; pluggable :class:`AggregationStrategy`
-(sync FedAvg, staleness-weighted async, gossip) and :class:`Topology`
-(star, peer graph) objects select the mode. The simulation classes in
-:mod:`repro.federated` are thin façades over this package, and the
-telemetry layer turns the event stream into structured per-round /
-per-client records (JSON-lines sink + in-memory aggregator).
+One :class:`RoundEngine` owns the device/thermal/link substrates, emits
+a typed event stream and runs the paper's synchronous round, aggregating
+through a pluggable :class:`AggregationStrategy` (FedAvg). The async and
+gossip simulations in :mod:`repro.federated` drive their own loops over
+the engine's client step, with :class:`StalenessWeighted` /
+:class:`GossipAverage` over a :class:`PeerGraph` as their merge rules.
+This package also holds the wire codec (:mod:`~repro.engine.events`) and
+the JSONL sink; the fold over the stream is :class:`repro.obs.ObsRecorder`.
 """
 
 from .aggregation import (
@@ -16,7 +17,7 @@ from .aggregation import (
     SyncFedAvg,
     fedavg_aggregate,
 )
-from .engine import AsyncUpdate, RoundEngine
+from .engine import RoundEngine
 from .events import (
     EVENT_TYPES,
     ClientDispatched,
@@ -29,21 +30,8 @@ from .events import (
     event_from_dict,
 )
 from .execution import LocalTrainingResult, evaluate_accuracy, train_local
-from .telemetry import (
-    ConvergenceHistory,
-    JsonlSink,
-    RoundRecord,
-    TelemetryAggregator,
-    read_jsonl,
-    record_telemetry,
-)
-from .topology import (
-    PeerGraph,
-    StarTopology,
-    Topology,
-    make_topology,
-    metropolis_weights,
-)
+from .telemetry import ConvergenceHistory, JsonlSink, RoundRecord, read_jsonl
+from .topology import PeerGraph, make_topology, metropolis_weights
 
 __all__ = [
     "AggregationStrategy",
@@ -51,7 +39,6 @@ __all__ = [
     "StalenessWeighted",
     "SyncFedAvg",
     "fedavg_aggregate",
-    "AsyncUpdate",
     "RoundEngine",
     "ClientDispatched",
     "ClientDropped",
@@ -68,12 +55,8 @@ __all__ = [
     "ConvergenceHistory",
     "JsonlSink",
     "RoundRecord",
-    "TelemetryAggregator",
     "read_jsonl",
-    "record_telemetry",
     "PeerGraph",
-    "StarTopology",
-    "Topology",
     "make_topology",
     "metropolis_weights",
 ]

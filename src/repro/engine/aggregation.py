@@ -1,15 +1,19 @@
-"""Pluggable aggregation strategies for the round engine.
+"""How client models become the next model, one rule per mode.
 
-The canonical FedAvg weighted average lives here (moved out of
-``repro.federated.server`` so the server and the gossip simulator share
-one implementation), alongside the strategy objects the engine drives:
+The canonical FedAvg weighted average lives here (the parameter server
+re-exports it), next to the three rules and the one driver each serves:
 
 * :class:`SyncFedAvg` — McMahan et al.'s synchronous sample-weighted
-  average;
+  average, behind :class:`AggregationStrategy`, the sync round's
+  ``strategy=`` seam (``RoundEngine.run_sync_round`` calls ``aggregate``);
 * :class:`StalenessWeighted` — FedAsync-style single-update mixing with
   ``constant`` / ``hinge`` / ``poly`` staleness decay (Xie et al.);
-* :class:`GossipAverage` — one D-PSGD gossip step under a
-  doubly-stochastic mixing matrix.
+  ``AsyncFederatedSimulation`` calls ``merge``;
+* :class:`GossipAverage` — one D-PSGD gossip step under a doubly-
+  stochastic mixing matrix; ``DecentralizedSimulation`` calls ``mix``.
+
+The last two are plain classes, not strategies: each has its own
+one-method interface and exactly one caller.
 """
 
 from __future__ import annotations
@@ -61,7 +65,8 @@ def fedavg_aggregate(
 
 
 class AggregationStrategy:
-    """Base class; a strategy merges client updates into a new model."""
+    """Base class of the sync round's ``strategy=``: merge one round of
+    client updates into the new global model."""
 
     name: str = "strategy"
 
@@ -89,7 +94,7 @@ class SyncFedAvg(AggregationStrategy):
         return fedavg_aggregate(weight_vectors, sample_counts)
 
 
-class StalenessWeighted(AggregationStrategy):
+class StalenessWeighted:
     """FedAsync-style staleness-decayed mixing for single updates.
 
     The mixing weight at staleness ``tau`` is ``base_mix * s(tau)``:
@@ -150,21 +155,8 @@ class StalenessWeighted(AggregationStrategy):
         new = (1.0 - mix) * global_weights + mix * client_weights
         return new, mix
 
-    def aggregate(
-        self,
-        weight_vectors: Sequence[np.ndarray],
-        sample_counts: Sequence[int],
-        global_weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        if global_weights is None:
-            raise ValueError("staleness mixing needs the global weights")
-        if len(weight_vectors) != 1:
-            raise ValueError("staleness mixing merges one update at a time")
-        new, _ = self.merge(global_weights, weight_vectors[0], 0)
-        return new
 
-
-class GossipAverage(AggregationStrategy):
+class GossipAverage:
     """One gossip step: every replica mixes with its graph neighbours
     under a doubly-stochastic mixing matrix."""
 
@@ -181,13 +173,3 @@ class GossipAverage(AggregationStrategy):
         if replicas.shape[0] != self.mixing.shape[0]:
             raise ValueError("one replica row per graph node required")
         return self.mixing @ replicas
-
-    def aggregate(
-        self,
-        weight_vectors: Sequence[np.ndarray],
-        sample_counts: Sequence[int],
-        global_weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        stacked = np.stack([np.asarray(w) for w in weight_vectors])
-        mixed = self.mix(stacked)
-        return mixed.mean(axis=0)

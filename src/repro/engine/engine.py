@@ -1,37 +1,27 @@
-"""The unified round engine behind every FL simulation mode.
+"""The round engine: shared substrates plus the paper's synchronous round.
 
 One :class:`RoundEngine` owns the simulation substrates — per-user
 data, the device/thermal/battery simulators, the network links, the
-scratch model and the shared RNG — and exposes three drivers over them:
+scratch model, the shared RNG, the virtual clock and the
+:class:`~repro.engine.events.EventBus` — and drives one loop over them:
+:meth:`RoundEngine.run_sync_round`, synchronous FedAvg with an optional
+straggler-dropout deadline (the paper's Sec. VII loop).
 
-* :meth:`RoundEngine.run_sync_round` — synchronous FedAvg with an
-  optional straggler-dropout deadline (the paper's Sec. VII loop);
-* :meth:`RoundEngine.run_async` — FedAsync-style event loop with
-  staleness-weighted mixing (no round barrier);
-* :meth:`RoundEngine.run_gossip_round` — one D-PSGD round of local
-  SGD plus doubly-stochastic neighbour averaging.
-
-``FederatedSimulation``, ``AsyncFederatedSimulation`` and
-``DecentralizedSimulation`` are thin façades over these drivers; the
-per-client dispatch and aggregation loops live only here. Every driver
-narrates its work on the engine's :class:`~repro.engine.events.EventBus`
-(see :mod:`repro.engine.events` for the taxonomy), which the telemetry
-layer folds into structured records.
+The alternatives the paper only tests against own their loops in
+:mod:`repro.federated`: ``AsyncFederatedSimulation`` (a completion-time
+heap, staleness-weighted merges) and ``DecentralizedSimulation`` (local
+SGD plus one gossip step). They build an engine for the substrates and
+reach it through one client step — :meth:`RoundEngine.client_compute`,
+:meth:`RoundEngine.train_client`, :meth:`RoundEngine.emit_dispatched`
+and :meth:`RoundEngine.emit_finished` — so every mode narrates a client
+with the same two events, built in one place (see
+:mod:`repro.engine.events` for the taxonomy; :class:`repro.obs.ObsRecorder`
+is the fold over it).
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +34,7 @@ from ..models.network import Sequential
 from ..network.link import Link
 from ..network.transfer import round_comm_cost
 from ..obs.prof import PROFILER
-from .aggregation import AggregationStrategy, StalenessWeighted, SyncFedAvg
+from .aggregation import AggregationStrategy, SyncFedAvg
 from .events import (
     ClientDispatched,
     ClientDropped,
@@ -56,19 +46,12 @@ from .events import (
 )
 from .execution import LocalTrainingResult, evaluate_accuracy, train_local
 from .telemetry import ConvergenceHistory, RoundRecord
-from .topology import StarTopology, Topology
 
 if TYPE_CHECKING:
     from ..federated.dropout import DropoutPolicy
     from ..sched.base import Assignment
 
-__all__ = [
-    "AsyncUpdate",
-    "RoundEngine",
-    "ParameterServerLike",
-    "SchedulerBindingLike",
-    "SupportsMix",
-]
+__all__ = ["RoundEngine", "ParameterServerLike", "SchedulerBindingLike"]
 
 
 class ParameterServerLike(Protocol):
@@ -96,39 +79,19 @@ class SchedulerBindingLike(Protocol):
     ) -> "Assignment": ...
 
 
-@runtime_checkable
-class SupportsMix(Protocol):
-    """An aggregation strategy with a gossip mixing step."""
-
-    name: str
-
-    def mix(self, replicas: np.ndarray) -> np.ndarray: ...
-
-
-@dataclass
-class AsyncUpdate:
-    """One applied asynchronous update."""
-
-    time_s: float
-    user_id: int
-    staleness: int
-    mix: float
-    accuracy: Optional[float]
-
-
 class RoundEngine:
-    """Shared execution core: substrates + event stream + drivers.
+    """Shared execution core: substrates + event stream + the
+    synchronous round.
 
     Parameters
     ----------
     dataset, model, users:
         Global dataset, the global model (mutated in place by the sync
-        and async drivers; seeds the replicas of the gossip driver) and
-        per-user local data.
+        round and the async driver; the gossip driver only clones it)
+        and per-user local data.
     strategy:
-        The pluggable :class:`AggregationStrategy` the drivers consult.
-    topology:
-        Communication shape; defaults to a star (parameter server).
+        The :class:`AggregationStrategy` the sync round aggregates
+        with; FedAvg by default.
     devices, links:
         Optional per-user device simulators and network links for the
         virtual clock. Without devices rounds report zero time. This is
@@ -137,8 +100,11 @@ class RoundEngine:
         views (``store.as_devices()`` / ``store.as_links()``). Every
         eligible user is scheduled; the engine draws no cohort.
     dropout:
-        Optional deadline-based straggler-dropout policy (sync driver
+        Optional deadline-based straggler-dropout policy (sync round
         only); requires ``devices``.
+
+    ``batch_size``, ``local_epochs`` and ``lr`` are validated here, so
+    every simulation that builds an engine fails at construction.
     """
 
     def __init__(
@@ -147,7 +113,6 @@ class RoundEngine:
         model: Sequential,
         users: Sequence[UserData],
         strategy: Optional[AggregationStrategy] = None,
-        topology: Optional[Topology] = None,
         devices: Optional[Sequence[MobileDevice]] = None,
         links: Optional[Sequence[Link]] = None,
         dropout: Optional["DropoutPolicy"] = None,
@@ -158,7 +123,6 @@ class RoundEngine:
         momentum: float = 0.9,
         weight_decay: float = 0.0,
         eval_every: int = 1,
-        eval_every_updates: int = 5,
         aggregation_s: float = 1.0,
         min_soc: float = 0.0,
         seed: int = 0,
@@ -168,6 +132,10 @@ class RoundEngine:
             raise ValueError("one device per user required")
         if links is not None and len(links) != len(users):
             raise ValueError("one link per user required")
+        if batch_size <= 0 or local_epochs <= 0:
+            raise ValueError("batch_size and local_epochs must be positive")
+        if lr <= 0:
+            raise ValueError("lr must be positive")
         self.dataset = dataset
         self.model = model
         self.users = list(users)
@@ -182,14 +150,12 @@ class RoundEngine:
             )
         self.dropout = dropout
         self.strategy = strategy or SyncFedAvg()
-        self.topology = topology or StarTopology(len(self.users))
         self.batch_size = batch_size
         self.local_epochs = local_epochs
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.eval_every = eval_every
-        self.eval_every_updates = eval_every_updates
         self.aggregation_s = aggregation_s
         self.min_soc = min_soc
         self.bus = bus or EventBus()
@@ -218,19 +184,6 @@ class RoundEngine:
         #: planned assignment.
         self.scheduler_binding: Optional[SchedulerBindingLike] = None
         self._round_samples: Optional[np.ndarray] = None
-
-        # -- async driver state ------------------------------------------
-        n = len(self.users)
-        self.version = 0
-        self.updates: List[AsyncUpdate] = []
-        self._pulled_version = [0] * n
-        self._start_weights: List[Optional[np.ndarray]] = [None] * n
-        self._epoch_start = [0.0] * n
-        self._epoch_energy: List[Optional[float]] = [None] * n
-
-        # -- gossip driver state -----------------------------------------
-        self.replicas: Optional[np.ndarray] = None
-        self.round_idx = 0
 
     # -- shared substrate helpers ----------------------------------------
     def bind_server(self, server: ParameterServerLike) -> None:
@@ -264,9 +217,8 @@ class RoundEngine:
         """Users holding data whose battery clears the participation
         floor, in dispatch order.
 
-        Vectorized: one boolean mask over the data-size column and (at
-        most) one SoC array built per round — never a per-client Python
-        call chain on this hot path.
+        One boolean mask over the data-size column; with a
+        participation floor set, one SoC read per device per round.
         """
         mask = self._user_sizes > 0
         if self.devices is not None and self.min_soc > 0.0:
@@ -298,18 +250,13 @@ class RoundEngine:
         trace = self.devices[j].run_workload(workload, record=False)
         return trace.total_time_s, trace.energy_j
 
-    def client_compute_time(self, j: int, epochs: int = 1) -> float:
-        """Simulated compute seconds of user j's local workload (see
-        :meth:`client_compute`, which also reports energy)."""
-        return self.client_compute(j, epochs=epochs)[0]
-
     def client_comm_time(self, j: int) -> float:
         """Round-trip model transfer seconds over user j's link."""
         if self.links is None:
             return 0.0
         return round_comm_cost(self.model, self.links[j]).total_s
 
-    def _train_client(
+    def train_client(
         self, j: int, start_weights: np.ndarray, epochs: int
     ) -> LocalTrainingResult:
         """Local SGD for user j from the given starting weights."""
@@ -338,7 +285,44 @@ class RoundEngine:
             self.model, self.dataset.x_test, self.dataset.y_test
         )
 
-    # -- synchronous driver ----------------------------------------------
+    # -- client narration (the only ClientDispatched / ClientFinished
+    # constructors of the object path) -----------------------------------
+    def emit_dispatched(self, round_idx: int, j: int, n_samples: int) -> None:
+        """Narrate user j starting ``n_samples`` of local work now."""
+        self.bus.emit(
+            ClientDispatched(
+                round_idx=round_idx,
+                client_id=j,
+                n_samples=n_samples,
+                time_s=self.clock_s,
+            )
+        )
+
+    def emit_finished(
+        self,
+        round_idx: int,
+        j: int,
+        compute_s: float,
+        comm_s: float,
+        time_s: float,
+        energy_j: Optional[float],
+    ) -> None:
+        """Narrate user j's update arriving at ``time_s``; the battery
+        is read now, after the work drained it."""
+        self.bus.emit(
+            ClientFinished(
+                round_idx=round_idx,
+                client_id=j,
+                compute_s=compute_s,
+                comm_s=comm_s,
+                total_s=compute_s + comm_s,
+                time_s=time_s,
+                energy_j=energy_j,
+                battery_soc=self.battery_soc(j),
+            )
+        )
+
+    # -- the synchronous round -------------------------------------------
     def _dispatch_round(
         self, round_idx: int, participants: Sequence[int]
     ) -> np.ndarray:
@@ -347,14 +331,7 @@ class RoundEngine:
         completion events in client order."""
         times = np.zeros(len(self.users))
         for j in participants:
-            self.bus.emit(
-                ClientDispatched(
-                    round_idx=round_idx,
-                    client_id=j,
-                    n_samples=self._client_samples(j),
-                    time_s=self.clock_s,
-                )
-            )
+            self.emit_dispatched(round_idx, j, self._client_samples(j))
             compute_s = 0.0
             comm_s = 0.0
             energy_j: Optional[float] = None
@@ -364,17 +341,13 @@ class RoundEngine:
                 )
                 comm_s = self.client_comm_time(j)
             times[j] = compute_s + comm_s
-            self.bus.emit(
-                ClientFinished(
-                    round_idx=round_idx,
-                    client_id=j,
-                    compute_s=compute_s,
-                    comm_s=comm_s,
-                    total_s=times[j],
-                    time_s=self.clock_s + times[j],
-                    energy_j=energy_j,
-                    battery_soc=self.battery_soc(j),
-                )
+            self.emit_finished(
+                round_idx,
+                j,
+                compute_s,
+                comm_s,
+                self.clock_s + times[j],
+                energy_j,
             )
         return times
 
@@ -478,7 +451,7 @@ class RoundEngine:
             counts: List[int] = []
             with PROFILER.phase("train"):
                 for j in aggregators:
-                    result = self._train_client(
+                    result = self.train_client(
                         j, global_w, epochs=self.local_epochs
                     )
                     weight_vectors.append(result.weights)
@@ -528,225 +501,3 @@ class RoundEngine:
         )
         self._round_samples = None
         return record
-
-    # -- asynchronous driver ---------------------------------------------
-    def _staleness_strategy(self) -> StalenessWeighted:
-        if not isinstance(self.strategy, StalenessWeighted):
-            raise TypeError(
-                "the async driver needs a StalenessWeighted strategy"
-            )
-        return self.strategy
-
-    def epoch_time(self, j: int) -> float:
-        """Virtual seconds for user j's next local epoch (device state
-        persists: continuous training heats the device)."""
-        return self.client_compute_time(j, epochs=1)
-
-    def _start_epoch(self, j: int) -> float:
-        self._pulled_version[j] = self.version
-        self._start_weights[j] = self.model.get_weights()
-        self._epoch_start[j] = self.clock_s
-        self.bus.emit(
-            ClientDispatched(
-                round_idx=self.version,
-                client_id=j,
-                n_samples=self.users[j].size,
-                time_s=self.clock_s,
-            )
-        )
-        epoch_s, energy_j = self.client_compute(j, epochs=1)
-        self._epoch_energy[j] = (
-            energy_j if self.devices is not None else None
-        )
-        return epoch_s
-
-    def _apply_async_update(self, j: int, time_s: float) -> AsyncUpdate:
-        strategy = self._staleness_strategy()
-        start_weights = self._start_weights[j]
-        if start_weights is None:
-            raise RuntimeError(
-                f"user {j} has no in-flight epoch to apply"
-            )
-        result = self._train_client(j, start_weights, epochs=1)
-        staleness = self.version - self._pulled_version[j]
-        new, mix = strategy.merge(
-            self.model.get_weights(), result.weights, staleness
-        )
-        self.model.set_weights(new)
-        self.version += 1
-        accuracy = None
-        if self.version % self.eval_every_updates == 0:
-            accuracy = evaluate_accuracy(
-                self.model, self.dataset.x_test, self.dataset.y_test
-            )
-        update = AsyncUpdate(
-            time_s=time_s,
-            user_id=j,
-            staleness=staleness,
-            mix=mix,
-            accuracy=accuracy,
-        )
-        self.updates.append(update)
-        epoch_s = time_s - self._epoch_start[j]
-        self.bus.emit(
-            ClientFinished(
-                round_idx=self.version,
-                client_id=j,
-                compute_s=epoch_s,
-                comm_s=0.0,
-                total_s=epoch_s,
-                time_s=time_s,
-                energy_j=self._epoch_energy[j],
-                battery_soc=self.battery_soc(j),
-            )
-        )
-        self.bus.emit(
-            ModelAggregated(
-                round_idx=self.version,
-                participants=(j,),
-                strategy=strategy.name,
-                version=self.version,
-                time_s=time_s,
-            )
-        )
-        return update
-
-    def run_async(self, horizon_s: float) -> List[AsyncUpdate]:
-        """Run the async event loop until the clock passes the horizon.
-
-        Returns the updates applied during this call. Calling again
-        resumes from the current clock, but in-flight epochs that had
-        not completed by the previous horizon are *restarted* (the
-        scheduler re-pulls the current global model), not continued.
-        """
-        if horizon_s <= 0:
-            raise ValueError("horizon_s must be positive")
-        self._staleness_strategy()
-        start_count = len(self.updates)
-        heap: List[Tuple[float, int]] = []
-        for j, user in enumerate(self.users):
-            if user.size == 0:
-                continue
-            finish = self.clock_s + self._start_epoch(j)
-            heapq.heappush(heap, (finish, j))
-        end = self.clock_s + horizon_s
-        while heap:
-            finish, j = heapq.heappop(heap)
-            if finish > end:
-                # Client finishes beyond the horizon; stop here.
-                self.clock_s = end
-                break
-            self.clock_s = finish
-            self._apply_async_update(j, finish)
-            next_finish = finish + self._start_epoch(j)
-            heapq.heappush(heap, (next_finish, j))
-        return self.updates[start_count:]
-
-    def update_counts(self) -> np.ndarray:
-        """Applied async updates per user — fast devices dominate, the
-        imbalance behind async's bias/divergence risk."""
-        counts = np.zeros(len(self.users), dtype=np.int64)
-        for u in self.updates:
-            counts[u.user_id] += 1
-        return counts
-
-    # -- gossip driver ---------------------------------------------------
-    def init_replicas(self) -> np.ndarray:
-        """One model replica per user, all cloned from the seed model."""
-        self.replicas = np.tile(
-            self.model.get_weights(), (len(self.users), 1)
-        )
-        return self.replicas
-
-    def run_gossip_round(self) -> None:
-        """One decentralized round: local SGD then one gossip step."""
-        replicas = (
-            self.replicas
-            if self.replicas is not None
-            else self.init_replicas()
-        )
-        mixer = self.strategy
-        if not isinstance(mixer, SupportsMix):
-            raise TypeError(
-                "the gossip driver needs a strategy with a mix() step"
-            )
-        round_idx = self.round_idx + 1
-        times = np.zeros(len(self.users))
-        for j, user in enumerate(self.users):
-            if user.size == 0:
-                continue
-            self.bus.emit(
-                ClientDispatched(
-                    round_idx=round_idx,
-                    client_id=j,
-                    n_samples=user.size,
-                    time_s=self.clock_s,
-                )
-            )
-            energy_j: Optional[float] = None
-            if self.devices is not None:
-                times[j], energy_j = self.client_compute(
-                    j, epochs=self.local_epochs
-                )
-            result = self._train_client(
-                j, replicas[j], epochs=self.local_epochs
-            )
-            replicas[j] = result.weights
-            self.bus.emit(
-                ClientFinished(
-                    round_idx=round_idx,
-                    client_id=j,
-                    compute_s=float(times[j]),
-                    comm_s=0.0,
-                    total_s=float(times[j]),
-                    time_s=self.clock_s + times[j],
-                    energy_j=energy_j,
-                    battery_soc=self.battery_soc(j),
-                )
-            )
-        # Gossip: every replica mixes with its neighbours.
-        self.replicas = mixer.mix(replicas)
-        self.round_idx += 1
-        trained = [j for j, u in enumerate(self.users) if u.size > 0]
-        makespan = float(times.max()) if self.devices is not None else 0.0
-        self.clock_s += makespan
-        self.bus.emit(
-            ModelAggregated(
-                round_idx=self.round_idx,
-                participants=tuple(trained),
-                strategy=mixer.name,
-                version=self.round_idx,
-                time_s=self.clock_s,
-            )
-        )
-        self.bus.emit(
-            RoundCompleted(
-                round_idx=self.round_idx,
-                makespan_s=makespan,
-                mean_time_s=(
-                    float(times[trained].mean()) if trained else 0.0
-                ),
-                participant_count=len(trained),
-                accuracy=None,
-                time_s=self.clock_s,
-            )
-        )
-
-    def replica_accuracy(self, j: int) -> float:
-        """Test accuracy of one node's replica."""
-        if self.replicas is None:
-            raise RuntimeError("no replicas initialised")
-        self._scratch.set_weights(self.replicas[j])
-        return evaluate_accuracy(
-            self._scratch, self.dataset.x_test, self.dataset.y_test
-        )
-
-    def consensus_distance(self) -> float:
-        """Mean L2 distance of replicas from their average — 0 at full
-        consensus."""
-        if self.replicas is None:
-            raise RuntimeError("no replicas initialised")
-        mean = self.replicas.mean(axis=0)
-        return float(
-            np.linalg.norm(self.replicas - mean, axis=1).mean()
-        )

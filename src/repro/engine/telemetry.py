@@ -1,22 +1,20 @@
-"""Structured telemetry over the engine's event stream.
+"""The engine's records and the JSONL file format of its event stream.
 
-Two consumers are provided:
+* :class:`JsonlSink` — an :class:`~repro.engine.events.EventBus`
+  listener that appends every event as one JSON line (the
+  ``repro run … --telemetry out.jsonl`` format); :func:`read_jsonl` /
+  :func:`read_jsonl_meta` parse such a file back, tolerating a
+  truncated tail.
+* :class:`RoundRecord` / :class:`ConvergenceHistory` — what the sync
+  round returns and accumulates (``repro.federated`` re-exports them):
+  the in-memory view the paper-facing experiments consume and the
+  reference the stream is tested against — per-round makespans in the
+  stream must equal the history's makespans.
 
-* :class:`JsonlSink` — appends every event as one JSON line (the
-  ``repro run … --telemetry out.jsonl`` format);
-* :class:`TelemetryAggregator` — folds the stream into per-round
-  structured records (round bookkeeping + per-client rows), the
-  replacement for ad-hoc round bookkeeping.
-
-Either can be subscribed to a single engine's bus, or installed
-process-wide with :func:`record_telemetry` so experiments that build
-their simulations internally are captured too.
-
-The legacy :class:`RoundRecord` / :class:`ConvergenceHistory`
-containers also live here (``repro.federated`` re-exports them): they
-are the in-memory view the paper-facing experiments consume and the
-reference the telemetry stream is tested against — per-round makespans
-in the stream must equal the history's makespans.
+Folding the stream into per-round and per-client rows is
+:class:`repro.obs.ObsRecorder`'s job and nobody else's; capture a whole
+process with :func:`repro.obs.record_telemetry`, one engine with
+:func:`repro.obs.observe_engine`.
 
 JSON-lines schema: every line is ``{"event": <kind>, ...}`` where the
 remaining keys are the fields of the corresponding event dataclass in
@@ -27,35 +25,20 @@ remaining keys are the fields of the corresponding event dataclass in
 from __future__ import annotations
 
 import json
-from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Dict, Iterator, List, Optional, Union, cast
+from typing import IO, Dict, List, Optional, Union
 
 import numpy as np
 
-from .events import (
-    META_KIND,
-    ClientDispatched,
-    ClientDropped,
-    ClientFinished,
-    DeviceJoined,
-    DeviceLost,
-    EngineEvent,
-    EventBus,
-    ModelAggregated,
-    RoundCompleted,
-)
+from .events import META_KIND, EngineEvent
 
 __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
     "RoundRecord",
     "ConvergenceHistory",
     "JsonlSink",
-    "TelemetryAggregator",
     "TelemetryRead",
-    "record_telemetry",
     "read_jsonl",
     "read_jsonl_meta",
 ]
@@ -250,122 +233,3 @@ def read_jsonl(path: Union[str, Path]) -> List[Dict[str, object]]:
     skipped; use :func:`read_jsonl_meta` when you need them reported.
     """
     return read_jsonl_meta(path).events
-
-
-class TelemetryAggregator:
-    """Fold the event stream into per-round structured records.
-
-    Each completed round yields one dict::
-
-        {"round": int, "makespan_s": float, "mean_time_s": float,
-         "participant_count": int, "accuracy": float | None,
-         "clients": [{"client": int, "compute_s": ..., "comm_s": ...,
-                      "total_s": ..., "energy_j": float | None,
-                      "battery_soc": float | None, "dropped": bool},
-                     ...]}
-
-    A ``client_dropped`` with no preceding ``client_finished`` still
-    yields a row (``dropped: True`` with ``compute_s``/``comm_s`` of
-    ``None``).
-
-    Membership events (``device_joined``/``device_lost``) are *not*
-    round-scoped: a device registering between round N and N+1 must not
-    surface as a client row of either round, so they accumulate in the
-    separate ``membership`` list instead of ``_pending_clients``.
-
-    ``rounds`` accumulates them; ``events`` keeps the raw stream;
-    ``counts()`` tallies events by kind.
-    """
-
-    def __init__(self) -> None:
-        self.events: List[EngineEvent] = []
-        self.rounds: List[Dict[str, object]] = []
-        self.membership: List[Dict[str, object]] = []
-        self._pending_clients: List[Dict[str, object]] = []
-
-    def __call__(self, event: EngineEvent) -> None:
-        self.events.append(event)
-        if isinstance(event, (DeviceJoined, DeviceLost)):
-            self.membership.append(event.to_dict())
-        elif isinstance(event, ClientFinished):
-            self._pending_clients.append(
-                {
-                    "client": event.client_id,
-                    "compute_s": event.compute_s,
-                    "comm_s": event.comm_s,
-                    "total_s": event.total_s,
-                    "energy_j": event.energy_j,
-                    "battery_soc": event.battery_soc,
-                    "dropped": False,
-                }
-            )
-        elif isinstance(event, ClientDropped):
-            for row in self._pending_clients:
-                if row["client"] == event.client_id:
-                    row["dropped"] = True
-                    break
-            else:
-                # a drop with no preceding ClientFinished (e.g. a
-                # client cut off mid-compute) must still surface as a
-                # client row, not vanish from the round
-                self._pending_clients.append(
-                    {
-                        "client": event.client_id,
-                        "compute_s": None,
-                        "comm_s": None,
-                        "total_s": event.total_s,
-                        "dropped": True,
-                    }
-                )
-        elif isinstance(event, RoundCompleted):
-            self.rounds.append(
-                {
-                    "round": event.round_idx,
-                    "makespan_s": event.makespan_s,
-                    "mean_time_s": event.mean_time_s,
-                    "participant_count": event.participant_count,
-                    "accuracy": event.accuracy,
-                    "clients": self._pending_clients,
-                }
-            )
-            self._pending_clients = []
-
-    def counts(self) -> "Counter[str]":
-        return Counter(e.kind for e in self.events)
-
-    def round_makespans(self) -> List[float]:
-        return [float(cast(float, r["makespan_s"])) for r in self.rounds]
-
-    def dispatch_count(self) -> int:
-        return sum(
-            1 for e in self.events if isinstance(e, ClientDispatched)
-        )
-
-    def aggregation_count(self) -> int:
-        return sum(
-            1 for e in self.events if isinstance(e, ModelAggregated)
-        )
-
-
-@contextmanager
-def record_telemetry(
-    path: Union[str, Path, None] = None,
-) -> Iterator[TelemetryAggregator]:
-    """Capture every engine event emitted while the context is active.
-
-    Installs a process-wide listener (every :class:`EventBus` forwards
-    to it), optionally streaming the raw events to ``path`` as JSON
-    lines, and yields an in-memory :class:`TelemetryAggregator`.
-    """
-    aggregator = TelemetryAggregator()
-    sink = JsonlSink(path) if path is not None else None
-    EventBus.add_global_listener(aggregator)
-    if sink is not None:
-        EventBus.add_global_listener(sink)
-    try:
-        yield aggregator
-    finally:
-        EventBus.remove_global_listener(aggregator)
-        if sink is not None:
-            EventBus.remove_global_listener(sink)
-            sink.close()

@@ -1,15 +1,11 @@
-"""Communication topologies for the round engine.
+"""Gossip graphs for server-less (D-PSGD) runs.
 
-Two shapes cover every mode in this repo:
-
-* :class:`StarTopology` — all clients talk to one aggregation point
-  (the parameter server of synchronous and asynchronous FL);
-* :class:`PeerGraph` — a connected gossip graph with a Metropolis-
-  Hastings doubly-stochastic mixing matrix (decentralized D-PSGD).
-
-The graph generators and the Metropolis weights moved here from
-``repro.federated.decentralized`` (which re-exports them) so topology
-construction lives next to the engine that consumes it.
+The sync round and the async driver talk to one parameter server and
+need no topology object. The decentralized driver does:
+:class:`PeerGraph` is a connected gossip graph with its Metropolis-
+Hastings doubly-stochastic mixing matrix, built by
+``repro.federated.DecentralizedSimulation`` (which re-exports the graph
+generator and the weights).
 """
 
 from __future__ import annotations
@@ -22,8 +18,6 @@ import numpy as np
 __all__ = [
     "make_topology",
     "metropolis_weights",
-    "Topology",
-    "StarTopology",
     "PeerGraph",
 ]
 
@@ -73,46 +67,8 @@ def metropolis_weights(graph: nx.Graph) -> np.ndarray:
     return w
 
 
-class Topology:
-    """Base class: who exchanges models with whom."""
-
-    kind: str = "topology"
-
-    @property
-    def n_nodes(self) -> int:
-        raise NotImplementedError
-
-    def neighbors(self, j: int) -> List[int]:
-        raise NotImplementedError
-
-
-class StarTopology(Topology):
-    """Server-centric topology: every client's only peer is the
-    aggregation point (represented as node ``-1``)."""
-
-    kind = "star"
-
-    SERVER = -1
-
-    def __init__(self, n_clients: int) -> None:
-        if n_clients < 1:
-            raise ValueError("need at least one client")
-        self._n = n_clients
-
-    @property
-    def n_nodes(self) -> int:
-        return self._n
-
-    def neighbors(self, j: int) -> List[int]:
-        if not 0 <= j < self._n:
-            raise IndexError(f"client {j} out of range")
-        return [self.SERVER]
-
-
-class PeerGraph(Topology):
+class PeerGraph:
     """Server-less topology over a connected gossip graph."""
-
-    kind = "peer_graph"
 
     def __init__(self, graph: nx.Graph) -> None:
         if not nx.is_connected(graph):

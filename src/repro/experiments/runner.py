@@ -4,12 +4,15 @@ Every experiment module in this package exposes ``run(...) ->
 ExperimentResult``; the result carries the rows/series the paper's
 corresponding table or figure reports, plus a plain-text formatter so
 benchmarks and examples can print paper-style output.
+:func:`summarize_telemetry` words the per-experiment telemetry note of
+``repro run --telemetry/--obs`` from two ``ObsRecorder.event_counts()``
+readings; nothing here folds or holds events.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 __all__ = ["ExperimentResult", "format_table", "summarize_telemetry"]
 
@@ -76,20 +79,19 @@ class ExperimentResult:
         return self.to_table()
 
 
-def summarize_telemetry(aggregator, since_event: int = 0) -> str:
-    """One-line summary of an engine telemetry capture.
+def summarize_telemetry(
+    after: Mapping[str, int], before: Mapping[str, int]
+) -> str:
+    """One-line summary of what one experiment added to a capture.
 
-    ``aggregator`` is a :class:`repro.engine.telemetry.TelemetryAggregator`;
-    ``since_event`` lets the CLI report per-experiment deltas when one
+    Both arguments are :meth:`repro.obs.ObsRecorder.event_counts`
+    readings of the same recorder, taken after and before the
+    experiment, so the CLI reports per-experiment deltas when one
     capture spans several experiments.
     """
-    events = aggregator.events[since_event:]
-    kinds = {}
-    for e in events:
-        kinds[e.kind] = kinds.get(e.kind, 0) + 1
-    rounds = kinds.get("round_completed", 0)
-    dispatches = kinds.get("client_dispatched", 0)
+    delta = {kind: n - before.get(kind, 0) for kind, n in after.items()}
     return (
-        f"telemetry: {len(events)} events "
-        f"({dispatches} dispatches, {rounds} rounds completed)"
+        f"telemetry: {sum(delta.values())} events "
+        f"({delta.get('client_dispatched', 0)} dispatches, "
+        f"{delta.get('round_completed', 0)} rounds completed)"
     )

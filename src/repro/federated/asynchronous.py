@@ -15,17 +15,23 @@ against the same device simulator:
   ``eta = base_mix / (1 + staleness)``);
 * the client then pulls the fresh global model and starts over.
 
-Execution is delegated to the shared :class:`repro.engine.RoundEngine`
-(async driver, :class:`~repro.engine.aggregation.StalenessWeighted`
-strategy): the event loop is a priority queue over completion times,
-and device thermal state persists across a client's successive epochs
-(sustained load — exactly the regime where stragglers throttle).
+This class *is* the async driver: it owns the server-side state
+(``version``, the applied ``updates``, what each client pulled and when)
+and the event loop, a priority queue over completion times. The shared
+:class:`repro.engine.RoundEngine` supplies the substrates — devices
+whose thermal state persists across a client's successive epochs
+(sustained load, exactly the regime where stragglers throttle), local
+SGD, the virtual clock and the event bus — through its client step
+(``client_compute``, ``train_client``, ``emit_dispatched``,
+``emit_finished``); the merge rule is
+:class:`~repro.engine.aggregation.StalenessWeighted`.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,8 +39,8 @@ from ..data.partition import UserData
 from ..data.synthetic import Dataset
 from ..device.device import MobileDevice
 from ..engine.aggregation import StalenessWeighted
-from ..engine.engine import AsyncUpdate, RoundEngine
-from ..engine.events import EventBus
+from ..engine.engine import RoundEngine
+from ..engine.events import EventBus, ModelAggregated
 from ..models.network import Sequential
 
 __all__ = ["AsyncConfig", "AsyncUpdate", "AsyncFederatedSimulation"]
@@ -80,9 +86,21 @@ class AsyncConfig:
         )
 
 
+@dataclass
+class AsyncUpdate:
+    """One applied asynchronous update."""
+
+    time_s: float
+    user_id: int
+    staleness: int
+    mix: float
+    accuracy: Optional[float]
+
+
 class AsyncFederatedSimulation:
-    """Event-driven asynchronous FL over simulated devices — a thin
-    façade over the shared engine's async driver."""
+    """Event-driven asynchronous FL over simulated devices: the server
+    state and the completion-time loop, over a shared engine's
+    substrates."""
 
     def __init__(
         self,
@@ -94,8 +112,7 @@ class AsyncFederatedSimulation:
     ) -> None:
         if len(devices) != len(users):
             raise ValueError("one device per user required")
-        active = [u for u in users if u.size > 0]
-        if not active:
+        if not any(u.size > 0 for u in users):
             raise ValueError("no user holds any data")
         self.config = config or AsyncConfig()
         cfg = self.config
@@ -103,39 +120,26 @@ class AsyncFederatedSimulation:
             dataset,
             model,
             users,
-            strategy=cfg.strategy(),
             devices=devices,
             batch_size=cfg.batch_size,
             lr=cfg.lr,
             momentum=cfg.momentum,
-            eval_every_updates=cfg.eval_every_updates,
             seed=cfg.seed,
         )
-
-    # -- engine views ----------------------------------------------------
-    @property
-    def dataset(self) -> Dataset:
-        return self.engine.dataset
-
-    @property
-    def model(self) -> Sequential:
-        return self.engine.model
-
-    @property
-    def users(self) -> List[UserData]:
-        return self.engine.users
-
-    @property
-    def devices(self) -> List[MobileDevice]:
-        return self.engine.devices
-
-    @property
-    def version(self) -> int:
-        return self.engine.version
-
-    @property
-    def updates(self) -> List[AsyncUpdate]:
-        return self.engine.updates
+        self.model = model
+        self.users = self.engine.users
+        self.devices = list(devices)
+        self.strategy = cfg.strategy()
+        #: global model version = number of updates applied so far
+        self.version = 0
+        self.updates: List[AsyncUpdate] = []
+        # per client, for the epoch in flight: the version and weights
+        # it pulled, when it started, and the energy the epoch drained
+        n = len(self.users)
+        self._pulled_version = [0] * n
+        self._start_weights: List[Optional[np.ndarray]] = [None] * n
+        self._epoch_start = [0.0] * n
+        self._epoch_energy = [0.0] * n
 
     @property
     def clock_s(self) -> float:
@@ -149,9 +153,64 @@ class AsyncFederatedSimulation:
     def _epoch_time(self, j: int) -> float:
         """Virtual seconds for user j's next local epoch (device state
         persists: continuous training heats the device)."""
-        return self.engine.epoch_time(j)
+        return self.engine.client_compute(j, epochs=1)[0]
 
-    # -- entry point -----------------------------------------------------
+    # -- the event loop --------------------------------------------------
+    def _start_epoch(self, j: int) -> float:
+        """User j pulls the global model and starts one local epoch;
+        returns the epoch's virtual duration."""
+        engine = self.engine
+        self._pulled_version[j] = self.version
+        self._start_weights[j] = self.model.get_weights()
+        self._epoch_start[j] = engine.clock_s
+        engine.emit_dispatched(self.version, j, self.users[j].size)
+        epoch_s, self._epoch_energy[j] = engine.client_compute(j, epochs=1)
+        return epoch_s
+
+    def _apply_update(self, j: int, time_s: float) -> AsyncUpdate:
+        """User j's epoch lands at ``time_s``: train from what it
+        pulled, merge with the staleness-decayed weight, narrate."""
+        engine = self.engine
+        start_weights = self._start_weights[j]
+        if start_weights is None:
+            raise RuntimeError(f"user {j} has no in-flight epoch to apply")
+        result = engine.train_client(j, start_weights, epochs=1)
+        staleness = self.version - self._pulled_version[j]
+        new, mix = self.strategy.merge(
+            self.model.get_weights(), result.weights, staleness
+        )
+        self.model.set_weights(new)
+        self.version += 1
+        accuracy = None
+        if self.version % self.config.eval_every_updates == 0:
+            accuracy = engine.final_accuracy()
+        update = AsyncUpdate(
+            time_s=time_s,
+            user_id=j,
+            staleness=staleness,
+            mix=mix,
+            accuracy=accuracy,
+        )
+        self.updates.append(update)
+        engine.emit_finished(
+            self.version,
+            j,
+            time_s - self._epoch_start[j],
+            0.0,
+            time_s,
+            self._epoch_energy[j],
+        )
+        engine.bus.emit(
+            ModelAggregated(
+                round_idx=self.version,
+                participants=(j,),
+                strategy=self.strategy.name,
+                version=self.version,
+                time_s=time_s,
+            )
+        )
+        return update
+
     def run(self, horizon_s: float) -> List[AsyncUpdate]:
         """Run the event loop until the virtual clock passes the horizon.
 
@@ -160,7 +219,28 @@ class AsyncFederatedSimulation:
         had not completed by the previous horizon are *restarted* (the
         scheduler re-pulls the current global model), not continued.
         """
-        return self.engine.run_async(horizon_s)
+        if horizon_s <= 0:
+            raise ValueError("horizon_s must be positive")
+        engine = self.engine
+        start_count = len(self.updates)
+        heap: List[Tuple[float, int]] = []
+        for j, user in enumerate(self.users):
+            if user.size == 0:
+                continue
+            finish = engine.clock_s + self._start_epoch(j)
+            heapq.heappush(heap, (finish, j))
+        end = engine.clock_s + horizon_s
+        while heap:
+            finish, j = heapq.heappop(heap)
+            if finish > end:
+                # Client finishes beyond the horizon; stop here.
+                engine.clock_s = end
+                break
+            engine.clock_s = finish
+            self._apply_update(j, finish)
+            next_finish = finish + self._start_epoch(j)
+            heapq.heappush(heap, (next_finish, j))
+        return self.updates[start_count:]
 
     def final_accuracy(self) -> float:
         return self.engine.final_accuracy()
@@ -168,4 +248,7 @@ class AsyncFederatedSimulation:
     def update_counts(self) -> np.ndarray:
         """Applied updates per user — fast devices dominate, the
         imbalance behind async's bias/divergence risk."""
-        return self.engine.update_counts()
+        counts = np.zeros(len(self.users), dtype=np.int64)
+        for u in self.updates:
+            counts[u.user_id] += 1
+        return counts

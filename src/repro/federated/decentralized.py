@@ -9,17 +9,21 @@ data-size schedules (Fed-LBAP / Fed-MinAvg allocations) plug in
 unchanged — scheduling and topology are orthogonal, which is precisely
 the amenability claim.
 
-Execution is delegated to the shared :class:`repro.engine.RoundEngine`
-(gossip driver, :class:`~repro.engine.aggregation.GossipAverage`
-strategy over a :class:`~repro.engine.topology.PeerGraph`); the graph
-generators and Metropolis weights live in
-:mod:`repro.engine.topology` and are re-exported here.
+This class *is* the gossip driver: it owns the per-node ``replicas``
+and the round (local SGD from each node's own replica, then one mixing
+step with :class:`~repro.engine.aggregation.GossipAverage` over a
+:class:`~repro.engine.topology.PeerGraph`). The shared
+:class:`repro.engine.RoundEngine` supplies data, local SGD and the event
+bus through its client step (``train_client``, ``emit_dispatched``,
+``emit_finished``). A peer graph has no simulated devices, so a gossip
+round takes no virtual time. The graph generators and Metropolis
+weights live in :mod:`repro.engine.topology` and are re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import networkx as nx
 import numpy as np
@@ -28,7 +32,8 @@ from ..data.partition import UserData
 from ..data.synthetic import Dataset
 from ..engine.aggregation import GossipAverage
 from ..engine.engine import RoundEngine
-from ..engine.events import EventBus
+from ..engine.events import EventBus, ModelAggregated, RoundCompleted
+from ..engine.execution import evaluate_accuracy
 from ..engine.topology import PeerGraph, make_topology, metropolis_weights
 from ..models.network import Sequential
 
@@ -79,37 +84,19 @@ class DecentralizedSimulation:
             dataset,
             model,
             users,
-            strategy=GossipAverage(topology.mixing),
-            topology=topology,
             batch_size=cfg.batch_size,
             local_epochs=cfg.local_epochs,
             lr=cfg.lr,
             momentum=cfg.momentum,
             seed=cfg.seed,
         )
-        self.engine.init_replicas()
-
-    # -- engine views ----------------------------------------------------
-    @property
-    def dataset(self) -> Dataset:
-        return self.engine.dataset
-
-    @property
-    def users(self) -> List[UserData]:
-        return self.engine.users
-
-    @property
-    def replicas(self) -> np.ndarray:
-        """One weight-vector row per node (mutable engine state)."""
-        return self.engine.replicas
-
-    @replicas.setter
-    def replicas(self, value: np.ndarray) -> None:
-        self.engine.replicas = value
-
-    @property
-    def round_idx(self) -> int:
-        return self.engine.round_idx
+        self.dataset = dataset
+        self.users = self.engine.users
+        self._gossip = GossipAverage(topology.mixing)
+        self._scratch = model.clone()
+        #: one weight-vector row per node, all cloned from the seed model
+        self.replicas = np.tile(model.get_weights(), (len(self.users), 1))
+        self.round_idx = 0
 
     @property
     def events(self) -> EventBus:
@@ -119,7 +106,38 @@ class DecentralizedSimulation:
     # -- entry points ----------------------------------------------------
     def run_round(self) -> None:
         """One decentralized round: local SGD then one gossip step."""
-        self.engine.run_gossip_round()
+        engine = self.engine
+        round_idx = self.round_idx + 1
+        trained = [j for j, u in enumerate(self.users) if u.size > 0]
+        for j in trained:
+            engine.emit_dispatched(round_idx, j, self.users[j].size)
+            result = engine.train_client(
+                j, self.replicas[j], epochs=self.config.local_epochs
+            )
+            self.replicas[j] = result.weights
+            engine.emit_finished(round_idx, j, 0.0, 0.0, engine.clock_s, None)
+        # Gossip: every replica mixes with its neighbours.
+        self.replicas = self._gossip.mix(self.replicas)
+        self.round_idx = round_idx
+        engine.bus.emit(
+            ModelAggregated(
+                round_idx=round_idx,
+                participants=tuple(trained),
+                strategy=self._gossip.name,
+                version=round_idx,
+                time_s=engine.clock_s,
+            )
+        )
+        engine.bus.emit(
+            RoundCompleted(
+                round_idx=round_idx,
+                makespan_s=0.0,
+                mean_time_s=0.0,
+                participant_count=len(trained),
+                accuracy=None,
+                time_s=engine.clock_s,
+            )
+        )
 
     def run(self, n_rounds: int) -> None:
         if n_rounds <= 0:
@@ -130,11 +148,15 @@ class DecentralizedSimulation:
     def consensus_distance(self) -> float:
         """Mean L2 distance of replicas from their average — 0 at full
         consensus."""
-        return self.engine.consensus_distance()
+        mean = self.replicas.mean(axis=0)
+        return float(np.linalg.norm(self.replicas - mean, axis=1).mean())
 
     def node_accuracy(self, j: int) -> float:
         """Test accuracy of one node's replica."""
-        return self.engine.replica_accuracy(j)
+        self._scratch.set_weights(self.replicas[j])
+        return evaluate_accuracy(
+            self._scratch, self.dataset.x_test, self.dataset.y_test
+        )
 
     def mean_accuracy(self) -> float:
         """Average test accuracy over all node replicas."""

@@ -16,10 +16,11 @@ local epoch per round; the server waits for the slowest participant
 (synchronous FedAvg), so the round's wall time is the makespan; faster
 devices idle (and cool down) until the next round starts.
 
-Execution is delegated to the shared :class:`repro.engine.RoundEngine`
-(sync driver, :class:`~repro.engine.aggregation.SyncFedAvg` strategy,
-star topology); this class is a thin façade preserving the historical
-API. Subscribe to ``sim.events`` for the typed event stream.
+The round itself is :meth:`repro.engine.RoundEngine.run_sync_round`
+(:class:`~repro.engine.aggregation.SyncFedAvg` strategy); this class
+configures an engine, binds a :class:`ParameterServer` to it and
+preserves the historical API. Subscribe to ``sim.events`` for the typed
+event stream.
 """
 
 from __future__ import annotations

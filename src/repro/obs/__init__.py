@@ -37,7 +37,12 @@ from .metrics import (
     metric_spec,
     register_metric,
 )
-from .recorder import ObsRecorder, RoundSummary, observe_engine
+from .recorder import (
+    ObsRecorder,
+    RoundSummary,
+    observe_engine,
+    record_telemetry,
+)
 from .spans import Span, SpanBuilder, spans_from_events
 
 __all__ = [
@@ -58,6 +63,7 @@ __all__ = [
     "ObsRecorder",
     "RoundSummary",
     "observe_engine",
+    "record_telemetry",
     "render_summary",
     "render_prometheus",
     "render_trace_json",

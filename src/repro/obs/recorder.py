@@ -51,7 +51,7 @@ from ..engine.events import (
     ScheduleComputed,
     event_from_dict,
 )
-from ..engine.telemetry import read_jsonl_meta
+from ..engine.telemetry import JsonlSink, read_jsonl_meta
 from . import catalog
 from .energy import EnergyLedger
 from .metrics import MetricRegistry
@@ -61,7 +61,12 @@ from .spans import Span, SpanBuilder
 if TYPE_CHECKING:
     from ..engine.engine import RoundEngine
 
-__all__ = ["RoundSummary", "ObsRecorder", "observe_engine"]
+__all__ = [
+    "RoundSummary",
+    "ObsRecorder",
+    "observe_engine",
+    "record_telemetry",
+]
 
 
 class RoundSummary:
@@ -347,3 +352,29 @@ def observe_engine(
         yield recorder
     finally:
         unsubscribe()
+
+
+@contextmanager
+def record_telemetry(
+    path: Union[str, Path, None] = None,
+) -> Iterator[ObsRecorder]:
+    """Capture every engine event emitted while the context is active.
+
+    The process-wide twin of :func:`observe_engine`: every
+    :class:`EventBus` forwards to the yielded metric-only recorder, so
+    experiments that build their simulations internally are captured
+    too; ``path`` additionally streams the raw events there as JSON
+    lines. The sink is closed on exit, also when the body raises.
+    """
+    recorder = ObsRecorder(trace=False)
+    sink = JsonlSink(path) if path is not None else None
+    EventBus.add_global_listener(recorder)
+    if sink is not None:
+        EventBus.add_global_listener(sink)
+    try:
+        yield recorder
+    finally:
+        EventBus.remove_global_listener(recorder)
+        if sink is not None:
+            EventBus.remove_global_listener(sink)
+            sink.close()

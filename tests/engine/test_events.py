@@ -23,6 +23,12 @@ from repro.engine import (
 )
 from repro.engine import events as events_module
 from repro.engine.events import EngineEvent
+from repro.federated import (
+    AsyncFederatedSimulation,
+    AsyncUpdate,
+    DecentralizedSimulation,
+    make_topology,
+)
 from repro.federated.dropout import DropoutPolicy
 from repro.federated.simulation import FederatedSimulation, SimulationConfig
 from repro.models import logistic
@@ -119,6 +125,105 @@ class TestGoldenSequence:
         dropped = [e for e in events if isinstance(e, ClientDropped)]
         assert [e.client_id for e in dropped] == [2]
         assert record.participant_count == 2
+
+    def test_two_phones_async(self, tiny_dataset):
+        """The async loop's order: every client is dispatched up front,
+        then each applied update is finish, merge, re-dispatch for one
+        client, stamped with the model version it produced."""
+        users = iid_partition(tiny_dataset, 2, np.random.default_rng(0))
+        devices = [
+            make_device(n, jitter=0.0, seed=i)
+            for i, n in enumerate(("pixel2", "nexus6p"))
+        ]
+        model = logistic(input_shape=tiny_dataset.input_shape, seed=1)
+        sim = AsyncFederatedSimulation(tiny_dataset, model, users, devices)
+        events = []
+        sim.events.subscribe(events.append)
+        updates = sim.run(60.0)
+
+        assert len(updates) >= 3
+        assert sim.version == len(sim.updates) == len(updates)
+        assert all(isinstance(u, AsyncUpdate) for u in updates)
+        # the stream opens with both clients pulling version 0
+        assert [(e.kind, e.round_idx, e.client_id) for e in events[:2]] == [
+            ("client_dispatched", 0, 0),
+            ("client_dispatched", 0, 1),
+        ]
+        assert len(events) == 2 + 3 * len(updates)
+        last_dispatch = {e.client_id: e.time_s for e in events[:2]}
+        finish_times = []
+        for version, update in enumerate(updates, start=1):
+            finished, merged, pulled = events[3 * version - 1:][:3]
+            assert [e.kind for e in (finished, merged, pulled)] == [
+                "client_finished",
+                "model_aggregated",
+                "client_dispatched",
+            ]
+            j = update.user_id
+            assert finished.client_id == pulled.client_id == j
+            assert merged.participants == (j,)
+            assert merged.strategy == "fedasync"
+            assert (
+                finished.round_idx
+                == merged.round_idx
+                == merged.version
+                == pulled.round_idx
+                == version
+            )
+            assert finished.time_s == merged.time_s == update.time_s
+            assert finished.comm_s == 0.0
+            assert finished.compute_s == finished.total_s
+            assert finished.compute_s == finished.time_s - last_dispatch[j]
+            last_dispatch[j] = pulled.time_s
+            finish_times.append(finished.time_s)
+        assert finish_times == sorted(finish_times)
+
+        # a second run() restarts every in-flight epoch: both clients
+        # re-pull the current version before anything else happens
+        seen, version = len(events), sim.version
+        sim.run(10.0)
+        assert [
+            (e.kind, e.round_idx, e.client_id) for e in events[seen:seen + 2]
+        ] == [
+            ("client_dispatched", version, 0),
+            ("client_dispatched", version, 1),
+        ]
+
+    def test_ring_of_three_gossip(self, tiny_dataset):
+        """The gossip round's order: every node trains in turn, then one
+        mixing step and the round record; no devices, so no time."""
+        users = iid_partition(tiny_dataset, 3, np.random.default_rng(0))
+        model = logistic(input_shape=tiny_dataset.input_shape, seed=1)
+        sim = DecentralizedSimulation(
+            tiny_dataset, model, users, make_topology("ring", 3)
+        )
+        events = []
+        sim.events.subscribe(events.append)
+        sim.run(2)
+
+        per_round = [
+            ("client_dispatched", 0),
+            ("client_finished", 0),
+            ("client_dispatched", 1),
+            ("client_finished", 1),
+            ("client_dispatched", 2),
+            ("client_finished", 2),
+            ("model_aggregated", None),
+            ("round_completed", None),
+        ]
+        assert [
+            (e.kind, getattr(e, "client_id", None)) for e in events
+        ] == per_round + per_round
+        assert [e.round_idx for e in events] == [1] * 8 + [2] * 8
+        mixed = [e for e in events if isinstance(e, ModelAggregated)]
+        assert all(e.strategy == "gossip" for e in mixed)
+        assert all(e.participants == (0, 1, 2) for e in mixed)
+        assert [e.version for e in mixed] == [1, 2]
+        done = [e for e in events if isinstance(e, RoundCompleted)]
+        assert all(e.makespan_s == 0.0 for e in done)
+        assert all(e.accuracy is None for e in done)
+        assert all(e.participant_count == 3 for e in done)
+        assert sim.round_idx == 2
 
 
 class TestEventPayloads:

@@ -1,4 +1,5 @@
-"""Telemetry-layer tests: JSON-lines sink, aggregator, global capture."""
+"""Telemetry-layer tests: JSON-lines sink, the recorder as the one fold
+over a live bus, global capture."""
 
 import json
 
@@ -11,10 +12,8 @@ from repro.engine.events import ClientDropped, EventBus, RoundCompleted
 from repro.engine.telemetry import (
     TELEMETRY_SCHEMA_VERSION,
     JsonlSink,
-    TelemetryAggregator,
     read_jsonl,
     read_jsonl_meta,
-    record_telemetry,
 )
 from repro.federated.asynchronous import AsyncConfig, AsyncFederatedSimulation
 from repro.federated.decentralized import (
@@ -23,6 +22,7 @@ from repro.federated.decentralized import (
 )
 from repro.federated.simulation import FederatedSimulation, SimulationConfig
 from repro.models import logistic
+from repro.obs import ObsRecorder, record_telemetry
 
 
 def make_sync_sim(dataset, n_users=3, with_devices=True, **cfg_kw):
@@ -85,36 +85,39 @@ class TestJsonlSink:
 class TestAggregator:
     def test_round_records_structure(self, tiny_dataset):
         sim = make_sync_sim(tiny_dataset, eval_every=1)
-        agg = TelemetryAggregator()
-        sim.events.subscribe(agg)
+        rec = ObsRecorder(trace=False)
+        sim.events.subscribe(rec)
         sim.run(2)
-        assert len(agg.rounds) == 2
-        first = agg.rounds[0]
-        assert first["round"] == 1
-        assert first["participant_count"] == 3
-        assert len(first["clients"]) == 3
-        assert all(not c["dropped"] for c in first["clients"])
-        assert first["accuracy"] is not None
+        assert len(rec.rounds) == 2
+        first = rec.rounds[0]
+        assert first.round_idx == 1
+        assert first.participants == 3
+        assert first.dropped == 0
+        assert first.accuracy is not None
+        clients = rec.energy.by_client()
+        assert [c.client_id for c in clients] == [0, 1, 2]
+        assert all(c.rounds == 2 and c.dropped == 0 for c in clients)
 
     def test_makespans_match_history(self, tiny_dataset):
         sim = make_sync_sim(tiny_dataset)
-        agg = TelemetryAggregator()
-        sim.events.subscribe(agg)
+        rec = ObsRecorder(trace=False)
+        sim.events.subscribe(rec)
         history = sim.run(2, train=False)
-        assert agg.round_makespans() == pytest.approx(
+        assert [r.makespan_s for r in rec.rounds] == pytest.approx(
             history.makespans()
         )
 
     def test_counts_by_kind(self, tiny_dataset):
         sim = make_sync_sim(tiny_dataset, n_users=2)
-        agg = TelemetryAggregator()
-        sim.events.subscribe(agg)
+        rec = ObsRecorder(trace=False)
+        sim.events.subscribe(rec)
         sim.run(2)
-        counts = agg.counts()
+        counts = rec.event_counts()
         assert counts["client_dispatched"] == 4
         assert counts["client_finished"] == 4
         assert counts["model_aggregated"] == 2
         assert counts["round_completed"] == 2
+        assert rec.n_events == 12
 
 
 class TestGlobalCapture:
@@ -124,22 +127,23 @@ class TestGlobalCapture:
         """Engines built inside the context are captured without any
         explicit subscription — the CLI's --telemetry path."""
         path = tmp_path / "captured.jsonl"
-        with record_telemetry(str(path)) as agg:
+        with record_telemetry(str(path)) as rec:
             sim = make_sync_sim(tiny_dataset, n_users=2)
             sim.run(2, train=False)
-        assert agg.counts()["round_completed"] == 2
+        assert rec.event_counts()["round_completed"] == 2
         events = read_jsonl(path)
         assert [
             e["event"] for e in events
         ].count("round_completed") == 2
 
     def test_capture_stops_after_context(self, tiny_dataset):
-        with record_telemetry() as agg:
+        with record_telemetry() as rec:
             sim = make_sync_sim(tiny_dataset, n_users=2)
             sim.run_round(train=False)
-        seen = len(agg.events)
+        seen = rec.n_events
+        assert seen > 0
         sim.run_round(train=False)
-        assert len(agg.events) == seen
+        assert rec.n_events == seen
 
 
 class TestOtherModes:
@@ -154,10 +158,10 @@ class TestOtherModes:
             tiny_dataset, model, users, devices,
             config=AsyncConfig(lr=0.05),
         )
-        agg = TelemetryAggregator()
-        sim.events.subscribe(agg)
+        rec = ObsRecorder(trace=False)
+        sim.events.subscribe(rec)
         updates = sim.run(horizon_s=60.0)
-        counts = agg.counts()
+        counts = rec.event_counts()
         assert counts["model_aggregated"] == len(updates)
         assert counts["client_finished"] == len(updates)
         # every client pull is narrated, including unfinished ones
@@ -170,25 +174,24 @@ class TestOtherModes:
         sim = DecentralizedSimulation(
             tiny_dataset, model, users, make_topology("ring", 3)
         )
-        agg = TelemetryAggregator()
-        sim.events.subscribe(agg)
+        rec = ObsRecorder(trace=False)
+        sim.events.subscribe(rec)
         sim.run(2)
-        counts = agg.counts()
+        counts = rec.event_counts()
         assert counts["round_completed"] == 2
         assert counts["client_dispatched"] == 6
-        assert all(
-            r["participant_count"] == 3 for r in agg.rounds
-        )
+        assert [r.participants for r in rec.rounds] == [3, 3]
 
 
 class TestDroppedWithoutFinish:
     """Regression: a ``client_dropped`` with no preceding
-    ``client_finished`` must still yield a client row."""
+    ``client_finished`` must still yield a client row (the ledger keeps
+    the drop; the drop's ``total_s`` lives on the event and its span)."""
 
     def test_dropped_only_client_gets_a_row(self):
-        agg = TelemetryAggregator()
-        agg(ClientDropped(round_idx=1, client_id=5, total_s=9.0, time_s=9.0))
-        agg(
+        rec = ObsRecorder(trace=False)
+        rec(ClientDropped(round_idx=1, client_id=5, total_s=9.0, time_s=9.0))
+        rec(
             RoundCompleted(
                 round_idx=1,
                 makespan_s=9.0,
@@ -198,13 +201,14 @@ class TestDroppedWithoutFinish:
                 time_s=9.0,
             )
         )
-        (record,) = agg.rounds
-        (row,) = record["clients"]
-        assert row["client"] == 5
-        assert row["dropped"] is True
-        assert row["total_s"] == pytest.approx(9.0)
-        assert row["compute_s"] is None
-        assert row["comm_s"] is None
+        (record,) = rec.rounds
+        assert record.dropped == 1
+        assert record.participants == 0
+        (row,) = rec.energy.by_client()
+        assert row is rec.energy.clients[5]
+        assert row.dropped == 1
+        assert row.rounds == 0
+        assert row.busy_s == 0
 
 
 class TestSchemaHeaderAndCorruptLines:
@@ -268,15 +272,15 @@ class TestRecordTelemetryLifecycle:
         )
 
     def test_nested_contexts_do_not_double_record(self, tiny_dataset):
-        """Each aggregator sees each event once, nesting or not."""
+        """Each recorder sees each event once, nesting or not."""
         with record_telemetry() as outer:
             with record_telemetry() as inner:
                 sim = make_sync_sim(
                     tiny_dataset, n_users=2, with_devices=False
                 )
                 sim.run_round(train=False)
-            inner_counts = inner.counts()
-        outer_counts = outer.counts()
+            inner_counts = inner.event_counts()
+        outer_counts = outer.event_counts()
         assert inner_counts["round_completed"] == 1
         assert outer_counts == inner_counts
 
@@ -285,16 +289,17 @@ class TestMembershipAttribution:
     """Regression: churn between rounds must not leak into round rows.
 
     A ``DeviceJoined``/``DeviceLost`` landing after round N completes
-    used to sit in ``_pending_clients`` purgatory and would have been
-    swept into round N+1's ``clients`` — membership now accumulates in
-    the separate ``membership`` list and never becomes a client row.
+    must not be swept into round N+1's client rows — the recorder
+    tallies membership on its own counters (and, with tracing on, as
+    run-level span instants carrying the ``reason``) and never opens a
+    ledger row for it.
     """
 
-    def _round(self, agg, round_idx, clients):
+    def _round(self, rec, round_idx, clients):
         from repro.engine.events import ClientFinished
 
         for c in clients:
-            agg(
+            rec(
                 ClientFinished(
                     round_idx=round_idx,
                     client_id=c,
@@ -304,7 +309,7 @@ class TestMembershipAttribution:
                     time_s=1.5,
                 )
             )
-        agg(
+        rec(
             RoundCompleted(
                 round_idx=round_idx,
                 makespan_s=1.5,
@@ -318,36 +323,36 @@ class TestMembershipAttribution:
     def test_out_of_round_event_is_not_a_client_row(self):
         from repro.engine.events import DeviceJoined, DeviceLost
 
-        agg = TelemetryAggregator()
-        self._round(agg, 1, [0, 1])
+        rec = ObsRecorder(trace=False)
+        self._round(rec, 1, [0, 1])
+        assert sorted(rec.energy.clients) == [0, 1]
         # between rounds: one join, one timeout loss
-        agg(DeviceJoined(device_id="d9", client_id=9, time_s=100.0))
-        agg(
+        rec(DeviceJoined(device_id="d9", client_id=9, time_s=100.0))
+        rec(
             DeviceLost(
                 device_id="d0", client_id=0,
                 reason="timeout", time_s=101.0,
             )
         )
-        self._round(agg, 2, [1, 9])
-        # neither round's client rows mention the churned identities
-        # as membership rows — client 9's *training* row in round 2 is
-        # legitimate, the join instant itself is not a row anywhere
-        assert [r["round"] for r in agg.rounds] == [1, 2]
-        assert [c["client"] for c in agg.rounds[0]["clients"]] == [0, 1]
-        assert [c["client"] for c in agg.rounds[1]["clients"]] == [1, 9]
-        assert all(
-            set(c) >= {"client", "compute_s", "dropped"}
-            for r in agg.rounds
-            for c in r["clients"]
-        )
-        # the churn is preserved, structured, in its own stream
-        assert [m["event"] for m in agg.membership] == [
-            "device_joined",
-            "device_lost",
-        ]
-        assert agg.membership[1]["reason"] == "timeout"
-        assert agg.counts()["device_joined"] == 1
-        assert agg.counts()["device_lost"] == 1
+        # the join instant opened no ledger row and moved no round
+        assert sorted(rec.energy.clients) == [0, 1]
+        assert [r.round_idx for r in rec.rounds] == [1]
+        self._round(rec, 2, [1, 9])
+        # client 9's *training* row in round 2 is legitimate, and is
+        # the only thing its ledger row counts; the loss of client 0
+        # neither drops it nor adds a round to it
+        assert [r.round_idx for r in rec.rounds] == [1, 2]
+        assert [r.participants for r in rec.rounds] == [2, 2]
+        assert sorted(rec.energy.clients) == [0, 1, 9]
+        assert rec.energy.clients[9].rounds == 1
+        assert rec.energy.clients[0].rounds == 1
+        assert rec.energy.clients[0].dropped == 0
+        assert rec.energy.clients[1].rounds == 2
+        # the churn is preserved in its own tallies
+        assert rec.device_joins == 1
+        assert rec.device_losses == 1
+        assert rec.event_counts()["device_joined"] == 1
+        assert rec.event_counts()["device_lost"] == 1
 
     def test_membership_events_survive_the_jsonl_round_trip(
         self, tmp_path

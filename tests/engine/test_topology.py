@@ -1,4 +1,4 @@
-"""Topology-object tests (graph generators are covered in
+"""Gossip-graph object tests (graph generators are covered in
 tests/federated/test_decentralized.py via the re-exports)."""
 
 import numpy as np
@@ -6,24 +6,9 @@ import pytest
 
 from repro.engine.topology import (
     PeerGraph,
-    StarTopology,
     make_topology,
     metropolis_weights,
 )
-
-
-class TestStarTopology:
-    def test_every_client_talks_to_server(self):
-        star = StarTopology(4)
-        assert star.n_nodes == 4
-        for j in range(4):
-            assert star.neighbors(j) == [StarTopology.SERVER]
-
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            StarTopology(0)
-        with pytest.raises(IndexError):
-            StarTopology(2).neighbors(2)
 
 
 class TestPeerGraph:

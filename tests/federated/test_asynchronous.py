@@ -77,6 +77,30 @@ class TestAsyncSimulation:
         with pytest.raises(ValueError):
             sim.run(horizon_s=0.0)
 
+    @pytest.mark.parametrize(
+        "cfg_kw,message",
+        [
+            ({"batch_size": 0}, "batch_size and local_epochs"),
+            ({"batch_size": -5}, "batch_size and local_epochs"),
+            ({"lr": 0.0}, "lr must be positive"),
+            ({"lr": -0.1}, "lr must be positive"),
+        ],
+    )
+    def test_bad_hyperparameters_fail_at_construction(
+        self, tiny_dataset, cfg_kw, message
+    ):
+        """What SimulationConfig rejects, the async simulation rejects
+        too — before any device has run (and drained) an epoch."""
+        devices = [make_device("pixel2", jitter=0.0) for _ in range(2)]
+        users = iid_partition(tiny_dataset, 2, np.random.default_rng(0))
+        model = logistic(input_shape=tiny_dataset.input_shape, seed=1)
+        with pytest.raises(ValueError, match=message):
+            AsyncFederatedSimulation(
+                tiny_dataset, model, users, devices,
+                config=AsyncConfig(**cfg_kw),
+            )
+        assert all(d.battery.soc == 1.0 for d in devices)
+
 
 class TestSyncVsAsync:
     def test_async_no_barrier_more_updates_than_rounds(self, tiny_dataset):

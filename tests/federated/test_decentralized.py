@@ -117,3 +117,26 @@ class TestDecentralizedSimulation:
         sim = self.make_sim(tiny_dataset)
         with pytest.raises(ValueError):
             sim.run(0)
+
+    @pytest.mark.parametrize(
+        "cfg_kw,message",
+        [
+            ({"local_epochs": 0}, "batch_size and local_epochs"),
+            ({"batch_size": 0}, "batch_size and local_epochs"),
+            ({"lr": 0.0}, "lr must be positive"),
+            ({"lr": -1.0}, "lr must be positive"),
+        ],
+    )
+    def test_bad_hyperparameters_fail_at_construction(
+        self, tiny_dataset, cfg_kw, message
+    ):
+        """What SimulationConfig rejects, the gossip simulation rejects
+        too — not in round 1, and not by narrating rounds that train
+        nothing."""
+        users = iid_partition(tiny_dataset, 3, np.random.default_rng(0))
+        model = logistic(input_shape=tiny_dataset.input_shape, seed=1)
+        with pytest.raises(ValueError, match=message):
+            DecentralizedSimulation(
+                tiny_dataset, model, users, make_topology("ring", 3),
+                config=DecentralizedConfig(**cfg_kw),
+            )

@@ -81,46 +81,47 @@ class TestParser:
         )
 
 
+@pytest.fixture()
+def stub_experiment(tiny_dataset, monkeypatch):
+    """A fast fake experiment that drives a real FederatedSimulation,
+    so --telemetry exercises the genuine global-bus wiring."""
+    import numpy as np
+
+    import repro.cli as cli
+    from repro.data.partition import iid_partition
+    from repro.device.registry import make_device
+    from repro.experiments.runner import ExperimentResult
+    from repro.federated.simulation import FederatedSimulation
+    from repro.models import logistic
+
+    class _Stub:
+        @staticmethod
+        def run():
+            rng = np.random.default_rng(0)
+            users = iid_partition(tiny_dataset, 2, rng)
+            devices = [
+                make_device("pixel2", jitter=0.0) for _ in range(2)
+            ]
+            model = logistic(
+                input_shape=tiny_dataset.input_shape, seed=1
+            )
+            sim = FederatedSimulation(
+                tiny_dataset, model, users, devices=devices
+            )
+            sim.run(2, train=False)
+            result = ExperimentResult(
+                name="stub",
+                description="tiny event-stream fixture",
+                columns=["rounds"],
+            )
+            result.add_row(rounds=2)
+            return result
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "stub", _Stub)
+    return _Stub
+
+
 class TestTelemetryFlag:
-    @pytest.fixture()
-    def stub_experiment(self, tiny_dataset, monkeypatch):
-        """A fast fake experiment that drives a real FederatedSimulation,
-        so --telemetry exercises the genuine global-bus wiring."""
-        import numpy as np
-
-        import repro.cli as cli
-        from repro.data.partition import iid_partition
-        from repro.device.registry import make_device
-        from repro.experiments.runner import ExperimentResult
-        from repro.federated.simulation import FederatedSimulation
-        from repro.models import logistic
-
-        class _Stub:
-            @staticmethod
-            def run():
-                rng = np.random.default_rng(0)
-                users = iid_partition(tiny_dataset, 2, rng)
-                devices = [
-                    make_device("pixel2", jitter=0.0) for _ in range(2)
-                ]
-                model = logistic(
-                    input_shape=tiny_dataset.input_shape, seed=1
-                )
-                sim = FederatedSimulation(
-                    tiny_dataset, model, users, devices=devices
-                )
-                sim.run(2, train=False)
-                result = ExperimentResult(
-                    name="stub",
-                    description="tiny event-stream fixture",
-                    columns=["rounds"],
-                )
-                result.add_row(rounds=2)
-                return result
-
-        monkeypatch.setitem(cli.EXPERIMENTS, "stub", _Stub)
-        return _Stub
-
     def test_run_with_telemetry_writes_jsonl(
         self, stub_experiment, tmp_path, capsys
     ):
@@ -362,47 +363,37 @@ class TestObsCommands:
         assert "client 0" in names
 
     def test_run_with_obs_flag_prints_dashboard(
-        self, tmp_path, capsys, monkeypatch, tiny_dataset
+        self, stub_experiment, tmp_path, capsys
     ):
         """--obs alone (no --telemetry) captures and summarises."""
-        import numpy as np
-
-        import repro.cli as cli
-        from repro.data.partition import iid_partition
-        from repro.device.registry import make_device
-        from repro.experiments.runner import ExperimentResult
-        from repro.federated.simulation import FederatedSimulation
-        from repro.models import logistic
-
-        class _Stub:
-            @staticmethod
-            def run():
-                rng = np.random.default_rng(0)
-                users = iid_partition(tiny_dataset, 2, rng)
-                devices = [
-                    make_device("pixel2", jitter=0.0) for _ in range(2)
-                ]
-                model = logistic(
-                    input_shape=tiny_dataset.input_shape, seed=1
-                )
-                sim = FederatedSimulation(
-                    tiny_dataset, model, users, devices=devices
-                )
-                sim.run(2, train=False)
-                result = ExperimentResult(
-                    name="stub",
-                    description="tiny event-stream fixture",
-                    columns=["rounds"],
-                )
-                result.add_row(rounds=2)
-                return result
-
-        monkeypatch.setitem(cli.EXPERIMENTS, "stub", _Stub)
         assert main(["run", "stub", "--obs"]) == 0
         out = capsys.readouterr().out
         assert "== run ==" in out
         assert "rounds: 2" in out
         assert list(tmp_path.iterdir()) == []  # no file side effects
+
+    def test_run_obs_dashboard_is_the_fold_of_what_the_sink_wrote(
+        self, stub_experiment, tmp_path, capsys
+    ):
+        """--obs renders the recorder that folded the run live; replaying
+        the --telemetry file offline must give the same dashboard, so a
+        buffered second fold cannot come back and drift unnoticed."""
+        from repro.obs import ObsRecorder, render_summary
+
+        path = tmp_path / "run.jsonl"
+        assert (
+            main(["run", "stub", "--obs", "--telemetry", str(path)]) == 0
+        )
+        out = capsys.readouterr().out
+        live = out[out.index("== run =="):]
+        offline = render_summary(ObsRecorder.from_jsonl(path, trace=False))
+        assert "== rounds ==" in live and "== clients ==" in live
+        # the offline path alone knows the file's schema header
+        assert live.splitlines() == [
+            line
+            for line in offline.splitlines()
+            if not line.startswith("telemetry schema:")
+        ]
 
 
 class TestFleetCommands:

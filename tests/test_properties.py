@@ -241,9 +241,9 @@ class TestTelemetryProperties:
         exactly the ConvergenceHistory's makespans."""
         from repro.data.partition import iid_partition
         from repro.device.registry import DEVICE_NAMES, make_device
-        from repro.engine.telemetry import TelemetryAggregator
         from repro.federated.simulation import FederatedSimulation
         from repro.models import logistic
+        from repro.obs import ObsRecorder
 
         rng = np.random.default_rng(seed)
         users = iid_partition(tiny_dataset, n_users, rng)
@@ -256,15 +256,17 @@ class TestTelemetryProperties:
         sim = FederatedSimulation(
             tiny_dataset, model, users, devices=devices
         )
-        agg = TelemetryAggregator()
-        sim.events.subscribe(agg)
+        rec = ObsRecorder(trace=False)
+        sim.events.subscribe(rec)
         history = sim.run(n_rounds, train=False)
 
-        assert agg.round_makespans() == pytest.approx(
+        assert [r.makespan_s for r in rec.rounds] == pytest.approx(
             history.makespans()
         )
-        assert len(agg.rounds) == n_rounds
-        assert agg.dispatch_count() == n_users * n_rounds
+        assert len(rec.rounds) == n_rounds
+        assert (
+            rec.event_counts()["client_dispatched"] == n_users * n_rounds
+        )
 
 
 class TestDeviceProperties:

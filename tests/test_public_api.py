@@ -18,11 +18,7 @@ from repro.core.cost import curves_from_profiles
 from repro.core.schedule import RoundCost
 from repro.device.registry import COLD_RATE_ANCHORS, DEVICE_NAMES
 from repro.device.thermal import ThrottleDecision
-from repro.engine.engine import (
-    ParameterServerLike,
-    SchedulerBindingLike,
-    SupportsMix,
-)
+from repro.engine.engine import ParameterServerLike, SchedulerBindingLike
 from repro.engine.telemetry import TelemetryRead, read_jsonl_meta
 from repro.experiments.table4 import PARAM_POINTS
 from repro.models.flops import (
@@ -105,14 +101,6 @@ def test_engine_protocols_describe_the_driver_contract():
         hasattr(ParameterServerLike, "global_weights")
     )
     assert hasattr(SchedulerBindingLike, "plan_round")
-
-    class Mixer:
-        name = "gossip"
-
-        def mix(self, replicas):
-            return replicas
-
-    assert isinstance(Mixer(), SupportsMix)
 
 
 def test_telemetry_read_shape(tmp_path):
