@@ -7,7 +7,7 @@ The package has four layers:
   ``class_id``) plus object views that keep the legacy per-client
   interfaces working, bit-identically;
 * :mod:`repro.fleet.sampling` — seeded per-round cohort samplers
-  (uniform and data-size-biased Gumbel-top-k);
+  (uniform: k smallest uniforms; data-size-biased: Gumbel-top-k);
 * :mod:`repro.fleet.round` — the one columnar round core (plan →
   dispatch → close) that the fleet runner and the serve coordinator
   drive;

@@ -250,10 +250,11 @@ class RoundCore:
                     )
                 )
         # survivors idle out the barrier slack (dead rows drain nothing)
-        wait_s = makespan_s - total_s + self.aggregation_s
-        waiting = np.flatnonzero(wait_s > 0)
-        if waiting.size:
-            self.fleet.idle(rows[waiting], wait_s[waiting])
+        with PROFILER.phase("idle"):
+            wait_s = makespan_s - total_s + self.aggregation_s
+            waiting = np.flatnonzero(wait_s > 0)
+            if waiting.size:
+                self.fleet.idle(rows[waiting], wait_s[waiting])
         round_s = makespan_s + self.aggregation_s
         closed = ClosedRound(
             completed=rows,

@@ -3,8 +3,12 @@
 :class:`FleetRunner` drives scheduler-planned FedAvg-style rounds over
 a :class:`~repro.fleet.store.FleetStore` population — eligibility,
 cohort sampling, cost-matrix generation, solving, battery drain and
-idle accounting are all vectorized array operations, so a full round
-over 10⁶ simulated devices costs milliseconds of host time.
+idle accounting are all vectorized array operations. A round is still
+O(n) in the population — the eligibility scan, one uniform per
+eligible row for the draw and the bystanders' drain each pass over
+every row — so at n = 10⁶ with a 512-device cohort it costs ~25 ms of
+host time (perfbench's ``fleet-1m``), a third of it the cohort's cost
+matrices and the rest those passes.
 
 The round itself is :class:`~repro.fleet.round.RoundCore`'s plan →
 dispatch → close, called back to back (nothing can die in between, so
@@ -125,10 +129,13 @@ class FleetRunner:
     def _draw_cohort(self, eligible: np.ndarray) -> np.ndarray:
         if self.sampler is None or self.core.cohort_size is None:
             return eligible
+        data_size = (
+            self.fleet.data_size[eligible]
+            if self.sampler.uses_data_size
+            else None
+        )
         return self.sampler.sample(
-            eligible,
-            self.core.cohort_size,
-            data_size=self.fleet.data_size[eligible],
+            eligible, self.core.cohort_size, data_size=data_size
         )
 
     def run_round(self) -> FleetRoundRecord:
@@ -161,7 +168,8 @@ class FleetRunner:
             eligible_count=int(eligible.size),
         )
         closed = self.core.close(dispatched)
-        self._idle_bystanders(dispatched.idx, closed.round_s)
+        with PROFILER.phase("idle"):
+            self._idle_bystanders(dispatched.idx, closed.round_s)
         self.clock_s = closed.end_s
         self.round_idx = round_idx
         record = FleetRoundRecord(
@@ -186,11 +194,7 @@ class FleetRunner:
     # -- internals --------------------------------------------------------
     def _idle_bystanders(self, idx: np.ndarray, round_s: float) -> None:
         """Everyone alive outside the round drains idle power for all
-        of it — one vectorized pass."""
+        of it — the store's whole-column (mask) form of ``idle``."""
         bystander = self.fleet.alive.copy()
         bystander[idx] = False
-        others = np.flatnonzero(bystander)
-        if others.size:
-            self.fleet.idle(
-                others, np.full(others.shape, round_s, dtype=np.float64)
-            )
+        self.fleet.idle(bystander, round_s)

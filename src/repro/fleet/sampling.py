@@ -13,10 +13,13 @@ All samplers:
   ``(seed, eligible set, k)`` always yields the same cohort;
 * return a **sorted subset of the eligible indices** (dispatch order
   is index order, like the engine's legacy path);
-* draw without replacement via the Gumbel-top-k trick
-  (Efraimidis–Spirakis weighted reservoir in disguise): perturb
-  ``log w_j`` with Gumbel noise and take the top ``k`` — one O(n)
-  vectorized pass even for weighted draws over 10⁶ devices.
+* draw without replacement in one O(n) vectorized pass. Weighted
+  samplers use the Gumbel-top-k trick (Efraimidis–Spirakis weighted
+  reservoir in disguise): perturb ``log w_j`` with Gumbel noise and
+  take the top ``k``. The uniform sampler takes the ``k`` smallest of
+  ``n`` uniforms — the same rows from the same generator stream as
+  Gumbel top-k over equal weights, without the two logarithms per row
+  (the argument is on ``CohortSampler._k_smallest_uniforms``).
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ class CohortSampler(ABC):
 
     #: registry key
     name: str = "cohort"
+    #: whether :meth:`weights` reads ``data_size``; a driver may skip
+    #: gathering the column for a sampler that says ``False``
+    uses_data_size: bool = True
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
@@ -74,24 +80,43 @@ class CohortSampler(ABC):
         if idx.size <= k:
             return np.sort(idx)
         w = self.weights(idx, data_size)
-        gumbel = self._rng.gumbel(size=idx.size)
         if w is None:
-            keys = gumbel
-        else:
-            w = np.asarray(w, dtype=np.float64)
-            if (w <= 0).any() or not np.isfinite(w).all():
-                raise ValueError(
-                    "selection weights must be positive and finite"
-                )
-            keys = np.log(w) + gumbel
+            return np.sort(idx[self._k_smallest_uniforms(idx.size, k)])
+        w = np.asarray(w, dtype=np.float64)
+        if (w <= 0).any() or not np.isfinite(w).all():
+            raise ValueError(
+                "selection weights must be positive and finite"
+            )
+        keys = np.log(w) + self._rng.gumbel(size=idx.size)
         top = np.argpartition(keys, idx.size - k)[idx.size - k :]
         return np.sort(idx[top])
+
+    def _k_smallest_uniforms(self, m: int, k: int) -> np.ndarray:
+        """Positions of the ``k`` smallest of ``m`` uniform draws.
+
+        This is Gumbel top-k over equal weights, bit for bit:
+        ``Generator.gumbel`` returns ``-log(-log(1 - u))`` of the same
+        ``next_double`` ``u`` that ``Generator.random`` returns, one
+        per element, and that map is strictly decreasing in ``u`` — so
+        the ``k`` largest Gumbel keys sit on the ``k`` smallest ``u``
+        and the generator ends at the same stream position. Two
+        caveats, each of probability ~2⁻⁵³ per element: ``gumbel``
+        redraws when ``next_double`` is exactly 0.0, and an exact tie
+        in ``u`` at the k-th place may break either way.
+        """
+        u = self._rng.random(size=m)
+        # about 2k rows pass the threshold; partition those, not all m
+        below = np.flatnonzero(u < 2.0 * k / m)
+        if below.size < k:
+            return np.argpartition(u, k - 1)[:k]
+        return below[np.argpartition(u[below], k - 1)[:k]]
 
 
 class UniformSampler(CohortSampler):
     """Every eligible device equally likely (the FedAvg default)."""
 
     name = "uniform"
+    uses_data_size = False
 
     def weights(
         self, eligible: np.ndarray, data_size: Optional[np.ndarray]

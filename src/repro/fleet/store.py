@@ -38,6 +38,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -191,6 +192,11 @@ class FleetStore:
         self.capacity_j: np.ndarray = np.array(
             [c.capacity_j for c in self.classes], dtype=np.float64
         )[self.class_id]
+        # idle power per device (constant column): what lets the
+        # mask form of idle() run without a gather
+        self._idle_power_row: np.ndarray = self._idle_power_w[
+            self.class_id
+        ]
         if battery_j is None:
             self.battery_j = self.capacity_j.copy()
         else:
@@ -348,17 +354,45 @@ class FleetStore:
         )
 
     # -- idle -------------------------------------------------------------
-    def idle(self, idx: np.ndarray, seconds: np.ndarray) -> None:
-        """Drain idle power for ``seconds`` per device in ``idx``."""
-        cid = self.class_id[idx]
-        need = self._idle_power_w[cid] * np.asarray(
-            seconds, dtype=np.float64
-        )
+    def idle(
+        self, idx: np.ndarray, seconds: Union[np.ndarray, float]
+    ) -> None:
+        """Drain idle power, floored at empty, in one of two forms.
+
+        Index form — ``idx`` an integer index array, ``seconds`` one
+        wait per indexed device: gathers, drains and scatters those
+        rows (the barrier waits of a cohort). Mask form — ``idx`` a
+        boolean mask over the whole fleet, ``seconds`` one scalar:
+        every ``True`` row idles that long, in four contiguous passes
+        over the columns with no index array (a round's bystanders,
+        nearly every row). Per row both forms are the same float64
+        product, ``minimum`` and subtraction, so they leave the same
+        bits; masked-out rows subtract 0.0, which changes nothing.
+        They share one name because instruments of the round path wrap
+        ``idle`` on the instance (README, "Tests and benchmarks") and
+        must keep seeing both.
+        """
+        seconds = np.asarray(seconds, dtype=np.float64)
+        if (seconds < 0).any():
+            raise ValueError("seconds must be non-negative")
+        if (
+            isinstance(idx, np.ndarray)
+            and idx.dtype == np.bool_
+            and seconds.ndim == 0
+        ):
+            need = self._idle_power_row * seconds
+            np.minimum(need, self.battery_j, out=need)
+            need[~idx] = 0.0
+            self.battery_j -= need
+            return
+        need = self._idle_power_w[self.class_id[idx]] * seconds
         drained = np.minimum(need, self.battery_j[idx])
         self.battery_j[idx] -= drained
 
     def idle_one(self, j: int, seconds: float) -> None:
         """Scalar :meth:`idle` (object-view path, identical math)."""
+        if seconds < 0:
+            raise ValueError("seconds must be non-negative")
         c = int(self.class_id[j])
         need = self._idle_power_w[c] * np.float64(seconds)
         drained = np.minimum(need, self.battery_j[j])

@@ -12,6 +12,7 @@ from repro.fleet import (
 )
 from repro.obs import ObsRecorder
 from repro.obs.prof import PROFILER
+from repro.sched.costs import fleet_problem
 
 from .conftest import toy_fleet
 
@@ -137,6 +138,85 @@ class TestRounds:
             return [r.energy_j for r in runner.run(3)]
 
         assert run() == run()
+
+
+def _retired_idle_bystanders(runner, idx, round_s):
+    """``FleetRunner._idle_bystanders`` as it was before the store's
+    mask form of ``idle``, kept verbatim as the reference: an index
+    array of everyone else, one repeated scalar, the index form."""
+    bystander = runner.fleet.alive.copy()
+    bystander[idx] = False
+    others = np.flatnonzero(bystander)
+    if others.size:
+        runner.fleet.idle(
+            others, np.full(others.shape, round_s, dtype=np.float64)
+        )
+
+
+class TestBystanderDrain:
+    def test_whole_column_drain_is_the_retired_index_sweep(self):
+        # a fleet starting at 0.05–1 % charge: most rows hit empty
+        fleet = toy_fleet(n=2_000, seed=4, soc_range=(0.0005, 0.01))
+        runners = [
+            FleetRunner(
+                fleet.copy(),
+                sampler=UniformSampler(9),
+                cohort_size=64,
+                aggregation_s=1.5,
+            )
+            for _ in range(2)
+        ]
+        changed, reference = runners
+        reference._idle_bystanders = (
+            lambda idx, round_s: _retired_idle_bystanders(
+                reference, idx, round_s
+            )
+        )
+        churn = np.random.default_rng(1)
+        for round_idx in range(30):
+            kill = churn.choice(fleet.n, 40, replace=False)
+            revive = churn.choice(fleet.n, 20, replace=False)
+            for runner in runners:
+                if round_idx % 3 == 1:
+                    runner.fleet.alive[kill] = False
+                if round_idx % 5 == 2:
+                    runner.fleet.alive[revive] = True
+                runner.run_round()
+        assert (
+            changed.fleet.battery_j.tobytes()
+            == reference.fleet.battery_j.tobytes()
+        )
+        assert changed.records == reference.records
+        assert changed.clock_s == reference.clock_s
+        # the case is worth its name: the floor bound, rows died
+        assert (changed.fleet.battery_j == 0.0).sum() > 1_000
+        assert not changed.fleet.alive.all()
+
+    def test_profiler_reports_idle_once_per_round_from_each_site(self):
+        runner = make_runner(n=16, aggregation_s=1.0)
+        PROFILER.reset()
+        PROFILER.enable()
+        try:
+            # the core's barrier waits alone: one round driven by hand
+            cohort = runner.eligible_indices()
+            problem = fleet_problem(
+                runner.fleet,
+                cohort=cohort,
+                shard_size=runner.core.shard_size,
+            )
+            assignment = runner.core.plan(
+                runner.scheduler, problem, 1, 0.0
+            )
+            runner.core.close(
+                runner.core.dispatch(cohort, assignment, 1, 0.0)
+            )
+            assert PROFILER.stats[("idle",)].count == 1
+            # the runner adds its bystanders' drain
+            runner.run(3)
+            assert PROFILER.stats[("idle",)].count == 1 + 2 * 3
+        finally:
+            PROFILER.disable()
+            PROFILER.reset()
 
 
 class TestNarration:

@@ -6,12 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fleet import (
+    CohortSampler,
     DataSizeBiasedSampler,
+    FleetRunner,
     ParetoSampler,
     UniformSampler,
     available_samplers,
     make_sampler,
 )
+
+from .conftest import toy_fleet
 
 
 def eligible_set(n=100, seed=0):
@@ -131,3 +135,127 @@ def test_property_seed_determinism_and_eligibility(seed, n, k, name):
     assert a.size == min(k, eligible.size)
     assert np.isin(a, eligible).all()
     assert np.array_equal(a, np.sort(a))
+
+
+# -- the uniform draw is the retired Gumbel draw ---------------------------
+
+
+def _retired_uniform_draw(rng, idx, k):
+    """What ``CohortSampler.sample`` ran for uniform weights before the
+    k-smallest-uniforms draw replaced it, kept verbatim as the
+    reference."""
+    gumbel = rng.gumbel(size=idx.size)
+    top = np.argpartition(gumbel, idx.size - k)[idx.size - k :]
+    return np.sort(idx[top])
+
+
+def _assert_draw_is_retired_draw(seed, m, k):
+    eligible = np.arange(m, dtype=np.int64) * 3 + 1
+    sampler, reference = UniformSampler(seed), np.random.default_rng(seed)
+    # two draws, so a stream that drifted after the first would show
+    for _ in range(2):
+        assert np.array_equal(
+            sampler.sample(eligible, k),
+            _retired_uniform_draw(reference, eligible, k),
+        )
+        assert (
+            sampler._rng.bit_generator.state
+            == reference.bit_generator.state
+        )
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    shape=st.integers(2, 5_000).flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(1, m - 1))
+    ),
+)
+def test_property_uniform_draw_is_the_retired_gumbel_draw(seed, shape):
+    _assert_draw_is_retired_draw(seed, *shape)
+
+
+@pytest.mark.parametrize(
+    "seed, m, k, prefiltered",
+    [
+        # no uniform under 2k/m: the full partition runs
+        (6, 5_000, 1, False),
+        # ~2k pass the threshold: only those are partitioned
+        (0, 100_000, 512, True),
+        (1, 20_000, 64, True),
+        (2, 7, 6, True),
+    ],
+)
+def test_uniform_draw_select_branches(seed, m, k, prefiltered):
+    u = np.random.default_rng(seed).random(size=m)
+    assert (np.count_nonzero(u < 2.0 * k / m) >= k) == prefiltered
+    _assert_draw_is_retired_draw(seed, m, k)
+
+
+#: cohorts of 8 from ``arange(0, 600, 3)`` with sizes ``37 j mod 1000
+#: + 1``, computed at the commit before the uniform draw changed
+WEIGHTED_COHORTS = {
+    ("data_size", 0): [33, 60, 159, 276, 324, 450, 477, 588],
+    ("data_size", 1): [27, 108, 117, 183, 225, 279, 528, 552],
+    ("data_size", 2): [147, 192, 240, 258, 291, 399, 423, 561],
+    ("pareto", 0): [33, 60, 159, 276, 324, 450, 477, 588],
+    ("pareto", 1): [27, 108, 117, 183, 225, 279, 528, 552],
+    ("pareto", 2): [147, 192, 240, 291, 318, 399, 423, 561],
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(WEIGHTED_COHORTS))
+def test_weighted_cohorts_did_not_move(name, seed):
+    eligible = np.arange(0, 600, 3, dtype=np.int64)
+    sizes = (np.arange(eligible.size, dtype=np.int64) * 37) % 1000 + 1
+    cohort = make_sampler(name, seed=seed).sample(
+        eligible, 8, data_size=sizes
+    )
+    assert cohort.tolist() == WEIGHTED_COHORTS[(name, seed)]
+
+
+def test_uses_data_size_per_registered_sampler():
+    assert {
+        name: make_sampler(name).uses_data_size
+        for name in available_samplers()
+    } == {"uniform": False, "data_size": True, "pareto": True}
+
+    class Forgetful(CohortSampler):
+        def weights(self, eligible, data_size):
+            return None
+
+    # a subclass that does not say is handed the column
+    assert Forgetful().uses_data_size is True
+
+
+def _drawn_by_runner(sampler, rounds=2):
+    """The ``(cohort, data_size)`` pairs a ``FleetRunner`` hands to and
+    gets from ``sampler.sample``."""
+    draw, seen = sampler.sample, []
+
+    def spy(eligible, k, data_size=None):
+        cohort = draw(eligible, k, data_size=data_size)
+        seen.append((cohort.tolist(), data_size))
+        return cohort
+
+    sampler.sample = spy
+    runner = FleetRunner(
+        toy_fleet(n=200, seed=3), sampler=sampler, cohort_size=8
+    )
+    runner.run(rounds)
+    return runner, seen
+
+
+def test_runner_gathers_data_size_only_for_samplers_that_read_it():
+    runner, seen = _drawn_by_runner(DataSizeBiasedSampler(5))
+    # computed at the commit before ``uses_data_size`` existed
+    assert [cohort for cohort, _ in seen] == [
+        [29, 31, 48, 88, 112, 129, 160, 180],
+        [4, 38, 47, 95, 103, 110, 111, 188],
+    ]
+    # every row stays eligible here, so the gather is the column
+    assert all(
+        np.array_equal(sizes, runner.fleet.data_size) for _, sizes in seen
+    )
+    _, seen = _drawn_by_runner(UniformSampler(5))
+    assert [sizes for _, sizes in seen] == [None, None]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fleet import (
     DEFAULT_CLASS_LINKS,
@@ -228,6 +230,65 @@ class TestComputeAndComm:
         clone.idle_one(0, 10.0)
         clone.idle_one(1, 10.0)
         assert np.array_equal(store.battery_j, clone.battery_j)
+
+
+class TestIdleForms:
+    """``idle`` over a boolean mask is ``idle`` over the mask's
+    indices, and neither form — nor the view — runs time backwards."""
+
+    def test_negative_seconds_rejected_by_the_index_form(self, fleet):
+        before = fleet.battery_j.copy()
+        with pytest.raises(ValueError, match="seconds must be non-negative"):
+            fleet.idle(np.array([0, 1]), np.array([-3600.0, -3600.0]))
+        with pytest.raises(ValueError, match="seconds must be non-negative"):
+            fleet.idle(np.array([0, 1]), np.array([10.0, -1e-9]))
+        assert np.array_equal(fleet.battery_j, before)
+
+    def test_negative_seconds_rejected_by_the_mask_form(self, fleet):
+        before = fleet.battery_j.copy()
+        with pytest.raises(ValueError, match="seconds must be non-negative"):
+            fleet.idle(np.ones(fleet.n, dtype=bool), -3600.0)
+        assert np.array_equal(fleet.battery_j, before)
+
+    def test_negative_seconds_rejected_by_the_view(self, fleet):
+        before = fleet.battery_j.copy()
+        with pytest.raises(ValueError, match="seconds must be non-negative"):
+            fleet.as_devices()[2].idle(-3600.0)
+        assert np.array_equal(fleet.battery_j, before)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 48),
+        seconds=st.one_of(
+            st.just(0.0), st.floats(0.0, 1e5, allow_nan=False)
+        ),
+        mask_kind=st.sampled_from(["random", "none", "all"]),
+    )
+    def test_property_mask_form_is_the_index_form_bit_for_bit(
+        self, seed, n, seconds, mask_kind
+    ):
+        rng = np.random.default_rng(seed)
+        store = toy_fleet(n=n, seed=seed)
+        # rows at empty and just above it, so the floor binds
+        store.battery_j[rng.random(n) < 0.25] = 0.0
+        low = rng.random(n) < 0.25
+        store.battery_j[low] = rng.random(int(low.sum())) * 1e-3
+        store.alive[rng.random(n) < 0.2] = False
+        if mask_kind == "random":
+            mask = store.alive & (rng.random(n) < 0.7)
+        else:
+            mask = np.full(n, mask_kind == "all")
+        by_mask, by_index = store.copy(), store.copy()
+        by_mask.idle(mask, seconds)
+        by_index.idle(
+            np.flatnonzero(mask), np.full(int(mask.sum()), seconds)
+        )
+        assert by_mask.battery_j.tobytes() == by_index.battery_j.tobytes()
+        assert (by_mask.battery_j >= 0).all()
+        assert np.array_equal(
+            by_mask.battery_j[~mask], store.battery_j[~mask]
+        )
 
 
 class TestObjectViews:
