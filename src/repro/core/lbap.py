@@ -21,7 +21,10 @@ allocation. No step loops over users in Python; the three steps are
    ``np.unique`` and the threshold search run on the ``g x s``
    representatives; capacities and the allocation stay per user.
    O(ns) for the comparison, O(gs log gs) for the rest — O(ns log ns)
-   when every row is distinct.
+   when every row is distinct. A caller that already knows its
+   distinct rows passes them with ``row_of`` (user ``j`` costs
+   ``cost[row_of[j]]``): the collapse then compares the few rows it
+   was given and nothing ``n x s`` is ever built.
 2. **Batched threshold search** (``_counts_at``). The per-row count for
    one threshold is ``searchsorted(row, c, side="right")``; all rows
    take the same bisection steps at once (``ceil(log2 s)`` gathers),
@@ -187,6 +190,7 @@ def fed_lbap(
     total_shards: int,
     shard_size: int = 1,
     capacities: Optional[np.ndarray] = None,
+    row_of: Optional[np.ndarray] = None,
 ) -> Tuple[Schedule, float]:
     """Run Fed-LBAP on a cost matrix.
 
@@ -195,6 +199,7 @@ def fed_lbap(
     cost:
         ``(n_users, s)`` matrix, rows non-decreasing (Property 1);
         ``cost[j, k]`` is user ``j``'s cost to take ``k+1`` shards.
+        With ``row_of`` it is the ``(g, s)`` distinct rows instead.
     total_shards:
         The D of Eq. (3), in shards.
     shard_size:
@@ -203,6 +208,11 @@ def fed_lbap(
         Optional per-user maximum shard counts (storage/battery limits,
         the P2-style C_j carried over to P1). The threshold search
         remains exact: feasibility clips each user at its capacity.
+    row_of:
+        Optional ``(n_users,)`` index: user ``j``'s costs are
+        ``cost[row_of[j]]``. The answer is the one the gathered
+        ``cost[row_of]`` matrix gives, without building it; every row
+        of ``cost`` is validated, indexed or not.
 
     Returns
     -------
@@ -213,7 +223,8 @@ def fed_lbap(
     cost = np.ascontiguousarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError("cost matrix must be 2-D")
-    n, s = cost.shape
+    s = cost.shape[1]
+    n = cost.shape[0] if row_of is None else len(row_of)
     if n == 0:
         raise ValueError(
             "need at least one user (the cost matrix has no rows)"
@@ -240,6 +251,8 @@ def fed_lbap(
     # every distinct row is among the representatives, so each check
     # below holds for them exactly when it holds for the whole matrix
     rows, group = _distinct_rows(cost)
+    if row_of is not None:
+        group = group[row_of]
     if not np.isfinite(rows).all():
         raise ValueError("cost matrix contains NaN/inf entries")
     if (rows < 0).any():

@@ -2,18 +2,20 @@
 
 :class:`FleetRunner` drives scheduler-planned FedAvg-style rounds over
 a :class:`~repro.fleet.store.FleetStore` population — eligibility,
-cohort sampling, cost-matrix generation, solving, battery drain and
-idle accounting are all vectorized array operations. A round is still
-O(n) in the population — the eligibility scan, one uniform per
-eligible row for the draw and the bystanders' drain each pass over
-every row — so at n = 10⁶ with a 512-device cohort it costs ~25 ms of
-host time (perfbench's ``fleet-1m``), a third of it the cohort's cost
-matrices and the rest those passes.
+cohort sampling, solving, battery drain and idle accounting are all
+vectorized array operations, and the scheduling instance is the
+per-class cost rows plus the cohort's ``class_id``
+(:func:`~repro.sched.costs.fleet_problem`), never a cohort x shards
+matrix. A round is still O(n) in the population — the eligibility
+scan, one uniform per eligible row for the draw and the bystanders'
+drain each pass over every row — and at n = 10⁶ with a 512-device
+cohort those passes are nearly all of its host time (perfbench's
+``fleet-1m``).
 
 The round itself is :class:`~repro.fleet.round.RoundCore`'s plan →
 dispatch → close, called back to back (nothing can die in between, so
 every scheduled device completes). What the runner adds is the seeded
-cohort draw, the cost matrix, the bystanders' idle drain to the
+cohort draw, the class-form problem, the bystanders' idle drain to the
 barrier and a :class:`FleetRoundRecord` per round.
 """
 

@@ -192,7 +192,9 @@ def _solve_metrics(seed: int) -> List[MetricResult]:
             abs_max=4.0,
             note=(
                 f"cohort-{hi} / cohort-{lo} solve-time ratio, min of "
-                f"{_REPEATS} each, 5000-device fleet"
+                f"{_REPEATS} each, 5000-device fleet; class-form "
+                "problems: measures the O(n) per-user part of the "
+                "solve plus the wider budget's rows"
             ),
         )
     ]

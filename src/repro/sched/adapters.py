@@ -17,7 +17,7 @@ capacity-feasible allocations untouched.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -48,18 +48,21 @@ def repair_to_capacities(
     counts: np.ndarray,
     capacities: np.ndarray,
     time_cost: np.ndarray,
+    row_of: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Move shards off over-cap users onto the cheapest slack users.
 
     No-op when the allocation already fits. Receivers are chosen by the
     smallest time cost of their *next* shard (lowest index on ties), so
-    the repair is deterministic and biased toward fast devices.
+    the repair is deterministic and biased toward fast devices. User
+    ``j``'s costs are ``time_cost[j]``, or ``time_cost[row_of[j]]``.
     """
     counts = np.asarray(counts, dtype=np.int64).copy()
     caps = np.asarray(capacities, dtype=np.int64)
     overflow = int(np.maximum(counts - caps, 0).sum())
     if overflow == 0:
         return counts
+    row = np.arange(counts.shape[0]) if row_of is None else row_of
     counts = np.minimum(counts, caps)
     while overflow > 0:
         slack = np.flatnonzero(counts < caps)
@@ -67,9 +70,7 @@ def repair_to_capacities(
             raise ValueError(
                 "infeasible: total capacity below the allocation"
             )
-        marginal = np.array(
-            [float(time_cost[j, counts[j]]) for j in slack]
-        )
+        marginal = time_cost[row[slack], counts[slack]]
         j = int(slack[int(np.argmin(marginal))])
         counts[j] += 1
         overflow -= 1
@@ -85,12 +86,12 @@ def _curves_from_matrix(
     carries only the matrix form. Comm costs are already folded into
     the matrix on this path, so callers must not add them again.
     """
-    cost = problem.time_cost
+    rows = problem.time_rows
     d = problem.shard_size
     s = problem.n_slots
 
-    def make(j: int) -> Callable[[float], float]:
-        row = cost[j]
+    def make(r: int) -> Callable[[float], float]:
+        row = rows[r]
 
         def curve(n_samples: float) -> float:
             k = int(round(n_samples / d))
@@ -100,7 +101,7 @@ def _curves_from_matrix(
 
         return curve
 
-    return [make(j) for j in range(problem.n_users)]
+    return [make(r) for r in problem.row_of.tolist()]
 
 
 @register("fed_lbap")
@@ -109,10 +110,11 @@ class FedLBAPScheduler(Scheduler):
 
     def schedule(self, problem: SchedulingProblem) -> Assignment:
         schedule, bottleneck = fed_lbap(
-            problem.time_cost,
+            problem.time_rows,
             problem.total_shards,
             problem.shard_size,
             capacities=problem.capacities,
+            row_of=problem.row_of,
         )
         return self._finish(
             problem, schedule, bottleneck=bottleneck
@@ -186,11 +188,11 @@ class FedMinAvgFastScheduler(Scheduler):
             )
             comm = problem.comm_costs
         else:
-            t1 = problem.time_cost[:, 0]
+            t1 = problem.time_rows[problem.row_of, 0]
             t2 = (
-                problem.time_cost[:, -1]
+                problem.time_rows[problem.row_of, -1]
                 if problem.n_slots > 1
-                else 2.0 * problem.time_cost[:, 0]
+                else 2.0 * t1
             )
             comm = None  # folded into the matrix
         slopes = np.maximum((t2 - t1) / ((span - 1) * d), 0.0)
@@ -223,7 +225,8 @@ class EqualScheduler(Scheduler):
         counts = repair_to_capacities(
             schedule.shard_counts,
             problem.effective_capacities(),
-            problem.time_cost,
+            problem.time_rows,
+            problem.row_of,
         )
         schedule = Schedule(
             counts, problem.shard_size, algorithm="equal"
@@ -253,7 +256,8 @@ class RandomScheduler(Scheduler):
         counts = repair_to_capacities(
             schedule.shard_counts,
             problem.effective_capacities(),
-            problem.time_cost,
+            problem.time_rows,
+            problem.row_of,
         )
         schedule = Schedule(
             counts, problem.shard_size, algorithm="random"
@@ -274,7 +278,9 @@ class ProportionalScheduler(Scheduler):
         if problem.weights is not None:
             weights = np.asarray(problem.weights, dtype=np.float64)
         else:
-            first = np.maximum(problem.time_cost[:, 0], 1e-12)
+            first = np.maximum(
+                problem.time_rows[problem.row_of, 0], 1e-12
+            )
             weights = 1.0 / first
         schedule = proportional_schedule(
             (),
@@ -285,7 +291,8 @@ class ProportionalScheduler(Scheduler):
         counts = repair_to_capacities(
             schedule.shard_counts,
             problem.effective_capacities(),
-            problem.time_cost,
+            problem.time_rows,
+            problem.row_of,
         )
         schedule = Schedule(
             counts, problem.shard_size, algorithm="proportional"

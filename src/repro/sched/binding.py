@@ -105,7 +105,7 @@ def restrict_problem(
     lost mid-round) funnel through here, so "ineligible means zero
     capacity, and an instance that cannot absorb the budget is
     infeasible" stays one rule. The restricted instance shares the
-    frozen cost matrices with ``problem``
+    frozen cost rows and the row index with ``problem``
     (:meth:`SchedulingProblem.with_capacities`).
 
     Raises ``RuntimeError`` when the eligible users cannot absorb the

@@ -14,6 +14,12 @@ Turns calibrated device fleets into the matrices a
 Curves are cached per ``(device model, NN model, …)`` key — device
 instances of the same phone are interchangeable for profiling — so
 sweeps over testbeds and data sizes stay cheap.
+
+A testbed (:func:`testbed_problem`) is a dense matrix, one row per
+phone. A columnar fleet (:func:`fleet_problem`) is the problem's class
+form: the per-class rows of :func:`fleet_class_matrices` plus the
+cohort's ``class_id`` as the row index — a cohort x shards matrix is
+never built.
 """
 
 from __future__ import annotations
@@ -78,10 +84,11 @@ _CurveKey = Tuple[object, ...]
 _TIME_CACHE: Dict[_CurveKey, Callable[[float], float]] = {}
 _ENERGY_CACHE: Dict[_CurveKey, Callable[[float], float]] = {}
 
-#: per-class cost columns, keyed on (fleet class signature, shard grid):
-#: one (n_classes, s) pair per key, broadcast to cohorts by fancy
-#: indexing — device state never enters, so entries survive any number
-#: of rounds until the shard grid or the classes themselves change
+#: per-class cost rows, keyed on (fleet class signature, shard size):
+#: the latest (n_classes, s) pair per key. Device state never enters;
+#: the width does — the default budget is "the data this cohort
+#: holds" — so a different width replaces the entry (the broadcast is
+#: microseconds) rather than piling up beside it
 _FLEET_MATRIX_CACHE: Dict[
     _CurveKey, Tuple[np.ndarray, np.ndarray]
 ] = {}
@@ -264,21 +271,24 @@ def testbed_problem(
 def fleet_class_matrices(
     fleet: "FleetStore", n_shards: int, shard_size: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-class cost columns for a columnar fleet.
+    """Per-class cost rows for a columnar fleet.
 
     Returns ``(time, energy)`` matrices of shape ``(n_classes,
     n_shards)`` — column ``k`` is the cost of ``k+1`` shards — built in
     one broadcast from the classes' affine coefficients and made
-    non-decreasing (Property 1). Cached on the fleet's class signature
-    and the shard grid: per-round cohort matrices are then a single
-    fancy-index over these rows, so cost-matrix generation is O(cohort)
-    per round instead of O(cohort x shards) curve calls.
+    non-decreasing (Property 1). These are the rows a
+    :func:`fleet_problem` carries; a cohort member's row is
+    ``rows[class_id]``. One entry is cached per fleet class signature
+    and shard size: the same width returns the very same arrays, a
+    different width rebuilds and replaces them (column ``k`` does not
+    depend on the width, so a prefix of a wider pair equals a fresh
+    narrower one).
     """
     if n_shards <= 0 or shard_size <= 0:
         raise ValueError("n_shards and shard_size must be positive")
-    key: _CurveKey = (fleet.signature(), int(n_shards), int(shard_size))
+    key: _CurveKey = (fleet.signature(), int(shard_size))
     cached = _FLEET_MATRIX_CACHE.get(key)
-    if cached is not None:
+    if cached is not None and cached[0].shape[1] == n_shards:
         return cached
     samples = np.arange(1, n_shards + 1, dtype=np.float64) * float(
         shard_size
@@ -303,6 +313,9 @@ def fleet_class_matrices(
     # keeps parity with build_cost_matrix for any future curve shapes
     time_cols = np.maximum.accumulate(time_cols, axis=1)
     energy_cols = np.maximum.accumulate(energy_cols, axis=1)
+    # shared by every problem built at this width
+    time_cols.flags.writeable = False
+    energy_cols.flags.writeable = False
     _FLEET_MATRIX_CACHE[key] = (time_cols, energy_cols)
     return time_cols, energy_cols
 
@@ -327,16 +340,17 @@ def fleet_problem(
     makespan_cap_s: Optional[float] = None,
     seed: int = 0,
 ) -> SchedulingProblem:
-    """Build a scheduling instance over a fleet cohort in one pass.
+    """Build a scheduling instance over a fleet cohort.
 
     ``cohort`` is an index array into the fleet (the whole fleet when
-    omitted). The shard budget defaults to the data the cohort holds;
-    the cost matrices are assembled by fancy-indexing the cached
-    per-class columns of :func:`fleet_class_matrices`, so generation is
-    vectorized end to end — ``meta["build_ms"]`` records the measured
-    host cost. Proportional weights fall out of the class slopes
-    (samples/second), and raw affine curves ride along for curve-based
-    schedulers.
+    omitted). The shard budget defaults to the data the cohort holds.
+    The instance is in class form: its rows are the per-class rows of
+    :func:`fleet_class_matrices` and its index is the cohort's
+    ``class_id``, so nothing of size cohort x shards is gathered,
+    copied or validated here — ``meta["build_ms"]`` records the
+    measured host cost. Proportional weights fall out of the class
+    slopes (samples/second), and raw affine curves ride along for
+    curve-based schedulers.
     """
     idx = (
         np.arange(fleet.n, dtype=np.int64)
@@ -355,12 +369,10 @@ def fleet_problem(
     # the solver runtime the binding records
     t0 = time.perf_counter()
     with PROFILER.phase("build"):
-        time_cols, energy_cols = fleet_class_matrices(
+        time_rows, energy_rows = fleet_class_matrices(
             fleet, total_shards, shard_size
         )
         cid = fleet.class_id[idx]
-        time_cost = time_cols[cid]
-        energy_cost = energy_cols[cid] if with_energy else None
     build_ms = (time.perf_counter() - t0) * 1e3
     weights = 1.0 / np.maximum(fleet.time_per_sample_s[cid], 1e-12)
     # one curve per class; cohort rows of a class share it
@@ -370,10 +382,11 @@ def fleet_problem(
     ]
     curves = [class_curves[c] for c in cid.tolist()]
     return SchedulingProblem(
-        time_cost=time_cost,
+        time_rows=time_rows,
+        energy_rows=energy_rows if with_energy else None,
+        row_of=cid,
         total_shards=int(total_shards),
         shard_size=shard_size,
-        energy_cost=energy_cost,
         alpha=alpha,
         beta=beta,
         time_curves=curves,

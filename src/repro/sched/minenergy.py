@@ -44,9 +44,15 @@ def min_energy_assign(
     capacities: np.ndarray,
     time_cost: Optional[np.ndarray] = None,
     makespan_cap_s: Optional[float] = None,
+    row_of: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Exact (MC)²MKP dynamic program; returns per-user shard counts."""
-    n = energy.shape[0]
+    """Exact (MC)²MKP dynamic program; returns per-user shard counts.
+
+    User ``j``'s rows are ``energy[j]`` / ``time_cost[j]`` — or, with
+    ``row_of``, ``energy[row_of[j]]`` / ``time_cost[row_of[j]]``.
+    """
+    row = np.arange(energy.shape[0]) if row_of is None else row_of
+    n = row.shape[0]
     d = int(total_shards)
     # per-user largest admissible count: capacity, clipped by the cap
     kmax = np.minimum(capacities, d).astype(np.int64)
@@ -56,16 +62,16 @@ def min_energy_assign(
                 "a makespan cap needs the time_cost matrix to test "
                 "feasibility"
             )
-        for j in range(n):
-            # rows are non-decreasing: counts meeting the cap are a prefix
-            kmax[j] = min(
-                kmax[j],
-                int(
-                    np.searchsorted(
-                        time_cost[j], makespan_cap_s, side="right"
-                    )
-                ),
-            )
+        # rows are non-decreasing: counts meeting the cap are a prefix,
+        # found once per distinct row
+        within = np.array(
+            [
+                np.searchsorted(time_row, makespan_cap_s, side="right")
+                for time_row in time_cost
+            ],
+            dtype=np.int64,
+        )
+        kmax = np.minimum(kmax, within[row])
     if int(kmax.sum()) < d:
         raise ValueError(
             "infeasible: no allocation of "
@@ -78,7 +84,7 @@ def min_energy_assign(
     dp[0] = 0.0
     choice = np.zeros((n, d + 1), dtype=np.int64)
     for j in range(n):
-        e_j = np.concatenate(([0.0], energy[j, : kmax[j]]))
+        e_j = np.concatenate(([0.0], energy[row[j], : kmax[j]]))
         new = np.full(d + 1, inf)
         for t in range(d + 1):
             km = min(kmax[j], t)
@@ -113,7 +119,7 @@ class MinEnergyScheduler(Scheduler):
         self.makespan_cap_s = makespan_cap_s
 
     def schedule(self, problem: SchedulingProblem) -> Assignment:
-        if problem.energy_cost is None:
+        if problem.energy_rows is None:
             raise ValueError(
                 "min_energy needs problem.energy_cost (build the "
                 "instance with an energy matrix, e.g. "
@@ -125,11 +131,12 @@ class MinEnergyScheduler(Scheduler):
             else problem.makespan_cap_s
         )
         counts = min_energy_assign(
-            problem.energy_cost,
+            problem.energy_rows,
             problem.total_shards,
             problem.effective_capacities(),
-            time_cost=problem.time_cost,
+            time_cost=problem.time_rows,
             makespan_cap_s=cap,
+            row_of=problem.row_of,
         )
         schedule = Schedule(
             shard_counts=counts,

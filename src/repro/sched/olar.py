@@ -25,7 +25,7 @@ assignment. Ties break on the lowest user index (heap order on the
 from __future__ import annotations
 
 import heapq
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -40,18 +40,21 @@ def olar_assign(
     cost: np.ndarray,
     total_shards: int,
     capacities: np.ndarray,
+    row_of: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Heap greedy over marginal costs; returns per-user shard counts.
 
-    ``cost[j, k]`` is user ``j``'s cost at ``k+1`` shards; rows must be
-    non-decreasing for the optimality guarantee to hold (the caller —
+    ``cost[j, k]`` is user ``j``'s cost at ``k+1`` shards — or, with
+    ``row_of``, ``cost[row_of[j], k]`` is; rows must be non-decreasing
+    for the optimality guarantee to hold (the caller —
     :class:`OLARScheduler` — builds matrices through Property-1
     enforcement).
     """
-    n = cost.shape[0]
+    row = np.arange(cost.shape[0]) if row_of is None else row_of
+    n = row.shape[0]
     counts = np.zeros(n, dtype=np.int64)
     heap: List[Tuple[float, int]] = [
-        (float(cost[j, 0]), j) for j in range(n) if capacities[j] > 0
+        (float(cost[row[j], 0]), j) for j in range(n) if capacities[j] > 0
     ]
     heapq.heapify(heap)
     for _ in range(total_shards):
@@ -63,7 +66,7 @@ def olar_assign(
         c, j = heapq.heappop(heap)
         counts[j] += 1
         if counts[j] < capacities[j]:
-            heapq.heappush(heap, (float(cost[j, counts[j]]), j))
+            heapq.heappush(heap, (float(cost[row[j], counts[j]]), j))
     return counts
 
 
@@ -74,7 +77,7 @@ class OLARScheduler(Scheduler):
     def schedule(self, problem: SchedulingProblem) -> Assignment:
         caps = problem.effective_capacities()
         counts = olar_assign(
-            problem.time_cost, problem.total_shards, caps
+            problem.time_rows, problem.total_shards, caps, problem.row_of
         )
         schedule = Schedule(
             shard_counts=counts,
