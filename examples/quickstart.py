@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 from repro.experiments.realized import realized_times
 from repro.experiments.testbeds import testbed_names
 from repro.models import lenet
-from repro.sched import get_scheduler, testbed_problem
+from repro.sched import cached_time_curves, get_scheduler, testbed_problem
 
 
 def main() -> None:
@@ -30,7 +30,7 @@ def main() -> None:
     print(f"Testbed {testbed}: {', '.join(names)}")
     print(f"Model: {model.name} ({model.param_count():,} parameters)")
     print(f"Workload: {problem.total_shards} shards x {shard_size} samples\n")
-    for name, curve in zip(names, problem.time_curves):
+    for name, curve in zip(names, cached_time_curves(names, model)):
         print(f"  profile {name:8s}: T(3000) = {curve(3000):7.1f} s")
 
     # 2. Fed-LBAP: joint partitioning + assignment (Algorithm 1).

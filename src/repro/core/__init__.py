@@ -25,8 +25,7 @@ from .cost import (
     oracle_curves,
 )
 from .lbap import fed_lbap, feasible_at_threshold, solve_lbap_threshold_exact
-from .minavg import fed_minavg
-from .minavg_fast import fed_minavg_affine
+from .minavg import fed_minavg, fed_minavg_matrix
 from .objective import p2_objective
 from .privacy import fed_minavg_private
 from .schedule import RoundCost, Schedule, evaluate_makespan
@@ -51,7 +50,7 @@ __all__ = [
     "feasible_at_threshold",
     "solve_lbap_threshold_exact",
     "fed_minavg",
-    "fed_minavg_affine",
+    "fed_minavg_matrix",
     "p2_objective",
     "fed_minavg_private",
     "RoundCost",

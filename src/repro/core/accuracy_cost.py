@@ -43,6 +43,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Sequence, Set, Tuple
 
+import numpy as np
+
 __all__ = ["accuracy_cost", "AccuracyCostTracker"]
 
 
@@ -137,17 +139,15 @@ class AccuracyCostTracker:
         #: across the user's local classes when materialised)
         self._class_shards: Dict[int, float] = {}
         self.scheduled_shards = 0
-        n = len(self.user_classes)
-        #: disjoint[j][k]: users j and k share no class
-        self._disjoint = [
-            [
-                not (self.user_classes[j] & self.user_classes[k])
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
+        member = np.zeros((len(self.user_classes), num_classes))
+        for j, cs in enumerate(self.user_classes):
+            member[j, list(cs)] = 1.0
+        #: disjoint[j, k]: users j and k share no class (so never j = k)
+        self._disjoint = (member @ member.T == 0).astype(np.int64)
         #: per-user count of shards scheduled to class-disjoint users
-        self._disjoint_shards = [0] * n
+        self._disjoint_shards = np.zeros(self.n_users, dtype=np.int64)
+        #: undiscounted ``alpha * K / |U_j|``
+        self._base = self.alpha * num_classes / member.sum(axis=1)
 
     @property
     def n_users(self) -> int:
@@ -174,10 +174,9 @@ class AccuracyCostTracker:
     def scaled_cost(self, j: int) -> float:
         """Current ``alpha * F_j`` for user ``j``."""
         if self.semantics == "disjoint":
-            base = (
-                self.alpha * self.num_classes / len(self.user_classes[j])
+            return float(
+                self._base[j] - self.beta * self._disjoint_shards[j]
             )
-            return base - self.beta * self._disjoint_shards[j]
         return accuracy_cost(
             self.user_classes[j],
             self.covered,
@@ -186,6 +185,14 @@ class AccuracyCostTracker:
             self.beta,
             self.scheduled_shards,
             discount=self._discounted(j),
+        )
+
+    def scaled_costs(self) -> np.ndarray:
+        """Current ``alpha * F_j`` of every user, in user order."""
+        if self.semantics == "disjoint":
+            return self._base - self.beta * self._disjoint_shards
+        return np.array(
+            [self.scaled_cost(j) for j in range(self.n_users)]
         )
 
     def brings_new_classes(self, j: int) -> bool:
@@ -203,9 +210,7 @@ class AccuracyCostTracker:
             self._class_shards[c] = (
                 self._class_shards.get(c, 0.0) + per_class
             )
-        for k in range(self.n_users):
-            if k != j and self._disjoint[k][j]:
-                self._disjoint_shards[k] += n_shards
+        self._disjoint_shards += n_shards * self._disjoint[j]
         self.scheduled_shards += n_shards
 
     def coverage_fraction(self) -> float:

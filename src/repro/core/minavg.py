@@ -20,19 +20,169 @@ minimum (time + alpha*F) value:
   ``F_j = inf`` (line 14-15).
 
 Runs in O(D * n); D is the shard count ("m" in the paper's notation).
+The time of user ``j``'s next shard is the cell ``cost[j, l_j]`` of the
+matrix Fed-LBAP reads, so a step is a gather, two vector additions and
+an ``argmin`` (:func:`fed_minavg` tabulates the matrix from curves).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from .accuracy_cost import AccuracyCostTracker
 from .schedule import Schedule
 
-__all__ = ["fed_minavg"]
+__all__ = ["fed_minavg", "fed_minavg_matrix"]
+
+
+class AccuracyCosts(Protocol):
+    """What the selection loop asks of an Eq.-(6) cost model."""
+
+    def scaled_costs(self) -> np.ndarray:
+        """Current ``alpha * F_j`` of every user."""
+
+    def record_assignment(self, j: int) -> None:
+        """Account one more shard scheduled to user ``j``."""
+
+
+def _capacities(capacities: Optional[Sequence[int]], n: int) -> np.ndarray:
+    if capacities is None:
+        return np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    caps = np.asarray(capacities, dtype=np.int64)
+    if caps.shape != (n,):
+        raise ValueError("capacities length must match users")
+    return caps
+
+
+def tabulate_curves(
+    time_curves: Sequence[Callable[[float], float]],
+    total_shards: int,
+    shard_size: int,
+    capacities: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """``T_j((k+1) * shard_size)`` for every ``k < min(C_j, D)``: the
+    cells Algorithm 2 can ask user ``j`` for, as a cost matrix (cells
+    past a user's capacity are never read and stay 0)."""
+    n = len(time_curves)
+    if n == 0:
+        raise ValueError("need at least one user")
+    if total_shards <= 0:
+        raise ValueError("total_shards must be positive")
+    if shard_size <= 0:
+        raise ValueError("shard_size must be positive")
+    reach = np.clip(_capacities(capacities, n), 0, total_shards).tolist()
+    cost = np.zeros((n, max(max(reach), 1)))
+    for j, curve in enumerate(time_curves):
+        cost[j, : reach[j]] = [
+            curve(float((k + 1) * shard_size)) for k in range(reach[j])
+        ]
+    return cost
+
+
+def assign_greedily(
+    cost: np.ndarray,
+    total_shards: int,
+    accuracy: AccuracyCosts,
+    capacities: Optional[Sequence[int]] = None,
+    comm_costs: Optional[Sequence[float]] = None,
+    row_of: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Algorithm 2's selection loop; returns the shard counts.
+
+    Each of the ``total_shards`` steps gives one shard to the user with
+    the smallest ``cost[row_of[j], l_j] + alpha * F_j`` (plus ``j``'s
+    one-off comm cost while it is unopened), the lowest index on exact
+    ties; a user at capacity competes at +inf.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2:
+        raise ValueError("cost matrix must be 2-D")
+    n, s = cost.shape
+    if row_of is None:
+        row_of = np.arange(n)
+    n = len(row_of)
+    if total_shards <= 0:
+        raise ValueError("total_shards must be positive")
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix contains NaN/inf entries")
+    # no users or no columns is no capacity
+    caps = np.minimum(_capacities(capacities, n), s)
+    if int(caps.sum()) < total_shards:
+        raise ValueError(
+            "infeasible: total capacity below the requested shards"
+        )
+    # what a user pays on top of its next cell: its comm cost until it
+    # opens, nothing while it is open, +inf once it is at capacity
+    # (lines 14-15; zero-cap users start there — and a user that filled
+    # its whole row has no next cell, hence the clamp in the gather)
+    extra = (
+        np.zeros(n) if comm_costs is None else np.array(comm_costs, float)
+    )
+    if extra.shape != (n,):
+        raise ValueError("comm_costs length must match users")
+    extra[caps <= 0] = np.inf
+    shards = np.zeros(n, dtype=np.int64)
+    for _ in range(total_shards):
+        total = (
+            cost[row_of, np.minimum(shards, s - 1)] + extra
+        ) + accuracy.scaled_costs()
+        j = int(total.argmin())
+        if total[j] == np.inf:
+            raise RuntimeError(
+                "no assignable user left (all closed) before D exhausted"
+            )
+        shards[j] += 1
+        accuracy.record_assignment(j)
+        extra[j] = 0.0 if shards[j] < caps[j] else np.inf
+    return shards
+
+
+def fed_minavg_matrix(
+    cost: np.ndarray,
+    user_classes: Sequence[Tuple[int, ...]],
+    total_shards: int,
+    shard_size: int,
+    num_classes: int,
+    alpha: float,
+    beta: float = 0.0,
+    capacities: Optional[Sequence[int]] = None,
+    comm_costs: Optional[Sequence[float]] = None,
+    semantics: str = "disjoint",
+    row_of: Optional[np.ndarray] = None,
+) -> Schedule:
+    """Fed-MinAvg on a cost matrix.
+
+    ``cost[j, k]`` is user ``j``'s time for ``k+1`` shards (the Fed-LBAP
+    matrix; rows need not be monotone here). With ``row_of`` it is the
+    ``(g, s)`` distinct rows instead and user ``j``'s costs are
+    ``cost[row_of[j]]`` — the answer is the one the gathered matrix
+    gives, without building it. Capacities are clipped to the matrix
+    width; the other arguments are those of :func:`fed_minavg`.
+    """
+    n = len(cost) if row_of is None else len(row_of)
+    if len(user_classes) != n:
+        raise ValueError("one class set per user required")
+    if shard_size <= 0:
+        raise ValueError("shard_size must be positive")
+    tracker = AccuracyCostTracker(
+        user_classes, num_classes, alpha, beta, semantics=semantics
+    )
+    shards = assign_greedily(
+        cost, total_shards, tracker, capacities, comm_costs, row_of
+    )
+    return Schedule(
+        shard_counts=shards,
+        shard_size=shard_size,
+        algorithm="fed-minavg",
+        meta={
+            "alpha": alpha,
+            "beta": beta,
+            "semantics": semantics,
+            "coverage": tracker.coverage_fraction(),
+        },
+    )
 
 
 def fed_minavg(
@@ -74,79 +224,15 @@ def fed_minavg(
         ``"strict"`` (the printed condition); see
         :mod:`repro.core.accuracy_cost`.
     """
-    n = len(time_curves)
-    if n == 0:
-        raise ValueError("need at least one user")
-    if len(user_classes) != n:
-        raise ValueError("one class set per user required")
-    if total_shards <= 0:
-        raise ValueError("total_shards must be positive")
-    if shard_size <= 0:
-        raise ValueError("shard_size must be positive")
-    caps = (
-        np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        if capacities is None
-        else np.asarray(capacities, dtype=np.int64)
+    return fed_minavg_matrix(
+        tabulate_curves(time_curves, total_shards, shard_size, capacities),
+        user_classes,
+        total_shards,
+        shard_size,
+        num_classes,
+        alpha,
+        beta=beta,
+        capacities=capacities,
+        comm_costs=comm_costs,
+        semantics=semantics,
     )
-    if caps.shape != (n,):
-        raise ValueError("capacities length must match users")
-    if int(np.minimum(caps, total_shards).sum()) < total_shards:
-        raise ValueError(
-            "infeasible: total capacity below the requested shards"
-        )
-    comm = (
-        np.zeros(n) if comm_costs is None else np.asarray(comm_costs, float)
-    )
-    if comm.shape != (n,):
-        raise ValueError("comm_costs length must match users")
-
-    tracker = AccuracyCostTracker(
-        user_classes, num_classes, alpha, beta, semantics=semantics
-    )
-    shards = np.zeros(n, dtype=np.int64)
-    opened = np.zeros(n, dtype=bool)
-    closed = caps <= 0  # at capacity (zero-cap users start closed)
-    # Cached alpha*F_j values, refreshed lazily: Eq. (6) values change
-    # for *every* user when coverage or D_u changes, so we recompute the
-    # candidates' costs each step (still O(n) per shard).
-
-    for _ in range(total_shards):
-        best_j = -1
-        best_cost = math.inf
-        for j in range(n):
-            if closed[j]:
-                continue
-            f_j = tracker.scaled_cost(j)
-            if opened[j]:
-                t = time_curves[j](float((shards[j] + 1) * shard_size))
-            else:
-                t = time_curves[j](float(shard_size)) + comm[j]
-            total = t + f_j
-            if total < best_cost - 1e-12:
-                best_cost = total
-                best_j = j
-        if best_j < 0:
-            raise RuntimeError(
-                "no assignable user left (all closed) before D exhausted"
-            )
-        shards[best_j] += 1
-        opened[best_j] = True
-        tracker.record_assignment(best_j, 1)
-        if shards[best_j] >= caps[best_j]:
-            closed[best_j] = True
-
-    schedule = Schedule(
-        shard_counts=shards,
-        shard_size=shard_size,
-        algorithm="fed-minavg",
-        meta={
-            "alpha": alpha,
-            "beta": beta,
-            "semantics": semantics,
-            "coverage": tracker.coverage_fraction(),
-        },
-    )
-    schedule.validate_total(total_shards)
-    if capacities is not None:
-        schedule.validate_capacities(caps)
-    return schedule

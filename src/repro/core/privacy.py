@@ -18,14 +18,38 @@ algorithm.
 
 from __future__ import annotations
 
-import math
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .minavg import assign_greedily, tabulate_curves
 from .schedule import Schedule
 
 __all__ = ["fed_minavg_private"]
+
+
+@dataclass
+class _ReportedCosts:
+    """The server's view of Eq. (6): scalar reports, plus ``beta * D_u``
+    off every user whose flag is up."""
+
+    reported: np.ndarray
+    beta: float
+    discount_flags: Optional[Callable[[int, int], bool]]
+    d_u: int = 0
+
+    def scaled_costs(self) -> np.ndarray:
+        flags = self.discount_flags
+        if not (self.beta > 0 and flags is not None):
+            return self.reported
+        flagged = [
+            bool(flags(j, self.d_u)) for j in range(len(self.reported))
+        ]
+        return self.reported - np.where(flagged, self.beta * self.d_u, 0.0)
+
+    def record_assignment(self, j: int) -> None:
+        self.d_u += 1
 
 
 def fed_minavg_private(
@@ -54,72 +78,19 @@ def fed_minavg_private(
         then applies the ``beta * D_u`` deduction. ``None`` disables the
         discount (pure-scalar mode).
     """
-    n = len(time_curves)
-    if n == 0:
-        raise ValueError("need at least one user")
     reported = np.asarray(reported_costs, dtype=np.float64)
-    if reported.shape != (n,):
+    if reported.shape != (len(time_curves),):
         raise ValueError("one reported cost per user required")
-    if total_shards <= 0 or shard_size <= 0:
-        raise ValueError("total_shards and shard_size must be positive")
-    caps = (
-        np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        if capacities is None
-        else np.asarray(capacities, dtype=np.int64)
+    shards = assign_greedily(
+        tabulate_curves(time_curves, total_shards, shard_size, capacities),
+        total_shards,
+        _ReportedCosts(reported, beta, discount_flags),
+        capacities,
+        comm_costs,
     )
-    if caps.shape != (n,):
-        raise ValueError("capacities length must match users")
-    if int(np.minimum(caps, total_shards).sum()) < total_shards:
-        raise ValueError(
-            "infeasible: total capacity below the requested shards"
-        )
-    comm = (
-        np.zeros(n) if comm_costs is None else np.asarray(comm_costs, float)
-    )
-    if comm.shape != (n,):
-        raise ValueError("comm_costs length must match users")
-
-    shards = np.zeros(n, dtype=np.int64)
-    opened = np.zeros(n, dtype=bool)
-    closed = np.zeros(n, dtype=bool)
-    d_u = 0
-    for _ in range(total_shards):
-        best_j, best_cost = -1, math.inf
-        for j in range(n):
-            if closed[j]:
-                continue
-            f_j = reported[j]
-            if (
-                beta > 0
-                and discount_flags is not None
-                and discount_flags(j, d_u)
-            ):
-                f_j -= beta * d_u
-            if opened[j]:
-                t = time_curves[j](float((shards[j] + 1) * shard_size))
-            else:
-                t = time_curves[j](float(shard_size)) + comm[j]
-            total = t + f_j
-            if total < best_cost - 1e-12:
-                best_cost = total
-                best_j = j
-        if best_j < 0:
-            raise RuntimeError(
-                "no assignable user left (all closed) before D exhausted"
-            )
-        shards[best_j] += 1
-        opened[best_j] = True
-        d_u += 1
-        if shards[best_j] >= caps[best_j]:
-            closed[best_j] = True
-
-    schedule = Schedule(
+    return Schedule(
         shard_counts=shards,
         shard_size=shard_size,
         algorithm="fed-minavg-private",
         meta={"beta": beta, "private": True},
     )
-    schedule.validate_total(total_shards)
-    if capacities is not None:
-        schedule.validate_capacities(caps)
-    return schedule

@@ -8,10 +8,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.schedule import Schedule
-from ..models.zoo import build_model
-from ..sched import DATASET_TOTALS, get_scheduler, testbed_problem
+from ..sched import (
+    DATASET_TOTALS,
+    Assignment,
+    get_scheduler,
+    testbed_problem,
+)
 from ..sched.costs import DATASET_SHAPES
-from .testbeds import cached_time_curves, testbed_names
+from .testbeds import testbed_names
 
 __all__ = [
     "dataset_shape",
@@ -46,17 +50,17 @@ def class_capacities(
     ]
 
 
-def schedule_minavg(
+def _assign_minavg(
     testbed: int,
     user_classes: Sequence[Tuple[int, ...]],
     dataset: str,
     model_name: str,
     alpha: float,
     beta: float,
-    shard_size: int = 250,
-    use_capacities: bool = True,
-) -> Schedule:
-    """One Fed-MinAvg run for a scenario on its testbed."""
+    shard_size: int,
+    use_capacities: bool,
+) -> Assignment:
+    """The registry's ``fed_minavg`` on the scenario's testbed problem."""
     names = testbed_names(testbed)
     if len(user_classes) != len(names):
         raise ValueError(
@@ -80,7 +84,30 @@ def schedule_minavg(
         ),
         with_energy=False,
     )
-    return get_scheduler("fed_minavg").schedule(problem).schedule
+    return get_scheduler("fed_minavg").schedule(problem)
+
+
+def schedule_minavg(
+    testbed: int,
+    user_classes: Sequence[Tuple[int, ...]],
+    dataset: str,
+    model_name: str,
+    alpha: float,
+    beta: float,
+    shard_size: int = 250,
+    use_capacities: bool = True,
+) -> Schedule:
+    """One Fed-MinAvg run for a scenario on its testbed."""
+    return _assign_minavg(
+        testbed,
+        user_classes,
+        dataset,
+        model_name,
+        alpha,
+        beta,
+        shard_size,
+        use_capacities,
+    ).schedule
 
 
 def best_alpha_schedule(
@@ -97,34 +124,29 @@ def best_alpha_schedule(
     makespan (the paper 'found the best alpha over [100, 5000]').
 
     ``makespan_fn(schedule) -> seconds`` scores candidates; by default
-    the profiled bottleneck (max per-user predicted time) is used.
+    the profiled bottleneck (the assignment's predicted makespan) is
+    used.
     """
-    names = testbed_names(testbed)
-    model = build_model(model_name, input_shape=dataset_shape(dataset))
-    curves = cached_time_curves(names, model)
-
-    def default_makespan(schedule: Schedule) -> float:
-        samples = schedule.samples_per_user()
-        return max(
-            curves[j](float(s)) for j, s in enumerate(samples) if s > 0
-        )
-
-    score = makespan_fn or default_makespan
     best: Optional[Schedule] = None
     best_val = np.inf
     for alpha in alphas:
-        sched = schedule_minavg(
+        assignment = _assign_minavg(
             testbed,
             user_classes,
             dataset,
             model_name,
-            alpha=alpha,
-            beta=beta,
-            shard_size=shard_size,
+            alpha,
+            beta,
+            shard_size,
+            use_capacities=True,
         )
-        val = float(score(sched))
+        val = (
+            assignment.predicted_makespan_s
+            if makespan_fn is None
+            else float(makespan_fn(assignment.schedule))
+        )
         if val < best_val:
             best_val = val
-            best = sched
+            best = assignment.schedule
     assert best is not None
     return best, best_val

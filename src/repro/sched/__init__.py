@@ -22,15 +22,13 @@ here the way aggregation strategies and topologies are in
   (``binding`` + the ``schedule_computed`` event).
 
 Registered names: ``equal``, ``fed_lbap``, ``fed_minavg``,
-``fed_minavg_fast``, ``min_energy``, ``olar``, ``proportional``,
-``random``.
+``min_energy``, ``olar``, ``proportional``, ``random``.
 """
 
 from . import adapters, minenergy, olar  # register built-in schedulers
 from .adapters import (
     EqualScheduler,
     FedLBAPScheduler,
-    FedMinAvgFastScheduler,
     FedMinAvgScheduler,
     ProportionalScheduler,
     RandomScheduler,
@@ -68,7 +66,6 @@ __all__ = [
     "ProportionalScheduler",
     "FedLBAPScheduler",
     "FedMinAvgScheduler",
-    "FedMinAvgFastScheduler",
     "OLARScheduler",
     "MinEnergyScheduler",
     "olar_assign",

@@ -17,7 +17,7 @@ capacity-feasible allocations untouched.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from ..core.baselines import (
     random_schedule,
 )
 from ..core.lbap import fed_lbap
-from ..core.minavg import fed_minavg
-from ..core.minavg_fast import fed_minavg_affine
+from ..core.minavg import fed_minavg_matrix
 from ..core.schedule import Schedule
 from .base import Assignment, Scheduler, SchedulingProblem
 from .registry import register
@@ -36,7 +35,6 @@ from .registry import register
 __all__ = [
     "FedLBAPScheduler",
     "FedMinAvgScheduler",
-    "FedMinAvgFastScheduler",
     "EqualScheduler",
     "RandomScheduler",
     "ProportionalScheduler",
@@ -77,33 +75,6 @@ def repair_to_capacities(
     return counts
 
 
-def _curves_from_matrix(
-    problem: SchedulingProblem,
-) -> List[Callable[[float], float]]:
-    """Shard-granular time curves read off the cost matrix.
-
-    ``T_j(k * shard_size) = time_cost[j, k-1]``; used when a problem
-    carries only the matrix form. Comm costs are already folded into
-    the matrix on this path, so callers must not add them again.
-    """
-    rows = problem.time_rows
-    d = problem.shard_size
-    s = problem.n_slots
-
-    def make(r: int) -> Callable[[float], float]:
-        row = rows[r]
-
-        def curve(n_samples: float) -> float:
-            k = int(round(n_samples / d))
-            if k <= 0:
-                return 0.0
-            return float(row[min(k, s) - 1])
-
-        return curve
-
-    return [make(r) for r in problem.row_of.tolist()]
-
-
 @register("fed_lbap")
 class FedLBAPScheduler(Scheduler):
     """Algorithm 1 (P1): threshold-optimal min-makespan partitioning."""
@@ -123,34 +94,24 @@ class FedLBAPScheduler(Scheduler):
 
 @register("fed_minavg")
 class FedMinAvgScheduler(Scheduler):
-    """Algorithm 2 (P2): greedy min-average-cost shard assignment.
-
-    Uses the problem's raw time curves and comm costs when present
-    (exactly what a direct :func:`repro.core.fed_minavg` call sees);
-    otherwise falls back to shard-granular curves read off the matrix.
-    """
+    """Algorithm 2 (P2): greedy min-average-cost shard assignment over
+    the problem's time rows (comm is already folded into them)."""
 
     def __init__(self, semantics: str = "disjoint") -> None:
         self.semantics = semantics
 
     def schedule(self, problem: SchedulingProblem) -> Assignment:
-        if problem.time_curves is not None:
-            curves = problem.time_curves
-            comm = problem.comm_costs
-        else:
-            curves = _curves_from_matrix(problem)
-            comm = None  # already folded into the matrix
-        schedule = fed_minavg(
-            curves,
+        schedule = fed_minavg_matrix(
+            problem.time_rows,
             problem.classes_or_default(),
             problem.total_shards,
             problem.shard_size,
             problem.num_classes,
             problem.alpha,
             beta=problem.beta,
-            capacities=problem.effective_capacities(),
-            comm_costs=comm,
+            capacities=problem.capacities,
             semantics=self.semantics,
+            row_of=problem.row_of,
         )
         return self._finish(
             problem,
@@ -158,59 +119,6 @@ class FedMinAvgScheduler(Scheduler):
             alpha=problem.alpha,
             beta=problem.beta,
             semantics=self.semantics,
-        )
-
-
-@register("fed_minavg_fast")
-class FedMinAvgFastScheduler(Scheduler):
-    """Vectorised Fed-MinAvg on affine time curves.
-
-    Affine coefficients come from a secant spanning the whole
-    allocation range — one shard to ``n_slots`` shards — on the
-    problem's curves (or the first/last matrix columns). This is exact
-    whenever the underlying profile is affine (the paper's step-2
-    regression is); for clamped/non-affine profiles the full-range
-    secant captures the average growth rate, where a narrow two-shard
-    secant can sit entirely inside a flat clamped region and
-    mis-declare a slow device free.
-    """
-
-    def schedule(self, problem: SchedulingProblem) -> Assignment:
-        d = float(problem.shard_size)
-        span = max(problem.n_slots, 2)
-        if problem.time_curves is not None:
-            t1 = np.array(
-                [c(d) for c in problem.time_curves], dtype=np.float64
-            )
-            t2 = np.array(
-                [c(span * d) for c in problem.time_curves],
-                dtype=np.float64,
-            )
-            comm = problem.comm_costs
-        else:
-            t1 = problem.time_rows[problem.row_of, 0]
-            t2 = (
-                problem.time_rows[problem.row_of, -1]
-                if problem.n_slots > 1
-                else 2.0 * t1
-            )
-            comm = None  # folded into the matrix
-        slopes = np.maximum((t2 - t1) / ((span - 1) * d), 0.0)
-        intercepts = np.maximum(t1 - slopes * d, 0.0)
-        schedule = fed_minavg_affine(
-            intercepts,
-            slopes,
-            problem.classes_or_default(),
-            problem.total_shards,
-            problem.shard_size,
-            problem.num_classes,
-            problem.alpha,
-            beta=problem.beta,
-            capacities=problem.effective_capacities(),
-            comm_costs=comm,
-        )
-        return self._finish(
-            problem, schedule, alpha=problem.alpha, beta=problem.beta
         )
 
 

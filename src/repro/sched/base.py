@@ -25,7 +25,7 @@ from __future__ import annotations
 import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -83,12 +83,6 @@ class SchedulingProblem:
         K, classes in the test set.
     alpha, beta:
         Eq.-(6) time/accuracy trade-off weights (P2 schedulers only).
-    time_curves, comm_costs:
-        Optional raw per-user ``T_j(n_samples)`` callables and one-off
-        communication seconds. Adapters that wrap curve-based
-        algorithms (Fed-MinAvg) use these verbatim so their output is
-        bit-identical to a direct call; matrix-based schedulers ignore
-        them.
     weights:
         Optional per-user processing-power estimates for the
         Proportional baseline (e.g. mean CPU frequency per core).
@@ -112,8 +106,6 @@ class SchedulingProblem:
         num_classes: int = 10,
         alpha: float = 0.0,
         beta: float = 0.0,
-        time_curves: Optional[Sequence[Callable[[float], float]]] = None,
-        comm_costs: Optional[np.ndarray] = None,
         weights: Optional[np.ndarray] = None,
         makespan_cap_s: Optional[float] = None,
         rng: Union[np.random.Generator, int, None] = None,
@@ -154,8 +146,6 @@ class SchedulingProblem:
         self.num_classes = num_classes
         self.alpha = alpha
         self.beta = beta
-        self.time_curves = time_curves
-        self.comm_costs = comm_costs
         self.weights = weights
         self.makespan_cap_s = makespan_cap_s
         self.rng = rng
@@ -261,6 +251,12 @@ class SchedulingProblem:
             and len(self.user_classes) != self.n_users
         ):
             raise ValueError("one class set per user required")
+        if self.weights is not None:
+            weights = np.asarray(self.weights, dtype=np.float64)
+            if weights.shape != (self.n_users,):
+                raise ValueError("one weight per user required")
+            if not (np.isfinite(weights) & (weights > 0)).all():
+                raise ValueError("weights must be finite and positive")
 
     def _validate_capacities(self) -> None:
         caps = self.effective_capacities()

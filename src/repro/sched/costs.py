@@ -197,8 +197,8 @@ def testbed_problem(
     binding (:func:`repro.sched.binding.problem_from_engine`) all build
     here. ``testbed`` is a testbed id (1/2/3) or an explicit
     device-name list. The instance carries everything any registered
-    scheduler needs: the Property-1 time matrix plus raw curves
-    (Fed-LBAP / Fed-MinAvg / OLAR), an energy matrix (MinEnergy) unless
+    scheduler needs: the Property-1 time matrix (Fed-LBAP / Fed-MinAvg
+    / OLAR), an energy matrix (MinEnergy) unless
     ``with_energy=False``, the paper's Proportional weights (mean CPU
     frequency per core), and an RNG for the Random baseline — ``seed``
     is an integer, or the caller's own ``Generator`` when its draws
@@ -256,7 +256,6 @@ def testbed_problem(
         user_classes=user_classes,
         alpha=alpha,
         beta=beta,
-        time_curves=list(time_curves),
         weights=weights,
         makespan_cap_s=makespan_cap_s,
         rng=seed,
@@ -320,15 +319,6 @@ def fleet_class_matrices(
     return time_cols, energy_cols
 
 
-def _affine_curve(
-    base_s: float, slope_s: float
-) -> Callable[[float], float]:
-    def curve(n_samples: float) -> float:
-        return base_s + slope_s * n_samples
-
-    return curve
-
-
 def fleet_problem(
     fleet: "FleetStore",
     cohort: Optional[np.ndarray] = None,
@@ -349,8 +339,7 @@ def fleet_problem(
     ``class_id``, so nothing of size cohort x shards is gathered,
     copied or validated here — ``meta["build_ms"]`` records the
     measured host cost. Proportional weights fall out of the class
-    slopes (samples/second), and raw affine curves ride along for
-    curve-based schedulers.
+    slopes (samples/second).
     """
     idx = (
         np.arange(fleet.n, dtype=np.int64)
@@ -375,12 +364,6 @@ def fleet_problem(
         cid = fleet.class_id[idx]
     build_ms = (time.perf_counter() - t0) * 1e3
     weights = 1.0 / np.maximum(fleet.time_per_sample_s[cid], 1e-12)
-    # one curve per class; cohort rows of a class share it
-    class_curves = [
-        _affine_curve(c.time_base_s, c.time_per_sample_s)
-        for c in fleet.classes
-    ]
-    curves = [class_curves[c] for c in cid.tolist()]
     return SchedulingProblem(
         time_rows=time_rows,
         energy_rows=energy_rows if with_energy else None,
@@ -389,7 +372,6 @@ def fleet_problem(
         shard_size=shard_size,
         alpha=alpha,
         beta=beta,
-        time_curves=curves,
         weights=weights,
         makespan_cap_s=makespan_cap_s,
         rng=seed,

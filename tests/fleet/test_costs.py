@@ -87,14 +87,6 @@ class TestFleetProblem:
         assert p.weights is not None
         assert p.weights[0] > p.weights[1]
 
-    def test_curves_evaluate_the_affine_model(self, fleet):
-        p = fleet_problem(fleet, total_shards=4)
-        c0 = int(fleet.class_id[0])
-        cls = fleet.classes[c0]
-        assert p.time_curves[0](1000.0) == pytest.approx(
-            cls.time_base_s + cls.time_per_sample_s * 1000.0
-        )
-
     def test_no_energy_option(self, fleet):
         p = fleet_problem(fleet, with_energy=False, total_shards=4)
         assert p.energy_cost is None
@@ -112,18 +104,8 @@ class TestFleetProblem:
         p2 = fleet_problem(fleet, total_shards=8)
         assert np.array_equal(p1.time_cost, p2.time_cost)
 
-    def test_curves_are_shared_per_class(self, fleet):
+    def test_weights_are_inverse_class_slopes(self, fleet):
         p = fleet_problem(fleet, shard_size=100)
-        cid = fleet.class_id.tolist()
-        by_class = {}
-        for c, curve in zip(cid, p.time_curves):
-            assert by_class.setdefault(c, curve) is curve
-        assert len(by_class) == len(set(cid))
-        for c, curve in by_class.items():
-            cls = fleet.classes[c]
-            assert curve(700.0) == (
-                cls.time_base_s + cls.time_per_sample_s * 700.0
-            )
         slopes = np.array([c.time_per_sample_s for c in fleet.classes])
         np.testing.assert_array_equal(
             p.weights, 1.0 / np.maximum(slopes[fleet.class_id], 1e-12)

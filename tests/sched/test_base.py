@@ -64,6 +64,25 @@ class TestValidation:
                 capacities=[2, 2],
             )
 
+    def test_malformed_weights(self):
+        """Found out at construction, not inside ``proportional``'s
+        capacity repair as a NumPy broadcast error."""
+        cost = np.cumsum(np.ones((3, 6)), axis=1)
+        with pytest.raises(ValueError, match="one weight per user"):
+            SchedulingProblem(
+                time_cost=cost, total_shards=6, weights=[1, 2]
+            )
+        for bad in ([1.0, 0.0, 2.0], [1.0, -1.0, 2.0], [1.0, np.nan, 2.0],
+                    [1.0, np.inf, 2.0]):
+            with pytest.raises(ValueError, match="finite and positive"):
+                SchedulingProblem(
+                    time_cost=cost, total_shards=6, weights=bad
+                )
+        p = SchedulingProblem(
+            time_cost=cost, total_shards=6, weights=[1, 2, 3]
+        )
+        assert p.weights == [1, 2, 3]
+
     def test_effective_capacities_clip_to_slots(self):
         p = SchedulingProblem(
             time_cost=mat([[1.0, 2.0], [1.0, 2.0]]),

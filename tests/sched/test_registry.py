@@ -15,7 +15,6 @@ EXPECTED = {
     "equal",
     "fed_lbap",
     "fed_minavg",
-    "fed_minavg_fast",
     "min_energy",
     "olar",
     "proportional",

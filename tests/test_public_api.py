@@ -41,7 +41,6 @@ from repro.profiling.profiler import DeviceProfile, TimeCurve
 from repro.sched.adapters import (
     EqualScheduler,
     FedLBAPScheduler,
-    FedMinAvgFastScheduler,
     FedMinAvgScheduler,
     ProportionalScheduler,
     RandomScheduler,
@@ -171,7 +170,6 @@ def test_registry_names_map_to_adapter_classes():
     expected = {
         "fed_lbap": FedLBAPScheduler,
         "fed_minavg": FedMinAvgScheduler,
-        "fed_minavg_fast": FedMinAvgFastScheduler,
         "equal": EqualScheduler,
         "random": RandomScheduler,
         "proportional": ProportionalScheduler,
@@ -325,9 +323,9 @@ def test_experiments_schedule_only_through_the_registry():
     (or the cost-matrix assembler) from ``repro.core`` — whether from
     the defining module or through the package's re-exports."""
     import repro.experiments
-    from repro.core import baselines, lbap, minavg, minavg_fast
+    from repro.core import baselines, lbap, minavg
 
-    algorithms = (baselines, lbap, minavg, minavg_fast)
+    algorithms = (baselines, lbap, minavg)
     modules = {m.__name__ for m in algorithms}
     symbols = {"build_cost_matrix"}.union(*(m.__all__ for m in algorithms))
     banned = (
