@@ -31,13 +31,31 @@ Event taxonomy (one dataclass per kind):
   observability layer records them as run-level instants rather than
   children of whichever round happens to be open.
 
-All events are frozen dataclasses with a stable ``kind`` string.
+All events are frozen dataclasses with a stable ``kind`` string. They
+are **row events**: one object per happening, and the only thing that
+is ever on the wire.
+
+The columnar round (:class:`repro.fleet.round.RoundCore`) holds a
+round's dispatches and finishes as columns, so it narrates them as two
+**column batches** instead of one object per client:
+:class:`ClientsDispatched` and :class:`ClientsFinished`. A batch is a
+column *of* row events, not an event — its meaning is
+:meth:`EventColumns.rows`, the ``ClientDispatched`` /
+``ClientFinished`` rows in order, and nothing else defines it. It has
+no ``kind``, is not in :data:`EVENT_TYPES`, and never reaches a
+capture: :meth:`EventColumns.to_jsonl` writes exactly the lines its
+rows would, and :meth:`EventBus.emit` hands it whole only to a listener
+that declares ``accepts_columns`` (:class:`~repro.obs.ObsRecorder`, the
+:class:`~repro.engine.telemetry.JsonlSink`); every other listener
+receives the rows. The async and gossip drivers and the object-path
+engine emit rows — their arrivals really are single.
 
 This module is also the **codec** of the telemetry wire format, in both
 directions, and the only module that knows it: :data:`EVENT_TYPES` is
 the taxonomy (``kind`` → class), :meth:`EngineEvent.to_dict` encodes an
-event as the ``{"event": kind, ...fields}`` payload the JSON-lines sink
-writes, and :func:`event_from_dict` decodes such a payload back into
+event as the ``{"event": kind, ...fields}`` payload,
+:meth:`EngineEvent.to_jsonl` is that payload as the line the JSON-lines
+sink writes, and :func:`event_from_dict` decodes a payload back into
 the typed event. Both directions are driven by each class's declared
 fields, so adding a field or an event is an edit to this file alone;
 consumers (:mod:`repro.obs`) decode first and then handle typed events,
@@ -58,18 +76,23 @@ A payload whose ``event`` is not a declared kind decodes to ``None``.
 
 from __future__ import annotations
 
+import inspect
+import json
 import math
 from dataclasses import dataclass, fields
+from itertools import chain, repeat
 from typing import (
     Any,
     Callable,
     ClassVar,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
     Tuple,
     Type,
+    Union,
     cast,
     get_type_hints,
 )
@@ -88,6 +111,9 @@ __all__ = [
     "CohortAccounted",
     "DeviceJoined",
     "DeviceLost",
+    "EventColumns",
+    "ClientsDispatched",
+    "ClientsFinished",
     "EventBus",
 ]
 
@@ -105,6 +131,10 @@ class EngineEvent:
             value = getattr(self, name)
             payload[name] = list(value) if isinstance(value, tuple) else value
         return payload
+
+    def to_jsonl(self) -> str:
+        """The event's line in a telemetry JSONL, newline included."""
+        return json.dumps(self.to_dict()) + "\n"
 
 
 @dataclass(frozen=True)
@@ -354,7 +384,115 @@ def event_from_dict(
     )
 
 
+def _line_template(kind: str) -> str:
+    """``kind``'s JSONL line with a ``%s`` slot per declared field."""
+    slots = {name: "%s" for name, _ in _FIELD_CODECS[kind]}
+    line = json.dumps({"event": kind, **slots}) + "\n"
+    return line.replace('"%s"', "%s")
+
+
+class EventColumns:
+    """A column of row events of one kind, defined as its :meth:`rows`.
+
+    Not an event: no ``kind``, never on the wire (see the module
+    docstring). A subclass names the row class and lays its values out
+    in :meth:`cells`; everything else follows from those two.
+    """
+
+    row_type: ClassVar[Type[EngineEvent]]
+    client_ids: Tuple[int, ...]
+
+    def cells(self) -> Tuple[Any, ...]:
+        """The row event's fields in declaration order: a tuple is a
+        column, one cell per row; anything else is every row's value."""
+        raise NotImplementedError
+
+    def __post_init__(self) -> None:
+        if len({len(c) for c in self.cells() if isinstance(c, tuple)}) > 1:
+            raise ValueError("columns must be equally long")
+
+    def __len__(self) -> int:
+        return len(self.client_ids)
+
+    def rows(self) -> List[EngineEvent]:
+        """The row events this batch stands for, in order."""
+        build: Callable[..., EngineEvent] = self.row_type
+        n = len(self)
+        per_row: List[Iterable[Any]] = [
+            c if isinstance(c, tuple) else repeat(c, n) for c in self.cells()
+        ]
+        return [build(*row) for row in zip(*per_row)]
+
+    def to_jsonl(self) -> str:
+        """The rows' JSONL lines, byte for byte, without building the
+        rows: ``json`` spells an int or a finite float the way ``repr``
+        does (a batch holding anything else takes the rows' encoder)."""
+        cells = self.cells()
+        columns = [c for c in cells if isinstance(c, tuple)]
+        shared = [c for c in cells if not isinstance(c, tuple)]
+        if not all(map(math.isfinite, chain(shared, *columns))):
+            return "".join([row.to_jsonl() for row in self.rows()])
+        # spell the shared values once; each column keeps a slot per row
+        line = _LINE_TEMPLATES[self.row_type.kind] % tuple(
+            "%r" if isinstance(c, tuple) else repr(c) for c in cells
+        )
+        return "".join(map(line.__mod__, zip(*columns)))
+
+
+@dataclass(frozen=True)
+class ClientsDispatched(EventColumns):
+    """One round's :class:`ClientDispatched` rows, all at ``time_s``."""
+
+    row_type: ClassVar[Type[EngineEvent]] = ClientDispatched
+
+    round_idx: int
+    client_ids: Tuple[int, ...]
+    n_samples: Tuple[int, ...]
+    time_s: float
+
+    def cells(self) -> Tuple[Any, ...]:
+        return (self.round_idx, self.client_ids, self.n_samples, self.time_s)
+
+
+@dataclass(frozen=True)
+class ClientsFinished(EventColumns):
+    """One round's :class:`ClientFinished` rows; ``finish_s`` is each
+    row's ``time_s``."""
+
+    row_type: ClassVar[Type[EngineEvent]] = ClientFinished
+
+    round_idx: int
+    client_ids: Tuple[int, ...]
+    compute_s: Tuple[float, ...]
+    comm_s: Tuple[float, ...]
+    total_s: Tuple[float, ...]
+    finish_s: Tuple[float, ...]
+    energy_j: Tuple[float, ...]
+    battery_soc: Tuple[float, ...]
+
+    def cells(self) -> Tuple[Any, ...]:
+        return (
+            self.round_idx,
+            self.client_ids,
+            self.compute_s,
+            self.comm_s,
+            self.total_s,
+            self.finish_s,
+            self.energy_j,
+            self.battery_soc,
+        )
+
+
+#: row kind -> its line template, for the kinds that come in columns
+_LINE_TEMPLATES = {
+    cls.row_type.kind: _line_template(cls.row_type.kind)
+    for cls in (ClientsDispatched, ClientsFinished)
+}
+
+
 Listener = Callable[[EngineEvent], None]
+#: what a listener that declares ``accepts_columns`` is called with
+ColumnListener = Callable[[Union[EngineEvent, EventColumns]], None]
 
 
 class EventBus:
@@ -381,9 +519,28 @@ class EventBus:
 
         return unsubscribe
 
-    def emit(self, event: EngineEvent) -> None:
-        for listener in (*self._listeners, *EventBus._global_listeners):
-            listener(event)
+    def emit(self, event: Union[EngineEvent, EventColumns]) -> None:
+        """Call every listener with ``event``, in subscription order.
+
+        A column batch goes as one call to a listener whose class
+        declares ``accepts_columns = True`` — looked up under any
+        ``__wrapped__`` chain, so a tracing wrapper changes nothing —
+        and as its rows, built once, to every other listener.
+        """
+        listeners = (*self._listeners, *EventBus._global_listeners)
+        if not isinstance(event, EventColumns):
+            for listener in listeners:
+                listener(event)
+            return
+        rows: Optional[List[EngineEvent]] = None
+        for listener in listeners:
+            if getattr(inspect.unwrap(listener), "accepts_columns", False):
+                cast(ColumnListener, listener)(event)
+                continue
+            if rows is None:
+                rows = event.rows()
+            for row in rows:
+                listener(row)
 
     # -- process-wide listeners -----------------------------------------
     @classmethod

@@ -2,7 +2,8 @@
 
 * :class:`JsonlSink` — an :class:`~repro.engine.events.EventBus`
   listener that appends every event as one JSON line (the
-  ``repro run … --telemetry out.jsonl`` format); :func:`read_jsonl` /
+  ``repro run … --telemetry out.jsonl`` format; a column batch as the
+  lines of its rows); :func:`read_jsonl` /
   :func:`read_jsonl_meta` parse such a file back, tolerating a
   truncated tail.
 * :class:`RoundRecord` / :class:`ConvergenceHistory` — what the sync
@@ -19,7 +20,7 @@ process with :func:`repro.obs.record_telemetry`, one engine with
 JSON-lines schema: every line is ``{"event": <kind>, ...}`` where the
 remaining keys are the fields of the corresponding event dataclass in
 :mod:`repro.engine.events`, which owns the encoding and the decoding
-(``to_dict`` / ``event_from_dict``).
+(``to_dict`` / ``to_jsonl`` / ``event_from_dict``).
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Dict, List, Optional, Union
+from typing import IO, ClassVar, Dict, List, Optional, Union
 
 import numpy as np
 
-from .events import META_KIND, EngineEvent
+from .events import META_KIND, EngineEvent, EventColumns
 
 __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
@@ -129,7 +130,15 @@ class JsonlSink:
     The first line written is a ``telemetry_meta`` header carrying the
     schema version, so readers can detect which event fields to expect
     without sniffing; it is not counted in :attr:`n_events`.
+
+    Every call is one ``write`` and one ``flush`` — of one line for a
+    row event, of its rows' lines for a column batch (which counts as
+    that many events). Nothing is held back between calls, so a run
+    dying mid-round leaves whole lines behind, never a truncated one.
     """
+
+    #: :meth:`EventBus.emit` hands column batches over whole
+    accepts_columns: ClassVar[bool] = True
 
     def __init__(self, target: Union[str, Path, IO[str]]) -> None:
         if isinstance(target, (str, Path)):
@@ -153,12 +162,12 @@ class JsonlSink:
         )
         self._fh.flush()
 
-    def __call__(self, event: EngineEvent) -> None:
-        self._fh.write(json.dumps(event.to_dict()) + "\n")
-        # flush per line: a run dying mid-round must never leave a
+    def __call__(self, event: Union[EngineEvent, EventColumns]) -> None:
+        self._fh.write(event.to_jsonl())
+        # flush per call: a run dying mid-round must never leave a
         # truncated (unparseable) trailing record behind
         self._fh.flush()
-        self.n_events += 1
+        self.n_events += len(event) if isinstance(event, EventColumns) else 1
 
     def flush(self) -> None:
         self._fh.flush()

@@ -11,6 +11,12 @@ the event loop between them and re-plans when membership moved. The
 core keeps no round state; the virtual clock is the caller's and goes
 in and out by value.
 
+A narrated round says what every client did, in the shape the core
+holds it: one :class:`~repro.engine.events.ClientsDispatched` and one
+:class:`~repro.engine.events.ClientsFinished` column batch per round —
+the per-client ``ClientDispatched`` / ``ClientFinished`` rows to any
+listener that wants rows, and in every capture.
+
 Once the scheduled set outgrows ``detail_threshold`` the per-client
 events (and the cohort-sized ``ScheduleComputed`` payload) give way to
 one :class:`~repro.engine.events.CohortAccounted` aggregate per round —
@@ -25,9 +31,9 @@ from typing import Optional
 import numpy as np
 
 from ..engine.events import (
-    ClientDispatched,
     ClientDropped,
-    ClientFinished,
+    ClientsDispatched,
+    ClientsFinished,
     CohortAccounted,
     EventBus,
     RoundCompleted,
@@ -167,15 +173,14 @@ class RoundCore:
         with PROFILER.phase("narrate"):
             if int(idx.size) <= self.detail_threshold:
                 eligible_count = None
-                for j, n in zip(idx.tolist(), samples.tolist()):
-                    self.bus.emit(
-                        ClientDispatched(
-                            round_idx=round_idx,
-                            client_id=j,
-                            n_samples=n,
-                            time_s=clock_s,
-                        )
+                self.bus.emit(
+                    ClientsDispatched(
+                        round_idx=round_idx,
+                        client_ids=tuple(idx.tolist()),
+                        n_samples=tuple(samples.tolist()),
+                        time_s=clock_s,
                     )
+                )
             elif eligible_count is None:
                 eligible_count = int(self.eligible_indices().size)
         return DispatchedRound(
@@ -207,26 +212,20 @@ class RoundCore:
         mean_soc = float(soc.mean())
         with PROFILER.phase("narrate"):
             if work.eligible_count is None:
-                for j, compute, comm, total, joules, charge in zip(
-                    rows.tolist(),
-                    work.compute_s[survived].tolist(),
-                    work.comm_s[survived].tolist(),
-                    total_s.tolist(),
-                    work.energy_j[survived].tolist(),
-                    soc.tolist(),
-                ):
-                    self.bus.emit(
-                        ClientFinished(
-                            round_idx=round_idx,
-                            client_id=j,
-                            compute_s=compute,
-                            comm_s=comm,
-                            total_s=total,
-                            time_s=start_s + total,
-                            energy_j=joules,
-                            battery_soc=charge,
-                        )
+                self.bus.emit(
+                    ClientsFinished(
+                        round_idx=round_idx,
+                        client_ids=tuple(rows.tolist()),
+                        compute_s=tuple(work.compute_s[survived].tolist()),
+                        comm_s=tuple(work.comm_s[survived].tolist()),
+                        total_s=tuple(total_s.tolist()),
+                        finish_s=tuple((start_s + total_s).tolist()),
+                        energy_j=tuple(work.energy_j[survived].tolist()),
+                        battery_soc=tuple(soc.tolist()),
                     )
+                )
+                # drops stay rows: rare, and only serve's k-of-n path
+                # (a device lost between dispatch and close) has any
                 for j, total in zip(
                     lost.tolist(), work.total_s[~survived].tolist()
                 ):

@@ -19,7 +19,7 @@ above the runner's detail threshold — by design, not by omission).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["ClientEnergy", "EnergyLedger"]
 
@@ -65,14 +65,35 @@ class EnergyLedger:
         energy_j: Optional[float],
         battery_soc: Optional[float],
     ) -> None:
-        entry = self._client(client_id)
-        entry.rounds += 1
-        entry.busy_s += total_s
-        if energy_j is not None:
-            entry.energy_j += energy_j
-            self._current_round_j += energy_j
-        if battery_soc is not None:
-            entry.last_soc = battery_soc
+        self.on_clients_finished(
+            (client_id,), (total_s,), (energy_j,), (battery_soc,)
+        )
+
+    def on_clients_finished(
+        self,
+        client_ids: Iterable[int],
+        total_s: Iterable[float],
+        energy_j: Iterable[Optional[float]],
+        battery_soc: Iterable[Optional[float]],
+    ) -> None:
+        """One finished client per row of the columns, in order (the
+        round's Joules add up left to right)."""
+        clients = self.clients
+        round_j = self._current_round_j
+        for client_id, busy_s, joules, soc in zip(
+            client_ids, total_s, energy_j, battery_soc
+        ):
+            entry = clients.get(client_id)
+            if entry is None:
+                entry = clients[client_id] = ClientEnergy(client_id)
+            entry.rounds += 1
+            entry.busy_s += busy_s
+            if joules is not None:
+                entry.energy_j += joules
+                round_j += joules
+            if soc is not None:
+                entry.last_soc = soc
+        self._current_round_j = round_j
 
     def on_client_dropped(self, client_id: int) -> None:
         self._client(client_id).dropped += 1

@@ -23,13 +23,16 @@ in this package reads a wall clock).
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import (
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -167,12 +170,19 @@ class Metric:
         return self.spec.name
 
     def _key(self, labels: Mapping[str, object]) -> LabelValues:
-        if set(labels) != set(self.spec.labels):
-            raise ValueError(
-                f"metric {self.spec.name!r} takes labels "
-                f"{self.spec.labels}, got {tuple(sorted(labels))}"
-            )
-        return tuple(str(labels[k]) for k in self.spec.labels)
+        """The series key of a label set: its values, as strings, in
+        the spec's label order. The ``*_each`` bulk forms take such
+        keys ready-made."""
+        names = self.spec.labels
+        if len(labels) == len(names):
+            try:
+                return tuple([str(labels[k]) for k in names])
+            except KeyError:
+                pass
+        raise ValueError(
+            f"metric {self.spec.name!r} takes labels "
+            f"{self.spec.labels}, got {tuple(sorted(labels))}"
+        )
 
 
 class Counter(Metric):
@@ -187,6 +197,17 @@ class Counter(Metric):
             raise ValueError("counters only go up")
         key = self._key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
+
+    def inc_each(
+        self, keys: Iterable[LabelValues], amounts: Iterable[float]
+    ) -> None:
+        """``inc(amount, **labels)`` for each pair, in order, with the
+        label sets given as their series keys."""
+        values = self._values
+        for key, amount in zip(keys, amounts):
+            if amount < 0:
+                raise ValueError("counters only go up")
+            values[key] = values.get(key, 0.0) + amount
 
     def value(self, **labels: object) -> float:
         return self._values.get(self._key(labels), 0.0)
@@ -209,6 +230,13 @@ class Gauge(Metric):
 
     def set(self, value: float, **labels: object) -> None:
         self._values[self._key(labels)] = float(value)
+
+    def set_each(
+        self, keys: Iterable[LabelValues], values: Iterable[float]
+    ) -> None:
+        """``set(value, **labels)`` for each pair, in order, with the
+        label sets given as their series keys."""
+        self._values.update(zip(keys, map(float, values)))
 
     def value(self, **labels: object) -> Optional[float]:
         return self._values.get(self._key(labels))
@@ -243,18 +271,60 @@ class Histogram(Metric):
         )
         self._series: Dict[LabelValues, _HistogramSeries] = {}
 
-    def observe(self, value: float, **labels: object) -> None:
+    def _series_of(self, labels: Mapping[str, object]) -> _HistogramSeries:
         key = self._key(labels)
         series = self._series.get(key)
         if series is None:
             series = _HistogramSeries(len(self.buckets))
             self._series[key] = series
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                series.bucket_counts[i] += 1
+        return series
+
+    def _first_bucket(self, value: float) -> int:
+        """Index of the lowest bound ``value`` is within — the bucket
+        count for a value within none (above them all, or NaN)."""
+        first = bisect_left(self.buckets, value)
+        # NaN orders before nothing, which bisect reads as "before all"
+        if first == 0 and value != value:
+            return len(self.buckets)
+        return first
+
+    def observe(self, value: float, **labels: object) -> None:
+        series = self._series_of(labels)
+        counts = series.bucket_counts
+        for i in range(self._first_bucket(value), len(counts)):
+            counts[i] += 1
         series.total += value
         series.count += 1
         series.observations.append(value)
+
+    def observe_each(
+        self, values: Sequence[float], **labels: object
+    ) -> None:
+        """``observe(value, **labels)`` for each value, in order: the
+        same buckets, the same left-to-right ``_sum`` (so not ``sum``,
+        which compensates from 3.12, nor a pairwise ``np.sum``)."""
+        if not values:
+            return  # like no observe call: no series either
+        series = self._series_of(labels)
+        bounds = self.buckets
+        outside = len(bounds)
+        # values per first bucket (_first_bucket, inlined in the loop)
+        firsts = [0] * (outside + 1)
+        total = series.total
+        for value in values:
+            first = bisect_left(bounds, value)
+            if first == 0 and value != value:
+                first = outside
+            firsts[first] += 1
+            total += value
+        running = 0
+        counts = series.bucket_counts
+        for i in range(len(counts)):
+            running += firsts[i]
+            counts[i] += running
+        series.total = total
+        series.count += len(values)
+        series.observations.extend(values)
 
     def count(self, **labels: object) -> int:
         series = self._series.get(self._key(labels))

@@ -13,6 +13,15 @@ decodes each dict with :func:`repro.engine.events.event_from_dict`
 calls the live fold, so ``repro obs summary`` over a file agrees with a
 live dashboard over the bus by construction.
 
+The columnar round narrates a round's clients as two **column batches**
+(:class:`~repro.engine.events.ClientsDispatched` /
+:class:`~repro.engine.events.ClientsFinished`), and the recorder takes
+them whole (``accepts_columns``). A batch *is* its rows: the column
+handlers below do, with one bulk call per instrument, exactly what the
+row handlers would have done row by row — same series, same bits —
+and a capture written from batches holds the rows' lines, so replay
+never sees one.
+
 The live path never builds a dict, which keeps the per-event cost far
 inside the engine-overhead budget (see
 ``benchmarks/test_engine_overhead.py``).
@@ -21,6 +30,7 @@ inside the engine-overhead budget (see
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -41,11 +51,14 @@ from ..engine.events import (
     ClientDispatched,
     ClientDropped,
     ClientFinished,
+    ClientsDispatched,
+    ClientsFinished,
     CohortAccounted,
     DeviceJoined,
     DeviceLost,
     EngineEvent,
     EventBus,
+    EventColumns,
     ModelAggregated,
     RoundCompleted,
     ScheduleComputed,
@@ -171,9 +184,16 @@ class ObsRecorder:
         self.device_joins = 0
         self.device_losses = 0
 
+    #: :meth:`EventBus.emit` hands column batches over whole
+    accepts_columns: ClassVar[bool] = True
+
     # -- the fold ----------------------------------------------------------
-    def __call__(self, event: EngineEvent) -> None:
-        """EventBus listener: fold one typed engine event."""
+    def __call__(self, event: Union[EngineEvent, EventColumns]) -> None:
+        """EventBus listener: fold one typed engine event, or one
+        column batch of them."""
+        if isinstance(event, EventColumns):
+            self._fold_columns(event)
+            return
         with PROFILER.phase("fold"):
             kind = event.kind
             self.n_events += 1
@@ -186,6 +206,26 @@ class ObsRecorder:
                 handler(self, event)
             if self.spans is not None:
                 self.spans.fold(event)
+
+    def _fold_columns(self, batch: EventColumns) -> None:
+        """What folding ``batch.rows()`` one by one would leave behind,
+        with bulk instrument calls where the row kind has a column
+        handler."""
+        kind = batch.row_type.kind
+        handler = self._COLUMN_HANDLERS.get(kind)
+        if handler is None:
+            for row in batch.rows():
+                self(row)
+            return
+        n = len(batch)
+        if n == 0:
+            return
+        with PROFILER.phase("fold"):
+            self.n_events += n
+            self._events_total.inc(n, kind=kind)
+            handler(self, batch)
+            if self.spans is not None:
+                self.spans.fold_columns(batch)
 
     # -- per-kind handlers (metrics + energy; spans fold in __call__) ------
     def _on_client_dispatched(self, event: ClientDispatched) -> None:
@@ -208,6 +248,32 @@ class ObsRecorder:
         straggler = self._round_straggler.get(event.round_idx)
         if straggler is None or total_s > straggler[1]:
             self._round_straggler[event.round_idx] = (client_id, total_s)
+
+    def _on_clients_dispatched(self, batch: ClientsDispatched) -> None:
+        self._clock.set(batch.time_s)
+
+    def _on_clients_finished(self, batch: ClientsFinished) -> None:
+        client_ids, total_s = batch.client_ids, batch.total_s
+        self._clock.set(batch.finish_s[-1])
+        self._client_compute.observe_each(batch.compute_s)
+        self._client_comm.observe_each(batch.comm_s)
+        self._client_round.observe_each(total_s)
+        keys = list(zip(map(str, client_ids)))
+        self._client_busy.inc_each(keys, total_s)
+        self._client_rounds.inc_each(keys, repeat(1.0))
+        self._client_energy.inc_each(keys, batch.energy_j)
+        self._battery_soc.set_each(keys, batch.battery_soc)
+        self.energy.on_clients_finished(
+            client_ids, total_s, batch.energy_j, batch.battery_soc
+        )
+        # the rows' scan keeps the first of equal maxima, as max() does
+        slowest = max(range(len(total_s)), key=total_s.__getitem__)
+        straggler = self._round_straggler.get(batch.round_idx)
+        if straggler is None or total_s[slowest] > straggler[1]:
+            self._round_straggler[batch.round_idx] = (
+                client_ids[slowest],
+                total_s[slowest],
+            )
 
     def _on_client_dropped(self, event: ClientDropped) -> None:
         self._dropped_total.inc(client=event.client_id)
@@ -283,6 +349,16 @@ class ObsRecorder:
         CohortAccounted.kind: _on_cohort_accounted,
         DeviceJoined.kind: _on_device_joined,
         DeviceLost.kind: _on_device_lost,
+    }
+
+    #: row kind -> handler of a column batch of that kind. Not a second
+    #: taxonomy: a batch is its rows, and one of a kind without an entry
+    #: is folded as them through ``_HANDLERS``.
+    _COLUMN_HANDLERS: ClassVar[
+        Dict[str, Callable[["ObsRecorder", Any], None]]
+    ] = {
+        ClientDispatched.kind: _on_clients_dispatched,
+        ClientFinished.kind: _on_clients_finished,
     }
 
     # -- replay: decode, then the fold above -------------------------------

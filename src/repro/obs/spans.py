@@ -15,6 +15,10 @@ the typed event comes from:
   cut from captures long after the run
   (``repro obs export-trace run.jsonl``).
 
+A column batch of client rows (the columnar round's narration) goes
+through :meth:`SpanBuilder.fold_columns`: the same spans as folding its
+rows, opened or closed in one loop.
+
 All timestamps are the engine's virtual clock. Async runs have no
 ``round_completed`` barrier; their per-version "rounds" are closed at
 :meth:`SpanBuilder.finish` with the last time seen.
@@ -40,9 +44,12 @@ from ..engine.events import (
     ClientDispatched,
     ClientDropped,
     ClientFinished,
+    ClientsDispatched,
+    ClientsFinished,
     DeviceJoined,
     DeviceLost,
     EngineEvent,
+    EventColumns,
     ModelAggregated,
     RoundCompleted,
     ScheduleComputed,
@@ -130,40 +137,71 @@ class SpanBuilder:
 
     # -- per-kind handlers (reached through :meth:`fold`) ------------------
     def _on_client_dispatched(self, event: ClientDispatched) -> None:
-        parent = self._round(event.round_idx, event.time_s)
-        span = Span(
-            name=f"client {event.client_id}",
-            category="client",
-            start_s=event.time_s,
-            end_s=event.time_s,
-            attrs={"client": event.client_id, "n_samples": event.n_samples},
+        self._open_clients_at(
+            event.round_idx,
+            (event.client_id,),
+            (event.n_samples,),
+            event.time_s,
         )
-        parent.children.append(span)
-        self._open_clients[event.client_id] = (span, event.round_idx)
+
+    def _on_clients_dispatched(self, batch: ClientsDispatched) -> None:
+        self._open_clients_at(
+            batch.round_idx, batch.client_ids, batch.n_samples, batch.time_s
+        )
+
+    def _open_clients_at(
+        self,
+        round_idx: int,
+        client_ids: Iterable[int],
+        n_samples: Iterable[int],
+        time_s: float,
+    ) -> None:
+        """Open one client span per id under round ``round_idx``."""
+        children = self._round(round_idx, time_s).children
+        open_clients = self._open_clients
+        for client_id, n in zip(client_ids, n_samples):
+            span = Span(
+                f"client {client_id}",
+                "client",
+                time_s,
+                time_s,
+                {"client": client_id, "n_samples": n},
+            )
+            children.append(span)
+            displaced = open_clients.get(client_id)
+            if displaced is not None:
+                # dispatched again before it finished (its round was
+                # cancelled): the earlier span ends here, marked
+                stale = displaced[0]
+                stale.end_s = max(stale.start_s, time_s)
+                stale.attrs["unclosed"] = True
+            open_clients[client_id] = (span, round_idx)
 
     def _close_client(
-        self, event: Union[ClientFinished, ClientDropped]
+        self, round_idx: int, client_id: int, total_s: float, time_s: float
     ) -> Span:
-        self._touch(event.time_s)
-        entry = self._open_clients.pop(event.client_id, None)
+        self._touch(time_s)
+        entry = self._open_clients.pop(client_id, None)
         if entry is not None:
             span = entry[0]
         else:
             # no dispatch was seen (e.g. a trimmed capture): synthesise
             # the interval backwards from the reported duration
             span = Span(
-                name=f"client {event.client_id}",
+                name=f"client {client_id}",
                 category="client",
-                start_s=event.time_s - event.total_s,
-                end_s=event.time_s,
-                attrs={"client": event.client_id},
+                start_s=time_s - total_s,
+                end_s=time_s,
+                attrs={"client": client_id},
             )
-            self._round(event.round_idx, span.start_s).children.append(span)
-        span.end_s = max(span.start_s, event.time_s)
+            self._round(round_idx, span.start_s).children.append(span)
+        span.end_s = max(span.start_s, time_s)
         return span
 
     def _on_client_finished(self, event: ClientFinished) -> None:
-        span = self._close_client(event)
+        span = self._close_client(
+            event.round_idx, event.client_id, event.total_s, event.time_s
+        )
         span.attrs["compute_s"] = event.compute_s
         span.attrs["comm_s"] = event.comm_s
         if event.energy_j is not None:
@@ -171,8 +209,27 @@ class SpanBuilder:
         if event.battery_soc is not None:
             span.attrs["battery_soc"] = event.battery_soc
 
+    def _on_clients_finished(self, batch: ClientsFinished) -> None:
+        round_idx, close = batch.round_idx, self._close_client
+        for client_id, compute_s, comm_s, total_s, time_s, joules, soc in zip(
+            batch.client_ids,
+            batch.compute_s,
+            batch.comm_s,
+            batch.total_s,
+            batch.finish_s,
+            batch.energy_j,
+            batch.battery_soc,
+        ):
+            attrs = close(round_idx, client_id, total_s, time_s).attrs
+            attrs["compute_s"] = compute_s
+            attrs["comm_s"] = comm_s
+            attrs["energy_j"] = joules
+            attrs["battery_soc"] = soc
+
     def _on_client_dropped(self, event: ClientDropped) -> None:
-        self._close_client(event).attrs["dropped"] = True
+        self._close_client(
+            event.round_idx, event.client_id, event.total_s, event.time_s
+        ).attrs["dropped"] = True
 
     def _on_model_aggregated(self, event: ModelAggregated) -> None:
         self._round(event.round_idx, event.time_s).children.append(
@@ -282,12 +339,31 @@ class SpanBuilder:
         DeviceLost.kind: _on_device_lost,
     }
 
+    #: row kind -> handler of a column batch of that kind; a batch of
+    #: any other kind is folded as its rows
+    _COLUMN_HANDLERS: ClassVar[
+        Dict[str, Callable[["SpanBuilder", Any], None]]
+    ] = {
+        ClientDispatched.kind: _on_clients_dispatched,
+        ClientFinished.kind: _on_clients_finished,
+    }
+
     # -- the two construction paths ----------------------------------------
     def fold(self, event: EngineEvent) -> None:
         """Fold one typed event (the live path, and the only fold)."""
         handler = self._HANDLERS.get(event.kind)
         if handler is not None:
             handler(self, event)
+
+    def fold_columns(self, batch: EventColumns) -> None:
+        """Fold a column batch: the same tree as :meth:`fold` over its
+        rows, in one handler call where the row kind has one."""
+        handler = self._COLUMN_HANDLERS.get(batch.row_type.kind)
+        if handler is None:
+            for row in batch.rows():
+                self.fold(row)
+        elif len(batch):  # no rows touch nothing, not even the round
+            handler(self, batch)
 
     def add(self, payload: Mapping[str, object]) -> None:
         """Fold one JSONL event dict: decode it, then :meth:`fold`.

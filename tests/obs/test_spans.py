@@ -271,3 +271,34 @@ class TestMembershipSpans:
             s for s in run.children if s.category == "membership"
         ]
         assert len(membership) == 2
+
+
+class TestRedispatch:
+    def test_a_redispatched_client_closes_its_displaced_span(self):
+        """Regression: a serve round cancelled at the ``dispatched``
+        checkpoint leaves its clients' spans open; dispatching one of
+        them again overwrote the open-span entry, so the first span
+        stayed at ``start_s == end_s`` without an ``unclosed`` mark and
+        ``finish()`` never saw it."""
+        from repro.engine.events import (
+            ClientDispatched,
+            ClientFinished,
+            RoundCompleted,
+        )
+
+        builder = SpanBuilder()
+        for event in (
+            ClientDispatched(1, 3, 500, 0.0),
+            ClientDispatched(2, 3, 500, 10.0),
+            ClientFinished(2, 3, 2.0, 1.0, 3.0, 13.0),
+            RoundCompleted(2, 3.0, 3.0, 1, None, 13.0),
+        ):
+            builder.fold(event)
+        (run,) = builder.finish()
+        first, second = [s for s in run.walk() if s.name == "client 3"]
+        assert (first.start_s, first.end_s) == (0.0, 10.0)
+        assert first.attrs == {
+            "client": 3, "n_samples": 500, "unclosed": True
+        }
+        assert (second.start_s, second.end_s) == (10.0, 13.0)
+        assert "unclosed" not in second.attrs
