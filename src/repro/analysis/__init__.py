@@ -32,6 +32,12 @@ the ``impure-scheduler`` certificate that every registered
 carry the full propagation chain (``clock.now -> _lag_s ->
 Heartbeat.lag_s``) in text output and SARIF ``codeFlows``.
 
+The three interprocedural passes (blocking-reach, taint, purity) share
+one spine in :mod:`project`: one function table, one call resolver
+and one summary engine (:class:`~repro.analysis.project.Summaries`)
+that makes every summary the least fixed point over the call graph —
+exact on recursion, independent of who asked first.
+
 ``repro lint`` is the CLI shell around
 :func:`~repro.analysis.runner.lint_repo`; ``--format sarif`` exports
 GitHub-code-scanning-ready SARIF (:mod:`sarif`), ``--fix`` applies the
@@ -80,7 +86,6 @@ from .project import (
     ModuleInfo,
     ProjectGraph,
     build_project,
-    iter_defined_functions,
     set_parse_listener,
 )
 from .purity import PurityIndex, PuritySummary, purity_index_for
@@ -110,7 +115,6 @@ __all__ = [
     "ModuleInfo",
     "ProjectGraph",
     "build_project",
-    "iter_defined_functions",
     "set_parse_listener",
     "FnTaint",
     "TaintEngine",

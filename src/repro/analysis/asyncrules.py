@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import ast
 from typing import (
-    Dict,
     FrozenSet,
     Iterable,
     Iterator,
@@ -49,23 +48,25 @@ from typing import (
     Union,
 )
 
-from .base import FileContext, FileRule, ProjectContext, rule
+from .base import (
+    FileContext,
+    FileRule,
+    ProjectContext,
+    dotted_text,
+    rule,
+)
 from .cfg import (
     CFG,
+    FunctionNode,
     Unit,
     WithExit,
     build_cfg,
     contains_suspension,
     walk_function_body,
 )
-from .dataflow import ForwardAnalysis, solve_forward, unit_facts
+from .dataflow import MayUnion, solve_forward, unit_facts
 from .findings import Finding
-from .project import (
-    FunctionInfo,
-    ModuleInfo,
-    iter_defined_functions,
-    module_name_for,
-)
+from .project import CallTarget, Summaries, enclosing_class
 
 __all__ = [
     "BlockingCallInAsync",
@@ -75,56 +76,46 @@ __all__ = [
     "SharedFleetMutation",
 ]
 
-FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-_NESTED = (
-    ast.FunctionDef,
-    ast.AsyncFunctionDef,
-    ast.Lambda,
-    ast.ClassDef,
-)
-
-
-def _own_nodes(func: FunctionNode) -> Iterator[ast.AST]:
-    """Every node of a function's own body, nested scopes excluded."""
-    stack: List[ast.AST] = [
-        s for s in func.body if not isinstance(s, _NESTED)
-    ]
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, _NESTED):
-                continue
-            stack.append(child)
-
 
 def _own_calls(func: FunctionNode) -> Iterator[ast.Call]:
-    for node in _own_nodes(func):
+    for node in walk_function_body(func):
         if isinstance(node, ast.Call):
             yield node
 
 
-def _text(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` source text of a Name/Attribute chain (else None)."""
-    parts: List[str] = []
-    cur = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    parts.append(cur.id)
-    return ".".join(reversed(parts))
-
-
-def _load_names(func: FunctionNode) -> Set[str]:
-    """Names read anywhere in the function's own body."""
-    return {
+def _dropped_calls(
+    func: FunctionNode,
+) -> Iterator[Tuple[ast.stmt, ast.Call, Optional[str]]]:
+    """Calls whose result the function drops: a bare expression
+    statement ``(stmt, call, None)``, or the sole assignment to a local
+    the body never reads, ``(stmt, call, name)``."""
+    loads = {
         node.id
-        for node in _own_nodes(func)
+        for node in walk_function_body(func)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
+    for stmt in walk_function_body(func):
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+            yield (stmt, stmt.value, None)
+        elif (
+            isinstance(stmt, ast.Assign)
+            and len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], ast.Name)
+            and isinstance(stmt.value, ast.Call)
+            and stmt.targets[0].id not in loads
+        ):
+            yield (stmt, stmt.value, stmt.targets[0].id)
+
+
+def _project_target(
+    ctx: FileContext,
+    call: ast.Call,
+    owner_class: Optional[str] = None,
+) -> Optional[CallTarget]:
+    """The project callable behind a call site (None without a graph)."""
+    if ctx.project is None or ctx.project.graph is None:
+        return None
+    return ctx.project.graph.resolve_call(ctx, owner_class, call)
 
 
 # ---------------------------------------------------------------------------
@@ -163,121 +154,45 @@ def _blocking_reason(dotted: Optional[str]) -> Optional[str]:
     return None
 
 
-def _resolve_written(info: ModuleInfo, dotted: str) -> str:
-    """Expand a call target as written through the module's bindings
-    (same resolution the project call graph applies) — unlike
-    ``FileContext.dotted_name`` this follows *relative* imports too."""
-    head, _, rest = dotted.partition(".")
-    bound = info.bindings.get(head)
-    if bound is not None:
-        return f"{bound}.{rest}" if rest else bound
-    if info.has_symbol(head):
-        return f"{info.name}.{dotted}"
-    return dotted
+def _blocking_index(
+    project: ProjectContext,
+) -> Summaries[Tuple[str, ...]]:
+    """Which sync project functions (transitively) block, and how.
 
-
-def _self_call_target(
-    modname: str, owner_class: Optional[str], dotted: str
-) -> Optional[str]:
-    """``mod.Class.helper`` behind a ``self.helper()`` / ``cls.helper()``
-    call inside a method of ``owner_class`` (else None)."""
-    head, _, rest = dotted.partition(".")
-    if (
-        head in ("self", "cls")
-        and owner_class is not None
-        and rest
-        and "." not in rest
-    ):
-        return f"{modname}.{owner_class}.{rest}"
-    return None
-
-
-def _owner_class_of(
-    ctx: FileContext, func: FunctionNode
-) -> Optional[str]:
-    """Name of the top-level class whose body holds ``func``, if any."""
-    for stmt in ctx.tree.body:
-        if isinstance(stmt, ast.ClassDef) and any(
-            sub is func for sub in stmt.body
-        ):
-            return stmt.name
-    return None
-
-
-def _project_target(
-    ctx: FileContext,
-    call: ast.Call,
-    owner_class: Optional[str] = None,
-) -> Optional[Tuple[str, ModuleInfo, FunctionInfo]]:
-    """Resolve a call site to ``(key, module, signature)`` in the
-    project graph; ``self.x()`` resolves through ``owner_class``."""
-    if ctx.project is None or ctx.project.graph is None:
-        return None
-    modname = module_name_for(ctx.module)
-    if modname is None:
-        return None
-    graph = ctx.project.graph
-    raw = _text(call.func)
-    if raw is None:
-        return None
-    resolved = _self_call_target(modname, owner_class, raw)
-    if resolved is None:
-        info = graph.modules.get(modname)
-        resolved = (
-            _resolve_written(info, raw) if info is not None else raw
-        )
-    return graph.resolve_callable(modname, resolved)
-
-
-def _blocking_index(project: ProjectContext) -> Dict[str, Tuple[str, ...]]:
-    """Sync module-level functions that (transitively) block.
-
-    Maps ``module.function`` keys to the call chain that reaches the
-    blocking leaf, e.g. ``("_flush", "time.sleep")``. Built once per
-    lint run and cached on the project context; async functions are
-    excluded — each coroutine gets its own direct findings.
+    ``.get(key)`` is the call chain from ``key`` to a blocking leaf,
+    e.g. ``("_flush", "time.sleep")`` — the function's first direct
+    blocking call in body order, else its first blocking callee in
+    sorted key order — or ``()`` when nothing it reaches blocks.
+    Inferred on demand, for the functions some coroutine reaches only;
+    async functions never block their caller (each coroutine gets its
+    own direct findings) and so does anything the graph cannot name.
     """
-    cached = getattr(project, "_async_blocking_index", None)
-    if cached is not None:
-        return dict(cached)
+
     graph = project.graph
-    index: Dict[str, Tuple[str, ...]] = {}
-    edges: Dict[str, Set[str]] = {}
-    if graph is not None:
-        for key, info, owner, func in iter_defined_functions(graph):
-            if isinstance(func, ast.AsyncFunctionDef):
-                continue
-            callees: Set[str] = set()
-            for call in _own_calls(func):
-                dotted = _text(call.func)
-                if dotted is None:
-                    continue
-                resolved = _self_call_target(
-                    info.name, owner, dotted
-                ) or _resolve_written(info, dotted)
-                reason = _blocking_reason(resolved)
-                if reason is not None and key not in index:
-                    index[key] = (reason,)
-                target = graph.resolve_callable(info.name, resolved)
-                if target is not None and not target[2].is_async:
-                    callees.add(target[0])
-            edges[key] = callees
-        # propagate taint caller-ward until a fixed point (callees
-        # sorted so the chosen chain is hash-seed independent)
-        changed = True
-        while changed:
-            changed = False
-            for key, callees in edges.items():
-                if key in index:
-                    continue
-                for callee in sorted(callees):
-                    chain = index.get(callee)
-                    if chain is not None:
-                        short = callee.rsplit(".", 1)[-1]
-                        index[key] = (short, *chain)
-                        changed = True
-                        break
-    setattr(project, "_async_blocking_index", index)
+
+    def infer(key: str) -> Tuple[str, ...]:
+        entry = graph.functions().get(key) if graph else None
+        if entry is None or isinstance(entry[2], ast.AsyncFunctionDef):
+            return ()
+        assert graph is not None
+        ctx, owner, func = entry
+        callees: Set[str] = set()
+        for call in _own_calls(func):
+            reason = _blocking_reason(ctx.dotted_name(call.func))
+            if reason is not None:
+                return (reason,)
+            target = graph.resolve_call(ctx, owner, call)
+            if target is not None:
+                callees.add(target.key)
+        for callee in sorted(callees):
+            chain = index.get(callee)
+            if chain:
+                return (callee.rsplit(".", 1)[-1], *chain)
+        return ()
+
+    index: Summaries[Tuple[str, ...]] = project.memo(
+        "blocking-index", lambda: Summaries(infer, (), bool)
+    )
     return index
 
 
@@ -299,12 +214,7 @@ class BlockingCallInAsync(FileRule):
         self, node: ast.AST, ctx: FileContext
     ) -> Iterable[Finding]:
         assert isinstance(node, ast.AsyncFunctionDef)
-        index: Dict[str, Tuple[str, ...]] = (
-            _blocking_index(ctx.project)
-            if ctx.project is not None
-            else {}
-        )
-        owner = _owner_class_of(ctx, node)
+        owner = ctx.owner_class_of(node)
         for call in _own_calls(node):
             dotted = ctx.dotted_name(call.func)
             reason = _blocking_reason(dotted)
@@ -320,12 +230,12 @@ class BlockingCallInAsync(FileRule):
                 )
                 continue
             target = _project_target(ctx, call, owner)
-            if target is None or target[2].is_async:
+            if target is None:
                 continue
-            key = target[0]
-            chain = index.get(key)
-            if chain is not None:
-                path = " -> ".join([target[2].name, *chain])
+            assert ctx.project is not None
+            chain = _blocking_index(ctx.project).get(target.key)
+            if chain:
+                path = " -> ".join([target.fn.name, *chain])
                 yield ctx.finding(
                     self.id,
                     call,
@@ -350,17 +260,16 @@ class UnawaitedCoroutine(FileRule):
     )
     node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-    def __init__(self) -> None:
-        self._async_names: Optional[Set[str]] = None
-
-    def _local_async(self, ctx: FileContext) -> Set[str]:
-        if self._async_names is None:
-            self._async_names = {
+    @staticmethod
+    def _local_async(ctx: FileContext) -> Set[str]:
+        return ctx.memo(
+            "async-def-names",
+            lambda: {
                 node.name
                 for node in ast.walk(ctx.tree)
                 if isinstance(node, ast.AsyncFunctionDef)
-            }
-        return self._async_names
+            },
+        )
 
     def _is_coroutine_call(
         self, call: ast.Call, ctx: FileContext
@@ -379,7 +288,7 @@ class UnawaitedCoroutine(FileRule):
         ):
             return True
         target = _project_target(ctx, call)
-        return target is not None and target[2].is_async
+        return target is not None and target.fn.is_async
 
     def check(
         self, node: ast.AST, ctx: FileContext
@@ -387,37 +296,23 @@ class UnawaitedCoroutine(FileRule):
         assert isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef)
         )
-        loads = _load_names(node)
-        for stmt in _own_nodes(node):
-            if isinstance(stmt, ast.Expr) and isinstance(
-                stmt.value, ast.Call
-            ):
-                if self._is_coroutine_call(stmt.value, ctx):
-                    name = ctx.dotted_name(stmt.value.func) or "?"
-                    yield ctx.finding(
-                        self.id,
-                        stmt,
-                        f"coroutine `{name}(...)` is never awaited — "
-                        "its body will not run; await it or wrap it "
-                        "in asyncio.create_task",
-                    )
-            elif (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Call)
-            ):
-                target = stmt.targets[0]
-                if target.id in loads:
-                    continue
-                if self._is_coroutine_call(stmt.value, ctx):
-                    yield ctx.finding(
-                        self.id,
-                        stmt,
-                        f"coroutine assigned to {target.id!r} but the "
-                        "name is never read — the coroutine is never "
-                        "awaited",
-                    )
+        for stmt, call, name in _dropped_calls(node):
+            if not self._is_coroutine_call(call, ctx):
+                continue
+            if name is None:
+                spelled = ctx.dotted_name(call.func) or "?"
+                message = (
+                    f"coroutine `{spelled}(...)` is never awaited — "
+                    "its body will not run; await it or wrap it "
+                    "in asyncio.create_task"
+                )
+            else:
+                message = (
+                    f"coroutine assigned to {name!r} but the "
+                    "name is never read — the coroutine is never "
+                    "awaited"
+                )
+            yield ctx.finding(self.id, stmt, message)
 
 
 # ---------------------------------------------------------------------------
@@ -468,19 +363,19 @@ def _declared_locks(ctx: FileContext, func: FunctionNode) -> FrozenSet[str]:
         if dotted not in _LOCK_FACTORIES:
             continue
         for target in node.targets:
-            text = _text(target)
+            text = dotted_text(target)
             if text is not None:
                 names.add(text)
     for arg in [*func.args.posonlyargs, *func.args.args]:
         if arg.annotation is None:
             continue
-        ann = _text(arg.annotation) or ""
+        ann = dotted_text(arg.annotation) or ""
         if ann in _LOCK_ANNOTATIONS:
             names.add(arg.arg)
     return frozenset(names)
 
 
-class _HeldLocks(ForwardAnalysis[FrozenSet[str]]):
+class _HeldLocks(MayUnion[str]):
     """Forward may-analysis: which locks may be held at each point."""
 
     def __init__(self, declared: FrozenSet[str]) -> None:
@@ -489,20 +384,12 @@ class _HeldLocks(ForwardAnalysis[FrozenSet[str]]):
     def initial(self, cfg: CFG) -> FrozenSet[str]:
         return frozenset()
 
-    def bottom(self) -> FrozenSet[str]:
-        return frozenset()
-
-    def join(
-        self, a: FrozenSet[str], b: FrozenSet[str]
-    ) -> FrozenSet[str]:
-        return a | b
-
     def _with_locks(
         self, node: Union[ast.With, ast.AsyncWith]
     ) -> Set[str]:
         out: Set[str] = set()
         for item in node.items:
-            text = _text(item.context_expr)
+            text = dotted_text(item.context_expr)
             if _lockish(text, self.declared):
                 assert text is not None
                 out.add(text)
@@ -533,7 +420,7 @@ class _HeldLocks(ForwardAnalysis[FrozenSet[str]]):
             func = node.func
             if not isinstance(func, ast.Attribute):
                 continue
-            owner = _text(func.value)
+            owner = dotted_text(func.value)
             if not _lockish(owner, self.declared):
                 continue
             assert owner is not None
@@ -582,8 +469,8 @@ class LockAcrossAwait(FileRule):
         analysis = _HeldLocks(declared)
         # cheap prescan: anything lock-ish mentioned at all?
         if not any(
-            _lockish(_text(sub), declared)
-            for sub in _own_nodes(node)
+            _lockish(dotted_text(sub), declared)
+            for sub in walk_function_body(node)
             if isinstance(sub, (ast.Name, ast.Attribute))
         ):
             return
@@ -621,13 +508,13 @@ def _taskgroup_names(func: FunctionNode) -> Set[str]:
     """Names bound by ``async with asyncio.TaskGroup() as tg`` — the
     group owns its tasks, so dropped handles are fine."""
     out: Set[str] = set()
-    for node in _own_nodes(func):
+    for node in walk_function_body(func):
         if not isinstance(node, (ast.With, ast.AsyncWith)):
             continue
         for item in node.items:
             if not isinstance(item.context_expr, ast.Call):
                 continue
-            text = _text(item.context_expr.func) or ""
+            text = dotted_text(item.context_expr.func) or ""
             if text.endswith("TaskGroup") and isinstance(
                 item.optional_vars, ast.Name
             ):
@@ -666,33 +553,18 @@ class TaskLeak(FileRule):
             node, (ast.FunctionDef, ast.AsyncFunctionDef)
         )
         exempt = _taskgroup_names(node)
-        loads = _load_names(node)
-        for stmt in _own_nodes(node):
-            if isinstance(stmt, ast.Expr) and isinstance(
-                stmt.value, ast.Call
-            ):
-                if self._is_spawn(stmt.value, ctx, exempt):
-                    yield ctx.finding(
-                        self.id,
-                        stmt,
-                        "task handle dropped at creation; store it "
-                        "so shutdown can cancel/await it",
-                    )
-            elif (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Call)
-                and self._is_spawn(stmt.value, ctx, exempt)
-            ):
-                target = stmt.targets[0]
-                if target.id not in loads:
-                    yield ctx.finding(
-                        self.id,
-                        stmt,
-                        f"task handle {target.id!r} is never read — "
-                        "the task cannot be cancelled or awaited",
-                    )
+        for stmt, call, name in _dropped_calls(node):
+            if not self._is_spawn(call, ctx, exempt):
+                continue
+            yield ctx.finding(
+                self.id,
+                stmt,
+                "task handle dropped at creation; store it "
+                "so shutdown can cancel/await it"
+                if name is None
+                else f"task handle {name!r} is never read — "
+                "the task cannot be cancelled or awaited",
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -713,13 +585,13 @@ def _is_fleet_source(value: ast.expr, fact: FrozenSet[str]) -> bool:
     """Whether an assigned expression may be a FleetStore."""
     if isinstance(value, ast.Name):
         return value.id in fact
-    text = _text(value)
+    text = dotted_text(value)
     if text is not None and (
         text == "fleet" or text.endswith(".fleet")
     ):
         return True
     if isinstance(value, ast.Call):
-        func_text = _text(value.func) or ""
+        func_text = dotted_text(value.func) or ""
         return any(
             func_text == name or func_text.endswith(f".{name}")
             for name in _FLEET_FACTORIES
@@ -727,7 +599,7 @@ def _is_fleet_source(value: ast.expr, fact: FrozenSet[str]) -> bool:
     return False
 
 
-class _FleetAliases(ForwardAnalysis[FrozenSet[str]]):
+class _FleetAliases(MayUnion[str]):
     """Forward alias analysis: locals that may name the shared fleet."""
 
     def __init__(self, seed: FrozenSet[str]) -> None:
@@ -735,14 +607,6 @@ class _FleetAliases(ForwardAnalysis[FrozenSet[str]]):
 
     def initial(self, cfg: CFG) -> FrozenSet[str]:
         return self.seed
-
-    def bottom(self) -> FrozenSet[str]:
-        return frozenset()
-
-    def join(
-        self, a: FrozenSet[str], b: FrozenSet[str]
-    ) -> FrozenSet[str]:
-        return a | b
 
     def transfer(
         self, fact: FrozenSet[str], unit: Unit
@@ -776,7 +640,7 @@ def _fleet_base(expr: ast.expr, fact: FrozenSet[str]) -> Optional[str]:
     """The fleet expression behind a column access base, if any."""
     if isinstance(expr, ast.Name) and expr.id in fact:
         return expr.id
-    text = _text(expr)
+    text = dotted_text(expr)
     if text is not None and (
         text == "fleet" or text.endswith(".fleet")
     ):
@@ -816,45 +680,32 @@ class SharedFleetMutation(FileRule):
         "elsewhere must go through registry/fleet methods, not write "
         "columns directly (alias-tracked)"
     )
-    node_types = (
-        ast.ClassDef,
-        ast.FunctionDef,
-        ast.AsyncFunctionDef,
-    )
-
-    def __init__(self) -> None:
-        #: (class name, first line, last line) seen so far in the walk
-        self._classes: List[Tuple[str, int, int]] = []
+    node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
 
     def applies_to(self, module: str) -> bool:
         return module.startswith("src/repro/serve/")
 
-    def _enclosing_class(self, lineno: int) -> Optional[str]:
-        best: Optional[Tuple[int, str]] = None
-        for name, start, end in self._classes:
-            if start <= lineno <= end:
-                if best is None or start > best[0]:
-                    best = (start, name)
-        return best[1] if best is not None else None
-
     def check(
         self, node: ast.AST, ctx: FileContext
     ) -> Iterable[Finding]:
-        if isinstance(node, ast.ClassDef):
-            self._classes.append(
-                (node.name, node.lineno, node.end_lineno or node.lineno)
-            )
-            return
         assert isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef)
         )
-        if self._enclosing_class(node.lineno) == _FLEET_OWNER:
+        classes: List[ast.ClassDef] = ctx.memo(
+            "class-defs",
+            lambda: [
+                sub
+                for sub in ast.walk(ctx.tree)
+                if isinstance(sub, ast.ClassDef)
+            ],
+        )
+        if enclosing_class(classes, node.lineno) == _FLEET_OWNER:
             return
         # cheap prescan: any owned column name mentioned at all?
         if not any(
             isinstance(sub, ast.Attribute)
             and sub.attr in _FLEET_COLUMNS
-            for sub in _own_nodes(node)
+            for sub in walk_function_body(node)
         ):
             return
         seed = frozenset(
@@ -866,7 +717,7 @@ class SharedFleetMutation(FileRule):
             if arg.arg == "fleet"
             or (
                 arg.annotation is not None
-                and (_text(arg.annotation) or "").endswith("FleetStore")
+                and (dotted_text(arg.annotation) or "").endswith("FleetStore")
             )
         )
         analysis = _FleetAliases(seed)

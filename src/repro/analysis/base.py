@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     FrozenSet,
@@ -45,6 +46,8 @@ from typing import (
     Sequence,
     Tuple,
     Type,
+    TypeVar,
+    cast,
 )
 
 from .findings import Finding, Severity
@@ -53,6 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .project import ProjectGraph
 
 __all__ = [
+    "dotted_text",
     "FileContext",
     "ProjectContext",
     "Rule",
@@ -67,9 +71,39 @@ __all__ = [
 #: matches ``# lint: allow[rule-a, rule-b]`` trailing comments
 _ALLOW_RE = re.compile(r"#\s*lint:\s*allow\[([a-z0-9_,\s-]+)\]")
 
+T = TypeVar("T")
+
+
+def dotted_text(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` source text of a Name/Attribute chain (else None)."""
+    parts: List[str] = []
+    cur = node
+    while isinstance(cur, ast.Attribute):
+        parts.append(cur.attr)
+        cur = cur.value
+    if not isinstance(cur, ast.Name):
+        return None
+    parts.append(cur.id)
+    return ".".join(reversed(parts))
+
+
+class _Memoizing:
+    """The one per-run cache of a context: derived structures (summary
+    engines, CFG solutions, token indices) are built on first use and
+    live exactly as long as the context they were derived from."""
+
+    _memo: Dict[str, Any]
+
+    def memo(self, name: str, build: Callable[[], T]) -> T:
+        """``build()`` once per context under ``name``, then the same
+        object on every later call."""
+        if name not in self._memo:
+            self._memo[name] = build()
+        return cast(T, self._memo[name])
+
 
 @dataclass
-class FileContext:
+class FileContext(_Memoizing):
     """Everything a :class:`FileRule` may consult about one file.
 
     ``module`` is the repo-relative posix path (``src/repro/cli.py``)
@@ -91,6 +125,9 @@ class FileContext:
     imports: Dict[str, str] = field(default_factory=dict)
     from_imports: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     project: Optional["ProjectContext"] = None
+    _memo: Dict[str, Any] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.lines:
@@ -132,6 +169,15 @@ class FileContext:
         allowed = {part.strip() for part in m.group(1).split(",")}
         return rule_id in allowed
 
+    def owner_class_of(self, func: ast.AST) -> Optional[str]:
+        """Name of the top-level class whose body holds ``func``, if any."""
+        for stmt in self.tree.body:
+            if isinstance(stmt, ast.ClassDef) and any(
+                sub is func for sub in stmt.body
+            ):
+                return stmt.name
+        return None
+
     def dotted_name(self, node: ast.AST) -> Optional[str]:
         """Resolve an attribute/name chain to a canonical dotted path.
 
@@ -140,22 +186,15 @@ class FileContext:
         after ``import random as rnd`` -> ``random.random``; a bare
         name imported via ``from x import y`` -> ``x.y``.
         """
-        parts: List[str] = []
-        cur = node
-        while isinstance(cur, ast.Attribute):
-            parts.append(cur.attr)
-            cur = cur.value
-        if not isinstance(cur, ast.Name):
+        text = dotted_text(node)
+        if text is None:
             return None
-        head = cur.id
+        head, dot, rest = text.partition(".")
         if head in self.imports:
-            root = self.imports[head]
+            head = self.imports[head]
         elif head in self.from_imports:
-            mod, orig = self.from_imports[head]
-            root = f"{mod}.{orig}"
-        else:
-            root = head
-        return ".".join([root, *reversed(parts)])
+            head = ".".join(self.from_imports[head])
+        return f"{head}{dot}{rest}"
 
     def finding(
         self,
@@ -184,7 +223,7 @@ REFERENCE_DIRS = ("tests", "examples", "benchmarks")
 
 
 @dataclass
-class ProjectContext:
+class ProjectContext(_Memoizing):
     """Repo-level view handed to :class:`ProjectRule` instances.
 
     ``graph`` is the whole-program model built by
@@ -199,8 +238,8 @@ class ProjectContext:
     files: Dict[str, FileContext] = field(default_factory=dict)
     #: whole-program model (symbol table / import graph / call graph)
     graph: Optional["ProjectGraph"] = None
-    _tokens: Optional[Dict[str, FrozenSet[str]]] = field(
-        default=None, repr=False, compare=False
+    _memo: Dict[str, Any] = field(
+        default_factory=dict, repr=False, compare=False
     )
 
     def read_text(self, relpath: str) -> Optional[str]:
@@ -223,8 +262,9 @@ class ProjectContext:
         ``tests/``, ``examples/`` and ``benchmarks/`` trees. Built
         lazily once per lint run and cached.
         """
-        if self._tokens is not None:
-            return self._tokens
+        return self.memo("reference-tokens", self._reference_tokens)
+
+    def _reference_tokens(self) -> Dict[str, FrozenSet[str]]:
         from .project import usage_tokens
 
         index: Dict[str, FrozenSet[str]] = {}
@@ -243,7 +283,6 @@ class ProjectContext:
                 except OSError:  # pragma: no cover - unreadable file
                     continue
                 index[rel] = frozenset(usage_tokens(text, None))
-        self._tokens = index
         return index
 
 

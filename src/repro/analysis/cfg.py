@@ -43,6 +43,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "SUSPENSION_NODES",
+    "NESTED_SCOPES",
     "WithExit",
     "Unit",
     "BasicBlock",
@@ -58,7 +59,7 @@ __all__ = [
 SUSPENSION_NODES = (ast.Await, ast.Yield, ast.YieldFrom)
 
 #: nodes opening a nested scope the CFG must not descend into
-_NESTED_SCOPES = (
+NESTED_SCOPES = (
     ast.FunctionDef,
     ast.AsyncFunctionDef,
     ast.Lambda,
@@ -85,30 +86,34 @@ Unit = Union[ast.stmt, WithExit]
 
 
 def walk_function_body(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk an AST without descending into nested scopes.
+    """Source-order walk of one scope's own nodes.
 
-    The root itself is yielded (so a function node's own body walks),
-    but any nested function / lambda / class encountered below it is
-    skipped — its body belongs to a different CFG.
+    For a function definition that is its body statements (decorators,
+    defaults and annotations evaluate in the enclosing scope); for any
+    other node, the node itself and everything below it. Nested
+    function / lambda / class bodies are never entered — they belong
+    to a different CFG. This is the package's one own-body walk.
     """
-    stack: List[ast.AST] = [node]
+    roots: Sequence[ast.AST] = (node,)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        roots = node.body
+    stack: List[Iterator[ast.AST]] = [iter(roots)]
     while stack:
-        cur = stack.pop()
-        yield cur
-        for child in ast.iter_child_nodes(cur):
-            if isinstance(child, _NESTED_SCOPES):
-                continue
-            stack.append(child)
+        for cur in stack[-1]:
+            if not isinstance(cur, NESTED_SCOPES):
+                yield cur
+                stack.append(ast.iter_child_nodes(cur))
+                break
+        else:
+            stack.pop()
 
 
 def contains_suspension(node: ast.AST) -> bool:
     """Whether a statement suspends (await/yield outside nested defs)."""
-    for sub in walk_function_body(node):
-        if sub is not node and isinstance(sub, _NESTED_SCOPES):
-            continue
-        if isinstance(sub, SUSPENSION_NODES):
-            return True
-    return False
+    return any(
+        isinstance(sub, SUSPENSION_NODES)
+        for sub in walk_function_body(node)
+    )
 
 
 @dataclass

@@ -32,6 +32,7 @@ from .cfg import CFG, Edge, Unit, WithExit, walk_function_body
 
 __all__ = [
     "ForwardAnalysis",
+    "MayUnion",
     "solve_forward",
     "unit_facts",
     "ReachingDefinitions",
@@ -72,6 +73,20 @@ class ForwardAnalysis(ABC, Generic[F]):
         statement, is where the event loop may interleave.
         """
         return fact
+
+
+E = TypeVar("E")
+
+
+class MayUnion(ForwardAnalysis[FrozenSet[E]]):
+    """A may-analysis over sets: unreached code knows nothing, facts
+    meeting at a join are united."""
+
+    def bottom(self) -> FrozenSet[E]:
+        return frozenset()
+
+    def join(self, a: FrozenSet[E], b: FrozenSet[E]) -> FrozenSet[E]:
+        return a | b
 
 
 def _block_out(analysis: ForwardAnalysis[F], cfg: CFG, idx: int, fact: F) -> F:
@@ -165,7 +180,7 @@ def _binding_targets(unit: Unit) -> List[Tuple[str, int]]:
 Defs = FrozenSet[Tuple[str, int]]
 
 
-class ReachingDefinitions(ForwardAnalysis[Defs]):
+class ReachingDefinitions(MayUnion[Tuple[str, int]]):
     """Which ``(name, lineno)`` bindings may reach a program point."""
 
     def __init__(self, params: Tuple[str, ...] = ()) -> None:
@@ -173,12 +188,6 @@ class ReachingDefinitions(ForwardAnalysis[Defs]):
 
     def initial(self, cfg: CFG) -> Defs:
         return frozenset((name, 0) for name in self.params)
-
-    def bottom(self) -> Defs:
-        return frozenset()
-
-    def join(self, a: Defs, b: Defs) -> Defs:
-        return a | b
 
     def transfer(self, fact: Defs, unit: Unit) -> Defs:
         bound = _binding_targets(unit)

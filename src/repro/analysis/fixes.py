@@ -47,6 +47,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .asyncrules import BlockingCallInAsync
 from .base import FileContext
+from .cfg import walk_function_body
 from .rules import EventSchemaSync, NoUnseededRng, NoWallClock
 
 __all__ = [
@@ -271,30 +272,12 @@ def _fix_blocking_sleep(source: str, module: str) -> Tuple[str, int]:
     tree = ast.parse(source, filename=module)
     ctx = FileContext(module=module, source=source, tree=tree)
     edits: List[_Edit] = []
-    nested = (
-        ast.FunctionDef,
-        ast.AsyncFunctionDef,
-        ast.Lambda,
-        ast.ClassDef,
-    )
     for func in ast.walk(tree):
         if not isinstance(func, ast.AsyncFunctionDef):
             continue
         # own body only: a sleep inside a nested sync def must not
         # gain an await, and nested async defs are walked separately
-        stack: List[ast.AST] = [
-            s for s in func.body if not isinstance(s, nested)
-        ]
-        own: List[ast.AST] = []
-        while stack:
-            sub = stack.pop()
-            own.append(sub)
-            stack.extend(
-                c
-                for c in ast.iter_child_nodes(sub)
-                if not isinstance(c, nested)
-            )
-        for node in own:
+        for node in walk_function_body(func):
             if not isinstance(node, ast.Expr):
                 continue
             call = node.value

@@ -36,17 +36,20 @@ from pathlib import Path
 from typing import (
     Callable,
     Dict,
+    Generic,
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
     Tuple,
-    Union,
+    TypeVar,
 )
 
-from .base import FileContext, ProjectContext
+from .base import FileContext, ProjectContext, dotted_text
+from .cfg import FunctionNode
 from .findings import Finding
 
 __all__ = [
@@ -54,15 +57,18 @@ __all__ = [
     "ClassInfo",
     "ConstantInfo",
     "ModuleInfo",
+    "CallTarget",
     "ProjectGraph",
+    "Summaries",
+    "args_by_param",
     "build_project",
-    "iter_defined_functions",
+    "defined_functions",
+    "enclosing_class",
+    "function_info",
     "module_name_for",
     "parse_module",
     "set_parse_listener",
 ]
-
-FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 #: called with the repo-relative path every time a file is parsed;
 #: the parse-count regression test uses it to pin the single-parse
@@ -189,23 +195,37 @@ class ModuleInfo:
             or name in self.constants
         )
 
+    def written_target(
+        self, dotted: str, owner_class: Optional[str]
+    ) -> Tuple[str, bool]:
+        """``(absolute dotted target, bound dispatch?)`` of a call
+        target as written in this module.
 
-def _dotted_text(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` source text of a Name/Attribute chain (else None)."""
-    parts: List[str] = []
-    cur = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    parts.append(cur.id)
-    return ".".join(reversed(parts))
+        ``self.helper`` / ``cls.helper`` inside ``owner_class`` becomes
+        ``{module}.{Class}.helper`` so bound-method dispatch keeps its
+        call-graph edge instead of dropping on the unbindable ``self``;
+        anything else expands through the import bindings (relative
+        imports included) or, for a module-level symbol, the module's
+        own name.
+        """
+        head, _, rest = dotted.partition(".")
+        if (
+            head in ("self", "cls")
+            and owner_class is not None
+            and rest
+            and "." not in rest
+        ):
+            return (f"{self.name}.{owner_class}.{rest}", True)
+        bound = self.bindings.get(head)
+        if bound is not None:
+            return (f"{bound}.{rest}" if rest else bound, False)
+        if self.has_symbol(head):
+            return (f"{self.name}.{dotted}", False)
+        return (dotted, False)
 
 
-def _function_info(
-    node: "ast.FunctionDef | ast.AsyncFunctionDef",
-) -> FunctionInfo:
+def function_info(node: FunctionNode) -> FunctionInfo:
+    """Signature of one definition (``params`` is posonly + regular)."""
     args = node.args
     params = tuple(
         a.arg for a in [*args.posonlyargs, *args.args]
@@ -226,17 +246,17 @@ def _function_info(
 def _class_info(node: ast.ClassDef) -> ClassInfo:
     bases = tuple(
         text
-        for text in (_dotted_text(b) for b in node.bases)
+        for text in (dotted_text(b) for b in node.bases)
         if text is not None
     )
     methods: Dict[str, FunctionInfo] = {}
     for stmt in node.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            methods[stmt.name] = _function_info(stmt)
+            methods[stmt.name] = function_info(stmt)
     decorators: List[str] = []
     for deco in node.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
-        text = _dotted_text(target)
+        text = dotted_text(target)
         if text is not None:
             decorators.append(text)
     return ClassInfo(
@@ -272,6 +292,20 @@ def _resolve_relative(
     return ".".join(parts) if parts else None
 
 
+class CallTarget(NamedTuple):
+    """A call site resolved against the project graph."""
+
+    #: canonical callable key (``mod.fn`` / ``mod.Class.method``)
+    key: str
+    fn: FunctionInfo
+    #: ``self.x()`` / ``cls.x()`` dispatch: the receiver is ``params[0]``
+    bound: bool
+
+
+#: one row of a function table: where a callable key is defined
+FunctionEntry = Tuple[FileContext, Optional[str], FunctionNode]
+
+
 class ProjectGraph:
     """Symbol table + import graph + approximate call graph.
 
@@ -287,6 +321,7 @@ class ProjectGraph:
         self.by_path: Dict[str, ModuleInfo] = {}
         #: importer module -> imported (graph-internal) modules
         self.import_edges: Dict[str, Set[str]] = {}
+        self._functions: Optional[Dict[str, FunctionEntry]] = None
 
     # -- construction ------------------------------------------------------
     def add_module(self, info: ModuleInfo) -> None:
@@ -403,22 +438,18 @@ class ProjectGraph:
         head, _, rest = ref.partition(".")
         bound = info.bindings.get(head)
         if bound is not None:
-            candidates = [f"{bound}.{rest}" if rest else bound]
+            dotted = f"{bound}.{rest}" if rest else bound
         elif rest:
             # dotted text with an unbound head: absolute reference
             # (``repro.sched.base.Scheduler``) or give up
-            candidates = [ref]
+            dotted = ref
         else:
-            candidates = [f"{module}.{head}"]
-        for dotted in candidates:
-            resolved = self.resolve_dotted(module, dotted)
-            if resolved is None:
-                continue
-            target_mod, name = resolved
-            cls = target_mod.classes.get(name)
-            if cls is not None:
-                return (target_mod, cls)
-        return None
+            dotted = f"{module}.{head}"
+        resolved = self.resolve_dotted(module, dotted)
+        if resolved is None:
+            return None
+        cls = resolved[0].classes.get(resolved[1])
+        return (resolved[0], cls) if cls is not None else None
 
     def inherits_from(
         self, module: str, cls: ClassInfo, target: str
@@ -508,6 +539,43 @@ class ProjectGraph:
             return None
         return (out[1], out[2])
 
+    def resolve_call(
+        self,
+        ctx: FileContext,
+        owner_class: Optional[str],
+        call: ast.Call,
+    ) -> Optional[CallTarget]:
+        """The project callable behind one call site of ``ctx`` — the
+        one place an ``ast.Call`` is resolved against the graph.
+
+        ``owner_class`` is the class whose method holds the call (so
+        ``self.x()`` dispatches); unresolvable means *unknown*: None.
+        """
+        info = self.by_path.get(ctx.module)
+        raw = dotted_text(call.func)
+        if info is None or raw is None:
+            return None
+        written, bound = info.written_target(raw, owner_class)
+        found = self.resolve_callable(info.name, written)
+        if found is None:
+            return None
+        return CallTarget(found[0], found[2], bound)
+
+    def functions(self) -> Dict[str, FunctionEntry]:
+        """Every definition :meth:`resolve_callable` can name, under
+        the same key (``mod.fn``; ``mod.Class.method`` for methods of
+        top-level classes), so every interprocedural pass joins on one
+        function table. Built once, in module then source order."""
+        if self._functions is None:
+            table: Dict[str, FunctionEntry] = {}
+            for info in self.modules.values():
+                for local, owner, func in defined_functions(info.ctx.tree):
+                    table.setdefault(
+                        f"{info.name}.{local}", (info.ctx, owner, func)
+                    )
+            self._functions = table
+        return self._functions
+
 
 def _collect_module(info: ModuleInfo) -> None:
     """Fill symbol table, bindings and call sites for one module."""
@@ -515,7 +583,7 @@ def _collect_module(info: ModuleInfo) -> None:
     is_package = info.path.endswith("__init__.py")
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            info.functions[stmt.name] = _function_info(stmt)
+            info.functions[stmt.name] = function_info(stmt)
         elif isinstance(stmt, ast.ClassDef):
             info.classes[stmt.name] = _class_info(stmt)
         elif isinstance(stmt, ast.Assign):
@@ -568,43 +636,16 @@ def _collect_module(info: ModuleInfo) -> None:
                 )
                 info.import_records.append((target, alias.name))
 
-    # call sites, resolved through the bindings collected above;
-    # ``self.helper()`` / ``cls.helper()`` inside a class body resolves
-    # to ``{module}.{Class}.helper`` so bound-method dispatch keeps its
-    # call-graph edge instead of dropping on the unbindable ``self``
-    class_spans = [
-        (cls.name, cls.node.lineno, cls.node.end_lineno or cls.node.lineno)
-        for cls in info.classes.values()
-    ]
-
-    def _enclosing_class(lineno: int) -> Optional[str]:
-        for name, start, end in class_spans:
-            if start <= lineno <= end:
-                return name
-        return None
-
+    # call sites, expanded the way :meth:`ProjectGraph.resolve_call` does
+    class_nodes = [cls.node for cls in info.classes.values()]
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        dotted = _dotted_text(node.func)
+        dotted = dotted_text(node.func)
         if dotted is None:
             continue
-        head, _, rest = dotted.partition(".")
-        if head in ("self", "cls") and rest and "." not in rest:
-            owner = _enclosing_class(node.lineno)
-            if owner is not None:
-                info.calls.append(
-                    (f"{info.name}.{owner}.{rest}", node)
-                )
-                continue
-        bound = info.bindings.get(head)
-        if bound is not None:
-            resolved = f"{bound}.{rest}" if rest else bound
-        elif info.has_symbol(head):
-            resolved = f"{info.name}.{dotted}"
-        else:
-            resolved = dotted
-        info.calls.append((resolved, node))
+        owner = enclosing_class(class_nodes, node.lineno)
+        info.calls.append((info.written_target(dotted, owner)[0], node))
 
 
 def build_project(
@@ -654,34 +695,112 @@ def build_project(
     return project_ctx, parse_errors
 
 
-def iter_defined_functions(
-    graph: ProjectGraph,
-) -> Iterator[Tuple[str, ModuleInfo, Optional[str], FunctionNode]]:
-    """Every function definition the graph knows, with its canonical
-    callable key: ``(key, module, owning class or None, def node)``.
+def defined_functions(
+    tree: ast.Module,
+) -> Iterator[Tuple[str, Optional[str], FunctionNode]]:
+    """``(local key, owning class, def node)`` of every module-level
+    function (``fn``) and method of a top-level class
+    (``Class.method``), in source order — the rows of a function table."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for stmt in tree.body:
+        if isinstance(stmt, defs):
+            yield (stmt.name, None, stmt)
+        elif isinstance(stmt, ast.ClassDef):
+            for sub in stmt.body:
+                if isinstance(sub, defs):
+                    yield (f"{stmt.name}.{sub.name}", stmt.name, sub)
 
-    Module-level functions key as ``mod.fn``; methods of top-level
-    classes as ``mod.Class.method`` — the same keys
-    :meth:`ProjectGraph.resolve_callable` returns, so interprocedural
-    indices (blocking calls, taint summaries, purity) can join on them.
-    Iteration order is deterministic (module insertion order, then
-    source order).
+
+def enclosing_class(
+    classes: Iterable[ast.ClassDef], lineno: int
+) -> Optional[str]:
+    """Name of the innermost of ``classes`` whose span holds ``lineno``."""
+    best: Optional[ast.ClassDef] = None
+    for cls in classes:
+        if cls.lineno <= lineno <= (cls.end_lineno or cls.lineno) and (
+            best is None or cls.lineno > best.lineno
+        ):
+            best = cls
+    return best.name if best is not None else None
+
+
+def args_by_param(
+    call: ast.Call, target: CallTarget
+) -> Dict[int, ast.expr]:
+    """Callee parameter index -> call-site argument expression (the
+    receiver of a bound call occupies index 0 implicitly)."""
+    params = target.fn.params
+    exprs: Dict[int, ast.expr] = dict(
+        enumerate(call.args, start=1 if target.bound else 0)
+    )
+    for kw in call.keywords:
+        if kw.arg is not None and kw.arg in params:
+            exprs[params.index(kw.arg)] = kw.value
+    return exprs
+
+
+S = TypeVar("S")
+
+
+class Summaries(Generic[S]):
+    """On-demand per-function summaries, exact on a recursive call graph.
+
+    ``infer(key)`` computes one function's summary and asks
+    :meth:`get` for its callees'. What a summary *means* when the call
+    graph has cycles is decided here, once, for every interprocedural
+    pass: each key's summary is the **least fixed point** of ``infer``
+    over the graph, whatever the order of queries. A back edge reads
+    the current assumption for the key it closes on (``bottom`` at
+    first); that key — the cycle's head — is re-inferred until the
+    ``shape`` of its summary stops changing; and a summary is memoised
+    only when nothing it read is still being inferred, so no answer
+    computed *under* an assumption outlives it. ``shape`` is the
+    lattice part of a summary (the representative chains a summary
+    carries for messages grow with every trip round a cycle and must
+    not drive convergence). ``infer`` must be monotone in what it reads
+    and ``shape`` must range over a finite lattice; a memoised key is
+    never inferred again.
     """
-    for info in graph.modules.values():
-        for stmt in info.ctx.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield (f"{info.name}.{stmt.name}", info, None, stmt)
-            elif isinstance(stmt, ast.ClassDef):
-                for sub in stmt.body:
-                    if isinstance(
-                        sub, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        yield (
-                            f"{info.name}.{stmt.name}.{sub.name}",
-                            info,
-                            stmt.name,
-                            sub,
-                        )
+
+    def __init__(
+        self,
+        infer: Callable[[str], S],
+        bottom: S,
+        shape: Callable[[S], object],
+    ) -> None:
+        self._infer = infer
+        self._bottom = bottom
+        self._shape = shape
+        self._done: Dict[str, S] = {}
+        #: keys being inferred (the stack) -> their current assumption
+        self._assumed: Dict[str, S] = {}
+        #: assumed keys the innermost running ``infer`` has read
+        self._reads: Set[str] = set()
+
+    def get(self, key: str) -> S:
+        if key in self._done:
+            return self._done[key]
+        if key in self._assumed:
+            self._reads.add(key)
+            return self._assumed[key]
+        outer = self._reads
+        self._assumed[key] = self._bottom
+        try:
+            while True:
+                self._reads = set()
+                value = self._infer(key)
+                if key not in self._reads or self._shape(
+                    value
+                ) == self._shape(self._assumed[key]):
+                    break
+                self._assumed[key] = value
+        finally:
+            del self._assumed[key]
+            open_reads = self._reads - {key}
+            self._reads = outer | open_reads
+        if not open_reads:
+            self._done[key] = value
+        return value
 
 
 #: identifier tokens; shared by the dead-public-api reference scan

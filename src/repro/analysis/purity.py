@@ -21,11 +21,13 @@ Aliases are tracked shallowly, the same discipline as the
 shared-fleet-mutation rule: ``rows = self._rows`` makes ``rows`` a
 ``self`` alias, ``local = list(...)`` starts a fresh object. Calls
 resolve through the class-aware project call graph (the
-:class:`~repro.analysis.taint.SummaryProvider` machinery), so
-``self.schedule()`` delegating to ``self._note()`` which appends to
-``self._hist`` is caught two hops away; a recursive cycle resolves to
-"no effects" for the back edge (terminating, under-approximate — the
-documented convention for unresolvable calls too: *unknown is never
+:class:`~repro.analysis.taint.SummaryProvider` function table and
+resolver), so ``self.schedule()`` delegating to ``self._note()`` which
+appends to ``self._hist`` is caught two hops away. Summaries come from
+the shared :class:`~repro.analysis.project.Summaries` engine, so a
+function's effect set is exact on every call the graph resolves —
+recursion included — and does not depend on which function was asked
+first; only *unresolvable* calls are assumed pure (*unknown is never
 impure*).
 
 Each effect carries a :class:`~repro.analysis.findings.FlowStep` chain
@@ -37,10 +39,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple
 
-from .base import FileContext
+from .base import FileContext, ProjectContext, dotted_text
+from .cfg import FunctionNode, walk_function_body
 from .findings import FlowStep
+from .project import Summaries, args_by_param
 from .taint import SummaryProvider, project_summaries, summaries_for
 
 __all__ = [
@@ -50,8 +54,6 @@ __all__ = [
     "project_purity_index",
     "purity_index_for",
 ]
-
-FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 #: one effect: ("self" | "global" | "param", detail)
 Effect = Tuple[str, str]
@@ -79,40 +81,7 @@ MUTATOR_METHODS = frozenset(
     }
 )
 
-_NESTED_SCOPES = (
-    ast.FunctionDef,
-    ast.AsyncFunctionDef,
-    ast.Lambda,
-    ast.ClassDef,
-)
-
 _MAX_CHAIN = 8
-
-
-def _text(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    cur = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    parts.append(cur.id)
-    return ".".join(reversed(parts))
-
-
-def _own_nodes(func: FunctionNode) -> List[ast.AST]:
-    """Every node of the function body, nested scopes excluded."""
-    out: List[ast.AST] = []
-    stack: List[ast.AST] = list(func.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, _NESTED_SCOPES):
-            continue
-        out.append(node)
-        stack.extend(ast.iter_child_nodes(node))
-    out.reverse()
-    return out
 
 
 @dataclass
@@ -135,44 +104,28 @@ _PURE = PuritySummary()
 
 
 class PurityIndex:
-    """Memoized per-function purity summaries over one call resolver.
+    """Per-function purity summaries over one call resolver.
 
     Shares the resolver (and therefore the function table and
-    bound-method resolution) with the taint summaries; keeps its own
-    cache because the two passes infer different facts.
+    bound-method resolution) with the taint summaries, and the
+    :class:`~repro.analysis.project.Summaries` engine with every
+    interprocedural pass; only the inferred fact differs.
     """
 
     def __init__(self, resolver: SummaryProvider) -> None:
         self._resolver = resolver
-        self._cache: Dict[str, PuritySummary] = {}
-        self._busy: Set[str] = set()
+        self._summaries: Summaries[PuritySummary] = Summaries(
+            self._infer_key, _PURE, lambda summary: summary.effects
+        )
 
     def get(self, key: str) -> PuritySummary:
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if key in self._busy:
-            return _PURE
+        return self._summaries.get(key)
+
+    def _infer_key(self, key: str) -> PuritySummary:
         entry = self._resolver.entry(key)
         if entry is None:
             return _PURE
-        ctx, owner, func = entry
-        self._busy.add(key)
-        try:
-            summary = self._infer(ctx, owner, func)
-        finally:
-            self._busy.discard(key)
-        self._cache[key] = summary
-        return summary
-
-    def summary_of(
-        self,
-        ctx: FileContext,
-        owner_class: Optional[str],
-        func: FunctionNode,
-    ) -> PuritySummary:
-        """Purity of a function given directly (not via its key)."""
-        return self._infer(ctx, owner_class, func)
+        return self._infer(*entry)
 
     # -- inference ---------------------------------------------------------
     def _infer(
@@ -205,7 +158,7 @@ class PurityIndex:
 
         def root_of(base: ast.expr) -> Optional[str]:
             """Alias root of an expression used as a mutation target."""
-            text = _text(base)
+            text = dotted_text(base)
             if text is None:
                 return None
             head = text.split(".", 1)[0]
@@ -225,25 +178,19 @@ class PurityIndex:
             root = root_of(base)
             if root is None:
                 return
-            text = _text(base) or write_label
-            if root == "self":
-                rest = text.split(".", 2)
-                detail = rest[1] if len(rest) > 1 else text
-                key = ("self", detail)
-            elif root.startswith("param:"):
-                key = ("param", root.split(":", 1)[1])
-            else:
-                key = ("global", root.split(":", 1)[1])
-            record(key, (FlowStep(write_label, ctx.module, lineno),))
+            record(
+                _located(root, dotted_text(base) or write_label),
+                (FlowStep(write_label, ctx.module, lineno),),
+            )
 
-        nodes = _own_nodes(func)
+        nodes = list(walk_function_body(func))
 
         # pass 1: alias seeding from straight-line assignments
         for node in nodes:
             if not isinstance(node, ast.Assign):
                 continue
             src = node.value
-            src_text = _text(src) if isinstance(
+            src_text = dotted_text(src) if isinstance(
                 src, (ast.Name, ast.Attribute)
             ) else None
             if src_text is None:
@@ -269,12 +216,12 @@ class PurityIndex:
                 )
                 for target in targets:
                     self._target_effect(
-                        target, effect_for, globals_declared, ctx
+                        target, effect_for, globals_declared
                     )
             elif isinstance(node, ast.Delete):
                 for target in node.targets:
                     self._target_effect(
-                        target, effect_for, globals_declared, ctx
+                        target, effect_for, globals_declared
                     )
             elif isinstance(node, ast.Call):
                 self._call_effect(
@@ -288,24 +235,28 @@ class PurityIndex:
         )
 
     @staticmethod
-    def _target_effect(target, effect_for, globals_declared, ctx) -> None:
+    def _target_effect(
+        target: ast.expr,
+        effect_for: Callable[[ast.expr, str, int], None],
+        globals_declared: Set[str],
+    ) -> None:
         """Effects of one store/delete target."""
         if isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
                 PurityIndex._target_effect(
-                    elt, effect_for, globals_declared, ctx
+                    elt, effect_for, globals_declared
                 )
             return
         if isinstance(target, ast.Starred):
             PurityIndex._target_effect(
-                target.value, effect_for, globals_declared, ctx
+                target.value, effect_for, globals_declared
             )
             return
         if isinstance(target, ast.Attribute):
-            label = _text(target) or "<attribute>"
+            label = dotted_text(target) or "<attribute>"
             effect_for(target, f"{label} =", target.lineno)
         elif isinstance(target, ast.Subscript):
-            label = _text(target.value) or "<subscript>"
+            label = dotted_text(target.value) or "<subscript>"
             effect_for(target.value, f"{label}[...] =", target.lineno)
         elif isinstance(target, ast.Name):
             if target.id in globals_declared:
@@ -317,15 +268,15 @@ class PurityIndex:
         ctx: FileContext,
         owner_class: Optional[str],
         aliases: Dict[str, str],
-        effect_for,
-        record,
+        effect_for: Callable[[ast.expr, str, int], None],
+        record: Callable[[Effect, Chain], None],
     ) -> None:
         # in-place mutator on a tracked receiver: self._hist.append(x)
         if (
             isinstance(call.func, ast.Attribute)
             and call.func.attr in MUTATOR_METHODS
         ):
-            label = _text(call.func)
+            label = dotted_text(call.func)
             if label is not None:
                 effect_for(call.func.value, label, call.lineno)
                 return
@@ -333,13 +284,12 @@ class PurityIndex:
         target = self._resolver.resolve_call(ctx, owner_class, call)
         if target is None:
             return
-        key, params, bound = target
-        callee = self.get(key)
+        callee = self.get(target.key)
         if callee.is_pure:
             return
-        short = key.rsplit(".", 1)[-1]
+        short, params, bound = target.fn.name, target.fn.params, target.bound
         hop = FlowStep(f"{short}()", ctx.module, call.lineno)
-        raw = _text(call.func) or short
+        raw = dotted_text(call.func) or short
 
         def lift(chain: Chain) -> Chain:
             if len(chain) >= _MAX_CHAIN:
@@ -353,46 +303,29 @@ class PurityIndex:
                 record(("global", detail), chain)
             elif kind == "self":
                 # whose state did the callee mutate? the receiver's.
-                head = raw.split(".", 1)[0]
-                root = aliases.get(head)
+                root = aliases.get(raw.split(".", 1)[0])
                 if bound and root == "self":
-                    record(("self", detail), chain)
-                elif bound and root is not None and root.startswith(
-                    "param:"
-                ):
-                    record(("param", root.split(":", 1)[1]), chain)
-            else:  # ("param", <callee param name>)
-                idx = params.index(detail) if detail in params else -1
-                if idx < 0:
-                    continue
-                exprs = _positional_args(call, params, bound)
-                arg = exprs.get(idx)
-                if arg is None:
-                    continue
-                text = _text(arg)
+                    record(effect, chain)
+                elif bound and root is not None:
+                    record(_located(root, raw), chain)
+            elif detail in params:  # ("param", <callee param name>)
+                arg = args_by_param(call, target).get(params.index(detail))
+                text = dotted_text(arg) if arg is not None else None
                 if text is None:
                     continue
-                head = text.split(".", 1)[0]
-                root = aliases.get(head)
-                if root == "self":
-                    rest = text.split(".", 2)
-                    inner = rest[1] if len(rest) > 1 else text
-                    record(("self", inner), chain)
-                elif root is not None and root.startswith("param:"):
-                    record(("param", root.split(":", 1)[1]), chain)
+                root = aliases.get(text.split(".", 1)[0])
+                if root is not None:
+                    record(_located(root, text), chain)
 
 
-def _positional_args(
-    call: ast.Call, params: Tuple[str, ...], bound: bool
-) -> Dict[int, ast.expr]:
-    exprs: Dict[int, ast.expr] = {}
-    offset = 1 if bound else 0
-    for j, arg in enumerate(call.args):
-        exprs[j + offset] = arg
-    for kw in call.keywords:
-        if kw.arg is not None and kw.arg in params:
-            exprs[params.index(kw.arg)] = kw.value
-    return exprs
+def _located(root: str, text: str) -> Effect:
+    """The effect of mutating ``text``, an expression hanging off the
+    alias root ``root`` (``"self"``, ``"param:<name>"``, ``"global:<name>"``)."""
+    if root == "self":
+        rest = text.split(".", 2)
+        return ("self", rest[1] if len(rest) > 1 else text)
+    kind, _, name = root.partition(":")
+    return (kind, name)
 
 
 def _is_module_binding(ctx: FileContext, name: str) -> bool:
@@ -411,13 +344,11 @@ def _is_module_binding(ctx: FileContext, name: str) -> bool:
     return False
 
 
-def project_purity_index(project) -> PurityIndex:
+def project_purity_index(project: ProjectContext) -> PurityIndex:
     """The shared purity index of a whole-repo run (cached)."""
-    cached = getattr(project, "_purity_index", None)
-    if cached is None:
-        cached = PurityIndex(project_summaries(project))
-        setattr(project, "_purity_index", cached)
-    return cached
+    return project.memo(
+        "purity-index", lambda: PurityIndex(project_summaries(project))
+    )
 
 
 def purity_index_for(ctx: FileContext) -> PurityIndex:

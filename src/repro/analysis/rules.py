@@ -56,7 +56,8 @@ call graph) instead of a single AST:
 One rule guards the columnar-fleet performance contract:
 
 * ``no-python-loop-over-fleet`` — ``for`` loops and comprehensions in
-  the ``engine``/``sched`` hot paths must not iterate
+  the ``engine``/``sched``/``fleet``/``serve`` hot paths (the store
+  module itself aside) must not iterate
   :class:`~repro.fleet.store.FleetStore` columns (``battery_j``,
   ``data_size``, results of ``soc()``/``run_compute()``, …) — that is
   an O(n) Python loop over a population designed for 10⁶ devices;
@@ -69,13 +70,23 @@ from __future__ import annotations
 import ast
 import json
 import re
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from .base import (
     FileContext,
     FileRule,
     ProjectContext,
     ProjectRule,
+    dotted_text,
     rule,
 )
 from .findings import Finding
@@ -381,6 +392,20 @@ _JSON_SAFE_CONTAINERS = frozenset(
 )
 
 
+def _kind_literal(stmt: ast.stmt) -> Optional[str]:
+    """The string of a ``kind: <annotation> = "<literal>"`` line of a
+    class body (else None)."""
+    if (
+        isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+        and stmt.target.id == "kind"
+        and isinstance(stmt.value, ast.Constant)
+        and isinstance(stmt.value.value, str)
+    ):
+        return stmt.value.value
+    return None
+
+
 @rule("event-schema-sync")
 class EventSchemaSync(FileRule):
     """Keep the engine event taxonomy telemetry-safe.
@@ -488,10 +513,7 @@ class EventSchemaSync(FileRule):
         for stmt in node.body:
             if (
                 isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-                and stmt.target.id == "kind"
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, str)
+                and _kind_literal(stmt) is not None
                 and EventSchemaSync._is_classvar(stmt.annotation)
             ):
                 return stmt
@@ -573,6 +595,109 @@ class EventSchemaSync(FileRule):
 
 
 # ---------------------------------------------------------------------------
+# cross-module rule plumbing
+# ---------------------------------------------------------------------------
+
+
+def _project_finding(
+    ctx: ProjectContext,
+    rule_id: str,
+    path: str,
+    lineno: int,
+    message: str,
+    col: int = 0,
+) -> Finding:
+    """A finding anchored in a repo file. Inline ``lint: allow``
+    comments are applied to every project-rule finding once, by
+    :func:`~repro.analysis.runner.lint_repo`."""
+    fctx = ctx.files.get(path)
+    return Finding(
+        rule_id=rule_id,
+        path=path,
+        line=lineno,
+        col=col,
+        message=message,
+        code=fctx.line_text(lineno) if fctx is not None else "",
+    )
+
+
+#: (literal first argument, module, call node) of one registration
+_LiteralCall = Tuple[str, str, ast.Call]
+
+
+def _literal_calls(
+    ctx: ProjectContext,
+    prefix: str,
+    name: str,
+    receiver: Optional[str] = None,
+) -> List[_LiteralCall]:
+    """Every ``name("literal", ...)`` / ``<expr>.name("literal", ...)``
+    call under ``prefix`` (only ``receiver.name(...)`` when a receiver
+    is given) — the names code registers (schedulers, metrics, profiler
+    phases) that docs owe a backticked mention."""
+    out: List[_LiteralCall] = []
+    for module, fctx in sorted(ctx.files.items()):
+        if not module.startswith(prefix):
+            continue
+        for node in ast.walk(fctx.tree):
+            if not (
+                isinstance(node, ast.Call)
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                continue
+            func = node.func
+            tail = (
+                func.attr
+                if isinstance(func, ast.Attribute)
+                else func.id
+                if isinstance(func, ast.Name)
+                else None
+            )
+            if tail == name and (
+                receiver is None
+                or dotted_text(func) == f"{receiver}.{name}"
+            ):
+                out.append((node.args[0].value, module, node))
+    return out
+
+
+def _undocumented(
+    ctx: ProjectContext,
+    rule_id: str,
+    calls: List[_LiteralCall],
+    doc: Optional[str],
+    message: Callable[[str], str],
+) -> Iterator[Finding]:
+    """One finding per registered literal that ``doc`` does not carry
+    as a backticked name (every one, when the doc is absent)."""
+    for name, module, node in calls:
+        if doc is None or f"`{name}`" not in doc:
+            yield _project_finding(
+                ctx,
+                rule_id,
+                module,
+                node.lineno,
+                message(name),
+                col=node.col_offset,
+            )
+
+
+def _registered_schedulers(
+    graph: ProjectGraph,
+) -> List[Tuple[ModuleInfo, ClassInfo]]:
+    """Every ``@register``-decorated class under ``src/repro/sched``."""
+    return [
+        (info, cls)
+        for path, info in sorted(graph.by_path.items())
+        if path.startswith("src/repro/sched/")
+        for cls in info.classes.values()
+        if any(d.rsplit(".", 1)[-1] == "register" for d in cls.decorators)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # registry-doc-drift
 # ---------------------------------------------------------------------------
 
@@ -590,79 +715,37 @@ class RegistryDocDrift(ProjectRule):
     def check_project(
         self, ctx: ProjectContext
     ) -> Iterable[Finding]:
-        registered = self._registered_names(ctx)
+        # ``@register("name")`` class decorators under repro.sched
+        registered = _literal_calls(ctx, "src/repro/sched/", "register")
         if not registered:
             return
-        readme = ctx.read_text("README.md") or ""
+        yield from _undocumented(
+            ctx,
+            self.id,
+            registered,
+            ctx.read_text("README.md") or "",
+            lambda name: (
+                f"scheduler {name!r} is registered but missing from "
+                f"the README scheduler table (add a `{name}` row)"
+            ),
+        )
         test_blob = "\n".join(
             p.read_text(encoding="utf-8")
             for p in ctx.glob("tests/sched/*.py")
         )
         for name, module, node in registered:
-            if f"`{name}`" not in readme:
-                yield Finding(
-                    rule_id=self.id,
-                    path=module,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    message=(
-                        f"scheduler {name!r} is registered but missing "
-                        "from the README scheduler table (add a "
-                        f"`{name}` row)"
-                    ),
-                    code=ctx.files[module].line_text(node.lineno)
-                    if module in ctx.files
-                    else "",
-                )
             if not re.search(
                 rf"""["']{re.escape(name)}["']""", test_blob
             ):
-                yield Finding(
-                    rule_id=self.id,
-                    path=module,
-                    line=node.lineno,
+                yield _project_finding(
+                    ctx,
+                    self.id,
+                    module,
+                    node.lineno,
+                    f"scheduler {name!r} is registered but no "
+                    "tests/sched module exercises it by name",
                     col=node.col_offset,
-                    message=(
-                        f"scheduler {name!r} is registered but no "
-                        "tests/sched module exercises it by name"
-                    ),
-                    code=ctx.files[module].line_text(node.lineno)
-                    if module in ctx.files
-                    else "",
                 )
-
-    @staticmethod
-    def _registered_names(
-        ctx: ProjectContext,
-    ) -> List[Tuple[str, str, ast.AST]]:
-        """(name, module, registration node) for every @register."""
-        out: List[Tuple[str, str, ast.AST]] = []
-        for module, fctx in sorted(ctx.files.items()):
-            if not module.startswith("src/repro/sched/"):
-                continue
-            for node in ast.walk(fctx.tree):
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                for deco in node.decorator_list:
-                    if not isinstance(deco, ast.Call):
-                        continue
-                    func = deco.func
-                    fn_name = (
-                        func.id
-                        if isinstance(func, ast.Name)
-                        else func.attr
-                        if isinstance(func, ast.Attribute)
-                        else None
-                    )
-                    if fn_name != "register":
-                        continue
-                    if deco.args and isinstance(
-                        deco.args[0], ast.Constant
-                    ):
-                        value = deco.args[0].value
-                        if isinstance(value, str):
-                            out.append((value, module, deco))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -682,72 +765,34 @@ class MetricDocDrift(ProjectRule):
     def check_project(
         self, ctx: ProjectContext
     ) -> Iterable[Finding]:
-        registered = self._registered_metrics(ctx)
-        if not registered:
-            return
+        registered = _literal_calls(
+            ctx, "src/repro/obs/", "register_metric"
+        )
         doc = ctx.read_text("docs/observability.md")
         if doc is None:
-            first_name, module, node = registered[0]
-            yield Finding(
-                rule_id=self.id,
-                path=module,
-                line=node.lineno,
-                col=node.col_offset,
-                message=(
-                    "metrics are registered (e.g. "
-                    f"{first_name!r}) but docs/observability.md "
-                    "does not exist"
+            # one finding for the missing file, not one per metric
+            yield from _undocumented(
+                ctx,
+                self.id,
+                registered[:1],
+                None,
+                lambda name: (
+                    f"metrics are registered (e.g. {name!r}) but "
+                    "docs/observability.md does not exist"
                 ),
-                code=ctx.files[module].line_text(node.lineno)
-                if module in ctx.files
-                else "",
             )
             return
-        for name, module, node in registered:
-            if f"`{name}`" not in doc:
-                yield Finding(
-                    rule_id=self.id,
-                    path=module,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    message=(
-                        f"metric {name!r} is registered but missing "
-                        "from docs/observability.md (add a "
-                        f"`{name}` row to the metric table)"
-                    ),
-                    code=ctx.files[module].line_text(node.lineno)
-                    if module in ctx.files
-                    else "",
-                )
-
-    @staticmethod
-    def _registered_metrics(
-        ctx: ProjectContext,
-    ) -> List[Tuple[str, str, ast.AST]]:
-        """(name, module, call node) for each ``register_metric`` call
-        with a literal name in ``src/repro/obs``."""
-        out: List[Tuple[str, str, ast.AST]] = []
-        for module, fctx in sorted(ctx.files.items()):
-            if not module.startswith("src/repro/obs/"):
-                continue
-            for node in ast.walk(fctx.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                fn_name = (
-                    func.id
-                    if isinstance(func, ast.Name)
-                    else func.attr
-                    if isinstance(func, ast.Attribute)
-                    else None
-                )
-                if fn_name != "register_metric":
-                    continue
-                if node.args and isinstance(node.args[0], ast.Constant):
-                    value = node.args[0].value
-                    if isinstance(value, str):
-                        out.append((value, module, node))
-        return out
+        yield from _undocumented(
+            ctx,
+            self.id,
+            registered,
+            doc,
+            lambda name: (
+                f"metric {name!r} is registered but missing from "
+                f"docs/observability.md (add a `{name}` row to the "
+                "metric table)"
+            ),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +820,19 @@ class BenchPayloadSchema(ProjectRule):
 
     def check_project(self, ctx: ProjectContext) -> Iterable[Finding]:
         yield from self._check_payloads(ctx)
-        yield from self._check_phase_docs(ctx)
+        yield from _undocumented(
+            ctx,
+            self.id,
+            # the global profiler only: local instances (micro-bench
+            # probes, tests) are exempt
+            _literal_calls(ctx, "src/repro/", "phase", "PROFILER"),
+            ctx.read_text("docs/observability.md"),
+            lambda name: (
+                f"profiler phase {name!r} is used but not documented "
+                f"in docs/observability.md (add a `{name}` row to the "
+                "phase table)"
+            ),
+        )
 
     def _check_payloads(
         self, ctx: ProjectContext
@@ -785,127 +842,24 @@ class BenchPayloadSchema(ProjectRule):
             text = ctx.read_text(rel)
             if text is None:  # pragma: no cover - racy delete
                 continue
+            problems: List[str] = []
             try:
                 payload = json.loads(text)
             except json.JSONDecodeError as exc:
-                yield Finding(
-                    rule_id=self.id,
-                    path=rel,
-                    line=1,
-                    col=0,
-                    message=f"{rel} is not valid JSON: {exc}",
-                )
-                continue
-            if not isinstance(payload, dict):
-                yield Finding(
-                    rule_id=self.id,
-                    path=rel,
-                    line=1,
-                    col=0,
-                    message=f"{rel} must be a JSON object",
-                )
-                continue
-            for key in ("schema", "git_sha"):
-                if key not in payload:
-                    yield Finding(
-                        rule_id=self.id,
-                        path=rel,
-                        line=1,
-                        col=0,
-                        message=(
-                            f"{rel} is missing the {key!r} key "
-                            "(committed bench payloads must be "
-                            "schema-versioned and carry provenance)"
-                        ),
+                problems.append(f"{rel} is not valid JSON: {exc}")
+            else:
+                if not isinstance(payload, dict):
+                    problems.append(f"{rel} must be a JSON object")
+                else:
+                    problems.extend(
+                        f"{rel} is missing the {key!r} key "
+                        "(committed bench payloads must be "
+                        "schema-versioned and carry provenance)"
+                        for key in ("schema", "git_sha")
+                        if key not in payload
                     )
-
-    def _check_phase_docs(
-        self, ctx: ProjectContext
-    ) -> Iterator[Finding]:
-        used = self._phase_calls(ctx)
-        if not used:
-            return
-        doc = ctx.read_text("docs/observability.md")
-        for name, module, node in used:
-            fctx = ctx.files.get(module)
-            if fctx is not None and fctx.suppressed(
-                node.lineno, self.id
-            ):
-                continue
-            if doc is None or f"`{name}`" not in doc:
-                yield Finding(
-                    rule_id=self.id,
-                    path=module,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    message=(
-                        f"profiler phase {name!r} is used but not "
-                        "documented in docs/observability.md (add a "
-                        f"`{name}` row to the phase table)"
-                    ),
-                    code=(
-                        fctx.line_text(node.lineno)
-                        if fctx is not None
-                        else ""
-                    ),
-                )
-
-    @staticmethod
-    def _phase_calls(
-        ctx: ProjectContext,
-    ) -> List[Tuple[str, str, ast.Call]]:
-        """(name, module, call node) for each literal
-        ``PROFILER.phase("...")`` in ``src/repro`` (local profiler
-        instances — micro-bench probes, tests — are exempt)."""
-        out: List[Tuple[str, str, ast.Call]] = []
-        for module, fctx in sorted(ctx.files.items()):
-            if not module.startswith("src/repro/"):
-                continue
-            for node in ast.walk(fctx.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if not (
-                    isinstance(func, ast.Attribute)
-                    and func.attr == "phase"
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id == "PROFILER"
-                ):
-                    continue
-                if node.args and isinstance(node.args[0], ast.Constant):
-                    value = node.args[0].value
-                    if isinstance(value, str):
-                        out.append((value, module, node))
-        return out
-
-
-# ---------------------------------------------------------------------------
-# cross-module rule plumbing
-# ---------------------------------------------------------------------------
-
-
-def _project_finding(
-    ctx: ProjectContext,
-    rule_id: str,
-    path: str,
-    lineno: int,
-    message: str,
-    col: int = 0,
-) -> Optional[Finding]:
-    """Build a finding anchored in a repo file; honours inline
-    ``lint: allow`` suppressions (project rules bypass the per-file
-    walk where those are normally applied)."""
-    fctx = ctx.files.get(path)
-    if fctx is not None and fctx.suppressed(lineno, rule_id):
-        return None
-    return Finding(
-        rule_id=rule_id,
-        path=path,
-        line=lineno,
-        col=col,
-        message=message,
-        code=fctx.line_text(lineno) if fctx is not None else "",
-    )
+            for message in problems:
+                yield _project_finding(ctx, self.id, rel, 1, message)
 
 
 # ---------------------------------------------------------------------------
@@ -972,7 +926,7 @@ class EventDispatchExhaustiveness(ProjectRule):
             if target is not None and target in classes:
                 handled.add(target)
                 continue
-            f = _project_finding(
+            yield _project_finding(
                 ctx,
                 self.id,
                 rmod.path,
@@ -982,13 +936,11 @@ class EventDispatchExhaustiveness(ProjectRule):
                 "or misspelled, this handler can never run",
                 col=key.col_offset,
             )
-            if f is not None:
-                yield f
         anchor = table if table is not None else rcls.node
         for name in sorted(set(classes) - handled):
             kind = classes[name]
             kind_label = f" (kind {kind!r})" if kind else ""
-            f = _project_finding(
+            yield _project_finding(
                 ctx,
                 self.id,
                 rmod.path,
@@ -997,8 +949,6 @@ class EventDispatchExhaustiveness(ProjectRule):
                 f"{label} — live and replayed captures silently drop "
                 f"it; add a `{name}.kind: <handler>` entry",
             )
-            if f is not None:
-                yield f
 
     @staticmethod
     def _handler_table(cls: ClassInfo) -> Optional[ast.Dict]:
@@ -1032,17 +982,8 @@ class EventDispatchExhaustiveness(ProjectRule):
             ):
                 continue
             event_bases.add(cls.name)
-            kind: Optional[str] = None
-            for stmt in cls.node.body:
-                if (
-                    isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                    and stmt.target.id == "kind"
-                    and isinstance(stmt.value, ast.Constant)
-                    and isinstance(stmt.value.value, str)
-                ):
-                    kind = stmt.value.value
-                    break
+            literals = map(_kind_literal, cls.node.body)
+            kind = next((k for k in literals if k is not None), None)
             classes[cls.name] = kind
             if kind is not None:
                 kinds[kind] = cls.name
@@ -1099,16 +1040,7 @@ class SchedulerContract(ProjectRule):
         graph = ctx.graph
         if graph is None:
             return
-        registered = [
-            (info, cls)
-            for path, info in sorted(graph.by_path.items())
-            if path.startswith("src/repro/sched/")
-            for cls in info.classes.values()
-            if any(
-                d.rsplit(".", 1)[-1] == "register"
-                for d in cls.decorators
-            )
-        ]
+        registered = _registered_schedulers(graph)
         if not registered:
             return
         bench = graph.module_at("sched/bench.py")
@@ -1128,30 +1060,26 @@ class SchedulerContract(ProjectRule):
         cls: ClassInfo,
         closure: Optional[Set[str]],
     ) -> Iterator[Finding]:
-        def emit(lineno: int, message: str) -> Optional[Finding]:
+        def emit(lineno: int, message: str) -> Finding:
             return _project_finding(
                 ctx, self.id, info.path, lineno, message
             )
 
         if not graph.inherits_from(info.name, cls, "Scheduler"):
-            f = emit(
+            yield emit(
                 cls.lineno,
                 f"registered scheduler {cls.name} does not subclass "
                 "the Scheduler ABC — it will not satisfy the "
                 "schedule() contract the engine calls",
             )
-            if f is not None:
-                yield f
         found = graph.find_method(info.name, cls, "schedule")
         if found is None:
-            f = emit(
+            yield emit(
                 cls.lineno,
                 f"registered scheduler {cls.name} neither defines nor "
                 "inherits schedule(); get_scheduler(...).schedule(...) "
                 "will raise at run time",
             )
-            if f is not None:
-                yield f
         else:
             fn = cls.methods.get("schedule")
             if fn is not None:
@@ -1159,34 +1087,28 @@ class SchedulerContract(ProjectRule):
                 if len(required) > 2 or (
                     len(fn.params) < 2 and not fn.has_vararg
                 ):
-                    f = emit(
+                    yield emit(
                         fn.lineno,
                         f"{cls.name}.schedule{tuple(fn.params)} does "
                         "not match the Scheduler ABC shape "
                         "schedule(self, problem) — extra parameters "
                         "must carry defaults",
                     )
-                    if f is not None:
-                        yield f
                 returns = (fn.returns or "").strip("'\"")
                 if returns and returns.rsplit(".", 1)[-1] != "Assignment":
-                    f = emit(
+                    yield emit(
                         fn.lineno,
                         f"{cls.name}.schedule returns {returns!r}; the "
                         "Scheduler contract requires an Assignment",
                     )
-                    if f is not None:
-                        yield f
         if closure is not None and info.name not in closure:
-            f = emit(
+            yield emit(
                 cls.lineno,
                 f"scheduler {cls.name} is registered in {info.name}, "
                 "which bench.compare never imports — the registration "
                 "side-effect never runs and the comparison harness "
                 "silently skips it",
             )
-            if f is not None:
-                yield f
 
 
 # ---------------------------------------------------------------------------
@@ -1268,9 +1190,6 @@ class UnitConsistency(FileRule):
         ast.Call,
     )
 
-    def __init__(self) -> None:
-        self._call_targets: Optional[Dict[int, str]] = None
-
     def applies_to(self, module: str) -> bool:
         return _in_packages(module, _UNIT_PACKAGES)
 
@@ -1334,11 +1253,11 @@ class UnitConsistency(FileRule):
         minfo = graph.by_path.get(ctx.module)
         if minfo is None:
             return
-        if self._call_targets is None:
-            self._call_targets = {
-                id(call): dotted for dotted, call in minfo.calls
-            }
-        dotted = self._call_targets.get(id(node))
+        call_targets: Dict[int, str] = ctx.memo(
+            "call-targets",
+            lambda: {id(call): dotted for dotted, call in minfo.calls},
+        )
+        dotted = call_targets.get(id(node))
         if dotted is None:
             return
         resolved = graph.resolve_call_target(minfo.name, dotted)
@@ -1383,8 +1302,12 @@ class UnitConsistency(FileRule):
 # ---------------------------------------------------------------------------
 
 #: hot-path packages where a Python-level loop over fleet columns
-#: defeats the columnar struct-of-arrays design
-_FLEET_HOT_PACKAGES = ("engine", "sched")
+#: defeats the columnar struct-of-arrays design: the packages that hold
+#: a fleet (``fleet``, ``serve``) and the ones a fleet is handed to
+_FLEET_HOT_PACKAGES = ("engine", "sched", "fleet", "serve")
+
+#: the store itself builds its per-class arrays row by row, once
+_FLEET_LOOP_EXEMPT = "src/repro/fleet/store.py"
 
 #: FleetStore attributes/methods that yield O(population) columns; the
 #: per-class constants (``classes`` and friends) are deliberately NOT
@@ -1431,15 +1354,20 @@ def _iterates_fleet_column(iter_node: ast.AST) -> Optional[str]:
 class NoPythonLoopOverFleet(FileRule):
     """Ban Python-level iteration over fleet columns in hot paths.
 
-    The columnar refactor exists so the engine and schedulers scale to
-    10⁶ simulated devices; a ``for`` loop (or comprehension) whose
-    iterable touches a :class:`~repro.fleet.store.FleetStore` column is
-    an O(population) interpreter loop exactly where the arrays were
-    supposed to do the work. Vectorize with NumPy index arrays instead;
-    a deliberate object-per-client legacy path may carry an inline
+    The columnar refactor exists so rounds scale to 10⁶ simulated
+    devices; a ``for`` loop (or comprehension) whose iterable touches a
+    :class:`~repro.fleet.store.FleetStore` column is an O(population)
+    interpreter loop exactly where the arrays were supposed to do the
+    work. In scope: the packages that hold a fleet — ``fleet`` (round
+    core, runner, samplers) and ``serve`` (coordinator, registry) —
+    and the ``engine``/``sched`` code a fleet is handed to;
+    ``fleet/store.py`` is exempt (it builds the per-class arrays).
+    Vectorize with NumPy index arrays instead; a deliberate
+    object-per-client legacy path may carry an inline
     ``# lint: allow[no-python-loop-over-fleet]``.
     """
 
+    # wording pinned by the SARIF golden; the scope is the docstring's
     description = (
         "engine/sched hot paths must not for-loop over FleetStore "
         "columns; use vectorized array operations"
@@ -1454,7 +1382,9 @@ class NoPythonLoopOverFleet(FileRule):
     )
 
     def applies_to(self, module: str) -> bool:
-        return _in_packages(module, _FLEET_HOT_PACKAGES)
+        return module != _FLEET_LOOP_EXEMPT and _in_packages(
+            module, _FLEET_HOT_PACKAGES
+        )
 
     def check(
         self, node: ast.AST, ctx: FileContext
@@ -1520,7 +1450,7 @@ class DeadPublicApi(ProjectRule):
                     if other != path
                 ):
                     continue
-                f = _project_finding(
+                yield _project_finding(
                     ctx,
                     self.id,
                     path,
@@ -1530,5 +1460,3 @@ class DeadPublicApi(ProjectRule):
                     "it — drop the export (and the symbol, if truly "
                     "dead) or add the missing consumer",
                 )
-                if f is not None:
-                    yield f

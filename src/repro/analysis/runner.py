@@ -12,7 +12,8 @@
    single AST pass per file (each file context carries the project
    backref, so file rules may consult the graph too),
 4. run the :class:`~repro.analysis.base.ProjectRule` set over the
-   repo-level context,
+   repo-level context (inline ``lint: allow`` comments apply to their
+   findings in linted files exactly as they do to file rules),
 5. subtract the suppression baseline (and, for ``--changed``, restrict
    the report to the requested paths — the graph stays whole-repo so
    cross-module rules keep seeing everything),
@@ -167,11 +168,15 @@ def lint_repo(
     for ctx in project_ctx.files.values():
         findings.extend(run_file_rules(ctx, ids))
 
+    # project rules bypass the per-file walk where inline
+    # ``lint: allow`` comments are honoured — apply them here, once
     for rid in ids:
         cls = rule_class(rid)
         if issubclass(cls, ProjectRule):
-            instance = cls()
-            findings.extend(instance.check_project(project_ctx))
+            for f in cls().check_project(project_ctx):
+                fctx = project_ctx.files.get(f.path)
+                if fctx is None or not fctx.suppressed(f.line, rid):
+                    findings.append(f)
 
     findings.sort(key=Finding.sort_key)
     suppressed = 0

@@ -25,9 +25,9 @@ dataflow / call-graph stack:
 * **Interprocedural summaries** — context-insensitive per-function
   taint signatures (:class:`FnTaint`: source kinds the return value
   may carry, plus which parameters flow into it), resolved on demand
-  through the project call graph with memoization and a cycle cut-off,
-  mirroring the ``_blocking_index`` idiom in
-  :mod:`repro.analysis.asyncrules`. Bound-method dispatch
+  through the project call graph by the shared
+  :class:`~repro.analysis.project.Summaries` engine (memoised, exact
+  on recursion, independent of query order). Bound-method dispatch
   (``self.helper()``) resolves through the class-aware call graph.
 
 Every taint fact carries a *chain* of :class:`~repro.analysis.findings
@@ -53,20 +53,32 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterator,
     List,
     Optional,
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
-from .base import FileContext, ProjectContext
-from .cfg import CFG, Unit, WithExit
-from .dataflow import ForwardAnalysis
+from .base import FileContext, ProjectContext, dotted_text
+from .cfg import (
+    CFG,
+    NESTED_SCOPES,
+    FunctionNode,
+    Unit,
+    WithExit,
+    walk_function_body,
+)
+from .dataflow import MayUnion
 from .findings import FlowStep
-from .project import module_name_for
+from .project import (
+    CallTarget,
+    FunctionEntry,
+    Summaries,
+    args_by_param,
+    defined_functions,
+    function_info,
+)
 
 __all__ = [
     "HOST_TIME",
@@ -86,8 +98,6 @@ __all__ = [
     "summaries_for",
     "class_attr_taints",
 ]
-
-FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 # -- taint kinds -------------------------------------------------------------
 
@@ -157,41 +167,14 @@ _RANDOM_NO_DRAW = frozenset({"seed", "getstate", "setstate"})
 #: they strip ``iter-order`` while keeping every other kind
 _ITER_SANITIZERS = frozenset({"sorted", "len", "min", "max", "sum"})
 
-_NESTED_SCOPES = (
-    ast.FunctionDef,
-    ast.AsyncFunctionDef,
-    ast.Lambda,
-    ast.ClassDef,
-)
 
-
-def _text(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` source text of a Name/Attribute chain (else None)."""
-    parts: List[str] = []
-    cur = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    parts.append(cur.id)
-    return ".".join(reversed(parts))
-
-
-def _ordered_stmts(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
-    """Source-ordered statements of a body, nested scopes excluded."""
-    for stmt in body:
-        if isinstance(stmt, _NESTED_SCOPES):
-            continue
-        yield stmt
-        for attr in ("body", "orelse", "finalbody"):
-            child = getattr(stmt, attr, None)
-            if child:
-                yield from _ordered_stmts(child)
-        for handler in getattr(stmt, "handlers", ()):
-            yield from _ordered_stmts(handler.body)
-        for case in getattr(stmt, "cases", ()):
-            yield from _ordered_stmts(case.body)
+def _own_stmts(func: FunctionNode) -> List[ast.stmt]:
+    """Source-ordered statements of a function's own body."""
+    return [
+        node
+        for node in walk_function_body(func)
+        if isinstance(node, ast.stmt)
+    ]
 
 
 def _unit_expr_roots(node: ast.stmt) -> List[ast.expr]:
@@ -215,17 +198,6 @@ def _unit_expr_roots(node: ast.stmt) -> List[ast.expr]:
         for child in ast.iter_child_nodes(node)
         if isinstance(child, ast.expr)
     ]
-
-
-def _walk_exprs(root: ast.AST) -> Iterator[ast.AST]:
-    """Depth-first walk of an expression, nested scopes excluded."""
-    stack: List[ast.AST] = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, _NESTED_SCOPES):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def _merge(into: TaintMap, add: TaintMap) -> None:
@@ -278,26 +250,29 @@ class FnTaint:
 EMPTY_SUMMARY = FnTaint()
 
 
+def _taint_shape(summary: FnTaint) -> object:
+    """The lattice part of a summary: kinds and parameter flow (the
+    representative chains lengthen round a cycle — not convergence)."""
+    return (frozenset(k for k, _ in summary.returns), summary.param_flow)
+
+
 class SummaryProvider:
-    """Memoized on-demand :class:`FnTaint` store with cycle cut-off.
+    """On-demand :class:`FnTaint` store over one function table.
 
     Summaries are computed lazily when a call site first asks for one
     (only the call-graph slice reachable from a reporting rule's scope
-    is ever summarized); a recursive cycle resolves to
-    :data:`EMPTY_SUMMARY` for the back edge, which terminates and
-    under-approximates — the may-analysis convention everywhere else
-    in this package errs the opposite way, so cyclic taint is the one
-    documented blind spot (tested in ``tests/analysis/test_taint.py``).
+    is ever summarized) by a :class:`~repro.analysis.project.Summaries`
+    engine: every key's summary is the least fixed point over the call
+    graph — recursion included — whatever was asked first. Subclasses
+    supply the function table and the call resolver, nothing else.
     """
 
     def __init__(self) -> None:
-        self._cache: Dict[str, FnTaint] = {}
-        self._busy: Set[str] = set()
+        self._summaries: Summaries[FnTaint] = Summaries(
+            self._infer, EMPTY_SUMMARY, _taint_shape
+        )
 
-    # subclasses supply the function table and call resolution
-    def entry(
-        self, key: str
-    ) -> Optional[Tuple[FileContext, Optional[str], FunctionNode]]:
+    def entry(self, key: str) -> Optional[FunctionEntry]:
         raise NotImplementedError
 
     def resolve_call(
@@ -305,32 +280,18 @@ class SummaryProvider:
         ctx: FileContext,
         owner_class: Optional[str],
         call: ast.Call,
-    ) -> Optional[Tuple[str, Tuple[str, ...], bool]]:
-        """(callee key, callee params, bound-dispatch?) of a call site."""
+    ) -> Optional[CallTarget]:
+        """The summarizable callee behind a call site, if any."""
         raise NotImplementedError
 
-    def get(self, key: str) -> FnTaint:
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if key in self._busy:
-            return EMPTY_SUMMARY
+    def _infer(self, key: str) -> FnTaint:
         entry = self.entry(key)
         if entry is None:
             return EMPTY_SUMMARY
-        ctx, owner, func = entry
-        self._busy.add(key)
-        try:
-            summary = function_summary(ctx, owner, func, self)
-        finally:
-            self._busy.discard(key)
-        self._cache[key] = summary
-        return summary
+        return function_summary(*entry, self)
 
-
-def _params_of(func: FunctionNode) -> Tuple[str, ...]:
-    args = func.args
-    return tuple(a.arg for a in [*args.posonlyargs, *args.args])
+    def get(self, key: str) -> FnTaint:
+        return self._summaries.get(key)
 
 
 class ProjectSummaries(SummaryProvider):
@@ -338,75 +299,22 @@ class ProjectSummaries(SummaryProvider):
 
     def __init__(self, project: ProjectContext) -> None:
         super().__init__()
-        self._project = project
-        self._table: Optional[
-            Dict[str, Tuple[FileContext, Optional[str], FunctionNode]]
-        ] = None
+        self._graph = project.graph
 
-    def _functions(
-        self,
-    ) -> Dict[str, Tuple[FileContext, Optional[str], FunctionNode]]:
-        if self._table is None:
-            from .project import iter_defined_functions
-
-            table: Dict[
-                str, Tuple[FileContext, Optional[str], FunctionNode]
-            ] = {}
-            graph = self._project.graph
-            if graph is not None:
-                for key, info, owner, func in iter_defined_functions(
-                    graph
-                ):
-                    table.setdefault(key, (info.ctx, owner, func))
-            self._table = table
-        return self._table
-
-    def entry(
-        self, key: str
-    ) -> Optional[Tuple[FileContext, Optional[str], FunctionNode]]:
-        return self._functions().get(key)
+    def entry(self, key: str) -> Optional[FunctionEntry]:
+        if self._graph is None:
+            return None
+        return self._graph.functions().get(key)
 
     def resolve_call(
         self,
         ctx: FileContext,
         owner_class: Optional[str],
         call: ast.Call,
-    ) -> Optional[Tuple[str, Tuple[str, ...], bool]]:
-        graph = self._project.graph
-        if graph is None:
+    ) -> Optional[CallTarget]:
+        if self._graph is None:
             return None
-        modname = module_name_for(ctx.module)
-        if modname is None:
-            return None
-        raw = _text(call.func)
-        if raw is None:
-            return None
-        head, _, rest = raw.partition(".")
-        bound = False
-        if (
-            head in ("self", "cls")
-            and owner_class is not None
-            and rest
-            and "." not in rest
-        ):
-            resolved = f"{modname}.{owner_class}.{rest}"
-            bound = True
-        else:
-            info = graph.modules.get(modname)
-            if info is not None:
-                from .asyncrules import _resolve_written
-
-                resolved = _resolve_written(info, raw)
-            else:
-                resolved = raw
-        target = graph.resolve_callable(modname, resolved)
-        if target is None:
-            return None
-        key, _mod, _fn = target
-        entry = self._functions().get(key)
-        if entry is None:
-            return None
-        return (key, _params_of(entry[2]), bound)
+        return self._graph.resolve_call(ctx, owner_class, call)
 
 
 class LocalSummaries(SummaryProvider):
@@ -419,28 +327,12 @@ class LocalSummaries(SummaryProvider):
 
     def __init__(self, ctx: FileContext) -> None:
         super().__init__()
-        self._ctx = ctx
-        table: Dict[
-            str, Tuple[FileContext, Optional[str], FunctionNode]
-        ] = {}
-        for stmt in ctx.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                table[stmt.name] = (ctx, None, stmt)
-            elif isinstance(stmt, ast.ClassDef):
-                for sub in stmt.body:
-                    if isinstance(
-                        sub, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ):
-                        table[f"{stmt.name}.{sub.name}"] = (
-                            ctx,
-                            stmt.name,
-                            sub,
-                        )
-        self._local = table
+        self._local: Dict[str, FunctionEntry] = {
+            key: (ctx, owner, func)
+            for key, owner, func in defined_functions(ctx.tree)
+        }
 
-    def entry(
-        self, key: str
-    ) -> Optional[Tuple[FileContext, Optional[str], FunctionNode]]:
+    def entry(self, key: str) -> Optional[FunctionEntry]:
         return self._local.get(key)
 
     def resolve_call(
@@ -448,34 +340,24 @@ class LocalSummaries(SummaryProvider):
         ctx: FileContext,
         owner_class: Optional[str],
         call: ast.Call,
-    ) -> Optional[Tuple[str, Tuple[str, ...], bool]]:
-        raw = _text(call.func)
+    ) -> Optional[CallTarget]:
+        raw = dotted_text(call.func)
         if raw is None:
             return None
         head, _, rest = raw.partition(".")
-        key: Optional[str] = None
-        bound = False
-        if head in ("self", "cls") and rest and "." not in rest:
-            if owner_class is not None:
-                key = f"{owner_class}.{rest}"
-                bound = True
-        elif raw in self._local:
-            key = raw
-        if key is None:
-            return None
+        bound = head in ("self", "cls") and owner_class is not None
+        key = f"{owner_class}.{rest}" if bound else raw
         entry = self._local.get(key)
         if entry is None:
             return None
-        return (key, _params_of(entry[2]), bound)
+        return CallTarget(key, function_info(entry[2]), bound)
 
 
 def project_summaries(project: ProjectContext) -> SummaryProvider:
     """The shared (cached) summary provider of a whole-repo run."""
-    cached = getattr(project, "_taint_summary_provider", None)
-    if cached is None:
-        cached = ProjectSummaries(project)
-        setattr(project, "_taint_summary_provider", cached)
-    return cached
+    return project.memo(
+        "taint-summaries", lambda: ProjectSummaries(project)
+    )
 
 
 def summaries_for(ctx: FileContext) -> SummaryProvider:
@@ -545,7 +427,7 @@ class TaintEngine:
     def _union_children(self, node: ast.AST, lookup: Lookup) -> TaintMap:
         out: TaintMap = {}
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, _NESTED_SCOPES):
+            if isinstance(child, NESTED_SCOPES):
                 continue
             if isinstance(child, ast.expr):
                 _merge(out, self.expr_taint(child, lookup))
@@ -558,7 +440,7 @@ class TaintEngine:
         line = getattr(expr, "lineno", 0)
         if resolved == "os.environ":
             return self._source(ENV, "os.environ", line)
-        text = _text(expr)
+        text = dotted_text(expr)
         if text is None:
             # attribute of a computed base: taint of the base
             if isinstance(expr, ast.Attribute):
@@ -632,13 +514,11 @@ class TaintEngine:
             self.ctx, self.owner_class, call
         )
         if target is not None:
-            key, params, bound = target
-            summary = self.summaries.get(key)
+            summary = self.summaries.get(target.key)
             out = summary.returns_map()
             if summary.param_flow:
-                exprs = self._param_args(call, params, bound)
-                short = key.rsplit(".", 1)[-1]
-                hop = self._step(f"{short}()", line)
+                exprs = args_by_param(call, target)
+                hop = self._step(f"{target.fn.name}()", line)
                 for idx in sorted(summary.param_flow):
                     arg = exprs.get(idx)
                     if arg is None:
@@ -649,21 +529,6 @@ class TaintEngine:
             return out
         # unknown callee: argument taint may flow to the result
         return self._args_union(call, lookup)
-
-    @staticmethod
-    def _param_args(
-        call: ast.Call, params: Tuple[str, ...], bound: bool
-    ) -> Dict[int, ast.expr]:
-        """Map callee parameter index -> call-site argument expression
-        (receiver of a bound call occupies index 0 implicitly)."""
-        exprs: Dict[int, ast.expr] = {}
-        offset = 1 if bound else 0
-        for j, arg in enumerate(call.args):
-            exprs[j + offset] = arg
-        for kw in call.keywords:
-            if kw.arg is not None and kw.arg in params:
-                exprs[params.index(kw.arg)] = kw.value
-        return exprs
 
     # -- assignment effects ------------------------------------------------
     def unit_effects(
@@ -698,11 +563,11 @@ class TaintEngine:
             if isinstance(target, ast.Subscript):
                 # partial update: the container may now hold taint,
                 # but old contents survive — bind without killing
-                text = _text(target.value)
+                text = dotted_text(target.value)
                 if text is not None:
                     bind(text, taint, target.lineno)
                 return
-            text = _text(target)
+            text = dotted_text(target)
             if text is None:
                 return
             if kill:
@@ -753,7 +618,7 @@ class TaintEngine:
         # terminator's body belongs to other units — binding it here
         # would leak into the untaken branch)
         for root in _unit_expr_roots(node):
-            for sub in _walk_exprs(root):
+            for sub in walk_function_body(root):
                 if isinstance(sub, ast.NamedExpr):
                     bind_target(
                         sub.target,
@@ -782,8 +647,7 @@ def function_summary(
     """
     engine = TaintEngine(ctx, owner_class, summaries)
     env: Dict[str, TaintMap] = {}
-    params = _params_of(func)
-    for i, name in enumerate(params):
+    for i, name in enumerate(function_info(func).params):
         env[name] = {
             f"{_PARAM_PREFIX}{i}": (
                 FlowStep(name, ctx.module, func.lineno),
@@ -793,7 +657,7 @@ def function_summary(
     def lookup(name: str) -> TaintMap:
         return env.get(name, {})
 
-    stmts = list(_ordered_stmts(func.body))
+    stmts = _own_stmts(func)
     for _sweep in range(2):
         changed = False
         for stmt in stmts:
@@ -838,7 +702,7 @@ def function_summary(
 TaintFact = FrozenSet[Tuple[str, str]]
 
 
-class TaintFlow(ForwardAnalysis[TaintFact]):
+class TaintFlow(MayUnion[Tuple[str, str]]):
     """Flow-sensitive taint over one function's CFG.
 
     Facts are ``(name, kind)`` pairs; chains live in a first-wins side
@@ -867,12 +731,6 @@ class TaintFlow(ForwardAnalysis[TaintFact]):
 
     def initial(self, cfg: CFG) -> TaintFact:
         return self._seed
-
-    def bottom(self) -> TaintFact:
-        return frozenset()
-
-    def join(self, a: TaintFact, b: TaintFact) -> TaintFact:
-        return a | b
 
     def lookup_for(self, fact: TaintFact) -> Lookup:
         """A name-taint resolver over one program point's fact."""
@@ -925,7 +783,7 @@ def class_attr_taints(
             method, (ast.FunctionDef, ast.AsyncFunctionDef)
         ):
             continue
-        for stmt in _ordered_stmts(method.body):
+        for stmt in _own_stmts(method):
             if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 continue
             value = stmt.value
@@ -938,7 +796,7 @@ def class_attr_taints(
             )
             texts = [
                 t
-                for t in (_text(tgt) for tgt in targets)
+                for t in (dotted_text(tgt) for tgt in targets)
                 if t is not None and t.startswith("self.")
             ]
             if not texts:

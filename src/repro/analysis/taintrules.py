@@ -48,12 +48,19 @@ from typing import (
     Tuple,
 )
 
-from .base import FileContext, FileRule, ProjectContext, ProjectRule, rule
+from .base import (
+    FileContext,
+    FileRule,
+    ProjectContext,
+    ProjectRule,
+    dotted_text,
+    rule,
+)
 from .cfg import build_cfg, walk_function_body, WithExit
 from .dataflow import solve_forward, unit_facts
 from .findings import Finding, FlowStep
 from .purity import project_purity_index
-from .rules import _project_finding
+from .rules import _project_finding, _registered_schedulers
 from .taint import (
     ENV,
     HOST_TIME,
@@ -63,9 +70,7 @@ from .taint import (
     TaintFlow,
     TaintMap,
     _extend,
-    _text,
     _unit_expr_roots,
-    _walk_exprs,
     class_attr_taints,
 )
 
@@ -96,71 +101,53 @@ _ENV_ENTRY_LAYERS = (
 _ENV_READS = frozenset({"os.environ", "os.getenv", "os.environ.get"})
 
 
-def _owner_class_of(
-    ctx: FileContext, func: ast.AST
-) -> Optional[str]:
-    for stmt in ctx.tree.body:
-        if isinstance(stmt, ast.ClassDef) and any(
-            sub is func for sub in stmt.body
-        ):
-            return stmt.name
-    return None
-
-
 # -- shared per-file flow cache ----------------------------------------------
+
+
+#: (engine, solved flow, [(entry fact, unit)]) of one function
+_Flow = Tuple[TaintEngine, TaintFlow, List[Tuple[object, object]]]
 
 
 def _flow_for(
     ctx: FileContext, func: ast.AST, owner: Optional[str]
-) -> Tuple[TaintEngine, TaintFlow, List[Tuple[object, object]]]:
+) -> _Flow:
     """(engine, solved flow, [(entry fact, unit)]) for one function.
 
     Cached on the :class:`FileContext` so the three taint rules share
     one CFG build and one fixed point per sink-bearing function; the
     lattice tracks every taint kind at once, rules filter at sinks.
     """
-    cache = getattr(ctx, "_taint_flow_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(ctx, "_taint_flow_cache", cache)
-    hit = cache.get(id(func))
-    if hit is not None:
-        return hit
-    engine = TaintEngine(ctx, owner)
-    seeds: Dict[str, TaintMap] = {}
-    if owner is not None:
-        seeds = _class_seeds(ctx, owner, engine)
-    flow = TaintFlow(engine, seed_names=seeds)
-    cfg = build_cfg(func)
-    entry = solve_forward(cfg, flow)
-    units: List[Tuple[object, object]] = []
-    for block in cfg.blocks:
-        units.extend(
-            unit_facts(flow, cfg, block.idx, entry[block.idx])
+
+    def solve() -> _Flow:
+        engine = TaintEngine(ctx, owner)
+        seeds = (
+            _class_seeds(ctx, owner, engine) if owner is not None else {}
         )
-    hit = (engine, flow, units)
-    cache[id(func)] = hit
-    return hit
+        flow = TaintFlow(engine, seed_names=seeds)
+        cfg = build_cfg(func)
+        entry = solve_forward(cfg, flow)
+        units: List[Tuple[object, object]] = []
+        for block in cfg.blocks:
+            units.extend(
+                unit_facts(flow, cfg, block.idx, entry[block.idx])
+            )
+        return (engine, flow, units)
+
+    return ctx.memo(f"taint-flow:{id(func)}", solve)
 
 
 def _class_seeds(
     ctx: FileContext, owner: str, engine: TaintEngine
 ) -> Dict[str, TaintMap]:
     """Tainted ``self.<attr>`` bindings of the owning class (cached)."""
-    cache = getattr(ctx, "_class_seed_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(ctx, "_class_seed_cache", cache)
-    if owner not in cache:
-        seeds: Dict[str, TaintMap] = {}
+
+    def sweep() -> Dict[str, TaintMap]:
         for stmt in ctx.tree.body:
             if isinstance(stmt, ast.ClassDef) and stmt.name == owner:
-                seeds = class_attr_taints(
-                    ctx, stmt, engine.summaries
-                )
-                break
-        cache[owner] = seeds
-    return cache[owner]
+                return class_attr_taints(ctx, stmt, engine.summaries)
+        return {}
+
+    return ctx.memo(f"class-seeds:{owner}", sweep)
 
 
 # -- sink discovery ----------------------------------------------------------
@@ -179,25 +166,23 @@ def _event_class_names(ctx: FileContext) -> FrozenSet[str]:
     events-imported names on single-file runs."""
     project = ctx.project
     if project is not None and project.graph is not None:
-        cached = getattr(project, "_event_class_names", None)
-        if cached is None:
-            names = set()
-            graph = project.graph
-            for info in graph.modules.values():
-                for cls in info.classes.values():
-                    if cls.name != "EngineEvent" and graph.inherits_from(
-                        info.name, cls, "EngineEvent"
-                    ):
-                        names.add(cls.name)
-            cached = frozenset(names)
-            setattr(project, "_event_class_names", cached)
-        return cached
+        graph = project.graph
+        return project.memo(
+            "event-class-names",
+            lambda: frozenset(
+                cls.name
+                for info in graph.modules.values()
+                for cls in info.classes.values()
+                if cls.name != "EngineEvent"
+                and graph.inherits_from(info.name, cls, "EngineEvent")
+            ),
+        )
     # single-file degraded mode: textual base chains + events imports
     bases: Dict[str, Tuple[str, ...]] = {}
     for stmt in ctx.tree.body:
         if isinstance(stmt, ast.ClassDef):
             bases[stmt.name] = tuple(
-                t for t in (_text(b) for b in stmt.bases) if t
+                t for t in (dotted_text(b) for b in stmt.bases) if t
             )
     names = set()
     for alias, (mod, orig) in ctx.from_imports.items():
@@ -234,15 +219,15 @@ def _collect_sinks(
         if isinstance(node.func, ast.Attribute):
             if node.func.attr == "emit":
                 sinks.append(
-                    _Sink(node, "emit", _text(node.func) or "emit")
+                    _Sink(node, "emit", dotted_text(node.func) or "emit")
                 )
                 continue
             if commit and node.func.attr == "commit":
                 sinks.append(
-                    _Sink(node, "commit", _text(node.func) or "commit")
+                    _Sink(node, "commit", dotted_text(node.func) or "commit")
                 )
                 continue
-        last = (_text(node.func) or "").rsplit(".", 1)[-1]
+        last = (dotted_text(node.func) or "").rsplit(".", 1)[-1]
         if last and last in events:
             sinks.append(_Sink(node, "event", last))
     return sinks
@@ -284,11 +269,11 @@ class _TaintSinkRule(FileRule):
         self, node: ast.AST, ctx: FileContext
     ) -> Iterable[Finding]:
         sinks = _collect_sinks(ctx, node, commit=self.commit_sink)
-        if not sinks and not self.clock_sink:
+        if not sinks and not (
+            self.clock_sink and self._has_clock_store(node)
+        ):
             return
-        if not sinks and not self._has_clock_store(node):
-            return
-        owner = _owner_class_of(ctx, node)
+        owner = ctx.owner_class_of(node)
         engine, flow, units = _flow_for(ctx, node, owner)
         by_id = {id(s.call): s for s in sinks}
         for fact, unit in units:
@@ -299,7 +284,7 @@ class _TaintSinkRule(FileRule):
                     unit, fact, engine, flow, ctx
                 )
             for root in _unit_expr_roots(unit):
-                for sub in _walk_exprs(root):
+                for sub in walk_function_body(root):
                     sink = by_id.get(id(sub))
                     if sink is not None:
                         yield from self._check_sink(
@@ -308,39 +293,31 @@ class _TaintSinkRule(FileRule):
 
     # -- clock_s assignments ----------------------------------------------
     @staticmethod
-    def _has_clock_store(func: ast.AST) -> bool:
-        for node in walk_function_body(func):
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    text = _text(target)
-                    if text and text.rsplit(".", 1)[-1] == "clock_s":
-                        return True
-        return False
+    def _clock_stores(node: object) -> List[str]:
+        """Written ``…clock_s`` targets of one assignment statement."""
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            return []
+        texts = (dotted_text(target) for target in targets)
+        return [
+            t for t in texts if t and t.rsplit(".", 1)[-1] == "clock_s"
+        ]
+
+    def _has_clock_store(self, func: ast.AST) -> bool:
+        return any(
+            self._clock_stores(node) for node in walk_function_body(func)
+        )
 
     def _check_clock_store(
         self, unit, fact, engine: TaintEngine, flow: TaintFlow, ctx
     ) -> Iterator[Finding]:
-        if not isinstance(
-            unit, (ast.Assign, ast.AugAssign, ast.AnnAssign)
-        ):
-            return
-        value = unit.value
-        if value is None:
-            return
-        targets = (
-            unit.targets
-            if isinstance(unit, ast.Assign)
-            else [unit.target]
-        )
-        for target in targets:
-            text = _text(target)
-            if not text or text.rsplit(".", 1)[-1] != "clock_s":
-                continue
+        for text in self._clock_stores(unit):
+            value = unit.value
+            if value is None:
+                return
             taint = engine.expr_taint(value, flow.lookup_for(fact))
             chain = taint.get(self.kind)
             if chain is None:
@@ -381,7 +358,7 @@ class _TaintSinkRule(FileRule):
                 # an event constructor passed inline is its own sink
                 if (
                     isinstance(arg, ast.Call)
-                    and (_text(arg.func) or "").rsplit(".", 1)[-1]
+                    and (dotted_text(arg.func) or "").rsplit(".", 1)[-1]
                     in events
                 ):
                     continue
@@ -405,7 +382,7 @@ class _TaintSinkRule(FileRule):
         chain = taint.get(self.kind)
         if chain is not None:
             return chain
-        text = _text(arg)
+        text = dotted_text(arg)
         if text is not None:
             return _fact_taint(flow, fact, text, self.kind)
         return None
@@ -576,9 +553,11 @@ class ImpureScheduler(ProjectRule):
     a function of its arguments — no writes to ``self``, no module
     globals, no mutation of the round state it receives. Purity is
     inferred interprocedurally (``schedule`` delegating to a helper
-    that appends to ``self._hist`` is caught two hops away); calls the
-    graph cannot resolve are assumed pure, so this certificate can
-    have false negatives but never blocks legitimate schedulers.
+    that appends to ``self._hist`` is caught two hops away) and the
+    certificate is exact per key on every call the graph resolves —
+    mutual recursion included, whichever scheduler is checked first;
+    calls the graph cannot resolve are assumed pure, so it can have
+    false negatives but never blocks legitimate schedulers.
     """
 
     description = (
@@ -592,20 +571,8 @@ class ImpureScheduler(ProjectRule):
         graph = ctx.graph
         if graph is None:
             return
-        registered = [
-            (info, cls)
-            for path, info in sorted(graph.by_path.items())
-            if path.startswith("src/repro/sched/")
-            for cls in info.classes.values()
-            if any(
-                d.rsplit(".", 1)[-1] == "register"
-                for d in cls.decorators
-            )
-        ]
-        if not registered:
-            return
         index = project_purity_index(ctx)
-        for info, cls in registered:
+        for info, cls in _registered_schedulers(graph):
             found = graph.find_method(info.name, cls, "schedule")
             if found is None:
                 continue  # scheduler-contract already reports this
@@ -634,8 +601,7 @@ class ImpureScheduler(ProjectRule):
                     else ""
                 ),
             )
-            if f is not None:
-                yield replace(f, flow=chain)
+            yield replace(f, flow=chain)
 
 
 def _describe_effect(effect: Tuple[str, str]) -> str:

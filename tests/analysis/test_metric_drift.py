@@ -77,3 +77,24 @@ def test_real_repo_catalog_is_documented():
     root = Path(__file__).resolve().parents[2]
     report = lint_repo(root, rule_ids=["metric-doc-drift"])
     assert report.findings == []
+
+
+def test_inline_allow_silences_the_registration_line(tmp_path):
+    root = make_repo(tmp_path)  # beta not documented
+    catalog = root / "src" / "repro" / "obs" / "catalog.py"
+    line = 'GAMMA = register_metric("repro_gamma", "gauge", "g")'
+    catalog.write_text(OBS_MODULE + line + "\n", encoding="utf-8")
+    report = lint_repo(root, rule_ids=["metric-doc-drift"])
+    assert len(report.findings) == 2  # beta and gamma
+    catalog.write_text(
+        OBS_MODULE + line + "  # lint: allow[metric-doc-drift]\n",
+        encoding="utf-8",
+    )
+    for use_baseline in (True, False):
+        report = lint_repo(
+            root,
+            rule_ids=["metric-doc-drift"],
+            use_baseline=use_baseline,
+        )
+        (finding,) = report.findings  # beta still fires
+        assert "'repro_beta_seconds'" in finding.message

@@ -11,6 +11,8 @@ from __future__ import annotations
 import ast
 import textwrap
 
+import pytest
+
 from repro.analysis import FileContext
 from repro.analysis.purity import (
     MUTATOR_METHODS,
@@ -153,6 +155,39 @@ def test_recursion_terminates():
                 return problem
     """
     assert effects(src, "S.schedule") == {("self", "_seen")}
+
+
+@pytest.mark.parametrize("warm_up", [(), ("a",), ("b", "a")])
+def test_mutual_recursion_is_exact_whatever_was_asked_first(warm_up):
+    src = textwrap.dedent(
+        """
+        STATE = []
+
+
+        def a(n):
+            STATE.append(n)
+            return b(n)
+
+
+        def b(n):
+            return a(n - 1) if n else 0
+
+
+        class S:
+            def schedule(self, problem):
+                return b(problem)
+        """
+    )
+    ctx = FileContext(
+        module="src/repro/sched/mod.py", source=src, tree=ast.parse(src)
+    )
+    index = purity_index_for(ctx)
+    for key in warm_up:
+        index.get(key)
+    # a summary memoised under a cycle cut-off certified `b` — and the
+    # scheduler built on it — pure once anything had asked for `a`
+    for key in ("S.schedule", "b", "a"):
+        assert set(index.get(key).effects) == {("global", "STATE")}
 
 
 def test_unresolvable_calls_are_assumed_pure():

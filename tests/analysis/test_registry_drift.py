@@ -79,3 +79,28 @@ def test_backtick_mention_required_in_readme(tmp_path):
     report = lint_repo(root, rule_ids=["registry-doc-drift"])
     assert len(report.findings) == 1
     assert "README" in report.findings[0].message
+
+
+def test_inline_allow_silences_the_registration_line(tmp_path):
+    # project rules bypass the per-file walk; the runner applies
+    # `lint: allow` to their findings all the same
+    root = make_repo(
+        tmp_path, readme_names=("alpha",), tested_names=("alpha", "beta")
+    )
+    module = root / "src" / "repro" / "sched" / "adapters.py"
+    report = lint_repo(root, rule_ids=["registry-doc-drift"])
+    assert len(report.findings) == 1  # beta has no README row
+    module.write_text(
+        SCHED_MODULE.replace(
+            '@register("beta")',
+            '@register("beta")  # lint: allow[registry-doc-drift]',
+        ),
+        encoding="utf-8",
+    )
+    for use_baseline in (True, False):
+        report = lint_repo(
+            root,
+            rule_ids=["registry-doc-drift"],
+            use_baseline=use_baseline,
+        )
+        assert report.findings == []

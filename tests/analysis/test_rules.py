@@ -168,6 +168,26 @@ def test_fleet_loop_scope_is_engine_and_sched_only():
         )
 
 
+@pytest.mark.parametrize(
+    "module",
+    ["src/repro/fleet/round.py", "src/repro/serve/coordinator.py"],
+)
+def test_fleet_loop_guards_the_packages_that_hold_a_fleet(module):
+    # the columnar hot path lives in repro.fleet and repro.serve
+    source = (
+        "class Core:\n"
+        "    def total(self):\n"
+        "        return sum(j for j in self.fleet.data_size)\n"
+        "\n"
+        "    def drain(self):\n"
+        "        for j in self.fleet.data_size:\n"
+        "            self.spend(j)\n"
+    )
+    findings = lint_source(source, module, ["no-python-loop-over-fleet"])
+    assert [f.line for f in findings] == [3, 6]
+    assert all("fleet.data_size" in f.message for f in findings)
+
+
 def test_import_aliases_are_resolved():
     source = (
         "import numpy.random as nr\n"

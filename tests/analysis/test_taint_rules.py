@@ -228,6 +228,27 @@ def test_impure_scheduler_caught_two_hops_away(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("swap", [False, True], ids=["first", "second"])
+def test_impure_scheduler_is_exact_on_a_helper_cycle(tmp_path, swap):
+    # the first scheduler's helper closes a cycle through the second's:
+    # both reach the module-global write, in either registration order
+    root = sched_repo(tmp_path, "sched_purity_cycle_bad.py")
+    if swap:
+        impls = root / "src" / "repro" / "sched" / "impls.py"
+        sep = "\n\n\n@register("
+        head, first, second = impls.read_text(encoding="utf-8").split(sep)
+        second = second.rstrip("\n")
+        impls.write_text(
+            sep.join([head, second, first]) + "\n", encoding="utf-8"
+        )
+    findings = impure_findings(root)
+    assert sorted(f.message.split(":")[0] for f in findings) == [
+        "registered scheduler First",
+        "registered scheduler Second",
+    ]
+    assert all("module global LEDGER" in f.message for f in findings)
+
+
 def test_pure_scheduler_certifies_clean(tmp_path):
     root = sched_repo(tmp_path, "sched_purity_good.py")
     assert impure_findings(root) == []
