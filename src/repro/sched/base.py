@@ -75,7 +75,8 @@ class SchedulingProblem:
     shard_size:
         Samples per shard.
     capacities:
-        Optional per-user shard caps ``C_j`` (storage/battery limits).
+        Optional per-user shard caps ``C_j`` (storage/battery limits),
+        a 1-D integer array with one entry per user.
     user_classes:
         Optional per-user class sets ``U_j`` for non-IID instances;
         defaults to "every user holds every class" (IID reading).
@@ -259,6 +260,14 @@ class SchedulingProblem:
                 raise ValueError("weights must be finite and positive")
 
     def _validate_capacities(self) -> None:
+        if self.capacities is not None:
+            given = np.asarray(self.capacities)
+            if given.shape != (self.n_users,) or given.dtype.kind not in "iu":
+                raise ValueError(
+                    "capacities must be a 1-D integer array with one "
+                    f"entry per user: expected shape ({self.n_users},), "
+                    f"got {given.dtype} of shape {given.shape}"
+                )
         caps = self.effective_capacities()
         if (caps < 0).any():
             raise ValueError("capacities must be non-negative")

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.sched import Assignment, SchedulingProblem
+from repro.sched import (
+    Assignment,
+    SchedulingProblem,
+    available_schedulers,
+    get_scheduler,
+)
 from repro.core.schedule import Schedule
 
 from .conftest import synthetic_problem
@@ -82,6 +87,41 @@ class TestValidation:
             time_cost=cost, total_shards=6, weights=[1, 2, 3]
         )
         assert p.weights == [1, 2, 3]
+
+    @pytest.mark.parametrize("name", available_schedulers())
+    def test_wrong_length_capacities(self, name):
+        """Found out at construction and in ``with_capacities``, in one
+        message — not broadcast to every user (length 1, which
+        ``proportional`` then solved under) or failed as a NumPy
+        broadcast error (any other length)."""
+        n, s = 5, 8
+        rows = np.cumsum(np.ones((2, s)), axis=1) * mat([[1.0], [2.0]])
+        row_of = np.array([0, 1, 0, 1, 1])
+        forms = {
+            "dense": dict(time_cost=rows[row_of], energy_cost=rows[row_of]),
+            "class": dict(time_rows=rows, energy_rows=rows, row_of=row_of),
+        }
+        words = "1-D integer array with one entry per user"
+        for form in forms.values():
+            shared = dict(total_shards=6, shard_size=10, rng=0, **form)
+            good = SchedulingProblem(**shared)
+            for length in (1, 2, n + 2):
+                bad = np.full(length, 3, dtype=np.int64)
+                with pytest.raises(ValueError, match=words):
+                    get_scheduler(name).schedule(
+                        SchedulingProblem(capacities=bad, **shared)
+                    )
+                with pytest.raises(ValueError, match=words):
+                    get_scheduler(name).schedule(good.with_capacities(bad))
+            for bad in (np.full((n, 1), 3), np.full(n, 3.0), [[3] * n]):
+                with pytest.raises(ValueError, match=words):
+                    SchedulingProblem(capacities=bad, **shared)
+            # the right shape, as an array or a list, still solves
+            for caps in (np.full(n, 3), [3] * n):
+                capped = good.with_capacities(caps)
+                assignment = get_scheduler(name).schedule(capped)
+                assert assignment.schedule.total_shards == 6
+                assert (assignment.shard_counts <= 3).all()
 
     def test_effective_capacities_clip_to_slots(self):
         p = SchedulingProblem(
