@@ -116,9 +116,12 @@ class RoundCore:
 
     def eligible_indices(self) -> np.ndarray:
         """Alive devices with data whose charge clears ``min_soc``."""
+        return np.flatnonzero(self._eligible_mask())
+
+    def _eligible_mask(self) -> np.ndarray:
         mask = self.fleet.eligible_mask(self.min_soc)
         mask &= self.fleet.data_size > 0
-        return np.flatnonzero(mask)
+        return mask
 
     def plan(
         self,
@@ -182,7 +185,7 @@ class RoundCore:
                     )
                 )
             elif eligible_count is None:
-                eligible_count = int(self.eligible_indices().size)
+                eligible_count = int(np.count_nonzero(self._eligible_mask()))
         return DispatchedRound(
             round_idx,
             clock_s,

@@ -10,7 +10,11 @@ matrix. A round is still O(n) in the population — the eligibility
 scan, one uniform per eligible row for the draw and the bystanders'
 drain each pass over every row — and at n = 10⁶ with a 512-device
 cohort those passes are nearly all of its host time (perfbench's
-``fleet-1m``).
+``fleet-1m``). Only the eligibility scan allocates per row (its masks
+and the eligible-row array, 8 bytes a row): the draw and the drain
+stream through fixed block-sized scratch and the bystander mask is a
+buffer the runner owns, so at that size a round no longer takes fresh
+pages from the kernel.
 
 The round itself is :class:`~repro.fleet.round.RoundCore`'s plan →
 dispatch → close, called back to back (nothing can die in between, so
@@ -122,6 +126,8 @@ class FleetRunner:
         self.clock_s = 0.0
         self.round_idx = 0
         self.records: List[FleetRoundRecord] = []
+        # each round's bystander mask, rewritten in place
+        self._bystanders = np.empty(fleet.n, dtype=bool)
 
     # -- round phases -----------------------------------------------------
     def eligible_indices(self) -> np.ndarray:
@@ -196,7 +202,9 @@ class FleetRunner:
     # -- internals --------------------------------------------------------
     def _idle_bystanders(self, idx: np.ndarray, round_s: float) -> None:
         """Everyone alive outside the round drains idle power for all
-        of it — the store's whole-column (mask) form of ``idle``."""
-        bystander = self.fleet.alive.copy()
+        of it — the store's mask form of ``idle``, over a mask written
+        into the runner's own buffer."""
+        bystander = self._bystanders
+        np.copyto(bystander, self.fleet.alive)
         bystander[idx] = False
         self.fleet.idle(bystander, round_s)

@@ -29,6 +29,7 @@ columns (``tests/fleet/test_equivalence.py``).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -54,6 +55,37 @@ __all__ = [
     "default_device_classes",
     "synthetic_fleet",
 ]
+
+#: rows per block of the two passes a round makes over the whole fleet
+#: (the mask form of :meth:`FleetStore.idle` and the uniform cohort
+#: draw in :mod:`repro.fleet.sampling`). Their temporaries live in
+#: scratch of this many rows, allocated once, so no pass hands a
+#: multi-megabyte buffer back to the allocator for the next round to
+#: fault in again (at n = 10⁶ the whole-column passes took ~1 800
+#: fresh pages a round, the blocked ones 0.2). The size is measured: a
+#: ``FleetRunner`` round at n = 10⁶, cohort 512, on a 2-core Xeon with
+#: 2 MiB of L2 per core, took a median 8.6 / 8.2 / 7.9 / 8.4 / 9.0 ms
+#: at 2¹⁴ / 2¹⁵ / 2¹⁶ / 2¹⁷ / 2¹⁸ rows a block, 12.5–13.8 ms unblocked.
+_BLOCK = 1 << 16
+
+_local = threading.local()
+
+
+def _block_scratch() -> np.ndarray:
+    """This thread's ``_BLOCK`` float64 scratch, allocated on first use.
+
+    Both population passes stream through it, one after the other:
+    neither calls the other or yields inside its loop. It is one buffer
+    for both, not one each, because the drain leaves it in cache for the
+    next round's draw: on a ``fleet-lbap``-shaped round (n = 10⁵, same
+    host) two separately owned buffers cost +1 to +6 % against the
+    unblocked passes, one shared buffer −3 to +1 %. It is per thread
+    because NumPy releases the GIL inside the kernels that fill it.
+    """
+    scratch: Optional[np.ndarray] = getattr(_local, "scratch", None)
+    if scratch is None:
+        scratch = _local.scratch = np.empty(_BLOCK, dtype=np.float64)
+    return scratch
 
 
 @dataclass(frozen=True)
@@ -362,13 +394,16 @@ class FleetStore:
         Index form — ``idx`` an integer index array, ``seconds`` one
         wait per indexed device: gathers, drains and scatters those
         rows (the barrier waits of a cohort). Mask form — ``idx`` a
-        boolean mask over the whole fleet, ``seconds`` one scalar:
-        every ``True`` row idles that long, in four contiguous passes
-        over the columns with no index array (a round's bystanders,
-        nearly every row). Per row both forms are the same float64
-        product, ``minimum`` and subtraction, so they leave the same
-        bits; masked-out rows subtract 0.0, which changes nothing.
-        They share one name because instruments of the round path wrap
+        boolean mask with one entry per row, ``seconds`` one scalar:
+        every ``True`` row idles that long (a round's bystanders,
+        nearly every row). It walks the columns in ``_BLOCK``-row
+        slices with no index array — per slice the product into
+        reused scratch, ``minimum`` with the battery, zero the
+        masked-out rows, subtract — so it allocates nothing the size
+        of the fleet. Per row both forms are the same float64 product,
+        ``minimum`` and subtraction, so they leave the same bits;
+        masked-out rows subtract 0.0, which changes nothing. They
+        share one name because instruments of the round path wrap
         ``idle`` on the instance (README, "Tests and benchmarks") and
         must keep seeing both.
         """
@@ -380,10 +415,21 @@ class FleetStore:
             and idx.dtype == np.bool_
             and seconds.ndim == 0
         ):
-            need = self._idle_power_row * seconds
-            np.minimum(need, self.battery_j, out=need)
-            need[~idx] = 0.0
-            self.battery_j -= need
+            n = self.n
+            if idx.shape != (n,):
+                raise ValueError(
+                    f"idle mask must have one entry per row: expected "
+                    f"shape ({n},), got {idx.shape}"
+                )
+            scratch = _block_scratch()
+            for lo in range(0, n, _BLOCK):
+                hi = min(lo + _BLOCK, n)
+                need = scratch[: hi - lo]
+                battery = self.battery_j[lo:hi]
+                np.multiply(self._idle_power_row[lo:hi], seconds, out=need)
+                np.minimum(need, battery, out=need)
+                need[~idx[lo:hi]] = 0.0
+                battery -= need
             return
         need = self._idle_power_w[self.class_id[idx]] * seconds
         drained = np.minimum(need, self.battery_j[idx])
