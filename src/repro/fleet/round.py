@@ -116,12 +116,11 @@ class RoundCore:
 
     def eligible_indices(self) -> np.ndarray:
         """Alive devices with data whose charge clears ``min_soc``."""
-        return np.flatnonzero(self._eligible_mask())
+        return np.flatnonzero(self.fleet.eligible_mask(self.min_soc))
 
-    def _eligible_mask(self) -> np.ndarray:
-        mask = self.fleet.eligible_mask(self.min_soc)
-        mask &= self.fleet.data_size > 0
-        return mask
+    def fill_eligible(self, out: np.ndarray) -> int:
+        """The same rows as a mask written into ``out``, and how many."""
+        return self.fleet.fill_eligible(out, self.min_soc)
 
     def plan(
         self,
@@ -185,7 +184,9 @@ class RoundCore:
                     )
                 )
             elif eligible_count is None:
-                eligible_count = int(np.count_nonzero(self._eligible_mask()))
+                eligible_count = self.fill_eligible(
+                    np.empty(self.fleet.n, dtype=bool)
+                )
         return DispatchedRound(
             round_idx,
             clock_s,

@@ -10,11 +10,15 @@ matrix. A round is still O(n) in the population — the eligibility
 scan, one uniform per eligible row for the draw and the bystanders'
 drain each pass over every row — and at n = 10⁶ with a 512-device
 cohort those passes are nearly all of its host time (perfbench's
-``fleet-1m``). Only the eligibility scan allocates per row (its masks
-and the eligible-row array, 8 bytes a row): the draw and the drain
-stream through fixed block-sized scratch and the bystander mask is a
-buffer the runner owns, so at that size a round no longer takes fresh
-pages from the kernel.
+``fleet-1m``). None of them allocates per row: the eligibility scan
+writes a mask into a buffer the runner owns (as the bystander mask is)
+and hands the sampler that mask, never the list of eligible rows; the
+draw and the drain stream through fixed block-sized scratch. Each pass
+is cut at block boundaries into spans that run on every core the
+process may use (:mod:`repro.fleet.store`, ``_run_spans``), with the
+same bits as one thread. The runner never calls
+:meth:`FleetRunner.eligible_indices` itself, so an instrument wrapping
+it sees nothing; the scan's time is the runner's own.
 
 The round itself is :class:`~repro.fleet.round.RoundCore`'s plan →
 dispatch → close, called back to back (nothing can die in between, so
@@ -126,17 +130,21 @@ class FleetRunner:
         self.clock_s = 0.0
         self.round_idx = 0
         self.records: List[FleetRoundRecord] = []
-        # each round's bystander mask, rewritten in place
+        # each round's eligibility and bystander masks, rewritten in place
+        self._eligible = np.empty(fleet.n, dtype=bool)
         self._bystanders = np.empty(fleet.n, dtype=bool)
 
     # -- round phases -----------------------------------------------------
     def eligible_indices(self) -> np.ndarray:
-        """Alive devices with data whose charge clears ``min_soc``."""
+        """Alive devices with data whose charge clears ``min_soc`` (the
+        rows of the mask a round draws from; a round does not list
+        them)."""
         return self.core.eligible_indices()
 
     def _draw_cohort(self, eligible: np.ndarray) -> np.ndarray:
+        """The cohort from the round's eligibility mask."""
         if self.sampler is None or self.core.cohort_size is None:
-            return eligible
+            return np.flatnonzero(eligible)
         data_size = (
             self.fleet.data_size[eligible]
             if self.sampler.uses_data_size
@@ -150,12 +158,12 @@ class FleetRunner:
         """Run one barrier round; returns its record (also appended to
         :attr:`records`)."""
         with PROFILER.phase("cohort"):
-            eligible = self.eligible_indices()
-            if eligible.size == 0:
+            eligible_count = self.core.fill_eligible(self._eligible)
+            if eligible_count == 0:
                 raise RuntimeError(
                     "no eligible devices (all dead, drained, or data-less)"
                 )
-            cohort = self._draw_cohort(eligible)
+            cohort = self._draw_cohort(self._eligible)
         round_idx = self.round_idx + 1
 
         problem = fleet_problem(
@@ -173,7 +181,7 @@ class FleetRunner:
             assignment,
             round_idx,
             self.clock_s,
-            eligible_count=int(eligible.size),
+            eligible_count=eligible_count,
         )
         closed = self.core.close(dispatched)
         with PROFILER.phase("idle"):
@@ -183,7 +191,7 @@ class FleetRunner:
         record = FleetRoundRecord(
             round_idx=round_idx,
             scheduler=self.scheduler.name,
-            eligible_count=int(eligible.size),
+            eligible_count=eligible_count,
             cohort_size=int(cohort.size),
             active_count=int(closed.completed.size),
             makespan_s=closed.makespan_s,

@@ -25,13 +25,26 @@ engine over the object views returned by :meth:`FleetStore.as_devices`
 and the vectorized :class:`~repro.fleet.round.RoundCore` over the same
 store produce **bit-identical** per-client payloads and battery
 columns (``tests/fleet/test_equivalence.py``).
+
+The passes a round makes over every row — :meth:`FleetStore
+.fill_eligible`, the mask form of :meth:`FleetStore.idle` and the
+uniform draw in :mod:`repro.fleet.sampling` — walk the columns in
+``_BLOCK``-row slices through per-thread scratch, and from
+``_POOL_BLOCKS`` blocks on, ``_run_spans`` cuts them into spans of whole
+blocks: the caller runs the first, a per-process pool of one thread per
+further usable core the rest (NumPy releases the GIL inside the
+kernels). Rows are independent in the mask and the drain, and the draw
+positions each span in the generator's stream, so every result is the
+one-thread result bit for bit (``tests/fleet/test_parallel_passes.py``).
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     List,
@@ -39,10 +52,14 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "DeviceClass",
@@ -56,9 +73,10 @@ __all__ = [
     "synthetic_fleet",
 ]
 
-#: rows per block of the two passes a round makes over the whole fleet
-#: (the mask form of :meth:`FleetStore.idle` and the uniform cohort
-#: draw in :mod:`repro.fleet.sampling`). Their temporaries live in
+#: rows per block of the passes a round makes over the whole fleet
+#: (:meth:`FleetStore.fill_eligible`, the mask form of
+#: :meth:`FleetStore.idle` and the uniform cohort draw in
+#: :mod:`repro.fleet.sampling`). Their temporaries live in
 #: scratch of this many rows, allocated once, so no pass hands a
 #: multi-megabyte buffer back to the allocator for the next round to
 #: fault in again (at n = 10⁶ the whole-column passes took ~1 800
@@ -74,18 +92,104 @@ _local = threading.local()
 def _block_scratch() -> np.ndarray:
     """This thread's ``_BLOCK`` float64 scratch, allocated on first use.
 
-    Both population passes stream through it, one after the other:
-    neither calls the other or yields inside its loop. It is one buffer
-    for both, not one each, because the drain leaves it in cache for the
-    next round's draw: on a ``fleet-lbap``-shaped round (n = 10⁵, same
-    host) two separately owned buffers cost +1 to +6 % against the
-    unblocked passes, one shared buffer −3 to +1 %. It is per thread
-    because NumPy releases the GIL inside the kernels that fill it.
+    The population passes stream through it, one after the other: none
+    calls another or yields inside its loop. It is one buffer for all,
+    not one each, because the drain leaves it in cache for the next
+    round's draw: on a ``fleet-lbap``-shaped round (n = 10⁵, same host)
+    two separately owned buffers cost +1 to +6 % against the unblocked
+    passes, one shared buffer −3 to +1 %. It is per thread because
+    NumPy releases the GIL inside the kernels that fill it, so the pool
+    runs spans of one pass on several threads at once.
     """
     scratch: Optional[np.ndarray] = getattr(_local, "scratch", None)
     if scratch is None:
         scratch = _local.scratch = np.empty(_BLOCK, dtype=np.float64)
     return scratch
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call off Linux
+        return os.cpu_count() or 1
+
+
+#: threads a population pass runs on: the caller's and ``_POOL_SIZE - 1``
+#: pool workers, one per core this process may run on
+_POOL_SIZE = _usable_cores()
+
+#: a pass goes to the pool once it is ``_POOL_BLOCKS`` blocks long, in
+#: spans of at least ``_SPAN_BLOCKS`` whole blocks; shorter passes run
+#: inline on the caller. Measured as the ``_BLOCK`` sweep was
+#: (``FleetRunner`` rounds, cohort 512, same 2-core host), a round split
+#: over two threads took, of the inline round's median, 1.08 at 3
+#: blocks, 0.90 / 0.94 / 0.85 / 1.02 at 4 / 5 / 6 / 7 (0.98 and 0.86 on
+#: a rerun at 5 and 7), then 0.78 / 0.73 / 0.72 / 0.75 / 0.64–0.73 at
+#: 8 / 9 / 10 / 12 / 16: below 8 blocks the gain is inside the spread.
+#: Handing a span to a worker and collecting it costs ~25 µs, a block
+#: of the drain or the draw 80–170 µs, so a 4-block span keeps the
+#: hand-off under ~8 % on a host with more cores than spans to fill.
+_POOL_BLOCKS = 8
+_SPAN_BLOCKS = 4
+
+#: the worker pools by (pid, size): see :func:`_pool`
+_pools: Dict[Tuple[int, int], ThreadPoolExecutor] = {}
+
+_T = TypeVar("_T")
+
+
+def _spans(n: int) -> List[Tuple[int, int]]:
+    """``[0, n)`` cut into contiguous spans of whole ``_BLOCK``s (the
+    last block may be short): one span below the pool threshold, else
+    at most one per thread."""
+    blocks = -(-n // _BLOCK)
+    if blocks < _POOL_BLOCKS:
+        return [(0, n)]
+    count = min(_POOL_SIZE, blocks // _SPAN_BLOCKS)
+    edges = [i * blocks // count * _BLOCK for i in range(count)] + [n]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _pool() -> ThreadPoolExecutor:
+    """This process's workers, created on first use. Keyed by pid, so a
+    forked child, which inherits the executor but none of its threads,
+    builds its own instead of queueing work nobody will run; and by
+    size, so a pool always has ``_POOL_SIZE - 1`` workers. Two threads
+    racing here may each build one; ``setdefault`` keeps the first, and
+    the other never started a thread. Imported here, not at the top: a
+    process whose passes all run inline never loads the executor."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    key = (os.getpid(), _POOL_SIZE)
+    pool = _pools.get(key)
+    if pool is None:
+        pool = _pools.setdefault(
+            key,
+            ThreadPoolExecutor(
+                _POOL_SIZE - 1, thread_name_prefix="fleet-pass"
+            ),
+        )
+    return pool
+
+
+def _run_spans(n: int, fn: Callable[[int, int], _T]) -> List[_T]:
+    """``fn(lo, hi)`` over each of :func:`_spans` ``(n)``, results in
+    span order. The caller's thread runs the first span and the pool the
+    rest, so ``fn`` must only touch rows of its own span (NumPy releases
+    the GIL inside the kernels; each thread has its own scratch). Every
+    span has finished when this returns, even if one raised."""
+    spans = _spans(n)
+    if len(spans) == 1:
+        return [fn(0, n)]
+    from concurrent.futures import wait
+
+    pool = _pool()
+    rest = [pool.submit(fn, lo, hi) for lo, hi in spans[1:]]
+    try:
+        first = fn(*spans[0])
+    finally:
+        wait(rest)
+    return [first, *(future.result() for future in rest)]
 
 
 @dataclass(frozen=True)
@@ -117,6 +221,7 @@ class DeviceClass:
     link: str = "wifi"
 
     def __post_init__(self) -> None:
+        # every check is written so that NaN fails it
         for fname in (
             "time_base_s",
             "time_per_sample_s",
@@ -125,11 +230,11 @@ class DeviceClass:
             "idle_power_w",
             "rtt_s",
         ):
-            if float(getattr(self, fname)) < 0:
+            if not float(getattr(self, fname)) >= 0:
                 raise ValueError(f"{fname} must be non-negative")
-        if self.capacity_j <= 0:
+        if not self.capacity_j > 0:
             raise ValueError("capacity_j must be positive")
-        if self.uplink_mbps <= 0 or self.downlink_mbps <= 0:
+        if not (self.uplink_mbps > 0 and self.downlink_mbps > 0):
             raise ValueError("bandwidths must be positive")
 
     def signature(self) -> Tuple[object, ...]:
@@ -288,14 +393,58 @@ class FleetStore:
         return float(self.battery_j[j] / self.capacity_j[j])
 
     def eligible_mask(self, min_soc: float = 0.0) -> np.ndarray:
-        """Alive devices whose charge clears the participation floor.
+        """Alive devices with data whose charge clears the participation
+        floor, as a fresh mask with one entry per row:
+        :meth:`fill_eligible` without the count.
 
         Matches the engine's legacy gate: a non-positive ``min_soc``
         disables the battery check entirely.
         """
-        if min_soc <= 0.0:
-            return self.alive.copy()
-        return self.alive & (self.soc() >= min_soc)
+        mask = np.empty(self.n, dtype=bool)
+        self.fill_eligible(mask, min_soc)
+        return mask
+
+    def fill_eligible(self, out: np.ndarray, min_soc: float = 0.0) -> int:
+        """Write ``alive & data_size > 0 [& soc >= min_soc]`` into the
+        boolean ``out`` and return how many rows are ``True``.
+
+        One pass over the columns, ``_BLOCK`` rows at a time, the soc of
+        a block computed into the thread's scratch (the same division as
+        :meth:`soc`, so the same bits) and the blocks split into spans
+        over the worker pool: rows are independent, so the mask does not
+        depend on the split. Nothing the size of the fleet is allocated.
+        """
+        n = self.n
+        if out.shape != (n,) or out.dtype != np.bool_:
+            raise ValueError(
+                f"eligibility mask must be a boolean array of shape "
+                f"({n},), got {out.dtype} {out.shape}"
+            )
+        gate_soc = not min_soc <= 0.0
+
+        def fill(lo: int, hi: int) -> int:
+            count = 0
+            for a in range(lo, hi, _BLOCK):
+                b = min(a + _BLOCK, hi)
+                block = out[a:b]
+                if gate_soc:
+                    scratch = _block_scratch()
+                    soc = scratch[: b - a]
+                    np.divide(
+                        self.battery_j[a:b], self.capacity_j[a:b], out=soc
+                    )
+                    np.greater_equal(soc, min_soc, out=block)
+                    # the soc is spent: its bytes hold the data test
+                    has_data = scratch.view(np.bool_)[: b - a]
+                    np.greater(self.data_size[a:b], 0, out=has_data)
+                    block &= has_data
+                else:
+                    np.greater(self.data_size[a:b], 0, out=block)
+                block &= self.alive[a:b]
+                count += int(np.count_nonzero(block))
+            return count
+
+        return sum(_run_spans(n, fill))
 
     # -- compute ----------------------------------------------------------
     def compute_time_s(
@@ -400,15 +549,18 @@ class FleetStore:
         slices with no index array — per slice the product into
         reused scratch, ``minimum`` with the battery, zero the
         masked-out rows, subtract — so it allocates nothing the size
-        of the fleet. Per row both forms are the same float64 product,
-        ``minimum`` and subtraction, so they leave the same bits;
-        masked-out rows subtract 0.0, which changes nothing. They
-        share one name because instruments of the round path wrap
-        ``idle`` on the instance (README, "Tests and benchmarks") and
-        must keep seeing both.
+        of the fleet, and splits the slices into spans over the worker
+        pool; rows are independent, so the split changes no bit. Per
+        row both forms are the same float64 product, ``minimum`` and
+        subtraction, so they leave the same bits; masked-out rows
+        subtract 0.0, which changes nothing. They share one name
+        because instruments of the round path wrap ``idle`` on the
+        instance (README, "Tests and benchmarks") and must keep seeing
+        both. Negative or NaN seconds raise (NaN would poison every
+        battery it touched); ``inf`` drains to empty.
         """
         seconds = np.asarray(seconds, dtype=np.float64)
-        if (seconds < 0).any():
+        if not (seconds >= 0).all():
             raise ValueError("seconds must be non-negative")
         if (
             isinstance(idx, np.ndarray)
@@ -421,15 +573,19 @@ class FleetStore:
                     f"idle mask must have one entry per row: expected "
                     f"shape ({n},), got {idx.shape}"
                 )
-            scratch = _block_scratch()
-            for lo in range(0, n, _BLOCK):
-                hi = min(lo + _BLOCK, n)
-                need = scratch[: hi - lo]
-                battery = self.battery_j[lo:hi]
-                np.multiply(self._idle_power_row[lo:hi], seconds, out=need)
-                np.minimum(need, battery, out=need)
-                need[~idx[lo:hi]] = 0.0
-                battery -= need
+
+            def drain(lo: int, hi: int) -> None:
+                scratch = _block_scratch()
+                for a in range(lo, hi, _BLOCK):
+                    b = min(a + _BLOCK, hi)
+                    need = scratch[: b - a]
+                    battery = self.battery_j[a:b]
+                    np.multiply(self._idle_power_row[a:b], seconds, out=need)
+                    np.minimum(need, battery, out=need)
+                    need[~idx[a:b]] = 0.0
+                    battery -= need
+
+            _run_spans(n, drain)
             return
         need = self._idle_power_w[self.class_id[idx]] * seconds
         drained = np.minimum(need, self.battery_j[idx])
@@ -437,7 +593,7 @@ class FleetStore:
 
     def idle_one(self, j: int, seconds: float) -> None:
         """Scalar :meth:`idle` (object-view path, identical math)."""
-        if seconds < 0:
+        if not seconds >= 0:
             raise ValueError("seconds must be non-negative")
         c = int(self.class_id[j])
         need = self._idle_power_w[c] * np.float64(seconds)
