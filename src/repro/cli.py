@@ -10,7 +10,7 @@ Usage (after ``pip install -e .``):
     python -m repro devices                    # calibrated testbed summary
     python -m repro sched list                 # registered schedulers
     python -m repro sched compare --testbed A  # scheduler comparison
-    python -m repro bench suite --out new.json # the two gated ratios
+    python -m repro bench suite --out new.json # the three gated ratios
     python -m repro bench diff OLD NEW         # regression verdicts
     python -m repro bench lint                 # lint wall time per rule
     python -m repro obs summary run.jsonl      # telemetry dashboard
@@ -509,7 +509,7 @@ def cmd_bench_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_suite(args: argparse.Namespace) -> int:
-    """Measure the two gated ratios; optionally write BENCH_core.json."""
+    """Measure the three gated ratios; optionally write BENCH_core.json."""
     from .perf import bench_suite, format_suite, write_suite
 
     results = bench_suite(seed=args.seed)
@@ -1016,7 +1016,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bsuite = bench_sub.add_parser(
         "suite",
-        help="measure the two gated ratios (writes BENCH_core.json "
+        help="measure the three gated ratios (writes BENCH_core.json "
         "with --out)",
     )
     p_bsuite.add_argument(

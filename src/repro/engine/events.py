@@ -90,6 +90,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
     Type,
     Union,
@@ -391,6 +392,40 @@ def _line_template(kind: str) -> str:
     return line.replace('"%s"', "%s")
 
 
+#: a column with more than one distinct value in this many cells is
+#: spelled cell by cell. Measured on 192-row ``ClientsFinished`` batches
+#: with six float columns of d distinct values each (CPython 3.11,
+#: 2-core Xeon): reuse took 0.37x the per-cell time at d/n = 2 %, 0.57x
+#: at 25 %, 0.79x at 50 %, 0.96x at 67 % and 1.07x at 83 %; cutting
+#: at half keeps a clear win.
+_REUSE_EVERY = 2
+#: the leading cells, judged by the same rule first, so a mostly
+#: distinct column (a round's ``battery_soc``) is not counted whole:
+#: counting all 192 cells cost an all-distinct batch ~8 % on top of
+#: spelling it cell by cell; counting 32 is within run-to-run noise
+_HEAD = 32
+
+
+def _spelled(column: Tuple[Any, ...]) -> Sequence[Any]:
+    """``column`` ready for ``%s`` slots, which spell an int or a float
+    as ``repr`` does: each distinct value's string spelled once and
+    reused, or the cells themselves when the column is mostly distinct
+    or mixes types (``1`` and ``1.0`` are equal but spelled apart)."""
+    head = column[:_HEAD]
+    if len(set(head)) * _REUSE_EVERY > len(head):
+        return column
+    distinct = set(column)
+    if len(distinct) * _REUSE_EVERY > len(column):
+        return column
+    if len(set(map(type, column))) > 1:
+        return column
+    spelling = {value: repr(value) for value in distinct}
+    if 0 in spelling:
+        # 0.0 == -0.0, so one key cannot spell both: zeros go one by one
+        return [spelling[v] if v else repr(v) for v in column]
+    return list(map(spelling.__getitem__, column))
+
+
 class EventColumns:
     """A column of row events of one kind, defined as its :meth:`rows`.
 
@@ -426,17 +461,18 @@ class EventColumns:
     def to_jsonl(self) -> str:
         """The rows' JSONL lines, byte for byte, without building the
         rows: ``json`` spells an int or a finite float the way ``repr``
-        does (a batch holding anything else takes the rows' encoder)."""
+        does, so a value shared by every row is spelled once and each
+        distinct value of a column once (:func:`_spelled`); a batch
+        holding anything else takes the rows' encoder."""
         cells = self.cells()
         columns = [c for c in cells if isinstance(c, tuple)]
         shared = [c for c in cells if not isinstance(c, tuple)]
         if not all(map(math.isfinite, chain(shared, *columns))):
             return "".join([row.to_jsonl() for row in self.rows()])
-        # spell the shared values once; each column keeps a slot per row
         line = _LINE_TEMPLATES[self.row_type.kind] % tuple(
-            "%r" if isinstance(c, tuple) else repr(c) for c in cells
+            "%s" if isinstance(c, tuple) else repr(c) for c in cells
         )
-        return "".join(map(line.__mod__, zip(*columns)))
+        return "".join(map(line.__mod__, zip(*map(_spelled, columns))))
 
 
 @dataclass(frozen=True)

@@ -557,11 +557,16 @@ class FleetStore:
         because instruments of the round path wrap ``idle`` on the
         instance (README, "Tests and benchmarks") and must keep seeing
         both. Negative or NaN seconds raise (NaN would poison every
-        battery it touched); ``inf`` drains to empty.
+        battery it touched); ``inf`` drains to empty, except at 0 W,
+        which drains nothing however long. ``0 * inf`` is NaN, so an
+        infinite wait takes a branch of its own that never forms it.
         """
         seconds = np.asarray(seconds, dtype=np.float64)
-        if not (seconds >= 0).all():
+        # two reductions: as many passes over `seconds` as a comparison
+        # and `.all()`, so finite waits pay nothing for the inf case
+        if not seconds.min(initial=0.0) >= 0:  # NaN fails too
             raise ValueError("seconds must be non-negative")
+        forever = seconds.max(initial=0.0) == np.inf
         if (
             isinstance(idx, np.ndarray)
             and idx.dtype == np.bool_
@@ -573,6 +578,11 @@ class FleetStore:
                     f"idle mask must have one entry per row: expected "
                     f"shape ({n},), got {idx.shape}"
                 )
+
+            if forever:
+                # battery - min(inf, battery) is 0.0 where power is drawn
+                self.battery_j[idx & (self._idle_power_row > 0.0)] = 0.0
+                return
 
             def drain(lo: int, hi: int) -> None:
                 scratch = _block_scratch()
@@ -587,7 +597,12 @@ class FleetStore:
 
             _run_spans(n, drain)
             return
-        need = self._idle_power_w[self.class_id[idx]] * seconds
+        power = self._idle_power_w[self.class_id[idx]]
+        if forever:
+            need: np.ndarray = np.zeros(np.broadcast(power, seconds).shape)
+            np.multiply(power, seconds, out=need, where=power > 0.0)
+        else:
+            need = power * seconds
         drained = np.minimum(need, self.battery_j[idx])
         self.battery_j[idx] -= drained
 
@@ -595,8 +610,10 @@ class FleetStore:
         """Scalar :meth:`idle` (object-view path, identical math)."""
         if not seconds >= 0:
             raise ValueError("seconds must be non-negative")
-        c = int(self.class_id[j])
-        need = self._idle_power_w[c] * np.float64(seconds)
+        power = self._idle_power_w[int(self.class_id[j])]
+        if power <= 0.0:
+            return  # 0 W drains nothing, also for inf seconds
+        need = power * np.float64(seconds)
         drained = np.minimum(need, self.battery_j[j])
         self.battery_j[j] -= drained
 

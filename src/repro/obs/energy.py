@@ -14,12 +14,21 @@ At fleet scale the engine stops narrating individual clients: a
 aggregate per round instead, and the ledger folds it into the same
 per-round and fleet-wide totals (per-client detail is simply absent
 above the runner's detail threshold — by design, not by omission).
+
+The ledger's client rows are the run's one per-client record: the
+catalog's five ``client``-labelled series (busy seconds, rounds,
+Joules, state of charge, drops) are read-through views of them
+(:meth:`EnergyLedger.client_series`), so a finished client is written
+once, here, and rendered from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+
+from . import catalog
+from .metrics import Counter, Gauge, LabelValues, Metric, MetricSpec
 
 __all__ = ["ClientEnergy", "EnergyLedger"]
 
@@ -34,6 +43,9 @@ class ClientEnergy:
     rounds: int = 0
     dropped: int = 0
     last_soc: Optional[float] = None
+    #: some finish reported its Joules: what gives the client an energy
+    #: series (one that reported none has ``energy_j`` 0.0 and no series)
+    metered: bool = False
 
 
 @dataclass
@@ -90,6 +102,7 @@ class EnergyLedger:
             entry.busy_s += busy_s
             if joules is not None:
                 entry.energy_j += joules
+                entry.metered = True
                 round_j += joules
             if soc is not None:
                 entry.last_soc = soc
@@ -128,3 +141,85 @@ class EnergyLedger:
     def by_client(self) -> List[ClientEnergy]:
         """Client ledgers sorted by id."""
         return [self.clients[k] for k in sorted(self.clients)]
+
+    def client_series(self) -> List[Union[Counter, Gauge]]:
+        """The catalog's per-client series as views of these rows, one
+        instrument per series family; writing to one raises.
+
+        A row has a series where a per-event counter or gauge would
+        have had one: busy seconds and rounds once it finished, Joules
+        once a finish reported them, state of charge once a finish
+        reported it, drops once it was dropped.
+        """
+        series: List[Union[Counter, Gauge]] = [
+            _ClientCounter(spec, self, read) for spec, read in _COUNTERS
+        ]
+        series.append(_ClientGauge(catalog.BATTERY_SOC, self, _last_soc))
+        return series
+
+
+#: a row's value in one per-client series; ``None`` for no series
+RowValue = Callable[[ClientEnergy], Optional[float]]
+
+
+class _ClientSeries(Metric):
+    """What the read-through instruments share: every read builds the
+    family's series from the ledger's rows, keyed as a written
+    instrument keys them."""
+
+    def __init__(
+        self, spec: MetricSpec, ledger: EnergyLedger, read: RowValue
+    ) -> None:
+        super().__init__(spec)
+        self._ledger = ledger
+        self._read = read
+
+    def _table(self) -> Dict[LabelValues, float]:
+        read = self._read
+        table: Dict[LabelValues, float] = {}
+        for row in self._ledger.clients.values():
+            value = read(row)
+            if value is not None:
+                table[(str(row.client_id),)] = value
+        return table
+
+    def _read_only(self) -> TypeError:
+        return TypeError(
+            f"metric {self.name!r} is read from the energy ledger; "
+            "fold events into the recorder instead"
+        )
+
+
+class _ClientCounter(_ClientSeries, Counter):
+    def inc(self, amount: float = 1.0, **labels: object) -> None:
+        raise self._read_only()
+
+
+class _ClientGauge(_ClientSeries, Gauge):
+    def set(self, value: float, **labels: object) -> None:
+        raise self._read_only()
+
+
+def _last_soc(row: ClientEnergy) -> Optional[float]:
+    return None if row.last_soc is None else float(row.last_soc)
+
+
+#: the ledger-backed counters: catalog spec, and each row's value
+_COUNTERS: Tuple[Tuple[MetricSpec, RowValue], ...] = (
+    (
+        catalog.CLIENT_BUSY_SECONDS_TOTAL,
+        lambda row: row.busy_s if row.rounds else None,
+    ),
+    (
+        catalog.CLIENT_ROUNDS_TOTAL,
+        lambda row: float(row.rounds) if row.rounds else None,
+    ),
+    (
+        catalog.CLIENT_ENERGY_JOULES_TOTAL,
+        lambda row: row.energy_j if row.metered else None,
+    ),
+    (
+        catalog.CLIENTS_DROPPED_TOTAL,
+        lambda row: float(row.dropped) if row.dropped else None,
+    ),
+)

@@ -27,7 +27,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import (
     Dict,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -171,8 +170,7 @@ class Metric:
 
     def _key(self, labels: Mapping[str, object]) -> LabelValues:
         """The series key of a label set: its values, as strings, in
-        the spec's label order. The ``*_each`` bulk forms take such
-        keys ready-made."""
+        the spec's label order."""
         names = self.spec.labels
         if len(labels) == len(names):
             try:
@@ -192,33 +190,27 @@ class Counter(Metric):
         super().__init__(spec)
         self._values: Dict[LabelValues, float] = {}
 
+    def _table(self) -> Dict[LabelValues, float]:
+        """Every series' total by key: what the readers below read (a
+        read-through subclass computes it instead of holding it)."""
+        return self._values
+
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
         key = self._key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
-    def inc_each(
-        self, keys: Iterable[LabelValues], amounts: Iterable[float]
-    ) -> None:
-        """``inc(amount, **labels)`` for each pair, in order, with the
-        label sets given as their series keys."""
-        values = self._values
-        for key, amount in zip(keys, amounts):
-            if amount < 0:
-                raise ValueError("counters only go up")
-            values[key] = values.get(key, 0.0) + amount
-
     def value(self, **labels: object) -> float:
-        return self._values.get(self._key(labels), 0.0)
+        return self._table().get(self._key(labels), 0.0)
 
     def series(self) -> Iterator[Tuple[LabelValues, float]]:
         """(label values, total) pairs in deterministic order."""
-        yield from sorted(self._values.items())
+        yield from sorted(self._table().items())
 
     def total(self) -> float:
         """Sum over every label set."""
-        return sum(self._values.values())
+        return sum(self._table().values())
 
 
 class Gauge(Metric):
@@ -228,21 +220,18 @@ class Gauge(Metric):
         super().__init__(spec)
         self._values: Dict[LabelValues, float] = {}
 
+    def _table(self) -> Dict[LabelValues, float]:
+        """Every series' level by key (see :meth:`Counter._table`)."""
+        return self._values
+
     def set(self, value: float, **labels: object) -> None:
         self._values[self._key(labels)] = float(value)
 
-    def set_each(
-        self, keys: Iterable[LabelValues], values: Iterable[float]
-    ) -> None:
-        """``set(value, **labels)`` for each pair, in order, with the
-        label sets given as their series keys."""
-        self._values.update(zip(keys, map(float, values)))
-
     def value(self, **labels: object) -> Optional[float]:
-        return self._values.get(self._key(labels))
+        return self._table().get(self._key(labels))
 
     def series(self) -> Iterator[Tuple[LabelValues, float]]:
-        yield from sorted(self._values.items())
+        yield from sorted(self._table().items())
 
 
 class _HistogramSeries:
@@ -408,6 +397,17 @@ class MetricRegistry:
         metric = self._get_or_create(spec, "histogram")
         assert isinstance(metric, Histogram)
         return metric
+
+    def add(self, metric: AnyMetric) -> None:
+        """Install an instrument built elsewhere (a read-through view).
+        Its name must be new to this registry: an instrument nobody
+        writes cannot be shared the way get-or-create shares one."""
+        name = metric.name
+        if name in self._metrics:
+            raise ValueError(
+                f"metric {name!r} already instantiated in this registry"
+            )
+        self._metrics[name] = metric
 
     def get(self, name: str) -> AnyMetric:
         if name not in self._metrics:

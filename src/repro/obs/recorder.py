@@ -20,7 +20,11 @@ them whole (``accepts_columns``). A batch *is* its rows: the column
 handlers below do, with one bulk call per instrument, exactly what the
 row handlers would have done row by row — same series, same bits —
 and a capture written from batches holds the rows' lines, so replay
-never sees one.
+never sees one. Either way a client is recorded once, in the energy
+ledger: the five ``client``-labelled series are read from its rows at
+export (:meth:`~repro.obs.energy.EnergyLedger.client_series`), so the
+per-client work of a fold is the ledger update and the pooled
+histograms.
 
 The live path never builds a dict, which keeps the per-event cost far
 inside the engine-overhead budget (see
@@ -30,7 +34,6 @@ inside the engine-overhead budget (see
 from __future__ import annotations
 
 from contextlib import contextmanager
-from itertools import repeat
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -126,8 +129,11 @@ class ObsRecorder:
     Parameters
     ----------
     metrics:
-        Registry to populate; a fresh one by default. Passing a shared
-        registry lets several engines aggregate into one export.
+        Registry to populate; a fresh one by default. Passing one puts
+        the run's series next to the caller's own instruments (serve's
+        request metrics). A registry holds one recorder: the per-client
+        series are views of this recorder's energy ledger, so a second
+        recorder on the same registry raises.
     trace:
         Build the span tree (disable for metric-only captures).
     run_name:
@@ -163,11 +169,9 @@ class ObsRecorder:
         self._client_compute = m.histogram(catalog.CLIENT_COMPUTE_SECONDS)
         self._client_comm = m.histogram(catalog.CLIENT_COMM_SECONDS)
         self._client_round = m.histogram(catalog.CLIENT_ROUND_SECONDS)
-        self._client_busy = m.counter(catalog.CLIENT_BUSY_SECONDS_TOTAL)
-        self._client_rounds = m.counter(catalog.CLIENT_ROUNDS_TOTAL)
-        self._client_energy = m.counter(catalog.CLIENT_ENERGY_JOULES_TOTAL)
-        self._dropped_total = m.counter(catalog.CLIENTS_DROPPED_TOTAL)
-        self._battery_soc = m.gauge(catalog.BATTERY_SOC)
+        # the per-client series are read from the ledger, never written
+        for series in self.energy.client_series():
+            m.add(series)
         self._aggregations = m.counter(catalog.AGGREGATIONS_TOTAL)
         self._solves = m.counter(catalog.SCHEDULE_SOLVES_TOTAL)
         self._solve_ms = m.histogram(catalog.SCHEDULE_SOLVE_MS)
@@ -236,12 +240,6 @@ class ObsRecorder:
         self._client_compute.observe(event.compute_s)
         self._client_comm.observe(event.comm_s)
         self._client_round.observe(total_s)
-        self._client_busy.inc(total_s, client=client_id)
-        self._client_rounds.inc(client=client_id)
-        if event.energy_j is not None:
-            self._client_energy.inc(event.energy_j, client=client_id)
-        if event.battery_soc is not None:
-            self._battery_soc.set(event.battery_soc, client=client_id)
         self.energy.on_client_finished(
             client_id, total_s, event.energy_j, event.battery_soc
         )
@@ -258,11 +256,6 @@ class ObsRecorder:
         self._client_compute.observe_each(batch.compute_s)
         self._client_comm.observe_each(batch.comm_s)
         self._client_round.observe_each(total_s)
-        keys = list(zip(map(str, client_ids)))
-        self._client_busy.inc_each(keys, total_s)
-        self._client_rounds.inc_each(keys, repeat(1.0))
-        self._client_energy.inc_each(keys, batch.energy_j)
-        self._battery_soc.set_each(keys, batch.battery_soc)
         self.energy.on_clients_finished(
             client_ids, total_s, batch.energy_j, batch.battery_soc
         )
@@ -276,7 +269,6 @@ class ObsRecorder:
             )
 
     def _on_client_dropped(self, event: ClientDropped) -> None:
-        self._dropped_total.inc(client=event.client_id)
         self.energy.on_client_dropped(event.client_id)
         self._round_dropped[event.round_idx] = (
             self._round_dropped.get(event.round_idx, 0) + 1

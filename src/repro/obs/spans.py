@@ -107,7 +107,11 @@ class SpanBuilder:
         self._finished = False
 
     # -- shared plumbing -------------------------------------------------
-    def _touch(self, time_s: float) -> Span:
+    def _touch(self, time_s: float, *later: float) -> Span:
+        """The run span, opened at ``time_s`` if this is the first
+        event; the run's end moves to the latest time seen. ``later``
+        are the times of the rest of a batch: touching once with all of
+        them is touching once per row (``max`` scans left to right)."""
         if self._finished:
             raise RuntimeError("SpanBuilder already finished")
         if self._run is None:
@@ -117,7 +121,7 @@ class SpanBuilder:
                 start_s=time_s,
                 end_s=time_s,
             )
-        self._last_time_s = max(self._last_time_s, time_s)
+        self._last_time_s = max(self._last_time_s, time_s, *later)
         return self._run
 
     def _round(self, round_idx: int, time_s: float) -> Span:
@@ -180,7 +184,8 @@ class SpanBuilder:
     def _close_client(
         self, round_idx: int, client_id: int, total_s: float, time_s: float
     ) -> Span:
-        self._touch(time_s)
+        """Close the client's span at ``time_s``; the caller has touched
+        the run at that time."""
         entry = self._open_clients.pop(client_id, None)
         if entry is not None:
             span = entry[0]
@@ -199,6 +204,7 @@ class SpanBuilder:
         return span
 
     def _on_client_finished(self, event: ClientFinished) -> None:
+        self._touch(event.time_s)
         span = self._close_client(
             event.round_idx, event.client_id, event.total_s, event.time_s
         )
@@ -210,6 +216,7 @@ class SpanBuilder:
             span.attrs["battery_soc"] = event.battery_soc
 
     def _on_clients_finished(self, batch: ClientsFinished) -> None:
+        self._touch(*batch.finish_s)
         round_idx, close = batch.round_idx, self._close_client
         for client_id, compute_s, comm_s, total_s, time_s, joules, soc in zip(
             batch.client_ids,
@@ -227,6 +234,7 @@ class SpanBuilder:
             attrs["battery_soc"] = soc
 
     def _on_client_dropped(self, event: ClientDropped) -> None:
+        self._touch(event.time_s)
         self._close_client(
             event.round_idx, event.client_id, event.total_s, event.time_s
         ).attrs["dropped"] = True

@@ -1,6 +1,6 @@
-"""The regression gate: two gated ratios and the diff that judges them.
+"""The regression gate: three gated ratios and the diff that judges them.
 
-``repro bench suite`` (:func:`bench_suite`) measures the two
+``repro bench suite`` (:func:`bench_suite`) measures the three
 dimensionless ratios ``perfbench/`` deliberately does not carry and
 writes a schema-versioned payload (``BENCH_core.json``); ``repro bench
 diff OLD NEW`` (:func:`diff_payloads`) turns two payloads into

@@ -1,10 +1,11 @@
 """The regression gate behind ``repro bench suite``.
 
-Two dimensionless, host-stable ratios, both ``gated: true`` with an
+Three dimensionless, host-stable ratios, all ``gated: true`` with an
 absolute ceiling, in a schema-versioned payload (committed as
 ``BENCH_core.json``) that ``repro bench diff`` compares against a fresh
-run: the disabled-profiler overhead as a share of an engine run, and
-the fed_lbap solve-time ratio between a 512- and a 128-device cohort.
+run: the disabled-profiler overhead as a share of an engine run, the
+fed_lbap solve-time ratio between a 512- and a 128-device cohort, and
+the share of a narrated columnar round spent observing it.
 Nothing else lives here: absolute host timings of the round path do
 not transfer across machines (or minutes), so they are ``perfbench/``'s
 job, measured in yardsticks from a fresh process.
@@ -200,12 +201,93 @@ def _solve_metrics(seed: int) -> List[MetricResult]:
     ]
 
 
+# -- what narrating a columnar round costs ------------------------------
+
+#: rounds per timing of one runner (one min-of-repeats sample each)
+_NARRATE_ROUNDS = 20
+
+
+def _narrate_metrics(seed: int) -> List[MetricResult]:
+    """The share of a narrated ``fleet-narrate``-shaped round that is
+    observing it: two runners over copies of one fleet and one sampler
+    seed (so the same rounds), one with a tracing recorder and a JSONL
+    sink on its bus, one with no listener; timed alternately with the
+    collector off, the way perfbench times rounds."""
+    import gc
+    import io
+
+    from ..engine.events import EventBus
+    from ..engine.telemetry import JsonlSink
+    from ..fleet import FleetRunner, UniformSampler, synthetic_fleet
+    from ..obs.recorder import ObsRecorder
+
+    fleet = synthetic_fleet(10_000, seed=seed)
+
+    def runner(bus: EventBus) -> FleetRunner:
+        return FleetRunner(
+            fleet.copy(),
+            scheduler="proportional",
+            sampler=UniformSampler(seed),
+            cohort_size=256,
+            detail_threshold=256,
+            bus=bus,
+        )
+
+    bare = runner(EventBus())
+    narrated = runner(EventBus())
+    narrated.bus.subscribe(ObsRecorder(trace=True, run_name="suite"))
+    narrated.bus.subscribe(JsonlSink(io.StringIO()))
+
+    def round_s(r: FleetRunner) -> float:
+        t0 = time.perf_counter()
+        r.run(_NARRATE_ROUNDS)
+        return (time.perf_counter() - t0) / _NARRATE_ROUNDS
+
+    bare.run(3)  # caches and the first touch of the columns
+    narrated.run(3)
+    bare_s: List[float] = []
+    narrated_s: List[float] = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(_REPEATS):
+            bare_s.append(round_s(bare))
+            narrated_s.append(round_s(narrated))
+    finally:
+        if enabled:
+            gc.enable()
+    share = (min(narrated_s) - min(bare_s)) / min(narrated_s)
+    return [
+        MetricResult(
+            name="observe_share_narrate",
+            value=share,
+            unit="ratio",
+            higher_is_better=False,
+            gated=True,
+            # 10 suite runs on a 2-core Xeon read 0.717-0.739 (median
+            # 0.728, all within 1.5 %); the ceiling is that median
+            # plus 15 %. A fold that still wrote per-client counters
+            # read 0.78-0.80, so the ceiling catches gross regressions
+            abs_max=0.84,
+            note=(
+                "(narrated round - bare round) / narrated round, min of "
+                f"{_REPEATS} x {_NARRATE_ROUNDS} rounds each, n = 10^4, "
+                "cohort 256, ObsRecorder(trace) + JsonlSink vs no listener"
+            ),
+        )
+    ]
+
+
 # -- suite driver + payload ---------------------------------------------
 
 
 def bench_suite(seed: int = 0) -> List[MetricResult]:
-    """Run both suite sections; returns results in a stable order."""
-    return [*_engine_metrics(), *_solve_metrics(seed)]
+    """Run the suite's sections; returns results in a stable order."""
+    return [
+        *_engine_metrics(),
+        *_solve_metrics(seed),
+        *_narrate_metrics(seed),
+    ]
 
 
 def git_sha(root: Optional[Path] = None) -> str:

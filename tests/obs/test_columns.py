@@ -2,8 +2,8 @@
 
 ``ClientsDispatched`` / ``ClientsFinished`` are *defined* as their
 ``rows()``. The licence for the bulk paths behind them (the sink's
-template writer, the recorder's column handlers, the ``*_each``
-instrument forms, the span builder's loops) is this differential: a
+template writer, the recorder's column handlers, the histograms'
+``observe_each``, the span builder's loops) is this differential: a
 recorder + sink fed ``bus.emit(batch)`` and a recorder + sink fed the
 same rows through plain listeners must end byte-equal — including for
 the floats that separate ``repr`` from other spellings and a
@@ -13,7 +13,6 @@ left-to-right sum from a compensated or pairwise one.
 import io
 import json
 import math
-from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,7 +32,7 @@ from repro.engine.events import (
 )
 from repro.engine.telemetry import TELEMETRY_SCHEMA_VERSION, JsonlSink
 from repro.obs import ObsRecorder, render_prometheus, render_trace_json
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricSpec
+from repro.obs.metrics import Counter, Histogram, MetricSpec
 
 from ..engine.conftest import events_of
 
@@ -447,10 +446,6 @@ class TestColumnsEqualRows:
 # -- the bulk instrument forms --------------------------------------------
 
 
-def _keys(ids):
-    return [(str(i),) for i in ids]
-
-
 def _series(metric):
     """An instrument's exported state, floats as bits."""
     out = []
@@ -476,9 +471,6 @@ _HIST = MetricSpec(
 )
 _COUNT = MetricSpec(
     name="t_total", kind="counter", help="c", labels=("client",)
-)
-_LEVEL = MetricSpec(
-    name="t_level", kind="gauge", help="g", labels=("client",)
 )
 
 
@@ -511,44 +503,6 @@ class TestEachForms:
         # and 2e16 only past the last bound
         assert series.bucket_counts == [3, 4, 5, 6]
         assert series.count == 9
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        rows=st.lists(st.tuples(_ID, _UP), max_size=8),
-    )
-    @example(rows=[(0, 0.1), (0, 0.2), (0, 0.3)])
-    def test_inc_each_is_inc_for_each(self, rows):
-        one, bulk = Counter(_COUNT), Counter(_COUNT)
-        for client, amount in rows:
-            one.inc(amount, client=client)
-        bulk.inc_each(_keys(c for c, _ in rows), [a for _, a in rows])
-        assert _series(bulk) == _series(one)
-
-    def test_inc_each_refuses_a_negative_amount_like_inc(self):
-        one, bulk = Counter(_COUNT), Counter(_COUNT)
-        one.inc(1.0, client=0)
-        with pytest.raises(ValueError, match="counters only go up"):
-            one.inc(-1.0, client=1)
-        with pytest.raises(ValueError, match="counters only go up"):
-            bulk.inc_each(_keys([0, 1, 2]), [1.0, -1.0, 5.0])
-        # the amounts ahead of it went in, as with three inc calls
-        assert _series(bulk) == _series(one)
-
-    def test_inc_each_takes_any_iterable_of_amounts(self):
-        bulk = Counter(_COUNT)
-        bulk.inc_each(_keys([3, 3, 4]), repeat(1.0))
-        assert bulk.value(client=3) == 2.0 and bulk.value(client=4) == 1.0
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        rows=st.lists(st.tuples(_ID, _ANY | st.integers(-3, 3)), max_size=8)
-    )
-    def test_set_each_is_set_for_each(self, rows):
-        one, bulk = Gauge(_LEVEL), Gauge(_LEVEL)
-        for client, value in rows:
-            one.set(value, client=client)
-        bulk.set_each(_keys(c for c, _ in rows), [v for _, v in rows])
-        assert _series(bulk) == _series(one)
 
 
 class TestRowPathFixes:

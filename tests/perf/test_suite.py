@@ -18,7 +18,7 @@ from repro.perf import (
     suite_payload,
     write_suite,
 )
-from repro.perf.suite import _solve_metrics
+from repro.perf.suite import _narrate_metrics, _solve_metrics
 
 RESULTS = [
     MetricResult(
@@ -79,6 +79,14 @@ class TestSections:
         assert scaling.abs_max == 4.0
         assert scaling.unit == "x"
         assert scaling.value > 0
+
+    def test_narrate_metrics_shape(self):
+        (share,) = _narrate_metrics(seed=0)
+        assert share.name == "observe_share_narrate"
+        assert share.gated
+        assert share.abs_max == 0.84
+        assert share.unit == "ratio"
+        assert 0 < share.value < 1
 
     def test_metric_result_is_frozen(self):
         with pytest.raises(AttributeError):
