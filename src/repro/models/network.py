@@ -97,8 +97,26 @@ class Sequential:
         """
         logits = self.forward(x, training=True)
         loss, grad = softmax_cross_entropy(logits, y)
-        self.backward(grad)
+        self._backward_params(grad)
         return loss, logits
+
+    def _backward_params(self, grad: np.ndarray) -> None:
+        """:meth:`backward` without the gradient w.r.t. the input batch.
+
+        Nobody reads that gradient, so the first layer with parameters
+        fills only its ``grads`` (a conv skips its input GEMM and
+        ``col2im``) and the stateless layers below it are not run.
+        Every parameter gradient is the same array :meth:`backward`
+        leaves.
+        """
+        bottom = next(
+            (i for i, layer in enumerate(self.layers) if layer.params), None
+        )
+        if bottom is None:
+            return
+        for layer in reversed(self.layers[bottom + 1 :]):
+            grad = layer.backward(grad)
+        self.layers[bottom].backward_params(grad)
 
     # -- parameters ------------------------------------------------------
     def parameters(self) -> Iterable[Tuple[Dict, Dict]]:
