@@ -10,16 +10,16 @@ objects only as thin views.
 
 :class:`FleetStore` is that single source of truth. Devices belong to
 a small number of :class:`DeviceClass` es (the paper's four phones by
-default); per-class constants (affine time/energy coefficients
-extracted from the calibrated simulator, link bandwidths, idle power,
-battery capacity) live in tiny per-class arrays and broadcast to the
-full population via ``class_id`` fancy indexing. Mutable per-device
-state — battery charge, data size, liveness — is one float64/int64/bool
-column each.
+default); per-class constants (affine time/energy coefficients, link
+bandwidths, idle power, battery capacity) live in tiny per-class arrays
+and broadcast to the full population via ``class_id`` fancy indexing.
+Mutable per-device state — battery charge, data size, liveness — is
+one float64/int64/bool column each.
 
 The device model is deliberately the *affine* regime of the simulator
-(``t = a + b·samples``, the same form :func:`repro.profiling.profiler
-.bootstrap_curve` fits): scalar and vectorized evaluations perform the
+(``t = a + b·samples``, the chord of a phone's fitted
+:class:`~repro.profiling.profiler.Curve`, tabulated for the scheduler
+by the testbeds' row builder): scalar and vectorized evaluations perform the
 identical IEEE-754 float64 operations in the identical order, so the
 engine over the object views returned by :meth:`FleetStore.as_devices`
 and the vectorized :class:`~repro.fleet.round.RoundCore` over the same
@@ -299,36 +299,20 @@ class FleetStore:
             raise ValueError("data_size must be non-negative")
 
         # per-class constant columns (tiny; broadcast via class_id)
-        self._time_base_s = np.array(
-            [c.time_base_s for c in self.classes], dtype=np.float64
-        )
-        self._time_per_sample_s = np.array(
-            [c.time_per_sample_s for c in self.classes], dtype=np.float64
-        )
-        self._energy_base_j = np.array(
-            [c.energy_base_j for c in self.classes], dtype=np.float64
-        )
-        self._energy_per_sample_j = np.array(
-            [c.energy_per_sample_j for c in self.classes],
-            dtype=np.float64,
-        )
-        self._idle_power_w = np.array(
-            [c.idle_power_w for c in self.classes], dtype=np.float64
-        )
-        self._uplink_mbps = np.array(
-            [c.uplink_mbps for c in self.classes], dtype=np.float64
-        )
-        self._downlink_mbps = np.array(
-            [c.downlink_mbps for c in self.classes], dtype=np.float64
-        )
-        self._rtt_s = np.array(
-            [c.rtt_s for c in self.classes], dtype=np.float64
-        )
+        def per_class(name: str) -> np.ndarray:
+            return np.array([getattr(c, name) for c in self.classes], dtype=np.float64)
+
+        self._time_base_s = per_class("time_base_s")
+        self._time_per_sample_s = per_class("time_per_sample_s")
+        self._energy_base_j = per_class("energy_base_j")
+        self._energy_per_sample_j = per_class("energy_per_sample_j")
+        self._idle_power_w = per_class("idle_power_w")
+        self._uplink_mbps = per_class("uplink_mbps")
+        self._downlink_mbps = per_class("downlink_mbps")
+        self._rtt_s = per_class("rtt_s")
 
         #: full-charge energy per device (constant column)
-        self.capacity_j: np.ndarray = np.array(
-            [c.capacity_j for c in self.classes], dtype=np.float64
-        )[self.class_id]
+        self.capacity_j: np.ndarray = per_class("capacity_j")[self.class_id]
         # idle power per device (constant column): what lets the
         # mask form of idle() run without a gather
         self._idle_power_row: np.ndarray = self._idle_power_w[

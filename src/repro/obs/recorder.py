@@ -259,14 +259,18 @@ class ObsRecorder:
         self.energy.on_clients_finished(
             client_ids, total_s, batch.energy_j, batch.battery_soc
         )
-        # the rows' scan keeps the first of equal maxima, as max() does
-        slowest = max(range(len(total_s)), key=total_s.__getitem__)
+        # the rows' scan keeps the first of equal maxima, as max() does,
+        # and starts from the round's straggler so far: a NaN cell that
+        # leads the batch must not hide a later cell above it
         straggler = self._round_straggler.get(batch.round_idx)
-        if straggler is None or total_s[slowest] > straggler[1]:
-            self._round_straggler[batch.round_idx] = (
-                client_ids[slowest],
-                total_s[slowest],
-            )
+        if straggler is not None:
+            client_ids = (straggler[0], *client_ids)
+            total_s = (straggler[1], *total_s)
+        slowest = max(range(len(total_s)), key=total_s.__getitem__)
+        self._round_straggler[batch.round_idx] = (
+            client_ids[slowest],
+            total_s[slowest],
+        )
 
     def _on_client_dropped(self, event: ClientDropped) -> None:
         self.energy.on_client_dropped(event.client_id)

@@ -15,6 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .profiler import Curve
+
 __all__ = ["OnlineTimeProfile"]
 
 
@@ -77,9 +79,8 @@ class OnlineTimeProfile:
         self.n_observations += 1
 
     def predict(self, n_samples: float) -> float:
-        """Current time estimate (floored at a small positive value)."""
-        t = self.theta[0] + self.theta[1] * float(n_samples)
-        return max(t, 1e-6)
+        """Current time estimate: the current parameters' :class:`Curve`."""
+        return Curve(float(self.theta[0]), float(self.theta[1]))(float(n_samples))
 
     def curve(self) -> Callable[[float], float]:
         """A snapshot callable usable as a scheduler time curve.

@@ -12,6 +12,9 @@ per data size, then regress those estimates on data size. The result is
 a per-device, per-model *time curve* ``T_j(n_samples)`` that the
 scheduling algorithms consume.
 
+Every fit returns a frozen :class:`Curve`; :func:`curve_rows` turns
+curves into problem cost rows in one broadcast.
+
 The default step-2 fit is linear, exactly as in the paper; a quadratic
 option exists as an ablation because thermally-throttled devices
 (Nexus 6P) have superlinear time-vs-data curves that a linear profile
@@ -21,7 +24,7 @@ underestimates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -30,10 +33,47 @@ from ..models.network import ParameterSplit, Sequential
 from .regression import LinearRegressor
 from .trace import ProfileMeasurement, measure_grid
 
-__all__ = ["DeviceProfile", "build_profile", "bootstrap_curve", "TimeCurve"]
+__all__ = [
+    "Curve", "DeviceProfile", "TIME_FLOOR_S", "TimeCurve",
+    "bootstrap_curve", "build_profile", "curve_rows",
+]
+
+#: the smallest time a curve predicts: a fit extrapolated below its
+#: grid can dip under zero, and Property 1 wants positive costs
+TIME_FLOOR_S = 1e-6
+
+
+@dataclass(frozen=True)
+class Curve:
+    """A fitted cost curve, ``base + slope·x + curvature·x²`` seconds
+    (or Joules) for ``x`` samples, never below ``floor``. Evaluated left
+    to right, ``(curvature·x)·x`` last: problem rows' bits rely on it."""
+
+    base: float
+    slope: float
+    curvature: float = 0.0
+    floor: float = TIME_FLOOR_S
+
+    def __call__(self, n_samples: float) -> float:
+        t = self.base + self.slope * n_samples + self.curvature * n_samples * n_samples
+        return t if t > self.floor else self.floor
+
 
 #: a fitted time-vs-samples curve for one (device, model) pair
-TimeCurve = Callable[[float], float]
+TimeCurve = Curve
+
+
+def curve_rows(curves: Sequence[Curve], n_shards: int, shard_size: int) -> np.ndarray:
+    """The ``(len(curves), n_shards)`` cost rows: cell ``[i, k]`` is
+    ``curves[i]((k+1) * shard_size)``, the same IEEE operations in one
+    broadcast, each row then made non-decreasing (Property 1)."""
+    x = np.arange(1, n_shards + 1, dtype=np.float64) * float(shard_size)
+    base, slope, curvature, floor = np.array(
+        [(c.base, c.slope, c.curvature, c.floor) for c in curves],
+        dtype=np.float64,
+    ).T[:, :, None]
+    t = base + slope * x + curvature * x * x
+    return np.maximum.accumulate(np.where(t > floor, t, floor), axis=1)
 
 
 @dataclass
@@ -42,7 +82,7 @@ class DeviceProfile:
 
     ``step1`` maps each profiled data size to its fitted
     (conv, dense) -> time regressor. :meth:`time_curve` runs step 2 for
-    a concrete architecture and returns a callable ``T(n_samples)``.
+    a concrete architecture and returns its :class:`Curve`.
     """
 
     device_name: str
@@ -64,38 +104,26 @@ class DeviceProfile:
         x = np.asarray(self.data_sizes, dtype=np.float64).reshape(-1, 1)
         return LinearRegressor(quadratic=self.quadratic_step2).fit(x, y)
 
-    def time_curve(self, model: Sequential) -> TimeCurve:
-        """Return ``T(n_samples)`` for a model on this device.
-
-        Predictions are clamped at a small positive floor: a regression
-        extrapolated to tiny sizes can dip below zero, but Property 1
-        (non-decreasing cost) must survive, since Fed-LBAP's correctness
-        depends on it.
-        """
-        reg = self.fit_step2(model.param_split())
-
-        def curve(n_samples: float) -> float:
-            t = float(reg.predict([[float(n_samples)]])[0])
-            return max(t, 1e-6)
-
-        return curve
-
-    def predict(self, model: Sequential, n_samples: float) -> float:
-        """Convenience: one-off prediction (builds the curve each call)."""
-        return self.time_curve(model)(n_samples)
+    def time_curve(self, model: Sequential) -> Curve:
+        """``T(n_samples)`` for a model on this device: the step-2
+        coefficients, floored at :data:`TIME_FLOOR_S`."""
+        return _fitted(self.fit_step2(model.param_split()))
 
     def step1_r2(self) -> Dict[int, float]:
         """Goodness of fit of each step-1 hyperplane on its own data."""
-        out: Dict[int, float] = {}
-        for d in self.data_sizes:
-            ms = [m for m in self.measurements if m.n_samples == d]
-            x = np.array(
-                [(m.conv_params, m.dense_params) for m in ms],
-                dtype=np.float64,
-            )
-            y = np.array([m.time_s for m in ms])
-            out[d] = self.step1[d].r2(x, y)
-        return out
+        return {
+            d: self.step1[d].r2(*_step1_data(self.measurements, d))
+            for d in self.data_sizes
+        }
+
+
+def _step1_data(
+    measurements: Sequence[ProfileMeasurement], n_samples: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Step 1's regressors ``(conv, dense)`` and times at one size."""
+    ms = [m for m in measurements if m.n_samples == n_samples]
+    x = np.array([(m.conv_params, m.dense_params) for m in ms], dtype=np.float64)
+    return x, np.array([m.time_s for m in ms])
 
 
 def build_profile(
@@ -117,18 +145,13 @@ def build_profile(
         device, models, data_sizes, batch_size=batch_size,
         cold_start=cold_start,
     )
-    step1: Dict[int, LinearRegressor] = {}
-    for d in data_sizes:
-        ms = [m for m in measurements if m.n_samples == d]
-        x = np.array(
-            [(m.conv_params, m.dense_params) for m in ms], dtype=np.float64
-        )
-        y = np.array([m.time_s for m in ms])
-        step1[int(d)] = LinearRegressor().fit(x, y)
     return DeviceProfile(
         device_name=device.spec.name,
         data_sizes=tuple(int(d) for d in data_sizes),
-        step1=step1,
+        step1={
+            int(d): LinearRegressor().fit(*_step1_data(measurements, d))
+            for d in data_sizes
+        },
         measurements=measurements,
         quadratic_step2=quadratic_step2,
     )
@@ -141,7 +164,7 @@ def bootstrap_curve(
     batch_size: int = 20,
     quadratic: bool = False,
     cold_start: bool = True,
-) -> TimeCurve:
+) -> Curve:
     """Online-bootstrap profile: measure *this* model at several sizes
     and fit time vs data size directly (the paper's "online through a
     bootstrapping phase" profiling path, Sec. IV-B).
@@ -160,16 +183,10 @@ def bootstrap_curve(
         [[float(m.n_samples)] for m in measurements], dtype=np.float64
     )
     y = np.array([m.time_s for m in measurements])
-    reg = LinearRegressor(quadratic=quadratic).fit(x, y)
+    return _fitted(LinearRegressor(quadratic=quadratic).fit(x, y))
 
-    # Scalar closed form: schedulers evaluate curves millions of times,
-    # so skip the array machinery of LinearRegressor.predict.
-    b0 = reg.intercept_
-    b1 = float(reg.coef_[0])
-    b2 = float(reg.coef_[1]) if quadratic else 0.0
 
-    def curve(n_samples: float) -> float:
-        t = b0 + b1 * n_samples + b2 * n_samples * n_samples
-        return t if t > 1e-6 else 1e-6
-
-    return curve
+def _fitted(reg: LinearRegressor) -> Curve:
+    """The :class:`Curve` of a fitted time-vs-samples regression."""
+    coef = [float(c) for c in reg.coef_]
+    return Curve(reg.intercept_, coef[0], coef[1] if reg.quadratic else 0.0)

@@ -1,25 +1,23 @@
 """Cost-model builders for scheduling problems.
 
-Turns calibrated device fleets into the matrices a
-:class:`~repro.sched.base.SchedulingProblem` carries:
+Turns calibrated phones into the cost rows a
+:class:`~repro.sched.base.SchedulingProblem` carries, each curve a
+:class:`~repro.profiling.profiler.Curve` and every row built by
+:func:`~repro.profiling.profiler.curve_rows`:
 
-* **time** — per-user ``T_j(n_samples)`` curves bootstrapped from the
-  device simulator (the paper's online profiling path), folded into the
-  Fed-LBAP matrix by :func:`repro.core.cost.build_cost_matrix`;
-* **energy** — per-user ``E_j(n_samples)`` Joule curves fitted from a
-  few simulated anchor runs (:func:`repro.device.energy
-  .energy_for_samples` measures cold-state energy; training energy is
-  affine in data size to very good approximation, like time).
+* **time** — ``T_j(n_samples)`` bootstrapped from the device simulator
+  (the paper's online profiling path);
+* **energy** — affine ``E_j(n_samples)`` Joules fitted through a few
+  simulated cold-start anchor runs (:func:`repro.device.energy
+  .energy_for_samples`; training energy is affine in data size to very
+  good approximation, like time).
 
-Curves are cached per ``(device model, NN model, …)`` key — device
-instances of the same phone are interchangeable for profiling — so
-sweeps over testbeds and data sizes stay cheap.
-
-A testbed (:func:`testbed_problem`) is a dense matrix, one row per
-phone. A columnar fleet (:func:`fleet_problem`) is the problem's class
-form: the per-class rows of :func:`fleet_class_matrices` plus the
-cohort's ``class_id`` as the row index — a cohort x shards matrix is
-never built.
+Curves are cached per phone on what a profiling run depends on (the
+model's training FLOPs per sample, the sizes, the batch). Both builders
+emit the class form: a testbed (:func:`testbed_problem`) has one row per
+distinct phone name, a fleet cohort (:func:`fleet_problem`) one per
+device class (:func:`fleet_class_matrices`) — a users x shards matrix
+is never built.
 """
 
 from __future__ import annotations
@@ -39,13 +37,14 @@ from typing import (
 import numpy as np
 
 from ..core.baselines import mean_cpu_freq_per_core
-from ..core.cost import build_cost_matrix
+from ..device.device import MobileDevice
 from ..device.energy import energy_for_samples
 from ..device.registry import build_spec, make_device
+from ..models.flops import model_training_flops
 from ..models.network import Sequential
 from ..models.zoo import CIFAR_SHAPE, MNIST_SHAPE, build_model
 from ..obs.prof import PROFILER
-from ..profiling.profiler import bootstrap_curve
+from ..profiling.profiler import Curve, bootstrap_curve, curve_rows
 from .base import SchedulingProblem
 
 if TYPE_CHECKING:
@@ -81,8 +80,8 @@ DATASET_SHAPES: Dict[str, Tuple[int, int, int]] = {
 
 _CurveKey = Tuple[object, ...]
 
-_TIME_CACHE: Dict[_CurveKey, Callable[[float], float]] = {}
-_ENERGY_CACHE: Dict[_CurveKey, Callable[[float], float]] = {}
+_TIME_CACHE: Dict[_CurveKey, Curve] = {}
+_ENERGY_CACHE: Dict[_CurveKey, Curve] = {}
 
 #: per-class cost rows, keyed on (fleet class signature, shard size):
 #: the latest (n_classes, s) pair per key. Device state never enters;
@@ -101,12 +100,49 @@ def clear_cost_cache() -> None:
     _FLEET_MATRIX_CACHE.clear()
 
 
+def _profiled(
+    cache: Dict[_CurveKey, Curve],
+    fit: Callable[[MobileDevice, Sequential, Sequence[int], int], Curve],
+    device_names: Sequence[str],
+    model: Sequential,
+    data_sizes: Sequence[int],
+    batch_size: int,
+) -> List[Curve]:
+    """``fit`` once per phone, on a fresh jitter-free device, cached on
+    what the run depends on: the phone, the model's training FLOPs per
+    sample, the sizes and the batch. The model's name only labels the
+    trace, so the FLOPs, not the name, tell two models apart."""
+    sizes = tuple(int(d) for d in data_sizes)
+    shared = (model.name, model_training_flops(model), sizes, batch_size)
+    for name in device_names:
+        if (name, *shared) not in cache:
+            device = make_device(name, jitter=0.0)
+            cache[(name, *shared)] = fit(device, model, data_sizes, batch_size)
+    return [cache[(name, *shared)] for name in device_names]
+
+
+def _energy_curve(
+    device: MobileDevice,
+    model: Sequential,
+    data_sizes: Sequence[int],
+    batch_size: int,
+) -> Curve:
+    """Affine least-squares Joules through the anchor sizes, slope and
+    intercept clamped at zero."""
+    x = np.array([float(d) for d in data_sizes])
+    y = np.array(
+        [energy_for_samples(device, model, int(d), batch_size=batch_size) for d in data_sizes]
+    )
+    slope, intercept = np.polyfit(x, y, 1)
+    return Curve(max(float(intercept), 0.0), max(float(slope), 0.0), floor=0.0)
+
+
 def cached_time_curves(
     device_names: Sequence[str],
     model: Sequential,
     data_sizes: Sequence[int] = DEFAULT_PROFILE_SIZES,
     batch_size: int = 20,
-) -> List[Callable[[float], float]]:
+) -> List[Curve]:
     """Bootstrap (or fetch cached) ``T_j(n_samples)`` curves.
 
     Profiling runs on fresh, jitter-free device instances so the curve
@@ -114,22 +150,10 @@ def cached_time_curves(
     the engine binding, the fleet classes and the paper's tables
     (:mod:`repro.experiments`) all read their curves here.
     """
-    curves: List[Callable[[float], float]] = []
-    for name in device_names:
-        key = (
-            name,
-            model.name,
-            model.input_shape,
-            tuple(int(d) for d in data_sizes),
-            batch_size,
-        )
-        if key not in _TIME_CACHE:
-            device = make_device(name, jitter=0.0)
-            _TIME_CACHE[key] = bootstrap_curve(
-                device, model, data_sizes, batch_size=batch_size
-            )
-        curves.append(_TIME_CACHE[key])
-    return curves
+    return _profiled(
+        _TIME_CACHE, bootstrap_curve, device_names, model, data_sizes,
+        batch_size,
+    )
 
 
 def cached_energy_curves(
@@ -137,42 +161,12 @@ def cached_energy_curves(
     model: Sequential,
     data_sizes: Sequence[int] = DEFAULT_ENERGY_SIZES,
     batch_size: int = 20,
-) -> List[Callable[[float], float]]:
+) -> List[Curve]:
     """Affine ``E_j(n_samples)`` Joule curves from simulated anchors."""
-    curves: List[Callable[[float], float]] = []
-    for name in device_names:
-        key = (
-            name,
-            model.name,
-            model.input_shape,
-            tuple(int(d) for d in data_sizes),
-            batch_size,
-        )
-        if key not in _ENERGY_CACHE:
-            device = make_device(name, jitter=0.0)
-            x = np.array([float(d) for d in data_sizes])
-            y = np.array(
-                [
-                    energy_for_samples(
-                        device, model, int(d), batch_size=batch_size
-                    )
-                    for d in data_sizes
-                ]
-            )
-            slope, intercept = np.polyfit(x, y, 1)
-            slope = max(float(slope), 0.0)
-            intercept = max(float(intercept), 0.0)
-
-            def curve(
-                n_samples: float, a: float = intercept, b: float = slope
-            ) -> float:
-                if n_samples <= 0:
-                    return 0.0
-                return a + b * n_samples
-
-            _ENERGY_CACHE[key] = curve
-        curves.append(_ENERGY_CACHE[key])
-    return curves
+    return _profiled(
+        _ENERGY_CACHE, _energy_curve, device_names, model, data_sizes,
+        batch_size,
+    )
 
 
 def testbed_problem(
@@ -196,11 +190,11 @@ def testbed_problem(
     (:mod:`repro.experiments`), ``repro sched compare`` and the engine
     binding (:func:`repro.sched.binding.problem_from_engine`) all build
     here. ``testbed`` is a testbed id (1/2/3) or an explicit
-    device-name list. The instance carries everything any registered
-    scheduler needs: the Property-1 time matrix (Fed-LBAP / Fed-MinAvg
-    / OLAR), an energy matrix (MinEnergy) unless
-    ``with_energy=False``, the paper's Proportional weights (mean CPU
-    frequency per core), and an RNG for the Random baseline — ``seed``
+    device-name list. The instance is in class form, one Property-1
+    time row (Fed-LBAP / Fed-MinAvg / OLAR) and one energy row
+    (MinEnergy, unless ``with_energy=False``) per distinct phone name,
+    plus the paper's Proportional weights (mean CPU frequency per
+    core) and an RNG for the Random baseline — ``seed``
     is an integer, or the caller's own ``Generator`` when its draws
     must interleave with the caller's.
     """
@@ -231,12 +225,18 @@ def testbed_problem(
         raise ValueError(
             f"total of {total} samples yields no {shard_size}-sample shards"
         )
-    time_curves = cached_time_curves(names, net, batch_size=batch_size)
-    time_cost = build_cost_matrix(time_curves, shards, shard_size)
-    energy_cost = None
+    # one row per distinct phone, in order of first appearance
+    phones = list(dict.fromkeys(names))
+    row_of = np.array([phones.index(n) for n in names], dtype=np.int64)
+    time_rows = curve_rows(
+        cached_time_curves(phones, net, batch_size=batch_size),
+        shards,
+        shard_size,
+    )
+    energy_rows = None
     if with_energy:
-        energy_cost = build_cost_matrix(
-            cached_energy_curves(names, net, batch_size=batch_size),
+        energy_rows = curve_rows(
+            cached_energy_curves(phones, net, batch_size=batch_size),
             shards,
             shard_size,
         )
@@ -244,10 +244,11 @@ def testbed_problem(
         [mean_cpu_freq_per_core(build_spec(n)) for n in names]
     )
     return SchedulingProblem(
-        time_cost=time_cost,
+        time_rows=time_rows,
+        energy_rows=energy_rows,
+        row_of=row_of,
         total_shards=shards,
         shard_size=shard_size,
-        energy_cost=energy_cost,
         capacities=(
             np.asarray(capacities, dtype=np.int64)
             if capacities is not None
@@ -273,11 +274,12 @@ def fleet_class_matrices(
     """Per-class cost rows for a columnar fleet.
 
     Returns ``(time, energy)`` matrices of shape ``(n_classes,
-    n_shards)`` — column ``k`` is the cost of ``k+1`` shards — built in
-    one broadcast from the classes' affine coefficients and made
-    non-decreasing (Property 1). These are the rows a
-    :func:`fleet_problem` carries; a cohort member's row is
-    ``rows[class_id]``. One entry is cached per fleet class signature
+    n_shards)`` — column ``k`` is the cost of ``k+1`` shards — built by
+    :func:`~repro.profiling.profiler.curve_rows` from each class's
+    affine time and energy :class:`~repro.profiling.profiler.Curve`
+    (floored at zero, which its non-negative coefficients never reach).
+    These are the rows a :func:`fleet_problem` carries; a cohort
+    member's row is ``rows[class_id]``. One entry is cached per fleet class signature
     and shard size: the same width returns the very same arrays, a
     different width rebuilds and replaces them (column ``k`` does not
     depend on the width, so a prefix of a wider pair equals a fresh
@@ -289,34 +291,18 @@ def fleet_class_matrices(
     cached = _FLEET_MATRIX_CACHE.get(key)
     if cached is not None and cached[0].shape[1] == n_shards:
         return cached
-    samples = np.arange(1, n_shards + 1, dtype=np.float64) * float(
-        shard_size
+    # time rows above energy rows, in one broadcast
+    rows = curve_rows(
+        [Curve(c.time_base_s, c.time_per_sample_s, floor=0.0) for c in fleet.classes]
+        + [Curve(c.energy_base_j, c.energy_per_sample_j, floor=0.0) for c in fleet.classes],
+        n_shards,
+        shard_size,
     )
-    time_base = np.array(
-        [c.time_base_s for c in fleet.classes], dtype=np.float64
-    )
-    time_slope = np.array(
-        [c.time_per_sample_s for c in fleet.classes], dtype=np.float64
-    )
-    energy_base = np.array(
-        [c.energy_base_j for c in fleet.classes], dtype=np.float64
-    )
-    energy_slope = np.array(
-        [c.energy_per_sample_j for c in fleet.classes], dtype=np.float64
-    )
-    time_cols = time_base[:, None] + time_slope[:, None] * samples[None, :]
-    energy_cols = (
-        energy_base[:, None] + energy_slope[:, None] * samples[None, :]
-    )
-    # affine with non-negative slopes is already monotone; the cummax
-    # keeps parity with build_cost_matrix for any future curve shapes
-    time_cols = np.maximum.accumulate(time_cols, axis=1)
-    energy_cols = np.maximum.accumulate(energy_cols, axis=1)
     # shared by every problem built at this width
-    time_cols.flags.writeable = False
-    energy_cols.flags.writeable = False
-    _FLEET_MATRIX_CACHE[key] = (time_cols, energy_cols)
-    return time_cols, energy_cols
+    rows.flags.writeable = False
+    n_classes = len(fleet.classes)
+    _FLEET_MATRIX_CACHE[key] = (rows[:n_classes], rows[n_classes:])
+    return _FLEET_MATRIX_CACHE[key]
 
 
 def fleet_problem(

@@ -530,3 +530,18 @@ class TestRowPathFixes:
             assert series.bucket_counts == expected
         assert math.isnan(hist.sum(who="a"))
         assert hist.count(who="a") == 5
+
+
+def test_a_nan_leading_a_later_batch_does_not_hide_its_straggler():
+    """The round's second batch opens with NaN: the rows' scan still
+    moves from the first batch's 1.0 to the 2.0 behind the NaN, so the
+    batch fold must start from the straggler so far."""
+    stream = [
+        _finished(1, (0,), (1.0,)),
+        _finished(1, (1, 2, 3), (NAN, 2.0, 1.5)),
+        _completed(1),
+    ]
+    columns, rows = _both_ways(stream)
+    assert columns.outputs() == rows.outputs()
+    (summary,) = columns.recorder.rounds
+    assert (summary.straggler_id, summary.straggler_s) == (2, 2.0)
