@@ -48,7 +48,9 @@ rows would, and :meth:`EventBus.emit` hands it whole only to a listener
 that declares ``accepts_columns`` (:class:`~repro.obs.ObsRecorder`, the
 :class:`~repro.engine.telemetry.JsonlSink`); every other listener
 receives the rows. The async and gossip drivers and the object-path
-engine emit rows — their arrivals really are single.
+engine emit rows — their arrivals really are single. A consumer folds
+client rows in one place, its batch handler: a row is folded as the
+one-row batch :meth:`EventColumns.of` builds for it.
 
 This module is also the **codec** of the telemetry wire format, in both
 directions, and the only module that knows it: :data:`EVENT_TYPES` is
@@ -81,6 +83,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
+from operator import attrgetter
 from typing import (
     Any,
     Callable,
@@ -93,8 +96,10 @@ from typing import (
     Sequence,
     Tuple,
     Type,
+    TypeVar,
     Union,
     cast,
+    get_origin,
     get_type_hints,
 )
 
@@ -426,6 +431,9 @@ def _spelled(column: Tuple[Any, ...]) -> Sequence[Any]:
     return list(map(spelling.__getitem__, column))
 
 
+_Batch = TypeVar("_Batch", bound="EventColumns")
+
+
 class EventColumns:
     """A column of row events of one kind, defined as its :meth:`rows`.
 
@@ -449,6 +457,16 @@ class EventColumns:
     def __len__(self) -> int:
         return len(self.client_ids)
 
+    @classmethod
+    def of(cls: Type[_Batch], row: EngineEvent) -> _Batch:
+        """The one-row batch standing for ``row``: its fields in
+        :meth:`cells` order, each column field a 1-tuple."""
+        cells, columns = _CELL_LAYOUTS[row.kind]
+        build: Callable[..., _Batch] = cls
+        return build(
+            *[(v,) if column else v for v, column in zip(cells(row), columns)]
+        )
+
     def rows(self) -> List[EngineEvent]:
         """The row events this batch stands for, in order."""
         build: Callable[..., EngineEvent] = self.row_type
@@ -467,7 +485,11 @@ class EventColumns:
         cells = self.cells()
         columns = [c for c in cells if isinstance(c, tuple)]
         shared = [c for c in cells if not isinstance(c, tuple)]
-        if not all(map(math.isfinite, chain(shared, *columns))):
+        try:
+            finite = all(map(math.isfinite, chain(shared, *columns)))
+        except TypeError:  # a None: only a row's one-row batch holds one
+            finite = False
+        if not finite:
             return "".join([row.to_jsonl() for row in self.rows()])
         line = _LINE_TEMPLATES[self.row_type.kind] % tuple(
             "%s" if isinstance(c, tuple) else repr(c) for c in cells
@@ -493,7 +515,8 @@ class ClientsDispatched(EventColumns):
 @dataclass(frozen=True)
 class ClientsFinished(EventColumns):
     """One round's :class:`ClientFinished` rows; ``finish_s`` is each
-    row's ``time_s``."""
+    row's ``time_s``. The columnar round meters every row; only the
+    one-row batch of an unmetered row holds ``None``."""
 
     row_type: ClassVar[Type[EngineEvent]] = ClientFinished
 
@@ -503,8 +526,8 @@ class ClientsFinished(EventColumns):
     comm_s: Tuple[float, ...]
     total_s: Tuple[float, ...]
     finish_s: Tuple[float, ...]
-    energy_j: Tuple[float, ...]
-    battery_soc: Tuple[float, ...]
+    energy_j: Tuple[Optional[float], ...]
+    battery_soc: Tuple[Optional[float], ...]
 
     def cells(self) -> Tuple[Any, ...]:
         return (
@@ -519,11 +542,27 @@ class ClientsFinished(EventColumns):
         )
 
 
-#: row kind -> its line template, for the kinds that come in columns
+def _cell_layout(
+    cls: Type[EventColumns],
+) -> Tuple[Callable[[EngineEvent], Tuple[Any, ...]], Tuple[bool, ...]]:
+    """A row's values in the cells of ``cls`` (a batch declares its
+    cells in its row's field order), and which cells are columns."""
+    hints = get_type_hints(cls)
+    names = [name for name, _ in _FIELD_CODECS[cls.row_type.kind]]
+    columns = [
+        get_origin(hints[f.name]) is tuple for f in fields(cast(Any, cls))
+    ]
+    return attrgetter(*names), tuple(columns)
+
+
+#: the kinds that come in columns, by row kind: the line template, and
+#: the cells :meth:`EventColumns.of` fills
+_BATCH_TYPES = (ClientsDispatched, ClientsFinished)
 _LINE_TEMPLATES = {
     cls.row_type.kind: _line_template(cls.row_type.kind)
-    for cls in (ClientsDispatched, ClientsFinished)
+    for cls in _BATCH_TYPES
 }
+_CELL_LAYOUTS = {cls.row_type.kind: _cell_layout(cls) for cls in _BATCH_TYPES}
 
 
 Listener = Callable[[EngineEvent], None]

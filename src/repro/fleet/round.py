@@ -93,7 +93,7 @@ class RoundCore:
     cohort_size: Optional[int]
     #: scheduling granularity, samples per shard
     shard_size: int
-    #: battery floor for eligibility (0 disables the gate)
+    #: battery floor for eligibility, at most 1 (<= 0 disables the gate)
     min_soc: float
     local_epochs: int
     aggregation_s: float
@@ -109,6 +109,10 @@ class RoundCore:
             raise ValueError("shard_size must be positive")
         if self.local_epochs <= 0:
             raise ValueError("local_epochs must be positive")
+        # written so that NaN fails it: `soc >= nan` admits nobody, and
+        # the object path's `min_soc > 0` reads it as no gate at all
+        if not self.min_soc <= 1.0:
+            raise ValueError("min_soc must be at most 1 (<= 0: no gate)")
         if self.aggregation_s < 0:
             raise ValueError("aggregation_s must be non-negative")
         if self.detail_threshold < 0:

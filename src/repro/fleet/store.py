@@ -19,12 +19,13 @@ one float64/int64/bool column each.
 The device model is deliberately the *affine* regime of the simulator
 (``t = a + b·samples``, the chord of a phone's fitted
 :class:`~repro.profiling.profiler.Curve`, tabulated for the scheduler
-by the testbeds' row builder): scalar and vectorized evaluations perform the
-identical IEEE-754 float64 operations in the identical order, so the
+by the testbeds' row builder). Each formula is written once, as a
+column method; its scalar twin (``run_compute_one``, ``idle_one``,
+``soc_one``, ...) is that method called at one row's int index. So the
 engine over the object views returned by :meth:`FleetStore.as_devices`
 and the vectorized :class:`~repro.fleet.round.RoundCore` over the same
 store produce **bit-identical** per-client payloads and battery
-columns (``tests/fleet/test_equivalence.py``).
+columns by construction (``tests/fleet/test_equivalence.py``).
 
 The passes a round makes over every row — :meth:`FleetStore
 .fill_eligible`, the mask form of :meth:`FleetStore.idle` and the
@@ -136,6 +137,11 @@ _SPAN_BLOCKS = 4
 _pools: Dict[Tuple[int, int], ThreadPoolExecutor] = {}
 
 _T = TypeVar("_T")
+
+#: the rows a column method reads or writes: an index array, or one
+#: row's int index (what the object views pass), which gives numpy
+#: scalars back
+_Rows = Union[int, np.ndarray]
 
 
 def _spans(n: int) -> List[Tuple[int, int]]:
@@ -326,9 +332,11 @@ class FleetStore:
             ).copy()
             if self.battery_j.shape != (n,):
                 raise ValueError("battery_j must align with class_id")
-            if (self.battery_j < 0).any() or (
-                self.battery_j > self.capacity_j
-            ).any():
+            # written so that NaN fails it: a NaN charge is eligible
+            # and drains NaN Joules into the round
+            if not (
+                (self.battery_j >= 0) & (self.battery_j <= self.capacity_j)
+            ).all():
                 raise ValueError(
                     "battery_j must lie in [0, class capacity]"
                 )
@@ -366,15 +374,15 @@ class FleetStore:
         )
 
     # -- battery ----------------------------------------------------------
-    def soc(self, idx: Optional[np.ndarray] = None) -> np.ndarray:
+    def soc(self, idx: Optional[_Rows] = None) -> np.ndarray:
         """State of charge (0..1) for ``idx`` (whole fleet if None)."""
         if idx is None:
             return self.battery_j / self.capacity_j
         return self.battery_j[idx] / self.capacity_j[idx]
 
     def soc_one(self, j: int) -> float:
-        """Scalar state of charge of device ``j``."""
-        return float(self.battery_j[j] / self.capacity_j[j])
+        """:meth:`soc` of device ``j``, as a float."""
+        return float(self.soc(j))
 
     def eligible_mask(self, min_soc: float = 0.0) -> np.ndarray:
         """Alive devices with data whose charge clears the participation
@@ -441,7 +449,7 @@ class FleetStore:
         return self._time_base_s[cid] + self._time_per_sample_s[cid] * x
 
     def run_compute(
-        self, idx: np.ndarray, samples: np.ndarray, epochs: int = 1
+        self, idx: _Rows, samples: Union[np.ndarray, int], epochs: int = 1
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Run workloads on every device in ``idx``: returns
         ``(seconds, joules_drained)`` arrays and drains the batteries
@@ -461,21 +469,13 @@ class FleetStore:
     def run_compute_one(
         self, j: int, samples: int, epochs: int = 1
     ) -> Tuple[float, float]:
-        """Scalar :meth:`run_compute` for one device — the object-view
-        path. Performs the same float64 operations as the vectorized
-        path so both produce bit-identical results."""
-        c = int(self.class_id[j])
-        x = np.float64(samples) * np.float64(epochs)
-        t = self._time_base_s[c] + self._time_per_sample_s[c] * x
-        e = self._energy_base_j[c] + self._energy_per_sample_j[c] * x
-        drained = np.minimum(e, self.battery_j[j])
-        self.battery_j[j] -= drained
+        """:meth:`run_compute` at the scalar index ``j`` — the object-view
+        path."""
+        t, drained = self.run_compute(j, samples, epochs)
         return float(t), float(drained)
 
     # -- communication ----------------------------------------------------
-    def download_time_s(
-        self, idx: np.ndarray, wire_mb: float
-    ) -> np.ndarray:
+    def download_time_s(self, idx: _Rows, wire_mb: float) -> np.ndarray:
         """Server->device transfer seconds (Link formula, jitter-free)."""
         cid = self.class_id[idx]
         return (
@@ -483,9 +483,7 @@ class FleetStore:
             + np.float64(wire_mb) * 8.0 / self._downlink_mbps[cid]
         )
 
-    def upload_time_s(
-        self, idx: np.ndarray, wire_mb: float
-    ) -> np.ndarray:
+    def upload_time_s(self, idx: _Rows, wire_mb: float) -> np.ndarray:
         """Device->server transfer seconds (Link formula, jitter-free)."""
         cid = self.class_id[idx]
         return (
@@ -493,44 +491,33 @@ class FleetStore:
             + np.float64(wire_mb) * 8.0 / self._uplink_mbps[cid]
         )
 
-    def comm_time_s(self, idx: np.ndarray, wire_mb: float) -> np.ndarray:
+    def comm_time_s(self, idx: _Rows, wire_mb: float) -> np.ndarray:
         """One round's model pull + push seconds per device."""
         return self.download_time_s(idx, wire_mb) + self.upload_time_s(
             idx, wire_mb
         )
 
     def download_time_one(self, j: int, wire_mb: float) -> float:
-        c = int(self.class_id[j])
-        return float(
-            self._rtt_s[c] / 2.0
-            + np.float64(wire_mb) * 8.0 / self._downlink_mbps[c]
-        )
+        return float(self.download_time_s(j, wire_mb))
 
     def upload_time_one(self, j: int, wire_mb: float) -> float:
-        c = int(self.class_id[j])
-        return float(
-            self._rtt_s[c] / 2.0
-            + np.float64(wire_mb) * 8.0 / self._uplink_mbps[c]
-        )
+        return float(self.upload_time_s(j, wire_mb))
 
     def comm_time_one(self, j: int, wire_mb: float) -> float:
-        return self.download_time_one(j, wire_mb) + self.upload_time_one(
-            j, wire_mb
-        )
+        return float(self.comm_time_s(j, wire_mb))
 
     # -- idle -------------------------------------------------------------
-    def idle(
-        self, idx: np.ndarray, seconds: Union[np.ndarray, float]
-    ) -> None:
+    def idle(self, idx: _Rows, seconds: Union[np.ndarray, float]) -> None:
         """Drain idle power, floored at empty, in one of two forms.
 
         Index form — ``idx`` an integer index array, ``seconds`` one
         wait per indexed device: gathers, drains and scatters those
-        rows (the barrier waits of a cohort). Mask form — ``idx`` a
-        boolean mask with one entry per row, ``seconds`` one scalar:
-        every ``True`` row idles that long (a round's bystanders,
-        nearly every row). It walks the columns in ``_BLOCK``-row
-        slices with no index array — per slice the product into
+        rows (the barrier waits of a cohort); an int ``idx`` and one
+        wait are that form at one row (:meth:`idle_one`). Mask form —
+        ``idx`` a boolean mask with one entry per row, ``seconds`` one
+        scalar: every ``True`` row idles that long (a round's
+        bystanders, nearly every row). It walks the columns in
+        ``_BLOCK``-row slices with no index array — per slice the product into
         reused scratch, ``minimum`` with the battery, zero the
         masked-out rows, subtract — so it allocates nothing the size
         of the fleet, and splits the slices into spans over the worker
@@ -591,15 +578,8 @@ class FleetStore:
         self.battery_j[idx] -= drained
 
     def idle_one(self, j: int, seconds: float) -> None:
-        """Scalar :meth:`idle` (object-view path, identical math)."""
-        if not seconds >= 0:
-            raise ValueError("seconds must be non-negative")
-        power = self._idle_power_w[int(self.class_id[j])]
-        if power <= 0.0:
-            return  # 0 W drains nothing, also for inf seconds
-        need = power * np.float64(seconds)
-        drained = np.minimum(need, self.battery_j[j])
-        self.battery_j[j] -= drained
+        """:meth:`idle` at the scalar index ``j`` (the object-view path)."""
+        self.idle(j, seconds)
 
     # -- object views -----------------------------------------------------
     def as_devices(self) -> List["FleetDevice"]:
@@ -634,9 +614,10 @@ class FleetDevice:
 
     Implements exactly the surface the :class:`~repro.engine.engine
     .RoundEngine` uses from a :class:`~repro.device.device
-    .MobileDevice`; every operation delegates to the store's scalar
-    ops, so running a fleet through these views or through the
-    vectorized round core yields bit-identical payloads and state.
+    .MobileDevice`; every operation is the store's column method at
+    this view's row index, so running a fleet through these views or
+    through the vectorized round core yields bit-identical payloads and
+    state by construction.
     """
 
     __slots__ = ("_store", "_index", "battery")

@@ -70,17 +70,6 @@ class EnergyLedger:
             self.clients[client_id] = entry
         return entry
 
-    def on_client_finished(
-        self,
-        client_id: int,
-        total_s: float,
-        energy_j: Optional[float],
-        battery_soc: Optional[float],
-    ) -> None:
-        self.on_clients_finished(
-            (client_id,), (total_s,), (energy_j,), (battery_soc,)
-        )
-
     def on_clients_finished(
         self,
         client_ids: Iterable[int],

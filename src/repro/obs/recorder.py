@@ -16,13 +16,16 @@ live dashboard over the bus by construction.
 The columnar round narrates a round's clients as two **column batches**
 (:class:`~repro.engine.events.ClientsDispatched` /
 :class:`~repro.engine.events.ClientsFinished`), and the recorder takes
-them whole (``accepts_columns``). A batch *is* its rows: the column
-handlers below do, with one bulk call per instrument, exactly what the
-row handlers would have done row by row — same series, same bits —
-and a capture written from batches holds the rows' lines, so replay
-never sees one. Either way a client is recorded once, in the energy
-ledger: the five ``client``-labelled series are read from its rows at
-export (:meth:`~repro.obs.energy.EnergyLedger.client_series`), so the
+them whole (``accepts_columns``). There is one fold per client kind,
+the column handler, with one bulk call per instrument: a row — the
+object-path engine's, the async and gossip drivers', a replayed
+line's — is folded as its one-row batch
+(:meth:`~repro.engine.events.EventColumns.of`), so a batch and its
+rows leave the same series, bit for bit, by construction. A capture
+written from batches holds the rows' lines, so replay never sees one.
+Either way a client is recorded once, in the energy ledger: the five
+``client``-labelled series are read from its rows at export
+(:meth:`~repro.obs.energy.EnergyLedger.client_series`), so the
 per-client work of a fold is the ledger update and the pooled
 histograms.
 
@@ -236,16 +239,7 @@ class ObsRecorder:
         """A dispatch moves no metric; it only opens the client's span."""
 
     def _on_client_finished(self, event: ClientFinished) -> None:
-        client_id, total_s = event.client_id, event.total_s
-        self._client_compute.observe(event.compute_s)
-        self._client_comm.observe(event.comm_s)
-        self._client_round.observe(total_s)
-        self.energy.on_client_finished(
-            client_id, total_s, event.energy_j, event.battery_soc
-        )
-        straggler = self._round_straggler.get(event.round_idx)
-        if straggler is None or total_s > straggler[1]:
-            self._round_straggler[event.round_idx] = (client_id, total_s)
+        self._on_clients_finished(ClientsFinished.of(event))
 
     def _on_clients_dispatched(self, batch: ClientsDispatched) -> None:
         self._clock.set(batch.time_s)

@@ -16,8 +16,10 @@ the typed event comes from:
   (``repro obs export-trace run.jsonl``).
 
 A column batch of client rows (the columnar round's narration) goes
-through :meth:`SpanBuilder.fold_columns`: the same spans as folding its
-rows, opened or closed in one loop.
+through :meth:`SpanBuilder.fold_columns`, and the client handlers are
+the batch handlers: a client row is folded as its one-row batch
+(:meth:`~repro.engine.events.EventColumns.of`), so a batch leaves the
+same spans as its rows by construction, opened or closed in one loop.
 
 All timestamps are the engine's virtual clock. Async runs have no
 ``round_completed`` barrier; their per-version "rounds" are closed at
@@ -141,29 +143,14 @@ class SpanBuilder:
 
     # -- per-kind handlers (reached through :meth:`fold`) ------------------
     def _on_client_dispatched(self, event: ClientDispatched) -> None:
-        self._open_clients_at(
-            event.round_idx,
-            (event.client_id,),
-            (event.n_samples,),
-            event.time_s,
-        )
+        self._on_clients_dispatched(ClientsDispatched.of(event))
 
     def _on_clients_dispatched(self, batch: ClientsDispatched) -> None:
-        self._open_clients_at(
-            batch.round_idx, batch.client_ids, batch.n_samples, batch.time_s
-        )
-
-    def _open_clients_at(
-        self,
-        round_idx: int,
-        client_ids: Iterable[int],
-        n_samples: Iterable[int],
-        time_s: float,
-    ) -> None:
-        """Open one client span per id under round ``round_idx``."""
+        """Open one client span per row under the batch's round."""
+        round_idx, time_s = batch.round_idx, batch.time_s
         children = self._round(round_idx, time_s).children
         open_clients = self._open_clients
-        for client_id, n in zip(client_ids, n_samples):
+        for client_id, n in zip(batch.client_ids, batch.n_samples):
             span = Span(
                 f"client {client_id}",
                 "client",
@@ -204,16 +191,7 @@ class SpanBuilder:
         return span
 
     def _on_client_finished(self, event: ClientFinished) -> None:
-        self._touch(event.time_s)
-        span = self._close_client(
-            event.round_idx, event.client_id, event.total_s, event.time_s
-        )
-        span.attrs["compute_s"] = event.compute_s
-        span.attrs["comm_s"] = event.comm_s
-        if event.energy_j is not None:
-            span.attrs["energy_j"] = event.energy_j
-        if event.battery_soc is not None:
-            span.attrs["battery_soc"] = event.battery_soc
+        self._on_clients_finished(ClientsFinished.of(event))
 
     def _on_clients_finished(self, batch: ClientsFinished) -> None:
         self._touch(*batch.finish_s)
@@ -230,8 +208,11 @@ class SpanBuilder:
             attrs = close(round_idx, client_id, total_s, time_s).attrs
             attrs["compute_s"] = compute_s
             attrs["comm_s"] = comm_s
-            attrs["energy_j"] = joules
-            attrs["battery_soc"] = soc
+            # an unmetered row (async, gossip, no devices) has no Joules
+            if joules is not None:
+                attrs["energy_j"] = joules
+            if soc is not None:
+                attrs["battery_soc"] = soc
 
     def _on_client_dropped(self, event: ClientDropped) -> None:
         self._touch(event.time_s)

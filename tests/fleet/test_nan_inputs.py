@@ -6,7 +6,8 @@ repair — one NaN idle call used to turn every bystander's battery into
 NaN. Idle time and the device-class constants are checked so that NaN
 fails the check, with the errors negative values already raised; the
 scalar and vector forms raise alike. ``inf`` seconds stays legal and
-drains to empty.
+drains to empty. A NaN initial charge is refused at construction, and a
+NaN battery floor where a round is built.
 """
 
 import math
@@ -14,7 +15,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.fleet import DeviceClass, synthetic_fleet
+from repro.engine.events import EventBus
+from repro.fleet import DeviceClass, FleetRunner, FleetStore, synthetic_fleet
+from repro.fleet.round import RoundCore
+from repro.serve import ServeApp, ServeConfig
 
 from .conftest import toy_classes, toy_fleet
 
@@ -96,3 +100,43 @@ def test_device_class_refuses_nan_constants(field):
     fields[field] = math.nan
     with pytest.raises(ValueError, match="non-negative|positive"):
         DeviceClass(**fields)
+
+
+@pytest.mark.parametrize("charge", [math.nan, -1.0, 1e9])
+def test_constructor_refuses_a_charge_outside_the_battery(charge):
+    (cls, _) = toy_classes()
+    with pytest.raises(ValueError, match=r"battery_j must lie in \[0"):
+        FleetStore([cls], [0, 0], [100, 100], battery_j=[charge, 500.0])
+
+
+@pytest.mark.parametrize("min_soc", [math.nan, 1.5, math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda min_soc: RoundCore(
+            toy_fleet(n=4),
+            EventBus(),
+            cohort_size=None,
+            shard_size=100,
+            min_soc=min_soc,
+            local_epochs=1,
+            aggregation_s=0.0,
+            wire_mb=1.0,
+            detail_threshold=256,
+        ),
+        lambda min_soc: FleetRunner(toy_fleet(n=4), min_soc=min_soc),
+        lambda min_soc: ServeApp(ServeConfig(fleet_size=4, min_soc=min_soc)),
+    ],
+    ids=["round-core", "fleet-runner", "serve-app"],
+)
+def test_a_nan_or_above_one_battery_floor_is_refused_at_construction(
+    build, min_soc
+):
+    with pytest.raises(ValueError, match="min_soc must be at most 1"):
+        build(min_soc)
+
+
+@pytest.mark.parametrize("min_soc", [0.0, -1.0, -math.inf, 1.0])
+def test_a_floor_in_range_or_non_positive_still_builds(min_soc):
+    runner = FleetRunner(toy_fleet(n=4), min_soc=min_soc)
+    assert runner.core.min_soc == min_soc
