@@ -25,6 +25,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import (
     Dict,
     Iterator,
@@ -35,6 +37,8 @@ from typing import (
     Tuple,
     Union,
 )
+
+import numpy as np
 
 __all__ = [
     "MetricSpec",
@@ -258,6 +262,7 @@ class Histogram(Metric):
         self.buckets: Tuple[float, ...] = (
             spec.buckets if spec.buckets is not None else DEFAULT_TIME_BUCKETS
         )
+        self._bounds = np.array(self.buckets, dtype=float)
         self._series: Dict[LabelValues, _HistogramSeries] = {}
 
     def _series_of(self, labels: Mapping[str, object]) -> _HistogramSeries:
@@ -291,27 +296,23 @@ class Histogram(Metric):
     ) -> None:
         """``observe(value, **labels)`` for each value, in order: the
         same buckets, the same left-to-right ``_sum`` (so not ``sum``,
-        which compensates from 3.12, nor a pairwise ``np.sum``)."""
+        which compensates from 3.12, nor a pairwise ``np.sum``), over
+        the whole column at once."""
         if not values:
             return  # like no observe call: no series either
         series = self._series_of(labels)
-        bounds = self.buckets
-        outside = len(bounds)
-        # values per first bucket (_first_bucket, inlined in the loop)
-        firsts = [0] * (outside + 1)
-        total = series.total
-        for value in values:
-            first = bisect_left(bounds, value)
-            if first == 0 and value != value:
-                first = outside
-            firsts[first] += 1
-            total += value
-        running = 0
+        outside = len(self.buckets)
+        cells = np.array(values, dtype=float)
+        # each value's first bucket (:meth:`_first_bucket`): NaN is
+        # within none, wherever ``searchsorted`` puts it
+        firsts = np.searchsorted(self._bounds, cells, side="left")
+        firsts[np.isnan(cells)] = outside
+        within = np.bincount(firsts, minlength=outside + 1).cumsum()
         counts = series.bucket_counts
-        for i in range(len(counts)):
-            running += firsts[i]
-            counts[i] += running
-        series.total = total
+        for i, n in enumerate(within[:outside].tolist()):
+            counts[i] += n
+        # the loop's own float additions, strictly left to right
+        series.total = reduce(add, values, series.total)
         series.count += len(values)
         series.observations.extend(values)
 
