@@ -4,6 +4,8 @@ OLAR's heap greedy is the subsystem's scalable path — O(n + D log n)
 independent of the cost-matrix width — so it must stay fast at fleet
 scale (n = 1000 users). The MinEnergy DP is exact but O(n D^2); its pin
 is a testbed-scale budget documenting where it is meant to be used.
+Fed-LBAP's selection is checked against a plain threshold bisection at
+a size no tier-1 test reaches (1 000 distinct dipping rows).
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_scheduler_bench.py -s``.
 """
@@ -14,6 +16,7 @@ import time
 
 import numpy as np
 
+from repro.core.lbap import fed_lbap
 from repro.sched import SchedulingProblem, get_scheduler
 from repro.sched.olar import olar_assign
 
@@ -67,6 +70,46 @@ class TestOlarScale:
         assert abs(
             olar.predicted_makespan_s - lbap.predicted_makespan_s
         ) < 1e-9
+
+
+class TestFedLbapAtSize:
+    def test_dense_distinct_dipping_rows_with_capacities(self):
+        """1 000 distinct rows x 2 000 cells, every row flat in places
+        and dipping +-4e-10 there, random capacities: ``c*`` is the
+        value a plain threshold bisection over ``np.unique(cost)``
+        finds (one scalar ``searchsorted`` per row and probe, capped),
+        and the counts fill D within the capacities."""
+        rng = np.random.default_rng(1000)
+        n, s = 1000, 2000
+        steps = rng.uniform(0.0, 1.0, (n, s)) * (rng.random((n, s)) >= 0.2)
+        cost = np.abs(
+            np.cumsum(steps, axis=1) + rng.integers(-1, 2, (n, s)) * 4e-10
+        )
+        caps = rng.integers(0, s + 1, n)
+        total = int(caps.sum()) // 2
+
+        def feasible(threshold):
+            counts = [np.searchsorted(row, threshold, side="right") for row in cost]
+            return int(np.minimum(counts, caps).sum()) >= total
+
+        values = np.unique(cost)
+        lo, hi = 0, len(values) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if feasible(values[mid]):
+                hi = mid
+            else:
+                lo = mid + 1
+        assert (np.diff(cost, axis=1) < 0).any(axis=1).all()
+
+        t0 = time.perf_counter()
+        schedule, c_star = fed_lbap(cost, total, 1, caps)
+        elapsed = time.perf_counter() - t0
+        print(f"\nFed-LBAP 1000 x 2000, dipping, capped: {elapsed * 1e3:.1f} ms")
+        assert c_star.hex() == float(values[lo]).hex()
+        counts = schedule.shard_counts
+        assert int(counts.sum()) == total
+        assert ((counts >= 0) & (counts <= caps)).all()
 
 
 class TestMinEnergyBudget:

@@ -2,7 +2,7 @@
 
 Used only by the test-suite: exhaustively enumerate every composition of
 D shards over n users and return the true optimum, validating that
-Fed-LBAP's threshold search is exact and quantifying Fed-MinAvg's
+Fed-LBAP's selection of ``c*`` is exact and quantifying Fed-MinAvg's
 greedy gap on P2.
 """
 

@@ -7,8 +7,9 @@ the others, a threshold ``c*`` is feasible exactly when
 
     sum_j  max{ k : C[j, k] <= c* }  >=  D,
 
-so the optimal makespan is found by searching the sorted cost values —
-the paper's O(ns log ns) binary search (O(n^2 log n) when s = n).
+so the optimal makespan is one of the sorted cost values — the paper
+finds it by an O(ns log ns) binary search (O(n^2 log n) when s = n),
+``fed_lbap`` by one weighted selection.
 
 ``fed_lbap`` returns both the optimal threshold and a concrete
 allocation. No step loops over users in Python; the three steps are
@@ -18,30 +19,36 @@ allocation. No step loops over users in Python; the three steps are
    Rows are grouped by a cheap key (three cells), every row is then
    compared bit for bit with its group's first row, and a row that
    differs anywhere stays its own representative. Validation,
-   ``np.unique`` and the threshold search run on the ``g x s``
+   ``np.unique`` and the selection run on the ``g x s``
    representatives; capacities and the allocation stay per user.
-   O(ns) for the comparison, O(gs log gs) for the rest — O(ns log ns)
+   O(ns) for the comparison, O(gs log g) for the rest — O(ns log n)
    when every row is distinct. A caller that already knows its
    distinct rows passes them with ``row_of`` (user ``j`` costs
    ``cost[row_of[j]]``): the collapse then compares the few rows it
    was given and nothing ``n x s`` is ever built.
-2. **Wide-probe threshold search** (``_counts_at``). The per-row count
-   for one threshold is ``searchsorted(row, c, side="right")``. A
-   probe bisects every row against ``T`` thresholds at once (``g x T``
-   lanes, ``ceil(log2 s)`` gathers), each lane visiting the cells a
-   scalar ``searchsorted`` would, so rows that dip inside the 1e-9
-   monotonicity tolerance get the count they always did. The search
-   keeps a bracket of ``np.unique(rows)`` whose top is feasible; a
-   probe takes all of it once it fits the lane budget ``_LANES``, else
-   ``T = min(ceil(sqrt(bracket)), _LANES // g)`` thresholds spread
-   over it, and narrows it to the first feasible one: ~``log_{T+1}``
-   of the distinct values in probes of O(g T log s) — two for a few
-   classes, a binary search above ``_LANES / 2`` rows. Any probe order
-   finds the same ``c*``: two thresholds bisect a row, sorted or not,
-   alike until the first ``mid`` where they part, and there the
-   smaller ends ``<= mid``, the larger ``>= mid + 1``; so counts,
-   capped counts and totals are monotone in the threshold. The
-   per-user counts at ``c*`` come from the probe that evaluated it.
+2. **Selection** (``_select``). On a non-decreasing row a user's
+   first ``min(cap_j, .)`` cells are its cheapest, so the feasibility
+   total at a value ``v``, ``sum_j min(count_j(v), cap_j)``, is the
+   weight of the cells ``<= v`` when cell ``[i, k]`` weighs the number
+   of users on row ``i`` whose capacity admits a ``(k+1)``-th shard
+   (all of row ``i``'s users without caps; with caps one ``bincount``
+   over ``group * (s + 1) + caps`` and a reversed ``cumsum`` along the
+   row). One stable argsort merges the ``g`` sorted rows, and ``c*``
+   is the cell where the cumulative weight first reaches ``D``: the
+   weight of the cells strictly below it is ``< D``, so no smaller
+   value is feasible, and a zero-weight cell is never that position.
+   The caps and size checks guarantee the total weight is ``>= D``.
+   Equal cells share their bits but for the sign of zero, so a zero
+   ``c*`` is read back from ``np.unique`` of the rows, the value a
+   threshold search over ``np.unique`` returns. A row that dips
+   inside the 1e-9 monotonicity tolerance (only hand-built matrices
+   do: fleet, testbed and engine rows are a running max) is selected
+   through its search-equivalent sorted row (``_search_equivalent``),
+   whose cells ``<= t`` number what a scalar ``searchsorted`` of the
+   row counts at every ``t``; the trim reads the rows as given. The
+   per-user counts at ``c*`` come from one ``_counts_at`` probe there.
+   O(gs log g) for the merge of sorted rows, plus O(n) for the
+   weights and the probe.
 3. **Trim** (``_trim_to_total``). Each user gets its maximal
    within-threshold count, then the surplus over ``D`` is removed one
    shard at a time from the first user whose last shard costs most
@@ -64,7 +71,6 @@ the Fed-LBAP extension on square instances.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -74,14 +80,10 @@ from .schedule import Schedule
 __all__ = ["fed_lbap", "feasible_at_threshold", "solve_lbap_threshold_exact"]
 
 
-#: Lanes (rows x thresholds) one probe may bisect at once. A probe is
-#: ~11 steps of ~9 NumPy calls at any width, plus a per-lane part: on
-#: a 2-core x86-64 host one ``_counts_at`` over 4 rows of 1 112 cells
-#: takes 73 µs at 4 lanes, 145 µs at 1 024 and 291 µs at 4 096, and
-#: ``fed_lbap`` on dense distinct rows (10 x 60 up to 1 000 x 2 000)
-#: is within 5 % of its best for budgets of 256 to 2 048, 5-15 %
-#: slower at 4 096. At 1 024 a cohort of a few classes takes two
-#: probes; above 512 distinct rows the search is a binary search.
+#: Thresholds one ``_counts_at`` call bisects a dipping row against
+#: while ``_search_equivalent`` counts it at each of its distinct
+#: values; a row with more distinct values takes one call per
+#: ``_LANES`` of them, so a call's index arrays stay a few KiB.
 _LANES = 1024
 
 
@@ -160,6 +162,53 @@ def _distinct_rows(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return cost[kept], group
 
 
+def _search_equivalent(row: np.ndarray) -> np.ndarray:
+    """The sorted row that ``row`` counts like.
+
+    Cell ``k`` is the least distinct value of ``row`` whose
+    ``_counts_at`` count exceeds ``k``. The count is monotone in the
+    threshold and changes only at the row's own values, so the cells
+    ``<= t`` of the result number the row's scalar-bisection count at
+    every ``t``, sorted row or not.
+    """
+    values = np.unique(row)
+    counts = np.concatenate(
+        [
+            _counts_at(row[None], values[at : at + _LANES])[0]
+            for at in range(0, values.size, _LANES)
+        ]
+    )
+    # the row's largest value counts every cell, so each k finds one
+    return values[np.searchsorted(counts, np.arange(row.size), side="right")]
+
+
+def _select(
+    rows: np.ndarray,
+    group: np.ndarray,
+    caps: Optional[np.ndarray],
+    total_shards: int,
+) -> float:
+    """The least cell value whose feasibility total reaches
+    ``total_shards``, on non-decreasing ``rows``; see the module
+    docstring. User ``j``'s costs are ``rows[group[j]]`` and at most
+    its first ``caps[j]`` cells count."""
+    g, s = rows.shape
+    if caps is None:
+        weight = np.repeat(np.bincount(group, minlength=g), s)
+    else:
+        # users on row i whose capacity is exactly c, for c = 0 .. s
+        at = np.bincount(
+            group * (s + 1) + caps, minlength=g * (s + 1)
+        ).reshape(g, s + 1)
+        # users on row i whose capacity exceeds k
+        weight = np.cumsum(at[:, :0:-1], axis=1)[:, ::-1].reshape(-1)
+    cells = rows.reshape(-1)
+    # stable: a merge of g sorted runs, O(gs log g)
+    order = np.argsort(cells, kind="stable")
+    reach = np.cumsum(weight[order])
+    return float(cells[order[np.searchsorted(reach, total_shards)]])
+
+
 def _trim_to_total(
     rows: np.ndarray,
     group: np.ndarray,
@@ -230,8 +279,9 @@ def fed_lbap(
         Samples per shard (propagated into the Schedule).
     capacities:
         Optional per-user maximum shard counts (storage/battery limits,
-        the P2-style C_j carried over to P1). The threshold search
-        remains exact: feasibility clips each user at its capacity.
+        the P2-style C_j carried over to P1), an integer array. The
+        selection remains exact: a user's cells past its capacity weigh
+        nothing.
     row_of:
         Optional ``(n_users,)`` index: user ``j``'s costs are
         ``cost[row_of[j]]``. The answer is the one the gathered
@@ -259,7 +309,14 @@ def fed_lbap(
         raise ValueError("total_shards must be positive")
     caps = None
     if capacities is not None:
-        caps = np.minimum(np.asarray(capacities, dtype=np.int64), s)
+        given = np.asarray(capacities)
+        if given.dtype.kind not in "iu":
+            raise ValueError(
+                "capacities must be a 1-D integer array with one "
+                f"entry per user: expected shape ({n},), "
+                f"got {given.dtype} of shape {given.shape}"
+            )
+        caps = np.minimum(given.astype(np.int64), s)
         if caps.shape != (n,):
             raise ValueError("capacities length must match users")
         if (caps < 0).any():
@@ -283,44 +340,28 @@ def fed_lbap(
         raise ValueError(
             "cost matrix contains negative entries (times are seconds)"
         )
-    if (np.diff(rows, axis=1) < -1e-9).any():
+    step = np.diff(rows, axis=1)
+    if (step < -1e-9).any():
         raise ValueError(
             "cost rows must be non-decreasing (Property 1); "
             "use cost.enforce_property1 first"
         )
 
-    per_row = np.bincount(group, minlength=rows.shape[0])
-    fit = max(_LANES // rows.shape[0], 1)  # thresholds one probe takes
-    values = np.unique(rows)
-    lo, hi = 0, len(values) - 1
-    # Invariant: values[hi] is always feasible (the max cost admits every
-    # cell, and total_shards <= n*s was checked above); at_hi holds the
-    # per-user counts there once a probe has evaluated it.
-    at_hi: Optional[np.ndarray] = None
-    while lo < hi or at_hi is None:
-        # the candidates: lo .. hi - 1, and hi itself until evaluated
-        end = hi + (at_hi is None)
-        if end - lo <= fit:
-            pos = np.arange(lo, end)
-        else:
-            width = hi - lo
-            wide = min(math.isqrt(width - 1) + 1, fit)
-            pos = lo + np.arange(1, wide + 1) * width // (wide + 1)
-        counts = _counts_at(rows, values[pos])
-        if caps is None:
-            totals = per_row @ counts
-        else:
-            counts = np.minimum(counts[group], caps[:, None])
-            totals = counts.sum(axis=0)
-        # totals rise with the threshold: this is the first feasible one
-        i = int(np.searchsorted(totals, total_shards))
-        if i < len(pos):
-            hi = int(pos[i])
-            at_hi = counts[group, i] if caps is None else counts[:, i]
-        if i > 0:
-            lo = int(pos[i - 1]) + 1
-    c_star = float(values[hi])
-    counts = _trim_to_total(rows, group, at_hi, total_shards)
+    sorted_rows = rows
+    dipping = np.flatnonzero((step < 0).any(axis=1))
+    if dipping.size:
+        sorted_rows = rows.copy()
+        for i in dipping:
+            sorted_rows[i] = _search_equivalent(rows[i])
+    c_star = _select(sorted_rows, group, caps, total_shards)
+    if c_star <= 0.0:  # cells are >= 0: this is a zero
+        # equal cells differ only in the sign of zero: read it as
+        # np.unique keeps it, whichever zero cell the merge reached
+        c_star = float(np.unique(rows)[0])
+    counts = _counts_at(rows, np.array([c_star]))[group, 0]
+    if caps is not None:
+        counts = np.minimum(counts, caps)
+    counts = _trim_to_total(rows, group, counts, total_shards)
     schedule = Schedule(
         shard_counts=counts,
         shard_size=shard_size,

@@ -23,9 +23,20 @@ The calibration lives in :mod:`repro.device.registry`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Tuple
 
 __all__ = ["ClusterSpec", "TripPoint", "ThermalSpec", "BatterySpec", "DeviceSpec"]
+
+
+@lru_cache(maxsize=256, typed=True)
+def _opp_table(
+    freq_min_ghz: float, freq_max_ghz: float, n_opp: int
+) -> Tuple[float, ...]:
+    if n_opp == 1:
+        return (freq_max_ghz,)
+    step = (freq_max_ghz - freq_min_ghz) / (n_opp - 1)
+    return tuple(freq_min_ghz + i * step for i in range(n_opp))
 
 
 @dataclass(frozen=True)
@@ -78,13 +89,10 @@ class ClusterSpec:
             raise ValueError("util_cap must be in (0, 1]")
 
     def opp_table(self) -> Tuple[float, ...]:
-        """Discrete frequencies the governor may select (ascending GHz)."""
-        if self.n_opp == 1:
-            return (self.freq_max_ghz,)
-        step = (self.freq_max_ghz - self.freq_min_ghz) / (self.n_opp - 1)
-        return tuple(
-            self.freq_min_ghz + i * step for i in range(self.n_opp)
-        )
+        """Discrete frequencies the governor may select (ascending GHz),
+        computed once per range and count: ``quantize`` reads it on
+        every governor step."""
+        return _opp_table(self.freq_min_ghz, self.freq_max_ghz, self.n_opp)
 
     def quantize(self, freq_ghz: float) -> float:
         """Snap a requested frequency to the nearest not-lower OPP."""

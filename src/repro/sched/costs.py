@@ -84,12 +84,14 @@ _TIME_CACHE: Dict[_CurveKey, Curve] = {}
 _ENERGY_CACHE: Dict[_CurveKey, Curve] = {}
 
 #: per-class cost rows, keyed on (fleet class signature, shard size):
-#: the latest (n_classes, s) pair per key. Device state never enters;
-#: the width does — the default budget is "the data this cohort
-#: holds" — so a different width replaces the entry (the broadcast is
-#: microseconds) rather than piling up beside it
+#: ``(time, energy, widest)`` — the pair last handed out and the
+#: widest time-over-energy rows built for the key. Device state never
+#: enters; the width does (the default budget is "the data this cohort
+#: holds"), and column ``k`` does not depend on it, so every width up
+#: to the widest is served as a prefix view of it and only a new
+#: widest width runs the broadcast (~130 µs at 8 x 1 100 cells)
 _FLEET_MATRIX_CACHE: Dict[
-    _CurveKey, Tuple[np.ndarray, np.ndarray]
+    _CurveKey, Tuple[np.ndarray, np.ndarray, np.ndarray]
 ] = {}
 
 
@@ -279,30 +281,35 @@ def fleet_class_matrices(
     affine time and energy :class:`~repro.profiling.profiler.Curve`
     (floored at zero, which its non-negative coefficients never reach).
     These are the rows a :func:`fleet_problem` carries; a cohort
-    member's row is ``rows[class_id]``. One entry is cached per fleet class signature
-    and shard size: the same width returns the very same arrays, a
-    different width rebuilds and replaces them (column ``k`` does not
-    depend on the width, so a prefix of a wider pair equals a fresh
-    narrower one).
+    member's row is ``rows[class_id]``. One entry is cached per fleet
+    class signature and shard size: the same width returns the very
+    same arrays, a narrower one prefix views of the widest rows built
+    (column ``k`` does not depend on the width, so the prefix equals a
+    fresh narrower build) and a wider one rebuilds.
     """
     if n_shards <= 0 or shard_size <= 0:
         raise ValueError("n_shards and shard_size must be positive")
     key: _CurveKey = (fleet.signature(), int(shard_size))
     cached = _FLEET_MATRIX_CACHE.get(key)
     if cached is not None and cached[0].shape[1] == n_shards:
-        return cached
-    # time rows above energy rows, in one broadcast
-    rows = curve_rows(
-        [Curve(c.time_base_s, c.time_per_sample_s, floor=0.0) for c in fleet.classes]
-        + [Curve(c.energy_base_j, c.energy_per_sample_j, floor=0.0) for c in fleet.classes],
-        n_shards,
-        shard_size,
-    )
-    # shared by every problem built at this width
-    rows.flags.writeable = False
+        return cached[0], cached[1]
+    if cached is not None and cached[2].shape[1] >= n_shards:
+        rows = cached[2]
+    else:
+        # time rows above energy rows, in one broadcast
+        rows = curve_rows(
+            [Curve(c.time_base_s, c.time_per_sample_s, floor=0.0) for c in fleet.classes]
+            + [Curve(c.energy_base_j, c.energy_per_sample_j, floor=0.0) for c in fleet.classes],
+            n_shards,
+            shard_size,
+        )
+        # shared by every problem built at this width or narrower
+        rows.flags.writeable = False
     n_classes = len(fleet.classes)
-    _FLEET_MATRIX_CACHE[key] = (rows[:n_classes], rows[n_classes:])
-    return _FLEET_MATRIX_CACHE[key]
+    _FLEET_MATRIX_CACHE[key] = (
+        rows[:n_classes, :n_shards], rows[n_classes:, :n_shards], rows
+    )
+    return _FLEET_MATRIX_CACHE[key][:2]
 
 
 def fleet_problem(
