@@ -210,7 +210,7 @@ def _ms_sanctioned(name: str, kind: str) -> bool:
     """Whether binding ``kind`` into ``name`` is sanctioned.
 
     ``*_ms`` names are the repo's documented host-milliseconds
-    convention (``build_ms``, ``solve_ms``, ``meta["build_ms"]``):
+    convention (``build_ms``, ``meta["solve_ms"]``):
     host-clock cost is *supposed* to live there, so host-time taint
     stops at the boundary. Mixing an ``_ms`` value back into virtual
     ``_s`` arithmetic is a unit error the unit-consistency rule

@@ -8,8 +8,8 @@ escapes into a domain that must replay bit-identically:
 * ``host-time-taint`` — host-clock values must not reach the event
   stream (``EngineEvent`` constructor fields, ``.emit(...)``) or
   virtual-clock arithmetic (``clock_s`` assignments). Fields ending
-  ``_ms`` are the repo's documented host-milliseconds convention
-  (``ScheduleComputed.solve_ms``) and stay legal;
+  ``_ms`` are the repo's documented host-milliseconds convention and
+  stay legal, though no event declares one;
   ``repro.obs.prof``, ``repro.perf`` and the CLI are sanctioned
   host-timing domains and exempt wholesale.
 * ``rng-taint-escape`` — values drawn from an *unseeded* RNG must not
@@ -413,9 +413,9 @@ class HostTimeTaint(_TaintSinkRule):
     follows the *values*: a ``time.perf_counter()`` read is fine for
     measuring host cost, but the moment it reaches an event field, an
     ``emit``, or ``clock_s`` arithmetic, replays stop being
-    bit-identical. ``_ms``-suffixed event fields are the sanctioned
-    host-milliseconds convention and exempt, as are the profiling /
-    perf / CLI domains wholesale.
+    bit-identical. ``_ms``-suffixed event fields would be the sanctioned
+    host-milliseconds convention and exempt (no event declares one), as
+    are the profiling / perf / CLI domains wholesale.
     """
 
     description = (

@@ -407,7 +407,6 @@ class RoundEngine:
                     predicted_makespan_s=assignment.predicted_makespan_s,
                     predicted_energy_j=assignment.predicted_energy_j,
                     time_s=self.clock_s,
-                    solve_ms=assignment.solve_ms,
                 )
             )
             # users planned out of the round neither compute nor train

@@ -234,9 +234,6 @@ class ScheduleComputed(EngineEvent):
     predicted_makespan_s: float
     predicted_energy_j: Optional[float]
     time_s: float
-    #: host milliseconds the solver took (perf_counter-measured);
-    #: deliberately *not* virtual time — solver cost is real cost
-    solve_ms: Optional[float] = None
 
 
 @dataclass(frozen=True)

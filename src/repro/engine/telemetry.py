@@ -46,11 +46,12 @@ __all__ = [
 
 #: version of the JSONL event schema; bumped whenever an event dataclass
 #: gains/loses fields. v2 added ClientFinished.energy_j/.battery_soc
-#: and ScheduleComputed.solve_ms; v3 added the CohortAccounted event
-#: (fleet-scale aggregate accounting); v4 added the DeviceJoined /
-#: DeviceLost membership events (control-plane churn, service-clock
-#: stamped).
-TELEMETRY_SCHEMA_VERSION = 4
+#: and the solver's host milliseconds on ScheduleComputed; v3 added the
+#: CohortAccounted event (fleet-scale aggregate accounting); v4 added
+#: the DeviceJoined / DeviceLost membership events (control-plane churn,
+#: service-clock stamped); v5 dropped the solver's host milliseconds
+#: again, so no event field carries host time.
+TELEMETRY_SCHEMA_VERSION = 5
 
 
 @dataclass

@@ -148,7 +148,6 @@ class RoundCore:
                     predicted_makespan_s=assignment.predicted_makespan_s,
                     predicted_energy_j=assignment.predicted_energy_j,
                     time_s=clock_s,
-                    solve_ms=assignment.solve_ms,
                 )
             )
         return assignment

@@ -6,10 +6,11 @@ same table for humans; the ``metric-doc-drift`` lint rule keeps the two
 in sync (every ``register_metric`` name below must appear in the doc).
 
 Naming follows Prometheus conventions: ``_total`` counters, base units
-in the name (``_seconds``, ``_joules``), gauges unsuffixed. All
-timestamps and durations are the engine's *virtual* clock; the two
-``solve`` metrics are the exception — solver runtime is host cost,
-measured with ``time.perf_counter`` at the call site.
+in the name (``_seconds``, ``_joules``), gauges unsuffixed. Every
+series folded from events is on the engine's *virtual* clock; no event
+field carries host time. The ``repro_serve_request_*`` and
+``repro_prof_phase_seconds`` series are host cost, observed where it is
+spent (the HTTP handler, the profiler), never read from an event.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 from .metrics import (
     DEFAULT_ENERGY_BUCKETS,
     DEFAULT_HOST_SECONDS_BUCKETS,
-    DEFAULT_MS_BUCKETS,
     DEFAULT_TIME_BUCKETS,
     MetricSpec,
     register_metric,
@@ -42,7 +42,6 @@ __all__ = [
     "BATTERY_SOC",
     "AGGREGATIONS_TOTAL",
     "SCHEDULE_SOLVES_TOTAL",
-    "SCHEDULE_SOLVE_MS",
     "SCHEDULE_PREDICTED_MAKESPAN_SECONDS",
     "COHORT_SIZE",
     "FLEET_ELIGIBLE",
@@ -175,14 +174,6 @@ SCHEDULE_SOLVES_TOTAL: MetricSpec = register_metric(
     "counter",
     "scheduling problems solved, by scheduler",
     labels=("scheduler",),
-)
-SCHEDULE_SOLVE_MS: MetricSpec = register_metric(
-    "repro_schedule_solve_ms",
-    "histogram",
-    "scheduler solver runtime (host milliseconds, perf_counter)",
-    labels=("scheduler",),
-    unit="milliseconds",
-    buckets=DEFAULT_MS_BUCKETS,
 )
 SCHEDULE_PREDICTED_MAKESPAN_SECONDS: MetricSpec = register_metric(
     "repro_schedule_predicted_makespan_seconds",

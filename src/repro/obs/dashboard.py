@@ -150,7 +150,6 @@ def render_summary(
     if solve_rows:
         lines.append("")
         lines.append("== scheduling ==")
-        solve_ms = m.histogram(catalog.SCHEDULE_SOLVE_MS)
         predicted = m.gauge(catalog.SCHEDULE_PREDICTED_MAKESPAN_SECONDS)
         rows = []
         for (scheduler,), n in solve_rows:
@@ -158,14 +157,9 @@ def render_summary(
                 [
                     scheduler,
                     str(int(n)),
-                    _fmt(solve_ms.quantile(0.5, scheduler=scheduler), 3),
                     _fmt(predicted.value(scheduler=scheduler)),
                 ]
             )
-        lines.extend(
-            _table(
-                ["scheduler", "solves", "p50_ms", "pred_makespan_s"], rows
-            )
-        )
+        lines.extend(_table(["scheduler", "solves", "pred_makespan_s"], rows))
 
     return "\n".join(lines) + "\n"

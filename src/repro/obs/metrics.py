@@ -52,7 +52,6 @@ __all__ = [
     "MetricRegistry",
     "DEFAULT_TIME_BUCKETS",
     "DEFAULT_ENERGY_BUCKETS",
-    "DEFAULT_MS_BUCKETS",
     "DEFAULT_HOST_SECONDS_BUCKETS",
 ]
 
@@ -66,10 +65,6 @@ DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
 #: per-round / per-client energy in Joules
 DEFAULT_ENERGY_BUCKETS: Tuple[float, ...] = (
     5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0,
-)
-#: solver runtimes in host milliseconds
-DEFAULT_MS_BUCKETS: Tuple[float, ...] = (
-    0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0,
 )
 #: host-cost durations in seconds (profiler phases, request handling)
 DEFAULT_HOST_SECONDS_BUCKETS: Tuple[float, ...] = (

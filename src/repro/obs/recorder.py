@@ -177,7 +177,6 @@ class ObsRecorder:
             m.add(series)
         self._aggregations = m.counter(catalog.AGGREGATIONS_TOTAL)
         self._solves = m.counter(catalog.SCHEDULE_SOLVES_TOTAL)
-        self._solve_ms = m.histogram(catalog.SCHEDULE_SOLVE_MS)
         self._predicted_makespan = m.gauge(
             catalog.SCHEDULE_PREDICTED_MAKESPAN_SECONDS
         )
@@ -304,8 +303,6 @@ class ObsRecorder:
     def _on_schedule_computed(self, event: ScheduleComputed) -> None:
         scheduler = event.scheduler
         self._solves.inc(scheduler=scheduler)
-        if event.solve_ms is not None:
-            self._solve_ms.observe(event.solve_ms, scheduler=scheduler)
         self._predicted_makespan.set(
             event.predicted_makespan_s, scheduler=scheduler
         )

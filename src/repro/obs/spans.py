@@ -316,8 +316,6 @@ class SpanBuilder:
         }
         if event.predicted_energy_j is not None:
             attrs["predicted_energy_j"] = event.predicted_energy_j
-        if event.solve_ms is not None:
-            attrs["solve_ms"] = event.solve_ms
         self._round(event.round_idx, event.time_s).children.append(
             Span(
                 name=f"schedule [{event.scheduler}]",

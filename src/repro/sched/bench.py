@@ -106,7 +106,6 @@ def compare(
                 )
             )
             continue
-        runtime_ms = assignment.solve_ms or 0.0
         bus.emit(
             ScheduleComputed(
                 round_idx=0,
@@ -118,7 +117,6 @@ def compare(
                 predicted_makespan_s=assignment.predicted_makespan_s,
                 predicted_energy_j=assignment.predicted_energy_j,
                 time_s=0.0,
-                solve_ms=runtime_ms,
             )
         )
         rows.append(
@@ -130,7 +128,7 @@ def compare(
                 participants=int(
                     (assignment.shard_counts > 0).sum()
                 ),
-                runtime_ms=runtime_ms,
+                runtime_ms=assignment.solve_ms or 0.0,
                 instance=instance,
                 n=problem.n_users,
             )

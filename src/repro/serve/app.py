@@ -52,6 +52,9 @@ _DEVICE_DELETE = re.compile(r"^/v1/devices/([^/]+)$")
 _ROUND_ROUTE = re.compile(r"^/v1/rounds/(\d+)$")
 _ROUND_CANCEL = re.compile(r"^/v1/rounds/(\d+)/cancel$")
 _MODEL_ROUTE = re.compile(r"^/v1/models/(\d+)$")
+#: the one ``route`` label of every request no route matched, so an
+#: unknown path or method cannot mint a new series
+_UNMATCHED_ROUTE = "unmatched"
 
 
 @dataclass(frozen=True)
@@ -189,9 +192,14 @@ class ServeApp:
         # simulated service clock (a ManualClock would report zero)
         with PROFILER.phase("request"):
             t0 = perf_counter()
-            status, payload = self._route(method, path, body)
+            routed = self._route(method, path, body)
             elapsed_s = perf_counter() - t0
-        route = self._route_label(method, path)
+        if routed is not None:
+            status, payload = routed
+            route = self._route_label(method, path)
+        else:
+            status, payload = 404, {"error": f"no route {method} {path}"}
+            route = _UNMATCHED_ROUTE
         self._requests_total.inc(route=route, code=status)
         self._request_latency.observe(elapsed_s, route=route)
         return status, payload
@@ -201,7 +209,8 @@ class ServeApp:
         method: str,
         path: str,
         body: Optional[Mapping[str, object]],
-    ) -> Response:
+    ) -> Optional[Response]:
+        """The matched route's response; ``None`` when nothing matched."""
         payload: Mapping[str, object] = body if body is not None else {}
         try:
             if method == "POST" and path == "/v1/devices/register":
@@ -275,7 +284,7 @@ class ServeApp:
                     "rounds": len(self.jobs),
                     "model_version": self.models.latest().version,
                 }
-            return 404, {"error": f"no route {method} {path}"}
+            return None
         except SchemaError as exc:
             return 400, {"error": str(exc)}
         except RegistryError as exc:

@@ -300,13 +300,7 @@ class TestBitIdentity:
         instance: equal ``ScheduleComputed`` events, field for field."""
 
         def schedules(events):
-            out = []
-            for e in of_kind(events, ScheduleComputed):
-                d = e.to_dict()
-                # host wall-time: the one run-dependent field
-                d.pop("solve_ms")
-                out.append(d)
-            return out
+            return [e.to_dict() for e in of_kind(events, ScheduleComputed)]
 
         for scheduler in ("proportional", "fed_lbap", "olar"):
             pair = make_pair(dataset, 6, seed=2, scheduler=scheduler)

@@ -82,12 +82,7 @@ def captured(bus, kinds=None):
 
 
 def payloads(events):
-    out = []
-    for e in events:
-        d = e.to_dict()
-        d.pop("solve_ms", None)  # host wall-time: run-dependent
-        out.append(d)
-    return out
+    return [e.to_dict() for e in events]
 
 
 ROUND_EVENTS = (

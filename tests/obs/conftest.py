@@ -28,7 +28,6 @@ SYNTHETIC_EVENTS = (
         predicted_makespan_s=10.0,
         predicted_energy_j=120.0,
         time_s=0.0,
-        solve_ms=2.5,
     ),
     ClientDispatched(round_idx=1, client_id=0, n_samples=200, time_s=0.0),
     ClientDispatched(round_idx=1, client_id=1, n_samples=100, time_s=0.0),

@@ -295,15 +295,14 @@ class TestReadOnly:
 
 # -- golden: a fleet-narrate shaped run ------------------------------------
 
-#: sha256 of the capture (``solve_ms`` nulled), of ``render_prometheus``
-#: without the ``repro_schedule_solve_ms`` series lines, and of
-#: ``render_trace_json`` without ``solve_ms`` args
+#: sha256 of the capture, of ``render_prometheus`` and of
+#: ``render_trace_json``
 GOLDEN = {
     "capture": (
-        "506a65040353c7d36da1da199c63261ee272df500c841d3e20de4274637b3c6a"
+        "37ea7e599ad59ea4dcd20d37fd01ddb34cd29bb135c85fafc189fdd09ee76755"
     ),
     "prometheus": (
-        "7bc364f8e59c783ce584e6451cef1bad7404fcce871fe9aa7f4f1bb2cae8d081"
+        "9408292ef26dad7a592eab900e002215e40663c02aa6572fdd51fdc74f9dff85"
     ),
     "trace": (
         "e9b72a8e648a48da4f230d11957bfffb432987f87afc14b567f027c2244086e7"
@@ -313,8 +312,7 @@ GOLDEN = {
 
 def narrated_digests(rounds=40):
     """Digests of a seeded ``fleet-narrate`` shaped run: n = 10⁴,
-    cohort 256, ``proportional``, a tracing recorder and a JSONL sink;
-    the host-timed ``solve_ms`` removed from all three."""
+    cohort 256, ``proportional``, a tracing recorder and a JSONL sink."""
     fleet = synthetic_fleet(10_000, seed=7)
     bus = EventBus()
     recorder = ObsRecorder(trace=True, run_name="narrate")
@@ -329,26 +327,10 @@ def narrated_digests(rounds=40):
         detail_threshold=256,
         bus=bus,
     ).run(rounds)
-    lines = []
-    for line in stream.getvalue().splitlines():
-        payload = json.loads(line)
-        if "solve_ms" in payload:
-            payload["solve_ms"] = None
-            line = json.dumps(payload)
-        lines.append(line + "\n")
-    prom = "".join(
-        line + "\n"
-        for line in render_prometheus(recorder.metrics).splitlines()
-        if not line.startswith(catalog.SCHEDULE_SOLVE_MS.name)
-    )
-    roots = recorder.finish_spans()
-    for root in roots:
-        for span in root.walk():
-            span.attrs.pop("solve_ms", None)
     texts = {
-        "capture": "".join(lines),
-        "prometheus": prom,
-        "trace": render_trace_json(roots),
+        "capture": stream.getvalue(),
+        "prometheus": render_prometheus(recorder.metrics),
+        "trace": render_trace_json(recorder.finish_spans()),
     }
     return {
         name: hashlib.sha256(text.encode()).hexdigest()

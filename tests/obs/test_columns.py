@@ -151,7 +151,7 @@ class TestBatchIsItsRows:
             assert not hasattr(cls, "kind")
             assert cls.row_type in EVENT_TYPES.values()
         assert len(EVENT_TYPES) == 9
-        assert TELEMETRY_SCHEMA_VERSION == 4
+        assert TELEMETRY_SCHEMA_VERSION == 5
 
     def test_unequal_columns_are_refused(self):
         with pytest.raises(ValueError, match="equally long"):

@@ -84,7 +84,7 @@ class TestCatalogRegistration:
             "repro_round_makespan_seconds",
             "repro_client_energy_joules_total",
             "repro_battery_soc",
-            "repro_schedule_solve_ms",
+            "repro_schedule_solves_total",
         } <= names
 
 

@@ -19,8 +19,13 @@ from repro.engine.events import (
     DeviceJoined,
     DeviceLost,
     RoundCompleted,
+    event_from_dict,
 )
-from repro.engine.telemetry import TELEMETRY_SCHEMA_VERSION, JsonlSink
+from repro.engine.telemetry import (
+    TELEMETRY_SCHEMA_VERSION,
+    JsonlSink,
+    read_jsonl_meta,
+)
 from repro.federated.simulation import FederatedSimulation, SimulationConfig
 from repro.models import logistic
 from repro.obs import (
@@ -80,9 +85,6 @@ class TestSyntheticFold:
             pytest.approx(0.8)
         )
         assert m.histogram(catalog.ROUND_MAKESPAN_SECONDS).count() == 2
-        assert m.histogram(catalog.SCHEDULE_SOLVE_MS).count(
-            scheduler="olar"
-        ) == 1
 
     def test_round_summaries(self, synthetic_dicts):
         rec = ObsRecorder().replay(synthetic_dicts)
@@ -193,6 +195,41 @@ class TestFromJsonlRobustness:
         rec = ObsRecorder.from_jsonl(synthetic_jsonl)
         (run,) = rec.finish_spans()
         assert run.name == "synthetic"
+
+    @pytest.mark.parametrize("solve_ms", [2.5, 0, None])
+    def test_a_v4_capture_replays_as_its_v5_twin(
+        self, tmp_path, synthetic_dicts, solve_ms
+    ):
+        """Schema v4 carried the solver's host milliseconds on
+        ``schedule_computed``; v5 has no such field. A v4 capture still
+        decodes to the same events and folds to the same bytes."""
+
+        def write(version, dicts):
+            path = tmp_path / f"v{version}.jsonl"
+            header = {"event": "telemetry_meta", "schema_version": version}
+            path.write_text(
+                "".join(json.dumps(d) + "\n" for d in (header, *dicts))
+            )
+            return path
+
+        schedule, *rest = synthetic_dicts
+        assert schedule["event"] == "schedule_computed"
+        assert "solve_ms" not in schedule
+        old = write(4, [dict(schedule, solve_ms=solve_ms), *rest])
+        new = write(5, synthetic_dicts)
+        old_read, new_read = read_jsonl_meta(old), read_jsonl_meta(new)
+        assert (old_read.schema_version, new_read.schema_version) == (4, 5)
+        assert [event_from_dict(d) for d in old_read.events] == [
+            event_from_dict(d) for d in new_read.events
+        ]
+        old_rec = ObsRecorder.from_jsonl(old, run_name="run")
+        new_rec = ObsRecorder.from_jsonl(new, run_name="run")
+        assert render_prometheus(old_rec.metrics) == render_prometheus(
+            new_rec.metrics
+        )
+        assert render_trace_json(old_rec.finish_spans()) == (
+            render_trace_json(new_rec.finish_spans())
+        )
 
 
 class TestMembershipFold:

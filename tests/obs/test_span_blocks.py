@@ -32,12 +32,7 @@ from .test_columns import _both_ways
 
 
 def _trace(recorder):
-    """The recorder's trace with ``solve_ms`` (host time) nulled."""
-    roots = recorder.finish_spans()
-    for span in roots[0].walk():
-        if "solve_ms" in span.attrs:
-            span.attrs["solve_ms"] = None
-    return render_trace_json(roots)
+    return render_trace_json(recorder.finish_spans())
 
 
 def _finished(round_idx, ids, finish_s):

@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro.obs import catalog
 from repro.serve import SchemaError, ServeApp, ServeConfig
 from repro.serve.app import parse_json_body
 
@@ -207,6 +208,33 @@ def test_request_counter_collapses_ids():
     assert "dev-000" not in text
     # the registration literal is *not* rewritten to {id}
     assert 'route="POST /v1/devices/register"' in text
+
+
+def test_unmatched_requests_share_one_series():
+    app, _ = make_app()
+    register_n(app, 1)
+    unknown = [("GET", f"/probe/{i}") for i in range(100)]
+    unknown += [(m, f"/x/{m}") for m in ("PATCH", "OPTIONS", "PUT")]
+    # known shapes under a method no route takes
+    unknown += [
+        ("GET", "/v1/devices/dev-000/heartbeat"),
+        ("PUT", "/v1/rounds/7"),
+        ("POST", "/v1/models/latest"),
+    ]
+    for method, path in unknown:
+        status, payload = app.handle_request(method, path, None)
+        assert status == 404
+        assert payload["error"] == f"no route {method} {path}"
+    requests = app.metrics.counter(catalog.SERVE_REQUESTS_TOTAL)
+    latency = app.metrics.histogram(catalog.SERVE_REQUEST_LATENCY_SECONDS)
+    assert dict(requests.series()) == {
+        ("POST /v1/devices/register", "201"): 1.0,
+        ("unmatched", "404"): float(len(unknown)),
+    }
+    assert latency.count(route="unmatched") == len(unknown)
+    _, text = app.handle_request("GET", "/metrics", None)
+    assert "/probe/" not in text
+    assert "/x/" not in text
 
 
 def test_parse_json_body_contract():
