@@ -172,9 +172,6 @@ class CFG:
     def successors(self, idx: int) -> List[Edge]:
         return [e for e in self.edges if e.src == idx]
 
-    def predecessors(self, idx: int) -> List[Edge]:
-        return [e for e in self.edges if e.dst == idx]
-
     def suspension_edges(self) -> List[Edge]:
         return [e for e in self.edges if e.suspends]
 

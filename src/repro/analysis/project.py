@@ -350,12 +350,6 @@ class ProjectGraph:
                 return self.by_path[path]
         return None
 
-    def package_init(self, module: str) -> Optional[ModuleInfo]:
-        """The package ``__init__`` module containing ``module``."""
-        if "." not in module:
-            return None
-        return self.modules.get(module.rsplit(".", 1)[0])
-
     def import_closure(self, starts: Iterable[str]) -> Set[str]:
         """Modules (transitively) imported when ``starts`` load.
 

@@ -7,11 +7,9 @@ escapes into a domain that must replay bit-identically:
 
 * ``host-time-taint`` — host-clock values must not reach the event
   stream (``EngineEvent`` constructor fields, ``.emit(...)``) or
-  virtual-clock arithmetic (``clock_s`` assignments). Fields ending
-  ``_ms`` are the repo's documented host-milliseconds convention and
-  stay legal, though no event declares one;
-  ``repro.obs.prof``, ``repro.perf`` and the CLI are sanctioned
-  host-timing domains and exempt wholesale.
+  virtual-clock arithmetic (``clock_s`` assignments), whatever the
+  field is named; ``repro.obs.prof``, ``repro.perf`` and the CLI are
+  sanctioned host-timing domains and exempt wholesale.
 * ``rng-taint-escape`` — values drawn from an *unseeded* RNG must not
   reach the event stream or the model registry (``.commit(...)``).
   Seeded-generator construction sanitizes: ``default_rng(cfg.seed)``
@@ -259,8 +257,6 @@ class _TaintSinkRule(FileRule):
     commit_sink = False
     #: whether ``clock_s`` assignments are a sink
     clock_sink = False
-    #: whether event-constructor kwargs ending ``_ms`` are sanctioned
-    ms_carveout = False
 
     def sink_message(self, sink_desc: str) -> str:
         raise NotImplementedError
@@ -350,8 +346,6 @@ class _TaintSinkRule(FileRule):
                 if kw.arg is None:
                     checked.append((kw.value, f"{sink.name}(**...)"))
                     continue
-                if self.ms_carveout and kw.arg.endswith("_ms"):
-                    continue  # documented host-milliseconds fields
                 checked.append((kw.value, f"{sink.name}.{kw.arg}"))
         else:
             for arg in [*call.args, *[k.value for k in call.keywords]]:
@@ -413,9 +407,8 @@ class HostTimeTaint(_TaintSinkRule):
     follows the *values*: a ``time.perf_counter()`` read is fine for
     measuring host cost, but the moment it reaches an event field, an
     ``emit``, or ``clock_s`` arithmetic, replays stop being
-    bit-identical. ``_ms``-suffixed event fields would be the sanctioned
-    host-milliseconds convention and exempt (no event declares one), as
-    are the profiling / perf / CLI domains wholesale.
+    bit-identical. No event field is exempt, whatever its name; the
+    profiling / perf / CLI domains are, wholesale.
     """
 
     description = (
@@ -424,7 +417,6 @@ class HostTimeTaint(_TaintSinkRule):
     )
     kind = HOST_TIME
     clock_sink = True
-    ms_carveout = True
 
     def applies_to(self, module: str) -> bool:
         if not module.startswith("src/repro/"):
@@ -439,8 +431,7 @@ class HostTimeTaint(_TaintSinkRule):
         return (
             f"host-clock value reaches {sink_desc} — events and "
             "virtual-clock state must derive from simulated time "
-            "(use the engine clock, or an `_ms`-suffixed host-cost "
-            "field)"
+            "(use the engine clock; host cost stays out of events)"
         )
 
 

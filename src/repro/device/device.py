@@ -216,13 +216,6 @@ class MobileDevice:
                 )
         return p
 
-    def instantaneous_rate(self, flops_per_sample: float) -> float:
-        """Samples/second the device would process *right now* (current
-        thermal state, governor at full load)."""
-        freqs, rates = self._step_control(load=1.0)
-        gflops = self._throughput_gflops(freqs, flops_per_sample, rates)
-        return gflops * 1e9 / flops_per_sample
-
     # -- main entry points -------------------------------------------------
     def run_workload(
         self, workload: TrainingWorkload, record: bool = True

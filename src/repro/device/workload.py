@@ -57,7 +57,3 @@ class TrainingWorkload:
         """Total batches over all epochs (last batch may be partial)."""
         per_epoch = -(-self.n_samples // self.batch_size)
         return per_epoch * self.epochs
-
-    @property
-    def total_flops(self) -> float:
-        return self.flops_per_sample * self.n_samples * self.epochs

@@ -42,7 +42,6 @@ from .events import (
     EventBus,
     ModelAggregated,
     RoundCompleted,
-    ScheduleComputed,
 )
 from .execution import LocalTrainingResult, evaluate_accuracy, train_local
 from .telemetry import ConvergenceHistory, RoundRecord
@@ -397,17 +396,7 @@ class RoundEngine:
                 )
             self._round_samples = samples
             self.bus.emit(
-                ScheduleComputed(
-                    round_idx=round_idx,
-                    scheduler=assignment.scheduler,
-                    shard_counts=tuple(
-                        int(k) for k in assignment.shard_counts
-                    ),
-                    shard_size=assignment.schedule.shard_size,
-                    predicted_makespan_s=assignment.predicted_makespan_s,
-                    predicted_energy_j=assignment.predicted_energy_j,
-                    time_s=self.clock_s,
-                )
+                assignment.schedule_computed(round_idx, self.clock_s)
             )
             # users planned out of the round neither compute nor train
             eligible = [j for j in eligible if samples[j] > 0]

@@ -94,10 +94,6 @@ class ConvergenceHistory:
     def makespans(self) -> List[float]:
         return [r.makespan_s for r in self.records]
 
-    def mean_makespan_s(self) -> float:
-        ms = self.makespans()
-        return float(np.mean(ms)) if ms else 0.0
-
     def to_csv(self, path: Union[str, Path]) -> None:
         """Write the per-round records as CSV for external analysis."""
         import csv

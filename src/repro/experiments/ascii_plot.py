@@ -13,8 +13,6 @@ import numpy as np
 
 __all__ = ["line_plot", "multi_series"]
 
-_LEVELS = " .:-=+*#%@"
-
 
 def line_plot(
     y: Sequence[float],

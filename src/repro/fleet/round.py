@@ -37,7 +37,6 @@ from ..engine.events import (
     CohortAccounted,
     EventBus,
     RoundCompleted,
-    ScheduleComputed,
 )
 from ..obs.prof import PROFILER
 from ..sched.base import Assignment, Scheduler, SchedulingProblem
@@ -139,17 +138,7 @@ class RoundCore:
         if int(np.count_nonzero(counts)) > self.detail_threshold:
             return assignment
         with PROFILER.phase("narrate"):
-            self.bus.emit(
-                ScheduleComputed(
-                    round_idx=round_idx,
-                    scheduler=scheduler.name,
-                    shard_counts=tuple(counts.tolist()),
-                    shard_size=self.shard_size,
-                    predicted_makespan_s=assignment.predicted_makespan_s,
-                    predicted_energy_j=assignment.predicted_energy_j,
-                    time_s=clock_s,
-                )
-            )
+            self.bus.emit(assignment.schedule_computed(round_idx, clock_s))
         return assignment
 
     def dispatch(

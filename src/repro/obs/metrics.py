@@ -7,8 +7,9 @@ charge, accuracy) and distributions (client times, round makespans):
 * :class:`Counter` — monotonically increasing totals;
 * :class:`Gauge` — a value that can move both ways;
 * :class:`Histogram` — fixed-bucket distribution plus exact quantiles
-  (raw observations are retained; simulation-scale cardinality makes
-  that cheap and keeps ``p95`` honest instead of bucket-interpolated).
+  (raw observations are all it keeps: buckets, ``_sum`` and ``_count``
+  are read from them; simulation-scale cardinality makes that cheap and
+  keeps ``p95`` honest instead of bucket-interpolated).
 
 Every instrument is described by a :class:`MetricSpec` registered in a
 module-level catalog (:func:`register_metric`), mirroring the
@@ -23,7 +24,6 @@ in this package reads a wall clock).
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -234,22 +234,43 @@ class Gauge(Metric):
 
 
 class _HistogramSeries:
-    """Bucket counts + exact observations of one label set."""
+    """The exact observations of one label set. Its cumulative bucket
+    counts, ``_sum`` and ``_count`` are read from them, never kept."""
 
-    __slots__ = ("bucket_counts", "total", "count", "observations")
+    __slots__ = ("_bounds", "observations")
 
-    def __init__(self, n_buckets: int) -> None:
-        self.bucket_counts: List[int] = [0] * n_buckets
-        self.total: float = 0.0
-        self.count: int = 0
+    def __init__(self, bounds: np.ndarray) -> None:
+        self._bounds = bounds
         self.observations: List[float] = []
+
+    @property
+    def bucket_counts(self) -> List[int]:
+        """Per bound, how many observations are within it
+        (cumulative). NumPy orders NaN after every bound, so NaN is
+        within none."""
+        outside = len(self._bounds)
+        cells = np.array(self.observations, dtype=float)
+        firsts = np.searchsorted(self._bounds, cells, side="left")
+        within = np.bincount(firsts, minlength=outside + 1).cumsum()
+        return within[:outside].tolist()
+
+    @property
+    def total(self) -> float:
+        """The observations added strictly left to right: not ``sum``,
+        which compensates from 3.12, nor a pairwise ``np.sum``."""
+        return reduce(add, self.observations, 0.0)
+
+    @property
+    def count(self) -> int:
+        return len(self.observations)
 
 
 class Histogram(Metric):
-    """Fixed-bucket distribution that also keeps raw observations.
+    """Fixed-bucket distribution that keeps its raw observations.
 
-    Buckets are cumulative upper bounds (Prometheus semantics); raw
-    values back :meth:`quantile` so dashboard percentiles are exact.
+    Buckets are cumulative upper bounds (Prometheus semantics), counted
+    from the raw values when read; the same values back
+    :meth:`quantile`, so dashboard percentiles are exact.
     """
 
     def __init__(self, spec: MetricSpec) -> None:
@@ -264,52 +285,19 @@ class Histogram(Metric):
         key = self._key(labels)
         series = self._series.get(key)
         if series is None:
-            series = _HistogramSeries(len(self.buckets))
+            series = _HistogramSeries(self._bounds)
             self._series[key] = series
         return series
 
-    def _first_bucket(self, value: float) -> int:
-        """Index of the lowest bound ``value`` is within — the bucket
-        count for a value within none (above them all, or NaN)."""
-        first = bisect_left(self.buckets, value)
-        # NaN orders before nothing, which bisect reads as "before all"
-        if first == 0 and value != value:
-            return len(self.buckets)
-        return first
-
     def observe(self, value: float, **labels: object) -> None:
-        series = self._series_of(labels)
-        counts = series.bucket_counts
-        for i in range(self._first_bucket(value), len(counts)):
-            counts[i] += 1
-        series.total += value
-        series.count += 1
-        series.observations.append(value)
+        self._series_of(labels).observations.append(value)
 
     def observe_each(
         self, values: Sequence[float], **labels: object
     ) -> None:
-        """``observe(value, **labels)`` for each value, in order: the
-        same buckets, the same left-to-right ``_sum`` (so not ``sum``,
-        which compensates from 3.12, nor a pairwise ``np.sum``), over
-        the whole column at once."""
-        if not values:
-            return  # like no observe call: no series either
-        series = self._series_of(labels)
-        outside = len(self.buckets)
-        cells = np.array(values, dtype=float)
-        # each value's first bucket (:meth:`_first_bucket`): NaN is
-        # within none, wherever ``searchsorted`` puts it
-        firsts = np.searchsorted(self._bounds, cells, side="left")
-        firsts[np.isnan(cells)] = outside
-        within = np.bincount(firsts, minlength=outside + 1).cumsum()
-        counts = series.bucket_counts
-        for i, n in enumerate(within[:outside].tolist()):
-            counts[i] += n
-        # the loop's own float additions, strictly left to right
-        series.total = reduce(add, values, series.total)
-        series.count += len(values)
-        series.observations.extend(values)
+        """``observe(value, **labels)`` for each value, in order."""
+        if values:  # none is like no observe call: no series either
+            self._series_of(labels).observations.extend(values)
 
     def count(self, **labels: object) -> int:
         series = self._series.get(self._key(labels))

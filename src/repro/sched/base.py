@@ -30,6 +30,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.schedule import Schedule
+from ..engine.events import ScheduleComputed
 
 __all__ = ["SchedulingProblem", "Assignment", "Scheduler"]
 
@@ -351,6 +352,20 @@ class Assignment:
         if isinstance(value, (int, float)):
             return float(value)
         return None
+
+    def schedule_computed(
+        self, round_idx: int, time_s: float
+    ) -> ScheduleComputed:
+        """The event announcing this allocation for ``round_idx``."""
+        return ScheduleComputed(
+            round_idx=round_idx,
+            scheduler=self.scheduler,
+            shard_counts=tuple(self.shard_counts.tolist()),
+            shard_size=self.schedule.shard_size,
+            predicted_makespan_s=self.predicted_makespan_s,
+            predicted_energy_j=self.predicted_energy_j,
+            time_s=time_s,
+        )
 
     @classmethod
     def from_schedule(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Union
 
 from ..core.accuracy_cost import AccuracyCostTracker
-from ..engine.events import EventBus, ScheduleComputed
+from ..engine.events import EventBus
 from .base import Assignment, SchedulingProblem
 from .binding import timed_schedule
 from .costs import testbed_problem
@@ -106,19 +106,7 @@ def compare(
                 )
             )
             continue
-        bus.emit(
-            ScheduleComputed(
-                round_idx=0,
-                scheduler=name,
-                shard_counts=tuple(
-                    int(k) for k in assignment.shard_counts
-                ),
-                shard_size=assignment.schedule.shard_size,
-                predicted_makespan_s=assignment.predicted_makespan_s,
-                predicted_energy_j=assignment.predicted_energy_j,
-                time_s=0.0,
-            )
-        )
+        bus.emit(assignment.schedule_computed(0, 0.0))
         rows.append(
             CompareRow(
                 scheduler=name,

@@ -130,7 +130,8 @@ def timed_schedule(
 
     Solver runtime is host cost, not virtual time: it is read off
     ``perf_counter`` (monotonic) and rides along in ``meta["solve_ms"]``
-    — written here only — for ``ScheduleComputed`` to report.
+    — written here only — for ``repro sched compare`` and
+    ``repro bench suite`` to report; no event carries it.
     """
     t0 = time.perf_counter()
     with PROFILER.phase("solve"):

@@ -52,6 +52,11 @@ _DEVICE_DELETE = re.compile(r"^/v1/devices/([^/]+)$")
 _ROUND_ROUTE = re.compile(r"^/v1/rounds/(\d+)$")
 _ROUND_CANCEL = re.compile(r"^/v1/rounds/(\d+)/cancel$")
 _MODEL_ROUTE = re.compile(r"^/v1/models/(\d+)$")
+#: the routes whose path has no id in it, each with its one method
+_LITERAL_ROUTES = (
+    ("POST", "/v1/devices/register"),
+    ("GET", "/v1/models/latest"),
+)
 #: the one ``route`` label of every request no route matched, so an
 #: unknown path or method cannot mint a new series
 _UNMATCHED_ROUTE = "unmatched"
@@ -312,8 +317,10 @@ class ServeApp:
 
     @staticmethod
     def _route_label(method: str, path: str) -> str:
-        """Collapse ids out of paths so label cardinality stays flat."""
-        if path not in ("/v1/devices/register", "/v1/models/latest"):
+        """Collapse ids out of paths so label cardinality stays flat.
+        A literal route is exempt by method *and* path: a device may be
+        named ``register``, and deleting it is still ``{id}``."""
+        if (method, path) not in _LITERAL_ROUTES:
             path = _DEVICE_ROUTE.sub("/v1/devices/{id}/heartbeat", path)
             path = _DEVICE_DELETE.sub("/v1/devices/{id}", path)
             path = _ROUND_CANCEL.sub("/v1/rounds/{id}/cancel", path)

@@ -32,7 +32,7 @@ from repro.engine.events import (
 )
 from repro.engine.telemetry import TELEMETRY_SCHEMA_VERSION, JsonlSink
 from repro.obs import ObsRecorder, render_prometheus, render_trace_json
-from repro.obs.metrics import Counter, Histogram, MetricSpec
+from repro.obs.metrics import Counter, Histogram, MetricRegistry, MetricSpec
 
 from ..engine.conftest import events_of
 
@@ -469,6 +469,7 @@ _HIST = MetricSpec(
     name="t_seconds", kind="histogram", help="h", labels=("who",),
     buckets=(0.0, 1.0, 2.5, 1e16),
 )
+_WHO = st.sampled_from(["a", "b"])
 _COUNT = MetricSpec(
     name="t_total", kind="counter", help="c", labels=("client",)
 )
@@ -493,6 +494,65 @@ class TestEachForms:
         bulk.observe_each(tuple(values), who="a")
         assert _series(bulk) == _series(one)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("observe"), _WHO, _ANY),
+                st.tuples(
+                    st.just("each"), _WHO, st.lists(_ANY, max_size=4)
+                ),
+                st.tuples(
+                    st.just("read"),
+                    _WHO,
+                    st.sampled_from(
+                        ["prom", "count", "sum", "quantile", "series"]
+                    ),
+                ),
+            ),
+            max_size=12,
+        )
+    )
+    @example(
+        steps=[
+            ("read", "a", "prom"),
+            ("observe", "a", 1.0),
+            ("read", "a", "series"),
+            ("each", "a", [NAN, 0.1, 0.2]),
+            ("read", "a", "prom"),
+            ("observe", "b", 0.3),
+            ("read", "b", "sum"),
+        ]
+    )
+    def test_reads_between_writes_change_nothing(self, steps):
+        """Scrapes between observations (serve's ``/metrics``) leave
+        the histogram as one ``observe_each`` of every value makes it."""
+        live, reference = MetricRegistry(), MetricRegistry()
+        hist, ref = live.histogram(_HIST), reference.histogram(_HIST)
+        seen = {"a": [], "b": []}
+        for op, who, arg in steps:
+            if op == "observe":
+                hist.observe(arg, who=who)
+                seen[who].append(arg)
+            elif op == "each":
+                hist.observe_each(tuple(arg), who=who)
+                seen[who].extend(arg)
+            elif arg == "prom":
+                render_prometheus(live)
+            elif arg == "count":
+                hist.count(who=who)
+            elif arg == "sum":
+                hist.sum(who=who)
+            elif arg == "quantile":
+                hist.quantile(0.5, who=who)
+            else:
+                for _, series in hist.series():
+                    _ = (series.bucket_counts, series.total, series.count)
+        for who, values in seen.items():
+            ref.observe_each(tuple(values), who=who)
+        assert _series(hist) == _series(ref)
+        assert render_prometheus(live) == render_prometheus(reference)
+
     def test_bucket_edges(self):
         hist = Histogram(_HIST)
         hist.observe_each(
@@ -503,6 +563,13 @@ class TestEachForms:
         # and 2e16 only past the last bound
         assert series.bucket_counts == [3, 4, 5, 6]
         assert series.count == 9
+
+    def test_sum_adds_left_to_right(self):
+        hist = Histogram(_HIST)
+        hist.observe_each((1e16, 1.0, -1e16), who="a")
+        hist.observe(1.0, who="a")
+        # ((1e16 + 1) - 1e16) + 1: a compensated or exact sum reads 2.0
+        assert hist.sum(who="a") == 1.0
 
 
 class TestRowPathFixes:

@@ -210,6 +210,27 @@ def test_request_counter_collapses_ids():
     assert 'route="POST /v1/devices/register"' in text
 
 
+def test_a_device_named_like_a_literal_route_keeps_the_id_label():
+    app, _ = make_app()
+    for device_id in ("register", "dev-1"):
+        status, _ = app.handle_request(
+            "POST", "/v1/devices/register", {"device_id": device_id}
+        )
+        assert status == 201
+    for device_id in ("register", "dev-1"):
+        status, _ = app.handle_request(
+            "DELETE", f"/v1/devices/{device_id}", None
+        )
+        assert status == 200
+    requests = app.metrics.counter(catalog.SERVE_REQUESTS_TOTAL)
+    deletes = {
+        labels: value
+        for labels, value in requests.series()
+        if labels[0].startswith("DELETE ")
+    }
+    assert deletes == {("DELETE /v1/devices/{id}", "200"): 2.0}
+
+
 def test_unmatched_requests_share_one_series():
     app, _ = make_app()
     register_n(app, 1)
