@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import IO, ClassVar, Dict, List, Optional, Union
 
@@ -78,8 +80,10 @@ class ConvergenceHistory:
     @property
     def total_time_s(self) -> float:
         """Wall-clock (virtual) time of the whole run: rounds are
-        synchronous, so their makespans add up."""
-        return float(sum(r.makespan_s for r in self.records))
+        synchronous, so their makespans add up — left to right, not by
+        ``sum``, which compensates from 3.12."""
+        makespans = (r.makespan_s for r in self.records)
+        return float(reduce(add, makespans, 0.0))
 
     @property
     def final_accuracy(self) -> Optional[float]:

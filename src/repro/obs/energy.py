@@ -25,6 +25,8 @@ once, here, and rendered from here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from . import catalog
@@ -121,11 +123,10 @@ class EnergyLedger:
     @property
     def total_energy_j(self) -> float:
         """Fleet-wide cumulative Joules (per-client + cohort
-        aggregates)."""
-        return (
-            sum(c.energy_j for c in self.clients.values())
-            + self.cohort_energy_j
-        )
+        aggregates), added strictly left to right: not ``sum``, which
+        compensates from 3.12, so every Python gives the same bits."""
+        clients_j = (c.energy_j for c in self.clients.values())
+        return reduce(add, clients_j, 0.0) + self.cohort_energy_j
 
     def by_client(self) -> List[ClientEnergy]:
         """Client ledgers sorted by id."""

@@ -7,9 +7,10 @@ charge, accuracy) and distributions (client times, round makespans):
 * :class:`Counter` — monotonically increasing totals;
 * :class:`Gauge` — a value that can move both ways;
 * :class:`Histogram` — fixed-bucket distribution plus exact quantiles
-  (raw observations are all it keeps: buckets, ``_sum`` and ``_count``
-  are read from them; simulation-scale cardinality makes that cheap and
-  keeps ``p95`` honest instead of bucket-interpolated).
+  (raw observations, as packed float64, are all it keeps:
+  buckets, ``_sum`` and ``_count`` are read from them; 8 bytes an
+  observation makes simulation-scale cardinality cheap and keeps
+  ``p95`` honest instead of bucket-interpolated).
 
 Every instrument is described by a :class:`MetricSpec` registered in a
 module-level catalog (:func:`register_metric`), mirroring the
@@ -24,10 +25,14 @@ in this package reads a wall clock).
 from __future__ import annotations
 
 import re
+import struct
+from array import array
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import (
+    Any,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -234,14 +239,16 @@ class Gauge(Metric):
 
 
 class _HistogramSeries:
-    """The exact observations of one label set. Its cumulative bucket
-    counts, ``_sum`` and ``_count`` are read from them, never kept."""
+    """The exact observations of one label set, packed doubles in the
+    order observed (``array('d')``: 8 bytes each, no float objects).
+    Its cumulative bucket counts, ``_sum`` and ``_count`` are read from
+    them, never kept."""
 
     __slots__ = ("_bounds", "observations")
 
     def __init__(self, bounds: np.ndarray) -> None:
         self._bounds = bounds
-        self.observations: List[float] = []
+        self.observations: "array[float]" = array("d")
 
     @property
     def bucket_counts(self) -> List[int]:
@@ -249,7 +256,7 @@ class _HistogramSeries:
         (cumulative). NumPy orders NaN after every bound, so NaN is
         within none."""
         outside = len(self._bounds)
-        cells = np.array(self.observations, dtype=float)
+        cells = np.frombuffer(self.observations, dtype=np.float64)
         firsts = np.searchsorted(self._bounds, cells, side="left")
         within = np.bincount(firsts, minlength=outside + 1).cumsum()
         return within[:outside].tolist()
@@ -281,23 +288,35 @@ class Histogram(Metric):
         self._bounds = np.array(self.buckets, dtype=float)
         self._series: Dict[LabelValues, _HistogramSeries] = {}
 
-    def _series_of(self, labels: Mapping[str, object]) -> _HistogramSeries:
+    def _add(
+        self,
+        labels: Mapping[str, object],
+        add: Callable[["array[float]", Any], None],
+        cells: Any,
+    ) -> None:
+        """``add(observations, cells)`` on the series of ``labels``."""
         key = self._key(labels)
-        series = self._series.get(key)
-        if series is None:
-            series = _HistogramSeries(self._bounds)
-            self._series[key] = series
-        return series
+        series = self._series.get(key) or _HistogramSeries(self._bounds)
+        add(series.observations, cells)  # raises before a new series is kept
+        self._series[key] = series
 
     def observe(self, value: float, **labels: object) -> None:
-        self._series_of(labels).observations.append(value)
+        """Record one real number; anything else raises ``TypeError``."""
+        self._add(labels, array.append, value)
 
     def observe_each(
         self, values: Sequence[float], **labels: object
     ) -> None:
-        """``observe(value, **labels)`` for each value, in order."""
-        if values:  # none is like no observe call: no series either
-            self._series_of(labels).observations.extend(values)
+        """``observe(value, **labels)`` for each value, in order: one
+        bulk add of the values packed at once (``struct`` packs a
+        193-cell tuple ~4x faster than ``array.extend`` unboxes it)."""
+        if not len(values):  # like no observe call: no series either
+            return
+        try:
+            packed = struct.pack(f"{len(values)}d", *values)
+        except struct.error as err:  # what observe raises for the cell
+            raise TypeError("observations must be real numbers") from err
+        self._add(labels, array.frombytes, packed)
 
     def count(self, **labels: object) -> int:
         series = self._series.get(self._key(labels))

@@ -254,12 +254,14 @@ class ObsRecorder:
         )
         # the rows' scan keeps the first of equal maxima, as max() does,
         # and starts from the round's straggler so far: a NaN cell that
-        # leads the batch must not hide a later cell above it
+        # leads the batch must not hide a later cell above it. The first
+        # cell equal to the max is the one max() kept (a NaN max is the
+        # leading cell, found by identity)
         straggler = self._round_straggler.get(batch.round_idx)
         if straggler is not None:
             client_ids = (straggler[0], *client_ids)
             total_s = (straggler[1], *total_s)
-        slowest = max(range(len(total_s)), key=total_s.__getitem__)
+        slowest = total_s.index(max(total_s))
         self._round_straggler[batch.round_idx] = (
             client_ids[slowest],
             total_s[slowest],

@@ -20,11 +20,15 @@ through :meth:`SpanBuilder.fold_columns`, and the client handlers are
 the batch handlers: a client row is folded as its one-row batch
 (:meth:`~repro.engine.events.EventColumns.of`), so a batch leaves the
 same spans as its rows by construction. Client spans stay the columns
-they arrived in: a dispatch batch is held as one block, the frozen batch
-plus how each row closed, and only :meth:`SpanBuilder.finish` builds its
-``Span`` objects, in place. On ``fleet-narrate`` (~193 clients a round)
-that keeps 78 231 objects out of the run: peak RSS ~173 → ~141 MiB, the
-span fold ~0.8 → ~0.09 ms a round; the building moved into the export.
+they arrived in: a dispatch batch is held as one block and only
+:meth:`SpanBuilder.finish` builds its ``Span`` objects, in place. A
+block keeps packed machine numbers, not the batches: the dispatch's ids
+and sample counts as int64 and, when one finish batch closes it whole,
+that batch's five span columns as float64 — 56 bytes a narrated row,
+where the two frozen batches' tuples held ~310. ``finish`` unpacks the
+same Python numbers (float64 round-trips exactly). On ``fleet-narrate``
+(~193 clients a round) that keeps 78 231 objects and both batches of
+every round out of the run; the building moved into the export.
 
 All timestamps are the engine's virtual clock. Async runs have no
 ``round_completed`` barrier; their per-version "rounds" are closed at
@@ -33,6 +37,7 @@ All timestamps are the engine's virtual clock. Async runs have no
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from itertools import count, repeat
 from typing import (
@@ -43,6 +48,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Tuple,
     Union,
@@ -94,9 +100,40 @@ class Span:
             yield from child.walk()
 
 
-#: how a client row closed: the ``ClientsFinished`` batch and row that
-#: finished it, or ``("dropped" | "unclosed", time)``
-_Close = Tuple[Union[ClientsFinished, str], float]
+class _Finish(NamedTuple):
+    """A whole-block finish's columns, unpacked from the block."""
+
+    compute_s: Tuple[float, ...]
+    comm_s: Tuple[float, ...]
+    energy_j: Tuple[float, ...]
+    battery_soc: Tuple[float, ...]
+    finish_s: Tuple[float, ...]
+
+
+#: how a client row closed: the finish columns and row that finished
+#: it, or ``("dropped" | "unclosed", time)``
+_Close = Tuple[Union[ClientsFinished, _Finish, str], float]
+
+
+#: a block's int column: int64 bytes, or the numbers themselves where
+#: one does not fit (a hand-made capture may name any integer)
+_Packed = Union[bytes, Tuple[int, ...]]
+
+
+def _int64s(cells: Tuple[int, ...]) -> _Packed:
+    """``cells`` packed as int64, or as they are if one does not fit."""
+    try:
+        return struct.pack(f"{len(cells)}q", *cells)
+    except struct.error:
+        return cells
+
+
+def _unpacked(code: str, data: _Packed) -> Tuple[Any, ...]:
+    """The Python numbers packed as ``struct`` type ``code``, bit for
+    bit (a float64 gives back the very float that was packed)."""
+    if isinstance(data, tuple):
+        return data
+    return struct.unpack(f"{len(data) // 8}{code}", data)
 
 
 def _closed(attrs: Dict[str, object], close: _Close) -> float:
@@ -119,28 +156,60 @@ def _closed(attrs: Dict[str, object], close: _Close) -> float:
 
 
 class _Block:
-    """One dispatch batch's client spans until :meth:`SpanBuilder.finish`:
-    the batch, and per row how it closed (``None`` while open), unless
-    one finish batch closed every row (``finished``)."""
+    """One dispatch batch's client spans until :meth:`SpanBuilder.finish`,
+    packed: the ids and sample counts (int64), and the rows closed one
+    by one (``closes``, by row; a row a finish batch closed keeps that
+    batch), unless one finish batch closed every row (``finished``: its
+    :class:`_Finish` columns as float64, and no batch is kept)."""
 
-    __slots__ = ("batch", "closes", "finished")
+    __slots__ = (
+        "round_idx", "time_s", "client_ids", "n_samples", "closes", "finished"
+    )
 
     def __init__(self, batch: ClientsDispatched) -> None:
-        self.batch = batch
-        self.closes: List[Optional[_Close]] = [None] * len(batch)
-        self.finished: Optional[ClientsFinished] = None
+        self.round_idx, self.time_s = batch.round_idx, batch.time_s
+        self.client_ids = _int64s(batch.client_ids)
+        self.n_samples = _int64s(batch.n_samples)
+        self.closes: Dict[int, _Close] = {}
+        self.finished: Optional[bytes] = None
+
+    def finish(self, batch: ClientsFinished) -> bool:
+        """Close every row with ``batch``, packed, if the batch is this
+        block's rows whole, no row closed yet, and every cell of its
+        span columns a number; else leave the block as it is."""
+        if self.closes or _int64s(batch.client_ids) != self.client_ids:
+            return False
+        try:  # the columns in _Finish order, packed in one call
+            self.finished = struct.pack(
+                f"{5 * len(batch)}d",
+                *batch.compute_s,
+                *batch.comm_s,
+                *batch.energy_j,
+                *batch.battery_soc,
+                *batch.finish_s,
+            )
+        except struct.error:  # a None: only a row's one-row batch holds one
+            return False
+        return True
 
     def spans(self) -> List[Span]:
         """The rows' client spans, every row closed."""
-        batch, start_s = self.batch, self.batch.time_s
-        closes: Iterable[Optional[_Close]] = self.closes
-        if self.finished is not None:
-            closes = zip(repeat(self.finished), count())
+        start_s = self.time_s
+        ids = _unpacked("q", self.client_ids)
+        closes: Iterable[Optional[_Close]]
+        if self.finished is None:
+            closes = map(self.closes.get, range(len(ids)))
+        else:
+            cells, n = _unpacked("d", self.finished), len(ids)
+            columns = (cells[k * n : (k + 1) * n] for k in range(5))
+            closes = zip(repeat(_Finish(*columns)), count())
         spans: List[Span] = []
-        rows = zip(batch.client_ids, batch.n_samples, closes)
-        for client_id, n, close in rows:
+        rows = zip(ids, _unpacked("q", self.n_samples), closes)
+        for client_id, n_samples, close in rows:
             assert close is not None, "finish() closes every open row"
-            attrs: Dict[str, object] = {"client": client_id, "n_samples": n}
+            attrs: Dict[str, object] = {
+                "client": client_id, "n_samples": n_samples
+            }
             end_s = max(start_s, _closed(attrs, close))
             spans.append(
                 Span(f"client {client_id}", "client", start_s, end_s, attrs)
@@ -165,6 +234,10 @@ class SpanBuilder:
         self._rounds: Dict[int, Span] = {}
         #: open client spans: client id -> (block, row)
         self._open_clients: Dict[int, Tuple[_Block, int]] = {}
+        #: a dispatch made while no client span was open, its rows not
+        #: yet in ``_open_clients``: a round that is one dispatch and its
+        #: finish whole never enters them one by one (:meth:`_open`)
+        self._pending: Optional[_Block] = None
         #: client blocks by the list they go in: it, and (position, block)s
         self._blocks: Dict[int, Tuple[List[Span], List[Tuple[int, _Block]]]]
         self._blocks = {}
@@ -204,6 +277,14 @@ class SpanBuilder:
             run.children.append(span)
         return span
 
+    def _open(self) -> Dict[int, Tuple[_Block, int]]:
+        """The open client spans, the pending block's rows entered."""
+        block, self._pending = self._pending, None
+        if block is not None:
+            ids = _unpacked("q", block.client_ids)
+            self._open_clients.update(zip(ids, zip(repeat(block), count())))
+        return self._open_clients
+
     # -- per-kind handlers (reached through :meth:`fold`) ------------------
     def _on_client_dispatched(self, event: ClientDispatched) -> None:
         self._on_clients_dispatched(ClientsDispatched.of(event))
@@ -216,9 +297,9 @@ class SpanBuilder:
         self._blocks.setdefault(id(children), (children, []))[1].append(
             (len(children), block)
         )
-        open_clients = self._open_clients
-        if len(set(ids)) == len(ids) and open_clients.keys().isdisjoint(ids):
-            open_clients.update(zip(ids, zip(repeat(block), count())))
+        open_clients = self._open()
+        if not open_clients and len(set(ids)) == len(ids):
+            self._pending = block
             return
         for row, client_id in enumerate(ids):
             displaced = open_clients.get(client_id)
@@ -234,7 +315,7 @@ class SpanBuilder:
     ) -> None:
         """Close the client's span as ``close`` says; the caller has
         touched the run at its time."""
-        entry = self._open_clients.pop(client_id, None)
+        entry = self._open().pop(client_id, None)
         if entry is not None:
             block, row = entry
             block.closes[row] = close
@@ -253,11 +334,15 @@ class SpanBuilder:
 
     def _on_clients_finished(self, batch: ClientsFinished) -> None:
         self._touch(*batch.finish_s)
-        ids, open_clients = batch.client_ids, self._open_clients
+        # the common case: the pending dispatch finished whole
+        if self._pending is not None and self._pending.finish(batch):
+            self._pending = None
+            return
+        # any other dispatch finished whole, every row open (a row's
+        # one-row batch while others are in flight)
+        ids, open_clients = batch.client_ids, self._open()
         block, _ = open_clients.get(ids[0], (None, 0))
-        # the common case: one dispatch finished whole, every row open
-        if block and block.batch.client_ids == ids and not any(block.closes):
-            block.finished = batch
+        if block and block.finish(batch):
             for client_id in ids:
                 del open_clients[client_id]
             return
@@ -304,8 +389,8 @@ class SpanBuilder:
             span.attrs["accuracy"] = event.accuracy
         # clients the barrier outlived (e.g. a drop narrated without a
         # finish) close with the round
-        for client_id, (block, row) in list(self._open_clients.items()):
-            if block.batch.round_idx == round_idx:
+        for client_id, (block, row) in list(self._open().items()):
+            if block.round_idx == round_idx:
                 block.closes[row] = ("unclosed", time_s)
                 del self._open_clients[client_id]
 
@@ -417,7 +502,7 @@ class SpanBuilder:
         if self._run is None:
             return []
         if not self._finished:
-            for block, row in self._open_clients.values():
+            for block, row in self._open().values():
                 block.closes[row] = ("unclosed", self._last_time_s)
             self._open_clients.clear()
             # each block becomes its client spans where it was appended

@@ -11,7 +11,9 @@ from repro.device.registry import make_device
 from repro.engine.events import ClientDropped, EventBus, RoundCompleted
 from repro.engine.telemetry import (
     TELEMETRY_SCHEMA_VERSION,
+    ConvergenceHistory,
     JsonlSink,
+    RoundRecord,
     read_jsonl,
     read_jsonl_meta,
 )
@@ -378,3 +380,14 @@ class TestMembershipAttribution:
                 "time_s": 7.0,
             }
         ]
+
+
+def test_total_time_adds_left_to_right():
+    """``(1e16 + 1) + 1`` rounds to 1e16 at each add; the compensated
+    ``sum`` of 3.12 keeps the 2 and reads 1.0000000000000002e16."""
+    history = ConvergenceHistory()
+    for i, makespan_s in enumerate((1e16, 1.0, 1.0)):
+        history.append(
+            RoundRecord(i, makespan_s, makespan_s, None, 1, np.zeros(1))
+        )
+    assert history.total_time_s == 1e16

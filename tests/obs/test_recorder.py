@@ -411,3 +411,13 @@ class TestOneFold:
         assert rec.event_counts() == {"future_kind": 1}
         assert rec.metrics.gauge(catalog.CLOCK_SECONDS).value() is None
         assert rec.finish_spans() == []
+
+
+def test_ledger_total_adds_left_to_right():
+    """``(1e16 + 1) - 1e16`` is 0.0 added in order; the compensated
+    ``sum`` of 3.12 reads 1.0, so CI's Python legs would disagree."""
+    ledger = ObsRecorder().energy
+    ledger.on_clients_finished(
+        (0, 1, 2), (1.0, 1.0, 1.0), (1e16, 1.0, -1e16), (None,) * 3
+    )
+    assert ledger.total_energy_j == 0.0
