@@ -49,7 +49,7 @@ class BatteryState:
         zero (the device would have shut down — callers can check
         :attr:`soc`).
         """
-        if power_w < 0 or dt < 0:
+        if not (power_w >= 0 and dt >= 0):
             raise ValueError("power and dt must be non-negative")
         need = power_w * dt
         if need > self._energy_j:

@@ -14,6 +14,7 @@ paper's canonical straggler (Observation 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -56,12 +57,10 @@ class ThermalState:
         sustained-load stopwatch: idle periods long enough to cool the
         die to near ambient reset it (the throttling episode ends).
         """
-        if dt < 0:
+        if not dt >= 0:
             raise ValueError("dt must be non-negative")
-        if power_w < 0:
+        if not power_w >= 0:
             raise ValueError("power must be non-negative")
-        import math
-
         t_ss = self.spec.ambient_c + self.spec.r_thermal_c_per_w * power_w
         decay = math.exp(-dt / self.spec.tau_s)
         self.temp_c = t_ss + (self.temp_c - t_ss) * decay

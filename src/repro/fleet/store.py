@@ -62,6 +62,8 @@ import numpy as np
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
+    from ..models.network import Sequential
+
 __all__ = [
     "DeviceClass",
     "FleetStore",
@@ -684,6 +686,17 @@ DEFAULT_CLASS_LINKS: Dict[str, str] = {
 _PROBE_SIZES: Tuple[float, float] = (1000.0, 9000.0)
 
 
+def _network(model: object) -> Sequential:
+    """``model`` itself when it is a ``Sequential``, else the zoo model
+    of that name on MNIST's shape."""
+    from ..models.network import Sequential
+    from ..models.zoo import MNIST_SHAPE, build_model
+
+    if isinstance(model, Sequential):
+        return model
+    return build_model(str(model), input_shape=MNIST_SHAPE)
+
+
 def device_class_from_name(
     name: str,
     model: object = "lenet",
@@ -699,16 +712,10 @@ def device_class_from_name(
     and link presets.
     """
     from ..device.registry import build_spec
-    from ..models.network import Sequential
-    from ..models.zoo import MNIST_SHAPE, build_model
     from ..network.link import LINK_PRESETS
     from ..sched.costs import cached_energy_curves, cached_time_curves
 
-    net = (
-        model
-        if isinstance(model, Sequential)
-        else build_model(str(model), input_shape=MNIST_SHAPE)
-    )
+    net = _network(model)
     (time_curve,) = cached_time_curves([name], net, batch_size=batch_size)
     (energy_curve,) = cached_energy_curves(
         [name], net, batch_size=batch_size
@@ -745,13 +752,15 @@ def default_device_classes(
     batch_size: int = 20,
     links: Optional[Mapping[str, str]] = None,
 ) -> Tuple[DeviceClass, ...]:
-    """The paper's four phones as fleet classes (name-sorted)."""
+    """The paper's four phones as fleet classes (name-sorted), sharing
+    one build of the model."""
     link_of = dict(DEFAULT_CLASS_LINKS)
     if links:
         link_of.update(links)
+    net = _network(model)
     return tuple(
         device_class_from_name(
-            name, model=model, link=link_of[name], batch_size=batch_size
+            name, model=net, link=link_of[name], batch_size=batch_size
         )
         for name in sorted(link_of)
     )

@@ -10,9 +10,7 @@ cold start and its virtual wall time recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from ..device.device import MobileDevice
 from ..device.workload import TrainingWorkload
@@ -33,6 +31,21 @@ class ProfileMeasurement:
     time_s: float
 
 
+def _whole_sizes(data_sizes: Sequence[float]) -> Tuple[int, ...]:
+    """The data sizes as sample counts. Python or NumPy integers and
+    integral floats pass; ``ValueError`` names any size that is not a
+    whole number >= 1, so a fit never runs on counts it did not
+    simulate."""
+    if not len(data_sizes):
+        raise ValueError("need at least one data size")
+    bad = [d for d in data_sizes if not (d >= 1 and float(d).is_integer())]
+    if bad:
+        raise ValueError(
+            f"data sizes must be whole numbers of samples >= 1, not {bad}"
+        )
+    return tuple(int(d) for d in data_sizes)
+
+
 def measure_grid(
     device: MobileDevice,
     models: Sequence[Sequential],
@@ -49,18 +62,17 @@ def measure_grid(
     """
     if not models:
         raise ValueError("need at least one model to profile")
-    if not data_sizes or any(d <= 0 for d in data_sizes):
-        raise ValueError("data sizes must be positive")
+    sizes = _whole_sizes(data_sizes)
     out: List[ProfileMeasurement] = []
     for model in models:
         split = model.param_split()
         flops = model_training_flops(model)
-        for d in data_sizes:
+        for d in sizes:
             if cold_start:
                 device.reset()
             workload = TrainingWorkload(
                 flops_per_sample=flops,
-                n_samples=int(d),
+                n_samples=d,
                 batch_size=batch_size,
                 model_name=model.name,
             )
@@ -70,7 +82,7 @@ def measure_grid(
                     model_name=model.name,
                     conv_params=split.conv,
                     dense_params=split.dense,
-                    n_samples=int(d),
+                    n_samples=d,
                     time_s=trace.total_time_s,
                 )
             )

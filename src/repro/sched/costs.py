@@ -7,17 +7,23 @@ Turns calibrated phones into the cost rows a
 
 * **time** — ``T_j(n_samples)`` bootstrapped from the device simulator
   (the paper's online profiling path);
-* **energy** — affine ``E_j(n_samples)`` Joules fitted through a few
-  simulated cold-start anchor runs (:func:`repro.device.energy
-  .energy_for_samples`; training energy is affine in data size to very
-  good approximation, like time).
+* **energy** — affine ``E_j(n_samples)`` Joules least-squares fitted
+  through the cold-start runs at a few anchor sizes
+  (:func:`repro.device.energy.energy_for_samples`; training energy is
+  affine in data size to very good approximation, like time).
 
-Curves are cached per phone on what a profiling run depends on (the
-model's training FLOPs per sample, the sizes, the batch). Both builders
-emit the class form: a testbed (:func:`testbed_problem`) has one row per
-distinct phone name, a fleet cohort (:func:`fleet_problem`) one per
-device class (:func:`fleet_class_matrices`) — a users x shards matrix
-is never built.
+Both fits read one profile, a table of cells: one cold-start run of a
+jitter-free phone per (phone, training FLOPs per sample, size, batch),
+whose trace carries both its seconds and its Joules, so an anchor size
+that lies on the time grid costs no second simulation. Curves are
+cached per phone on the same key with the whole grid in place of one
+size.
+
+Both builders emit the class form: a testbed (:func:`testbed_problem`)
+has one row per distinct phone name, a fleet cohort
+(:func:`fleet_problem`) one per device class
+(:func:`fleet_class_matrices`) — a users x shards matrix is never
+built.
 """
 
 from __future__ import annotations
@@ -37,14 +43,16 @@ from typing import (
 import numpy as np
 
 from ..core.baselines import mean_cpu_freq_per_core
-from ..device.device import MobileDevice
+from ..device.device import MobileDevice, TrainingTrace
 from ..device.energy import energy_for_samples
-from ..device.registry import build_spec, make_device
+from ..device.registry import build_spec
+from ..device.workload import TrainingWorkload
 from ..models.flops import model_training_flops
 from ..models.network import Sequential
 from ..models.zoo import CIFAR_SHAPE, MNIST_SHAPE, build_model
 from ..obs.prof import PROFILER
 from ..profiling.profiler import Curve, bootstrap_curve, curve_rows
+from ..profiling.trace import _whole_sizes
 from .base import SchedulingProblem
 
 if TYPE_CHECKING:
@@ -80,6 +88,11 @@ DATASET_SHAPES: Dict[str, Tuple[int, int, int]] = {
 
 _CurveKey = Tuple[object, ...]
 
+#: the profile's cells: one cold-start run per (phone, training FLOPs
+#: per sample, size, batch). The model's name only labels the trace, so
+#: the FLOPs, not the name, tell two models apart
+_CELLS: Dict[Tuple[str, float, int, int], TrainingTrace] = {}
+
 _TIME_CACHE: Dict[_CurveKey, Curve] = {}
 _ENERGY_CACHE: Dict[_CurveKey, Curve] = {}
 
@@ -96,10 +109,36 @@ _FLEET_MATRIX_CACHE: Dict[
 
 
 def clear_cost_cache() -> None:
-    """Drop all cached curves and class matrices (test isolation)."""
+    """Drop all profiled cells, cached curves and class matrices (test
+    isolation)."""
+    _CELLS.clear()
     _TIME_CACHE.clear()
     _ENERGY_CACHE.clear()
     _FLEET_MATRIX_CACHE.clear()
+
+
+class _ProfiledPhone(MobileDevice):
+    """A jitter-free phone whose every run is a cold start, simulated
+    once per cell of :data:`_CELLS` and replayed after that (``record``
+    is ignored: a cell keeps only its totals)."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__(build_spec(name), jitter=0.0)
+
+    def run_workload(
+        self, workload: TrainingWorkload, record: bool = True
+    ) -> TrainingTrace:
+        key = (
+            self.spec.name,
+            workload.flops_per_sample,
+            workload.n_samples,
+            workload.batch_size,
+        )
+        if key not in _CELLS:
+            with PROFILER.phase("profile"):
+                self.reset()
+                _CELLS[key] = super().run_workload(workload, record=False)
+        return _CELLS[key]
 
 
 def _profiled(
@@ -110,16 +149,18 @@ def _profiled(
     data_sizes: Sequence[int],
     batch_size: int,
 ) -> List[Curve]:
-    """``fit`` once per phone, on a fresh jitter-free device, cached on
-    what the run depends on: the phone, the model's training FLOPs per
-    sample, the sizes and the batch. The model's name only labels the
-    trace, so the FLOPs, not the name, tell two models apart."""
-    sizes = tuple(int(d) for d in data_sizes)
-    shared = (model.name, model_training_flops(model), sizes, batch_size)
+    """``fit`` once per phone on a :class:`_ProfiledPhone`, so a cell
+    the time and the energy grids share is simulated once, cached on
+    the phone, the model's training FLOPs per sample, the sizes and the
+    batch. Raises ``ValueError`` naming any size that is not a whole
+    number of samples >= 1."""
+    sizes = _whole_sizes(data_sizes)
+    shared = (model_training_flops(model), sizes, batch_size)
     for name in device_names:
         if (name, *shared) not in cache:
-            device = make_device(name, jitter=0.0)
-            cache[(name, *shared)] = fit(device, model, data_sizes, batch_size)
+            cache[(name, *shared)] = fit(
+                _ProfiledPhone(name), model, sizes, batch_size
+            )
     return [cache[(name, *shared)] for name in device_names]
 
 
@@ -133,7 +174,7 @@ def _energy_curve(
     intercept clamped at zero."""
     x = np.array([float(d) for d in data_sizes])
     y = np.array(
-        [energy_for_samples(device, model, int(d), batch_size=batch_size) for d in data_sizes]
+        [energy_for_samples(device, model, d, batch_size=batch_size) for d in data_sizes]
     )
     slope, intercept = np.polyfit(x, y, 1)
     return Curve(max(float(intercept), 0.0), max(float(slope), 0.0), floor=0.0)
@@ -147,7 +188,7 @@ def cached_time_curves(
 ) -> List[Curve]:
     """Bootstrap (or fetch cached) ``T_j(n_samples)`` curves.
 
-    Profiling runs on fresh, jitter-free device instances so the curve
+    Profiling runs jitter-free cold starts, one per cell, so the curve
     is deterministic per phone model. This is the only profile cache:
     the engine binding, the fleet classes and the paper's tables
     (:mod:`repro.experiments`) all read their curves here.
@@ -164,7 +205,8 @@ def cached_energy_curves(
     data_sizes: Sequence[int] = DEFAULT_ENERGY_SIZES,
     batch_size: int = 20,
 ) -> List[Curve]:
-    """Affine ``E_j(n_samples)`` Joule curves from simulated anchors."""
+    """Affine ``E_j(n_samples)`` Joule curves fitted through the same
+    profile cells as the time curves."""
     return _profiled(
         _ENERGY_CACHE, _energy_curve, device_names, model, data_sizes,
         batch_size,

@@ -44,3 +44,11 @@ class TestBattery:
     def test_negative_drain_rejected(self, battery):
         with pytest.raises(ValueError):
             battery.drain(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("power_w, dt", [(float("nan"), 1.0), (1.0, float("nan"))])
+def test_nan_drain_rejected_and_charge_kept(battery, power_w, dt):
+    """NaN fails the non-negative guard instead of slipping past it."""
+    with pytest.raises(ValueError, match="power and dt must be non-negative"):
+        battery.drain(power_w, dt)
+    assert battery.soc == 1.0

@@ -150,3 +150,18 @@ class TestSustainedTrips:
         st.update(5.0, 50.0, loaded=True)
         st.update(5.0, 1.0, loaded=False)  # still hot
         assert st.load_time_s == pytest.approx(50.0)
+
+
+@pytest.mark.parametrize(
+    "power_w, dt, message",
+    [
+        (float("nan"), 0.5, "power must be non-negative"),
+        (1.0, float("nan"), "dt must be non-negative"),
+    ],
+)
+def test_nan_update_rejected_and_temperature_kept(power_w, dt, message):
+    """NaN fails the non-negative guards instead of slipping past them."""
+    st = make_state()
+    with pytest.raises(ValueError, match=message):
+        st.update(power_w, dt)
+    assert st.temp_c == 25.0
