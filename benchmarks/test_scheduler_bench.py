@@ -5,7 +5,8 @@ independent of the cost-matrix width — so it must stay fast at fleet
 scale (n = 1000 users). The MinEnergy DP is exact but O(n D^2); its pin
 is a testbed-scale budget documenting where it is meant to be used.
 Fed-LBAP's selection is checked against a plain threshold bisection at
-a size no tier-1 test reaches (1 000 distinct dipping rows).
+sizes no tier-1 test reaches: 1 000 distinct dipping rows, and 512
+distinct affine rows with and without capacities.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_scheduler_bench.py -s``.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 from repro.core.lbap import fed_lbap
 from repro.sched import SchedulingProblem, get_scheduler
@@ -110,6 +112,47 @@ class TestFedLbapAtSize:
         counts = schedule.shard_counts
         assert int(counts.sum()) == total
         assert ((counts >= 0) & (counts <= caps)).all()
+
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_512_distinct_affine_rows(self, capped):
+        """512 users on 512 distinct affine rows x 1 100 cells, as a
+        cohort whose every device has its own row: ``c*`` is the value
+        a plain threshold bisection over ``np.unique(rows)`` finds, and
+        the counts fill D within the capacities."""
+        rng = np.random.default_rng(512)
+        n, s = 512, 1100
+        k = np.arange(1, s + 1)
+        rows = rng.uniform(0.5, 3.0, (n, 1)) + rng.uniform(0.05, 1.0, (n, 1)) * k
+        row_of = np.arange(n)
+        caps = np.full(n, s)
+        if capped:
+            caps = rng.integers(0, s + 1, n)
+        total = s
+
+        def feasible(threshold):
+            counts = [np.searchsorted(row, threshold, side="right") for row in rows]
+            return int(np.minimum(counts, caps).sum()) >= total
+
+        values = np.unique(rows)
+        lo, hi = 0, len(values) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if feasible(values[mid]):
+                hi = mid
+            else:
+                lo = mid + 1
+
+        given = caps if capped else None
+        fed_lbap(rows, total, 1, given, row_of)
+        t0 = time.perf_counter()
+        schedule, c_star = fed_lbap(rows, total, 1, given, row_of)
+        elapsed = time.perf_counter() - t0
+        label = "capped" if capped else "uncapped"
+        print(f"\nFed-LBAP 512 affine rows x 1100, {label}: {elapsed * 1e3:.1f} ms")
+        assert c_star.hex() == float(values[lo]).hex()
+        counts = schedule.shard_counts
+        assert int(counts.sum()) == total
+        assert (counts <= caps).all()
 
 
 class TestMinEnergyBudget:

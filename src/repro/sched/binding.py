@@ -108,12 +108,26 @@ def restrict_problem(
     frozen cost rows and the row index with ``problem``
     (:meth:`SchedulingProblem.with_capacities`).
 
-    Raises ``RuntimeError`` when the eligible users cannot absorb the
-    shard budget.
+    Raises ``ValueError`` when an entry of ``eligible`` is not a user
+    index (negative, ``>= n_users`` or not an integer), and
+    ``RuntimeError`` when the eligible users cannot absorb the shard
+    budget.
     """
+    index = np.asarray(list(eligible))
+    if index.size and (index.ndim != 1 or index.dtype.kind not in "iu"):
+        raise ValueError(
+            "eligible must be a sequence of integer user indices, "
+            f"got {index.dtype} of shape {index.shape}"
+        )
+    outside = index[(index < 0) | (index >= problem.n_users)]
+    if outside.size:
+        raise ValueError(
+            f"eligible users {outside.tolist()} are not in "
+            f"[0, {problem.n_users})"
+        )
     caps = problem.effective_capacities().copy()
     mask = np.zeros(problem.n_users, dtype=bool)
-    mask[list(eligible)] = True
+    mask[index.astype(np.int64)] = True
     caps[~mask] = 0
     if int(caps.sum()) < problem.total_shards:
         raise RuntimeError(
