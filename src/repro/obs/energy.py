@@ -181,12 +181,12 @@ class _ClientSeries(Metric):
 
 
 class _ClientCounter(_ClientSeries, Counter):
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
+    def _inc_at(self, key: LabelValues, amount: float) -> None:
         raise self._read_only()
 
 
 class _ClientGauge(_ClientSeries, Gauge):
-    def set(self, value: float, **labels: object) -> None:
+    def _set_at(self, key: LabelValues, value: float) -> None:
         raise self._read_only()
 
 

@@ -33,6 +33,7 @@ from operator import add
 from typing import (
     Any,
     Callable,
+    ClassVar,
     Dict,
     Iterator,
     List,
@@ -163,7 +164,15 @@ def available_metrics() -> Tuple[str, ...]:
 
 
 class Metric:
-    """Shared base: spec binding plus label validation."""
+    """Shared base: spec binding plus label validation.
+
+    Each instrument kind has one keyed write (``_inc_at``, ``_set_at``,
+    ``_observe_at``) that every write form reaches: the keyword form
+    resolves its key per call, a :meth:`labels` child once.
+    """
+
+    #: the handle :meth:`labels` returns
+    _child: ClassVar[type]
 
     def __init__(self, spec: MetricSpec) -> None:
         self.spec = spec
@@ -186,9 +195,60 @@ class Metric:
             f"{self.spec.labels}, got {tuple(sorted(labels))}"
         )
 
+    def labels(self, **values: object) -> Any:
+        """A handle on the series of one label set, validated once here
+        and then written without key work. Binding makes no series: an
+        instrument keeps one only once a write through it succeeded."""
+        return self._child(self, self._key(values))
+
+
+class _Child:
+    """One series of an instrument, its key resolved once (see
+    :meth:`Metric.labels`); every write goes to the instrument's keyed
+    write with that key."""
+
+    __slots__ = ("_metric", "_at")
+
+    def __init__(self, metric: Any, key: LabelValues) -> None:
+        self._metric = metric
+        self._at = key
+
+
+class CounterChild(_Child):
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        self._metric._inc_at(self._at, amount)
+
+
+class GaugeChild(_Child):
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        self._metric._set_at(self._at, value)
+
+
+class HistogramChild(_Child):
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        self._metric._observe_at(self._at, value)
+
+
+def _real(value: Any) -> float:
+    """``value`` as a float, read as ``array('d')`` reads a cell: through
+    ``__float__`` or ``__index__`` (NumPy scalars too). ``float()``
+    would also parse text; here text is not a number."""
+    kind = type(value)
+    if hasattr(kind, "__float__") or hasattr(kind, "__index__"):
+        return float(value)
+    raise TypeError(f"a gauge holds real numbers, not {kind.__name__}")
+
 
 class Counter(Metric):
     """Monotonically increasing total, one series per label set."""
+
+    _child = CounterChild
 
     def __init__(self, spec: MetricSpec) -> None:
         super().__init__(spec)
@@ -199,11 +259,14 @@ class Counter(Metric):
         read-through subclass computes it instead of holding it)."""
         return self._values
 
+    def _inc_at(self, key: LabelValues, amount: float) -> None:
+        if not amount >= 0:  # NaN too: it would stick to the series
+            raise ValueError("counters only go up, by a number >= 0")
+        values = self._values
+        values[key] = values.get(key, 0.0) + amount
+
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        key = self._key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
+        self._inc_at(self._key(labels), amount)
 
     def value(self, **labels: object) -> float:
         return self._table().get(self._key(labels), 0.0)
@@ -220,6 +283,8 @@ class Counter(Metric):
 class Gauge(Metric):
     """Last-write-wins level, one series per label set."""
 
+    _child = GaugeChild
+
     def __init__(self, spec: MetricSpec) -> None:
         super().__init__(spec)
         self._values: Dict[LabelValues, float] = {}
@@ -228,8 +293,12 @@ class Gauge(Metric):
         """Every series' level by key (see :meth:`Counter._table`)."""
         return self._values
 
+    def _set_at(self, key: LabelValues, value: float) -> None:
+        self._values[key] = _real(value)
+
     def set(self, value: float, **labels: object) -> None:
-        self._values[self._key(labels)] = float(value)
+        """Record a real number; anything else raises ``TypeError``."""
+        self._set_at(self._key(labels), value)
 
     def value(self, **labels: object) -> Optional[float]:
         return self._table().get(self._key(labels))
@@ -280,6 +349,8 @@ class Histogram(Metric):
     :meth:`quantile`, so dashboard percentiles are exact.
     """
 
+    _child = HistogramChild
+
     def __init__(self, spec: MetricSpec) -> None:
         super().__init__(spec)
         self.buckets: Tuple[float, ...] = (
@@ -288,21 +359,23 @@ class Histogram(Metric):
         self._bounds = np.array(self.buckets, dtype=float)
         self._series: Dict[LabelValues, _HistogramSeries] = {}
 
-    def _add(
+    def _add_at(
         self,
-        labels: Mapping[str, object],
+        key: LabelValues,
         add: Callable[["array[float]", Any], None],
         cells: Any,
     ) -> None:
-        """``add(observations, cells)`` on the series of ``labels``."""
-        key = self._key(labels)
+        """``add(observations, cells)`` on the series at ``key``."""
         series = self._series.get(key) or _HistogramSeries(self._bounds)
         add(series.observations, cells)  # raises before a new series is kept
         self._series[key] = series
 
+    def _observe_at(self, key: LabelValues, value: float) -> None:
+        self._add_at(key, array.append, value)
+
     def observe(self, value: float, **labels: object) -> None:
         """Record one real number; anything else raises ``TypeError``."""
-        self._add(labels, array.append, value)
+        self._observe_at(self._key(labels), value)
 
     def observe_each(
         self, values: Sequence[float], **labels: object
@@ -316,7 +389,7 @@ class Histogram(Metric):
             packed = struct.pack(f"{len(values)}d", *values)
         except struct.error as err:  # what observe raises for the cell
             raise TypeError("observations must be real numbers") from err
-        self._add(labels, array.frombytes, packed)
+        self._add_at(self._key(labels), array.frombytes, packed)
 
     def count(self, **labels: object) -> int:
         series = self._series.get(self._key(labels))

@@ -53,6 +53,7 @@ from typing import (
 )
 
 from ..engine.events import (
+    EVENT_TYPES,
     META_KIND,
     ClientDispatched,
     ClientDropped,
@@ -162,7 +163,13 @@ class ObsRecorder:
 
         m = self.metrics
         self._events_total = m.counter(catalog.EVENTS_TOTAL)
-        self._clock = m.gauge(catalog.CLOCK_SECONDS)
+        #: one bound series per event kind (every typed event's kind is
+        #: declared; a replayed undeclared kind takes the keyword form)
+        self._events_of = {
+            kind: self._events_total.labels(kind=kind)
+            for kind in EVENT_TYPES
+        }
+        self._clock = m.gauge(catalog.CLOCK_SECONDS).labels()
         self._rounds_total = m.counter(catalog.ROUNDS_TOTAL)
         self._round_makespan = m.histogram(catalog.ROUND_MAKESPAN_SECONDS)
         self._round_mean = m.gauge(catalog.ROUND_MEAN_TIME_SECONDS)
@@ -203,7 +210,7 @@ class ObsRecorder:
         with PROFILER.phase("fold"):
             kind = event.kind
             self.n_events += 1
-            self._events_total.inc(kind=kind)
+            self._events_of[kind].inc()
             time_s = getattr(event, "time_s", None)
             if isinstance(time_s, (int, float)):
                 self._clock.set(time_s)
@@ -228,7 +235,7 @@ class ObsRecorder:
             return
         with PROFILER.phase("fold"):
             self.n_events += n
-            self._events_total.inc(n, kind=kind)
+            self._events_of[kind].inc(n)
             handler(self, batch)
             if self.spans is not None:
                 self.spans.fold_columns(batch)

@@ -21,14 +21,22 @@ import json
 import re
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from ..engine.events import EventBus
 from ..engine.telemetry import TELEMETRY_SCHEMA_VERSION
 from ..fleet.store import FleetStore, synthetic_fleet
 from ..obs import ObsRecorder, render_prometheus
 from ..obs import catalog
-from ..obs.metrics import MetricRegistry
+from ..obs.metrics import CounterChild, HistogramChild, MetricRegistry
 from ..obs.prof import PROFILER, fold_profile
 from .clock import NowFn, now as wall_now
 from .coordinator import RoundJob, TrainingCoordinator
@@ -41,25 +49,21 @@ from .schemas import (
     SchemaError,
 )
 
-__all__ = ["ServeConfig", "ServeApp", "Response"]
+__all__ = ["ServeConfig", "ServeApp", "Response", "ROUTE_LABELS"]
 
 #: ``handle_request`` result: HTTP status + JSON-able payload (or the
 #: raw exposition text for ``/metrics``)
 Response = Tuple[int, Union[Dict[str, object], str]]
 
-_DEVICE_ROUTE = re.compile(r"^/v1/devices/([^/]+)/heartbeat$")
-_DEVICE_DELETE = re.compile(r"^/v1/devices/([^/]+)$")
-_ROUND_ROUTE = re.compile(r"^/v1/rounds/(\d+)$")
-_ROUND_CANCEL = re.compile(r"^/v1/rounds/(\d+)/cancel$")
-_MODEL_ROUTE = re.compile(r"^/v1/models/(\d+)$")
-#: the routes whose path has no id in it, each with its one method
-_LITERAL_ROUTES = (
-    ("POST", "/v1/devices/register"),
-    ("GET", "/v1/models/latest"),
-)
 #: the one ``route`` label of every request no route matched, so an
 #: unknown path or method cannot mint a new series
 _UNMATCHED_ROUTE = "unmatched"
+
+#: a request body as the handlers take it (``{}`` when there was none)
+Body = Mapping[str, object]
+#: what a route does: ``(app, id, body) → response``; ``id`` is what the
+#: route's ``{…}`` matched ("" on a literal path)
+Handler = Callable[["ServeApp", str, Body], Response]
 
 
 @dataclass(frozen=True)
@@ -114,6 +118,12 @@ class ServeApp:
         self._request_latency = self.metrics.histogram(
             catalog.SERVE_REQUEST_LATENCY_SECONDS
         )
+        #: the request counter's and latency's bound series per (route
+        #: label, status): the labels are the route table's and
+        #: ``unmatched``, so the handles are as few
+        self._bound: Dict[
+            Tuple[str, int], Tuple[CounterChild, HistogramChild]
+        ] = {}
         #: profiler samples already folded into the scrape surface
         self._prof_folded = 0
         self.fleet = (
@@ -197,16 +207,17 @@ class ServeApp:
         # simulated service clock (a ManualClock would report zero)
         with PROFILER.phase("request"):
             t0 = perf_counter()
-            routed = self._route(method, path, body)
+            status, payload, route = self._route(method, path, body)
             elapsed_s = perf_counter() - t0
-        if routed is not None:
-            status, payload = routed
-            route = self._route_label(method, path)
-        else:
-            status, payload = 404, {"error": f"no route {method} {path}"}
-            route = _UNMATCHED_ROUTE
-        self._requests_total.inc(route=route, code=status)
-        self._request_latency.observe(elapsed_s, route=route)
+        bound = self._bound.get((route, status))
+        if bound is None:
+            bound = self._bound[route, status] = (
+                self._requests_total.labels(route=route, code=status),
+                self._request_latency.labels(route=route),
+            )
+        counted, timed = bound
+        counted.inc()
+        timed.observe(elapsed_s)
         return status, payload
 
     def _route(
@@ -214,86 +225,94 @@ class ServeApp:
         method: str,
         path: str,
         body: Optional[Mapping[str, object]],
-    ) -> Optional[Response]:
-        """The matched route's response; ``None`` when nothing matched."""
-        payload: Mapping[str, object] = body if body is not None else {}
+    ) -> Tuple[int, Union[Dict[str, object], str], str]:
+        """The matched route's response and its ``route`` label."""
+        found = _LITERALS.get((method, path))
+        arg = ""
+        if found is None:
+            for pattern, handler, label in _PATTERNS.get(method, ()):
+                matched = pattern.match(path)
+                if matched is not None:
+                    found, arg = (handler, label), matched.group(1)
+                    break
+            else:
+                error = {"error": f"no route {method} {path}"}
+                return 404, error, _UNMATCHED_ROUTE
+        handler, label = found
         try:
-            if method == "POST" and path == "/v1/devices/register":
-                req = RegisterRequest.from_dict(payload)
-                record = self.registry.register(
-                    req.device_id,
-                    data_size=req.data_size,
-                    battery_soc=req.battery_soc,
-                )
-                return 201, record.to_dict()
-            heartbeat = _DEVICE_ROUTE.match(path)
-            if method == "POST" and heartbeat is not None:
-                hb = HeartbeatRequest.from_dict(payload)
-                device_id = heartbeat.group(1)
-                lag_s = self.registry.heartbeat(
-                    device_id, battery_soc=hb.battery_soc
-                )
-                record = self.registry.get(device_id)
-                return 200, {
-                    "device_id": device_id,
-                    "state": record.state,
-                    "lag_s": lag_s,
-                }
-            delete = _DEVICE_DELETE.match(path)
-            if method == "DELETE" and delete is not None:
-                record = self.registry.deregister(delete.group(1))
-                return 200, record.to_dict()
-            if method == "GET" and path == "/v1/devices":
-                return 200, {
-                    "counts": self.registry.counts(),
-                    "devices": self.registry.snapshot(),
-                }
-            if method == "POST" and path == "/v1/rounds":
-                req_round = RoundRequest.from_dict(payload)
-                job = self.submit_round(
-                    scheduler=req_round.scheduler,
-                    cohort_size=req_round.cohort_size,
-                )
-                return 202, job.to_dict()
-            round_get = _ROUND_ROUTE.match(path)
-            if method == "GET" and round_get is not None:
-                job_got = self.jobs.get(int(round_get.group(1)))
-                if job_got is None:
-                    return 404, {"error": "unknown round"}
-                return 200, job_got.to_dict()
-            cancel = _ROUND_CANCEL.match(path)
-            if method == "POST" and cancel is not None:
-                job_c = self.jobs.get(int(cancel.group(1)))
-                if job_c is None:
-                    return 404, {"error": "unknown round"}
-                if job_c.status in ("completed", "failed", "cancelled"):
-                    return 409, {
-                        "error": f"round already {job_c.status}"
-                    }
-                job_c.cancel_requested = True
-                return 200, job_c.to_dict()
-            if method == "GET" and path == "/v1/models/latest":
-                return 200, self.models.latest().to_dict()
-            model_get = _MODEL_ROUTE.match(path)
-            if method == "GET" and model_get is not None:
-                entry = self.models.get(int(model_get.group(1)))
-                if entry is None:
-                    return 404, {"error": "unknown model version"}
-                return 200, entry.to_dict()
-            if method == "GET" and path == "/metrics":
-                return 200, self.render_metrics()
-            if method == "GET" and path == "/healthz":
-                return 200, {
-                    "ok": True,
-                    "devices": self.registry.counts(),
-                    "rounds": len(self.jobs),
-                    "model_version": self.models.latest().version,
-                }
-            return None
+            status, payload = handler(self, arg, body if body is not None else {})
         except SchemaError as exc:
-            return 400, {"error": str(exc)}
+            status, payload = 400, {"error": str(exc)}
         except RegistryError as exc:
-            return exc.code, {"error": str(exc)}
+            status, payload = exc.code, {"error": str(exc)}
+        return status, payload, label
+
+    # -- the route handlers: (id the path matched, body) -> response ------
+    def _register(self, _id: str, body: Body) -> Response:
+        req = RegisterRequest.from_dict(body)
+        record = self.registry.register(
+            req.device_id,
+            data_size=req.data_size,
+            battery_soc=req.battery_soc,
+        )
+        return 201, record.to_dict()
+
+    def _heartbeat(self, device_id: str, body: Body) -> Response:
+        hb = HeartbeatRequest.from_dict(body)
+        lag_s = self.registry.heartbeat(device_id, battery_soc=hb.battery_soc)
+        state = self.registry.get(device_id).state
+        return 200, {"device_id": device_id, "state": state, "lag_s": lag_s}
+
+    def _deregister(self, device_id: str, _body: Body) -> Response:
+        return 200, self.registry.deregister(device_id).to_dict()
+
+    def _devices(self, _id: str, _body: Body) -> Response:
+        return 200, {
+            "counts": self.registry.counts(),
+            "devices": self.registry.snapshot(),
+        }
+
+    def _submit(self, _id: str, body: Body) -> Response:
+        req = RoundRequest.from_dict(body)
+        job = self.submit_round(
+            scheduler=req.scheduler, cohort_size=req.cohort_size
+        )
+        return 202, job.to_dict()
+
+    def _round(self, round_id: str, _body: Body) -> Response:
+        job = self.jobs.get(int(round_id))
+        if job is None:
+            return 404, {"error": "unknown round"}
+        return 200, job.to_dict()
+
+    def _cancel(self, round_id: str, _body: Body) -> Response:
+        job = self.jobs.get(int(round_id))
+        if job is None:
+            return 404, {"error": "unknown round"}
+        if job.status in ("completed", "failed", "cancelled"):
+            return 409, {"error": f"round already {job.status}"}
+        job.cancel_requested = True
+        return 200, job.to_dict()
+
+    def _latest_model(self, _id: str, _body: Body) -> Response:
+        return 200, self.models.latest().to_dict()
+
+    def _model(self, version: str, _body: Body) -> Response:
+        entry = self.models.get(int(version))
+        if entry is None:
+            return 404, {"error": "unknown model version"}
+        return 200, entry.to_dict()
+
+    def _metrics(self, _id: str, _body: Body) -> Response:
+        return 200, self.render_metrics()
+
+    def _healthz(self, _id: str, _body: Body) -> Response:
+        return 200, {
+            "ok": True,
+            "devices": self.registry.counts(),
+            "rounds": len(self.jobs),
+            "model_version": self.models.latest().version,
+        }
 
     def render_metrics(self) -> str:
         """The ``/metrics`` exposition: engine + serve instruments.
@@ -315,18 +334,54 @@ class ServeApp:
             },
         )
 
-    @staticmethod
-    def _route_label(method: str, path: str) -> str:
-        """Collapse ids out of paths so label cardinality stays flat.
-        A literal route is exempt by method *and* path: a device may be
-        named ``register``, and deleting it is still ``{id}``."""
-        if (method, path) not in _LITERAL_ROUTES:
-            path = _DEVICE_ROUTE.sub("/v1/devices/{id}/heartbeat", path)
-            path = _DEVICE_DELETE.sub("/v1/devices/{id}", path)
-            path = _ROUND_CANCEL.sub("/v1/rounds/{id}/cancel", path)
-            path = _ROUND_ROUTE.sub("/v1/rounds/{id}", path)
-            path = _MODEL_ROUTE.sub("/v1/models/{version}", path)
-        return f"{method} {path}"
+
+#: every route: method, path, the regex its ``{…}`` segment matches
+#: (``None`` for a literal path) and its handler. ``"{method} {path}"``
+#: is the route's ``route`` label, so a request is counted under its
+#: table entry, never under its own path.
+_ROUTES: Tuple[Tuple[str, str, Optional[str], Handler], ...] = (
+    ("POST", "/v1/devices/register", None, ServeApp._register),
+    ("POST", "/v1/devices/{id}/heartbeat", "[^/]+", ServeApp._heartbeat),
+    ("DELETE", "/v1/devices/{id}", "[^/]+", ServeApp._deregister),
+    ("GET", "/v1/devices", None, ServeApp._devices),
+    ("POST", "/v1/rounds", None, ServeApp._submit),
+    ("GET", "/v1/rounds/{id}", r"\d+", ServeApp._round),
+    ("POST", "/v1/rounds/{id}/cancel", r"\d+", ServeApp._cancel),
+    ("GET", "/v1/models/latest", None, ServeApp._latest_model),
+    ("GET", "/v1/models/{version}", r"\d+", ServeApp._model),
+    ("GET", "/metrics", None, ServeApp._metrics),
+    ("GET", "/healthz", None, ServeApp._healthz),
+)
+
+#: the ``route`` label of each route, in table order
+ROUTE_LABELS: Tuple[str, ...] = tuple(
+    f"{method} {path}" for method, path, _, _ in _ROUTES
+)
+
+#: a pattern route as it is tried: (compiled path, handler, label)
+_Pattern = Tuple["re.Pattern[str]", Handler, str]
+
+
+def _index() -> Tuple[
+    Dict[Tuple[str, str], Tuple[Handler, str]], Dict[str, List[_Pattern]]
+]:
+    """The table as it is looked up: (method, literal path) → (handler,
+    label), tried first; then per method, each pattern route with its
+    ``{…}`` compiled to the one group the handler gets."""
+    literals: Dict[Tuple[str, str], Tuple[Handler, str]] = {}
+    patterns: Dict[str, List[_Pattern]] = {}
+    for (method, path, id_re, handler), label in zip(_ROUTES, ROUTE_LABELS):
+        if id_re is None:
+            literals[method, path] = (handler, label)
+            continue
+        head, _, rest = path.partition("{")
+        tail = rest.partition("}")[2]
+        compiled = re.compile(f"{re.escape(head)}({id_re}){re.escape(tail)}$")
+        patterns.setdefault(method, []).append((compiled, handler, label))
+    return literals, patterns
+
+
+_LITERALS, _PATTERNS = _index()
 
 
 def parse_json_body(raw: bytes) -> Mapping[str, object]:

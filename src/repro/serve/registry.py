@@ -139,17 +139,21 @@ class DeviceRegistry:
         self.now_fn: NowFn = now_fn if now_fn is not None else wall_now
         self.bus = bus if bus is not None else EventBus()
         m = metrics if metrics is not None else MetricRegistry()
-        self._devices_gauge = m.gauge(catalog.SERVE_DEVICES)
+        devices = m.gauge(catalog.SERVE_DEVICES)
+        #: one bound series per lifecycle state
+        self._devices_gauge = {
+            state: devices.labels(state=state) for state in DEVICE_STATES
+        }
         self._lag_hist = m.histogram(
             catalog.SERVE_HEARTBEAT_LAG_SECONDS
-        )
+        ).labels()
         #: current identity per device id (dead records stay, so a
         #: late heartbeat gets 410-gone, not 404-unknown)
         self.records: Dict[str, DeviceRecord] = {}
         self._next_row = 0
         self._counts: Dict[str, int] = {s: 0 for s in DEVICE_STATES}
-        for state in DEVICE_STATES:
-            self._devices_gauge.set(0, state=state)
+        for gauge in self._devices_gauge.values():
+            gauge.set(0)
 
     # -- queries -----------------------------------------------------------
     def counts(self) -> Dict[str, int]:
@@ -187,10 +191,8 @@ class DeviceRegistry:
     def _move(self, record: DeviceRecord, state: str) -> None:
         self._counts[record.state] -= 1
         self._counts[state] += 1
-        self._devices_gauge.set(
-            self._counts[record.state], state=record.state
-        )
-        self._devices_gauge.set(self._counts[state], state=state)
+        self._devices_gauge[record.state].set(self._counts[record.state])
+        self._devices_gauge[state].set(self._counts[state])
         record.state = state
 
     def register(
@@ -214,15 +216,16 @@ class DeviceRegistry:
                 f"registry full ({self.fleet.n} rows)", code=503
             )
         row = self._next_row
-        self._next_row += 1
-        now_s = self.now_fn()
-        self.fleet.alive[row] = True
+        # every column first: a write that fails claims no row
         if data_size is not None:
             self.fleet.data_size[row] = int(data_size)
         if battery_soc is not None:
             self.fleet.battery_j[row] = (
                 battery_soc * self.fleet.capacity_j[row]
             )
+        self.fleet.alive[row] = True
+        self._next_row += 1
+        now_s = self.now_fn()
         record = DeviceRecord(
             device_id=device_id,
             client_id=row,
@@ -232,8 +235,8 @@ class DeviceRegistry:
         )
         self.records[device_id] = record
         self._counts[STATE_REGISTERED] += 1
-        self._devices_gauge.set(
-            self._counts[STATE_REGISTERED], state=STATE_REGISTERED
+        self._devices_gauge[STATE_REGISTERED].set(
+            self._counts[STATE_REGISTERED]
         )
         self.bus.emit(
             DeviceJoined(

@@ -27,7 +27,7 @@ class SchemaError(ValueError):
 def _check_keys(
     payload: Mapping[str, object], allowed: frozenset, what: str
 ) -> None:
-    unknown = set(payload) - set(allowed)
+    unknown = payload.keys() - allowed
     if unknown:
         raise SchemaError(
             f"{what}: unknown keys {sorted(unknown)!r} "
@@ -58,6 +58,7 @@ def _opt_int(
     key: str,
     what: str,
     minimum: Optional[int] = None,
+    maximum: Optional[int] = None,
 ) -> Optional[int]:
     value = payload.get(key)
     if value is None:
@@ -66,6 +67,8 @@ def _opt_int(
         raise SchemaError(f"{what}: {key!r} must be an integer")
     if minimum is not None and value < minimum:
         raise SchemaError(f"{what}: {key!r} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise SchemaError(f"{what}: {key!r} must be <= {maximum}")
     return value
 
 
@@ -83,9 +86,14 @@ def _opt_soc(
     return soc
 
 
+#: the largest ``data_size`` the fleet's int64 column holds
+_MAX_DATA_SIZE = 2**63 - 1
+
+
 @dataclass(frozen=True)
 class RegisterRequest:
-    """Body of ``POST /v1/devices/register``."""
+    """Body of ``POST /v1/devices/register``. A ``device_id`` is one
+    path segment of its routes, so it cannot hold ``/``."""
 
     device_id: str
     data_size: Optional[int] = None
@@ -97,9 +105,14 @@ class RegisterRequest:
     def from_dict(cls, payload: Mapping[str, object]) -> "RegisterRequest":
         what = "register"
         _check_keys(payload, cls._KEYS, what)
+        device_id = _req_str(payload, "device_id", what)
+        if "/" in device_id:
+            raise SchemaError(f"{what}: 'device_id' must not contain '/'")
         return cls(
-            device_id=_req_str(payload, "device_id", what),
-            data_size=_opt_int(payload, "data_size", what, minimum=1),
+            device_id=device_id,
+            data_size=_opt_int(
+                payload, "data_size", what, minimum=1, maximum=_MAX_DATA_SIZE
+            ),
             battery_soc=_opt_soc(payload, "battery_soc", what),
         )
 
