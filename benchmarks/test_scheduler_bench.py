@@ -1,8 +1,9 @@
 """Scheduler-subsystem performance pins.
 
-OLAR's heap greedy is the subsystem's scalable path — O(n + D log n)
-independent of the cost-matrix width — so it must stay fast at fleet
-scale (n = 1000 users). The MinEnergy DP is exact but O(n D^2); its pin
+OLAR is Fed-LBAP's selection run over the users in reverse order, so
+it solves a dense n = 1000 matrix at Fed-LBAP's cost, input checks over
+every cell included, and must stay within its 1 s budget there. The
+MinEnergy DP is exact but O(n D^2); its pin
 is a testbed-scale budget documenting where it is meant to be used.
 Fed-LBAP's selection is checked against a plain threshold bisection at
 sizes no tier-1 test reaches: 1 000 distinct dipping rows, and 512

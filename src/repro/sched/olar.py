@@ -6,29 +6,29 @@ heterogeneous devices minimising the round makespan
 ``max_j C_j(k_j)``, where each per-device cost function is monotone
 non-decreasing in its own load.
 
-OLAR is a marginal-cost greedy: every unit in turn goes to the device
-whose cost *after receiving it* is smallest, maintained in a min-heap.
-For monotone costs this is provably optimal — when a unit is placed on
-the device with the cheapest next-unit cost, any schedule placing it
-elsewhere has a bottleneck at least as large (the exchange argument of
-Theorem 1 in the paper; ``tests/sched/test_properties_sched.py``
-cross-checks the optimum against the brute-force oracle on every small
-instance). Complexity is ``O(n + D log n)``, independent of the cost
-matrix width.
-
-The heap never holds stale entries: a device is re-pushed with its next
-marginal cost only while below its capacity, so each pop is a valid
-assignment. Ties break on the lowest user index (heap order on the
-``(cost, j)`` tuple), keeping runs deterministic.
+OLAR gives every unit in turn to the device whose cost *after
+receiving it* is smallest, the lowest user index first on ties; for
+monotone costs that is optimal (Theorem 1 of the paper). Its answer is
+the ``D`` cheapest marginal cells. On non-decreasing rows those are
+the cells Alg. 1 (:func:`~repro.core.lbap.fed_lbap`) selects: every
+cell below ``c*``, and enough of the cells equal to ``c*``. The two
+differ only in who keeps the cells equal to ``c*``: Fed-LBAP's trim
+gives them back from the lowest user index first, OLAR's greedy lets
+the lowest index keep them. A user's counts at or below ``c*`` depend
+only on its own row and capacity, so ``olar_assign`` runs Fed-LBAP on
+the users in reverse order and reverses the counts back: the same
+selection with the opposite give-back order, and the same input
+checks (rows must be non-decreasing). The marginal-cost heap survives
+as the tests' reference (``tests/sched/test_olar_selection.py``).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
+from ..core.lbap import fed_lbap
 from ..core.schedule import Schedule
 from .base import Assignment, Scheduler, SchedulingProblem
 from .registry import register
@@ -42,32 +42,24 @@ def olar_assign(
     capacities: np.ndarray,
     row_of: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Heap greedy over marginal costs; returns per-user shard counts.
+    """Per-user shard counts of the ``D`` cheapest marginal cells.
 
     ``cost[j, k]`` is user ``j``'s cost at ``k+1`` shards — or, with
-    ``row_of``, ``cost[row_of[j], k]`` is; rows must be non-decreasing
-    for the optimality guarantee to hold (the caller —
-    :class:`OLARScheduler` — builds matrices through Property-1
-    enforcement).
+    ``row_of``, ``cost[row_of[j]]`` is user ``j``'s row. Rows, caps
+    and ``row_of`` are checked as :func:`~repro.core.lbap.fed_lbap`
+    checks them, whose ``ValueError`` any bad input raises.
     """
-    row = np.arange(cost.shape[0]) if row_of is None else row_of
-    n = row.shape[0]
-    counts = np.zeros(n, dtype=np.int64)
-    heap: List[Tuple[float, int]] = [
-        (float(cost[row[j], 0]), j) for j in range(n) if capacities[j] > 0
-    ]
-    heapq.heapify(heap)
-    for _ in range(total_shards):
-        if not heap:
-            raise ValueError(
-                "infeasible: capacities exhausted before all shards "
-                "were assigned"
-            )
-        c, j = heapq.heappop(heap)
-        counts[j] += 1
-        if counts[j] < capacities[j]:
-            heapq.heappush(heap, (float(cost[row[j], counts[j]]), j))
-    return counts
+    if row_of is None:
+        row_of = np.arange(len(cost))
+    # reversed users: Fed-LBAP's trim then gives back from the highest
+    # index first, so the lowest index keeps its cells equal to c*
+    schedule, _ = fed_lbap(
+        cost,
+        total_shards,
+        capacities=np.flip(capacities),
+        row_of=np.flip(row_of),
+    )
+    return np.ascontiguousarray(np.flip(schedule.shard_counts))
 
 
 @register("olar")
