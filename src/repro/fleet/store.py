@@ -59,6 +59,8 @@ from typing import (
 
 import numpy as np
 
+from ..cores import usable_cores
+
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
@@ -110,16 +112,9 @@ def _block_scratch() -> np.ndarray:
     return scratch
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call off Linux
-        return os.cpu_count() or 1
-
-
 #: threads a population pass runs on: the caller's and ``_POOL_SIZE - 1``
 #: pool workers, one per core this process may run on
-_POOL_SIZE = _usable_cores()
+_POOL_SIZE = usable_cores()
 
 #: a pass goes to the pool once it is ``_POOL_BLOCKS`` blocks long, in
 #: spans of at least ``_SPAN_BLOCKS`` whole blocks; shorter passes run

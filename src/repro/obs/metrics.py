@@ -167,8 +167,8 @@ class Metric:
     """Shared base: spec binding plus label validation.
 
     Each instrument kind has one keyed write (``_inc_at``, ``_set_at``,
-    ``_observe_at``) that every write form reaches: the keyword form
-    resolves its key per call, a :meth:`labels` child once.
+    a histogram's ``_add_at``) that every write form reaches: the
+    keyword form resolves its key per call, a :meth:`labels` child once.
     """
 
     #: the handle :meth:`labels` returns
@@ -233,6 +233,9 @@ class HistogramChild(_Child):
 
     def observe(self, value: float) -> None:
         self._metric._observe_at(self._at, value)
+
+    def observe_each(self, values: Sequence[float]) -> None:
+        self._metric._observe_each_at(self._at, values)
 
 
 def _real(value: Any) -> float:
@@ -377,11 +380,10 @@ class Histogram(Metric):
         """Record one real number; anything else raises ``TypeError``."""
         self._observe_at(self._key(labels), value)
 
-    def observe_each(
-        self, values: Sequence[float], **labels: object
+    def _observe_each_at(
+        self, key: LabelValues, values: Sequence[float]
     ) -> None:
-        """``observe(value, **labels)`` for each value, in order: one
-        bulk add of the values packed at once (``struct`` packs a
+        """One bulk add of the values packed at once (``struct`` packs a
         193-cell tuple ~4x faster than ``array.extend`` unboxes it)."""
         if not len(values):  # like no observe call: no series either
             return
@@ -389,7 +391,13 @@ class Histogram(Metric):
             packed = struct.pack(f"{len(values)}d", *values)
         except struct.error as err:  # what observe raises for the cell
             raise TypeError("observations must be real numbers") from err
-        self._add_at(self._key(labels), array.frombytes, packed)
+        self._add_at(key, array.frombytes, packed)
+
+    def observe_each(
+        self, values: Sequence[float], **labels: object
+    ) -> None:
+        """``observe(value, **labels)`` for each value, in order."""
+        self._observe_each_at(self._key(labels), values)
 
     def count(self, **labels: object) -> int:
         series = self._series.get(self._key(labels))

@@ -74,7 +74,7 @@ from ..engine.events import (
 from ..engine.telemetry import JsonlSink, read_jsonl_meta
 from . import catalog
 from .energy import EnergyLedger
-from .metrics import MetricRegistry
+from .metrics import CounterChild, GaugeChild, MetricRegistry
 from .prof import PROFILER
 from .spans import Span, SpanBuilder
 
@@ -169,26 +169,39 @@ class ObsRecorder:
             kind: self._events_total.labels(kind=kind)
             for kind in EVENT_TYPES
         }
+        # every series the fold writes is bound once, here or on the
+        # first event naming its label value: a warm fold does no label
+        # key work (binding makes no series, so the export is unchanged)
         self._clock = m.gauge(catalog.CLOCK_SECONDS).labels()
-        self._rounds_total = m.counter(catalog.ROUNDS_TOTAL)
-        self._round_makespan = m.histogram(catalog.ROUND_MAKESPAN_SECONDS)
-        self._round_mean = m.gauge(catalog.ROUND_MEAN_TIME_SECONDS)
-        self._round_energy = m.histogram(catalog.ROUND_ENERGY_JOULES)
-        self._participants = m.gauge(catalog.PARTICIPANTS)
-        self._accuracy = m.gauge(catalog.ACCURACY)
-        self._client_compute = m.histogram(catalog.CLIENT_COMPUTE_SECONDS)
-        self._client_comm = m.histogram(catalog.CLIENT_COMM_SECONDS)
-        self._client_round = m.histogram(catalog.CLIENT_ROUND_SECONDS)
+        self._rounds_total = m.counter(catalog.ROUNDS_TOTAL).labels()
+        self._round_makespan = m.histogram(
+            catalog.ROUND_MAKESPAN_SECONDS
+        ).labels()
+        self._round_mean = m.gauge(catalog.ROUND_MEAN_TIME_SECONDS).labels()
+        self._round_energy = m.histogram(catalog.ROUND_ENERGY_JOULES).labels()
+        self._participants = m.gauge(catalog.PARTICIPANTS).labels()
+        self._accuracy = m.gauge(catalog.ACCURACY).labels()
+        self._client_compute = m.histogram(
+            catalog.CLIENT_COMPUTE_SECONDS
+        ).labels()
+        self._client_comm = m.histogram(catalog.CLIENT_COMM_SECONDS).labels()
+        self._client_round = m.histogram(
+            catalog.CLIENT_ROUND_SECONDS
+        ).labels()
         # the per-client series are read from the ledger, never written
         for series in self.energy.client_series():
             m.add(series)
         self._aggregations = m.counter(catalog.AGGREGATIONS_TOTAL)
+        #: strategy -> its aggregations series
+        self._aggregations_of: Dict[str, CounterChild] = {}
         self._solves = m.counter(catalog.SCHEDULE_SOLVES_TOTAL)
         self._predicted_makespan = m.gauge(
             catalog.SCHEDULE_PREDICTED_MAKESPAN_SECONDS
         )
-        self._cohort_size = m.gauge(catalog.COHORT_SIZE)
-        self._fleet_eligible = m.gauge(catalog.FLEET_ELIGIBLE)
+        #: scheduler -> its (solves, predicted makespan) series
+        self._schedule_of: Dict[str, tuple[CounterChild, GaugeChild]] = {}
+        self._cohort_size = m.gauge(catalog.COHORT_SIZE).labels()
+        self._fleet_eligible = m.gauge(catalog.FLEET_ELIGIBLE).labels()
 
         # in-flight round state
         self._round_dropped: Dict[int, int] = {}
@@ -281,7 +294,12 @@ class ObsRecorder:
         )
 
     def _on_model_aggregated(self, event: ModelAggregated) -> None:
-        self._aggregations.inc(strategy=event.strategy)
+        strategy = event.strategy
+        series = self._aggregations_of.get(strategy)
+        if series is None:
+            series = self._aggregations.labels(strategy=strategy)
+            self._aggregations_of[strategy] = series
+        series.inc()
 
     def _on_round_completed(self, event: RoundCompleted) -> None:
         round_idx = event.round_idx
@@ -311,10 +329,16 @@ class ObsRecorder:
 
     def _on_schedule_computed(self, event: ScheduleComputed) -> None:
         scheduler = event.scheduler
-        self._solves.inc(scheduler=scheduler)
-        self._predicted_makespan.set(
-            event.predicted_makespan_s, scheduler=scheduler
-        )
+        series = self._schedule_of.get(scheduler)
+        if series is None:
+            series = (
+                self._solves.labels(scheduler=scheduler),
+                self._predicted_makespan.labels(scheduler=scheduler),
+            )
+            self._schedule_of[scheduler] = series
+        solves, predicted_makespan = series
+        solves.inc()
+        predicted_makespan.set(event.predicted_makespan_s)
 
     def _on_cohort_accounted(self, event: CohortAccounted) -> None:
         self._cohort_size.set(event.cohort_size)
