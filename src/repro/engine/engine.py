@@ -9,7 +9,13 @@ straggler-dropout deadline (the paper's Sec. VII loop). As the paper's
 phones do, the round's clients train at once: their local SGD is split
 by samples between the caller and children forked for that round, with
 the results of the one-by-one loop, bit for bit
-(:meth:`RoundEngine._train_aggregators`).
+(:meth:`RoundEngine._start_training`). A round without a deadline
+knows who trains once it is planned, so it forks before the dispatch
+and the children train while the caller simulates the devices; a
+deadline round forks after the dispatch. The caller collects the
+results where the round trains and reaps the children at the round's
+end, after the evaluation, so their exits overlap its tail; none
+outlives the round.
 
 The alternatives the paper only tests against own their loops in
 :mod:`repro.federated`: ``AsyncFederatedSimulation`` (a completion-time
@@ -29,7 +35,6 @@ import copy
 import os
 import pickle
 import signal
-import threading
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -45,7 +50,7 @@ from typing import (
 
 import numpy as np
 
-from ..cores import usable_cores
+from ..cores import fork_safe, usable_cores
 from ..data.partition import UserData
 from ..data.synthetic import Dataset
 from ..device.device import MobileDevice
@@ -427,15 +432,16 @@ class RoundEngine:
     def _train_shares(self, sizes: Sequence[int]) -> List[List[int]]:
         """The shares a round training ``sizes`` samples per aggregator
         is cut into (:func:`_shares`): one when there is no second core
-        or no ``os.fork``, when another thread runs (a forked child gets
-        no copy of it, and of any lock it holds only the locked copy),
-        when a layer draws from a generator of its own, or when the work
-        the split takes off the caller's path is too small to pay for
-        the forks (``_FORK_FLOPS``)."""
+        or no ``os.fork``, when a thread runs beside the caller's that
+        is not a parked pool worker (:func:`repro.cores.fork_safe`: a
+        forked child gets no copy of it, and of any lock it holds only
+        the locked copy), when a layer draws from a generator of its
+        own, or when the work the split takes off the caller's path is
+        too small to pay for the forks (``_FORK_FLOPS``)."""
         if (
             _TRAIN_PROCS < 2
             or not hasattr(os, "fork")
-            or threading.active_count() > 1
+            or not fork_safe()
             or self._layer_draws
         ):
             return _shares(sizes, 1)
@@ -444,12 +450,12 @@ class RoundEngine:
         moved = (sum(sizes) - longest) * self.local_epochs * self._flops
         return shares if moved >= _FORK_FLOPS else _shares(sizes, 1)
 
-    def _train_aggregators(
+    def _start_training(
         self, aggregators: Sequence[int], start_weights: np.ndarray
-    ) -> List[LocalTrainingResult]:
-        """Local SGD for each aggregator from ``start_weights``, results
-        in client order: what :meth:`train_client` called for each in
-        turn returns, bit for bit, on every core this round may use.
+    ) -> "_Training":
+        """Start local SGD for each aggregator from ``start_weights``:
+        what :meth:`train_client` called for each in turn returns, bit
+        for bit, on every core this round may use.
 
         Before anything trains, the engine generator is walked in client
         order: its state is kept as the client's start, then advanced by
@@ -458,10 +464,10 @@ class RoundEngine:
         that trains a client from a generator set to its start draws
         the batch orders the one-by-one loop draws, and ``self._rng``
         ends where that loop leaves it. The clients are then cut into
-        shares by samples (:meth:`_train_shares`); the caller trains the first
-        share and a child forked for this round each other one, then
-        collects the children's results from their pipes and reaps them.
-        With one share that is the whole round in the caller.
+        shares by samples (:meth:`_train_shares`) and a child is forked
+        for this round for each share but the first, the caller's, which
+        :meth:`_Training.collect` trains. With one share nothing trains
+        until then.
         """
         sizes = [len(self._train_indices(j)) for j in aggregators]
         starts: List[Dict[str, Any]] = []
@@ -479,31 +485,28 @@ class RoundEngine:
             )
 
         shares = self._train_shares(sizes)
-        results: Dict[int, LocalTrainingResult] = {}
-        children: List[_Child] = []
+        training = _Training(aggregators, train, shares[0])
         try:
-            own = shares[0]
             for share in shares[1:]:
                 try:
-                    children.append(_fork_share(share, train))
+                    training.children.append(_fork_share(share, train))
                 except OSError:  # no process to spare: train it here
-                    own = sorted(own + share)
-            for i in own:
-                results[i] = train(i)
-            while children:
-                pid, pipe, share = children[0]
-                payload = pipe.read()
-                pipe.close()
-                _, status = os.waitpid(pid, 0)
-                del children[0]
-                clients = [aggregators[i] for i in share]
-                results.update(zip(share, _unpack(payload, status, clients)))
+                    training.own = sorted(training.own + share)
+        except BaseException:
+            training.reap()
+            raise
+        return training
+
+    def _train_aggregators(
+        self, aggregators: Sequence[int], start_weights: np.ndarray
+    ) -> List[LocalTrainingResult]:
+        """The whole train step in one call — start, collect, reap —
+        results in client order (:meth:`_start_training`)."""
+        training = self._start_training(aggregators, start_weights)
+        try:
+            return training.collect()
         finally:
-            for pid, pipe, _ in children:
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        return [results[i] for i in range(len(aggregators))]
+            training.reap()
 
     def run_sync_round(self, train: bool = True) -> RoundRecord:
         """One synchronous round: dispatch, barrier, aggregate, record.
@@ -551,85 +554,101 @@ class RoundEngine:
                 raise RuntimeError(
                     "the scheduler assigned no data to any eligible user"
                 )
-        with PROFILER.phase("dispatch"):
-            times = self._dispatch_round(round_idx, eligible)
-        active = eligible
-        aggregators = active
-        if self.dropout is not None:
-            from ..federated.dropout import apply_deadline
+        # A round without a deadline trains its planned clients, and the
+        # dispatch draws nothing from the engine generator: the children
+        # train while the caller simulates the devices. With a deadline,
+        # who trains depends on the dispatch times. Either way the
+        # children are reaped once the round's other work is done, so
+        # their exits overlap it too.
+        global_w = server.global_weights() if train else None
+        training: Optional[_Training] = None
+        try:
+            if global_w is not None and self.dropout is None:
+                with PROFILER.phase("train"):
+                    training = self._start_training(eligible, global_w)
+            with PROFILER.phase("dispatch"):
+                times = self._dispatch_round(round_idx, eligible)
+            active = eligible
+            aggregators = active
+            if self.dropout is not None:
+                from ..federated.dropout import apply_deadline
 
-            aggregators, dropped, makespan = apply_deadline(
-                times, active, self.dropout
+                aggregators, dropped, makespan = apply_deadline(
+                    times, active, self.dropout
+                )
+                for j in dropped:
+                    self.bus.emit(
+                        ClientDropped(
+                            round_idx=round_idx,
+                            client_id=j,
+                            total_s=float(times[j]),
+                            time_s=self.clock_s + makespan,
+                        )
+                    )
+            else:
+                makespan = (
+                    float(times[active].max()) if self.devices is not None else 0.0
+                )
+            mean_t = (
+                float(times[active].mean()) if self.devices is not None else 0.0
             )
-            for j in dropped:
+            self._idle_to_barrier(times, makespan)
+
+            if global_w is not None:
+                with PROFILER.phase("train"):
+                    if training is None:
+                        training = self._start_training(aggregators, global_w)
+                    results = training.collect()
+                with PROFILER.phase("aggregate"):
+                    new_weights = self.strategy.aggregate(
+                        [result.weights for result in results],
+                        [result.n_samples for result in results],
+                        global_weights=global_w,
+                    )
+                server.model.set_weights(new_weights)
+                server.round_idx += 1
                 self.bus.emit(
-                    ClientDropped(
+                    ModelAggregated(
                         round_idx=round_idx,
-                        client_id=j,
-                        total_s=float(times[j]),
+                        participants=tuple(aggregators),
+                        strategy=self.strategy.name,
+                        version=server.round_idx,
                         time_s=self.clock_s + makespan,
                     )
                 )
-        else:
-            makespan = (
-                float(times[active].max()) if self.devices is not None else 0.0
-            )
-        mean_t = (
-            float(times[active].mean()) if self.devices is not None else 0.0
-        )
-        self._idle_to_barrier(times, makespan)
+            else:
+                server.round_idx += 1
 
-        if train:
-            global_w = server.global_weights()
-            with PROFILER.phase("train"):
-                results = self._train_aggregators(aggregators, global_w)
-            with PROFILER.phase("aggregate"):
-                new_weights = self.strategy.aggregate(
-                    [result.weights for result in results],
-                    [result.n_samples for result in results],
-                    global_weights=global_w,
+            accuracy: Optional[float] = None
+            if train and (server.round_idx % self.eval_every == 0):
+                accuracy = evaluate_accuracy(
+                    server.model, self.dataset.x_test, self.dataset.y_test
                 )
-            server.model.set_weights(new_weights)
-            server.round_idx += 1
-            self.bus.emit(
-                ModelAggregated(
-                    round_idx=round_idx,
-                    participants=tuple(aggregators),
-                    strategy=self.strategy.name,
-                    version=server.round_idx,
-                    time_s=self.clock_s + makespan,
-                )
-            )
-        else:
-            server.round_idx += 1
-
-        accuracy: Optional[float] = None
-        if train and (server.round_idx % self.eval_every == 0):
-            accuracy = evaluate_accuracy(
-                server.model, self.dataset.x_test, self.dataset.y_test
-            )
-        self.clock_s += makespan
-        record = RoundRecord(
-            round_idx=server.round_idx,
-            makespan_s=makespan,
-            mean_time_s=mean_t,
-            accuracy=accuracy,
-            participant_count=len(aggregators),
-            per_user_time_s=times,
-        )
-        self.history.append(record)
-        self.bus.emit(
-            RoundCompleted(
+            self.clock_s += makespan
+            record = RoundRecord(
                 round_idx=server.round_idx,
                 makespan_s=makespan,
                 mean_time_s=mean_t,
-                participant_count=len(aggregators),
                 accuracy=accuracy,
-                time_s=self.clock_s,
+                participant_count=len(aggregators),
+                per_user_time_s=times,
             )
-        )
-        self._round_samples = None
-        return record
+            self.history.append(record)
+            self.bus.emit(
+                RoundCompleted(
+                    round_idx=server.round_idx,
+                    makespan_s=makespan,
+                    mean_time_s=mean_t,
+                    participant_count=len(aggregators),
+                    accuracy=accuracy,
+                    time_s=self.clock_s,
+                )
+            )
+            self._round_samples = None
+            return record
+        finally:
+            if training is not None:
+                training.reap()
 
 
 def _shares(sizes: Sequence[int], procs: int) -> List[List[int]]:
@@ -688,23 +707,66 @@ def _fork_share(
     return pid, open(read_fd, "rb"), share
 
 
-def _unpack(
-    payload: bytes, status: int, clients: List[int]
-) -> List[LocalTrainingResult]:
-    """A reaped child's results for ``clients``, or the ``RuntimeError``
-    of its failure."""
-    try:
-        results, failure = pickle.loads(payload)
-    except Exception:
-        raise RuntimeError(
-            f"the child training clients {clients} exited with status "
-            f"{os.waitstatus_to_exitcode(status)} without its results"
-        ) from None
-    if failure is not None:
-        position, error = failure
-        raise RuntimeError(
-            f"local training of client {clients[position]} failed in a "
-            f"forked child: {error}"
-        )
-    out: List[LocalTrainingResult] = results
-    return out
+class _Training:
+    """A round's train step under way (:meth:`RoundEngine._start_training`):
+    the aggregators, the caller's share of their positions and the
+    children forked for the other shares, until :meth:`reap` waits for
+    them."""
+
+    def __init__(
+        self,
+        aggregators: Sequence[int],
+        train: Callable[[int], LocalTrainingResult],
+        own: List[int],
+    ) -> None:
+        self.aggregators = list(aggregators)
+        self.train = train
+        self.own = own
+        self.children: List[_Child] = []
+
+    def collect(self) -> List[LocalTrainingResult]:
+        """Train the caller's share, then read each child's results from
+        its pipe; every aggregator's result, in client order. A child
+        whose results say it failed, or that left none, makes this raise
+        ``RuntimeError`` naming its client(s)."""
+        results = {i: self.train(i) for i in self.own}
+        for child in self.children:
+            _, _, share = child
+            results.update(zip(share, self._read(child)))
+        return [results[i] for i in range(len(self.aggregators))]
+
+    def _read(self, child: _Child) -> List[LocalTrainingResult]:
+        """One child's results; a child that left none is reaped at once
+        for the exit status its error reports."""
+        pid, pipe, share = child
+        payload = pipe.read()
+        pipe.close()
+        clients = [self.aggregators[i] for i in share]
+        try:
+            results, failure = pickle.loads(payload)
+        except Exception:
+            self.children.remove(child)
+            _, status = os.waitpid(pid, 0)
+            raise RuntimeError(
+                f"the child training clients {clients} exited with status "
+                f"{os.waitstatus_to_exitcode(status)} without its results"
+            ) from None
+        if failure is not None:
+            position, error = failure
+            raise RuntimeError(
+                f"local training of client {clients[position]} failed in a "
+                f"forked child: {error}"
+            )
+        out: List[LocalTrainingResult] = results
+        return out
+
+    def reap(self) -> None:
+        """Wait for every child. One whose results were read has finished
+        its work and only has to exit; any other is killed first, as the
+        round is failing and nothing will read what it trains."""
+        while self.children:
+            pid, pipe, _ = self.children.pop()
+            if not pipe.closed:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

@@ -59,7 +59,7 @@ from typing import (
 
 import numpy as np
 
-from ..cores import usable_cores
+from ..cores import mark_fork_safe, usable_cores
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -160,7 +160,13 @@ def _pool() -> ThreadPoolExecutor:
     size, so a pool always has ``_POOL_SIZE - 1`` workers. Two threads
     racing here may each build one; ``setdefault`` keeps the first, and
     the other never started a thread. Imported here, not at the top: a
-    process whose passes all run inline never loads the executor."""
+    process whose passes all run inline never loads the executor.
+
+    The workers are fork-safe (:func:`repro.cores.mark_fork_safe`), so
+    parked ones do not keep a sync round's local SGD in one process:
+    every :func:`_run_spans` waits for its spans, so between passes a
+    worker only waits on the queue, and a forked child never uses this
+    pool, as its pid keys another."""
     from concurrent.futures import ThreadPoolExecutor
 
     key = (os.getpid(), _POOL_SIZE)
@@ -169,7 +175,9 @@ def _pool() -> ThreadPoolExecutor:
         pool = _pools.setdefault(
             key,
             ThreadPoolExecutor(
-                _POOL_SIZE - 1, thread_name_prefix="fleet-pass"
+                _POOL_SIZE - 1,
+                thread_name_prefix="fleet-pass",
+                initializer=mark_fork_safe,
             ),
         )
     return pool
