@@ -87,14 +87,17 @@ _TRAIN_PROCS = usable_cores()
 #: largest share's, × ``local_epochs`` × :func:`model_training_flops`.
 #: The time a split saves is that work less a fork, the copy-on-write
 #: faults it brings both processes and the child's exit, which cost
-#: about the same whatever the model; what a FLOP costs does not (IID
-#: rounds, 2-core Xeon under KVM, BLAS on one thread, one child, median
-#: train step forked / inline, two runs each). ``lenet_mini``, 10
-#: clients, ~0.5 ms per MFLOP: 0.94 / 0.93 at 28 MFLOP moved, 0.95 /
-#: 0.84 at 42, 0.77 / 0.75 at 56, 0.71 / 0.71 at 70 and 0.72 / 0.71 at
-#: 91 (``engine-train``'s rounds). ``mlp``, 6 clients, ~0.2 ms per
-#: MFLOP: 1.18 / 1.13 at 45, 1.18 / 1.00 at 59, 1.03 / 0.99 at 74, then
-#: 0.93–0.96 at 89–104. From 7·10⁷ on, no model measured is slower.
+#: about the same whatever the model; what a FLOP costs does not (equal
+#: clients, 2-core Xeon under KVM, BLAS on one thread, one child, median
+#: of 41 alternating train steps forked / inline, two runs each).
+#: ``lenet_mini``, 10 clients, ~0.3 ms per MFLOP since its gradients
+#: keep their activations' layouts (~0.5 before): 1.58 / 1.20 at 28
+#: MFLOP moved, 1.10 / 0.86 at 42, 0.77 / 0.77 at 56, 0.76 / 0.72 at 70
+#: and 0.64 / 0.62 at 91 (``engine-train``'s rounds). ``mlp``, 6
+#: clients, ~0.16 ms per MFLOP: 0.97 / 0.95 at 45, 0.90 / 0.90 at 59,
+#: 0.80 / 0.80 at 74, then 0.71–0.90 at 89–104. Cheaper lenet_mini
+#: steps moved its crossing up, not past 7·10⁷: from there on, no model
+#: measured is slower.
 _FORK_FLOPS = 7e7
 
 #: a forked child training a share: its pid, the read end of its pipe

@@ -6,14 +6,20 @@ need no topology object. The decentralized driver does:
 Hastings doubly-stochastic mixing matrix, built by
 ``repro.federated.DecentralizedSimulation`` (which re-exports the graph
 generator and the weights).
+
+networkx is imported where a graph is built or checked, not with the
+package: only gossip runs need it, and it would hold ~20 k objects and
+~18 MiB in every process that imports :mod:`repro`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "make_topology",
@@ -27,6 +33,8 @@ def make_topology(
 ) -> nx.Graph:
     """Build a gossip topology: ``"ring"``, ``"complete"`` or
     ``"random"`` (3-regular when possible, ring fallback)."""
+    import networkx as nx
+
     if n < 2:
         raise ValueError("need at least two nodes")
     if kind == "ring":
@@ -71,6 +79,8 @@ class PeerGraph:
     """Server-less topology over a connected gossip graph."""
 
     def __init__(self, graph: nx.Graph) -> None:
+        import networkx as nx
+
         if not nx.is_connected(graph):
             raise ValueError("gossip graph must be connected")
         self.graph = graph

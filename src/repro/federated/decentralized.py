@@ -23,9 +23,8 @@ weights live in :mod:`repro.engine.topology` and are re-exported here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..data.partition import UserData
@@ -36,6 +35,9 @@ from ..engine.events import EventBus, ModelAggregated, RoundCompleted
 from ..engine.execution import evaluate_accuracy
 from ..engine.topology import PeerGraph, make_topology, metropolis_weights
 from ..models.network import Sequential
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "make_topology",

@@ -30,6 +30,14 @@ through a transpose. A NaN stays a NaN, but which payload
 survives when two NaNs meet in an add is up to each NumPy loop's
 machine code.
 
+Gradients keep their activation's layout: every ``backward`` returns
+the input gradient with its axes in the memory order of the forward
+input's (a conv output's gradient is NHWC seen through a transpose).
+The layer keeps that order (:func:`_axis_order`), not the input, and
+copies only when the gradient it computed is laid out otherwise. An
+elementwise backward then multiplies operands of one layout, and a
+conv reads its output gradient's im2col rows as a view.
+
 Shapes follow the NCHW convention: ``(batch, channels, height, width)``.
 """
 
@@ -177,6 +185,50 @@ def _patch_index(
     index = ((ch * hp + oy * sh + i) * wp + ox * sw + j).reshape(-1)
     index.setflags(write=False)
     return index
+
+
+def _axis_order(x: np.ndarray) -> Optional[Tuple[int, ...]]:
+    """The axes of ``x`` from the outermost in memory to the innermost,
+    or ``None`` when that is ``0, 1, …`` (C order, or a crop of it)."""
+    return None if x.flags.c_contiguous else _stride_order(x.strides)
+
+
+@lru_cache(maxsize=64)
+def _stride_order(strides: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
+    """:func:`_axis_order` by strides alone, cached: a model's layers
+    see a few layouts, and sorting axes in Python on every batch would
+    cost more than some of the kernels it lays out. Ties, such as axes
+    of length 1, keep their axis order."""
+    order = tuple(sorted(range(len(strides)), key=lambda a: -abs(strides[a])))
+    return None if order == tuple(range(len(strides))) else order
+
+
+@lru_cache(maxsize=64)
+def _inverse(order: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(sorted(range(len(order)), key=order.__getitem__))
+
+
+def _empty(
+    shape: Tuple[int, ...], order: Optional[Tuple[int, ...]], dtype=np.float64
+) -> np.ndarray:
+    """An uninitialised array of ``shape`` whose axes lie in memory in
+    ``order`` (see :func:`_axis_order`)."""
+    if order is None:
+        return np.empty(shape, dtype=dtype)
+    buf = np.empty([shape[a] for a in order], dtype=dtype)
+    return buf.transpose(_inverse(order))
+
+
+def _in_layout(
+    grad: np.ndarray, order: Optional[Tuple[int, ...]]
+) -> np.ndarray:
+    """``grad`` with its axes in memory in ``order``: ``grad`` itself when
+    they already are, else a copy (the values, so the bits, unchanged)."""
+    if _axis_order(grad) == order:
+        return grad
+    out = _empty(grad.shape, order, grad.dtype)
+    np.copyto(out, grad)
+    return out
 
 
 def _window_taps(
@@ -339,7 +391,7 @@ class Dense(Layer):
             raise RuntimeError("backward called before a training forward")
         self.grads["W"][...] = self._x.T @ grad_out
         self.grads["b"][...] = grad_out.sum(axis=0)
-        return grad_out @ self.params["W"].T
+        return _in_layout(grad_out @ self.params["W"].T, _axis_order(self._x))
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         return (self.out_features,)
@@ -391,6 +443,7 @@ class Conv2D(Layer):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._cols: Optional[np.ndarray] = None
         self._x_shape: Optional[Tuple[int, int, int, int]] = None
+        self._x_order: Optional[Tuple[int, ...]] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 4:
@@ -411,6 +464,7 @@ class Conv2D(Layer):
         if training:
             self._cols = cols
             self._x_shape = x.shape
+            self._x_order = _axis_order(x)
         else:
             self._cols = None
         return out
@@ -419,9 +473,10 @@ class Conv2D(Layer):
         g = self._param_grads(grad_out)
         w_mat = self.params["W"].reshape(self.out_channels, -1)
         kh, kw = self.kernel_size
-        return col2im(
+        grad = col2im(
             g @ w_mat, self._x_shape, kh, kw, self.stride, self.padding
         )
+        return _in_layout(grad, self._x_order)
 
     def backward_params(self, grad_out: np.ndarray) -> None:
         self._param_grads(grad_out)
@@ -430,7 +485,8 @@ class Conv2D(Layer):
         """Fill ``grads`` and return ``grad_out`` as im2col-aligned rows."""
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called before a training forward")
-        # (N, Cout, H, W) -> (N*H*W, Cout) to line up with im2col rows.
+        # (N, Cout, H, W) -> (N*H*W, Cout) to line up with im2col rows: a
+        # view when grad_out has the output's NHWC layout, else a copy.
         g = grad_out.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
         self.grads["W"][...] = (g.T @ self._cols).reshape(
             self.params["W"].shape
@@ -463,6 +519,14 @@ class MaxPool2D(Layer):
     tap and adds ``0.0 × grad`` to every other tap of the window, so an
     infinite gradient leaves NaN there, as the product of a 0/1 mask
     with the gradient does.
+
+    When the windows tile the input (stride equal to the pool, which
+    divides the input), each input pixel lies in exactly one window, so
+    the backward writes ``hits × grad + 0.0`` once through one strided
+    view of all the taps (``0.0 + tap`` has the same bits, ``-0.0``
+    included) instead of zero-filling the image and adding ``kh * kw``
+    tap planes: 83 → 48 µs for lenet_mini's 2 × 2 pool at batch 20
+    (2-core Xeon under KVM, NumPy 2.4).
     """
 
     def __init__(self, pool_size=2, stride=None) -> None:
@@ -471,6 +535,7 @@ class MaxPool2D(Layer):
         self.stride = _as_pair(stride) if stride is not None else self.pool_size
         self._arg: Optional[np.ndarray] = None
         self._x_shape: Optional[Tuple[int, int, int, int]] = None
+        self._x_order: Optional[Tuple[int, ...]] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         kh, kw = self.pool_size
@@ -478,6 +543,7 @@ class MaxPool2D(Layer):
         if training:
             self._arg = arg
             self._x_shape = x.shape
+            self._x_order = _axis_order(x)
         else:
             self._arg = None
         return out
@@ -487,9 +553,20 @@ class MaxPool2D(Layer):
             raise RuntimeError("backward called before a training forward")
         kh, kw = self.pool_size
         ids = np.arange(kh * kw, dtype=self._arg.dtype)
-        hits = self._arg == ids.reshape(-1, 1, 1, 1, 1)
-        grad = np.zeros(self._x_shape)
-        _add_taps(grad, hits * grad_out, kh, kw, self.stride)
+        taps = (self._arg == ids.reshape(-1, 1, 1, 1, 1)) * grad_out
+        grad = _empty(self._x_shape, self._x_order)
+        h, w = self._x_shape[2:]
+        if self.stride == (kh, kw) and h % kh == 0 and w % kw == 0:
+            s_n, s_c, s_h, s_w = grad.strides
+            windows = np.lib.stride_tricks.as_strided(
+                grad,
+                shape=(kh, kw) + taps.shape[1:],
+                strides=(s_h, s_w, s_n, s_c, s_h * kh, s_w * kw),
+            )
+            np.add(taps.reshape(windows.shape), 0.0, out=windows)
+        else:
+            grad[...] = 0.0
+            _add_taps(grad, taps, kh, kw, self.stride)
         return grad
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -510,6 +587,7 @@ class AvgPool2D(Layer):
         self.pool_size = _as_pair(pool_size)
         self.stride = _as_pair(stride) if stride is not None else self.pool_size
         self._x_shape: Optional[Tuple[int, int, int, int]] = None
+        self._x_order: Optional[Tuple[int, ...]] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         kh, kw = self.pool_size
@@ -520,6 +598,7 @@ class AvgPool2D(Layer):
         out = cols.mean(axis=1).reshape(n, c, out_h, out_w)
         if training:
             self._x_shape = x.shape
+            self._x_order = _axis_order(x)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -531,9 +610,10 @@ class AvgPool2D(Layer):
         grad_cols = np.repeat(
             grad_out.reshape(-1, 1) * scale, kh * kw, axis=1
         )
-        return col2im(
+        grad = col2im(
             grad_cols, (n * c, 1, h, w), kh, kw, self.stride, (0, 0)
         ).reshape(n, c, h, w)
+        return _in_layout(grad, self._x_order)
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         c, h, w = input_shape
@@ -557,7 +637,9 @@ class ReLU(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before a training forward")
-        return grad_out * self._mask
+        # the mask has the input's layout (a comparison keeps it)
+        out = np.empty_like(self._mask, dtype=grad_out.dtype)
+        return np.multiply(grad_out, self._mask, out=out)
 
 
 class Tanh(Layer):
@@ -575,7 +657,9 @@ class Tanh(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._out is None:
             raise RuntimeError("backward called before a training forward")
-        return grad_out * (1.0 - self._out**2)
+        # the output has the input's layout (an elementwise op keeps it)
+        out = np.empty_like(self._out, dtype=grad_out.dtype)
+        return np.multiply(grad_out, 1.0 - self._out**2, out=out)
 
 
 class Flatten(Layer):
@@ -584,15 +668,17 @@ class Flatten(Layer):
     def __init__(self) -> None:
         super().__init__()
         self._shape: Optional[Tuple[int, ...]] = None
+        self._order: Optional[Tuple[int, ...]] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._shape = x.shape if training else None
+        self._order = _axis_order(x) if training else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._shape is None:
             raise RuntimeError("backward called before a training forward")
-        return grad_out.reshape(self._shape)
+        return _in_layout(grad_out.reshape(self._shape), self._order)
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         return (int(np.prod(input_shape)),)
@@ -665,7 +751,7 @@ class BatchNorm2D(Layer):
             + self.params["beta"][None, :, None, None]
         )
         if training:
-            self._cache = (x_hat, inv_std)
+            self._cache = (x_hat, inv_std, _axis_order(x))
         else:
             self._cache = None
         return out
@@ -673,7 +759,7 @@ class BatchNorm2D(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before a training forward")
-        x_hat, inv_std = self._cache
+        x_hat, inv_std, x_order = self._cache
         n, c, h, w = grad_out.shape
         m = n * h * w
         self.grads["gamma"][...] = (grad_out * x_hat).sum(axis=(0, 2, 3))
@@ -693,7 +779,7 @@ class BatchNorm2D(Layer):
                 - x_hat * sum_gx.transpose(1, 0, 2, 3)
             )
         )
-        return grad_in
+        return _in_layout(grad_in, x_order)
 
 
 class Dropout(Layer):
@@ -706,6 +792,7 @@ class Dropout(Layer):
         self.rate = float(rate)
         self._rng = rng or np.random.default_rng(0)
         self._mask: Optional[np.ndarray] = None
+        self._order: Optional[Tuple[int, ...]] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if not training or self.rate <= 0.0:
@@ -713,9 +800,10 @@ class Dropout(Layer):
             return x
         keep = 1.0 - self.rate
         self._mask = (self._rng.random(x.shape) < keep) / keep
+        self._order = _axis_order(x)
         return x * self._mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             return grad_out
-        return grad_out * self._mask
+        return _in_layout(grad_out * self._mask, self._order)

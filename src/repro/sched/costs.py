@@ -354,6 +354,14 @@ def fleet_class_matrices(
     return _FLEET_MATRIX_CACHE[key][:2]
 
 
+def _total(sizes: np.ndarray) -> int:
+    """The exact sum of non-negative int64 ``sizes``: NumPy's int64 sum
+    when it cannot wrap, Python ints when it might."""
+    if sizes.size and int(sizes.max()) > (2**63 - 1) // sizes.size:
+        return sum(sizes.tolist())
+    return int(sizes.sum())
+
+
 def fleet_problem(
     fleet: "FleetStore",
     cohort: Optional[np.ndarray] = None,
@@ -384,9 +392,7 @@ def fleet_problem(
     if idx.ndim != 1 or idx.size == 0:
         raise ValueError("cohort must be a non-empty 1-D index array")
     if total_shards is None:
-        total_shards = max(
-            1, int(fleet.data_size[idx].sum()) // shard_size
-        )
+        total_shards = max(1, _total(fleet.data_size[idx]) // shard_size)
     if total_shards <= 0:
         raise ValueError("total_shards must be positive")
     # perf_counter (monotonic): matrix-build cost is host cost, like

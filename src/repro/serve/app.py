@@ -49,7 +49,9 @@ from .schemas import (
     SchemaError,
 )
 
-__all__ = ["ServeConfig", "ServeApp", "Response", "ROUTE_LABELS"]
+__all__ = [
+    "ServeConfig", "ServeApp", "Response", "ROUTE_LABELS", "MAX_ROUND_SHARDS",
+]
 
 #: ``handle_request`` result: HTTP status + JSON-able payload (or the
 #: raw exposition text for ``/metrics``)
@@ -66,9 +68,22 @@ Body = Mapping[str, object]
 Handler = Callable[["ServeApp", str, Body], Response]
 
 
+#: the largest shard budget a serve round may be planned over: its cost
+#: rows take 16 bytes a shard per device class, so 2**20 shards is
+#: 16 MiB a class. Registration keeps the live devices' data (and so
+#: each device's ``data_size``) within ``shard_size * MAX_ROUND_SHARDS``
+#: samples, which an int64 sum holds too.
+MAX_ROUND_SHARDS = 1 << 20
+
+
 @dataclass(frozen=True)
 class ServeConfig:
-    """Everything ``repro serve`` can tune."""
+    """Everything ``repro serve`` can tune.
+
+    A device registers at most ``shard_size * MAX_ROUND_SHARDS`` samples
+    (10**8 at the default shard size), and the live devices hold at
+    most that many together.
+    """
 
     fleet_size: int = 256
     scheduler: str = "proportional"
@@ -140,6 +155,7 @@ class ServeApp:
             now_fn=self.now_fn,
             bus=self.bus,
             metrics=self.metrics,
+            max_live_samples=self.config.shard_size * MAX_ROUND_SHARDS,
         )
         self.models = ModelRegistry(now_fn=self.now_fn)
         self.coordinator = TrainingCoordinator(

@@ -113,6 +113,12 @@ class DeviceRegistry:
     metrics:
         Registry for the ``repro_serve_devices`` gauge and the
         ``repro_serve_heartbeat_lag_seconds`` histogram.
+    max_live_samples:
+        The most samples the live devices may hold together (``None``:
+        only the int64 column bounds each). A registration that would
+        pass it is refused: 400 when the device alone does, 503 when
+        the devices already live do. :class:`~repro.serve.app.ServeApp`
+        sets it to what one round's shard budget can hold.
     """
 
     def __init__(
@@ -123,6 +129,7 @@ class DeviceRegistry:
         now_fn: Optional[NowFn] = None,
         bus: Optional[EventBus] = None,
         metrics: Optional[MetricRegistry] = None,
+        max_live_samples: Optional[int] = None,
     ) -> None:
         if stale_after_s <= 0 or dead_after_s <= 0:
             raise ValueError("staleness thresholds must be positive")
@@ -151,6 +158,9 @@ class DeviceRegistry:
         #: late heartbeat gets 410-gone, not 404-unknown)
         self.records: Dict[str, DeviceRecord] = {}
         self._next_row = 0
+        self.max_live_samples = max_live_samples
+        #: samples the live rows hold, summed in Python ints (no wrap)
+        self.live_samples = 0
         self._counts: Dict[str, int] = {s: 0 for s in DEVICE_STATES}
         for gauge in self._devices_gauge.values():
             gauge.set(0)
@@ -216,15 +226,32 @@ class DeviceRegistry:
                 f"registry full ({self.fleet.n} rows)", code=503
             )
         row = self._next_row
+        column = self.fleet.data_size
+        # a value the int64 column cannot hold raises here, claiming no row
+        size = int(
+            column[row] if data_size is None else column.dtype.type(data_size)
+        )
+        limit = self.max_live_samples
+        if limit is not None and size > limit:
+            raise RegistryError(
+                f"data_size {size} exceeds the per-device limit {limit}"
+            )
+        if limit is not None and self.live_samples + size > limit:
+            raise RegistryError(
+                f"data_size {size} would take the live devices past "
+                f"{limit} samples, more than a round can hold",
+                code=503,
+            )
         # every column first: a write that fails claims no row
         if data_size is not None:
-            self.fleet.data_size[row] = int(data_size)
+            self.fleet.data_size[row] = size
         if battery_soc is not None:
             self.fleet.battery_j[row] = (
                 battery_soc * self.fleet.capacity_j[row]
             )
         self.fleet.alive[row] = True
         self._next_row += 1
+        self.live_samples += size
         now_s = self.now_fn()
         record = DeviceRecord(
             device_id=device_id,
@@ -272,6 +299,7 @@ class DeviceRegistry:
         self, record: DeviceRecord, reason: str, now_s: float
     ) -> None:
         self.fleet.alive[record.client_id] = False
+        self.live_samples -= int(self.fleet.data_size[record.client_id])
         record.lost_reason = reason
         self._move(record, STATE_DEAD)
         self.bus.emit(

@@ -114,16 +114,6 @@ class TestRegisterLimits:
         )
         assert (status, payload["client_id"]) == (201, 0)
 
-    def test_the_largest_int64_registers(self):
-        app, _ = make_app(n=4)
-        status, payload = app.handle_request(
-            "POST",
-            "/v1/devices/register",
-            {"device_id": "max", "data_size": 2**63 - 1},
-        )
-        assert status == 201
-        assert app.fleet.data_size[payload["client_id"]] == 2**63 - 1
-
     def test_a_failed_column_write_leaves_alive_and_records_agreeing(self):
         app, _ = make_app(n=4)
         register_n(app, 1)
