@@ -51,17 +51,19 @@ class BatteryState:
         """
         if not (power_w >= 0 and dt >= 0):
             raise ValueError("power and dt must be non-negative")
+        drawn = self.draw(power_w, dt)
+        if strict and drawn < power_w * dt:
+            raise BatteryDepletedError(
+                f"needed {power_w * dt:.1f} J but only {self._energy_j:.1f} J left"
+            )
+        self._energy_j -= drawn
+        return drawn
+
+    def draw(self, power_w: float, dt: float) -> float:
+        """The joules :meth:`drain` would draw now, without drawing
+        them: ``power_w * dt``, or all that is left when that is more."""
         need = power_w * dt
-        if need > self._energy_j:
-            if strict:
-                raise BatteryDepletedError(
-                    f"needed {need:.1f} J but only {self._energy_j:.1f} J left"
-                )
-            drawn = self._energy_j
-            self._energy_j = 0.0
-            return drawn
-        self._energy_j -= need
-        return need
+        return self._energy_j if need > self._energy_j else need
 
     def seconds_at_power(self, power_w: float) -> float:
         """How long the remaining charge lasts at constant power."""

@@ -20,8 +20,10 @@ straggler gaps that motivate load *un*balancing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import copy
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,8 +92,62 @@ class TrainingTrace:
                 )
 
 
+class _Series:
+    """The time series of a recorded run, one entry per control
+    interval, plus the per-batch completion times."""
+
+    def __init__(self, names: Sequence[str]) -> None:
+        self.names = tuple(names)
+        self.times: List[float] = []
+        self.temps: List[float] = []
+        self.powers: List[float] = []
+        self.freqs: Dict[str, List[float]] = {n: [] for n in self.names}
+        self.online: Dict[str, List[bool]] = {n: [] for n in self.names}
+        self.batch_times: List[float] = []
+
+    def append(
+        self, t: float, temp: float, power: float, freqs: Sequence[float]
+    ) -> None:
+        self.times.append(t)
+        self.temps.append(temp)
+        self.powers.append(power)
+        for name, f in zip(self.names, freqs):
+            self.freqs[name].append(f)
+            self.online[name].append(f > 0)
+
+    def trace(
+        self, device: str, workload: str, total_time_s: float, energy_j: float
+    ) -> TrainingTrace:
+        return TrainingTrace(
+            device=device,
+            workload=workload,
+            time_s=np.asarray(self.times),
+            temp_c=np.asarray(self.temps),
+            freq_ghz={k: np.asarray(v) for k, v in self.freqs.items()},
+            online={k: np.asarray(v) for k, v in self.online.items()},
+            power_w=np.asarray(self.powers),
+            batch_times=np.asarray(self.batch_times),
+            total_time_s=total_time_s,
+            energy_j=energy_j,
+        )
+
+
+#: one cluster's throttle under a set of engaged trips: ``None`` when
+#: a trip takes it offline, else ``(frequency cap GHz, rate factor)``;
+#: ``(inf, 1.0)`` when no trip names it
+_Cap = Optional[Tuple[float, float]]
+
+
 class MobileDevice:
     """A simulated phone running training workloads on a virtual clock.
+
+    Only the length of a run's last, partial step depends on how many
+    samples it has left; every other decision of the control loop reads
+    the device's state alone. So two runs that start from one state and
+    draw the same jitter take the same steps until the shorter one's
+    last: on a cold, jitter-free device the run at ``n`` samples is a
+    prefix of the run at any ``N > n``, and :meth:`cold_runs` reads a
+    whole grid of sizes off one pass.
 
     Parameters
     ----------
@@ -133,6 +189,8 @@ class MobileDevice:
         self._freqs: Dict[str, float] = {
             c.name: c.freq_min_ghz for c in spec.clusters
         }
+        #: per-cluster throttles, keyed on the engaged-trip flags
+        self._caps: Dict[Tuple[bool, ...], Tuple[_Cap, ...]] = {}
 
     # -- lifecycle -------------------------------------------------------
     def reset(self, soc: float = 1.0) -> None:
@@ -146,75 +204,172 @@ class MobileDevice:
         }
 
     # -- physics helpers -------------------------------------------------
-    def _step_control(self, load: float) -> Tuple[Dict[str, float], Dict[str, float]]:
-        """One governor + thermal decision.
-
-        Returns ``(freqs, rate_factors)`` per cluster; a cluster taken
-        offline by a trip reports frequency 0.0, and a sustained-load
-        trip may scale delivered throughput via its rate factor.
-        """
+    def _throttle_caps(self) -> Tuple[_Cap, ...]:
+        """Each cluster's throttle under the trips engaged now."""
         throttle = self.thermal.throttle()
-        freqs: Dict[str, float] = {}
-        rates: Dict[str, float] = {}
+        caps: List[_Cap] = []
         for cl in self.spec.clusters:
-            request = self.governor.select(
-                cl, load, self._freqs.get(cl.name, cl.freq_min_ghz),
-                self.control_dt,
-            )
-            rates[cl.name] = 1.0
             decision = throttle.get(cl.name)
-            if decision is not None:
-                if not decision.online:
-                    freqs[cl.name] = 0.0
-                    continue
+            if decision is None:
+                caps.append((math.inf, 1.0))
+            elif not decision.online:
+                caps.append(None)
+            else:
                 cap = (
                     cl.freq_min_ghz
                     + decision.freq_cap_factor
                     * (cl.freq_max_ghz - cl.freq_min_ghz)
                 )
-                request = min(request, cl.quantize(cap))
-                rates[cl.name] = decision.rate_factor
-            freqs[cl.name] = request
-            self._freqs[cl.name] = max(request, cl.freq_min_ghz)
-        return freqs, rates
+                caps.append((cl.quantize(cap), decision.rate_factor))
+        return tuple(caps)
 
-    def _throughput_gflops(
-        self,
-        freqs: Dict[str, float],
-        flops_per_sample: float,
-        rate_factors: Optional[Dict[str, float]] = None,
-    ) -> float:
-        """Workload-effective GFLOPS at the given cluster frequencies,
-        scaled by any sustained-load duty-cycle factors."""
-        total = 0.0
-        for c in self.spec.clusters:
-            f = freqs.get(c.name, 0.0)
-            if f <= 0:
-                continue
-            gf = c.throughput_gflops(f) * self.spec.cluster_efficiency(
-                c, flops_per_sample
+    def _step_control(self) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+        """One governor + thermal decision at full load.
+
+        Returns ``(freqs, rate_factors)``, one entry per cluster in spec
+        order; a cluster taken offline by a trip reports frequency 0.0,
+        and a sustained-load trip may scale delivered throughput via its
+        rate factor.
+        """
+        engaged = tuple(self.thermal._engaged)
+        caps = self._caps.get(engaged)
+        if caps is None:
+            caps = self._caps[engaged] = self._throttle_caps()
+        freqs: List[float] = []
+        rates: List[float] = []
+        for cl, cap in zip(self.spec.clusters, caps):
+            request = self.governor.select(
+                cl, 1.0, self._freqs.get(cl.name, cl.freq_min_ghz),
+                self.control_dt,
             )
-            if rate_factors is not None:
-                gf *= rate_factors.get(c.name, 1.0)
-            total += gf
-        return total
+            if cap is None:
+                freqs.append(0.0)
+                rates.append(1.0)
+                continue
+            request = min(request, cap[0])
+            freqs.append(request)
+            rates.append(cap[1])
+            self._freqs[cl.name] = max(request, cl.freq_min_ghz)
+        return tuple(freqs), tuple(rates)
 
-    def _power_w(
-        self, freqs: Dict[str, float], load: float, power_util: float = 1.0
-    ) -> float:
-        p = self.spec.idle_power_w
-        for cl in self.spec.clusters:
-            f = freqs.get(cl.name, 0.0)
-            if f > 0 and load > 0:
-                p += (
-                    self.spec.dyn_power_coeff_w
-                    * cl.n_cores
-                    * cl.util_cap
-                    * load
-                    * power_util
-                    * f**3
+    def _run(
+        self,
+        workload: TrainingWorkload,
+        sizes: Sequence[int],
+        series: Optional[_Series],
+    ) -> Dict[int, Tuple[float, float]]:
+        """The control-step loop: run ``workload`` to the largest of
+        ``sizes`` (samples per epoch) from the current state, and read
+        ``(total_time_s, energy_j)`` at each size in the step where its
+        own run would end, with that run's own partial step; keyed on
+        the size's index. A size whose partial step leaves it short of
+        its samples is left out: its own run would take one more step,
+        which this pass never takes. ``series``, when given, records the
+        pass."""
+        spec = self.spec
+        fps = workload.flops_per_sample
+        # per-run constants of the throughput and power sums, and the
+        # sums themselves per (frequencies, rate factors)
+        eff = [spec.cluster_efficiency(c, fps) for c in spec.clusters]
+        power_util = spec.power_utilisation(fps)
+        power_k = [
+            spec.dyn_power_coeff_w * c.n_cores * c.util_cap * power_util
+            for c in spec.clusters
+        ]
+        costs: Dict[
+            Tuple[Tuple[float, ...], Tuple[float, ...]], Tuple[float, float]
+        ] = {}
+
+        targets = [float(n * workload.epochs) for n in sizes]
+        end = max(targets)
+        stops = sorted((t, i) for i, t in enumerate(targets))
+        out: Dict[int, Tuple[float, float]] = {}
+        k = 0  # the next stop to read
+
+        flops_per_batch = fps * workload.batch_size
+        start_clock = batch_start = self.clock_s
+        energy = done = flops_into_batch = 0.0
+        dt = self.control_dt
+
+        while True:
+            # stops whose own loop takes no further step end here
+            while k < len(stops) and not done < stops[k][0] - 1e-9:
+                out[stops[k][1]] = (self.clock_s - start_clock, energy)
+                k += 1
+            if not done < end - 1e-9:
+                return out
+            freqs, rates = self._step_control()
+            cost = costs.get((freqs, rates))
+            if cost is None:
+                gflops = 0.0
+                power = spec.idle_power_w
+                for c, f, r, e, pk in zip(
+                    spec.clusters, freqs, rates, eff, power_k
+                ):
+                    if f > 0:
+                        gflops += c.throughput_gflops(f) * e * r
+                        power += pk * f**3
+                cost = costs[(freqs, rates)] = (gflops, power)
+            gflops, power = cost
+            if self.jitter:
+                gflops *= max(
+                    0.1, 1.0 + self._rng.normal(0.0, self.jitter)
                 )
-        return p
+            if gflops <= 0:
+                # All clusters offline (power is the idle draw): idle
+                # this interval and cool down.
+                energy += self.battery.drain(power, dt)
+                # clusters are offline but the episode is still "loaded":
+                # the workload is queued, only paused by the throttle.
+                self.thermal.update(power, dt, loaded=True)
+                self.clock_s += dt
+                if series is not None:
+                    series.append(
+                        self.clock_s - start_clock, self.thermal.temp_c,
+                        power, freqs,
+                    )
+                continue
+            rate = gflops * 1e9 / fps  # samples/s
+            # smaller stops whose own run ends inside this interval
+            while (
+                k < len(stops)
+                and stops[k][0] < end
+                and (stops[k][0] - done) / rate < dt
+            ):
+                t, i = stops[k]
+                step = (t - done) / rate
+                if not done + rate * step < t - 1e-9:
+                    out[i] = (
+                        self.clock_s + step - start_clock,
+                        energy + self.battery.draw(power, step),
+                    )
+                k += 1
+            step_time = min(dt, (end - done) / rate)
+            processed = rate * step_time
+            done += processed
+
+            # Per-batch bookkeeping (batch boundaries may fall inside a
+            # control interval; attribute them proportionally).
+            if series is not None:
+                flops_step = processed * fps
+                flops_into_batch += flops_step
+                while flops_into_batch >= flops_per_batch - 1e-6:
+                    frac_over = (
+                        flops_into_batch - flops_per_batch
+                    ) / flops_step if flops_step > 0 else 0.0
+                    t_done = self.clock_s + step_time * (1.0 - frac_over)
+                    series.batch_times.append(t_done - batch_start)
+                    batch_start = t_done
+                    flops_into_batch -= flops_per_batch
+
+            energy += self.battery.drain(power, step_time)
+            self.thermal.update(power, step_time, loaded=True)
+            self.clock_s += step_time
+            if series is not None:
+                series.append(
+                    self.clock_s - start_clock, self.thermal.temp_c, power,
+                    freqs,
+                )
 
     # -- main entry points -------------------------------------------------
     def run_workload(
@@ -226,127 +381,52 @@ class MobileDevice:
         time series (fits tight scheduling loops) but still returns a
         trace with the scalar totals filled in.
         """
-        power_util = self.spec.power_utilisation(workload.flops_per_sample)
-        total_samples = float(workload.n_samples * workload.epochs)
-        flops_per_batch = workload.flops_per_sample * workload.batch_size
-
-        times: List[float] = []
-        temps: List[float] = []
-        powers: List[float] = []
-        freq_hist: Dict[str, List[float]] = {
-            c.name: [] for c in self.spec.clusters
-        }
-        online_hist: Dict[str, List[bool]] = {
-            c.name: [] for c in self.spec.clusters
-        }
-        batch_times: List[float] = []
-
-        start_clock = self.clock_s
-        energy = 0.0
-        done = 0.0
-        flops_into_batch = 0.0
-        batch_start = self.clock_s
-        dt = self.control_dt
-
-        while done < total_samples - 1e-9:
-            freqs, rates = self._step_control(load=1.0)
-            gflops = self._throughput_gflops(
-                freqs, workload.flops_per_sample, rates
-            )
-            if self.jitter:
-                gflops *= max(
-                    0.1, 1.0 + self._rng.normal(0.0, self.jitter)
-                )
-            if gflops <= 0:
-                # All clusters offline: idle this interval and cool down.
-                power = self.spec.idle_power_w
-                energy += self.battery.drain(power, dt)
-                # clusters are offline but the episode is still "loaded":
-                # the workload is queued, only paused by the throttle.
-                self.thermal.update(power, dt, loaded=True)
-                self.clock_s += dt
-                if record:
-                    times.append(self.clock_s - start_clock)
-                    temps.append(self.thermal.temp_c)
-                    powers.append(power)
-                    for c in self.spec.clusters:
-                        freq_hist[c.name].append(freqs.get(c.name, 0.0))
-                        online_hist[c.name].append(
-                            freqs.get(c.name, 0.0) > 0
-                        )
-                continue
-            rate = gflops * 1e9 / workload.flops_per_sample  # samples/s
-            remaining = total_samples - done
-            step_time = min(dt, remaining / rate)
-            processed = rate * step_time
-            done += processed
-
-            # Per-batch bookkeeping (batch boundaries may fall inside a
-            # control interval; attribute them proportionally).
-            if record:
-                flops_step = processed * workload.flops_per_sample
-                flops_into_batch += flops_step
-                while flops_into_batch >= flops_per_batch - 1e-6:
-                    frac_over = (
-                        flops_into_batch - flops_per_batch
-                    ) / flops_step if flops_step > 0 else 0.0
-                    t_done = self.clock_s + step_time * (1.0 - frac_over)
-                    batch_times.append(t_done - batch_start)
-                    batch_start = t_done
-                    flops_into_batch -= flops_per_batch
-
-            power = self._power_w(freqs, load=1.0, power_util=power_util)
-            energy += self.battery.drain(power, step_time)
-            self.thermal.update(power, step_time, loaded=True)
-            self.clock_s += step_time
-
-            if record:
-                times.append(self.clock_s - start_clock)
-                temps.append(self.thermal.temp_c)
-                powers.append(power)
-                for c in self.spec.clusters:
-                    freq_hist[c.name].append(freqs.get(c.name, 0.0))
-                    online_hist[c.name].append(freqs.get(c.name, 0.0) > 0)
-
-        return TrainingTrace(
-            device=self.spec.name,
-            workload=workload.model_name,
-            time_s=np.asarray(times),
-            temp_c=np.asarray(temps),
-            freq_ghz={k: np.asarray(v) for k, v in freq_hist.items()},
-            online={k: np.asarray(v) for k, v in online_hist.items()},
-            power_w=np.asarray(powers),
-            batch_times=np.asarray(batch_times),
-            total_time_s=self.clock_s - start_clock,
-            energy_j=energy,
+        series = _Series([c.name for c in self.spec.clusters])
+        total_time_s, energy_j = self._run(
+            workload, (workload.n_samples,), series if record else None
+        )[0]
+        return series.trace(
+            self.spec.name, workload.model_name, total_time_s, energy_j
         )
+
+    def cold_runs(
+        self, workload: TrainingWorkload, sizes: Sequence[int]
+    ) -> List[TrainingTrace]:
+        """The ``record=False`` trace of a cold-start run of ``workload``
+        at each of ``sizes`` samples (its ``n_samples`` is ignored), bit
+        for bit what ``reset()`` then ``run_workload(..., record=False)``
+        returns, read off one pass to the largest size (see the class
+        docstring). A size whose own last partial step would fall short
+        of its samples gets its own cold run. Needs a jitter-free
+        device, and leaves it warm."""
+        if self.jitter:
+            raise ValueError("cold runs need a jitter-free device")
+        if not len(sizes):
+            raise ValueError("need at least one size")
+        if min(sizes) < 0:
+            raise ValueError("sizes must be non-negative")
+        self.reset()
+        names = [c.name for c in self.spec.clusters]
+        cells = self._run(workload, sizes, None)
+        traces = []
+        for i, n in enumerate(sizes):
+            cell = cells.get(i)
+            if cell is None:
+                self.reset()
+                cell = self._run(workload, (n,), None)[0]
+            traces.append(
+                _Series(names).trace(
+                    self.spec.name, workload.model_name, *cell
+                )
+            )
+        return traces
 
     def time_for_workload(self, workload: TrainingWorkload) -> float:
-        """Virtual seconds to finish the workload from the current state
-        (does not mutate device state)."""
-        snapshot = (
-            self.thermal.temp_c,
-            list(self.thermal._engaged),
-            self.thermal.load_time_s,
-            self.battery.remaining_j,
-            dict(self._freqs),
-            self.clock_s,
-        )
-        trace = self.run_workload(workload, record=False)
-        (
-            self.thermal.temp_c,
-            engaged,
-            load_time,
-            energy,
-            freqs,
-            clock,
-        ) = snapshot
-        self.thermal._engaged = engaged
-        self.thermal.load_time_s = load_time
-        self.battery._energy_j = energy
-        self._freqs = freqs
-        self.clock_s = clock
-        return trace.total_time_s
+        """Virtual seconds to finish the workload from the current state,
+        predicted on a copy: the device, its jitter generator and its
+        governor are left as they were."""
+        twin = copy.deepcopy(self)
+        return twin.run_workload(workload, record=False).total_time_s
 
     def idle(self, seconds: float) -> None:
         """Advance the clock with no workload (cooling + idle drain)."""

@@ -22,6 +22,7 @@ The calibration lives in :mod:`repro.device.registry`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -95,10 +96,13 @@ class ClusterSpec:
         return _opp_table(self.freq_min_ghz, self.freq_max_ghz, self.n_opp)
 
     def quantize(self, freq_ghz: float) -> float:
-        """Snap a requested frequency to the nearest not-lower OPP."""
-        for f in self.opp_table():
-            if f >= freq_ghz - 1e-9:
-                return f
+        """Snap a requested frequency to the nearest not-lower OPP
+        (within 1e-9 GHz); ``freq_max_ghz`` above the table or for NaN."""
+        table = self.opp_table()
+        low = freq_ghz - 1e-9
+        # a NaN compares false: bisect_left would send it to the bottom
+        if table and low <= table[-1]:
+            return table[bisect_left(table, low)]
         return self.freq_max_ghz
 
     def throughput_gflops(self, freq_ghz: float, online: bool = True) -> float:

@@ -14,10 +14,12 @@ Turns calibrated phones into the cost rows a
 
 Both fits read one profile, a table of cells: one cold-start run of a
 jitter-free phone per (phone, training FLOPs per sample, size, batch),
-whose trace carries both its seconds and its Joules, so an anchor size
-that lies on the time grid costs no second simulation. Curves are
-cached per phone on the same key with the whole grid in place of one
-size.
+whose trace carries both its seconds and its Joules. A phone's cells
+are read off one cold-start pass per (phone, FLOPs, batch) over the
+time and energy grids together (a smaller size's run is a prefix of
+the largest's), so no size below the largest costs a control step.
+Curves are cached per phone on the same key with the whole grid in
+place of one size.
 
 Both builders emit the class form: a testbed (:func:`testbed_problem`)
 has one row per distinct phone name, a fleet cohort
@@ -118,27 +120,38 @@ def clear_cost_cache() -> None:
 
 
 class _ProfiledPhone(MobileDevice):
-    """A jitter-free phone whose every run is a cold start, simulated
-    once per cell of :data:`_CELLS` and replayed after that (``record``
-    is ignored: a cell keeps only its totals)."""
+    """A jitter-free phone whose every run is a cold start replayed from
+    :data:`_CELLS` (``record`` is ignored: a cell keeps only its
+    totals); :meth:`profile` fills the cells."""
 
     def __init__(self, name: str) -> None:
         super().__init__(build_spec(name), jitter=0.0)
 
+    def _key(
+        self, workload: TrainingWorkload, n_samples: int
+    ) -> Tuple[str, float, int, int]:
+        return (
+            self.spec.name,
+            workload.flops_per_sample,
+            n_samples,
+            workload.batch_size,
+        )
+
+    def profile(self, workload: TrainingWorkload, sizes: Sequence[int]) -> None:
+        """Fill the cells of ``workload`` at every size of ``sizes`` not
+        yet in the table, from one cold-start pass
+        (:meth:`~repro.device.device.MobileDevice.cold_runs`)."""
+        missing = sorted({n for n in sizes if self._key(workload, n) not in _CELLS})
+        if missing:
+            with PROFILER.phase("profile"):
+                traces = self.cold_runs(workload, missing)
+            for n, trace in zip(missing, traces):
+                _CELLS[self._key(workload, n)] = trace
+
     def run_workload(
         self, workload: TrainingWorkload, record: bool = True
     ) -> TrainingTrace:
-        key = (
-            self.spec.name,
-            workload.flops_per_sample,
-            workload.n_samples,
-            workload.batch_size,
-        )
-        if key not in _CELLS:
-            with PROFILER.phase("profile"):
-                self.reset()
-                _CELLS[key] = super().run_workload(workload, record=False)
-        return _CELLS[key]
+        return _CELLS[self._key(workload, workload.n_samples)]
 
 
 def _profiled(
@@ -149,18 +162,28 @@ def _profiled(
     data_sizes: Sequence[int],
     batch_size: int,
 ) -> List[Curve]:
-    """``fit`` once per phone on a :class:`_ProfiledPhone`, so a cell
-    the time and the energy grids share is simulated once, cached on
+    """``fit`` once per phone on a :class:`_ProfiledPhone`, cached on
     the phone, the model's training FLOPs per sample, the sizes and the
-    batch. Raises ``ValueError`` naming any size that is not a whole
+    batch. A phone's first fit profiles its cells at these sizes and at
+    both default grids in one pass, so the time and the energy fit
+    share it. Raises ``ValueError`` naming any size that is not a whole
     number of samples >= 1."""
     sizes = _whole_sizes(data_sizes)
-    shared = (model_training_flops(model), sizes, batch_size)
+    flops = model_training_flops(model)
+    workload = TrainingWorkload(
+        flops_per_sample=flops,
+        n_samples=0,
+        batch_size=batch_size,
+        model_name=model.name,
+    )
+    shared = (flops, sizes, batch_size)
     for name in device_names:
         if (name, *shared) not in cache:
-            cache[(name, *shared)] = fit(
-                _ProfiledPhone(name), model, sizes, batch_size
+            phone = _ProfiledPhone(name)
+            phone.profile(
+                workload, (*sizes, *DEFAULT_PROFILE_SIZES, *DEFAULT_ENERGY_SIZES)
             )
+            cache[(name, *shared)] = fit(phone, model, sizes, batch_size)
     return [cache[(name, *shared)] for name in device_names]
 
 

@@ -1,11 +1,12 @@
 """The profile is a table of cells: one cold-start simulation per
 (phone, training FLOPs per sample, size, batch), read by both the time
-and the energy fit.
+and the energy fit, and filled from one pass per (phone, FLOPs, batch).
 
-The counts are host-independent (``MobileDevice.run_workload`` calls,
-not milliseconds). The bit pins are the ``.hex()`` of every float the
-fleet classes and the curves carry, recorded when each fit still ran
-its own simulations: sharing the cells must not move a bit.
+The counts are host-independent (simulations — control-step loops —
+and control steps, not milliseconds). The bit pins are the ``.hex()``
+of every float the fleet classes and the curves carry, recorded when
+each fit still ran its own simulations: sharing the cells must not
+move a bit.
 """
 
 import numpy as np
@@ -15,7 +16,9 @@ from repro.device.device import MobileDevice
 from repro.device.registry import make_device
 from repro.fleet.store import default_device_classes
 from repro.models.zoo import MNIST_MINI_SHAPE, MNIST_SHAPE, build_model
+from repro.obs.prof import PhaseProfiler
 from repro.profiling.trace import measure_grid
+from repro.sched import costs
 from repro.sched.costs import (
     cached_energy_curves,
     cached_time_curves,
@@ -62,20 +65,26 @@ CURVE_BITS = {
 }
 
 
-@pytest.fixture
-def runs(monkeypatch):
-    """A live count of ``MobileDevice.run_workload`` calls, starting
-    from an empty profile."""
-    clear_cost_cache()
+def _counter(monkeypatch, method):
+    """A live count of calls to ``MobileDevice.<method>``."""
     count = [0]
-    real = MobileDevice.run_workload
+    real = getattr(MobileDevice, method)
 
     def counted(self, *args, **kwargs):
         count[0] += 1
         return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(MobileDevice, "run_workload", counted)
+    monkeypatch.setattr(MobileDevice, method, counted)
     return count
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """A live count of simulations (control-step loops: a
+    ``run_workload`` or a profile pass), starting from an empty
+    profile."""
+    clear_cost_cache()
+    return _counter(monkeypatch, "_run")
 
 
 def _lenet():
@@ -83,11 +92,11 @@ def _lenet():
 
 
 class TestOneRunPerCell:
-    def test_default_classes_simulate_twenty_cells(self, runs):
-        """4 phones x the 5-size time grid; the 3 energy anchors all
-        lie on it."""
+    def test_default_classes_simulate_one_pass_per_phone(self, runs):
+        """4 phones, each one pass over the 5-size time grid; the 3
+        energy anchors all lie on it."""
         default_device_classes()
-        assert runs[0] == 20
+        assert runs[0] == 4
 
     def test_energy_curves_after_the_classes_simulate_nothing(self, runs):
         default_device_classes()
@@ -95,13 +104,20 @@ class TestOneRunPerCell:
         cached_energy_curves(PHONES, _lenet())
         assert runs[0] == before
 
-    def test_testbed_problem_simulates_five_cells_per_new_phone(self, runs):
+    def test_time_curves_after_the_energy_curves_simulate_nothing(self, runs):
+        """The first fit fills both default grids, whichever it is."""
+        cached_energy_curves(PHONES, _lenet())
+        before = runs[0]
+        cached_time_curves(PHONES, _lenet())
+        assert before == 4 and runs[0] == before
+
+    def test_testbed_problem_simulates_one_pass_per_phone(self, runs):
         testbed_problem(
             ["pixel2", "mate10", "pixel2"], total_samples=6000, with_energy=True
         )
-        assert runs[0] == 10
+        assert runs[0] == 2
         testbed_problem(["pixel2", "nexus6"], total_samples=6000, with_energy=True)
-        assert runs[0] == 15
+        assert runs[0] == 3
 
     def test_the_model_name_is_not_in_the_key(self, runs):
         """Two builds of one architecture under different names share
@@ -110,7 +126,7 @@ class TestOneRunPerCell:
         renamed.name = "renamed"
         (a,) = cached_time_curves(["pixel2"], net)
         (b,) = cached_time_curves(["pixel2"], renamed)
-        assert a is b and runs[0] == 5
+        assert a is b and runs[0] == 1
 
     def test_bootstrap_and_energy_on_a_callers_device_still_measure(self, runs):
         """The table serves only the cached curves: the public
@@ -124,6 +140,22 @@ class TestOneRunPerCell:
         bootstrap_curve(device, _lenet(), (500, 1500))
         energy_for_samples(device, _lenet(), 500)
         assert runs[0] == before + 3
+
+
+class TestColdFleetBuildCost:
+    def test_four_profile_phases_and_no_prefix_resimulated(self, monkeypatch):
+        """A cold 4-class fleet build profiles each phone once, and its
+        control steps are at most those of the four 12 000-sample runs
+        alone: re-simulating a smaller size's prefix fails here."""
+        clear_cost_cache()
+        prof = PhaseProfiler(enabled=True)
+        monkeypatch.setattr(costs, "PROFILER", prof)
+        steps = _counter(monkeypatch, "_step_control")
+        default_device_classes()
+        assert {"/".join(p): s.count for p, s in prof.stats.items()} == {
+            "profile": 4
+        }
+        assert steps[0] <= 1843
 
 
 class TestCurvesKeepTheirBits:
@@ -179,7 +211,7 @@ class TestSizesAreWholeSamples:
         (a,) = cached_energy_curves(["pixel2"], net, (500, 3000))
         (b,) = cached_energy_curves(["pixel2"], net, (np.int64(500), 3000.0))
         (c,) = cached_energy_curves(["pixel2"], net, np.array([500, 3000]))
-        assert a is b is c and runs[0] == 2
+        assert a is b is c and runs[0] == 1
         ms = measure_grid(make_device("pixel2", jitter=0.0), [net], (np.int64(500), 3000.0))
         assert [m.n_samples for m in ms] == [500, 3000]
         assert all(type(m.n_samples) is int for m in ms)
