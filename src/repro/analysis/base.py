@@ -57,6 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "dotted_text",
+    "module_all",
     "FileContext",
     "ProjectContext",
     "Rule",
@@ -85,6 +86,24 @@ def dotted_text(node: ast.AST) -> Optional[str]:
         return None
     parts.append(cur.id)
     return ".".join(reversed(parts))
+
+
+def module_all(tree: ast.Module) -> Optional[Tuple[ast.Assign, Tuple[str, ...]]]:
+    """A module's first top-level ``__all__ = [...]`` (or tuple)
+    statement and the string names it lists in order; None when it has
+    none."""
+    for stmt in tree.body:
+        if (
+            isinstance(stmt, ast.Assign)
+            and isinstance(stmt.value, (ast.List, ast.Tuple))
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+        ):
+            return stmt, tuple(
+                e.value
+                for e in stmt.value.elts
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            )
+    return None
 
 
 class _Memoizing:

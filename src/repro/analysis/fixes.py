@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .asyncrules import BlockingCallInAsync
-from .base import FileContext
+from .base import FileContext, module_all
 from .cfg import walk_function_body
 from .rules import EventSchemaSync, NoUnseededRng, NoWallClock
 
@@ -192,26 +192,11 @@ def _fix_missing_all(source: str, module: str) -> Tuple[str, int]:
     tree = ast.parse(source, filename=module)
     ctx = FileContext(module=module, source=source, tree=tree)
 
-    all_node: Optional[ast.Assign] = None
-    for stmt in tree.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in stmt.targets
-            )
-            and isinstance(stmt.value, (ast.List, ast.Tuple))
-        ):
-            all_node = stmt
-            break
-    if all_node is None:
+    found = module_all(tree)
+    if found is None:
         return source, 0  # adding a whole __all__ is a design choice
+    all_node, exported = found
     assert isinstance(all_node.value, (ast.List, ast.Tuple))
-    exported = {
-        e.value
-        for e in all_node.value.elts
-        if isinstance(e, ast.Constant) and isinstance(e.value, str)
-    }
 
     event_classes = {"EngineEvent"}
     missing: List[str] = []

@@ -48,7 +48,7 @@ from typing import (
     TypeVar,
 )
 
-from .base import FileContext, ProjectContext, dotted_text
+from .base import FileContext, ProjectContext, dotted_text, module_all
 from .cfg import FunctionNode
 from .findings import Finding
 
@@ -575,6 +575,11 @@ def _collect_module(info: ModuleInfo) -> None:
     """Fill symbol table, bindings and call sites for one module."""
     tree = info.ctx.tree
     is_package = info.path.endswith("__init__.py")
+    exported = module_all(tree)
+    all_stmt: Optional[ast.Assign] = None
+    if exported is not None:
+        all_stmt, info.exports = exported
+        info.exports_lineno = all_stmt.lineno
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             info.functions[stmt.name] = function_info(stmt)
@@ -584,17 +589,7 @@ def _collect_module(info: ModuleInfo) -> None:
             for target in stmt.targets:
                 if not isinstance(target, ast.Name):
                     continue
-                if target.id == "__all__" and isinstance(
-                    stmt.value, (ast.List, ast.Tuple)
-                ):
-                    info.exports = tuple(
-                        e.value
-                        for e in stmt.value.elts
-                        if isinstance(e, ast.Constant)
-                        and isinstance(e.value, str)
-                    )
-                    info.exports_lineno = stmt.lineno
-                else:
+                if target.id != "__all__" or stmt is not all_stmt:
                     info.constants[target.id] = ConstantInfo(
                         target.id, stmt.lineno
                     )

@@ -87,6 +87,7 @@ from .base import (
     ProjectContext,
     ProjectRule,
     dotted_text,
+    module_all,
     rule,
 )
 from .findings import Finding
@@ -494,9 +495,10 @@ class EventSchemaSync(FileRule):
                 )
 
     def finish(self, ctx: FileContext) -> Iterable[Finding]:
-        exported = self._module_all(ctx.tree)
-        if exported is None:
+        found = module_all(ctx.tree)
+        if found is None:
             return
+        _, exported = found
         for node in self._seen:
             if node.name not in exported:
                 yield ctx.finding(
@@ -572,26 +574,6 @@ class EventSchemaSync(FileRule):
                 annotation.right
             )
         return False
-
-    @staticmethod
-    def _module_all(tree: ast.Module) -> Optional[Set[str]]:
-        for stmt in tree.body:
-            if isinstance(stmt, ast.Assign):
-                targets = [
-                    t.id
-                    for t in stmt.targets
-                    if isinstance(t, ast.Name)
-                ]
-                if "__all__" in targets and isinstance(
-                    stmt.value, (ast.List, ast.Tuple)
-                ):
-                    return {
-                        e.value
-                        for e in stmt.value.elts
-                        if isinstance(e, ast.Constant)
-                        and isinstance(e.value, str)
-                    }
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .trace import ProfileMeasurement, measure_grid
 
 __all__ = [
     "Curve", "DeviceProfile", "TIME_FLOOR_S", "TimeCurve",
-    "bootstrap_curve", "build_profile", "curve_rows",
+    "bootstrap_curve", "build_profile", "curve_rows", "fit_time_curve",
 ]
 
 #: the smallest time a curve predicts: a fit extrapolated below its
@@ -132,7 +132,6 @@ def build_profile(
     data_sizes: Sequence[int],
     batch_size: int = 20,
     quadratic_step2: bool = False,
-    cold_start: bool = True,
 ) -> DeviceProfile:
     """Measure a model/data-size grid on a device and fit step 1.
 
@@ -141,10 +140,7 @@ def build_profile(
     """
     if len(models) < 3:
         raise ValueError("step-1 regression needs at least 3 architectures")
-    measurements = measure_grid(
-        device, models, data_sizes, batch_size=batch_size,
-        cold_start=cold_start,
-    )
+    measurements = measure_grid(device, models, data_sizes, batch_size=batch_size)
     return DeviceProfile(
         device_name=device.spec.name,
         data_sizes=tuple(int(d) for d in data_sizes),
@@ -163,7 +159,6 @@ def bootstrap_curve(
     data_sizes: Sequence[int],
     batch_size: int = 20,
     quadratic: bool = False,
-    cold_start: bool = True,
 ) -> Curve:
     """Online-bootstrap profile: measure *this* model at several sizes
     and fit time vs data size directly (the paper's "online through a
@@ -173,16 +168,35 @@ def bootstrap_curve(
     accurate curve for a known model, which is what the scheduling
     experiments feed to Fed-LBAP / Fed-MinAvg.
     """
-    if len(data_sizes) < (3 if quadratic else 2):
-        raise ValueError("need enough sizes to identify the fit")
-    measurements = measure_grid(
-        device, [model], data_sizes, batch_size=batch_size,
-        cold_start=cold_start,
+    measurements = measure_grid(device, [model], data_sizes, batch_size=batch_size)
+    return fit_time_curve(
+        [m.n_samples for m in measurements],
+        [m.time_s for m in measurements],
+        quadratic=quadratic,
     )
-    x = np.array(
-        [[float(m.n_samples)] for m in measurements], dtype=np.float64
-    )
-    y = np.array([m.time_s for m in measurements])
+
+
+def _check_grid(sizes: Sequence[float], coefficients: int) -> None:
+    """``ValueError`` naming the grid unless it holds at least
+    ``coefficients`` distinct sizes: with fewer, a least-squares fit
+    has no unique solution."""
+    if len(set(sizes)) < coefficients:
+        raise ValueError(
+            f"a fit of {coefficients} coefficients needs as many distinct "
+            f"sizes, not the grid {np.asarray(sizes).tolist()}"
+        )
+
+
+def fit_time_curve(
+    sizes: Sequence[float], seconds: Sequence[float], quadratic: bool = False
+) -> Curve:
+    """The least-squares :class:`Curve` through measured ``(sizes[i],
+    seconds[i])`` points, linear or ``quadratic`` in samples, floored at
+    :data:`TIME_FLOOR_S`. Points keep their order (it moves the low
+    bits); a size may repeat."""
+    _check_grid(sizes, 3 if quadratic else 2)
+    x = np.array([[float(n)] for n in sizes], dtype=np.float64)
+    y = np.asarray(seconds, dtype=np.float64)
     return _fitted(LinearRegressor(quadratic=quadratic).fit(x, y))
 
 

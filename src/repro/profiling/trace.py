@@ -51,14 +51,12 @@ def measure_grid(
     models: Sequence[Sequential],
     data_sizes: Sequence[int],
     batch_size: int = 20,
-    cold_start: bool = True,
 ) -> List[ProfileMeasurement]:
     """Train every model at every data size; return the measurements.
 
-    ``cold_start`` resets the device (ambient temperature, full battery)
-    before each run, matching an offline lab profiling procedure with
-    cool-down between measurements. Passing ``False`` profiles the
-    sustained-load regime instead.
+    The device is reset (ambient temperature, full battery) before each
+    run, matching an offline lab profiling procedure with cool-down
+    between measurements.
     """
     if not models:
         raise ValueError("need at least one model to profile")
@@ -68,8 +66,7 @@ def measure_grid(
         split = model.param_split()
         flops = model_training_flops(model)
         for d in sizes:
-            if cold_start:
-                device.reset()
+            device.reset()
             workload = TrainingWorkload(
                 flops_per_sample=flops,
                 n_samples=d,

@@ -5,21 +5,22 @@ Turns calibrated phones into the cost rows a
 :class:`~repro.profiling.profiler.Curve` and every row built by
 :func:`~repro.profiling.profiler.curve_rows`:
 
-* **time** — ``T_j(n_samples)`` bootstrapped from the device simulator
-  (the paper's online profiling path);
+* **time** — ``T_j(n_samples)`` least-squares fitted through the
+  cold-start runs of the device simulator
+  (:func:`~repro.profiling.profiler.fit_time_curve`, the paper's online
+  profiling path);
 * **energy** — affine ``E_j(n_samples)`` Joules least-squares fitted
-  through the cold-start runs at a few anchor sizes
-  (:func:`repro.device.energy.energy_for_samples`; training energy is
-  affine in data size to very good approximation, like time).
+  through the cold-start runs at a few anchor sizes (training energy
+  is affine in data size to very good approximation, like time).
 
-Both fits read one profile, a table of cells: one cold-start run of a
-jitter-free phone per (phone, training FLOPs per sample, size, batch),
-whose trace carries both its seconds and its Joules. A phone's cells
-are read off one cold-start pass per (phone, FLOPs, batch) over the
-time and energy grids together (a smaller size's run is a prefix of
-the largest's), so no size below the largest costs a control step.
-Curves are cached per phone on the same key with the whole grid in
-place of one size.
+Both fits are functions of one profile, a table of cells: one
+cold-start run of a jitter-free phone per (phone, training FLOPs per
+sample, size, batch), whose trace carries both its seconds and its
+Joules. A phone's cells are read off one cold-start pass per (phone,
+FLOPs, batch) over the time and energy grids together (a smaller
+size's run is a prefix of the largest's), so no size below the largest
+costs a control step. Curves are cached per fit and phone on the same
+key with the whole grid in place of one size.
 
 Both builders emit the class form: a testbed (:func:`testbed_problem`)
 has one row per distinct phone name, a fleet cohort
@@ -46,14 +47,13 @@ import numpy as np
 
 from ..core.baselines import mean_cpu_freq_per_core
 from ..device.device import MobileDevice, TrainingTrace
-from ..device.energy import energy_for_samples
 from ..device.registry import build_spec
 from ..device.workload import TrainingWorkload
 from ..models.flops import model_training_flops
 from ..models.network import Sequential
 from ..models.zoo import CIFAR_SHAPE, MNIST_SHAPE, build_model
 from ..obs.prof import PROFILER
-from ..profiling.profiler import Curve, bootstrap_curve, curve_rows
+from ..profiling.profiler import Curve, _check_grid, curve_rows, fit_time_curve
 from ..profiling.trace import _whole_sizes
 from .base import SchedulingProblem
 
@@ -95,8 +95,8 @@ _CurveKey = Tuple[object, ...]
 #: the FLOPs, not the name, tell two models apart
 _CELLS: Dict[Tuple[str, float, int, int], TrainingTrace] = {}
 
-_TIME_CACHE: Dict[_CurveKey, Curve] = {}
-_ENERGY_CACHE: Dict[_CurveKey, Curve] = {}
+#: fitted curves, keyed on (fit, phone, FLOPs, sizes, batch)
+_CURVES: Dict[_CurveKey, Curve] = {}
 
 #: per-class cost rows, keyed on (fleet class signature, shard size):
 #: ``(time, energy, widest)`` — the pair last handed out and the
@@ -114,60 +114,24 @@ def clear_cost_cache() -> None:
     """Drop all profiled cells, cached curves and class matrices (test
     isolation)."""
     _CELLS.clear()
-    _TIME_CACHE.clear()
-    _ENERGY_CACHE.clear()
+    _CURVES.clear()
     _FLEET_MATRIX_CACHE.clear()
 
 
-class _ProfiledPhone(MobileDevice):
-    """A jitter-free phone whose every run is a cold start replayed from
-    :data:`_CELLS` (``record`` is ignored: a cell keeps only its
-    totals); :meth:`profile` fills the cells."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__(build_spec(name), jitter=0.0)
-
-    def _key(
-        self, workload: TrainingWorkload, n_samples: int
-    ) -> Tuple[str, float, int, int]:
-        return (
-            self.spec.name,
-            workload.flops_per_sample,
-            n_samples,
-            workload.batch_size,
-        )
-
-    def profile(self, workload: TrainingWorkload, sizes: Sequence[int]) -> None:
-        """Fill the cells of ``workload`` at every size of ``sizes`` not
-        yet in the table, from one cold-start pass
-        (:meth:`~repro.device.device.MobileDevice.cold_runs`)."""
-        missing = sorted({n for n in sizes if self._key(workload, n) not in _CELLS})
-        if missing:
-            with PROFILER.phase("profile"):
-                traces = self.cold_runs(workload, missing)
-            for n, trace in zip(missing, traces):
-                _CELLS[self._key(workload, n)] = trace
-
-    def run_workload(
-        self, workload: TrainingWorkload, record: bool = True
-    ) -> TrainingTrace:
-        return _CELLS[self._key(workload, workload.n_samples)]
-
-
 def _profiled(
-    cache: Dict[_CurveKey, Curve],
-    fit: Callable[[MobileDevice, Sequential, Sequence[int], int], Curve],
+    fit: Callable[[Tuple[int, ...], List[TrainingTrace]], Curve],
     device_names: Sequence[str],
     model: Sequential,
     data_sizes: Sequence[int],
     batch_size: int,
 ) -> List[Curve]:
-    """``fit`` once per phone on a :class:`_ProfiledPhone`, cached on
-    the phone, the model's training FLOPs per sample, the sizes and the
-    batch. A phone's first fit profiles its cells at these sizes and at
-    both default grids in one pass, so the time and the energy fit
-    share it. Raises ``ValueError`` naming any size that is not a whole
-    number of samples >= 1."""
+    """``fit`` once per phone over its cells at ``data_sizes``, cached
+    on the fit, the phone, the model's training FLOPs per sample, the
+    sizes and the batch. A phone's missing cells at these sizes and at
+    both default grids are filled from one cold-start pass of a
+    jitter-free phone (:meth:`~repro.device.device.MobileDevice.cold_runs`),
+    so the time and the energy fit share it. Raises ``ValueError``
+    naming any size that is not a whole number of samples >= 1."""
     sizes = _whole_sizes(data_sizes)
     flops = model_training_flops(model)
     workload = TrainingWorkload(
@@ -176,30 +140,35 @@ def _profiled(
         batch_size=batch_size,
         model_name=model.name,
     )
-    shared = (flops, sizes, batch_size)
+    grid = (*sizes, *DEFAULT_PROFILE_SIZES, *DEFAULT_ENERGY_SIZES)
     for name in device_names:
-        if (name, *shared) not in cache:
-            phone = _ProfiledPhone(name)
-            phone.profile(
-                workload, (*sizes, *DEFAULT_PROFILE_SIZES, *DEFAULT_ENERGY_SIZES)
-            )
-            cache[(name, *shared)] = fit(phone, model, sizes, batch_size)
-    return [cache[(name, *shared)] for name in device_names]
+        if (fit, name, flops, sizes, batch_size) in _CURVES:
+            continue
+        missing = sorted({n for n in grid if (name, flops, n, batch_size) not in _CELLS})
+        if missing:
+            phone = MobileDevice(build_spec(name), jitter=0.0)
+            with PROFILER.phase("profile"):
+                traces = phone.cold_runs(workload, missing)
+            for n, trace in zip(missing, traces):
+                _CELLS[name, flops, n, batch_size] = trace
+        _CURVES[fit, name, flops, sizes, batch_size] = fit(
+            sizes, [_CELLS[name, flops, n, batch_size] for n in sizes]
+        )
+    return [_CURVES[fit, name, flops, sizes, batch_size] for name in device_names]
 
 
-def _energy_curve(
-    device: MobileDevice,
-    model: Sequential,
-    data_sizes: Sequence[int],
-    batch_size: int,
-) -> Curve:
-    """Affine least-squares Joules through the anchor sizes, slope and
+def _time_curve(sizes: Tuple[int, ...], cells: List[TrainingTrace]) -> Curve:
+    """Least-squares seconds through the cells (:func:`fit_time_curve`)."""
+    return fit_time_curve(sizes, [c.total_time_s for c in cells])
+
+
+def _energy_curve(sizes: Tuple[int, ...], cells: List[TrainingTrace]) -> Curve:
+    """Affine least-squares Joules through the cells, slope and
     intercept clamped at zero."""
-    x = np.array([float(d) for d in data_sizes])
-    y = np.array(
-        [energy_for_samples(device, model, d, batch_size=batch_size) for d in data_sizes]
+    _check_grid(sizes, 2)
+    slope, intercept = np.polyfit(
+        np.array([float(d) for d in sizes]), np.array([c.energy_j for c in cells]), 1
     )
-    slope, intercept = np.polyfit(x, y, 1)
     return Curve(max(float(intercept), 0.0), max(float(slope), 0.0), floor=0.0)
 
 
@@ -216,10 +185,7 @@ def cached_time_curves(
     the engine binding, the fleet classes and the paper's tables
     (:mod:`repro.experiments`) all read their curves here.
     """
-    return _profiled(
-        _TIME_CACHE, bootstrap_curve, device_names, model, data_sizes,
-        batch_size,
-    )
+    return _profiled(_time_curve, device_names, model, data_sizes, batch_size)
 
 
 def cached_energy_curves(
@@ -230,10 +196,7 @@ def cached_energy_curves(
 ) -> List[Curve]:
     """Affine ``E_j(n_samples)`` Joule curves fitted through the same
     profile cells as the time curves."""
-    return _profiled(
-        _ENERGY_CACHE, _energy_curve, device_names, model, data_sizes,
-        batch_size,
-    )
+    return _profiled(_energy_curve, device_names, model, data_sizes, batch_size)
 
 
 def testbed_problem(

@@ -40,7 +40,7 @@ from .test_parallel_train import (
     _failing_train,
     _model,
     _no_children_left,
-    _retired_train_step,
+    _RetiredStep,
     _rng_state,
 )
 
@@ -77,23 +77,6 @@ def _engine(
     if binding:
         engine.bind_scheduler(EngineSchedulerBinding("proportional", shard_size=8))
     return engine
-
-
-class _RetiredStep:
-    """The train step before the split, run where the round collects:
-    each aggregator in turn on the engine's generator, logged to
-    ``trained``; nothing to reap."""
-
-    def __init__(self, engine, aggregators, start_weights, trained):
-        self.args = (engine, aggregators, start_weights)
-        self.trained = trained
-
-    def collect(self):
-        self.trained.append(list(self.args[1]))
-        return _retired_train_step(*self.args)
-
-    def reap(self):
-        pass
 
 
 def _capture(engine):

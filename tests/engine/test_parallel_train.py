@@ -12,6 +12,13 @@ cases that must stay in the caller (one core, a ``Dropout`` layer, a
 live second thread, a failed fork) and the failure paths: a child that
 raises or dies makes the round raise, and a caller that raises leaves
 no child behind.
+
+``_run_pair`` patches ``_train_aggregators``, which ``run_sync_round``
+no longer calls, so its whole-round cases compare the round with
+itself; their siblings under ``_run_against_the_retired_step`` replace
+``_start_training`` instead, for the configurations
+``test_overlapped_round`` does not already run against the retired
+loop.
 """
 
 import os
@@ -75,6 +82,23 @@ def _retired_train_step(engine, aggregators, start_weights):
         engine.train_client(j, start_weights, epochs=engine.local_epochs)
         for j in aggregators
     ]
+
+
+class _RetiredStep:
+    """The train step before the split, run where the round collects:
+    each aggregator in turn on the engine's generator, logged to
+    ``trained``; nothing to reap."""
+
+    def __init__(self, engine, aggregators, start_weights, trained):
+        self.args = (engine, aggregators, start_weights)
+        self.trained = trained
+
+    def collect(self):
+        self.trained.append(list(self.args[1]))
+        return _retired_train_step(*self.args)
+
+    def reap(self):
+        pass
 
 
 @pytest.fixture
@@ -254,6 +278,61 @@ def test_a_live_second_thread_keeps_the_round_in_the_caller(split):
         stop.set()
         thread.join()
     assert forks == []
+
+
+def _run_against_the_retired_step(make, rounds=3):
+    """The same rounds on the engine as it is and on one whose started
+    train step (``_start_training``, which ``run_sync_round`` calls) is
+    the retired loop."""
+    engine, reference = make(), make()
+    reference._start_training = lambda aggregators, w: _RetiredStep(
+        reference, aggregators, w, []
+    )
+    for _ in range(rounds):
+        got = engine.run_sync_round()
+        want = reference.run_sync_round()
+        assert got.participant_count == want.participant_count
+        assert got.accuracy == want.accuracy
+    assert np.array_equal(
+        engine.server.model.get_weights(), reference.server.model.get_weights()
+    )
+    assert _rng_state(engine) == _rng_state(reference)
+    return engine, reference
+
+
+def test_a_dropout_layer_keeps_its_generator_against_the_retired_step(split):
+    forks = split(2)
+    engine, reference = _run_against_the_retired_step(
+        lambda: _simulation(model_dropout=True)
+    )
+    assert forks == []
+    drop = [type(layer) for layer in engine._scratch.layers].index(Dropout)
+    assert (
+        engine._scratch.layers[drop]._rng.bit_generator.state
+        == reference._scratch.layers[drop]._rng.bit_generator.state
+    )
+
+
+def test_a_live_second_thread_equals_the_retired_step(split):
+    forks = split(2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        _run_against_the_retired_step(_simulation, rounds=2)
+    finally:
+        stop.set()
+        thread.join()
+    assert forks == []
+
+
+def test_the_deadline_subset_equals_the_retired_step(split):
+    split(2)
+    engine, _ = _run_against_the_retired_step(
+        lambda: _simulation(**ROUNDS["deadline dropout"])
+    )
+    counts = [r.participant_count for r in engine.history.records]
+    assert min(counts) < len(engine.users)
 
 
 @pytest.mark.parametrize("sizes", [[30, 30], [50, 15, 15]])

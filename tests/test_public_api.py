@@ -346,16 +346,22 @@ def test_experiments_schedule_only_through_the_registry():
     assert {m: hits for m, hits in offenders.items() if hits} == {}
 
 
-def test_one_module_bootstraps_time_curves():
-    """One predictor: outside ``repro.profiling``, which defines it,
-    ``bootstrap_curve`` is imported by ``repro.sched.costs`` alone, so
-    a fix to the profile grid lands once for every consumer."""
+def test_one_module_fits_time_curves():
+    """One predictor: outside ``repro.profiling``, which defines them,
+    ``fit_time_curve`` is imported by ``repro.sched.costs`` alone and
+    ``bootstrap_curve`` by no module, so a fix to the time fit or its
+    grid lands once for every consumer."""
     import repro
 
-    importers = sorted(
-        module
-        for module, names in _imports_by_module(repro).items()
-        if not module.startswith("repro.profiling")
-        and any(n.endswith(".bootstrap_curve") for n in names)
-    )
-    assert importers == ["repro.sched.costs"]
+    imports = _imports_by_module(repro)
+
+    def importers(symbol):
+        return sorted(
+            module
+            for module, names in imports.items()
+            if not module.startswith("repro.profiling")
+            and any(n.endswith(f".{symbol}") for n in names)
+        )
+
+    assert importers("fit_time_curve") == ["repro.sched.costs"]
+    assert importers("bootstrap_curve") == []
