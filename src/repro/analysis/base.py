@@ -255,7 +255,7 @@ class ProjectContext(_Memoizing):
     root: Path
     #: per-file contexts of every linted Python file, keyed by module
     files: Dict[str, FileContext] = field(default_factory=dict)
-    #: whole-program model (symbol table / import graph / call graph)
+    #: whole-program model (symbol table / call graph)
     graph: Optional["ProjectGraph"] = None
     _memo: Dict[str, Any] = field(
         default_factory=dict, repr=False, compare=False

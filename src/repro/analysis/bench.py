@@ -89,7 +89,7 @@ def bench_lint(root: Union[str, Path]) -> LintBench:
     """Time the lint pipeline over ``<root>/src/repro``.
 
     Stage 1 times :func:`~repro.analysis.project.build_project` alone
-    (parse + symbol/import/call graphs). Stage 2 runs each registered
+    (parse, symbol table, import records, call graph). Stage 2 runs each registered
     rule in isolation over the already-built project. Stage 3 is one
     cold end-to-end :func:`~repro.analysis.runner.lint_repo` — the
     figure the perf gate compares to the budget.

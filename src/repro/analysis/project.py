@@ -2,19 +2,18 @@
 
 PR 3's linter was strictly per-file: one parse, one walk, rules that
 see a single AST. The invariants the reproduction actually depends on
-— every event ``kind`` handled by the observability dispatch, every
-registered scheduler honouring the :class:`~repro.sched.base.Scheduler`
-contract *and* being importable from the comparison harness, units not
-silently crossing call boundaries — live *between* files. This module
-parses the whole ``src/repro`` tree **once** and derives the three
-structures those rules need:
+— units not silently crossing call boundaries, host time and unseeded
+draws kept out of the event stream, registered schedulers staying
+pure — live *between* files. This module parses the whole
+``src/repro`` tree **once** and derives three structures:
 
 * a **symbol table** per module (top-level classes with bases, methods
   and decorators; functions with their signatures; constants; the
   ``__all__`` export list),
-* an **import graph** with proper relative-import resolution
-  (``from ..core.schedule import Schedule`` inside
-  ``repro/sched/base.py`` is an edge to ``repro.core.schedule``), and
+* per-module **import records** with proper relative-import
+  resolution (``from ..core.schedule import Schedule`` inside
+  ``repro/sched/base.py`` records ``("repro.core.schedule",
+  "Schedule")``), and
 * an approximate, name-resolution-based **call graph** (no execution:
   a call site resolves through the module's import bindings to a
   dotted target, e.g. ``get_scheduler`` ->
@@ -117,22 +116,9 @@ class FunctionInfo:
     #: positional-or-keyword (and positional-only) parameter names,
     #: in order, including ``self`` for methods
     params: Tuple[str, ...] = ()
-    #: how many trailing ``params`` carry defaults
-    n_defaults: int = 0
-    has_vararg: bool = False
-    has_kwarg: bool = False
-    #: source text of the return annotation, if any
-    returns: Optional[str] = None
     #: whether the definition is ``async def`` (calling it makes a
     #: coroutine — the async-safety rules key off this)
     is_async: bool = False
-
-    @property
-    def required_params(self) -> Tuple[str, ...]:
-        """Parameters a caller must always supply."""
-        if self.n_defaults:
-            return self.params[: -self.n_defaults]
-        return self.params
 
 
 @dataclass
@@ -230,15 +216,10 @@ def function_info(node: FunctionNode) -> FunctionInfo:
     params = tuple(
         a.arg for a in [*args.posonlyargs, *args.args]
     )
-    returns = ast.unparse(node.returns) if node.returns else None
     return FunctionInfo(
         name=node.name,
         lineno=node.lineno,
         params=params,
-        n_defaults=len(args.defaults),
-        has_vararg=args.vararg is not None,
-        has_kwarg=args.kwarg is not None,
-        returns=returns,
         is_async=isinstance(node, ast.AsyncFunctionDef),
     )
 
@@ -307,7 +288,7 @@ FunctionEntry = Tuple[FileContext, Optional[str], FunctionNode]
 
 
 class ProjectGraph:
-    """Symbol table + import graph + approximate call graph.
+    """Symbol table + approximate call graph.
 
     Name resolution is static and best-effort: it follows the import
     bindings recorded per module and re-export chains through package
@@ -319,8 +300,6 @@ class ProjectGraph:
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
         self.by_path: Dict[str, ModuleInfo] = {}
-        #: importer module -> imported (graph-internal) modules
-        self.import_edges: Dict[str, Set[str]] = {}
         self._functions: Optional[Dict[str, FunctionEntry]] = None
 
     # -- construction ------------------------------------------------------
@@ -328,53 +307,7 @@ class ProjectGraph:
         self.modules[info.name] = info
         self.by_path[info.path] = info
 
-    def finalize(self) -> None:
-        """Resolve import records into graph-internal edges."""
-        for name, info in self.modules.items():
-            edges: Set[str] = set()
-            for target, symbol in info.import_records:
-                if target in self.modules:
-                    edges.add(target)
-                if symbol is not None:
-                    sub = f"{target}.{symbol}"
-                    if sub in self.modules:
-                        edges.add(sub)
-            edges.discard(name)
-            self.import_edges[name] = edges
-
     # -- lookups -----------------------------------------------------------
-    def module_at(self, path_suffix: str) -> Optional[ModuleInfo]:
-        """First module whose repo path ends with ``path_suffix``."""
-        for path in sorted(self.by_path):
-            if path.endswith(path_suffix):
-                return self.by_path[path]
-        return None
-
-    def import_closure(self, starts: Iterable[str]) -> Set[str]:
-        """Modules (transitively) imported when ``starts`` load.
-
-        Importing ``a.b.c`` executes ``a`` and ``a.b`` first, so
-        package ancestors join the closure alongside explicit edges.
-        """
-        seen: Set[str] = set()
-        stack = [s for s in starts if s in self.modules]
-        while stack:
-            mod = stack.pop()
-            if mod in seen:
-                continue
-            seen.add(mod)
-            parts = mod.split(".")
-            for i in range(1, len(parts)):
-                ancestor = ".".join(parts[:i])
-                if ancestor in self.modules and ancestor not in seen:
-                    stack.append(ancestor)
-            stack.extend(
-                e
-                for e in self.import_edges.get(mod, ())
-                if e not in seen
-            )
-        return seen
-
     def resolve_symbol(
         self, module: str, name: str, _seen: Optional[Set[str]] = None
     ) -> Optional[Tuple[ModuleInfo, str]]:
@@ -679,7 +612,6 @@ def build_project(
             info = ModuleInfo(path=module, name=dotted, ctx=ctx)
             _collect_module(info)
             graph.add_module(info)
-    graph.finalize()
     project_ctx.graph = graph
     return project_ctx, parse_errors
 

@@ -19,31 +19,20 @@ rationale and the fix recipes):
   ``repro/engine/events.py`` carries a unique ``kind`` string, only
   JSON-serialisable fields, and is exported via ``__all__`` (the
   telemetry JSONL schema is exactly these fields).
-* ``registry-doc-drift`` — every registered scheduler name appears in
-  the README scheduler table and in at least one ``tests/sched``
-  module, so docs and coverage cannot drift from the registry.
-* ``metric-doc-drift`` — every metric name registered in the
-  ``repro.obs`` catalog appears in ``docs/observability.md``, so the
-  metric reference cannot drift from the code.
 * ``bench-payload-schema`` — every committed ``BENCH_*.json`` carries
   ``schema`` and ``git_sha`` keys (diffable, traceable to a commit),
   and every literal ``PROFILER.phase(...)`` name used in ``src`` is
   documented in ``docs/observability.md``, so the committed
   performance trajectory and the profiler phase table cannot drift.
 
-Four rules are *cross-module*: they consume the whole-program model of
-:mod:`repro.analysis.project` (symbol table, import graph, approximate
-call graph) instead of a single AST:
+What the running program holds — the scheduler registry, the metric
+catalog, the event taxonomy and its dispatch tables — is checked on
+the live objects by ``tests/test_live_invariants.py``, not here.
 
-* ``event-dispatch-exhaustiveness`` — every event declared in
-  ``engine/events.py`` has a handler in ``ObsRecorder``'s one
-  ``kind``-keyed table, and no handler (or ``isinstance`` site) names
-  an event the taxonomy does not declare.
-* ``scheduler-contract`` — every ``@register``-ed scheduler subclasses
-  the :class:`~repro.sched.base.Scheduler` ABC, defines or inherits a
-  ``schedule(self, problem)`` with the ABC's shape, and lives in the
-  import closure of ``bench.compare`` (otherwise its registration
-  never runs and the comparison harness silently skips it).
+Two rules are *cross-module*: they consume the whole-program model of
+:mod:`repro.analysis.project` (symbol table, approximate call graph)
+instead of a single AST:
+
 * ``unit-consistency`` — a lightweight dimensional pass over
   unit-suffixed names (``_s``/``_ms``/``_j``/``_mah``/``_soc``):
   adding, comparing or assigning across time↔energy (or s↔ms) is
@@ -69,7 +58,6 @@ from __future__ import annotations
 
 import ast
 import json
-import re
 from typing import (
     Callable,
     Dict,
@@ -98,11 +86,7 @@ __all__ = [
     "NoWallClock",
     "NoFloatEquality",
     "EventSchemaSync",
-    "RegistryDocDrift",
-    "MetricDocDrift",
     "BenchPayloadSchema",
-    "EventDispatchExhaustiveness",
-    "SchedulerContract",
     "UnitConsistency",
     "DeadPublicApi",
     "NoPythonLoopOverFleet",
@@ -615,8 +599,8 @@ def _literal_calls(
 ) -> List[_LiteralCall]:
     """Every ``name("literal", ...)`` / ``<expr>.name("literal", ...)``
     call under ``prefix`` (only ``receiver.name(...)`` when a receiver
-    is given) — the names code registers (schedulers, metrics, profiler
-    phases) that docs owe a backticked mention."""
+    is given) — names the code uses (profiler phases) that docs owe a
+    backticked mention."""
     out: List[_LiteralCall] = []
     for module, fctx in sorted(ctx.files.items()):
         if not module.startswith(prefix):
@@ -677,104 +661,6 @@ def _registered_schedulers(
         for cls in info.classes.values()
         if any(d.rsplit(".", 1)[-1] == "register" for d in cls.decorators)
     ]
-
-
-# ---------------------------------------------------------------------------
-# registry-doc-drift
-# ---------------------------------------------------------------------------
-
-
-@rule("registry-doc-drift")
-class RegistryDocDrift(ProjectRule):
-    """Registered scheduler names must appear in the README table and
-    in at least one ``tests/sched`` module."""
-
-    description = (
-        "scheduler registry, README table and tests/sched coverage "
-        "must agree"
-    )
-
-    def check_project(
-        self, ctx: ProjectContext
-    ) -> Iterable[Finding]:
-        # ``@register("name")`` class decorators under repro.sched
-        registered = _literal_calls(ctx, "src/repro/sched/", "register")
-        if not registered:
-            return
-        yield from _undocumented(
-            ctx,
-            self.id,
-            registered,
-            ctx.read_text("README.md") or "",
-            lambda name: (
-                f"scheduler {name!r} is registered but missing from "
-                f"the README scheduler table (add a `{name}` row)"
-            ),
-        )
-        test_blob = "\n".join(
-            p.read_text(encoding="utf-8")
-            for p in ctx.glob("tests/sched/*.py")
-        )
-        for name, module, node in registered:
-            if not re.search(
-                rf"""["']{re.escape(name)}["']""", test_blob
-            ):
-                yield _project_finding(
-                    ctx,
-                    self.id,
-                    module,
-                    node.lineno,
-                    f"scheduler {name!r} is registered but no "
-                    "tests/sched module exercises it by name",
-                    col=node.col_offset,
-                )
-
-
-# ---------------------------------------------------------------------------
-# metric-doc-drift
-# ---------------------------------------------------------------------------
-
-
-@rule("metric-doc-drift")
-class MetricDocDrift(ProjectRule):
-    """Every metric registered in the :mod:`repro.obs` catalog must be
-    documented (as a backticked name) in ``docs/observability.md``."""
-
-    description = (
-        "repro.obs metric catalog and docs/observability.md must agree"
-    )
-
-    def check_project(
-        self, ctx: ProjectContext
-    ) -> Iterable[Finding]:
-        registered = _literal_calls(
-            ctx, "src/repro/obs/", "register_metric"
-        )
-        doc = ctx.read_text("docs/observability.md")
-        if doc is None:
-            # one finding for the missing file, not one per metric
-            yield from _undocumented(
-                ctx,
-                self.id,
-                registered[:1],
-                None,
-                lambda name: (
-                    f"metrics are registered (e.g. {name!r}) but "
-                    "docs/observability.md does not exist"
-                ),
-            )
-            return
-        yield from _undocumented(
-            ctx,
-            self.id,
-            registered,
-            doc,
-            lambda name: (
-                f"metric {name!r} is registered but missing from "
-                f"docs/observability.md (add a `{name}` row to the "
-                "metric table)"
-            ),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -842,255 +728,6 @@ class BenchPayloadSchema(ProjectRule):
                     )
             for message in problems:
                 yield _project_finding(ctx, self.id, rel, 1, message)
-
-
-# ---------------------------------------------------------------------------
-# event-dispatch-exhaustiveness
-# ---------------------------------------------------------------------------
-
-
-@rule("event-dispatch-exhaustiveness")
-class EventDispatchExhaustiveness(ProjectRule):
-    """Event taxonomy and the observability fold must agree.
-
-    Source of truth: the ``EngineEvent`` subclasses (and their ``kind``
-    strings) in ``engine/events.py``. ``ObsRecorder._HANDLERS`` is the
-    one ``kind``-keyed dispatch table — the live fold looks handlers up
-    in it, and replay is "decode, then the live fold" — so:
-
-    * every event class must have an entry; a new event otherwise
-      silently vanishes from metrics and energy, live and replayed;
-    * every entry must name a declared event, as ``<EventClass>.kind``
-      or as a kind string literal — anything else can never run.
-
-    When a repo has no recorder the rule is silent (nothing consumes
-    events, so nothing can be out of sync).
-    """
-
-    # wording pinned by the SARIF golden; "live and replay dispatch" is
-    # now the one table
-    description = (
-        "every engine event kind must be handled by the ObsRecorder "
-        "live and replay dispatch, and no dispatch may target an "
-        "undeclared event"
-    )
-
-    def check_project(
-        self, ctx: ProjectContext
-    ) -> Iterable[Finding]:
-        graph = ctx.graph
-        if graph is None:
-            return
-        events = graph.module_at("engine/events.py")
-        if events is None:
-            return
-        classes, kinds = self._event_taxonomy(events)
-        recorder = self._find_class(graph, "ObsRecorder", "src/repro/obs/")
-        if not classes or recorder is None:
-            return
-        rmod, rcls = recorder
-        table = self._handler_table(rcls)
-        label = f"{rcls.name}._HANDLERS"
-        handled: Set[str] = set()
-        for key in table.keys if table is not None else ():
-            if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                named, target = f"kind {key.value!r}", kinds.get(key.value)
-            elif isinstance(key, ast.Attribute) and key.attr == "kind":
-                named = ast.unparse(key.value)
-                resolved = graph.resolve_class(rmod.name, named)
-                target = (
-                    resolved[1].name
-                    if resolved is not None and resolved[0] is events
-                    else None
-                )
-            else:
-                continue
-            if target is not None and target in classes:
-                handled.add(target)
-                continue
-            yield _project_finding(
-                ctx,
-                self.id,
-                rmod.path,
-                key.lineno,
-                f"{label} has a handler for {named}, which does not "
-                f"exist in the event taxonomy of {events.name} — stale "
-                "or misspelled, this handler can never run",
-                col=key.col_offset,
-            )
-        anchor = table if table is not None else rcls.node
-        for name in sorted(set(classes) - handled):
-            kind = classes[name]
-            kind_label = f" (kind {kind!r})" if kind else ""
-            yield _project_finding(
-                ctx,
-                self.id,
-                rmod.path,
-                anchor.lineno,
-                f"event class {name}{kind_label} has no handler in "
-                f"{label} — live and replayed captures silently drop "
-                f"it; add a `{name}.kind: <handler>` entry",
-            )
-
-    @staticmethod
-    def _handler_table(cls: ClassInfo) -> Optional[ast.Dict]:
-        """The dict literal bound to ``_HANDLERS`` in the class body."""
-        for stmt in cls.node.body:
-            if isinstance(stmt, ast.AnnAssign):
-                targets: List[ast.expr] = [stmt.target]
-            elif isinstance(stmt, ast.Assign):
-                targets = stmt.targets
-            else:
-                continue
-            if isinstance(stmt.value, ast.Dict) and any(
-                isinstance(t, ast.Name) and t.id == "_HANDLERS"
-                for t in targets
-            ):
-                return stmt.value
-        return None
-
-    # -- taxonomy ----------------------------------------------------------
-    @staticmethod
-    def _event_taxonomy(
-        events: ModuleInfo,
-    ) -> Tuple[Dict[str, Optional[str]], Dict[str, str]]:
-        """(event class -> kind string, kind string -> class)."""
-        event_bases = {"EngineEvent"}
-        classes: Dict[str, Optional[str]] = {}
-        kinds: Dict[str, str] = {}
-        for cls in events.classes.values():
-            if not any(
-                b.rsplit(".", 1)[-1] in event_bases for b in cls.bases
-            ):
-                continue
-            event_bases.add(cls.name)
-            literals = map(_kind_literal, cls.node.body)
-            kind = next((k for k in literals if k is not None), None)
-            classes[cls.name] = kind
-            if kind is not None:
-                kinds[kind] = cls.name
-        return classes, kinds
-
-    @staticmethod
-    def _find_class(
-        graph: "ProjectGraph", name: str, path_prefix: str
-    ) -> Optional[Tuple[ModuleInfo, ClassInfo]]:
-        """Locate a consumer class, preferring its canonical package."""
-        fallback: Optional[Tuple[ModuleInfo, ClassInfo]] = None
-        for path in sorted(graph.by_path):
-            info = graph.by_path[path]
-            cls = info.classes.get(name)
-            if cls is None:
-                continue
-            if path.startswith(path_prefix):
-                return (info, cls)
-            if fallback is None:
-                fallback = (info, cls)
-        return fallback
-
-
-# ---------------------------------------------------------------------------
-# scheduler-contract
-# ---------------------------------------------------------------------------
-
-
-@rule("scheduler-contract")
-class SchedulerContract(ProjectRule):
-    """Registered schedulers must honour the ABC and be reachable.
-
-    For every ``@register("name")``-decorated class under
-    ``src/repro/sched``:
-
-    * it must (transitively) subclass the ``Scheduler`` ABC;
-    * it must define or inherit ``schedule`` with the ABC's shape —
-      exactly ``(self, problem)`` required, extras defaulted, and a
-      return annotation (when present) of ``Assignment``;
-    * its module must sit in the import closure of the comparison
-      harness (``sched/bench.py``): registration is an import
-      side-effect, so an unreachable module means ``bench.compare``
-      silently never sees the scheduler.
-    """
-
-    description = (
-        "@register-ed schedulers must subclass Scheduler, match the "
-        "schedule() signature and be importable from bench.compare"
-    )
-
-    def check_project(
-        self, ctx: ProjectContext
-    ) -> Iterable[Finding]:
-        graph = ctx.graph
-        if graph is None:
-            return
-        registered = _registered_schedulers(graph)
-        if not registered:
-            return
-        bench = graph.module_at("sched/bench.py")
-        closure: Optional[Set[str]] = (
-            graph.import_closure([bench.name])
-            if bench is not None and "compare" in bench.functions
-            else None
-        )
-        for info, cls in registered:
-            yield from self._check_one(ctx, graph, info, cls, closure)
-
-    def _check_one(
-        self,
-        ctx: ProjectContext,
-        graph: "ProjectGraph",
-        info: ModuleInfo,
-        cls: ClassInfo,
-        closure: Optional[Set[str]],
-    ) -> Iterator[Finding]:
-        def emit(lineno: int, message: str) -> Finding:
-            return _project_finding(
-                ctx, self.id, info.path, lineno, message
-            )
-
-        if not graph.inherits_from(info.name, cls, "Scheduler"):
-            yield emit(
-                cls.lineno,
-                f"registered scheduler {cls.name} does not subclass "
-                "the Scheduler ABC — it will not satisfy the "
-                "schedule() contract the engine calls",
-            )
-        found = graph.find_method(info.name, cls, "schedule")
-        if found is None:
-            yield emit(
-                cls.lineno,
-                f"registered scheduler {cls.name} neither defines nor "
-                "inherits schedule(); get_scheduler(...).schedule(...) "
-                "will raise at run time",
-            )
-        else:
-            fn = cls.methods.get("schedule")
-            if fn is not None:
-                required = fn.required_params
-                if len(required) > 2 or (
-                    len(fn.params) < 2 and not fn.has_vararg
-                ):
-                    yield emit(
-                        fn.lineno,
-                        f"{cls.name}.schedule{tuple(fn.params)} does "
-                        "not match the Scheduler ABC shape "
-                        "schedule(self, problem) — extra parameters "
-                        "must carry defaults",
-                    )
-                returns = (fn.returns or "").strip("'\"")
-                if returns and returns.rsplit(".", 1)[-1] != "Assignment":
-                    yield emit(
-                        fn.lineno,
-                        f"{cls.name}.schedule returns {returns!r}; the "
-                        "Scheduler contract requires an Assignment",
-                    )
-        if closure is not None and info.name not in closure:
-            yield emit(
-                cls.lineno,
-                f"scheduler {cls.name} is registered in {info.name}, "
-                "which bench.compare never imports — the registration "
-                "side-effect never runs and the comparison harness "
-                "silently skips it",
-            )
 
 
 # ---------------------------------------------------------------------------

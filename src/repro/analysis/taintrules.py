@@ -566,7 +566,9 @@ class ImpureScheduler(ProjectRule):
         for info, cls in _registered_schedulers(graph):
             found = graph.find_method(info.name, cls, "schedule")
             if found is None:
-                continue  # scheduler-contract already reports this
+                # a base the graph cannot resolve: register() raises
+                # TypeError at import for a class that is no Scheduler
+                continue
             def_mod, def_cls, fn = found
             key = f"{def_mod.name}.{def_cls.name}.schedule"
             summary = index.get(key)

@@ -2,7 +2,7 @@
 
 Every metric the engine recorder emits is registered here, once, under
 its stable Prometheus-style name. ``docs/observability.md`` carries the
-same table for humans; the ``metric-doc-drift`` lint rule keeps the two
+same table for humans; ``tests/test_live_invariants.py`` keeps the two
 in sync (every ``register_metric`` name below must appear in the doc).
 
 Naming follows Prometheus conventions: ``_total`` counters, base units

@@ -15,9 +15,9 @@ charge, accuracy) and distributions (client times, round makespans):
 Every instrument is described by a :class:`MetricSpec` registered in a
 module-level catalog (:func:`register_metric`), mirroring the
 :mod:`repro.sched.registry` idiom: the engine recorder, the exporters
-and the docs all resolve metrics by their stable name, and the
-``metric-doc-drift`` lint rule holds ``docs/observability.md`` to the
-catalog. Label sets are fixed per spec; time only ever enters through
+and the docs all resolve metrics by their stable name, and
+``tests/test_live_invariants.py`` holds ``docs/observability.md`` to
+the catalog. Label sets are fixed per spec; time only ever enters through
 the engine's *virtual* clock (callers pass event timestamps — nothing
 in this package reads a wall clock).
 """

@@ -358,7 +358,7 @@ class ObsRecorder:
 
     #: the one per-kind dispatch: ``kind`` -> handler. Every event in
     #: ``EVENT_TYPES`` has an entry and every entry names a declared
-    #: event (lint rule ``event-dispatch-exhaustiveness``).
+    #: event (``tests/test_live_invariants.py``).
     _HANDLERS: ClassVar[Dict[str, Callable[["ObsRecorder", Any], None]]] = {
         ClientDispatched.kind: _on_client_dispatched,
         ClientFinished.kind: _on_client_finished,

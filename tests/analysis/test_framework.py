@@ -31,15 +31,11 @@ from repro.analysis.taintrules import (
 from repro.analysis.rules import (
     BenchPayloadSchema,
     DeadPublicApi,
-    EventDispatchExhaustiveness,
     EventSchemaSync,
-    MetricDocDrift,
     NoFloatEquality,
     NoPythonLoopOverFleet,
     NoUnseededRng,
     NoWallClock,
-    RegistryDocDrift,
-    SchedulerContract,
     UnitConsistency,
 )
 
@@ -53,19 +49,15 @@ EXPECTED_RULES = {
     "blocking-call-in-async": BlockingCallInAsync,
     "dead-public-api": DeadPublicApi,
     "env-dependent-config": EnvDependentConfig,
-    "event-dispatch-exhaustiveness": EventDispatchExhaustiveness,
     "event-schema-sync": EventSchemaSync,
     "host-time-taint": HostTimeTaint,
     "impure-scheduler": ImpureScheduler,
     "lock-across-await": LockAcrossAwait,
-    "metric-doc-drift": MetricDocDrift,
     "no-float-equality": NoFloatEquality,
     "no-python-loop-over-fleet": NoPythonLoopOverFleet,
     "no-unseeded-rng": NoUnseededRng,
     "no-wall-clock": NoWallClock,
-    "registry-doc-drift": RegistryDocDrift,
     "rng-taint-escape": RngTaintEscape,
-    "scheduler-contract": SchedulerContract,
     "shared-fleet-mutation": SharedFleetMutation,
     "task-leak": TaskLeak,
     "unawaited-coroutine": UnawaitedCoroutine,
