@@ -4,12 +4,12 @@ A rule-plugin framework (:mod:`base`) plus the invariant rules
 (:mod:`rules`) that mechanically lock in what the reproduction's
 claims depend on: bit-determinism (no unseeded RNG, no wall-clock
 reads in simulated code), numeric safety (no float equality), and
-schema/doc coherence (event taxonomy vs. telemetry, scheduler registry
-vs. README/tests). On top of the per-file pass sits a whole-program
-model (:mod:`project`): every repo lint builds a symbol table, import
-graph and approximate call graph — parsed exactly once — feeding the
-cross-module rules (event-dispatch exhaustiveness, scheduler contract,
-unit consistency, dead public API).
+schema/doc coherence (every event class exported, committed bench
+payloads and profiler phases documented). On top of the per-file pass
+sits a whole-program model (:mod:`project`): every repo lint builds a
+symbol table, import records and one on-demand call resolver — parsed
+exactly once — feeding the cross-module rules (unit consistency, dead
+public API).
 
 Since PR 8 the engine is also *flow-sensitive*: per-function
 control-flow graphs (:mod:`cfg` — basic blocks, branch/loop/try edges,
@@ -41,7 +41,8 @@ exact on recursion, independent of who asked first.
 ``repro lint`` is the CLI shell around
 :func:`~repro.analysis.runner.lint_repo`; ``--format sarif`` exports
 GitHub-code-scanning-ready SARIF (:mod:`sarif`), ``--fix`` applies the
-idempotent mechanical rewrites (:mod:`fixes`), and findings can be
+idempotent edits the mechanical rules attach to their findings
+(:mod:`fixes`), and findings can be
 suppressed per line (``# lint: allow[rule-id]``) or via the checked-in
 baseline (:mod:`baseline`). See ``docs/static-analysis.md``.
 """

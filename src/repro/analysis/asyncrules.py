@@ -65,7 +65,7 @@ from .cfg import (
     walk_function_body,
 )
 from .dataflow import MayUnion, solve_forward, unit_facts
-from .findings import Finding
+from .findings import Finding, TextEdit
 from .project import CallTarget, Summaries, enclosing_class
 
 __all__ = [
@@ -196,6 +196,44 @@ def _blocking_index(
     return index
 
 
+def _awaited_sleep(
+    coro: ast.AsyncFunctionDef, call: ast.Call, ctx: FileContext
+) -> Tuple[TextEdit, ...]:
+    """A ``time.sleep(...)`` statement of ``coro`` -> ``await
+    asyncio.sleep(...)``, importing ``asyncio`` after the module's last
+    top-level import (or its docstring) when it has none. A sleep whose
+    value an expression could consume needs a human: none."""
+    callee = call.func
+    line = callee.lineno
+    if callee.end_lineno != line or not any(
+        isinstance(stmt, ast.Expr) and stmt.value is call
+        for stmt in walk_function_body(coro)
+    ):
+        return ()
+    end = callee.end_col_offset or callee.col_offset
+    edits: List[TextEdit] = [
+        (line, callee.col_offset, end, "await asyncio.sleep")
+    ]
+    if "asyncio" not in ctx.imports and "asyncio" not in {
+        mod for mod, _ in ctx.from_imports.values()
+    }:
+        body = ctx.tree.body
+        anchor = max(
+            (
+                stmt.end_lineno or stmt.lineno
+                for stmt in body
+                if isinstance(stmt, (ast.Import, ast.ImportFrom))
+            ),
+            default=0,
+        )
+        first = body[0] if body else None
+        if anchor == 0 and isinstance(first, ast.Expr):
+            if isinstance(first.value, ast.Constant):  # the docstring
+                anchor = first.end_lineno or first.lineno
+        edits.append((anchor + 1, 0, 0, "import asyncio\n"))
+    return tuple(edits)
+
+
 @rule("blocking-call-in-async")
 class BlockingCallInAsync(FileRule):
     """Event-loop-blocking call reachable from a coroutine."""
@@ -227,6 +265,11 @@ class BlockingCallInAsync(FileRule):
                     "async equivalent (await asyncio.sleep, asyncio "
                     "streams) or hand it to an executor "
                     "(asyncio.to_thread / loop.run_in_executor)",
+                    fix=(
+                        _awaited_sleep(node, call, ctx)
+                        if reason == "time.sleep"
+                        else ()
+                    ),
                 )
                 continue
             target = _project_target(ctx, call, owner)

@@ -15,7 +15,7 @@ Two rule shapes exist:
   rules that declared interest in its type (``node_types``), so adding
   rules does not add passes. Rules are instantiated fresh per file and
   may keep per-file state between ``check`` calls (the event-schema
-  rule accumulates ``kind`` strings this way) and flush it in
+  rule accumulates event classes this way) and flush it in
   :meth:`FileRule.finish`.
 * :class:`ProjectRule` — whole-repo checks that correlate sources with
   non-Python artifacts (README tables, test layout). They receive a
@@ -50,7 +50,7 @@ from typing import (
     cast,
 )
 
-from .findings import Finding, Severity
+from .findings import Finding, Severity, TextEdit
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .project import ProjectGraph
@@ -221,8 +221,10 @@ class FileContext(_Memoizing):
         node: ast.AST,
         message: str,
         severity: Severity = Severity.ERROR,
+        fix: Tuple[TextEdit, ...] = (),
     ) -> Finding:
-        """Build a :class:`Finding` anchored at an AST node."""
+        """Build a :class:`Finding` anchored at an AST node, carrying
+        the ``--fix`` edits that repair it, if any."""
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
         return Finding(
@@ -233,6 +235,7 @@ class FileContext(_Memoizing):
             message=message,
             severity=severity,
             code=self.line_text(line),
+            fix=fix,
         )
 
 

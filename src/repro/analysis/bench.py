@@ -89,8 +89,10 @@ def bench_lint(root: Union[str, Path]) -> LintBench:
     """Time the lint pipeline over ``<root>/src/repro``.
 
     Stage 1 times :func:`~repro.analysis.project.build_project` alone
-    (parse, symbol table, import records, call graph). Stage 2 runs each registered
-    rule in isolation over the already-built project. Stage 3 is one
+    (parse, symbol table, import bindings and records); call sites are
+    resolved on demand inside the rules, so their cost lands in stage
+    2, which runs each registered rule in isolation over the
+    already-built project. Stage 3 is one
     cold end-to-end :func:`~repro.analysis.runner.lint_repo` — the
     figure the perf gate compares to the budget.
     """

@@ -12,10 +12,15 @@ finding do not churn the baseline.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 __all__ = ["Severity", "Finding", "FlowStep", "normalize_context"]
+
+#: a text edit ``--fix`` applies: (1-based line, col start, col end,
+#: replacement), columns in UTF-8 bytes as :mod:`ast` counts them;
+#: ``start == end`` inserts, and a line one past the last appends
+TextEdit = Tuple[int, int, int, str]
 
 
 def normalize_context(code: str) -> str:
@@ -79,6 +84,10 @@ class Finding:
         Taint-propagation chain (source -> hops -> sink) for the
         dataflow rules; empty for plain AST findings. Rendered as a
         ``flow:`` line in text output and as SARIF ``codeFlows``.
+    fix:
+        The edits that mechanically repair the violation (empty when
+        it needs a human); applied by ``repro lint --fix``. Not part of
+        the finding's identity, JSON or SARIF.
     """
 
     rule_id: str
@@ -89,6 +98,7 @@ class Finding:
     severity: Severity = Severity.ERROR
     code: str = ""
     flow: Tuple[FlowStep, ...] = ()
+    fix: Tuple[TextEdit, ...] = field(default=(), compare=False)
 
     def fingerprint(self) -> Tuple[str, str, str]:
         """Line-shift-stable identity used by the baseline: (rule id,

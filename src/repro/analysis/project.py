@@ -5,7 +5,8 @@ see a single AST. The invariants the reproduction actually depends on
 — units not silently crossing call boundaries, host time and unseeded
 draws kept out of the event stream, registered schedulers staying
 pure — live *between* files. This module parses the whole
-``src/repro`` tree **once** and derives three structures:
+``src/repro`` tree **once** and derives two structures, plus one
+resolver:
 
 * a **symbol table** per module (top-level classes with bases, methods
   and decorators; functions with their signatures; constants; the
@@ -14,10 +15,12 @@ pure — live *between* files. This module parses the whole
   resolution (``from ..core.schedule import Schedule`` inside
   ``repro/sched/base.py`` records ``("repro.core.schedule",
   "Schedule")``), and
-* an approximate, name-resolution-based **call graph** (no execution:
-  a call site resolves through the module's import bindings to a
-  dotted target, e.g. ``get_scheduler`` ->
-  ``repro.sched.registry.get_scheduler``).
+* :meth:`ProjectGraph.resolve_call`, the one resolver of the
+  approximate, name-resolution-based **call graph** (no execution: a
+  call site resolves on demand, through the module's import bindings,
+  to a project callable, e.g. ``get_scheduler`` ->
+  ``repro.sched.registry.get_scheduler``). Every interprocedural rule
+  asks it; no call site is collected up front.
 
 Single-parse guarantee: :func:`build_project` is the only place the
 lint pipeline calls ``ast.parse`` for a repo run, and it notifies the
@@ -65,7 +68,6 @@ __all__ = [
     "enclosing_class",
     "function_info",
     "module_name_for",
-    "parse_module",
     "set_parse_listener",
 ]
 
@@ -81,13 +83,6 @@ def set_parse_listener(listener: Optional[ParseListener]) -> None:
     """Install (or clear, with ``None``) the process-wide parse hook."""
     global _parse_listener
     _parse_listener = listener
-
-
-def parse_module(source: str, module: str) -> ast.Module:
-    """The one ``ast.parse`` seam of the repo-lint pipeline."""
-    if _parse_listener is not None:
-        _parse_listener(module)
-    return ast.parse(source, filename=module)
 
 
 def module_name_for(relpath: str) -> Optional[str]:
@@ -164,8 +159,6 @@ class ModuleInfo:
     import_records: List[Tuple[str, Optional[str]]] = field(
         default_factory=list
     )
-    #: resolved call targets: (dotted target, call node)
-    calls: List[Tuple[str, ast.Call]] = field(default_factory=list)
 
     def symbol_lineno(self, name: str) -> int:
         for table in (self.classes, self.functions, self.constants):
@@ -431,8 +424,9 @@ class ProjectGraph:
         """(canonical key, defining module, signature) behind a call.
 
         Resolves module-level functions (key ``mod.fn``) *and* methods
-        spelled ``mod.Class.method`` — the form the call collector
-        records for ``self.helper()`` dispatch — following inheritance
+        spelled ``mod.Class.method`` — the form
+        :meth:`ModuleInfo.written_target` gives ``self.helper()``
+        dispatch — following inheritance
         through :meth:`find_method` (key names the *defining* class).
         """
         resolved = self.resolve_dotted(module, dotted)
@@ -456,15 +450,6 @@ class ProjectGraph:
             return None
         def_mod, def_cls, fn = found
         return (f"{def_mod.name}.{def_cls.name}.{method}", def_mod, fn)
-
-    def resolve_call_target(
-        self, module: str, dotted: str
-    ) -> Optional[Tuple[ModuleInfo, FunctionInfo]]:
-        """Function definition behind a resolved call-site target."""
-        out = self.resolve_callable(module, dotted)
-        if out is None:
-            return None
-        return (out[1], out[2])
 
     def resolve_call(
         self,
@@ -505,7 +490,9 @@ class ProjectGraph:
 
 
 def _collect_module(info: ModuleInfo) -> None:
-    """Fill symbol table, bindings and call sites for one module."""
+    """Fill symbol table, import bindings and import records for one
+    module; call sites are resolved on demand by
+    :meth:`ProjectGraph.resolve_call`."""
     tree = info.ctx.tree
     is_package = info.path.endswith("__init__.py")
     exported = module_all(tree)
@@ -558,17 +545,6 @@ def _collect_module(info: ModuleInfo) -> None:
                 )
                 info.import_records.append((target, alias.name))
 
-    # call sites, expanded the way :meth:`ProjectGraph.resolve_call` does
-    class_nodes = [cls.node for cls in info.classes.values()]
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        dotted = dotted_text(node.func)
-        if dotted is None:
-            continue
-        owner = enclosing_class(class_nodes, node.lineno)
-        info.calls.append((info.written_target(dotted, owner)[0], node))
-
 
 def build_project(
     root: Path,
@@ -579,8 +555,8 @@ def build_project(
     Returns the populated :class:`ProjectContext` (per-file contexts in
     ``.files``, the :class:`ProjectGraph` in ``.graph``) plus parse
     errors rendered as findings. This is the **only** parse site of the
-    repo-lint pipeline; every file goes through :func:`parse_module`
-    exactly once.
+    repo-lint pipeline: every file is parsed exactly once, and the
+    :func:`set_parse_listener` hook hears each parse.
     """
     project_ctx = ProjectContext(root=root)
     graph = ProjectGraph()
@@ -591,8 +567,10 @@ def build_project(
         except ValueError:
             module = path.as_posix()
         source = path.read_text(encoding="utf-8")
+        if _parse_listener is not None:
+            _parse_listener(module)
         try:
-            tree = parse_module(source, module)
+            tree = ast.parse(source, filename=module)
         except SyntaxError as exc:
             parse_errors.append(
                 Finding(

@@ -15,10 +15,9 @@ rationale and the fix recipes):
 * ``no-float-equality`` — ``==`` / ``!=`` on float-valued expressions
   makes tie-breaking depend on rounding; use :func:`math.isclose` /
   :func:`numpy.isclose` or an ordering comparison.
-* ``event-schema-sync`` — every event dataclass in
-  ``repro/engine/events.py`` carries a unique ``kind`` string, only
-  JSON-serialisable fields, and is exported via ``__all__`` (the
-  telemetry JSONL schema is exactly these fields).
+* ``event-schema-sync`` — every event class in
+  ``repro/engine/events.py`` is exported via ``__all__`` (the public
+  telemetry taxonomy).
 * ``bench-payload-schema`` — every committed ``BENCH_*.json`` carries
   ``schema`` and ``git_sha`` keys (diffable, traceable to a commit),
   and every literal ``PROFILER.phase(...)`` name used in ``src`` is
@@ -67,6 +66,7 @@ from typing import (
     Optional,
     Set,
     Tuple,
+    Union,
 )
 
 from .base import (
@@ -78,8 +78,8 @@ from .base import (
     module_all,
     rule,
 )
-from .findings import Finding
-from .project import ClassInfo, ModuleInfo, ProjectGraph
+from .findings import Finding, TextEdit
+from .project import ClassInfo, ModuleInfo, ProjectGraph, enclosing_class
 
 __all__ = [
     "NoUnseededRng",
@@ -121,6 +121,15 @@ _NP_RANDOM_OK = frozenset(
 )
 
 
+def _seed_stub(node: ast.Call, ctx: FileContext) -> Tuple[TextEdit, ...]:
+    """``default_rng()`` -> ``default_rng(0)``: a visible, greppable
+    seed stub (none when whitespace sits inside the parentheses)."""
+    line, end = node.end_lineno or node.lineno, node.end_col_offset or 0
+    if ctx.lines[line - 1].encode()[end - 2 : end] != b"()":
+        return ()
+    return ((line, end - 2, end, "(0)"),)
+
+
 @rule("no-unseeded-rng")
 class NoUnseededRng(FileRule):
     """Ban global-state RNG APIs and argument-less ``default_rng()``."""
@@ -157,6 +166,7 @@ class NoUnseededRng(FileRule):
                         "default_rng() without a seed is entropy-"
                         "seeded; pass an explicit seed or thread a "
                         "Generator through",
+                        fix=_seed_stub(node, ctx),
                     )
             elif attr == "RandomState" or attr not in _NP_RANDOM_OK:
                 yield ctx.finding(
@@ -233,6 +243,30 @@ _SEAM_CALLS = frozenset(
 )
 
 
+#: attribute-form wall-clock read -> its monotonic twin, for ``--fix``
+_CLOCK_REWRITES = {
+    "time.time": "perf_counter",
+    "time.time_ns": "perf_counter_ns",
+}
+
+
+def _monotonic_clock(
+    node: ast.Call, dotted: Optional[str], ctx: FileContext
+) -> Tuple[TextEdit, ...]:
+    """``time.time()`` -> ``time.perf_counter()`` (and ``_ns``). A bare
+    ``time()`` from ``from time import time`` would need its import
+    rewritten too, which is not mechanical: none."""
+    func = node.func
+    new = _CLOCK_REWRITES.get(dotted or "")
+    if new is None or not isinstance(func, ast.Attribute):
+        return ()
+    line, end = func.end_lineno or func.lineno, func.end_col_offset or 0
+    start = end - len(func.attr.encode())
+    if ctx.lines[line - 1].encode()[start:end] != func.attr.encode():
+        return ()  # attribute split over lines
+    return ((line, start, end, new),)
+
+
 @rule("no-wall-clock")
 class NoWallClock(FileRule):
     """Ban host wall-clock reads where time must be simulated (or, in
@@ -271,6 +305,7 @@ class NoWallClock(FileRule):
                 "the engine clock, repro.serve must go through the "
                 "repro.serve.clock.now seam, and CLI duration "
                 "measurements must use time.perf_counter()",
+                fix=_monotonic_clock(node, dotted, ctx),
             )
         elif dotted in _SEAM_CALLS and not ctx.module.startswith(
             "src/repro/serve/"
@@ -367,50 +402,58 @@ class NoFloatEquality(FileRule):
 # event-schema-sync
 # ---------------------------------------------------------------------------
 
-#: annotation names that serialise losslessly through json.dumps
-_JSON_SAFE_NAMES = frozenset(
-    {"int", "float", "str", "bool", "None"}
-)
-_JSON_SAFE_CONTAINERS = frozenset(
-    {"Tuple", "tuple", "List", "list", "Dict", "dict", "Optional",
-     "Union", "Sequence", "Mapping"}
-)
 
-
-def _kind_literal(stmt: ast.stmt) -> Optional[str]:
-    """The string of a ``kind: <annotation> = "<literal>"`` line of a
-    class body (else None)."""
-    if (
-        isinstance(stmt, ast.AnnAssign)
-        and isinstance(stmt.target, ast.Name)
-        and stmt.target.id == "kind"
-        and isinstance(stmt.value, ast.Constant)
-        and isinstance(stmt.value.value, str)
-    ):
-        return stmt.value.value
-    return None
+def _export_edits(
+    value: Union[ast.List, ast.Tuple], name: str, ctx: FileContext
+) -> Tuple[TextEdit, ...]:
+    """Edits appending ``"name"`` to the ``__all__`` list or tuple
+    ``value``: spliced before the closing bracket when that shares a
+    line with the last element (after a trailing comma, if any), else
+    inserted as a new line after the last element, which gains a comma
+    if it lacks one. None for a bare tuple or an empty multi-line
+    list."""
+    line = value.end_lineno or value.lineno
+    close = (value.end_col_offset or 0) - 1
+    text = ctx.lines[line - 1].encode()
+    if text[close : close + 1] not in (b"]", b")"):
+        return ()
+    if not value.elts:
+        if value.lineno != line:
+            return ()
+        return ((line, close, close, f'"{name}", '),)
+    last = value.elts[-1]
+    last_line = last.end_lineno or last.lineno
+    last_end = last.end_col_offset or 0
+    if last_line == line:
+        if text[:close].rstrip().endswith(b","):
+            return ((line, close, close, f' "{name}",'),)
+        return ((line, close, close, f', "{name}"'),)
+    row = ctx.lines[last_line - 1]
+    indent = row[: len(row) - len(row.lstrip())]
+    edits: List[TextEdit] = [(last_line + 1, 0, 0, f'{indent}"{name}",\n')]
+    if not row.encode()[last_end:].lstrip().startswith(b","):
+        edits.append((last_line, last_end, last_end, ","))
+    return tuple(edits)
 
 
 @rule("event-schema-sync")
 class EventSchemaSync(FileRule):
-    """Keep the engine event taxonomy telemetry-safe.
+    """Every class deriving (transitively) from ``EngineEvent`` in the
+    events module is exported in ``__all__``: the public taxonomy lists
+    every event.
 
-    Every class deriving (transitively) from ``EngineEvent`` must:
-    declare ``kind`` as a ``ClassVar[str]`` string literal, keep that
-    string unique across the file, restrict its dataclass fields to
-    JSON-serialisable annotations, and be exported in ``__all__`` —
-    the JSONL telemetry schema is exactly this contract.
+    The rest of the event contract is enforced by the program itself: a
+    field type with no JSON codec fails at import
+    (``events._FIELD_CODECS``), and each event's own ``kind`` string and
+    its uniqueness are checked on ``EVENT_TYPES`` by
+    ``tests/test_live_invariants.py``.
     """
 
-    description = (
-        "engine events need unique kind strings, JSON-safe fields and "
-        "an __all__ export"
-    )
+    description = "engine event classes must be exported in __all__"
     node_types = (ast.ClassDef,)
 
     def __init__(self) -> None:
         self._event_classes: Set[str] = {"EngineEvent"}
-        self._kinds: Dict[str, Tuple[str, ast.ClassDef]] = {}
         self._seen: List[ast.ClassDef] = []
 
     def applies_to(self, module: str) -> bool:
@@ -420,69 +463,19 @@ class EventSchemaSync(FileRule):
         self, node: ast.AST, ctx: FileContext
     ) -> Iterable[Finding]:
         assert isinstance(node, ast.ClassDef)
-        if node.name == "EngineEvent":
-            return
-        base_names = {
-            b.id for b in node.bases if isinstance(b, ast.Name)
-        }
-        if not (base_names & self._event_classes):
-            return
-        self._event_classes.add(node.name)
-        self._seen.append(node)
-
-        kind_node = self._kind_assignment(node)
-        if kind_node is None:
-            yield ctx.finding(
-                self.id,
-                node,
-                f"event class {node.name} must declare "
-                "kind: ClassVar[str] = \"<stable-string>\"",
-            )
-        else:
-            assert isinstance(kind_node.value, ast.Constant)
-            kind = kind_node.value.value
-            if kind in self._kinds:
-                other, _ = self._kinds[kind]
-                yield ctx.finding(
-                    self.id,
-                    kind_node,
-                    f"duplicate event kind {kind!r}: {node.name} "
-                    f"collides with {other} (telemetry consumers key "
-                    "on the kind string)",
-                )
-            else:
-                self._kinds[kind] = (node.name, node)
-
-        for stmt in node.body:
-            if not isinstance(stmt, ast.AnnAssign):
-                continue
-            if (
-                isinstance(stmt.target, ast.Name)
-                and stmt.target.id == "kind"
-            ):
-                continue
-            if self._is_classvar(stmt.annotation):
-                continue
-            if not self._json_safe(stmt.annotation):
-                target = (
-                    stmt.target.id
-                    if isinstance(stmt.target, ast.Name)
-                    else "<field>"
-                )
-                yield ctx.finding(
-                    self.id,
-                    stmt,
-                    f"field {node.name}.{target} has a non-JSON-"
-                    "serialisable annotation "
-                    f"{ast.unparse(stmt.annotation)}; events stream "
-                    "through json.dumps unmodified",
-                )
+        bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
+        if node.name != "EngineEvent" and bases & self._event_classes:
+            self._event_classes.add(node.name)
+            self._seen.append(node)
+        return ()
 
     def finish(self, ctx: FileContext) -> Iterable[Finding]:
         found = module_all(ctx.tree)
         if found is None:
             return
-        _, exported = found
+        all_node, exported = found
+        value = all_node.value
+        assert isinstance(value, (ast.List, ast.Tuple))
         for node in self._seen:
             if node.name not in exported:
                 yield ctx.finding(
@@ -490,74 +483,8 @@ class EventSchemaSync(FileRule):
                     node,
                     f"event class {node.name} missing from __all__ "
                     "(the public taxonomy must list every event)",
+                    fix=_export_edits(value, node.name, ctx),
                 )
-
-    @staticmethod
-    def _kind_assignment(
-        node: ast.ClassDef,
-    ) -> Optional[ast.AnnAssign]:
-        for stmt in node.body:
-            if (
-                isinstance(stmt, ast.AnnAssign)
-                and _kind_literal(stmt) is not None
-                and EventSchemaSync._is_classvar(stmt.annotation)
-            ):
-                return stmt
-        return None
-
-    @staticmethod
-    def _is_classvar(annotation: ast.AST) -> bool:
-        if isinstance(annotation, ast.Subscript):
-            base = annotation.value
-            return (
-                isinstance(base, ast.Name) and base.id == "ClassVar"
-            ) or (
-                isinstance(base, ast.Attribute)
-                and base.attr == "ClassVar"
-            )
-        return False
-
-    @classmethod
-    def _json_safe(cls, annotation: ast.AST) -> bool:
-        if isinstance(annotation, ast.Constant):
-            # e.g. the `None` half of Optional written as a constant
-            return annotation.value is None
-        if isinstance(annotation, ast.Name):
-            return annotation.id in _JSON_SAFE_NAMES
-        if isinstance(annotation, ast.Attribute):
-            return annotation.attr in _JSON_SAFE_NAMES
-        if isinstance(annotation, ast.Subscript):
-            base = annotation.value
-            base_name = (
-                base.id
-                if isinstance(base, ast.Name)
-                else base.attr
-                if isinstance(base, ast.Attribute)
-                else None
-            )
-            if base_name not in _JSON_SAFE_CONTAINERS:
-                return False
-            inner = annotation.slice
-            parts = (
-                list(inner.elts)
-                if isinstance(inner, ast.Tuple)
-                else [inner]
-            )
-            return all(
-                cls._json_safe(p)
-                for p in parts
-                if not (
-                    isinstance(p, ast.Constant) and p.value is Ellipsis
-                )
-            )
-        if isinstance(annotation, ast.BinOp) and isinstance(
-            annotation.op, ast.BitOr
-        ):
-            # PEP 604 unions: int | None
-            return cls._json_safe(annotation.left) and cls._json_safe(
-                annotation.right
-            )
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -872,17 +799,17 @@ class UnitConsistency(FileRule):
         minfo = graph.by_path.get(ctx.module)
         if minfo is None:
             return
-        call_targets: Dict[int, str] = ctx.memo(
-            "call-targets",
-            lambda: {id(call): dotted for dotted, call in minfo.calls},
+        classes = ctx.memo(
+            "class-nodes", lambda: [c.node for c in minfo.classes.values()]
         )
-        dotted = call_targets.get(id(node))
-        if dotted is None:
+        target = graph.resolve_call(
+            ctx, enclosing_class(classes, node.lineno), node
+        )
+        if target is None:
             return
-        resolved = graph.resolve_call_target(minfo.name, dotted)
-        if resolved is None:
-            return
-        tmod, fn = resolved
+        fn = target.fn
+        # a method is named by its defining module, like a function
+        tmod = graph.by_path[graph.functions()[target.key][0].module]
         params = fn.params
         # bound-method dispatch (`self.handler(...)`) passes the
         # receiver implicitly: positional args start at params[1]

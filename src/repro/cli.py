@@ -32,12 +32,9 @@ from typing import Dict, List
 
 from . import __version__
 from . import experiments as E
-from .device.registry import DEVICE_NAMES, TESTBEDS, build_spec, make_device
-from .device.workload import TrainingWorkload
+from .device.registry import DEVICE_NAMES, TESTBEDS, build_spec
 from .experiments.ascii_plot import line_plot, multi_series
 from .experiments.runner import summarize_telemetry
-from .models.flops import model_training_flops
-from .models.zoo import MNIST_SHAPE, build_model
 from .obs import record_telemetry, render_summary
 
 #: experiment registry: name -> module (each exposes run())
@@ -149,15 +146,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    model = build_model(args.model, input_shape=MNIST_SHAPE)
-    device = make_device(name, seed=0)
-    workload = TrainingWorkload(
-        flops_per_sample=model_training_flops(model),
-        n_samples=args.samples,
-        batch_size=20,
-        model_name=model.name,
-    )
-    trace = device.run_workload(workload)
+    trace = E.fig1.collect_trace(name, args.model, args.samples)
     print(
         f"{name} running {args.model} on {args.samples} samples: "
         f"{trace.total_time_s:.1f} s, peak {trace.peak_temp_c():.1f} C"
@@ -202,13 +191,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not files:
         print(f"no result tables in {results_dir}", file=sys.stderr)
         return 2
-    # paper artifacts first, then ablations/extensions
+    # paper artifacts first, in registry order, then ablations/extensions
+    paper_order = list(EXPERIMENTS)
+
     def order(p: Path):
         name = p.stem
-        paper_order = [
-            "fig1", "table2", "fig2", "fig3", "fig4",
-            "fig5", "table3", "fig6", "table4", "fig7", "table5",
-        ]
         if name in paper_order:
             return (0, paper_order.index(name))
         return (1, name)

@@ -1,4 +1,4 @@
-"""Bad fixture: every event-schema-sync violation."""
+"""Bad fixture: events missing from __all__, whatever else they break."""
 
 from dataclasses import dataclass
 from typing import Callable, ClassVar

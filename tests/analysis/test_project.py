@@ -1,6 +1,7 @@
 """The whole-program model: symbol table, import graph, call graph,
 and the single-parse guarantee of the lint pipeline."""
 
+import ast
 from collections import Counter
 from pathlib import Path
 
@@ -124,13 +125,18 @@ def test_resolve_symbol_follows_reexports(tmp_path):
 def test_call_sites_resolve_through_bindings(tmp_path):
     _, graph = build_mini(tmp_path)
     olar_mod = graph.modules["repro.sched.olar"]
-    targets = [dotted for dotted, _ in olar_mod.calls]
-    assert "repro.sched.olar.helper" in targets
-    resolved = graph.resolve_call_target(
-        "repro.sched.olar", "repro.sched.olar.helper"
-    )
+    (call,) = [
+        node
+        for node in ast.walk(olar_mod.ctx.tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "helper"
+    ]
+    resolved = graph.resolve_call(olar_mod.ctx, "Olar", call)
     assert resolved is not None
-    assert resolved[1].name == "helper"
+    assert resolved.key == "repro.sched.olar.helper"
+    assert resolved.fn.name == "helper"
+    assert not resolved.bound
 
 
 def test_usage_tokens_exclude_imports_and_all():

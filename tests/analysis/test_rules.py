@@ -74,7 +74,7 @@ CASES = [
         "events_bad.py",
         "src/repro/engine/events.py",
         "event-schema-sync",
-        [21, 21, 26, 27, 33, 36],
+        [21, 26, 33],
     ),
     (
         "events_good.py",

@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 PROBE = r"""
-import inspect, json, pathlib, pkgutil, re, sys
+import dataclasses, inspect, json, pathlib, pkgutil, re, sys
 import repro.obs, repro.sched.bench
 from repro.engine import events
 from repro.obs.metrics import available_metrics
@@ -45,6 +45,9 @@ def breaks_contract(cls):
 print(json.dumps({
     "recorder": sorted(kinds ^ set(ObsRecorder._HANDLERS)),
     "taxonomy": sorted(c.__name__ for c in defined ^ {*events.EVENT_TYPES.values()}),
+    "kind": [c.__name__ for c in events.EVENT_TYPES.values()
+             if not isinstance(vars(c).get("kind"), str)
+             or "kind" in {f.name for f in dataclasses.fields(c)}],
     "dispatch": sorted({*SpanBuilder._HANDLERS, *SpanBuilder._COLUMN_HANDLERS,
                         *ObsRecorder._COLUMN_HANDLERS} - kinds),
     "closure": sorted(set(names) - seen_by_bench),
@@ -69,6 +72,7 @@ def broken():
 @pytest.mark.parametrize("invariant", [
     "recorder",  # ObsRecorder._HANDLERS covers exactly EVENT_TYPES
     "taxonomy",  # EVENT_TYPES is every EngineEvent class in events.py
+    "kind",  # each declares its own str kind, a class variable, not a field
     "dispatch",  # span and column tables name only declared kinds
     "closure",  # repro.sched.bench sees every scheduler repro.sched has
     "readme",  # each scheduler has a `name` row in README.md
