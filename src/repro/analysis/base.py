@@ -29,6 +29,7 @@ checked-in baseline — see :mod:`repro.analysis.baseline`).
 from __future__ import annotations
 
 import ast
+import io
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -56,6 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .project import ProjectGraph
 
 __all__ = [
+    "source_lines",
     "dotted_text",
     "module_all",
     "FileContext",
@@ -73,6 +75,16 @@ __all__ = [
 _ALLOW_RE = re.compile(r"#\s*lint:\s*allow\[([a-z0-9_,\s-]+)\]")
 
 T = TypeVar("T")
+
+
+def source_lines(source: str, keepends: bool = False) -> List[str]:
+    """``source`` split at the line ends ``ast`` counts (``\\n``,
+    ``\\r\\n``, ``\\r``), so line ``i`` is AST line ``i + 1``.
+    ``str.splitlines`` also splits at a form feed, ``\\x1c``-``\\x1e``,
+    ``\\x85``, ``\\u2028`` and ``\\u2029``, and would shift every later
+    line against the AST."""
+    lines = io.StringIO(source, newline="").readlines()
+    return lines if keepends else [line.rstrip("\r\n") for line in lines]
 
 
 def dotted_text(node: ast.AST) -> Optional[str]:
@@ -150,7 +162,7 @@ class FileContext(_Memoizing):
 
     def __post_init__(self) -> None:
         if not self.lines:
-            self.lines = self.source.splitlines()
+            self.lines = source_lines(self.source)
         if not self.imports and not self.from_imports:
             self._collect_imports()
 

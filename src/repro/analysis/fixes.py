@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
+from .base import source_lines
 from .findings import TextEdit
 from .runner import _discover, lint_source
 
@@ -67,8 +68,8 @@ class FileFix:
     def diff(self) -> str:
         """Unified diff of the rewrite (``a/``/``b/`` prefixes)."""
         lines = difflib.unified_diff(
-            self.before.splitlines(keepends=True),
-            self.after.splitlines(keepends=True),
+            source_lines(self.before, keepends=True),
+            source_lines(self.after, keepends=True),
             fromfile=f"a/{self.path}",
             tofile=f"b/{self.path}",
         )
@@ -94,7 +95,7 @@ class FixResult:
 def _apply_edits(source: str, edits: Sequence[TextEdit]) -> str:
     """Apply non-overlapping edits bottom-up, so no replacement shifts
     a later one's coordinates; edits at one anchor land in list order."""
-    lines = source.splitlines(keepends=True)
+    lines = source_lines(source, keepends=True)
     order = sorted(
         range(len(edits)), key=lambda i: (*edits[i][:2], i), reverse=True
     )

@@ -50,7 +50,13 @@ from typing import (
     TypeVar,
 )
 
-from .base import FileContext, ProjectContext, dotted_text, module_all
+from .base import (
+    FileContext,
+    ProjectContext,
+    dotted_text,
+    module_all,
+    source_lines,
+)
 from .cfg import FunctionNode
 from .findings import Finding
 
@@ -714,7 +720,7 @@ def usage_tokens(source: str, tree: Optional[ast.Module]) -> Set[str]:
     a re-export alone is not a *use* of a public symbol, so the
     dead-public-api rule must not count it as an inbound edge.
     """
-    lines = source.splitlines()
+    lines = source_lines(source)
     skip: Set[int] = set()
     if tree is not None:
         for node in ast.walk(tree):

@@ -108,18 +108,24 @@ def _smooth(img: np.ndarray, passes: int) -> np.ndarray:
 
 
 def _translate(batch: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Translate each image by its (dy, dx) pair with zero fill."""
-    n = batch.shape[0]
+    """Translate each image by its (dy, dx) pair with zero fill, one
+    slice copy per distinct shift."""
     out = np.zeros_like(batch)
-    for i in range(n):
-        dy, dx = int(shifts[i, 0]), int(shifts[i, 1])
-        src = batch[i]
-        h, w = src.shape[-2:]
+    if not len(shifts):
+        return out
+    h, w = batch.shape[-2:]
+    lo, hi = int(shifts.min()), int(shifts.max())
+    for dy in range(lo, hi + 1):
         ys0, ys1 = max(0, dy), min(h, h + dy)
-        xs0, xs1 = max(0, dx), min(w, w + dx)
         yd0, yd1 = max(0, -dy), min(h, h - dy)
-        xd0, xd1 = max(0, -dx), min(w, w - dx)
-        out[i, :, ys0:ys1, xs0:xs1] = src[:, yd0:yd1, xd0:xd1]
+        rows = shifts[:, 0] == dy
+        for dx in range(lo, hi + 1):
+            idx = np.flatnonzero(rows & (shifts[:, 1] == dx))
+            if not len(idx):
+                continue
+            xs0, xs1 = max(0, dx), min(w, w + dx)
+            xd0, xd1 = max(0, -dx), min(w, w - dx)
+            out[idx, :, ys0:ys1, xs0:xs1] = batch[idx, :, yd0:yd1, xd0:xd1]
     return out
 
 

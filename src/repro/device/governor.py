@@ -14,7 +14,7 @@ scheduling works "while still using the default governor".
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from .specs import ClusterSpec
 
@@ -89,6 +89,11 @@ class InteractiveGovernor(Governor):
         self.target_load = target_load
         self.ramp_rate_ghz_per_s = ramp_rate_ghz_per_s
         self._time_above: Dict[str, float] = {}
+        #: ``(cluster, hispeed target, top OPP)`` by cluster name,
+        #: computed at the first ``select`` of that cluster object and
+        #: read while it is the one passed. Not run state: ``reset``
+        #: keeps them.
+        self._targets: Dict[str, Tuple[ClusterSpec, float, float]] = {}
 
     def reset(self) -> None:
         self._time_above.clear()
@@ -96,11 +101,18 @@ class InteractiveGovernor(Governor):
     def select(
         self, cluster: ClusterSpec, load: float, current_ghz: float, dt: float
     ) -> float:
-        hispeed = (
-            cluster.freq_min_ghz
-            + self.hispeed_fraction
-            * (cluster.freq_max_ghz - cluster.freq_min_ghz)
-        )
+        entry = self._targets.get(cluster.name)
+        if entry is None or entry[0] is not cluster:
+            hispeed = (
+                cluster.freq_min_ghz
+                + self.hispeed_fraction
+                * (cluster.freq_max_ghz - cluster.freq_min_ghz)
+            )
+            # quantize(freq_max_ghz) may differ from it in the last bit
+            top = cluster.quantize(cluster.freq_max_ghz)
+            entry = self._targets[cluster.name] = (cluster, hispeed, top)
+        _, hispeed, top = entry
+        fmax = cluster.freq_max_ghz
         above = self._time_above.get(cluster.name, 0.0)
         if load >= self.go_hispeed_load:
             above += dt
@@ -108,9 +120,8 @@ class InteractiveGovernor(Governor):
             request = max(current_ghz, hispeed)
             if above >= self.above_hispeed_delay_s:
                 request = min(
-                    cluster.freq_max_ghz,
-                    max(request, current_ghz)
-                    + self.ramp_rate_ghz_per_s * dt,
+                    fmax,
+                    max(request, current_ghz) + self.ramp_rate_ghz_per_s * dt,
                 )
         else:
             self._time_above[cluster.name] = 0.0
@@ -119,7 +130,9 @@ class InteractiveGovernor(Governor):
                 cluster.freq_min_ghz,
                 current_ghz * load / self.target_load,
             )
-        return cluster.quantize(min(request, cluster.freq_max_ghz))
+        if request >= fmax:
+            return top
+        return cluster.quantize(request)
 
 
 class PerformanceGovernor(Governor):

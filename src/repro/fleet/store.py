@@ -64,8 +64,6 @@ from ..cores import mark_fork_safe, usable_cores
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
-    from ..models.network import Sequential
-
 __all__ = [
     "DeviceClass",
     "FleetStore",
@@ -689,17 +687,6 @@ DEFAULT_CLASS_LINKS: Dict[str, str] = {
 _PROBE_SIZES: Tuple[float, float] = (1000.0, 9000.0)
 
 
-def _network(model: object) -> Sequential:
-    """``model`` itself when it is a ``Sequential``, else the zoo model
-    of that name on MNIST's shape."""
-    from ..models.network import Sequential
-    from ..models.zoo import MNIST_SHAPE, build_model
-
-    if isinstance(model, Sequential):
-        return model
-    return build_model(str(model), input_shape=MNIST_SHAPE)
-
-
 def device_class_from_name(
     name: str,
     model: object = "lenet",
@@ -712,13 +699,16 @@ def device_class_from_name(
     simulator's cached curves (:func:`repro.sched.costs
     .cached_time_curves` / ``cached_energy_curves``) by probing two
     sizes, and takes battery/idle/link constants from the device spec
-    and link presets.
+    and link presets. ``model`` is a network, or a zoo model's name on
+    MNIST's shape, whose training FLOPs are counted from its layer
+    shapes with no weights built.
     """
     from ..device.registry import build_spec
+    from ..models.network import Sequential
     from ..network.link import LINK_PRESETS
     from ..sched.costs import cached_energy_curves, cached_time_curves
 
-    net = _network(model)
+    net = model if isinstance(model, Sequential) else str(model)
     (time_curve,) = cached_time_curves([name], net, batch_size=batch_size)
     (energy_curve,) = cached_energy_curves(
         [name], net, batch_size=batch_size
@@ -755,15 +745,13 @@ def default_device_classes(
     batch_size: int = 20,
     links: Optional[Mapping[str, str]] = None,
 ) -> Tuple[DeviceClass, ...]:
-    """The paper's four phones as fleet classes (name-sorted), sharing
-    one build of the model."""
+    """The paper's four phones as fleet classes (name-sorted)."""
     link_of = dict(DEFAULT_CLASS_LINKS)
     if links:
         link_of.update(links)
-    net = _network(model)
     return tuple(
         device_class_from_name(
-            name, model=net, link=link_of[name], batch_size=batch_size
+            name, model=model, link=link_of[name], batch_size=batch_size
         )
         for name in sorted(link_of)
     )
@@ -800,8 +788,7 @@ def synthetic_fleet(
     rng = np.random.default_rng(seed)
     class_id = rng.integers(0, len(cls), size=n, dtype=np.int32)
     data_size = rng.integers(lo, hi + 1, size=n, dtype=np.int64)
-    capacity = np.array([c.capacity_j for c in cls], dtype=np.float64)[
-        class_id
-    ]
-    battery_j = capacity * rng.uniform(soc_lo, soc_hi, size=n)
-    return FleetStore(cls, class_id, data_size, battery_j=battery_j)
+    # full charge scaled in place: no capacity gather or product of our own
+    store = FleetStore(cls, class_id, data_size)
+    store.battery_j *= rng.uniform(soc_lo, soc_hi, size=n)
+    return store

@@ -18,30 +18,47 @@ constant (see :mod:`repro.device.specs`).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterable, Tuple, Union
 
-from .layers import AvgPool2D, Conv2D, Dense, Flatten, Layer, MaxPool2D
+from .layers import (
+    AvgPool2D,
+    Conv2DShape,
+    DenseShape,
+    Flatten,
+    Layer,
+    MaxPool2D,
+)
 from .network import Sequential
 
 __all__ = [
     "layer_forward_flops",
+    "forward_flops",
     "model_forward_flops",
     "model_training_flops",
     "BACKWARD_FACTOR",
 ]
 
+#: what the count walks: a built layer, or a weightless conv / dense
+#: geometry (:class:`~repro.models.layers.Conv2DShape`,
+#: :class:`~repro.models.layers.DenseShape`)
+_Countable = Union[Layer, Conv2DShape, DenseShape]
+
 #: backward ≈ 2x forward; training pass = forward + backward = 3x forward.
 BACKWARD_FACTOR = 2.0
 
 
-def layer_forward_flops(layer: Layer, input_shape: Tuple[int, ...]) -> float:
+def layer_forward_flops(
+    layer: _Countable, input_shape: Tuple[int, ...]
+) -> float:
     """Forward FLOPs for a single sample through ``layer``.
 
     ``input_shape`` is the per-sample input shape (no batch axis).
     Activation and reshape layers are counted at one op per element,
-    pooling at one op per element of the output window product.
+    pooling at one op per element of the output window product. A
+    conv or dense layer is counted from its geometry alone, so its
+    weightless shape counts what the built layer does.
     """
-    if isinstance(layer, Conv2D):
+    if isinstance(layer, Conv2DShape):
         _, out_h, out_w = layer.output_shape(input_shape)
         kh, kw = layer.kernel_size
         return (
@@ -53,7 +70,7 @@ def layer_forward_flops(layer: Layer, input_shape: Tuple[int, ...]) -> float:
             * kh
             * kw
         )
-    if isinstance(layer, Dense):
+    if isinstance(layer, DenseShape):
         return 2.0 * layer.in_features * layer.out_features
     if isinstance(layer, (MaxPool2D, AvgPool2D)):
         c, out_h, out_w = layer.output_shape(input_shape)
@@ -68,6 +85,19 @@ def layer_forward_flops(layer: Layer, input_shape: Tuple[int, ...]) -> float:
     return float(n)
 
 
+def forward_flops(
+    layers: Iterable[_Countable], input_shape: Tuple[int, ...]
+) -> float:
+    """Forward FLOPs for one sample of ``input_shape`` through
+    ``layers`` in order, each counted at its running input shape."""
+    total = 0.0
+    shape = input_shape
+    for layer in layers:
+        total += layer_forward_flops(layer, shape)
+        shape = layer.output_shape(shape)
+    return total
+
+
 def model_forward_flops(model: Sequential) -> float:
     """Forward FLOPs for one sample through the whole model.
 
@@ -77,12 +107,7 @@ def model_forward_flops(model: Sequential) -> float:
         raise ValueError(
             f"model {model.name!r} has no input_shape; FLOPs need it"
         )
-    total = 0.0
-    shape = model.input_shape
-    for layer in model.layers:
-        total += layer_forward_flops(layer, shape)
-        shape = layer.output_shape(shape)
-    return total
+    return forward_flops(model.layers, model.input_shape)
 
 
 def model_training_flops(model: Sequential) -> float:

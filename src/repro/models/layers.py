@@ -51,7 +51,9 @@ import numpy as np
 __all__ = [
     "Layer",
     "Dense",
+    "DenseShape",
     "Conv2D",
+    "Conv2DShape",
     "MaxPool2D",
     "AvgPool2D",
     "ReLU",
@@ -345,7 +347,22 @@ class Layer:
         return f"{type(self).__name__}()"
 
 
-class Dense(Layer):
+class DenseShape:
+    """A dense layer's geometry without its weights: all that its output
+    shape and its FLOPs (:mod:`repro.models.flops`) read. A
+    :class:`Dense` is this plus the weights."""
+
+    def __init__(self, in_features: int, out_features: int) -> None:
+        if in_features <= 0 or out_features <= 0:
+            raise ValueError("Dense dimensions must be positive")
+        self.in_features = int(in_features)
+        self.out_features = int(out_features)
+
+    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+        return (self.out_features,)
+
+
+class Dense(DenseShape, Layer):
     """Fully connected layer ``y = x W + b``.
 
     Weights use He initialisation scaled for the fan-in, which keeps
@@ -360,11 +377,8 @@ class Dense(Layer):
         out_features: int,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
-        super().__init__()
-        if in_features <= 0 or out_features <= 0:
-            raise ValueError("Dense dimensions must be positive")
-        self.in_features = int(in_features)
-        self.out_features = int(out_features)
+        Layer.__init__(self)
+        DenseShape.__init__(self, in_features, out_features)
         rng = rng or np.random.default_rng(0)
         scale = np.sqrt(2.0 / in_features)
         self.params = {
@@ -393,14 +407,40 @@ class Dense(Layer):
         self.grads["b"][...] = grad_out.sum(axis=0)
         return _in_layout(grad_out @ self.params["W"].T, _axis_order(self._x))
 
-    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        return (self.out_features,)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Dense({self.in_features}, {self.out_features})"
 
 
-class Conv2D(Layer):
+class Conv2DShape:
+    """A convolution's geometry without its weights: all that its output
+    shape and its FLOPs (:mod:`repro.models.flops`) read. A
+    :class:`Conv2D` is this plus the weights."""
+
+    def __init__(
+        self,
+        in_channels: int,
+        out_channels: int,
+        kernel_size,
+        stride=1,
+        padding=0,
+    ) -> None:
+        self.in_channels = int(in_channels)
+        self.out_channels = int(out_channels)
+        self.kernel_size = _as_pair(kernel_size)
+        self.stride = _as_pair(stride)
+        self.padding = _as_pair(padding)
+
+    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+        c, h, w = input_shape
+        kh, kw = self.kernel_size
+        sh, sw = self.stride
+        ph, pw = self.padding
+        out_h = (h + 2 * ph - kh) // sh + 1
+        out_w = (w + 2 * pw - kw) // sw + 1
+        return (self.out_channels, out_h, out_w)
+
+
+class Conv2D(Conv2DShape, Layer):
     """2-D convolution via im2col + GEMM.
 
     Parameters
@@ -424,12 +464,10 @@ class Conv2D(Layer):
         padding=0,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
-        super().__init__()
-        self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
-        self.kernel_size = _as_pair(kernel_size)
-        self.stride = _as_pair(stride)
-        self.padding = _as_pair(padding)
+        Layer.__init__(self)
+        Conv2DShape.__init__(
+            self, in_channels, out_channels, kernel_size, stride, padding
+        )
         kh, kw = self.kernel_size
         fan_in = in_channels * kh * kw
         rng = rng or np.random.default_rng(0)
@@ -493,15 +531,6 @@ class Conv2D(Layer):
         )
         self.grads["b"][...] = g.sum(axis=0)
         return g
-
-    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-        c, h, w = input_shape
-        kh, kw = self.kernel_size
-        sh, sw = self.stride
-        ph, pw = self.padding
-        out_h = (h + 2 * ph - kh) // sh + 1
-        out_w = (w + 2 * pw - kw) // sw + 1
-        return (self.out_channels, out_h, out_w)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

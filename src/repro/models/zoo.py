@@ -20,11 +20,33 @@ well-spread (conv_params, dense_params) features.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    Union,
+)
 
 import numpy as np
 
-from .layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU
+from .flops import BACKWARD_FACTOR, forward_flops
+from .layers import (
+    Conv2D,
+    Conv2DShape,
+    Dense,
+    DenseShape,
+    Flatten,
+    Layer,
+    MaxPool2D,
+    ReLU,
+)
 from .network import Sequential
 
 __all__ = [
@@ -35,6 +57,7 @@ __all__ = [
     "mlp",
     "logistic",
     "build_model",
+    "zoo_training_flops",
     "profiling_family",
     "model_wire_mb",
     "MNIST_SHAPE",
@@ -59,6 +82,115 @@ def _rng(seed: Optional[int]) -> np.random.Generator:
     return np.random.default_rng(0 if seed is None else seed)
 
 
+class _Conv(NamedTuple):
+    """A description's conv layer; its input channels are read off the
+    running shape."""
+
+    out_channels: int
+    kernel_size: int
+    padding: int = 0
+
+
+class _Dense(NamedTuple):
+    """A description's dense layer; its input width is read off the
+    running shape."""
+
+    out_features: int
+
+
+#: a description's entry: a conv, a dense, or a weightless layer class
+#: built with no arguments (``MaxPool2D`` is a 2x2 pool)
+_Entry = Union[_Conv, _Dense, Type[Layer]]
+
+
+def _lenet_like(
+    conv1: int, conv2: int, hidden: int, num_classes: int
+) -> Tuple[_Entry, ...]:
+    """conv(conv1,5x5) -> pool -> conv(conv2,5x5) -> pool ->
+    dense(hidden) -> dense(K)."""
+    return (
+        _Conv(conv1, 5), ReLU, MaxPool2D,
+        _Conv(conv2, 5), ReLU, MaxPool2D,
+        Flatten, _Dense(hidden), ReLU, _Dense(num_classes),
+    )
+
+
+def _vgg_like(chans: Sequence[int], num_classes: int) -> Tuple[_Entry, ...]:
+    """3x3 same-padded convs, pooling after the second on, then one
+    dense layer."""
+    entries: List[_Entry] = []
+    for i, ch in enumerate(chans):
+        entries += [_Conv(ch, 3, padding=1), ReLU]
+        if i >= 1:
+            entries.append(MaxPool2D)
+    return (*entries, Flatten, _Dense(num_classes))
+
+
+def _mlp(hidden: int, num_classes: int) -> Tuple[_Entry, ...]:
+    return (Flatten, _Dense(hidden), ReLU, _Dense(num_classes))
+
+
+#: one architecture description per zoo model, as a function of the
+#: class count: the weights (:func:`build_model`) and the FLOPs
+#: (:func:`zoo_training_flops`) are both read off it
+_ARCHITECTURES: Dict[str, Callable[[int], Tuple[_Entry, ...]]] = {
+    "lenet": lambda k: _lenet_like(20, 50, 220, k),
+    "vgg6": lambda k: _vgg_like((64, 128, 256, 512, 512), k),
+    "lenet_mini": lambda k: (
+        _Conv(8, 3), ReLU, MaxPool2D, _Conv(16, 3), ReLU,
+        Flatten, _Dense(32), ReLU, _Dense(k),
+    ),
+    "vgg_mini": lambda k: _vgg_like((16, 32, 32), k),
+    "mlp": lambda k: _mlp(64, k),
+    "logistic": lambda k: (Flatten, _Dense(k)),
+}
+
+
+def _layers(
+    entries: Sequence[_Entry],
+    input_shape: Tuple[int, ...],
+    conv: Callable[..., Any],
+    dense: Callable[..., Any],
+) -> List[Any]:
+    """The layers of a description on ``input_shape``, in order: each
+    conv made by ``conv(in_channels, out_channels, kernel_size,
+    padding=)`` and each dense by ``dense(in_features, out_features)``,
+    with its input width read off the running shape."""
+    layers: List[Any] = []
+    shape = tuple(input_shape)
+    for entry in entries:
+        if isinstance(entry, _Conv):
+            layer = conv(
+                shape[0], entry.out_channels, entry.kernel_size,
+                padding=entry.padding,
+            )
+        elif isinstance(entry, _Dense):
+            layer = dense(shape[0], entry.out_features)
+        else:
+            layer = entry()
+        layers.append(layer)
+        shape = layer.output_shape(shape)
+    return layers
+
+
+def _build(
+    name: str,
+    entries: Sequence[_Entry],
+    input_shape: Tuple[int, ...],
+    seed: Optional[int],
+) -> Sequential:
+    """A description's network, its weights drawn layer by layer from
+    one ``default_rng(seed)`` stream."""
+    rng = _rng(seed)
+    layers = _layers(
+        entries,
+        input_shape,
+        partial(Conv2D, rng=rng),
+        partial(Dense, rng=rng),
+    )
+    return Sequential(layers, name=name, input_shape=input_shape)
+
+
 def lenet(
     input_shape: Tuple[int, int, int] = MNIST_SHAPE,
     num_classes: int = 10,
@@ -70,28 +202,7 @@ def lenet(
     On 28x28x1 input this totals ~204K parameters with a conv/dense split
     of roughly 25K/179K.
     """
-    rng = _rng(seed)
-    c, h, w = input_shape
-    layers = [
-        Conv2D(c, 20, 5, rng=rng),
-        ReLU(),
-        MaxPool2D(2),
-        Conv2D(20, 50, 5, rng=rng),
-        ReLU(),
-        MaxPool2D(2),
-        Flatten(),
-    ]
-    # Resolve the flatten dimension from the running shape.
-    shape: Tuple[int, ...] = input_shape
-    for layer in layers:
-        shape = layer.output_shape(shape)
-    flat = shape[0]
-    layers += [
-        Dense(flat, 220, rng=rng),
-        ReLU(),
-        Dense(220, num_classes, rng=rng),
-    ]
-    return Sequential(layers, name="lenet", input_shape=input_shape)
+    return build_model("lenet", input_shape, num_classes, seed)
 
 
 def vgg6(
@@ -106,22 +217,7 @@ def vgg6(
     publishing widths — the conv-dominated split and the order of
     magnitude are what the profiler and the compute model consume.
     """
-    rng = _rng(seed)
-    c, h, w = input_shape
-    chans = [64, 128, 256, 512, 512]
-    layers: List = []
-    prev = c
-    for i, ch in enumerate(chans):
-        layers += [Conv2D(prev, ch, 3, padding=1, rng=rng), ReLU()]
-        if i >= 1:  # pool after convs 2..5
-            layers.append(MaxPool2D(2))
-        prev = ch
-    layers.append(Flatten())
-    shape: Tuple[int, ...] = input_shape
-    for layer in layers:
-        shape = layer.output_shape(shape)
-    layers.append(Dense(shape[0], num_classes, rng=rng))
-    return Sequential(layers, name="vgg6", input_shape=input_shape)
+    return build_model("vgg6", input_shape, num_classes, seed)
 
 
 def lenet_mini(
@@ -130,26 +226,8 @@ def lenet_mini(
     seed: Optional[int] = None,
 ) -> Sequential:
     """Reduced LeNet for fast experiments: conv(8,3) -> pool -> conv(16,3)
-    -> pool -> dense(32) -> dense(K)."""
-    rng = _rng(seed)
-    c, h, w = input_shape
-    layers = [
-        Conv2D(c, 8, 3, rng=rng),
-        ReLU(),
-        MaxPool2D(2),
-        Conv2D(8, 16, 3, rng=rng),
-        ReLU(),
-        Flatten(),
-    ]
-    shape: Tuple[int, ...] = input_shape
-    for layer in layers:
-        shape = layer.output_shape(shape)
-    layers += [
-        Dense(shape[0], 32, rng=rng),
-        ReLU(),
-        Dense(32, num_classes, rng=rng),
-    ]
-    return Sequential(layers, name="lenet_mini", input_shape=input_shape)
+    -> dense(32) -> dense(K)."""
+    return build_model("lenet_mini", input_shape, num_classes, seed)
 
 
 def vgg_mini(
@@ -158,22 +236,7 @@ def vgg_mini(
     seed: Optional[int] = None,
 ) -> Sequential:
     """Reduced VGG: three 3x3 convs + one dense, pooling after convs 2-3."""
-    rng = _rng(seed)
-    c, h, w = input_shape
-    chans = [16, 32, 32]
-    layers: List = []
-    prev = c
-    for i, ch in enumerate(chans):
-        layers += [Conv2D(prev, ch, 3, padding=1, rng=rng), ReLU()]
-        if i >= 1:
-            layers.append(MaxPool2D(2))
-        prev = ch
-    layers.append(Flatten())
-    shape: Tuple[int, ...] = input_shape
-    for layer in layers:
-        shape = layer.output_shape(shape)
-    layers.append(Dense(shape[0], num_classes, rng=rng))
-    return Sequential(layers, name="vgg_mini", input_shape=input_shape)
+    return build_model("vgg_mini", input_shape, num_classes, seed)
 
 
 def mlp(
@@ -183,18 +246,7 @@ def mlp(
     seed: Optional[int] = None,
 ) -> Sequential:
     """One-hidden-layer perceptron on flattened pixels (fast sweeps)."""
-    rng = _rng(seed)
-    flat = int(np.prod(input_shape))
-    return Sequential(
-        [
-            Flatten(),
-            Dense(flat, hidden, rng=rng),
-            ReLU(),
-            Dense(hidden, num_classes, rng=rng),
-        ],
-        name="mlp",
-        input_shape=input_shape,
-    )
+    return _build("mlp", _mlp(hidden, num_classes), input_shape, seed)
 
 
 def logistic(
@@ -203,23 +255,17 @@ def logistic(
     seed: Optional[int] = None,
 ) -> Sequential:
     """Multinomial logistic regression — the fastest surrogate model."""
-    rng = _rng(seed)
-    flat = int(np.prod(input_shape))
-    return Sequential(
-        [Flatten(), Dense(flat, num_classes, rng=rng)],
-        name="logistic",
-        input_shape=input_shape,
-    )
+    return build_model("logistic", input_shape, num_classes, seed)
 
 
-_BUILDERS = {
-    "lenet": lenet,
-    "vgg6": vgg6,
-    "lenet_mini": lenet_mini,
-    "vgg_mini": vgg_mini,
-    "mlp": mlp,
-    "logistic": logistic,
-}
+def _architecture(name: str, num_classes: int) -> Tuple[_Entry, ...]:
+    try:
+        describe = _ARCHITECTURES[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown model {name!r}; available: {sorted(_ARCHITECTURES)}"
+        ) from None
+    return describe(num_classes)
 
 
 def build_model(
@@ -229,13 +275,19 @@ def build_model(
     seed: Optional[int] = None,
 ) -> Sequential:
     """Build a zoo model by name; raises ``KeyError`` for unknown names."""
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown model {name!r}; available: {sorted(_BUILDERS)}"
-        ) from None
-    return builder(input_shape=input_shape, num_classes=num_classes, seed=seed)
+    return _build(name, _architecture(name, num_classes), input_shape, seed)
+
+
+def zoo_training_flops(
+    name: str, input_shape: Tuple[int, int, int], num_classes: int = 10
+) -> float:
+    """``model_training_flops(build_model(name, input_shape,
+    num_classes))``, bit for bit, counted from the layer shapes alone:
+    no weights are built."""
+    layers = _layers(
+        _architecture(name, num_classes), input_shape, Conv2DShape, DenseShape
+    )
+    return forward_flops(layers, input_shape) * (1.0 + BACKWARD_FACTOR)
 
 
 def model_wire_mb(model: Sequential) -> float:
@@ -262,33 +314,13 @@ def profiling_family(
     A grid over first-conv width and dense width produces models whose
     (conv_params, dense_params) features span both regression axes.
     """
-    models: List[Sequential] = []
-    for cw in conv_widths:
-        for dw in dense_widths:
-            rng = _rng(seed)
-            c, h, w = input_shape
-            layers = [
-                Conv2D(c, cw, 5, rng=rng),
-                ReLU(),
-                MaxPool2D(2),
-                Conv2D(cw, cw * 2, 5, rng=rng),
-                ReLU(),
-                MaxPool2D(2),
-                Flatten(),
-            ]
-            shape: Tuple[int, ...] = input_shape
-            for layer in layers:
-                shape = layer.output_shape(shape)
-            layers += [
-                Dense(shape[0], dw, rng=rng),
-                ReLU(),
-                Dense(dw, num_classes, rng=rng),
-            ]
-            models.append(
-                Sequential(
-                    layers,
-                    name=f"prof_c{cw}_d{dw}",
-                    input_shape=input_shape,
-                )
-            )
-    return models
+    return [
+        _build(
+            f"prof_c{cw}_d{dw}",
+            _lenet_like(cw, cw * 2, dw, num_classes),
+            input_shape,
+            seed,
+        )
+        for cw in conv_widths
+        for dw in dense_widths
+    ]

@@ -51,7 +51,12 @@ from ..device.registry import build_spec
 from ..device.workload import TrainingWorkload
 from ..models.flops import model_training_flops
 from ..models.network import Sequential
-from ..models.zoo import CIFAR_SHAPE, MNIST_SHAPE, build_model
+from ..models.zoo import (
+    CIFAR_SHAPE,
+    MNIST_SHAPE,
+    build_model,
+    zoo_training_flops,
+)
 from ..obs.prof import PROFILER
 from ..profiling.profiler import Curve, _check_grid, curve_rows, fit_time_curve
 from ..profiling.trace import _whole_sizes
@@ -121,24 +126,29 @@ def clear_cost_cache() -> None:
 def _profiled(
     fit: Callable[[Tuple[int, ...], List[TrainingTrace]], Curve],
     device_names: Sequence[str],
-    model: Sequential,
+    model: Union[str, Sequential],
     data_sizes: Sequence[int],
     batch_size: int,
 ) -> List[Curve]:
     """``fit`` once per phone over its cells at ``data_sizes``, cached
     on the fit, the phone, the model's training FLOPs per sample, the
-    sizes and the batch. A phone's missing cells at these sizes and at
-    both default grids are filled from one cold-start pass of a
-    jitter-free phone (:meth:`~repro.device.device.MobileDevice.cold_runs`),
-    so the time and the energy fit share it. Raises ``ValueError``
-    naming any size that is not a whole number of samples >= 1."""
+    sizes and the batch. A model given by its zoo name is counted on
+    MNIST's shape from its layer shapes, with no weights built. A
+    phone's missing cells at these sizes and at both default grids are
+    filled from one cold-start pass of a jitter-free phone
+    (:meth:`~repro.device.device.MobileDevice.cold_runs`), so the time
+    and the energy fit share it. Raises ``ValueError`` naming any size
+    that is not a whole number of samples >= 1."""
     sizes = _whole_sizes(data_sizes)
-    flops = model_training_flops(model)
+    if isinstance(model, Sequential):
+        flops, model_name = model_training_flops(model), model.name
+    else:
+        flops, model_name = zoo_training_flops(model, MNIST_SHAPE), model
     workload = TrainingWorkload(
         flops_per_sample=flops,
         n_samples=0,
         batch_size=batch_size,
-        model_name=model.name,
+        model_name=model_name,
     )
     grid = (*sizes, *DEFAULT_PROFILE_SIZES, *DEFAULT_ENERGY_SIZES)
     for name in device_names:
@@ -174,14 +184,15 @@ def _energy_curve(sizes: Tuple[int, ...], cells: List[TrainingTrace]) -> Curve:
 
 def cached_time_curves(
     device_names: Sequence[str],
-    model: Sequential,
+    model: Union[str, Sequential],
     data_sizes: Sequence[int] = DEFAULT_PROFILE_SIZES,
     batch_size: int = 20,
 ) -> List[Curve]:
     """Bootstrap (or fetch cached) ``T_j(n_samples)`` curves.
 
     Profiling runs jitter-free cold starts, one per cell, so the curve
-    is deterministic per phone model. This is the only profile cache:
+    is deterministic per phone model. ``model`` is a network, or a zoo
+    model's name on MNIST's shape. This is the only profile cache:
     the engine binding, the fleet classes and the paper's tables
     (:mod:`repro.experiments`) all read their curves here.
     """
@@ -190,7 +201,7 @@ def cached_time_curves(
 
 def cached_energy_curves(
     device_names: Sequence[str],
-    model: Sequential,
+    model: Union[str, Sequential],
     data_sizes: Sequence[int] = DEFAULT_ENERGY_SIZES,
     batch_size: int = 20,
 ) -> List[Curve]:

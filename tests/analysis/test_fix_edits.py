@@ -1,7 +1,7 @@
 """Fix edits ride on the findings that raise them: ``__all__`` splices
 after a trailing comma, shared edits applied once, the unparsable-result
-guard, edits kept out of a finding's identity, and a tree that holds
-nothing ``--fix`` would rewrite."""
+guard, edits kept out of a finding's identity, lines counted as the AST
+counts them, and a tree that holds nothing ``--fix`` would rewrite."""
 
 import dataclasses
 from pathlib import Path
@@ -94,6 +94,31 @@ def test_fix_edits_stay_out_of_a_findings_identity():
     assert finding == dataclasses.replace(finding, fix=())
     assert hash(finding) == hash(dataclasses.replace(finding, fix=()))
     assert "fix" not in finding.to_dict()
+
+
+@pytest.mark.parametrize(
+    "separator", ["\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_lines_break_only_where_the_ast_counts_them(separator):
+    # str.splitlines() would also break at these (in a comment, where
+    # Python takes any of them), moving the AST's line 3 off line 3
+    source = f"import time\n# {separator}\nstart = time.time()\n"
+    (finding,) = lint_source(source, CLOCK_MODULE, ["no-wall-clock"])
+    assert (finding.line, finding.code) == (3, "start = time.time()")
+    assert fix_source(source, CLOCK_MODULE) == (
+        source.replace("time.time()", "time.perf_counter()"),
+        1,
+    )
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_every_ast_line_end_counts(newline):
+    source = newline.join(["import time", "", "start = time.time()", ""])
+    (finding,) = lint_source(source, CLOCK_MODULE, ["no-wall-clock"])
+    assert (finding.line, finding.code) == (3, "start = time.time()")
+    assert fix_source(source, CLOCK_MODULE)[0] == source.replace(
+        "time.time()", "time.perf_counter()"
+    )
 
 
 def clock_file(root: Path, text: str) -> Path:
