@@ -159,8 +159,13 @@ def make_dataset(cfg: Optional[SyntheticConfig] = None, **overrides) -> Dataset:
         cfg = SyntheticConfig(**{**cfg.__dict__, **overrides})
     if cfg.train_size <= 0 or cfg.test_size <= 0:
         raise ValueError("train_size and test_size must be positive")
-    rng = np.random.default_rng(cfg.seed)
     c, h, w = cfg.shape
+    if not 0 <= cfg.max_shift <= min(h, w):
+        raise ValueError(
+            f"max_shift must be in [0, {min(h, w)}] (the smaller image "
+            f"side), got {cfg.max_shift}"
+        )
+    rng = np.random.default_rng(cfg.seed)
     prototypes = rng.normal(0.0, 1.0, size=(cfg.num_classes, c, h, w))
     prototypes = _smooth(prototypes, cfg.smoothing)
     # Normalise prototype energy so difficulty is controlled by cfg.noise.

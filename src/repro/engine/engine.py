@@ -7,15 +7,17 @@ scratch model, the shared RNG, the virtual clock and the
 :meth:`RoundEngine.run_sync_round`, synchronous FedAvg with an optional
 straggler-dropout deadline (the paper's Sec. VII loop). As the paper's
 phones do, the round's clients train at once: their local SGD is split
-by samples between the caller and children forked for that round, with
-the results of the one-by-one loop, bit for bit
-(:meth:`RoundEngine._start_training`). A round without a deadline
-knows who trains once it is planned, so it forks before the dispatch
-and the children train while the caller simulates the devices; a
-deadline round forks after the dispatch. The caller collects the
-results where the round trains and reaps the children at the round's
-end, after the evaluation, so their exits overlap its tail; none
-outlives the round.
+by samples between the caller and resident training workers, with the
+results of the one-by-one loop, bit for bit
+(:meth:`RoundEngine._start_training`). The first round that splits
+forks the workers; every later one sends each of them its share as one
+message (start weights, hyper-parameters, each client's rows and
+generator start) and reads back its results, so a round pays a message,
+not a fork. A round without a deadline knows who trains once it is
+planned, so it sends before the dispatch and the workers train while
+the caller simulates the devices; a deadline round sends after the
+dispatch. A round that raises while a worker owes it results kills and
+reaps the workers; the rest are closed and reaped at interpreter exit.
 
 The alternatives the paper only tests against own their loops in
 :mod:`repro.federated`: ``AsyncFederatedSimulation`` (a completion-time
@@ -31,10 +33,12 @@ is the fold over it).
 
 from __future__ import annotations
 
+import atexit
 import copy
 import os
 import pickle
 import signal
+import weakref
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -42,6 +46,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Protocol,
     Sequence,
@@ -79,30 +84,65 @@ if TYPE_CHECKING:
 __all__ = ["RoundEngine", "ParameterServerLike", "SchedulerBindingLike"]
 
 #: processes a sync round's local SGD may run in: the caller and at most
-#: ``_TRAIN_PROCS - 1`` children forked for that round's training only
+#: ``_TRAIN_PROCS - 1`` resident training workers (:func:`_workers`)
 _TRAIN_PROCS = usable_cores()
 
 #: a round is split only if it takes at least this many FLOPs of local
 #: SGD off the caller's path: the round's trained samples less its
 #: largest share's, × ``local_epochs`` × :func:`model_training_flops`.
-#: The time a split saves is that work less a fork, the copy-on-write
-#: faults it brings both processes and the child's exit, which cost
-#: about the same whatever the model; what a FLOP costs does not (equal
-#: clients, 2-core Xeon under KVM, BLAS on one thread, one child, median
-#: of 41 alternating train steps forked / inline, two runs each).
-#: ``lenet_mini``, 10 clients, ~0.3 ms per MFLOP since its gradients
-#: keep their activations' layouts (~0.5 before): 1.58 / 1.20 at 28
-#: MFLOP moved, 1.10 / 0.86 at 42, 0.77 / 0.77 at 56, 0.76 / 0.72 at 70
-#: and 0.64 / 0.62 at 91 (``engine-train``'s rounds). ``mlp``, 6
-#: clients, ~0.16 ms per MFLOP: 0.97 / 0.95 at 45, 0.90 / 0.90 at 59,
-#: 0.80 / 0.80 at 74, then 0.71–0.90 at 89–104. Cheaper lenet_mini
-#: steps moved its crossing up, not past 7·10⁷: from there on, no model
-#: measured is slower.
-_FORK_FLOPS = 7e7
+#: The time a split saves is that work less the round's messages (start
+#: weights and rows out, trained weights back) and the wait of a worker
+#: that a pipe's wakeup puts on the sender's core until the balancer
+#: moves it: on a host whose cores share no cache it is put there every
+#: round (41 of 41 sends). Equal clients, 2-core Xeon under KVM, BLAS on
+#: one thread, one warm worker, median of 41 alternating train steps
+#: split / inline, two runs each. ``lenet_mini``, 10 clients: 1.14 /
+#: 1.12 at 7 MFLOP moved, 1.15 / 1.15 at 14, 1.10 / 1.09 at 28 (0.69 /
+#: 0.61 in two later runs), 0.69 / 0.58 at 42, 0.55 / 0.55 at 56, 0.52 /
+#: 0.54 at 70 and 0.56 / 0.53 at 91 (``engine-train``'s rounds).
+#: ``mlp``, 6 clients: 1.11 / 0.71 at 15, 1.08 / 0.61 at 30, 1.10 /
+#: 0.66 at 45, 1.09 / 0.62 at 59 and 0.58 / 0.67 at 74: a run whose
+#: worker waits reads ~1.1 up to 59. From 7·10⁷ on, no model measured
+#: is slower in any run; below it, a split pays in some runs only. A
+#: child forked per round read 2.0–2.6 at 3–14 and 0.70–1.36 at 56
+#: in the same session.
+_SPLIT_FLOPS = 7e7
 
-#: a forked child training a share: its pid, the read end of its pipe
-#: and the share's positions among the round's aggregators
-_Child = Tuple[int, BinaryIO, List[int]]
+
+#: what :func:`train_local` is called with besides the model, data and
+#: generator: ``(epochs, batch_size, lr, momentum, weight_decay)``
+_Hyper = Tuple[int, int, float, float, float]
+
+
+class _Worker(NamedTuple):
+    """A resident training worker: its pid, the write end of the pipe
+    its commands arrive on and the read end of the one it answers on."""
+
+    pid: int
+    commands: BinaryIO
+    replies: BinaryIO
+
+
+class _Pool:
+    """One process's training workers and the engine substrates they
+    were forked with, held weakly so a pool keeps no engine alive."""
+
+    def __init__(self, engine: "RoundEngine") -> None:
+        self.dataset = weakref.ref(engine.dataset)
+        self.scratch = weakref.ref(engine._scratch)
+        self.workers: List[_Worker] = []
+
+    def serves(self, engine: "RoundEngine") -> bool:
+        """Whether the workers hold ``engine``'s data and scratch model."""
+        return (
+            self.dataset() is engine.dataset
+            and self.scratch() is engine._scratch
+        )
+
+
+#: the training workers by the pid of the process that forked them, so
+#: a forked child never uses or reaps its parent's: see :func:`_workers`
+_pools: Dict[int, _Pool] = {}
 
 
 class ParameterServerLike(Protocol):
@@ -337,18 +377,23 @@ class RoundEngine:
         rng: np.random.Generator,
     ) -> LocalTrainingResult:
         """:meth:`train_client` drawing its batch orders from ``rng``."""
-        x, y = self.dataset.subset(self._train_indices(j))
-        self._scratch.set_weights(start_weights)
-        return train_local(
+        return _train_rows(
+            self.dataset,
             self._scratch,
-            x,
-            y,
-            epochs=epochs,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            rng=rng,
+            self._train_indices(j),
+            start_weights,
+            self._hyper(epochs),
+            rng,
+        )
+
+    def _hyper(self, epochs: int) -> _Hyper:
+        """The hyper-parameters a client trains with for ``epochs``."""
+        return (
+            epochs,
+            self.batch_size,
+            self.lr,
+            self.momentum,
+            self.weight_decay,
         )
 
     def final_accuracy(self) -> float:
@@ -437,10 +482,10 @@ class RoundEngine:
         is cut into (:func:`_shares`): one when there is no second core
         or no ``os.fork``, when a thread runs beside the caller's that
         is not a parked pool worker (:func:`repro.cores.fork_safe`: a
-        forked child gets no copy of it, and of any lock it holds only
+        forked worker gets no copy of it, and of any lock it holds only
         the locked copy), when a layer draws from a generator of its
         own, or when the work the split takes off the caller's path is
-        too small to pay for the forks (``_FORK_FLOPS``)."""
+        too small to pay for the messages (``_SPLIT_FLOPS``)."""
         if (
             _TRAIN_PROCS < 2
             or not hasattr(os, "fork")
@@ -451,7 +496,7 @@ class RoundEngine:
         shares = _shares(sizes, _TRAIN_PROCS)
         longest = max(sum(sizes[i] for i in share) for share in shares)
         moved = (sum(sizes) - longest) * self.local_epochs * self._flops
-        return shares if moved >= _FORK_FLOPS else _shares(sizes, 1)
+        return shares if moved >= _SPLIT_FLOPS else _shares(sizes, 1)
 
     def _start_training(
         self, aggregators: Sequence[int], start_weights: np.ndarray
@@ -467,10 +512,12 @@ class RoundEngine:
         that trains a client from a generator set to its start draws
         the batch orders the one-by-one loop draws, and ``self._rng``
         ends where that loop leaves it. The clients are then cut into
-        shares by samples (:meth:`_train_shares`) and a child is forked
-        for this round for each share but the first, the caller's, which
-        :meth:`_Training.collect` trains. With one share nothing trains
-        until then.
+        shares by samples (:meth:`_train_shares`), and each share but
+        the first, the caller's, which :meth:`_Training.collect` trains,
+        is sent to a training worker (:func:`_workers`) as one message:
+        the start weights, the hyper-parameters and, per client, its
+        position, its rows and its generator start. With one share
+        nothing trains until then.
         """
         sizes = [len(self._train_indices(j)) for j in aggregators]
         starts: List[Dict[str, Any]] = []
@@ -489,27 +536,39 @@ class RoundEngine:
 
         shares = self._train_shares(sizes)
         training = _Training(aggregators, train, shares[0])
+        if len(shares) == 1:
+            return training
         try:
-            for share in shares[1:]:
-                try:
-                    training.children.append(_fork_share(share, train))
-                except OSError:  # no process to spare: train it here
-                    training.own = sorted(training.own + share)
+            workers = _workers(self, len(shares) - 1)
+            for worker, share in zip(workers, shares[1:]):
+                clients = [
+                    (i, self._train_indices(aggregators[i]), starts[i])
+                    for i in share
+                ]
+                training.send(
+                    worker,
+                    share,
+                    (start_weights, self._hyper(self.local_epochs), clients),
+                )
+            # a share no worker could be forked for trains here
+            for share in shares[1 + len(workers) :]:
+                training.own = sorted(training.own + share)
         except BaseException:
-            training.reap()
+            training.abandon()
             raise
         return training
 
     def _train_aggregators(
         self, aggregators: Sequence[int], start_weights: np.ndarray
     ) -> List[LocalTrainingResult]:
-        """The whole train step in one call — start, collect, reap —
-        results in client order (:meth:`_start_training`)."""
+        """The whole train step in one call — start, collect — results
+        in client order (:meth:`_start_training`)."""
         training = self._start_training(aggregators, start_weights)
         try:
             return training.collect()
-        finally:
-            training.reap()
+        except BaseException:
+            training.abandon()
+            raise
 
     def run_sync_round(self, train: bool = True) -> RoundRecord:
         """One synchronous round: dispatch, barrier, aggregate, record.
@@ -558,11 +617,9 @@ class RoundEngine:
                     "the scheduler assigned no data to any eligible user"
                 )
         # A round without a deadline trains its planned clients, and the
-        # dispatch draws nothing from the engine generator: the children
+        # dispatch draws nothing from the engine generator: the workers
         # train while the caller simulates the devices. With a deadline,
-        # who trains depends on the dispatch times. Either way the
-        # children are reaped once the round's other work is done, so
-        # their exits overlap it too.
+        # who trains depends on the dispatch times.
         global_w = server.global_weights() if train else None
         training: Optional[_Training] = None
         try:
@@ -649,9 +706,10 @@ class RoundEngine:
             )
             self._round_samples = None
             return record
-        finally:
+        except BaseException:
             if training is not None:
-                training.reap()
+                training.abandon()
+            raise
 
 
 def _shares(sizes: Sequence[int], procs: int) -> List[List[int]]:
@@ -672,49 +730,166 @@ def _shares(sizes: Sequence[int], procs: int) -> List[List[int]]:
     return [sorted(share) for share in shares]
 
 
-def _fork_share(
-    share: List[int], train: Callable[[int], LocalTrainingResult]
-) -> _Child:
-    """Fork a child that runs ``train`` over ``share`` and pickles
-    ``(results, failure)`` to a pipe: the result of each position
-    trained (weights, sample count and losses), and ``None`` or the
-    failing position's index in the share with the error's text. The
-    child leaves by ``os._exit``, so no handler, buffer or ``finally``
-    of the caller's runs twice."""
-    read_fd, write_fd = os.pipe()
+def _train_rows(
+    dataset: Dataset,
+    scratch: Sequential,
+    indices: np.ndarray,
+    start_weights: np.ndarray,
+    hyper: _Hyper,
+    rng: np.random.Generator,
+) -> LocalTrainingResult:
+    """Local SGD on the training rows ``indices`` from ``start_weights``,
+    on ``scratch``, through the module-global :func:`train_local` (looked
+    up at call time), drawing batch orders from ``rng``: the one train
+    step of the caller and of every worker."""
+    x, y = dataset.subset(indices)
+    scratch.set_weights(start_weights)
+    epochs, batch_size, lr, momentum, weight_decay = hyper
+    return train_local(
+        scratch,
+        x,
+        y,
+        epochs=epochs,
+        batch_size=batch_size,
+        lr=lr,
+        momentum=momentum,
+        weight_decay=weight_decay,
+        rng=rng,
+    )
+
+
+def _workers(engine: RoundEngine, count: int) -> List[_Worker]:
+    """Up to ``count`` training workers for ``engine``'s rounds, fewer
+    only if a fork fails with ``OSError``. They are this process's, kept
+    from round to round and forked when missing; workers forked for
+    another engine's data or scratch model are closed and reaped first."""
+    pid = os.getpid()
+    pool = _pools.get(pid)
+    if pool is not None and not pool.serves(engine):
+        _close_workers()
+        pool = None
+    if pool is None:
+        pool = _pools[pid] = _Pool(engine)
+    while len(pool.workers) < count:
+        try:
+            pool.workers.append(_fork_worker(engine))
+        except OSError:  # no process to spare: the caller trains it
+            break
+    return pool.workers[:count]
+
+
+def _fork_worker(engine: RoundEngine) -> _Worker:
+    """Fork a worker that serves :func:`_serve` on its copy of
+    ``engine``'s data, scratch model and generator. It keeps none of the
+    parent's pipes to other workers (each reads EOF once the parent
+    closes its pipe) and none of the parent's stdout or stderr (a reader
+    of those waits for their EOF), ignores SIGINT (the parent decides
+    when it stops) and leaves by ``os._exit``, so no handler, buffer or
+    ``finally`` of the parent's runs twice."""
+    command_r, command_w = os.pipe()
+    reply_r, reply_w = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+        for fd in (command_r, command_w, reply_r, reply_w):
+            os.close(fd)
         raise
     if pid == 0:
-        os.close(read_fd)
         code = 1
         try:
-            results: List[LocalTrainingResult] = []
-            failure: Optional[Tuple[int, str]] = None
-            try:
-                for i in share:
-                    results.append(train(i))
-            except Exception as err:
-                failure = (len(results), f"{type(err).__name__}: {err}")
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(
-                    (results, failure), pipe, protocol=pickle.HIGHEST_PROTOCOL
-                )
+            os.close(command_w)
+            os.close(reply_r)
+            for pool in _pools.values():
+                for other in pool.workers:
+                    os.close(other.commands.fileno())
+                    os.close(other.replies.fileno())
+            null = os.open(os.devnull, os.O_RDWR)
+            os.dup2(null, 1)
+            os.dup2(null, 2)
+            os.close(null)
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            _serve(
+                engine.dataset, engine._scratch, engine._rng, command_r, reply_w
+            )
             code = 0
         finally:
             os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb"), share
+    os.close(command_r)
+    os.close(reply_w)
+    return _Worker(pid, open(command_w, "wb"), open(reply_r, "rb"))
+
+
+def _serve(
+    dataset: Dataset,
+    scratch: Sequential,
+    rng: np.random.Generator,
+    command_fd: int,
+    reply_fd: int,
+) -> None:
+    """A worker's loop until its command pipe reads EOF: per message
+    (:meth:`RoundEngine._start_training`), train each client by
+    :func:`_train_rows` from the start weights, its rows and its
+    generator start, and pickle ``(results, failure)`` back: the result
+    of each client trained (weights, sample count and losses), and
+    ``None`` or the failing client's position with the error's text."""
+    with open(command_fd, "rb") as commands, open(reply_fd, "wb") as replies:
+        while True:
+            try:
+                start_weights, hyper, clients = pickle.load(commands)
+            except EOFError:
+                return
+            results: List[LocalTrainingResult] = []
+            failure: Optional[Tuple[int, str]] = None
+            for position, indices, state in clients:
+                try:
+                    rng.bit_generator.state = state
+                    results.append(
+                        _train_rows(
+                            dataset, scratch, indices, start_weights, hyper, rng
+                        )
+                    )
+                except Exception as err:
+                    failure = (position, f"{type(err).__name__}: {err}")
+                    break
+            pickle.dump(
+                (results, failure), replies, protocol=pickle.HIGHEST_PROTOCOL
+            )
+            replies.flush()
+
+
+def _reap(worker: _Worker, kill: bool) -> int:
+    """Close the parent's ends of a worker's pipes (which makes it
+    leave), kill it first if ``kill``, and wait for it: its exit code."""
+    for pipe in (worker.commands, worker.replies):
+        try:
+            pipe.close()
+        except OSError:  # a command left unsent to a worker gone
+            pass
+    if kill:
+        try:
+            os.kill(worker.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    _, status = os.waitpid(worker.pid, 0)
+    return os.waitstatus_to_exitcode(status)
+
+
+def _close_workers(kill: bool = False) -> None:
+    """Close and reap this process's training workers, killing them
+    first if ``kill``; the next round that splits forks new ones. Runs
+    at interpreter exit, and never touches a parent's workers."""
+    pool = _pools.pop(os.getpid(), None)
+    while pool is not None and pool.workers:
+        _reap(pool.workers.pop(), kill)
+
+
+atexit.register(_close_workers)
 
 
 class _Training:
     """A round's train step under way (:meth:`RoundEngine._start_training`):
     the aggregators, the caller's share of their positions and the
-    children forked for the other shares, until :meth:`reap` waits for
-    them."""
+    shares sent to workers whose results are still to be read."""
 
     def __init__(
         self,
@@ -725,51 +900,63 @@ class _Training:
         self.aggregators = list(aggregators)
         self.train = train
         self.own = own
-        self.children: List[_Child] = []
+        self.pending: List[Tuple[_Worker, List[int]]] = []
+
+    def send(self, worker: _Worker, share: List[int], message: Any) -> None:
+        """Hand ``share`` to ``worker`` as one pickled ``message``."""
+        self.pending.append((worker, share))
+        try:
+            pickle.dump(
+                message, worker.commands, protocol=pickle.HIGHEST_PROTOCOL
+            )
+            worker.commands.flush()
+        except OSError:
+            raise self._lost(worker, share) from None
 
     def collect(self) -> List[LocalTrainingResult]:
-        """Train the caller's share, then read each child's results from
-        its pipe; every aggregator's result, in client order. A child
-        whose results say it failed, or that left none, makes this raise
+        """Train the caller's share, then read each worker's results;
+        every aggregator's result, in client order. A worker whose
+        results say it failed, or that left none, makes this raise
         ``RuntimeError`` naming its client(s)."""
         results = {i: self.train(i) for i in self.own}
-        for child in self.children:
-            _, _, share = child
-            results.update(zip(share, self._read(child)))
+        while self.pending:
+            worker, share = self.pending[0]
+            results.update(zip(share, self._read(worker, share)))
+            self.pending.pop(0)
         return [results[i] for i in range(len(self.aggregators))]
 
-    def _read(self, child: _Child) -> List[LocalTrainingResult]:
-        """One child's results; a child that left none is reaped at once
-        for the exit status its error reports."""
-        pid, pipe, share = child
-        payload = pipe.read()
-        pipe.close()
-        clients = [self.aggregators[i] for i in share]
+    def _read(
+        self, worker: _Worker, share: List[int]
+    ) -> List[LocalTrainingResult]:
         try:
-            results, failure = pickle.loads(payload)
-        except Exception:
-            self.children.remove(child)
-            _, status = os.waitpid(pid, 0)
-            raise RuntimeError(
-                f"the child training clients {clients} exited with status "
-                f"{os.waitstatus_to_exitcode(status)} without its results"
-            ) from None
+            results, failure = pickle.load(worker.replies)
+        except (EOFError, OSError, pickle.UnpicklingError):
+            raise self._lost(worker, share) from None
         if failure is not None:
             position, error = failure
             raise RuntimeError(
-                f"local training of client {clients[position]} failed in a "
-                f"forked child: {error}"
+                f"local training of client {self.aggregators[position]} "
+                f"failed in a training worker: {error}"
             )
         out: List[LocalTrainingResult] = results
         return out
 
-    def reap(self) -> None:
-        """Wait for every child. One whose results were read has finished
-        its work and only has to exit; any other is killed first, as the
-        round is failing and nothing will read what it trains."""
-        while self.children:
-            pid, pipe, _ = self.children.pop()
-            if not pipe.closed:
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    def _lost(self, worker: _Worker, share: List[int]) -> RuntimeError:
+        """The error for a worker gone without its results, once it is
+        reaped for the exit status the error reports."""
+        _pools[os.getpid()].workers.remove(worker)
+        self.pending.remove((worker, share))
+        code = _reap(worker, kill=False)
+        clients = [self.aggregators[i] for i in share]
+        return RuntimeError(
+            f"the worker training clients {clients} exited with status "
+            f"{code} without its results"
+        )
+
+    def abandon(self) -> None:
+        """Kill and reap the workers if any still owes this step results:
+        the round is failing, and what they send would be read by the
+        next round."""
+        if self.pending:
+            self.pending.clear()
+            _close_workers(kill=True)

@@ -51,6 +51,20 @@ class TestGeneration:
         with pytest.raises(ValueError):
             make_dataset(SyntheticConfig(train_size=0))
 
+    @pytest.mark.parametrize("max_shift", [-1, 13])
+    def test_a_shift_outside_the_image_raises(self, max_shift):
+        """On 12x12 images a shift of 0 to 12 builds; past either end
+        is a config error naming the field."""
+        with pytest.raises(ValueError, match="max_shift"):
+            make_dataset(max_shift=max_shift, train_size=400, test_size=50)
+
+    def test_a_shift_of_the_whole_side_builds(self):
+        """A shift of the image side moves a sample wholly out of view:
+        what is left of it is blank."""
+        ds = make_dataset(max_shift=12, train_size=400, test_size=50)
+        assert ds.input_shape == (1, 12, 12)
+        assert (ds.x_train == 0.0).all(axis=(1, 2, 3)).any()
+
 
 class TestLearnability:
     def test_classes_are_separable(self, tiny_dataset):

@@ -4,8 +4,9 @@ The columnar fleet's population passes keep a per-process thread pool
 for the life of the process. Its workers register themselves with
 ``repro.cores.mark_fork_safe``: every pass waits for its spans, so a
 parked worker only waits on the pool's queue, and a forked child never
-uses that pool. ``RoundEngine._train_shares`` forks past them, bit for
-bit as before; any other live thread still keeps the round inline.
+uses that pool. ``RoundEngine._train_shares`` forks its training
+workers past them, bit for bit as before; any other live thread still
+keeps the round inline.
 """
 
 import threading
@@ -19,7 +20,7 @@ from repro.fleet.store import synthetic_fleet
 from . import test_parallel_train as parallel
 from .test_overlapped_round import run_against_the_retired_loop
 
-#: fork at any size on the cores each test sets; returns the fork log
+#: split at any size on the cores each test sets; returns the fork log
 split = parallel.split
 
 
@@ -36,8 +37,8 @@ def test_a_round_after_a_pooled_pass_still_forks(split, monkeypatch):
     _pooled_pass(monkeypatch)
     forks = split(2)
     run_against_the_retired_loop(rounds=2)
-    assert len(forks) == 2
-    parallel._no_children_left()
+    assert len(forks) == 1
+    parallel._only_workers_left(1)
 
 
 def test_a_user_thread_beside_the_pool_keeps_the_round_inline(

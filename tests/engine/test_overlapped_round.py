@@ -1,27 +1,27 @@
-"""A sync round's children train beside its dispatch and exit beside its tail.
+"""A sync round's workers train beside its dispatch and stay for the next.
 
 A round without a deadline knows its aggregators once it is planned,
 and its dispatch draws nothing from the engine generator, so
-``run_sync_round`` starts the train step (generator walk, shares,
-forks) before the dispatch, collects the results where the round
-trains, and reaps the children in one ``finally`` after the evaluation.
-A deadline round starts after the dispatch, as its aggregators depend
-on the dispatch times.
+``run_sync_round`` starts the train step (generator walk, shares, the
+messages to the training workers) before the dispatch and collects the
+results where the round trains. A deadline round starts after the
+dispatch, as its aggregators depend on the dispatch times. The workers
+are forked by the first round that splits and serve every later one.
 
 Whole rounds are pinned here to the retired one-by-one loop
 (``_retired_train_step``), taken where the round trains: the global
 weights, every accuracy, the engine generator's end state and the
 event stream, as JSON lines, byte for byte. Then the overlap itself,
 seen through ``os.waitid`` with ``WNOWAIT`` (which reaps nothing): a
-child exists while the devices are simulated and while the model is
-evaluated, and none after the round; and the failure paths: a device
-that raises mid-dispatch leaves no child, a child that fails during the
-dispatch fails the round naming its client.
+worker exists while the devices are simulated and while the model is
+evaluated, and the same one serves the next round; and the failure
+paths: a device that raises mid-dispatch leaves no worker, a worker
+that fails during the dispatch fails the round naming its client.
 """
 
 import io
 import os
-import time
+import select
 
 import numpy as np
 import pytest
@@ -40,11 +40,13 @@ from .test_parallel_train import (
     _failing_train,
     _model,
     _no_children_left,
+    _only_workers_left,
     _RetiredStep,
     _rng_state,
+    worker_pids,
 )
 
-#: fork at any size on the cores each test sets; returns the fork log
+#: split at any size on the cores each test sets; returns the fork log
 split = parallel.split
 
 PHONES = ["pixel2", "nexus6p", "mate10", "nexus6", "pixel2"]
@@ -130,8 +132,8 @@ def test_whole_rounds_equal_the_retired_loop(split, procs, config):
     forks = split(procs)
     run_against_the_retired_loop(**ROUNDS[config])
     splits = procs > 1 and config != "a dropout layer"
-    assert len(forks) == (3 if splits else 0)
-    _no_children_left()
+    assert len(forks) == (1 if splits else 0)
+    _only_workers_left(len(forks))
 
 
 def test_evaluation_is_skipped_between_evaluated_rounds(split):
@@ -154,12 +156,6 @@ def _has_child():
     except ChildProcessError:
         return False
     return True
-
-
-def _has_exited_child():
-    """Whether a child of this process has exited, reaping none."""
-    flags = os.WEXITED | os.WNOHANG | os.WNOWAIT
-    return os.waitid(os.P_ALL, 0, flags) is not None
 
 
 def _before_each_workload(engine, hook):
@@ -187,21 +183,22 @@ def _watch(engine, monkeypatch, seen):
     monkeypatch.setattr(engine_module, "evaluate_accuracy", evaluate_accuracy)
 
 
-def test_the_child_trains_beside_the_dispatch_and_exits_beside_the_tail(
+def test_the_worker_trains_beside_the_dispatch_and_stays(
     split, monkeypatch
 ):
     forks = split(2)
     engine = _engine()
     seen = []
     _watch(engine, monkeypatch, seen)
-    for rounds in (1, 2):
-        engine.run_sync_round()
-        assert len(forks) == rounds
-        _no_children_left()
+    engine.run_sync_round()
+    first = worker_pids()
+    engine.run_sync_round()
+    assert len(forks) == 1 and worker_pids() == first
     assert [phase for phase, _ in seen] == (
         ["dispatch"] * len(PHONES) + ["evaluate"]
     ) * 2
     assert all(child for _, child in seen)
+    _only_workers_left(1)
 
 
 @pytest.mark.parametrize(
@@ -217,7 +214,7 @@ def test_only_a_round_without_a_deadline_forks_before_its_dispatch(
     engine.run_sync_round()
     assert seen == [forked] * len(PHONES)
     assert len(forks) == 1
-    _no_children_left()
+    _only_workers_left(1)
 
 
 def test_a_device_that_raises_mid_dispatch_leaves_no_child(split):
@@ -239,18 +236,16 @@ def test_a_child_that_fails_during_the_dispatch_fails_the_round(
     split, monkeypatch
 ):
     split(2)
-    # equal clients: the child's share is positions [1, 3]
+    # equal clients: the worker's share is positions [1, 3]
     assert engine_module._shares([48] * len(PHONES), 2)[1] == [1, 3]
     _failing_train(monkeypatch, in_child=True, action=parallel._raise)
     engine = _engine()
 
-    def wait_for_the_child_to_exit():
-        deadline = time.monotonic() + 60.0
-        while not _has_exited_child() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert _has_exited_child()
+    def wait_for_the_worker_to_answer():
+        (worker,) = engine_module._pools[os.getpid()].workers
+        assert select.select([worker.replies], [], [], 60.0)[0]
 
-    _before_each_workload(engine, wait_for_the_child_to_exit)
+    _before_each_workload(engine, wait_for_the_worker_to_answer)
     with pytest.raises(
         RuntimeError, match=r"client 1 failed .*ValueError: diverged"
     ):

@@ -1,17 +1,17 @@
-"""A sync round's local SGD split over forked children, against the loop.
+"""A sync round's local SGD split over training workers, against the loop.
 
 ``RoundEngine._train_aggregators`` walks the engine generator once in
 client order, keeping each client's start state, then trains the
-clients in shares: the caller the first, a child forked for the round
+clients in shares: the caller the first, a resident training worker
 each other one. Here the size threshold is forced to 0 and the core
 count to 1, 2 or 3, and every result is pinned bit for bit to the loop
 it replaced, which lives below as ``_retired_train_step``: the weights
 each client uploads, its sample count and losses, the global model
 after whole rounds, and the engine generator's end state. Then the
 cases that must stay in the caller (one core, a ``Dropout`` layer, a
-live second thread, a failed fork) and the failure paths: a child that
-raises or dies makes the round raise, and a caller that raises leaves
-no child behind.
+live second thread, a failed fork) and the failure paths: a worker
+that raises or dies makes the round raise, and a caller that raises
+leaves no worker behind.
 
 ``_run_pair`` patches ``_train_aggregators``, which ``run_sync_round``
 no longer calls, so its whole-round cases compare the round with
@@ -103,7 +103,8 @@ class _RetiredStep:
 
 @pytest.fixture
 def split(monkeypatch):
-    """Fork at any size on ``procs`` cores; returns the fork count."""
+    """Split at any size on ``procs`` cores; returns the fork log. The
+    test starts and ends with no training worker."""
     forks = []
     real_fork = os.fork
 
@@ -111,19 +112,37 @@ def split(monkeypatch):
         forks.append(1)
         return real_fork()
 
-    monkeypatch.setattr(engine_module, "_FORK_FLOPS", 0.0)
+    engine_module._close_workers()
+    monkeypatch.setattr(engine_module, "_SPLIT_FLOPS", 0.0)
     monkeypatch.setattr(os, "fork", counting_fork)
 
     def cores(procs):
         monkeypatch.setattr(engine_module, "_TRAIN_PROCS", procs)
         return forks
 
-    return cores
+    yield cores
+    engine_module._close_workers()
 
 
 def _no_children_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def worker_pids():
+    """The pids of this process's training workers, in fork order."""
+    pool = engine_module._pools.get(os.getpid())
+    return [worker.pid for worker in pool.workers] if pool else []
+
+
+def _only_workers_left(count):
+    """This process's children are ``count`` live training workers:
+    none has exited, and none is left once they are closed."""
+    pids = worker_pids()
+    assert len(pids) == count
+    assert all(os.waitpid(pid, os.WNOHANG) == (0, 0) for pid in pids)
+    engine_module._close_workers()
+    _no_children_left()
 
 
 def _assert_same_results(got, want):
@@ -190,7 +209,7 @@ def test_the_split_step_is_the_loop_bit_for_bit(split, case):
     assert _rng_state(engine) == _rng_state(reference)
     busy = sum(1 for j in aggregators if len(engine._train_indices(j)))
     assert len(forks) - before == max(0, min(procs, busy) - 1)
-    _no_children_left()
+    _only_workers_left(len(forks) - before)
 
 
 def _simulation(dropout=None, binding=False, epochs=1, model_dropout=False):
@@ -244,8 +263,9 @@ ROUNDS = {
 def test_whole_rounds_equal_the_loop(split, procs, config):
     forks = split(procs)
     engine, _ = _run_pair(lambda: _simulation(**ROUNDS[config]))
+    # both engines split, so each round re-forks for the other engine
     assert (len(forks) > 0) == (procs > 1)
-    _no_children_left()
+    _only_workers_left(1 if procs > 1 else 0)
 
 
 def test_the_deadline_leaves_a_subset_to_train(split):
@@ -345,10 +365,10 @@ def test_the_threshold_counts_the_work_taken_off_the_caller(
     forks = split(2)
     engine = _engine(sizes, epochs, 0)
     moved = 30 * epochs * engine._flops
-    monkeypatch.setattr(engine_module, "_FORK_FLOPS", moved * (1 + 1e-9))
+    monkeypatch.setattr(engine_module, "_SPLIT_FLOPS", moved * (1 + 1e-9))
     engine._train_aggregators(range(len(sizes)), _model().get_weights())
     assert forks == []
-    monkeypatch.setattr(engine_module, "_FORK_FLOPS", moved)
+    monkeypatch.setattr(engine_module, "_SPLIT_FLOPS", moved)
     engine._train_aggregators(range(len(sizes)), _model().get_weights())
     assert forks == [1]
 

@@ -1,8 +1,8 @@
-"""Suite payload shape and the solve section.
+"""Suite payload shape and its sections.
 
 The full ``bench_suite`` run is exercised by the CI gate job
 (``repro bench suite``); here we pin the payload contract and run only
-the cheap section so the tier-1 test pass stays fast.
+the cheap sections so the tier-1 test pass stays fast.
 """
 
 import json
@@ -18,7 +18,7 @@ from repro.perf import (
     suite_payload,
     write_suite,
 )
-from repro.perf.suite import _narrate_metrics, _solve_metrics
+from repro.perf.suite import _engine_metrics, _narrate_metrics, _solve_metrics
 
 RESULTS = [
     MetricResult(
@@ -72,6 +72,23 @@ class TestPayload:
 
 
 class TestSections:
+    def test_engine_metrics_gate_the_phase_cost_not_the_share(self):
+        """The per-entry ratio is gated; the share of one run's wall
+        time keeps only its absolute ceiling."""
+        cost, share = _engine_metrics()
+        assert (cost.name, cost.unit, cost.gated) == (
+            "profiler_phase_cost",
+            "x",
+            True,
+        )
+        assert cost.abs_max == 2.0 and 0 < cost.value < cost.abs_max
+        assert (share.name, share.unit, share.gated) == (
+            "profiler_overhead_pct",
+            "%",
+            False,
+        )
+        assert share.abs_max == 1.0 and 0 < share.value < share.abs_max
+
     def test_solve_metrics_shape(self):
         (scaling,) = _solve_metrics(seed=0)
         assert scaling.name == "solve_scaling_fed_lbap"
