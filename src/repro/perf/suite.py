@@ -160,9 +160,9 @@ def _engine_metrics() -> List[MetricResult]:
             unit="x",
             higher_is_better=False,
             gated=True,
-            # 6 suite runs on a 2-core Xeon read 1.21-1.31; a disabled
-            # phase that allocated or read the clock would cost about
-            # one more ``with`` at least
+            # 9 runs on a 2-core Xeon read 1.15-1.31; a disabled phase
+            # that allocated or read the clock would cost about one
+            # more ``with`` at least
             abs_max=2.0,
             note=(
                 f"disabled PROFILER.phase() entry / empty with on its "
