@@ -23,18 +23,17 @@ registry's ownership seam.
 PR 10 adds *interprocedural* determinism tracking: a taint lattice
 (:mod:`taint` — host-time / RNG / env / ``id()`` / set-iteration-order
 sources, propagated through assignments, containers and call-site
-summaries) and purity inference (:mod:`purity` — mutated non-local
-locations with alias tracking) feed the nondeterminism rule pack
-(:mod:`taintrules`): host-clock and unseeded-RNG values escaping into
-the event stream, ``os.environ`` reads outside the entry layers, and
-the ``impure-scheduler`` certificate that every registered
-``Scheduler.schedule`` is a pure function of its arguments. Findings
-carry the full propagation chain (``clock.now -> _lag_s ->
-Heartbeat.lag_s``) in text output and SARIF ``codeFlows``.
+summaries) feeds the nondeterminism rule pack (:mod:`taintrules`):
+host-clock and unseeded-RNG values escaping into the event stream, and
+``os.environ`` reads outside the entry layers. Findings carry the full
+propagation chain (``clock.now -> _lag_s -> Heartbeat.lag_s``) in text
+output and SARIF ``codeFlows``. Scheduler purity is checked by
+running, not proved here: a property test calls every registered
+scheduler repeatedly and compares what it can reach before and after.
 
-The three interprocedural passes (blocking-reach, taint, purity) share
-one spine in :mod:`project`: one function table, one call resolver
-and one summary engine (:class:`~repro.analysis.project.Summaries`)
+The two interprocedural passes (blocking-reach, taint) share one spine
+in :mod:`project`: one function table, one call resolver and one
+summary engine (:class:`~repro.analysis.project.Summaries`)
 that makes every summary the least fixed point over the call graph —
 exact on recursion, independent of who asked first.
 
@@ -89,7 +88,6 @@ from .project import (
     build_project,
     set_parse_listener,
 )
-from .purity import PurityIndex, PuritySummary, purity_index_for
 from .taint import (
     FnTaint,
     TaintEngine,
@@ -122,9 +120,6 @@ __all__ = [
     "TaintFlow",
     "class_attr_taints",
     "summaries_for",
-    "PurityIndex",
-    "PuritySummary",
-    "purity_index_for",
     "CFG",
     "BasicBlock",
     "Edge",

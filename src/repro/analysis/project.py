@@ -3,13 +3,12 @@
 PR 3's linter was strictly per-file: one parse, one walk, rules that
 see a single AST. The invariants the reproduction actually depends on
 — units not silently crossing call boundaries, host time and unseeded
-draws kept out of the event stream, registered schedulers staying
-pure — live *between* files. This module parses the whole
-``src/repro`` tree **once** and derives two structures, plus one
-resolver:
+draws kept out of the event stream — live *between* files. This
+module parses the whole ``src/repro`` tree **once** and derives two
+structures, plus one resolver:
 
-* a **symbol table** per module (top-level classes with bases, methods
-  and decorators; functions with their signatures; constants; the
+* a **symbol table** per module (top-level classes with bases and
+  methods; functions with their signatures; constants; the
   ``__all__`` export list),
 * per-module **import records** with proper relative-import
   resolution (``from ..core.schedule import Schedule`` inside
@@ -62,9 +61,7 @@ from .findings import Finding
 
 __all__ = [
     "FunctionInfo",
-    "ClassInfo",
     "ConstantInfo",
-    "ModuleInfo",
     "CallTarget",
     "ProjectGraph",
     "Summaries",
@@ -124,7 +121,7 @@ class FunctionInfo:
 
 @dataclass
 class ClassInfo:
-    """Top-level class: bases as written, methods, decorators."""
+    """Top-level class: bases as written, methods."""
 
     name: str
     lineno: int
@@ -132,8 +129,6 @@ class ClassInfo:
     #: base expressions as dotted source text (unresolved)
     bases: Tuple[str, ...] = ()
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
-    #: decorator expressions as dotted source text (call parens dropped)
-    decorators: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -233,19 +228,12 @@ def _class_info(node: ast.ClassDef) -> ClassInfo:
     for stmt in node.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             methods[stmt.name] = function_info(stmt)
-    decorators: List[str] = []
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        text = dotted_text(target)
-        if text is not None:
-            decorators.append(text)
     return ClassInfo(
         name=node.name,
         lineno=node.lineno,
         node=node,
         bases=bases,
         methods=methods,
-        decorators=tuple(decorators),
     )
 
 

@@ -79,7 +79,7 @@ from .base import (
     rule,
 )
 from .findings import Finding, TextEdit
-from .project import ClassInfo, ModuleInfo, ProjectGraph, enclosing_class
+from .project import enclosing_class
 
 __all__ = [
     "NoUnseededRng",
@@ -575,19 +575,6 @@ def _undocumented(
                 message(name),
                 col=node.col_offset,
             )
-
-
-def _registered_schedulers(
-    graph: ProjectGraph,
-) -> List[Tuple[ModuleInfo, ClassInfo]]:
-    """Every ``@register``-decorated class under ``src/repro/sched``."""
-    return [
-        (info, cls)
-        for path, info in sorted(graph.by_path.items())
-        if path.startswith("src/repro/sched/")
-        for cls in info.classes.values()
-        if any(d.rsplit(".", 1)[-1] == "register" for d in cls.decorators)
-    ]
 
 
 # ---------------------------------------------------------------------------

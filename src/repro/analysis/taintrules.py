@@ -1,6 +1,6 @@
-"""Determinism rules driven by the taint/purity engines.
+"""Determinism rules driven by the taint engine.
 
-Four rules close the gap the AST-only determinism rules left open —
+Three rules close the gap the AST-only determinism rules left open —
 a nondeterministic value that is *legal at its source* (host timing in
 a profiler, a seeded RNG's seed material, an entry-layer env read) but
 escapes into a domain that must replay bit-identically:
@@ -14,11 +14,6 @@ escapes into a domain that must replay bit-identically:
   reach the event stream or the model registry (``.commit(...)``).
   Seeded-generator construction sanitizes: ``default_rng(cfg.seed)``
   carries only the seed's taint.
-* ``impure-scheduler`` — every ``@register``-ed
-  :class:`~repro.sched.base.Scheduler`'s ``schedule()`` must be pure
-  (no ``self``/global/argument mutation, inferred interprocedurally by
-  :mod:`repro.analysis.purity`). This is the certificate the planned
-  cost-curve cache relies on to reuse schedules across rounds.
 * ``env-dependent-config`` — ``os.environ`` may only be read in the
   CLI/serve entry layers, and even there the value must not flow into
   the event stream.
@@ -49,16 +44,12 @@ from typing import (
 from .base import (
     FileContext,
     FileRule,
-    ProjectContext,
-    ProjectRule,
     dotted_text,
     rule,
 )
 from .cfg import build_cfg, walk_function_body, WithExit
 from .dataflow import solve_forward, unit_facts
 from .findings import Finding, FlowStep
-from .purity import project_purity_index
-from .rules import _project_finding, _registered_schedulers
 from .taint import (
     ENV,
     HOST_TIME,
@@ -75,7 +66,6 @@ from .taint import (
 __all__ = [
     "HostTimeTaint",
     "RngTaintEscape",
-    "ImpureScheduler",
     "EnvDependentConfig",
 ]
 
@@ -533,74 +523,3 @@ class EnvDependentConfig(_TaintSinkRule):
                     "pass configuration in explicitly (CLI flag or "
                     "constructor argument)",
                 )
-
-
-@rule("impure-scheduler")
-class ImpureScheduler(ProjectRule):
-    """Registered ``Scheduler.schedule`` implementations must be pure.
-
-    The comparison harness wants to cache cost curves and reuse
-    schedules across rounds; that is only sound when ``schedule()`` is
-    a function of its arguments — no writes to ``self``, no module
-    globals, no mutation of the round state it receives. Purity is
-    inferred interprocedurally (``schedule`` delegating to a helper
-    that appends to ``self._hist`` is caught two hops away) and the
-    certificate is exact per key on every call the graph resolves —
-    mutual recursion included, whichever scheduler is checked first;
-    calls the graph cannot resolve are assumed pure, so it can have
-    false negatives but never blocks legitimate schedulers.
-    """
-
-    description = (
-        "registered Scheduler.schedule mutates self/global/argument "
-        "state (breaks schedule caching)"
-    )
-
-    def check_project(
-        self, ctx: ProjectContext
-    ) -> Iterable[Finding]:
-        graph = ctx.graph
-        if graph is None:
-            return
-        index = project_purity_index(ctx)
-        for info, cls in _registered_schedulers(graph):
-            found = graph.find_method(info.name, cls, "schedule")
-            if found is None:
-                # a base the graph cannot resolve: register() raises
-                # TypeError at import for a class that is no Scheduler
-                continue
-            def_mod, def_cls, fn = found
-            key = f"{def_mod.name}.{def_cls.name}.schedule"
-            summary = index.get(key)
-            if summary.is_pure:
-                continue
-            described = ", ".join(
-                _describe_effect(e) for e in sorted(summary.effects)
-            )
-            first = sorted(summary.effects)[0]
-            chain = summary.chain_for(first)
-            f = _project_finding(
-                ctx,
-                self.id,
-                def_mod.path,
-                fn.lineno,
-                f"registered scheduler {cls.name}: schedule() must "
-                f"be pure to certify schedule caching, but it "
-                f"{described}"
-                + (
-                    f" (flow: "
-                    f"{' -> '.join(s.label for s in chain)})"
-                    if chain
-                    else ""
-                ),
-            )
-            yield replace(f, flow=chain)
-
-
-def _describe_effect(effect: Tuple[str, str]) -> str:
-    kind, detail = effect
-    if kind == "self":
-        return f"writes self.{detail}"
-    if kind == "global":
-        return f"mutates module global {detail}"
-    return f"mutates argument {detail}"

@@ -25,7 +25,6 @@ from repro.analysis.asyncrules import (
 from repro.analysis.taintrules import (
     EnvDependentConfig,
     HostTimeTaint,
-    ImpureScheduler,
     RngTaintEscape,
 )
 from repro.analysis.rules import (
@@ -51,7 +50,6 @@ EXPECTED_RULES = {
     "env-dependent-config": EnvDependentConfig,
     "event-schema-sync": EventSchemaSync,
     "host-time-taint": HostTimeTaint,
-    "impure-scheduler": ImpureScheduler,
     "lock-across-await": LockAcrossAwait,
     "no-float-equality": NoFloatEquality,
     "no-python-loop-over-fleet": NoPythonLoopOverFleet,

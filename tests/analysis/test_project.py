@@ -17,8 +17,6 @@ from repro.analysis.project import (
     usage_tokens,
 )
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-
 
 def write_tree(tmp_path: Path, files: dict) -> Path:
     for rel, body in files.items():
@@ -167,16 +165,11 @@ def test_lint_repo_parses_each_file_exactly_once_mini(tmp_path):
     assert set(counts.values()) == {1}
 
 
-def test_lint_repo_parses_each_file_exactly_once_real_repo():
+def test_lint_repo_parses_each_file_exactly_once_real_repo(repo_lint):
     """The single-parse guarantee on this very checkout: every source
     file goes through the one parse seam exactly once per invocation,
     no matter how many rules consume the tree."""
-    counts: Counter = Counter()
-    set_parse_listener(lambda module: counts.update([module]))
-    try:
-        report = lint_repo(REPO_ROOT)
-    finally:
-        set_parse_listener(None)
+    report, counts = repo_lint
     assert report.files_checked > 50
     assert len(counts) == report.files_checked
     most_parsed, n = counts.most_common(1)[0]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import available_rules, lint_repo
+from repro.analysis import available_rules
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -22,9 +22,9 @@ BAD_FIXTURES = [
 ]
 
 
-def test_repo_is_lint_clean():
+def test_repo_is_lint_clean(repo_lint):
     """`repro lint` must exit 0 on this very checkout."""
-    report = lint_repo(REPO_ROOT)
+    report = repo_lint.report
     assert [f.render() for f in report.findings] == []
     assert report.parse_errors == []
     assert report.stale_baseline == []

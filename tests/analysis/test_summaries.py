@@ -2,13 +2,13 @@
 
 :class:`repro.analysis.project.Summaries` decides what a summary means
 on a recursive call graph for every pass built on it (blocking-reach,
-taint, purity). Its contract — each key's summary is the least fixed
+taint). Its contract — each key's summary is the least fixed
 point of ``infer`` over the graph, whatever the order of queries, and
 a memoised key is never inferred again — is checked here against a
 global Kleene iteration on random call graphs (self-loops, nested and
 overlapping cycles, callees no table knows), with an ``infer`` shaped
 like the real ones: a monotone set union whose call edges may rewrite
-what they carry (the way a parameter effect is renamed at a call site
+what they carry (the way a parameter's flow is renamed at a call site
 — without that, one pass from the head already is the fixed point and
 the head's iteration goes untested), plus a representative chain that
 lengthens on every trip round a cycle.

@@ -28,7 +28,6 @@ from repro.analysis import (
 from repro.analysis.taintrules import (
     EnvDependentConfig,
     HostTimeTaint,
-    ImpureScheduler,
     RngTaintEscape,
 )
 from repro.cli import main
@@ -166,100 +165,6 @@ def test_host_time_rule_exempts_sanctioned_domains():
             lint_source(source, module, rule_ids=[HostTimeTaint.id])
             == []
         ), module
-
-
-# ---------------------------------------------------------------------------
-# impure-scheduler (project rule, mini-repo fixtures)
-# ---------------------------------------------------------------------------
-
-SCHED_COMMON = {
-    "src/repro/__init__.py": "",
-    "src/repro/sched/__init__.py": "from . import impls\n",
-    "src/repro/sched/registry.py": (
-        "def register(name):\n"
-        "    def deco(cls):\n"
-        "        return cls\n"
-        "    return deco\n"
-    ),
-    "src/repro/sched/base.py": (
-        "class Assignment:\n"
-        "    pass\n"
-        "\n"
-        "\n"
-        "class Scheduler:\n"
-        "    def schedule(self, problem) -> \"Assignment\":\n"
-        "        raise NotImplementedError\n"
-    ),
-}
-
-
-def sched_repo(tmp_path: Path, fixture: str) -> Path:
-    files = {
-        **SCHED_COMMON,
-        "src/repro/sched/impls.py": (FIXTURES / fixture).read_text(
-            encoding="utf-8"
-        ),
-    }
-    for rel, body in files.items():
-        path = tmp_path / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(body, encoding="utf-8")
-    return tmp_path
-
-
-def impure_findings(root: Path):
-    report = lint_repo(root, use_baseline=False)
-    assert report.parse_errors == []
-    return [
-        f for f in report.findings if f.rule_id == ImpureScheduler.id
-    ]
-
-
-def test_impure_scheduler_caught_two_hops_away(tmp_path):
-    root = sched_repo(tmp_path, "sched_purity_bad.py")
-    (finding,) = impure_findings(root)
-    assert finding.path == "src/repro/sched/impls.py"
-    assert "Sticky" in finding.message
-    assert "must be pure" in finding.message
-    assert "writes self._hist" in finding.message
-    assert [s.label for s in finding.flow] == [
-        "_note()",
-        "self._hist.append",
-    ]
-
-
-@pytest.mark.parametrize("swap", [False, True], ids=["first", "second"])
-def test_impure_scheduler_is_exact_on_a_helper_cycle(tmp_path, swap):
-    # the first scheduler's helper closes a cycle through the second's:
-    # both reach the module-global write, in either registration order
-    root = sched_repo(tmp_path, "sched_purity_cycle_bad.py")
-    if swap:
-        impls = root / "src" / "repro" / "sched" / "impls.py"
-        sep = "\n\n\n@register("
-        head, first, second = impls.read_text(encoding="utf-8").split(sep)
-        second = second.rstrip("\n")
-        impls.write_text(
-            sep.join([head, second, first]) + "\n", encoding="utf-8"
-        )
-    findings = impure_findings(root)
-    assert sorted(f.message.split(":")[0] for f in findings) == [
-        "registered scheduler First",
-        "registered scheduler Second",
-    ]
-    assert all("module global LEDGER" in f.message for f in findings)
-
-
-def test_pure_scheduler_certifies_clean(tmp_path):
-    root = sched_repo(tmp_path, "sched_purity_good.py")
-    assert impure_findings(root) == []
-
-
-def test_every_registered_repo_scheduler_certifies():
-    """The certificate over this very checkout: all registered
-    schedulers stay cacheable (also implied by the repo lint gate,
-    asserted here so a regression names the rule directly)."""
-    report = lint_repo(REPO_ROOT, rule_ids=[ImpureScheduler.id])
-    assert [f.render() for f in report.findings] == []
 
 
 # ---------------------------------------------------------------------------
