@@ -2,10 +2,10 @@
 
 The single-parse project model keeps `repro lint` linear in tree size,
 not rule count — even now that every full-repo run builds per-function
-CFGs, solves dataflow for the async rule pack, and resolves
-interprocedural taint summaries (cached once per invocation on the
-project context) for the determinism pack. This pins the full-repo
-run (project graph + all sixteen rules, baseline applied)
+CFGs and solves dataflow for the async rule pack, and resolves
+blocking-reach summaries (cached once per invocation on the project
+context). This pins the full-repo run (project graph + all fourteen
+rules, baseline applied)
 under the shared :data:`repro.analysis.bench.LINT_BUDGET_S` ceiling so
 the lint gate stays cheap enough to run on every CI push and locally
 before every commit, and checks the committed ``BENCH_lint.json``
@@ -31,7 +31,7 @@ def test_full_repo_lint_under_budget(benchmark):
     elapsed_s = time.perf_counter() - start
 
     assert report.files_checked > 50
-    assert len(report.rules_run) == 16
+    assert len(report.rules_run) == 14
     assert elapsed_s < LINT_BUDGET_S, (
         f"full-repo lint took {elapsed_s:.2f}s, budget is "
         f"{LINT_BUDGET_S:.0f}s — did a rule add a re-parse or an "
@@ -51,7 +51,7 @@ def test_committed_bench_lint_schema():
     assert payload["total_ms"] < LINT_BUDGET_S * 1000.0
 
     rules = payload["rules"]
-    assert len(rules) == 16
+    assert len(rules) == 14
     for entry in rules:
         timing = RuleTiming(**entry)  # field names match the payload
         assert timing.ms >= 0.0

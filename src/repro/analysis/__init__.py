@@ -20,22 +20,19 @@ reachable from coroutines, coroutines never awaited, locks held across
 suspension points, leaked tasks, and fleet-column writes outside the
 registry's ownership seam.
 
-PR 10 adds *interprocedural* determinism tracking: a taint lattice
-(:mod:`taint` — host-time / RNG / env / ``id()`` / set-iteration-order
-sources, propagated through assignments, containers and call-site
-summaries) feeds the nondeterminism rule pack (:mod:`taintrules`):
-host-clock and unseeded-RNG values escaping into the event stream, and
-``os.environ`` reads outside the entry layers. Findings carry the full
-propagation chain (``clock.now -> _lag_s -> Heartbeat.lag_s``) in text
-output and SARIF ``codeFlows``. Scheduler purity is checked by
-running, not proved here: a property test calls every registered
-scheduler repeatedly and compares what it can reach before and after.
+Determinism is checked by running, not proved here:
+``tests/test_live_determinism.py`` replays every event producer in two
+interpreters (hash seed, host clocks and the legacy global RNG
+perturbed) and compares the captures byte for byte, and a property test
+calls every registered scheduler repeatedly and compares what it can
+reach before and after. What stays static is the banned *call sites*
+(unseeded RNG, wall clock, ``os.environ`` outside the entry layers).
 
-The two interprocedural passes (blocking-reach, taint) share one spine
-in :mod:`project`: one function table, one call resolver and one
-summary engine (:class:`~repro.analysis.project.Summaries`)
-that makes every summary the least fixed point over the call graph —
-exact on recursion, independent of who asked first.
+The one interprocedural pass (blocking-reach) stands on one spine in
+:mod:`project`: one function table, one call resolver and one summary
+engine (:class:`~repro.analysis.project.Summaries`) that makes every
+summary the least fixed point over the call graph — exact on
+recursion, independent of who asked first.
 
 ``repro lint`` is the CLI shell around
 :func:`~repro.analysis.runner.lint_repo`; ``--format sarif`` exports
@@ -48,7 +45,6 @@ baseline (:mod:`baseline`). See ``docs/static-analysis.md``.
 
 from . import asyncrules  # register the async-safety rule pack
 from . import rules  # register the built-in rule set
-from . import taintrules  # register the determinism-taint rule pack
 from .base import (
     FileContext,
     FileRule,
@@ -80,27 +76,18 @@ from .dataflow import (
     solve_forward,
     unit_facts,
 )
-from .findings import Finding, FlowStep, Severity
+from .findings import Finding, Severity
 from .fixes import FIXABLE_RULES, FixResult, apply_fixes, fix_source
 from .project import (
-    ModuleInfo,
     ProjectGraph,
     build_project,
     set_parse_listener,
-)
-from .taint import (
-    FnTaint,
-    TaintEngine,
-    TaintFlow,
-    class_attr_taints,
-    summaries_for,
 )
 from .runner import LintReport, format_findings, lint_repo, lint_source
 from .sarif import render_sarif, sarif_payload
 
 __all__ = [
     "Finding",
-    "FlowStep",
     "Severity",
     "Rule",
     "FileRule",
@@ -111,15 +98,9 @@ __all__ = [
     "rule_class",
     "available_rules",
     "run_file_rules",
-    "ModuleInfo",
     "ProjectGraph",
     "build_project",
     "set_parse_listener",
-    "FnTaint",
-    "TaintEngine",
-    "TaintFlow",
-    "class_attr_taints",
-    "summaries_for",
     "CFG",
     "BasicBlock",
     "Edge",

@@ -43,7 +43,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "SUSPENSION_NODES",
-    "NESTED_SCOPES",
     "WithExit",
     "Unit",
     "BasicBlock",

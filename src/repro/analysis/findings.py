@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-__all__ = ["Severity", "Finding", "FlowStep", "normalize_context"]
+__all__ = ["Severity", "Finding", "normalize_context"]
 
 #: a text edit ``--fix`` applies: (1-based line, col start, col end,
 #: replacement), columns in UTF-8 bytes as :mod:`ast` counts them;
@@ -44,24 +44,6 @@ class Severity(enum.Enum):
 
 
 @dataclass(frozen=True)
-class FlowStep:
-    """One hop of a taint-propagation chain.
-
-    ``label`` is the value as the chain names it (``time.perf_counter``,
-    ``_lag_s``, ``Heartbeat.lag_s``); ``path``/``line`` anchor the hop
-    for SARIF ``codeFlows`` when known (empty path / line 0 mean "same
-    file as the finding, location unknown").
-    """
-
-    label: str
-    path: str = ""
-    line: int = 0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"label": self.label, "path": self.path, "line": self.line}
-
-
-@dataclass(frozen=True)
 class Finding:
     """One rule violation at one source location.
 
@@ -80,10 +62,6 @@ class Finding:
     code:
         The stripped source line, used for baseline fingerprints and
         text output.
-    flow:
-        Taint-propagation chain (source -> hops -> sink) for the
-        dataflow rules; empty for plain AST findings. Rendered as a
-        ``flow:`` line in text output and as SARIF ``codeFlows``.
     fix:
         The edits that mechanically repair the violation (empty when
         it needs a human); applied by ``repro lint --fix``. Not part of
@@ -97,7 +75,6 @@ class Finding:
     col: int = 0
     severity: Severity = Severity.ERROR
     code: str = ""
-    flow: Tuple[FlowStep, ...] = ()
     fix: Tuple[TextEdit, ...] = field(default=(), compare=False)
 
     def fingerprint(self) -> Tuple[str, str, str]:
@@ -110,7 +87,7 @@ class Finding:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe payload for ``repro lint --format json``."""
-        payload: Dict[str, object] = {
+        return {
             "rule": self.rule_id,
             "path": self.path,
             "line": self.line,
@@ -119,9 +96,6 @@ class Finding:
             "message": self.message,
             "code": self.code,
         }
-        if self.flow:
-            payload["flow"] = [step.to_dict() for step in self.flow]
-        return payload
 
     def render(self) -> str:
         """One-line text rendering (``path:line: [rule] message``)."""
@@ -129,7 +103,3 @@ class Finding:
             f"{self.path}:{self.line}:{self.col + 1}: "
             f"{self.severity.value}[{self.rule_id}] {self.message}"
         )
-
-    def render_flow(self) -> str:
-        """``a -> b -> c`` text form of the taint chain ('' if none)."""
-        return " -> ".join(step.label for step in self.flow)

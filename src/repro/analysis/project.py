@@ -2,8 +2,8 @@
 
 PR 3's linter was strictly per-file: one parse, one walk, rules that
 see a single AST. The invariants the reproduction actually depends on
-— units not silently crossing call boundaries, host time and unseeded
-draws kept out of the event stream — live *between* files. This
+— units not silently crossing call boundaries, no coroutine reaching a
+blocking call — live *between* files. This
 module parses the whole ``src/repro`` tree **once** and derives two
 structures, plus one resolver:
 
@@ -65,11 +65,8 @@ __all__ = [
     "CallTarget",
     "ProjectGraph",
     "Summaries",
-    "args_by_param",
     "build_project",
-    "defined_functions",
     "enclosing_class",
-    "function_info",
     "module_name_for",
     "set_parse_listener",
 ]
@@ -615,21 +612,6 @@ def enclosing_class(
         ):
             best = cls
     return best.name if best is not None else None
-
-
-def args_by_param(
-    call: ast.Call, target: CallTarget
-) -> Dict[int, ast.expr]:
-    """Callee parameter index -> call-site argument expression (the
-    receiver of a bound call occupies index 0 implicitly)."""
-    params = target.fn.params
-    exprs: Dict[int, ast.expr] = dict(
-        enumerate(call.args, start=1 if target.bound else 0)
-    )
-    for kw in call.keywords:
-        if kw.arg is not None and kw.arg in params:
-            exprs[params.index(kw.arg)] = kw.value
-    return exprs
 
 
 S = TypeVar("S")

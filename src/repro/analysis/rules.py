@@ -12,6 +12,9 @@ rationale and the fix recipes):
   seconds; a stray ``time.time()`` / ``datetime.now()`` couples results
   to the host. ``time.perf_counter`` (monotonic, duration-only) is the
   sanctioned clock for measuring solver/CLI runtime.
+* ``env-dependent-config`` — ``os.environ`` is read only in the process
+  entry layers (CLI, ``__main__``, the serve app bootstrap);
+  configuration enters the deterministic core as explicit arguments.
 * ``no-float-equality`` — ``==`` / ``!=`` on float-valued expressions
   makes tie-breaking depend on rounding; use :func:`math.isclose` /
   :func:`numpy.isclose` or an ordering comparison.
@@ -84,6 +87,7 @@ from .project import enclosing_class
 __all__ = [
     "NoUnseededRng",
     "NoWallClock",
+    "EnvDependentConfig",
     "NoFloatEquality",
     "EventSchemaSync",
     "BenchPayloadSchema",
@@ -318,6 +322,68 @@ class NoWallClock(FileRule):
                 "wall time — simulation packages stay on the virtual "
                 "engine clock",
             )
+
+
+# ---------------------------------------------------------------------------
+# env-dependent-config
+# ---------------------------------------------------------------------------
+
+#: the only modules allowed to read process configuration from the
+#: environment: process entry points, before the deterministic core
+_ENV_ENTRY_LAYERS = (
+    "src/repro/cli.py",
+    "src/repro/__main__.py",
+    "src/repro/serve/app.py",
+)
+
+_ENV_READS = frozenset({"os.environ", "os.getenv", "os.environ.get"})
+
+#: ``os.environ.get`` also contains an ``os.environ`` child node, so an
+#: attribute is flagged at the innermost read only: each site reports once
+_ENV_ATTRIBUTE_READS = frozenset({"os.environ", "os.getenv"})
+
+
+@rule("env-dependent-config")
+class EnvDependentConfig(FileRule):
+    """``os.environ`` reads belong to the process entry layers.
+
+    Configuration must enter the deterministic core as explicit
+    arguments: an env read inside engine/sched/fleet code makes runs
+    machine-dependent in a way no seed captures. Entry layers (CLI,
+    ``__main__``, serve app bootstrap) may read the environment.
+    """
+
+    description = (
+        "environment variable read outside the CLI/serve entry layers"
+    )
+    node_types = (ast.Attribute, ast.Name)
+
+    def applies_to(self, module: str) -> bool:
+        return (
+            module.startswith("src/repro/")
+            and module not in _ENV_ENTRY_LAYERS
+        )
+
+    def check(
+        self, node: ast.AST, ctx: FileContext
+    ) -> Iterable[Finding]:
+        if isinstance(node, ast.Attribute):
+            reads = _ENV_ATTRIBUTE_READS
+        elif isinstance(node, ast.Name) and node.id in ctx.from_imports:
+            # `from os import getenv, environ` spellings
+            reads = _ENV_READS
+        else:
+            return
+        resolved = ctx.dotted_name(node)
+        if resolved not in reads:
+            return
+        yield ctx.finding(
+            self.id,
+            node,
+            f"`{resolved}` read outside the entry layers — pass "
+            "configuration in explicitly (CLI flag or constructor "
+            "argument)",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -957,8 +1023,10 @@ class DeadPublicApi(ProjectRule):
     A symbol is *used* when its name occurs outside import statements
     and ``__all__`` blocks in any other file — ``src`` modules (via
     their ASTs) plus the ``tests``/``examples``/``benchmarks`` trees
-    (textually). Re-exporting a name is not using it: an export chain
-    nobody consumes is exactly the drift this rule exists to catch.
+    (textually). Re-exporting a name is not using it, and neither is
+    the defining module's own use of a name a package re-exports: an
+    export chain nobody consumes is exactly the drift this rule exists
+    to catch.
     """
 
     description = (
@@ -977,10 +1045,13 @@ class DeadPublicApi(ProjectRule):
             if not info.exports:
                 continue
             for name in info.exports:
+                # a re-export's defining module is no consumer of it
+                found = graph.resolve_symbol(info.name, name)
+                owners = {path} if found is None else {path, found[0].path}
                 if any(
                     name in toks
                     for other, toks in tokens.items()
-                    if other != path
+                    if other not in owners
                 ):
                     continue
                 yield _project_finding(

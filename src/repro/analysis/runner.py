@@ -227,8 +227,6 @@ def format_findings(report: LintReport, fmt: str = "text") -> str:
         lines.append(f.render())
         if f.code:
             lines.append(f"    {f.code}")
-        if f.flow:
-            lines.append(f"    flow: {f.render_flow()}")
     for rule_id, path, code in report.stale_baseline:
         lines.append(
             f"{path}: stale baseline entry [{rule_id}] "

@@ -84,35 +84,6 @@ def _fingerprint(finding: Finding) -> str:
     return f"{finding.rule_id}:{finding.path}:{digest}"
 
 
-def _code_flow(finding: Finding) -> Dict[str, object]:
-    """One SARIF ``codeFlow`` from a finding's taint chain.
-
-    Each :class:`~repro.analysis.findings.FlowStep` becomes a
-    ``threadFlowLocation``; hops with no recorded location (path ''
-    / line 0) anchor to the finding's own file so viewers always get
-    a resolvable location.
-    """
-    locations: List[Dict[str, object]] = []
-    for step in finding.flow:
-        locations.append(
-            {
-                "location": {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": step.path or finding.path,
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": {
-                            "startLine": step.line or finding.line
-                        },
-                    },
-                    "message": {"text": step.label},
-                }
-            }
-        )
-    return {"threadFlows": [{"locations": locations}]}
-
-
 def sarif_payload(report: "LintReport") -> Dict[str, object]:
     """Build the SARIF document as a plain dict (tested directly)."""
     findings = sorted(
@@ -149,8 +120,6 @@ def sarif_payload(report: "LintReport") -> Dict[str, object]:
                 _FINGERPRINT_KEY: _fingerprint(f)
             },
         }
-        if f.flow:
-            result["codeFlows"] = [_code_flow(f)]
         results.append(result)
 
     return {

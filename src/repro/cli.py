@@ -430,11 +430,10 @@ def cmd_obs_export_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _git_changed_files(
-    root: Path, base: "str | None" = None
-) -> "List[str] | None":
+def _git_changed_files(root: Path, base: "str | None" = None) -> List[str]:
     """Repo-relative paths touched vs HEAD (staged, unstaged and
-    untracked); None when git is unavailable or errors.
+    untracked); raises ``RuntimeError`` with git's own message when git
+    is unavailable or fails.
 
     With ``base`` (e.g. ``origin/main``), committed changes since the
     merge base are included too — ``base...HEAD`` is the PR diff CI
@@ -442,29 +441,34 @@ def _git_changed_files(
     """
     import subprocess
 
+    git = ["git", "-C", str(root)]
     commands = [
-        ["git", "-C", str(root), "diff", "--name-only", "HEAD"],
-        [
-            "git", "-C", str(root), "ls-files",
-            "--others", "--exclude-standard",
-        ],
+        ("diff against HEAD", [*git, "diff", "--name-only", "HEAD"]),
+        (
+            "list untracked files",
+            [*git, "ls-files", "--others", "--exclude-standard"],
+        ),
     ]
     if base is not None:
         commands.insert(
             0,
-            [
-                "git", "-C", str(root), "diff", "--name-only",
-                f"{base}...HEAD",
-            ],
+            (
+                f"diff against base {base!r}",
+                [*git, "diff", "--name-only", f"{base}...HEAD"],
+            ),
         )
     changed: List[str] = []
-    for cmd in commands:
+    for what, cmd in commands:
         try:
             out = subprocess.run(
                 cmd, capture_output=True, text=True, check=True
             ).stdout
-        except (OSError, subprocess.CalledProcessError):
-            return None
+        except OSError as exc:
+            raise RuntimeError(f"cannot run git: {exc}") from exc
+        except subprocess.CalledProcessError as exc:
+            raise RuntimeError(
+                f"git cannot {what}: {exc.stderr.strip()}"
+            ) from exc
         changed.extend(
             line.strip() for line in out.splitlines() if line.strip()
         )
@@ -621,15 +625,12 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return 0
     only_paths = None
     if args.changed:
-        only_paths = _git_changed_files(root, base=args.base)
-        if only_paths is None:
-            print(
-                "error: --changed needs a git checkout (git diff "
-                "failed); lint without it",
-                file=sys.stderr,
-            )
+        try:
+            changed = _git_changed_files(root, base=args.base)
+        except RuntimeError as exc:
+            print(f"error: --changed: {exc}", file=sys.stderr)
             return 2
-        only_paths = [p for p in only_paths if p.endswith(".py")]
+        only_paths = [p for p in changed if p.endswith(".py")]
     rule_ids = None
     if args.rules:
         rule_ids = [r.strip() for r in args.rules.split(",") if r.strip()]
@@ -1171,9 +1172,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--rules",
         default=None,
         metavar="IDS",
-        help="comma-separated rule subset to run (e.g. the "
-        "determinism-taint pack CI uploads under its own SARIF "
-        "category); default: all registered rules",
+        help="comma-separated rule subset to run (e.g. "
+        "no-wall-clock,no-unseeded-rng); default: all registered rules",
     )
     p_lint.add_argument(
         "--changed",

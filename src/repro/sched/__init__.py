@@ -14,7 +14,7 @@ here the way aggregation strategies and topologies are in
   functions in :mod:`repro.core` they wrap;
 * two algorithms from related work: :class:`OLARScheduler`
   (Pilla 2020, provably min-makespan for monotone costs) and
-  :class:`MinEnergyScheduler` (Pilla 2022, exact (MC)²MKP
+  :class:`~repro.sched.minenergy.MinEnergyScheduler` (Pilla 2022, exact (MC)²MKP
   minimal-energy DP with an optional makespan cap);
 * cost-model builders (``costs``) — time *and* energy matrices from
   the calibrated device simulator;
@@ -42,7 +42,7 @@ from .costs import (
     cached_time_curves,
     testbed_problem,
 )
-from .minenergy import MinEnergyScheduler, min_energy_assign
+from .minenergy import min_energy_assign
 from .olar import OLARScheduler, olar_assign
 from .registry import (
     available_schedulers,
@@ -67,7 +67,6 @@ __all__ = [
     "FedLBAPScheduler",
     "FedMinAvgScheduler",
     "OLARScheduler",
-    "MinEnergyScheduler",
     "olar_assign",
     "min_energy_assign",
     "testbed_problem",

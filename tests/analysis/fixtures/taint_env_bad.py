@@ -1,8 +1,8 @@
 """Bad: environment reads inside the deterministic core.
 
 Configuration must arrive as explicit arguments; reads here make
-behaviour machine-dependent, and the tag even flows into the event
-stream.
+behaviour machine-dependent wherever the value goes (the read site is
+what is flagged).
 """
 
 import os

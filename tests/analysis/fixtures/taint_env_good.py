@@ -1,8 +1,7 @@
 """Good: env reads confined to an entry layer.
 
 Linted as if at ``src/repro/serve/app.py`` — the bootstrap may read
-the environment, but the value is passed onward explicitly and never
-reaches the event stream.
+the environment and passes the value onward as an explicit argument.
 """
 
 import os

@@ -182,3 +182,37 @@ def test_dead_public_api_inline_allow(tmp_path):
         encoding="utf-8",
     )
     assert lint_rule(root, "dead-public-api") == []
+
+
+def test_dead_public_api_defining_module_is_no_consumer_of_a_reexport(
+    tmp_path,
+):
+    # `helper` is used inside the module that defines it, but nothing
+    # imports it from the package that re-exports it
+    root = write_tree(
+        tmp_path,
+        {
+            "src/repro/__init__.py": "",
+            "src/repro/pkg/__init__.py": (
+                "from .mod import api, helper\n"
+                "\n"
+                "__all__ = [\"api\", \"helper\"]\n"
+            ),
+            "src/repro/pkg/mod.py": (
+                "__all__ = [\"api\"]\n"
+                "\n"
+                "\n"
+                "def helper():\n"
+                "    return 1\n"
+                "\n"
+                "\n"
+                "def api():\n"
+                "    return helper()\n"
+            ),
+            "tests/test_use.py": "from repro.pkg import api\n\nvalue = api()\n",
+        },
+    )
+    findings = lint_rule(root, "dead-public-api")
+    assert [(f.path, f.message.split(" but ")[0]) for f in findings] == [
+        ("src/repro/pkg/__init__.py", "repro.pkg.__all__ exports 'helper'")
+    ]

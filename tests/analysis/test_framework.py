@@ -22,14 +22,10 @@ from repro.analysis.asyncrules import (
     TaskLeak,
     UnawaitedCoroutine,
 )
-from repro.analysis.taintrules import (
-    EnvDependentConfig,
-    HostTimeTaint,
-    RngTaintEscape,
-)
 from repro.analysis.rules import (
     BenchPayloadSchema,
     DeadPublicApi,
+    EnvDependentConfig,
     EventSchemaSync,
     NoFloatEquality,
     NoPythonLoopOverFleet,
@@ -49,13 +45,11 @@ EXPECTED_RULES = {
     "dead-public-api": DeadPublicApi,
     "env-dependent-config": EnvDependentConfig,
     "event-schema-sync": EventSchemaSync,
-    "host-time-taint": HostTimeTaint,
     "lock-across-await": LockAcrossAwait,
     "no-float-equality": NoFloatEquality,
     "no-python-loop-over-fleet": NoPythonLoopOverFleet,
     "no-unseeded-rng": NoUnseededRng,
     "no-wall-clock": NoWallClock,
-    "rng-taint-escape": RngTaintEscape,
     "shared-fleet-mutation": SharedFleetMutation,
     "task-leak": TaskLeak,
     "unawaited-coroutine": UnawaitedCoroutine,

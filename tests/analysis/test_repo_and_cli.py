@@ -2,6 +2,9 @@
 wired so CI can block on them."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,9 +89,63 @@ def test_cli_rejects_non_repo_root(tmp_path, capsys):
     assert "src/repro" in capsys.readouterr().err
 
 
-def git(cwd, *argv):
-    import subprocess
+def two_rule_repo(tmp_path: Path) -> Path:
+    """An env read and a wall-clock read, each where its rule bites."""
+    for fixture, dest in (
+        ("taint_env_bad.py", "src/repro/fleet/cfg.py"),
+        ("wall_clock_bad.py", "src/repro/engine/wall_clock_bad.py"),
+    ):
+        target = tmp_path / dest
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(
+            (FIXTURES / fixture).read_text(encoding="utf-8"),
+            encoding="utf-8",
+        )
+    return tmp_path
 
+
+def test_cli_rules_flag_scopes_the_run(tmp_path, capsys):
+    root = str(two_rule_repo(tmp_path))
+    args = ["lint", "--root", root, "--rules"]
+    assert main([*args, "env-dependent-config"]) == 1
+    out = capsys.readouterr().out
+    assert "env-dependent-config" in out
+    assert "no-wall-clock" not in out
+    assert "1 rules" in out.splitlines()[-1]
+    # the same tree is quiet under an unrelated rule...
+    assert main([*args, "no-float-equality"]) == 0
+    capsys.readouterr()
+    # ...and an unknown id is a usage error, not a silent no-op
+    assert main([*args, "no-such"]) == 2
+    assert "unknown rule" in capsys.readouterr().err
+
+
+def test_json_output_is_byte_stable_across_hash_seeds(tmp_path):
+    """`repro lint --format json` must not leak dict/set iteration
+    order: two interpreters with different hash seeds, same bytes."""
+    root = two_rule_repo(tmp_path)
+
+    def run(seed: str) -> bytes:
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=str(REPO_ROOT / "src"),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "lint", "--root", str(root),
+             "--format", "json"],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 1, proc.stderr.decode()
+        return proc.stdout
+
+    first = run("0")
+    assert json.loads(first)["findings"], "corpus must produce findings"
+    assert first == run("4242")
+
+
+def git(cwd, *argv):
     subprocess.run(
         ["git", "-c", "user.name=t", "-c", "user.email=t@t", *argv],
         cwd=cwd,

@@ -59,6 +59,19 @@ CASES = [
         [],
     ),
     (
+        "taint_env_bad.py",
+        "src/repro/fleet/taint_env_bad.py",
+        "env-dependent-config",
+        [15, 19, 23],
+    ),
+    (
+        # the good twin lives *inside* an entry layer on purpose
+        "taint_env_good.py",
+        "src/repro/serve/app.py",
+        "env-dependent-config",
+        [],
+    ),
+    (
         "float_eq_bad.py",
         "src/repro/core/float_eq_bad.py",
         "no-float-equality",

@@ -1,8 +1,8 @@
 """The interprocedural summary engine, on its own.
 
 :class:`repro.analysis.project.Summaries` decides what a summary means
-on a recursive call graph for every pass built on it (blocking-reach,
-taint). Its contract — each key's summary is the least fixed
+on a recursive call graph for every pass built on it (blocking-reach).
+Its contract — each key's summary is the least fixed
 point of ``infer`` over the graph, whatever the order of queries, and
 a memoised key is never inferred again — is checked here against a
 global Kleene iteration on random call graphs (self-loops, nested and

@@ -5,7 +5,13 @@ Everything here is deterministic: the service clock is a
 fleet uses the hand-built toy device classes from the fleet tests (no
 profiler probing), and the heartbeat monitor task is never started —
 sweeps happen via explicit ``registry.check()`` calls.
+
+Every event loop a test here starts runs in asyncio debug mode, and a
+never-awaited coroutine (``RuntimeWarning``) or an unclosed socket,
+transport or loop (``ResourceWarning``) is an error.
 """
+
+import warnings
 
 import pytest
 
@@ -91,3 +97,14 @@ def clock():
 def app(clock):
     application, _ = make_app(clock=clock)
     return application
+
+
+@pytest.fixture(autouse=True)
+def asyncio_debug(monkeypatch):
+    monkeypatch.setenv("PYTHONASYNCIODEBUG", "1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("error", ResourceWarning)
+        # ... raised in a finalizer, they reach pytest as unraisable
+        warnings.simplefilter("error", pytest.PytestUnraisableExceptionWarning)
+        yield

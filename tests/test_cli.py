@@ -506,3 +506,29 @@ class TestObsProf:
         assert main(["obs", "prof", "--rounds", "1"]) == 0
         assert PROFILER.enabled is False
         assert not PROFILER.stats
+
+
+class TestLintChanged:
+    def test_unknown_base_names_the_ref(self, tmp_path, capsys):
+        import subprocess
+
+        (tmp_path / "src" / "repro").mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "mod.py").write_text("X = 1\n")
+        for argv in (
+            ["init", "-q"],
+            ["add", "-A"],
+            ["commit", "-qm", "seed"],
+        ):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *argv],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+        code = main([
+            "lint", "--root", str(tmp_path), "--changed",
+            "--base", "origin/no-such-branch", "--format", "sarif",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "'origin/no-such-branch'" in err
+        assert "fatal:" in err  # git's own message

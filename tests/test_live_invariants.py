@@ -59,14 +59,19 @@ print(json.dumps({
 """
 
 
+def run_probe(probe: str, *args: str, hash_seed: str = "0") -> str:
+    """Stdout of ``probe`` run in a fresh interpreter on the repo's source."""
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=hash_seed),
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 @pytest.fixture(scope="module")
 def broken():
-    probe = subprocess.run(
-        [sys.executable, "-c", PROBE, str(ROOT)], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-    )
-    assert probe.returncode == 0, probe.stderr
-    return json.loads(probe.stdout)
+    return json.loads(run_probe(PROBE, str(ROOT)))
 
 
 @pytest.mark.parametrize("invariant", [
