@@ -210,7 +210,7 @@ MUTANTS = [
 def captures():
     """Capture per producer (and per mutant) from interpreters A and B."""
     return {
-        side: json.loads(run_probe(PROBE, side, hash_seed=seed))
+        side: json.loads(run_probe(PROBE, side, PYTHONHASHSEED=seed))
         for side, seed in (("A", "0"), ("B", "1"))
     }
 

@@ -59,11 +59,12 @@ print(json.dumps({
 """
 
 
-def run_probe(probe: str, *args: str, hash_seed: str = "0") -> str:
-    """Stdout of ``probe`` run in a fresh interpreter on the repo's source."""
+def run_probe(probe: str, *args: str, **env: str) -> str:
+    """Stdout of ``probe`` run in a fresh interpreter on the repo's source,
+    with ``env`` added to the environment."""
     done = subprocess.run(
         [sys.executable, "-c", probe, *args], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=hash_seed),
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env),
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
